@@ -1,0 +1,53 @@
+#!/usr/bin/env python
+"""Line budget for the framework core and the analysis pipeline.
+
+ROADMAP's "net-negative line count in ``src/repro/core`` and
+``src/repro/analysis``" as a gate: prints ``wc -l`` per module of both
+packages and exits non-zero when either total exceeds its ceiling. The
+ceilings are the totals at the last change that moved them; a change
+that shrinks a package lowers its ceiling in the same commit, and one
+that needs to grow it raises the number here, in review, with a reason.
+
+Run locally with ``python scripts/check_core_budget.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: package directory (relative to the repo root) -> maximum total lines
+CEILINGS = {
+    "src/repro/core": 6409,
+    "src/repro/analysis": 6014,
+}
+
+
+def line_counts(package: str) -> dict:
+    """``{module file name: line count}`` for the package's own modules."""
+    folder = os.path.join(ROOT, package)
+    counts = {}
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), "rb") as fh:
+                counts[name] = sum(1 for _ in fh)
+    return counts
+
+
+def main() -> int:
+    failed = False
+    for package, ceiling in CEILINGS.items():
+        counts = line_counts(package)
+        for name, n in counts.items():
+            print(f"{n:7d} {package}/{name}")
+        total = sum(counts.values())
+        verdict = "ok" if total <= ceiling else "OVER BUDGET"
+        print(f"{total:7d} {package} total (ceiling {ceiling}): {verdict}\n")
+        failed = failed or total > ceiling
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

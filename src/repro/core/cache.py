@@ -62,57 +62,6 @@ class RemoteCache(Generic[K, V]):
             self.hits += 1
             return True, value  # type: ignore[return-value]
 
-    def get_many(self, keys) -> Tuple[dict, list]:
-        """Batched lookup for one tile edge: ``(hits_dict, missing_keys)``.
-
-        The tiled engine probes a whole remote halo in one call — one lock
-        acquisition instead of one per cell. Hit/miss counters advance by
-        the same amounts the per-cell path would record.
-        """
-        hits: dict = {}
-        missing: list = []
-        with self._lock:
-            for key in keys:
-                value = self._map.get(key, _MISS)
-                if value is _MISS:
-                    self.misses += 1
-                    missing.append(key)
-                else:
-                    self.hits += 1
-                    hits[key] = value
-        return hits, missing
-
-    def peek_many(self, keys) -> Tuple[dict, list]:
-        """Like :meth:`get_many` but without advancing the hit/miss
-        counters — for speculative probes (the halo prefetcher) that must
-        not distort the cache accounting the reports and tests rely on."""
-        hits: dict = {}
-        missing: list = []
-        with self._lock:
-            for key in keys:
-                value = self._map.get(key, _MISS)
-                if value is _MISS:
-                    missing.append(key)
-                else:
-                    hits[key] = value
-        return hits, missing
-
-    def put_many(self, items) -> None:
-        """Batched insert of ``(key, value)`` pairs (FIFO, one lock hold)."""
-        if self.capacity == 0:
-            return
-        with self._lock:
-            for key, value in items:
-                if key in self._map:
-                    self._map[key] = value
-                    continue
-                old = self._keys[self._next]
-                if old is not None:
-                    del self._map[old]
-                self._keys[self._next] = key
-                self._map[key] = value
-                self._next = (self._next + 1) % self.capacity
-
     def put(self, key: K, value: V) -> None:
         """Insert, evicting the oldest entry when full (FIFO)."""
         if self.capacity == 0:

@@ -57,11 +57,15 @@ class DPX10Config:
     custom_dist: Optional[Callable[[Region2D, Sequence[int]], Dist]] = None
     #: scheduling strategy: local (default), random, or mincomm
     scheduler: str = "local"
-    #: remote-vertex FIFO cache capacity per place; 0 disables
+    #: remote-vertex FIFO cache capacity per place; 0 disables. A
+    #: per-vertex-path knob: tiled runs read neighbours' finished cells
+    #: in place on the shared plane and keep no per-consumer copies
     cache_size: int = 64
     #: bytes per vertex value, used for communication accounting
     value_nbytes: int = 8
-    #: recovery behaviour for finished vertices homed on remote places
+    #: recovery behaviour for finished vertices homed on remote places.
+    #: A per-vertex-path knob: tiled and mp recovery re-home only the
+    #: dead place's units, so survivors' results never move
     restore_manner: str = "discard"
     #: fault-tolerance mechanism: "recovery" is the paper's new method;
     #: "snapshot" is the Resilient-X10 periodic-snapshot baseline the
@@ -101,7 +105,9 @@ class DPX10Config:
     #: spill vertex values to disk-backed arrays in this directory (the
     #: paper's future work: "spilling some data to local disk to enable
     #: computations on large scale of DP problems"). Requires a typed
-    #: ``value_dtype``; object-valued apps silently stay in RAM.
+    #: ``value_dtype``; object-valued apps silently stay in RAM. Tiled
+    #: in-process runs memory-map their one value plane there instead of
+    #: a file per place; the mp engine falls back to the pipe transport.
     spill_dir: Optional[str] = None
     #: inline engine only: execute the pattern's precomputed topological
     #: order directly, skipping indegree bookkeeping and ready lists. An
@@ -111,11 +117,12 @@ class DPX10Config:
     #: tile-granular execution: block the matrix into ``(tile_h, tile_w)``
     #: tiles and schedule, fetch, and place whole tiles instead of single
     #: cells (see docs/TILING.md). The cell-level pattern is coarsened to a
-    #: tile-level DAG (``Dag.coarsen``, symbolically verified acyclic), a
-    #: tile's remote halo is fetched in one batch per producing place, and
-    #: apps may supply a vectorized ``compute_tile`` kernel. ``None`` and
-    #: ``(1, 1)`` both select the legacy per-vertex path, bit-for-bit.
-    #: Supported by the inline, threaded and mp engines.
+    #: tile-level DAG (``Dag.coarsen``, symbolically verified acyclic),
+    #: the matrix lives in one dense plane every engine computes against
+    #: (repro.core.plane), and apps may supply a vectorized
+    #: ``compute_tile`` kernel. ``None`` and ``(1, 1)`` both select the
+    #: legacy per-vertex path, bit-for-bit. Supported by the inline,
+    #: threaded and mp engines.
     tile_shape: Optional[tuple[int, int]] = None
     #: chaos-engineering schedule (see repro.chaos): a seeded composite of
     #: kills, mid-recovery kills, slow-place throttles and message chaos.
@@ -126,17 +133,15 @@ class DPX10Config:
     #: pipes (real delay/drop/dup/reorder) or the in-process NetworkModel
     #: (modelled). Results must be — and are tested to be — unchanged.
     chaos: Optional[object] = None
-    #: zero-copy shared-memory data plane (see repro.core.shm and
-    #: docs/TILING.md "Transport"). ``None`` (default) resolves to "on
-    #: where it pays and is supported": the mp engine backs its vertex
-    #: planes with multiprocessing.shared_memory segments so workers read
-    #: owned cells and halo strips as NumPy views instead of pickled pipe
-    #: payloads, while the in-process engines keep plain arrays. ``True``
-    #: additionally backs the in-process VertexStore value/finished
-    #: arrays with segments. ``False`` forces the pickled pipe transport
-    #: everywhere. Regardless of the setting, object-dtype apps, spilled
-    #: stores, unsupported platforms and mp runs under *message* chaos
-    #: (whose ChaosPipe semantics must be preserved) fall back to pipes.
+    #: mp engine only — the transport selector (see repro.core.shm and
+    #: docs/TILING.md "One plane"). ``None`` (default) and ``True`` back
+    #: the value/finished planes with multiprocessing.shared_memory
+    #: segments so place processes read owned cells and halo strips as
+    #: NumPy views; ``False`` forces the pickled pipe transport.
+    #: Regardless of the setting, object-dtype apps, spilled runs,
+    #: unsupported platforms and runs under *message* chaos (whose
+    #: ChaosPipe semantics must be preserved) use the pipes. The
+    #: in-process engines ignore it: their plane is a heap array.
     shm: Optional[bool] = None
     #: tiled path only: compile ``compute()`` into a vectorized NumPy tile
     #: kernel (repro.analysis: lift to IR, classify, emit) and use it in
@@ -147,12 +152,6 @@ class DPX10Config:
     #: A generated kernel takes precedence over a hand-written
     #: ``compute_tile``.
     autokernel: bool = False
-    #: tiled path only: when a tile finishes, asynchronously pre-fetch
-    #: the halo strips of the next tiles queued at that place (double-
-    #: buffered per worker) so fetch latency overlaps compute; the
-    #: synchronous batched fetch remains the correctness fallback. Hits
-    #: and misses are observable as dpx10_halo_prefetch_{hits,misses}_total.
-    halo_prefetch: bool = True
     #: let idle workers steal ready vertices from other places' lists.
     #: An extension beyond the paper (its future work cites X10
     #: work-stealing schedulers [24, 25]); results are unchanged, load

@@ -66,6 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.apgas.failure import FaultInjector, FaultPlan
+from repro.core import plane as _plane
 from repro.core.api import DPX10App, Vertex
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
@@ -78,7 +79,7 @@ from repro.errors import (
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS, NULL_REGISTRY, MetricsRegistry
 from repro.util.logging import get_logger
 
-__all__ = ["run_mp", "MPRunStats", "PlaneResults"]
+__all__ = ["run_mp", "MPRunStats"]
 
 logger = get_logger("core.mp_engine")
 
@@ -120,12 +121,14 @@ class MPRunStats:
 class _ShmWorker:
     """Worker-side view of the shared-memory data plane.
 
-    Attaches the value/finished planes the master created, coarsens the
-    DAG locally when the run is tiled (tile geometry is deterministic, so
-    shipping the tile shape is enough), and serves the ``cells`` /
-    ``tiles`` requests by reading dependencies straight off the plane and
-    writing results in place. The only pipe traffic left is the unit
-    index lists and the tiny ``done`` acknowledgements.
+    Attaches the value/finished segments the master created as a
+    :class:`~repro.core.plane.TilePlane`, coarsens the DAG locally when
+    the run is tiled (tile geometry is deterministic, so shipping the
+    tile shape is enough), and serves the ``cells`` / ``tiles`` requests
+    by reading dependencies straight off the plane and writing results
+    in place — tiles through :func:`repro.core.plane.run_tile`, the
+    executor the in-process engines run too. The only pipe traffic left
+    is the unit index lists and the tiny ``done`` acknowledgements.
 
     Accounting: reads of cells homed on *other* places are the halo
     traffic the pipes used to carry; they feed
@@ -148,22 +151,21 @@ class _ShmWorker:
         self.app = app
         self.dag = dag
         shape = meta["shape"]
-        self.values = shm.attach_array(meta["values"], shape, meta["dtype"])
-        self.finished = shm.attach_array(meta["finished"], shape, np.uint8)
-        #: unit-granular owner map (tile grid or cell grid, -1 = inactive);
-        #: Dist objects hold closures and cannot cross the pipe, so the
-        #: master ships this resolved array instead (and again on redist)
-        self.owners = meta["owners"]
-        self.itemsize = self.values.dtype.itemsize
+        #: the owner map is unit-granular (tile grid or cell grid, -1 =
+        #: inactive); Dist objects hold closures and cannot cross the
+        #: pipe, so the master ships the resolved array (and again on
+        #: redist)
+        self.plane = _plane.TilePlane(
+            shm.attach_array(meta["values"], shape, meta["dtype"]),
+            shm.attach_array(meta["finished"], shape, np.uint8),
+            meta["tile_shape"] or (1, 1),
+            owners=meta["owners"],
+        )
         self.tiled = None
-        self.kernel_ok = False
-        self.autokernel = None
+        self.kernel = None
         if meta["tile_shape"] is not None:
             self.tiled = dag.coarsen(*meta["tile_shape"])
-            self.kernel_ok = (
-                self.tiled.stencil_mode
-                and type(app).compute_tile is not DPX10App.compute_tile
-            )
+            autokernel = None
             spec = meta.get("autokernel")
             if spec is not None:
                 # generated kernels close over compiled code objects and
@@ -172,7 +174,8 @@ class _ShmWorker:
                 # AST pipeline, no numeric probes, just codegen
                 from repro.analysis.codegen import kernel_from_spec
 
-                self.autokernel = kernel_from_spec(spec, app, dag)
+                autokernel = kernel_from_spec(spec, app, dag)
+            self.kernel = _plane.tile_kernel(app, self.tiled, autokernel)
         self.read_bytes = registry.counter(
             "dpx10_mp_shm_read_bytes_total",
             "bytes read from the shared-memory plane for remote-homed "
@@ -192,13 +195,8 @@ class _ShmWorker:
             buckets=DEFAULT_BYTES_BUCKETS,
         ).labels("shm")
 
-    def set_owners(self, owners: np.ndarray) -> None:
-        """Recovery re-homed the units: track ownership for accounting."""
-        self.owners = owners
-
-    def _record_remote(self, ncells: int, nproducers: int) -> None:
-        if ncells:
-            nbytes = ncells * self.itemsize
+    def _record_remote(self, nbytes: int, nproducers: int = 1) -> None:
+        if nbytes:
             self.read_bytes.inc(nbytes)
             self.read_batches.inc(nproducers)
             self.halo_bytes.observe(nbytes)
@@ -213,8 +211,8 @@ class _ShmWorker:
         master normalizes them onto its own timeline at merge time.
         """
         app, dag = self.app, self.dag
-        values, finished = self.values, self.finished
-        owners = self.owners
+        plane = self.plane
+        values, finished, owners = plane.values, plane.finished, plane.owners
         remote = 0
         producers: Set[int] = set()
         for i, j in cells:
@@ -234,108 +232,30 @@ class _ShmWorker:
                 sink.append(
                     (i, j, self.place_id, t0, time.perf_counter(), 1, None)
                 )
-        self._record_remote(remote, len(producers))
+        self._record_remote(remote * plane.nbytes, len(producers))
         return len(cells)
 
     def compute_tiles(
         self, tiles: Sequence[Coord], sink: Optional[list] = None
     ) -> int:
-        """Whole-tile compute against the plane (the tiled unit).
-
-        Mirrors :func:`repro.core.tiling.execute_tile` semantics exactly:
-        the kernel window starts as zeros with only the halo strips
-        scattered in (never a raw plane copy, so stale successor values
-        after a recovery can never leak into a window), and the per-cell
-        fallback reads in-tile values from a local dict and out-of-tile
-        values from the plane.
-        """
+        """Whole-tile compute against the plane (the tiled unit)."""
         tiled = self.tiled
         assert tiled is not None
-        app = self.app
-        base = tiled.base
-        grid = tiled.grid
-        values, finished = self.values, self.finished
-        owners = self.owners
         total = 0
-        for ti, tj in tiles:
-            t_tile0 = time.perf_counter() if sink is not None else 0.0
-            rows, cols = tiled.cells_of(ti, tj)
-            n = len(rows)
-            if n == 0:
-                continue
-            hrows, hcols = tiled.halo_of(ti, tj)
-            if len(hrows):
-                # halo accounting at tile granularity: a strip cell is
-                # homed where its tile's origin lives
-                strip_owners = owners[hrows // grid.tile_h, hcols // grid.tile_w]
-                remote_mask = strip_owners != self.place_id
-                producers = set(np.unique(strip_owners[remote_mask]).tolist())
-                self._record_remote(
-                    int(np.count_nonzero(remote_mask)), len(producers)
-                )
-            r0, r1, c0, c1 = grid.bounds(ti, tj)
-            done = False
-            autokernel = self.autokernel
-            if autokernel is not None or self.kernel_ok:
-                if autokernel is not None:
-                    pt, pb, pl, pr = (
-                        max(a, d) for a, d in zip(autokernel.pads, tiled.pads)
-                    )
-                else:
-                    pt, pb, pl, pr = tiled.pads
-                wr0, wr1 = max(0, r0 - pt), min(base.height, r1 + pb)
-                wc0, wc1 = max(0, c0 - pl), min(base.width, c1 + pr)
-                window = np.zeros((wr1 - wr0, wc1 - wc0), dtype=values.dtype)
-                if len(hrows):
-                    if autokernel is not None:
-                        # wider generated pads can push declared-halo cells
-                        # outside this window; the footprint box bounds all
-                        # reads, so out-of-box strips are provably unread
-                        ins = (
-                            (hrows >= wr0)
-                            & (hrows < wr1)
-                            & (hcols >= wc0)
-                            & (hcols < wc1)
-                        )
-                        window[hrows[ins] - wr0, hcols[ins] - wc0] = values[
-                            hrows[ins], hcols[ins]
-                        ]
-                    else:
-                        window[hrows - wr0, hcols - wc0] = values[hrows, hcols]
-                kernel_fn = (
-                    autokernel.fn if autokernel is not None else app.compute_tile
-                )
-                if kernel_fn(
-                    r0, c0, window, r0 - wr0, c0 - wc0, r1 - r0, c1 - c0
-                ):
-                    values[rows, cols] = window[rows - wr0, cols - wc0]
-                    done = True
-            if not done:
-                local: Dict[Coord, Any] = {}
-                for i, j in zip(rows.tolist(), cols.tolist()):
-                    verts = []
-                    for d in base.get_dependency(i, j):
-                        if not base.is_active(d.i, d.j):
-                            continue
-                        key = (d.i, d.j)
-                        if key in local:
-                            verts.append(Vertex(d.i, d.j, local[key]))
-                        else:
-                            verts.append(
-                                Vertex(d.i, d.j, values[d.i, d.j].item())
-                            )
-                    local[(i, j)] = app.compute(i, j, verts)
-                values[rows, cols] = [
-                    local[c] for c in zip(rows.tolist(), cols.tolist())
-                ]
-            finished[rows, cols] = 1
+        for tile in tiles:
+            t0 = time.perf_counter() if sink is not None else 0.0
+            n, transfers = _plane.run_tile(
+                self.plane, tiled, self.app, self.kernel, tile, self.place_id
+            )
+            # a place executes only tiles it owns: every transfer is a
+            # halo read from one remote producer
+            for _src, _dst, nbytes in transfers:
+                self._record_remote(nbytes)
             total += n
-            if sink is not None:
+            if sink is not None and n:
+                r0, c0 = tiled.grid.origin(*tile)
                 sink.append(
-                    (
-                        r0, c0, self.place_id,
-                        t_tile0, time.perf_counter(), n, (ti, tj),
-                    )
+                    (r0, c0, self.place_id, t0, time.perf_counter(), n, tile)
                 )
         return total
 
@@ -479,9 +399,10 @@ def _worker_main(place_id: int, conn) -> None:
                 ins.levels_served.inc()
                 reply = (seq, "done", ncomp, elapsed)
             elif kind == "redist":
-                _, _, new_owners = msg
+                # recovery re-homed the units: track ownership so the
+                # halo accounting stays truthful
                 assert shm_worker is not None
-                shm_worker.set_owners(new_owners)
+                shm_worker.plane.owners = msg[2]
                 reply = (seq, "ok")
             elif kind == "compute":
                 # compute the given cells; boundary holds remote dep values
@@ -766,23 +687,6 @@ def _trace_ctx(trace: Optional[ExecutionTrace]) -> Optional[Dict[str, Any]]:
     return {"trace_id": trace.trace_id, "epoch0": trace.epoch0}
 
 
-def _set_trace_meta(
-    trace: Optional[ExecutionTrace], config: DPX10Config, dag: Dag, tiled
-) -> None:
-    """Stash the dependency facts repro.obs.causal rebuilds edges from."""
-    if trace is None:
-        return
-    if tiled is not None:
-        trace.meta["tile_shape"] = list(config.tile_shape)
-        trace.meta["grid"] = [tiled.grid.nti, tiled.grid.ntj]
-        if tiled.stencil_mode:
-            trace.meta["tile_offsets"] = [list(o) for o in tiled.tile_offsets]
-    else:
-        offs = getattr(dag, "offsets", None)
-        if offs:
-            trace.meta["offsets"] = [list(o) for o in offs]
-
-
 def _merge_worker_trace(trace: ExecutionTrace, proc: "_PlaceProc") -> None:
     """Pull one worker's buffered events, normalized onto the master clock.
 
@@ -871,49 +775,6 @@ def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> Non
     ).labels("recovery").set(stats.recoveries)
 
 
-class PlaneResults(Mapping):
-    """Result mapping backed by copies of the shm value/finished planes.
-
-    Duck-compatible with the ``{(i, j): value}`` dict the pickled path
-    returns — membership means "finished", lookups return Python scalars
-    — plus :meth:`as_bulk`, the vectorized gather the runtime hands to
-    :class:`~repro.core.dag.ResultView` so ``Dag.to_array`` needs no
-    per-cell loop.
-    """
-
-    def __init__(self, values: np.ndarray, finished: np.ndarray) -> None:
-        self._values = values
-        self._finished = finished  # bool mask
-
-    def __getitem__(self, key: Coord) -> Any:
-        i, j = key
-        h, w = self._finished.shape
-        if not (0 <= i < h and 0 <= j < w) or not self._finished[i, j]:
-            raise KeyError(key)
-        return self._values[i, j].item()
-
-    def __contains__(self, key: object) -> bool:
-        try:
-            i, j = key  # type: ignore[misc]
-        except (TypeError, ValueError):
-            return False
-        h, w = self._finished.shape
-        return 0 <= i < h and 0 <= j < w and bool(self._finished[i, j])
-
-    def __iter__(self):
-        for i, j in np.argwhere(self._finished):
-            yield (int(i), int(j))
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._finished))
-
-    def as_bulk(self, fill: Any, dtype: Any) -> np.ndarray:
-        """``ResultView`` bulk gather: full matrix, ``fill`` where unfinished."""
-        out = np.full(self._values.shape, fill, dtype=dtype or object)
-        out[self._finished] = self._values[self._finished]
-        return out
-
-
 def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
     """Whether this run may use the shared-memory data plane.
 
@@ -950,11 +811,11 @@ def run_mp(
 
     Returns the complete ``{coord: value}`` result mapping plus run
     stats — a plain dict from the pickled transport, a
-    :class:`PlaneResults` from the shared-memory one. Each place process
-    keeps its own metrics registry; at gather time the master requests a
-    snapshot over the reply channel and merges it into ``registry``
-    (counters add, histograms add bucket-wise), so per-process
-    accounting survives the address-space boundary.
+    :class:`~repro.core.plane.PlaneResults` from the shared-memory one.
+    Each place process keeps its own metrics registry; at gather time
+    the master requests a snapshot over the reply channel and merges it
+    into ``registry`` (counters add, histograms add bucket-wise), so
+    per-process accounting survives the address-space boundary.
 
     ``chaos`` is an optional :class:`~repro.chaos.controller.
     ChaosController`: its kill plans merge into the fault injector, its
@@ -997,7 +858,8 @@ def _run_mp_pipes(
     tiled = dag.coarsen(*config.tile_shape) if config.tiling_enabled else None
     # worker events on this transport are per-cell even when tiled, so
     # the causal layer links them by the cell-level offsets
-    _set_trace_meta(trace, config, dag, None)
+    if trace is not None:
+        trace.set_dependency_meta(dag)
     with _tphase(trace, "schedule"):
         if tiled is None:
             levels = _topological_levels(dag)
@@ -1230,7 +1092,12 @@ def _run_mp_pipes(
                 progress = 0
                 while pending:
                     d = min(pending)
-                    batch = sorted(pending.pop(d))
+                    # level order, not coordinate order: a tiled level
+                    # lists each tile's cells in intra-tile wavefront
+                    # order, which the worker's in-message dependencies
+                    # rely on (row-major breaks interval-like patterns)
+                    lost = pending.pop(d)
+                    batch = [c for c in levels[d] if c in lost]
                     compute_level(batch)
                     progress += len(batch)
                     more: List[int] = []
@@ -1292,7 +1159,7 @@ def _run_mp_shm(
     chaos=None,
     trace: Optional[ExecutionTrace] = None,
     straggler=None,
-) -> Tuple[PlaneResults, MPRunStats]:
+) -> Tuple[_plane.PlaneResults, MPRunStats]:
     """The zero-copy transport: values live in shared-memory planes.
 
     The master creates a matrix-shaped value plane (the app's dtype) and
@@ -1315,7 +1182,8 @@ def _run_mp_shm(
     ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
     stats = MPRunStats()
     tiled = dag.coarsen(*config.tile_shape) if config.tiling_enabled else None
-    _set_trace_meta(trace, config, dag, tiled)
+    if trace is not None:
+        trace.set_dependency_meta(dag, tiled)
     with _tphase(trace, "schedule"):
         unit_levels = _topological_levels(tiled if tiled is not None else dag)
     stats.levels = len(unit_levels)
@@ -1376,28 +1244,20 @@ def _run_mp_shm(
         try:
             alive = sorted(procs)
 
-            def home_of(u: Coord, d) -> int:
-                if tiled is None:
-                    return d.place_of(*u)
-                return d.place_of(*tiled.grid.origin(*u))
-
             with _tphase(trace, "partition"):
-                dist = config.make_dist(dag.region, alive)
-                owner: Dict[Coord, int] = {
-                    u: home_of(u, dist) for lv in unit_levels for u in lv
-                }
-
-            def owner_array() -> np.ndarray:
-                """The owner map resolved to a unit-grid array (-1 =
-                inactive) — Dist objects hold closures and cannot cross
-                the pipe, so workers get this instead."""
-                if tiled is None:
-                    arr = np.full((dag.height, dag.width), -1, np.int32)
-                else:
-                    arr = np.full((tiled.grid.nti, tiled.grid.ntj), -1, np.int32)
-                for u, p in owner.items():
-                    arr[u] = p
-                return arr
+                # the master's handle on the plane the workers attach:
+                # it owns the unit-granular owner map (shipped resolved —
+                # Dist objects hold closures and cannot cross the pipe)
+                # and zeroes lost regions on recovery
+                plane = _plane.TilePlane(
+                    values,
+                    finished,
+                    tuple(config.tile_shape) if tiled is not None else (1, 1),
+                )
+                plane.home(
+                    config.make_dist(dag.region, alive),
+                    (u for lv in unit_levels for u in lv),
+                )
 
             autokernel_spec = None
             if (
@@ -1422,7 +1282,7 @@ def _run_mp_shm(
                     tuple(config.tile_shape) if tiled is not None else None
                 ),
                 "autokernel": autokernel_spec,
-                "owners": owner_array(),
+                "owners": plane.owners,
             }
             for p in alive:
                 procs[p].request(("init", app, dag, meta, p, trace_ctx))
@@ -1447,7 +1307,7 @@ def _run_mp_shm(
                             )
                 by_place: Dict[int, List[Coord]] = defaultdict(list)
                 for u in units:
-                    by_place[owner[u]].append(u)
+                    by_place[int(plane.owners[u])].append(u)
                 throttled: Dict[int, float] = {}
                 if chaos is not None and chaos.has_throttles:
                     for p in by_place:
@@ -1473,17 +1333,6 @@ def _run_mp_shm(
                 stats.completions += sum(ncells_of[u] for u in units)
                 computed.update(units)
 
-            def zero_unit(u: Coord) -> None:
-                """Reset a lost unit's plane region before its recompute."""
-                if tiled is None:
-                    values[u] = 0
-                    finished[u] = 0
-                    return
-                rows, cols = tiled.cells_of(*u)
-                if len(rows):
-                    values[rows, cols] = 0
-                    finished[rows, cols] = 0
-
             def handle_victims(
                 victims: Sequence[int], pending: Dict[int, Set[Coord]]
             ) -> None:
@@ -1500,7 +1349,7 @@ def _run_mp_shm(
                 if lease_pool is not None:
                     # warm restart: swap each corpse for a pooled spare
                     # initialized as the same logical place (it attaches
-                    # the live planes and the current owner map by name)
+                    # the live planes by name; meta carries the live owner map)
                     # — ownership is unchanged, only the dead place's
                     # finished units are zeroed and recomputed
                     for p in sorted(dead):
@@ -1508,16 +1357,7 @@ def _run_mp_shm(
                         if spare is None:
                             break
                         spare.bind_run(on_retry)
-                        spare.request(
-                            (
-                                "init",
-                                app,
-                                dag,
-                                dict(meta, owners=owner_array()),
-                                p,
-                                trace_ctx,
-                            )
-                        )
+                        spare.request(("init", app, dag, meta, p, trace_ctx))
                         procs[p] = spare
                         replaced.add(p)
                         stats.pool_restarts += 1
@@ -1528,22 +1368,19 @@ def _run_mp_shm(
                 survivors = [p for p in sorted(procs) if procs[p].alive]
                 if not survivors:
                     raise AllPlacesDeadError("every place process died")
-                if unreplaced:
-                    new_dist = config.make_dist(dag.region, survivors)
-                for u, p in owner.items():
-                    if p in unreplaced:
-                        owner[u] = home_of(u, new_dist)
-                    if p in dead and u in computed:
+                new_dist = (
+                    config.make_dist(dag.region, survivors) if unreplaced else None
+                )
+                for u in plane.lose(dead, new_dist, rehome=unreplaced):
+                    if u in computed:
                         computed.discard(u)
-                        zero_unit(u)
                         pending.setdefault(depth_of[u], set()).add(u)
                 if unreplaced:
                     # survivors track the re-homed ownership so their
                     # halo accounting (and nothing else) stays truthful;
                     # pool replacements got the current map at init
-                    arr = owner_array()
                     for p in survivors:
-                        procs[p].request(("redist", arr))
+                        procs[p].request(("redist", plane.owners))
 
             def poll_faults() -> List[int]:
                 if injector is None:
@@ -1620,10 +1457,7 @@ def _run_mp_shm(
             if registry.enabled:
                 _publish_master_metrics(registry, stats)
             # copy the planes out before the segments unlink
-            return (
-                PlaneResults(values.copy(), finished.astype(bool)),
-                stats,
-            )
+            return plane.results(copy=True), stats
         finally:
             _release_procs(procs, lease_pool)
     finally:

@@ -39,6 +39,8 @@ from typing import Deque, Dict, Tuple
 
 from collections import deque
 
+import numpy as np
+
 from repro.core.vertex_store import VertexStore, build_stores
 from repro.core.worker import ExecutionState
 from repro.dist.dist import Dist
@@ -49,7 +51,7 @@ from repro.util.timer import Timer
 
 logger = get_logger("core.recovery")
 
-__all__ = ["RecoveryStats", "recover", "recover_from_snapshot"]
+__all__ = ["RecoveryStats", "recover", "recover_from_snapshot", "recover_tiled"]
 
 Coord = Tuple[int, int]
 
@@ -184,7 +186,6 @@ def _recover_once(state: ExecutionState) -> RecoveryStats:
             state.app.value_dtype,
             state.app.init_value,
             spill_dir=config.spill_dir,
-            shm_arena=state.shm_arena,
         )
 
         for coord, (value, old_home) in preserved.items():
@@ -246,7 +247,6 @@ def _recover_from_snapshot_once(state: ExecutionState) -> RecoveryStats:
             state.app.value_dtype,
             state.app.init_value,
             spill_dir=config.spill_dir,
-            shm_arena=state.shm_arena,
         )
         cells = state.snapshots.load() if state.snapshots is not None else {}
         for (i, j), value in cells.items():
@@ -294,22 +294,81 @@ def _install(state: ExecutionState, new_dist: Dist, new_stores: Dict[int, Vertex
             if indegree == 0:
                 new_ready[pid].append((i, j))
 
-    state.dist = new_dist
     state.stores = new_stores
     state.ready = new_ready
-    # leave recovery mode: clear the abort latch so the next execution
-    # round starts clean
+    _resume_on(state, new_dist)
+    return total_active - finished_active
+
+
+def _resume_on(state: ExecutionState, new_dist: Dist) -> None:
+    """Swap the survivor distribution in and leave recovery mode."""
+    state.dist = new_dist
+    # clear the abort latch so the next execution round starts clean
     state.abort_event.clear()
     state._abort_exc = None
     # placement RNGs and conditions for places that were not in the old
     # dist (cannot happen today — recovery only shrinks — but keep the
     # invariant that every dist place has both)
     state.__post_init__()
-    if state.tiles is not None:
-        # tile-granular run: a dead place invalidates its unfinished
-        # tiles; re-home every tile under the new dist and reset tile
-        # indegrees from the surviving cell finish flags. A tile whose
-        # cells were partially discarded re-executes whole — compute()
-        # is pure and set_block never double-counts, so that is safe.
-        state.tiles.rebuild(state)
-    return total_active - finished_active
+
+
+def recover_tiled(state: ExecutionState) -> RecoveryStats:
+    """Recovery for tiled runs, on the plane (either ``ft_mode``).
+
+    The rule the mp master applies to real corpses: the dead places'
+    tiles are zeroed on the plane and re-homed over the survivors
+    (:meth:`~repro.core.plane.TilePlane.lose`); everything a surviving
+    place finished stays where it is, so there is nothing to copy or
+    discard. ``ft_mode="snapshot"`` then rolls the whole plane back to
+    the last checkpoint, costed as transfers from stable storage at
+    place 0. The tile wavefront is rebuilt from the finish flags.
+    """
+    return _restartable(state, _recover_tiled_once)
+
+
+def _recover_tiled_once(state: ExecutionState) -> RecoveryStats:
+    group = state.group
+    group.require_any_alive()
+    if not group.is_alive(0):
+        raise PlaceZeroDeadError()
+
+    plane = state.plane
+    config = state.config
+    snapshot = config.ft_mode == "snapshot"
+    alive = group.alive_ids()
+    homes = np.unique(plane.owners[plane.owners >= 0]).tolist()
+    dead = tuple(p for p in homes if not group.is_alive(p))
+    stats = RecoveryStats(
+        dead_places=dead,
+        alive_places=tuple(alive),
+        mechanism="snapshot" if snapshot else "recovery",
+    )
+    with Timer() as timer:
+        new_dist = config.make_dist(state.dag.region, alive)
+        before = int(np.count_nonzero(plane.finished))
+        plane.lose(dead, new_dist)
+        if snapshot:
+            plane.restore(state.snapshots.load())
+            restored = np.bincount(
+                plane.owners_of(*np.nonzero(plane.finished)), minlength=1
+            )
+            for home, ncells in enumerate(restored.tolist()):
+                if ncells:
+                    state.network.record(0, home, ncells * plane.nbytes)
+            stats.restored_from_snapshot = int(restored.sum())
+        kept = int(np.count_nonzero(plane.finished))
+        if not snapshot:
+            stats.preserved_in_place = kept
+        stats.lost_on_dead = max(0, before - kept)
+        stats.to_recompute = state.total_active - kept
+        # every kept cell is a unit of recovery progress for armed
+        # mid-recovery chaos kills (which abort and restart this pass;
+        # lose() then also catches tiles re-homed onto the new corpse)
+        _poll_mid_recovery_chaos(state, kept)
+
+        _resume_on(state, new_dist)
+        state.tiles.build(state)
+
+    stats.wall_time = timer.elapsed
+    _record_metrics(state, stats)
+    return stats

@@ -28,7 +28,13 @@ from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag, ResultView
-from repro.core.recovery import RecoveryStats, recover, recover_from_snapshot
+from repro.core.plane import TilePlane, tile_kernel
+from repro.core.recovery import (
+    RecoveryStats,
+    recover,
+    recover_from_snapshot,
+    recover_tiled,
+)
 from repro.core.trace import ExecutionTrace
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduler import make_strategy
@@ -267,7 +273,9 @@ class DPX10Runtime:
                         if not rt.group.is_alive(0):
                             raise PlaceZeroDeadError()
                         with self._phase(state, "recovery", "recovery"):
-                            if cfg.ft_mode == "snapshot":
+                            if state.tiles is not None:
+                                stats = recover_tiled(state)
+                            elif cfg.ft_mode == "snapshot":
                                 stats = recover_from_snapshot(state)
                             else:
                                 stats = recover(state)
@@ -284,23 +292,12 @@ class DPX10Runtime:
                 self._bind_results(state)
                 self.app.app_finished(self.dag)
         finally:
-            if state is not None and state.prefetch is not None:
-                state.prefetch.stop()
             rt.shutdown()
-            if state is not None and state.shm_arena is not None:
-                # after shutdown so nothing is still computing; copy the
-                # store views to heap first so post-run result reads
-                # don't touch unmapped segments
-                for store in state.stores.values():
-                    store.detach_shm()
-                state.shm_arena.close()
 
         report = RunReport(
             wall_time=timer.elapsed,
             completions=state.completions,
-            active_vertices=sum(
-                s.active_count for s in state.stores.values()
-            ),
+            active_vertices=state.total_active,
             recoveries=len(recovery_stats),
             recovery_stats=recovery_stats,
             network_messages=self.network.stats.messages,
@@ -358,19 +355,8 @@ class DPX10Runtime:
                 trace=trace,
                 straggler=straggler,
             )
-            dag = self.dag
-
-            def getter(i: int, j: int):
-                return results[(i, j)]
-
-            def finished(i: int, j: int) -> bool:
-                return (i, j) in results
-
-            # PlaneResults (shm transport) offers a vectorized gather;
-            # the pickled path's plain dict does not
-            bulk = getattr(results, "as_bulk", None)
-            dag.bind_results(ResultView(getter, finished, bulk))
-            self.app.app_finished(dag)
+            self._bind_mapping(results)
+            self.app.app_finished(self.dag)
 
         report = RunReport(
             wall_time=timer.elapsed,
@@ -398,45 +384,48 @@ class DPX10Runtime:
         from contextlib import nullcontext
 
         # the trace exists before partitioning so the "partition" phase
-        # span covers distribution + store construction
+        # span covers distribution + store/plane construction
         trace = ExecutionTrace() if cfg.trace else None
-        shm_arena = None
-        if (
-            cfg.shm is True
-            and self.app.value_dtype is not None
-            and cfg.spill_dir is None
-        ):
-            # explicit opt-in for the in-process engines: back the stores
-            # with shared segments (observable via dpx10_shm_bytes_mapped)
-            from repro.core.shm import ShmArena, shm_supported
-
-            if shm_supported():
-                shm_arena = ShmArena()
+        # tile-granular execution: coarsen the pattern (verified acyclic)
+        # and schedule tiles over one dense plane instead of cells over
+        # per-place vertex stores
+        tiled = self.dag.coarsen(*cfg.tile_shape) if cfg.tiling_enabled else None
+        stores: Dict[int, object] = {}
+        plane = None
         with trace.phase("partition") if trace is not None else nullcontext():
             dist = cfg.make_dist(self.dag.region, rt.group.alive_ids())
-            stores = build_stores(
-                rt.group,
-                self.dag,
-                dist,
-                self.app.value_dtype,
-                self.app.init_value,
-                spill_dir=cfg.spill_dir,
-                shm_arena=shm_arena,
-            )
-        if shm_arena is not None and self.metrics.enabled:
-            # record eagerly: the arena is closed before the report-time
-            # collect(), which must still see the mapped size
-            self.metrics.gauge(
-                "dpx10_shm_bytes_mapped", "bytes of live shared-memory segments"
-            ).set(shm_arena.bytes_mapped)
+            if tiled is None:
+                stores = build_stores(
+                    rt.group,
+                    self.dag,
+                    dist,
+                    self.app.value_dtype,
+                    self.app.init_value,
+                    spill_dir=cfg.spill_dir,
+                )
+                total_active = sum(s.active_count for s in stores.values())
+            else:
+                plane = TilePlane.allocate(
+                    (self.dag.height, self.dag.width),
+                    self.app.value_dtype,
+                    (tiled.grid.tile_h, tiled.grid.tile_w),
+                    cfg.value_nbytes,
+                    cfg.spill_dir,
+                )
+                tiles = tiled.active_tiles()
+                plane.home(dist, tiles)
+                # exact per-tile counts: completions, progress and fault
+                # thresholds are cell-granular
+                total_active = sum(len(tiled.cells_of(*t)[0]) for t in tiles)
+        # a tiled run queues tile indices instead (TileRunState.build) and
+        # never consults the caches: it reads finished cells in place
         ready: Dict[int, Deque[Coord]] = {
-            pid: deque(stores[pid].zero_indegree_unfinished())
-            for pid in dist.place_ids
+            pid: deque(store.zero_indegree_unfinished())
+            for pid, store in stores.items()
         }
         caches = {
             pid: RemoteCache(cfg.cache_size) for pid in range(rt.group.size)
         }
-        total_active = sum(s.active_count for s in stores.values())
         all_plans = list(self.fault_plans)
         if self.chaos is not None:
             all_plans += self.chaos.fault_plans()
@@ -456,54 +445,38 @@ class DPX10Runtime:
             caches=caches,
             injector=injector,
             total_active=total_active,
+            plane=plane,
         )
-        if cfg.tiling_enabled:
-            # tile-granular execution: coarsen the pattern (verified
-            # acyclic) and schedule tiles instead of cells
+        if tiled is not None:
             from repro.core.tiling import TileRunState
 
-            tiled = self.dag.coarsen(*cfg.tile_shape)
-            tiles = TileRunState(tiled)
-            tiles.build(state, fresh=True)
-            state.tiles = tiles
-            if trace is not None:
-                # dependency facts the causal layer (repro.obs.causal)
-                # needs to rebuild tile edges from an exported trace
-                trace.meta["tile_shape"] = list(cfg.tile_shape)
-                trace.meta["grid"] = [tiled.grid.nti, tiled.grid.ntj]
-                if tiled.stencil_mode:
-                    trace.meta["tile_offsets"] = [
-                        list(o) for o in tiled.tile_offsets
-                    ]
-            if cfg.halo_prefetch:
-                from repro.core.tiling import HaloPrefetcher
+            state.tiles = TileRunState(tiled)
+            state.tiles.build(state)
+            if not cfg.sanitize:
+                # sanitized runs keep the per-cell loop, whose compute()
+                # calls the race guard wraps
+                autokernel = None
+                if cfg.autokernel:
+                    # lift/classify/emit the compute() recurrence; OPAQUE
+                    # apps keep the interpreted path (see `repro analyze`).
+                    # Object-valued apps are eligible too: tree-level
+                    # kernels run in "cells" mode, not on a typed window
+                    from repro.analysis.codegen import build_autokernel
 
-                state.prefetch = HaloPrefetcher(state)
-            if cfg.autokernel and not cfg.sanitize:
-                # lift/classify/emit the compute() recurrence; OPAQUE
-                # apps keep the interpreted path (see `repro analyze`).
-                # Object-store apps are eligible too: tree-level kernels
-                # run in "cells" mode against the vertex store, not a
-                # typed window plane
-                from repro.analysis.codegen import build_autokernel
-
-                kernel, _cls = build_autokernel(self.app, self.dag)
-                state.autokernel = kernel
+                    autokernel, _cls = build_autokernel(self.app, self.dag)
+                state.kernel = tile_kernel(self.app, tiled, autokernel)
         if cfg.ft_mode == "snapshot":
             from repro.dist.snapshot import SnapshotStore
 
             state.snapshots = SnapshotStore()
             state.take_snapshot()  # the initial (empty) checkpoint
-        if trace is not None and not cfg.tiling_enabled:
-            cell_offsets = getattr(self.dag, "offsets", None)
-            if cell_offsets:
-                trace.meta["offsets"] = [list(o) for o in cell_offsets]
+        if trace is not None:
+            trace.set_dependency_meta(self.dag, tiled)
         if trace is not None and self.dag.domain.kind != "grid":
             # non-grid domains stamp their kind so trace consumers can
             # decode cell coordinates back to native indices; grid runs
             # omit the key, keeping their exported traces byte-identical
             trace.meta["domain"] = self.dag.domain.kind
-        state.shm_arena = shm_arena
         state.trace = trace
         state.metrics = self.metrics
         state.chaos = self.chaos
@@ -515,7 +488,7 @@ class DPX10Runtime:
         state._engine = rt.engine
         # bind eagerly so dag.get_vertex() is reachable during execution
         # (reads it issues from inside compute() go through the vertex
-        # stores and are therefore visible to the race sanitizer)
+        # stores or the plane view, both visible to the race sanitizer)
         self._bind_results(state)
         return state
 
@@ -557,9 +530,6 @@ class DPX10Runtime:
         )
         active = reg.gauge("dpx10_vertices_active", "active vertices in the DAG")
         alive = reg.gauge("dpx10_places_alive", "places currently alive")
-        shm_mapped = reg.gauge(
-            "dpx10_shm_bytes_mapped", "bytes of live shared-memory segments"
-        )
         snaps = reg.counter(
             "dpx10_snapshots_taken_total", "periodic snapshots taken"
         )
@@ -580,8 +550,6 @@ class DPX10Runtime:
             completions.set(state.completions)
             active.set(state.total_active)
             alive.set(rt.group.alive_count())
-            if state.shm_arena is not None and not state.shm_arena.closed:
-                shm_mapped.set(state.shm_arena.bytes_mapped)
             if state.snapshots is not None:
                 snaps.set(state.snapshots.snapshots_taken)
                 snap_cells.set(state.snapshots.cells_copied_total)
@@ -589,7 +557,25 @@ class DPX10Runtime:
         reg.register_collector(scrape)
 
     # -- stage 3: bind results ------------------------------------------------------
+    def _bind_mapping(self, results) -> None:
+        """Bind a ``{(i, j): value}`` mapping (membership = finished).
+
+        PlaneResults (tiled in-process runs, the mp shm transport) offers
+        a vectorized gather; the pickled transport's plain dict does not.
+        """
+        self.dag.bind_results(
+            ResultView(
+                lambda i, j: results[(i, j)],
+                lambda i, j: (i, j) in results,
+                getattr(results, "as_bulk", None),
+            )
+        )
+
     def _bind_results(self, state: ExecutionState) -> None:
+        if state.plane is not None:
+            # a live view: the plane is updated in place, recoveries included
+            self._bind_mapping(state.plane.results())
+            return
         # read dist/stores through ``state`` on every call: recovery
         # replaces both, and the view must follow the surviving places
         def getter(i: int, j: int):

@@ -1,9 +1,9 @@
 """Shared-memory segment lifecycle for the zero-copy data plane.
 
-The mp engine (and, opted in, the in-process vertex stores) back numeric
-vertex arrays with ``multiprocessing.shared_memory`` segments so that
-place processes read owned cells and halo strips as NumPy views instead
-of pickled pipe payloads. Everything about segment *lifetime* lives here:
+The mp engine backs its value/finished planes (see
+:mod:`repro.core.plane`) with ``multiprocessing.shared_memory`` segments
+so that place processes read owned cells and halo strips as NumPy views
+instead of pickled pipe payloads. Everything about segment *lifetime* lives here:
 
 * :class:`ShmArena` — creates named segments, hands out NumPy views, and
   owns close/unlink. Only the creating process unlinks (a forked child

@@ -20,13 +20,12 @@ Three layers live here (see docs/TILING.md for the full story):
   enumeration and Kahn-checked.
 * **Tile scheduling state** — :class:`TileRunState` holds tile indegrees,
   per-place ready lists and the finished set; recovery rebuilds it from
-  the surviving cell stores (a dead place invalidates *tiles*, not
+  the plane's finish flags (a dead place invalidates *tiles*, not
   cells).
-* **The tile worker** — :func:`execute_tile` fetches a tile's remote halo
-  in one batched read per producing place (one network message per tile
-  edge), runs the cells in intra-tile wavefront order — through the
-  app's vectorized ``compute_tile`` kernel when it offers one — and
-  writes the results back per home place in bulk.
+* **The tile worker** — :func:`execute_tile` places a tile, runs it on
+  the run's :class:`~repro.core.plane.TilePlane` through
+  :func:`~repro.core.plane.run_tile` (the executor the mp workers run
+  too), and feeds the transfers it reports to the network model.
 
 ``DPX10Config(tile_shape=(h, w))`` opts a run in; ``(1, 1)`` and ``None``
 keep the legacy per-vertex path bit-for-bit.
@@ -34,7 +33,6 @@ keep the legacy per-vertex path bit-for-bit.
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from collections import deque
@@ -43,11 +41,12 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.analysis import sanitize as _sanitize
 from repro.analysis.symbolic import find_ranking_vector
-from repro.core.api import DPX10App, Vertex, VertexId
+from repro.core.api import VertexId
 from repro.core.dag import Dag
+from repro.core import plane as _plane
 from repro.core.trace import Span, TraceEvent
+from repro.core.worker import try_steal
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS
 from repro.errors import DeadPlaceException, DependencyRaceError, PatternError
 from repro.util.validation import require
@@ -56,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.worker import ExecutionState
 
 __all__ = [
-    "HaloPrefetcher",
     "TileGrid",
     "TiledDag",
     "TileRunState",
@@ -223,6 +221,12 @@ class TiledDag(Dag):
             if self.contains(ni, nj) and self.is_active(ni, nj):
                 out.append(VertexId(ni, nj))
         return out
+
+    def active_tiles(self) -> List[Coord]:
+        """Tiles with work, row-major. A tile whose cells are all inactive
+        is not listed; an over-approximate ``active_cells_in_rect`` may
+        list a no-op tile, which executes harmlessly as zero cells."""
+        return [(int(a), int(b)) for a, b in np.argwhere(self._tile_active)]
 
     # -- cell-level services for the tile worker -------------------------------------
     def _active_mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -474,11 +478,11 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
 class TileRunState:
     """Tile-granular scheduling state shared by the tiled drivers.
 
-    The cell-level :class:`~repro.core.vertex_store.VertexStore` keeps
-    owning values and finish flags (recovery, result binding and snapshots
-    are unchanged); this tracks the *tile* wavefront: indegrees, per-place
-    ready lists and finished tiles. A tile's home place is the home of its
-    origin cell under the current distribution.
+    The :class:`~repro.core.plane.TilePlane` owns values, finish flags
+    and tile homes; this tracks the *tile* wavefront over it: indegrees
+    and finished tiles. The per-place ready lists are the run's own
+    (``state.ready``, holding tile indices), so pops, wakeups and work
+    stealing are the per-vertex drivers' code.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -487,92 +491,50 @@ class TileRunState:
         self.home: Dict[Coord, int] = {}
         self.indegree: Dict[Coord, int] = {}
         self.finished: Set[Coord] = set()
-        self.ready: Dict[int, Deque[Coord]] = {}
         self.remaining: Dict[int, int] = {}
         self.lock = threading.Lock()
 
-    # -- (re)building ---------------------------------------------------------------
-    def build(self, state: "ExecutionState", fresh: bool = True) -> None:
-        """Derive homes, indegrees and ready lists from the current stores.
+    def build(self, state: "ExecutionState") -> None:
+        """Derive homes, indegrees and ready lists from the plane.
 
-        ``fresh=True`` (initial build) assumes no active cell is finished
-        yet; recovery calls :meth:`rebuild`, which scans the surviving
-        stores so tiles whose cells were preserved stay finished and
-        partially lost tiles get their indegree reset — the tile-granular
-        analogue of the paper's "reset the indegree" step.
+        Called at start-up (nothing finished yet) and again after every
+        recovery, when the plane's flags say which tiles survived: a tile
+        is finished when all its cells are, and a lost or rolled-back
+        tile gets its indegree reset — the tile-granular analogue of the
+        paper's "reset the indegree" step.
         """
-        prefetch = getattr(state, "prefetch", None)
-        if prefetch is not None:
-            # any buffered halo may predate a recovery rollback; drop it
-            prefetch.clear()
         tiled = self.tiled
-        dist = state.dist
-        active_tiles = [
-            (ti, tj)
-            for ti in range(tiled.height)
-            for tj in range(tiled.width)
-            if tiled.is_active(ti, tj)
-        ]
-        self.home = {
-            t: dist.place_of(*self.grid.origin(*t)) for t in active_tiles
-        }
-        unfinished_cells_in: Set[Coord] = set()
-        if not fresh:
-            for pid in dist.place_ids:
-                store = state.stores[pid]
-                mask = store.active & ~store.finished
-                for k in np.nonzero(mask)[0]:
-                    unfinished_cells_in.add(self.grid.tile_of(*store.coords[k]))
-        with self.lock:
-            if fresh:
-                # a tile whose cells are all inactive never made it into
-                # active_tiles; anything here has work (or is a no-op tile
-                # from an over-approximate active_cells_in_rect, which
-                # executes harmlessly as zero cells)
-                self.finished = set()
-            else:
-                self.finished = {
-                    t for t in active_tiles if t not in unfinished_cells_in
-                }
-            self.indegree = {}
-            self.ready = {pid: deque() for pid in dist.place_ids}
-            self.remaining = {pid: 0 for pid in dist.place_ids}
+        plane = state.plane
+        owners = plane.owners
+        active_tiles = tiled.active_tiles()
+        finished: Set[Coord] = set()
+        if plane.finished.any():
             for t in active_tiles:
-                if t in self.finished:
+                rows, cols = tiled.cells_of(*t)
+                if len(rows) and plane.finished[rows, cols].all():
+                    finished.add(t)
+        place_ids = state.dist.place_ids
+        with self.lock:
+            self.home = {t: int(owners[t]) for t in active_tiles}
+            self.finished = finished
+            self.indegree = {}
+            state.ready = {pid: deque() for pid in place_ids}
+            self.remaining = {pid: 0 for pid in place_ids}
+            for t in active_tiles:
+                if t in finished:
                     continue
                 indeg = sum(
                     1
                     for d in tiled.get_dependency(*t)
-                    if (d.i, d.j) not in self.finished
+                    if (d.i, d.j) not in finished
                 )
                 self.indegree[t] = indeg
                 pid = self.home[t]
                 self.remaining[pid] += 1
                 if indeg == 0:
-                    self.ready[pid].append(t)
-
-    def rebuild(self, state: "ExecutionState") -> None:
-        """Recovery hook: re-home tiles and reset tile indegrees."""
-        self.build(state, fresh=False)
+                    state.ready[pid].append(t)
 
     # -- scheduling ------------------------------------------------------------------
-    def pop_ready(self, pid: int) -> Optional[Coord]:
-        try:
-            return self.ready[pid].popleft()
-        except (KeyError, IndexError):
-            return None
-
-    def push_ready(self, state: "ExecutionState", tile: Coord) -> None:
-        """Enqueue a newly schedulable tile at its home place (if alive)."""
-        pid = self.home[tile]
-        if not state.group.is_alive(pid):
-            return
-        self.ready[pid].append(tile)
-        cond = state.conds.get(pid)
-        if cond is not None:
-            with cond:
-                cond.notify()
-
     def on_tile_finished(self, state: "ExecutionState", tile: Coord) -> None:
         """Mark finished and release successor tiles whose indegree hits 0."""
         newly_ready: List[Coord] = []
@@ -590,7 +552,7 @@ class TileRunState:
                     if self.indegree[key] == 0:
                         newly_ready.append(key)
         for t in newly_ready:
-            self.push_ready(state, t)
+            state.push_ready(self.home[t], t)
 
     def place_done(self, pid: int) -> bool:
         with self.lock:
@@ -605,211 +567,28 @@ class TileRunState:
             )
 
 
-# -- the halo prefetcher --------------------------------------------------------------
-def _halo_value_nbytes(state: "ExecutionState") -> int:
-    """Actual bytes per halo value: the dtype's itemsize for typed apps,
-    the configured model (``value_nbytes``) for object-valued ones."""
-    dt = state.app.value_dtype
-    if dt is not None:
-        return int(np.dtype(dt).itemsize)
-    return state.config.value_nbytes
-
-
-class HaloPrefetcher:
-    """Pipelined halo prefetch: overlap the next tiles' fetches with compute.
-
-    A single daemon thread serves prefetch requests (see docs/TILING.md
-    "Transport"). When a driver pops a tile for a place it calls
-    :meth:`schedule`, which enqueues the next :data:`DEPTH` tiles still
-    waiting in that place's ready list — double buffering: while the
-    popped tile computes, the thread fetches the halos its successors
-    will need. Each prefetch groups the tile's halo per producing place,
-    skips what the place's cache already holds (a stat-free
-    :meth:`~repro.core.cache.RemoteCache.peek_many`, so cache hit/miss
-    accounting is untouched), reads the rest from the producing stores
-    (recording network traffic and halo-fetch metrics at fetch time,
-    under a "halo prefetch" trace span), and parks the values in a
-    per-tile buffer that :func:`execute_tile` consumes ahead of its
-    synchronous fallback.
-
-    Correctness is never delegated here: a buffer may simply be absent
-    (thread behind, tile stolen, producing place died mid-fetch — any
-    fetch error discards the buffer silently) and the tile worker then
-    fetches synchronously, exactly as with ``halo_prefetch=False``.
-    Recovery rebuilds call :meth:`clear`; a recomputed cell is identical
-    by determinism, so even a consumed stale buffer could not corrupt a
-    result, but the clear keeps buffers and accounting honest.
-
-    Consumption outcomes are observable: ``dpx10_halo_prefetch_hits_total``
-    counts tiles whose remote halo was fully covered by cache + buffer,
-    ``dpx10_halo_prefetch_misses_total`` counts tiles that still needed a
-    synchronous fetch.
-    """
-
-    #: ready-list lookahead per place (double buffering)
-    DEPTH = 2
-
-    def __init__(self, state: "ExecutionState") -> None:
-        self.state = state
-        self._lock = threading.Lock()
-        self._buffers: Dict[Coord, Dict[Coord, object]] = {}
-        self._scheduled: Set[Coord] = set()
-        self._jobs: "queue.Queue[Optional[Tuple[Coord, int]]]" = queue.Queue()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, name="dpx10-halo-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    # -- driver-facing API -------------------------------------------------------
-    def schedule(self, pid: int) -> None:
-        """Request prefetch for the next tiles queued at ``pid``."""
-        ts: TileRunState = self.state.tiles
-        with ts.lock:
-            upcoming = list(ts.ready.get(pid, ()))[: self.DEPTH]
-        for tile in upcoming:
-            with self._lock:
-                if tile in self._scheduled or tile in self._buffers:
-                    continue
-                self._scheduled.add(tile)
-            self._jobs.put((tile, pid))
-
-    def take(self, tile: Coord) -> Optional[Dict[Coord, object]]:
-        """Claim (and drop) the buffered halo values for ``tile``."""
-        with self._lock:
-            self._scheduled.discard(tile)
-            return self._buffers.pop(tile, None)
-
-    def clear(self) -> None:
-        """Drop all buffers and queued jobs (recovery rebuilds)."""
-        while True:
-            try:
-                self._jobs.get_nowait()
-            except queue.Empty:
-                break
-        with self._lock:
-            self._buffers.clear()
-            self._scheduled.clear()
-
-    def stop(self) -> None:
-        """Shut the prefetch thread down (runtime teardown)."""
-        self._stop.set()
-        self._jobs.put(None)
-        self._thread.join(timeout=2.0)
-
-    # -- the prefetch thread -----------------------------------------------------
-    def _serve(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if self._stop.is_set():
-                return
-            if job is None:  # pragma: no cover - spurious wake
-                continue
-            tile, pid = job
-            try:
-                self._fetch(tile, pid)
-            except Exception:
-                # typically DeadPlaceException under chaos: no buffer,
-                # the synchronous fallback (and recovery) take over
-                with self._lock:
-                    self._buffers.pop(tile, None)
-                    self._scheduled.discard(tile)
-
-    def _fetch(self, tile: Coord, pid: int) -> None:
-        state = self.state
-        ts: TileRunState = state.tiles
-        tiled = ts.tiled
-        with ts.lock:
-            if tile in ts.finished:
-                with self._lock:
-                    self._scheduled.discard(tile)
-                return
-        hrows, hcols = tiled.halo_of(*tile)
-        by_place: Dict[int, List[Coord]] = {}
-        pof = state.dist.place_of
-        for c in zip(hrows.tolist(), hcols.tolist()):
-            p = pof(*c)
-            if p != pid:
-                by_place.setdefault(p, []).append(c)
-        if not by_place:
-            with self._lock:
-                self._scheduled.discard(tile)
-            return
-        cache = state.caches[pid]
-        metrics = state.metrics
-        trace = state.trace
-        nbytes = _halo_value_nbytes(state)
-        buffer: Dict[Coord, object] = {}
-        t0 = trace.now() if trace is not None else 0.0
-        moved = 0
-        for producer, coords in by_place.items():
-            _, missing = cache.peek_many(coords)
-            if not missing:
-                continue
-            vals = state.stores[producer].get_block(missing)
-            buffer.update(zip(missing, vals))
-            strip_bytes = nbytes * len(missing)
-            moved += strip_bytes
-            state.network.record(producer, pid, strip_bytes)
-            if metrics.enabled:
-                metrics.counter(
-                    "dpx10_halo_fetches_total",
-                    "batched remote halo fetches (one per tile edge)",
-                    ("place",),
-                ).labels(pid).inc()
-                metrics.histogram(
-                    "dpx10_halo_fetch_bytes",
-                    "bytes moved per batched halo fetch",
-                    ("transport",),
-                    buckets=DEFAULT_BYTES_BUCKETS,
-                ).labels("store").observe(strip_bytes)
-        if moved and trace is not None:
-            trace.record_span(
-                Span(
-                    "halo prefetch", t0, trace.now(),
-                    category="halo", place=pid,
-                )
-            )
-        with self._lock:
-            if buffer and tile in self._scheduled:
-                # a clear() while we fetched means the buffer is void
-                self._buffers[tile] = buffer
-            self._scheduled.discard(tile)
-
-
 # -- the tile worker ------------------------------------------------------------------
-def _kernel_eligible(state: "ExecutionState") -> bool:
-    """Whether the app's vectorized ``compute_tile`` may replace the cell loop."""
-    app = state.app
-    return (
-        state.tiles.tiled.stencil_mode
-        and app.value_dtype is not None
-        and type(app).compute_tile is not DPX10App.compute_tile
-        and not state.config.sanitize
-    )
-
-
 def execute_tile(
     state: "ExecutionState", tile: Coord, exec_place: Optional[int] = None
 ) -> None:
-    """Run one tile end to end: halo fetch, compute, write-back, notify.
+    """Run one tile end to end: place, compute on the plane, account, notify.
 
     ``exec_place=None`` asks the scheduling strategy for a placement (one
     decision per tile, costed on the tile's halo edges); a stolen tile
-    passes the thief's place explicitly.
+    passes the thief's place explicitly. The compute itself is
+    :func:`repro.core.plane.run_tile`, the executor every engine shares.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
-    base = tiled.base
+    plane = state.plane
     cfg = state.config
-    app = state.app
-    ti, tj = tile
     trace = state.trace
+    home_place = ts.home[tile]
     if cfg.pace is not None:
         # serving-layer fairness gate: may block until the weighted-fair
         # scheduler grants this tile its turn (see repro.serve.scheduler)
         pace_start = trace.now() if trace is not None else 0.0
-        cfg.pace(int(len(tiled.cells_of(ti, tj)[0])))
+        cfg.pace(int(len(tiled.cells_of(*tile)[0])))
         if trace is not None:
             pace_end = trace.now()
             # sub-microsecond grants are uncontended — not a stall
@@ -817,240 +596,44 @@ def execute_tile(
                 trace.record_span(
                     Span(
                         "pace wait", pace_start, pace_end,
-                        category="pace", place=ts.home[tile],
+                        category="pace", place=home_place,
                     )
                 )
-    r0, r1, c0, c1 = ts.grid.bounds(ti, tj)
     t_start = trace.now() if trace is not None else 0.0
     svc0 = time.perf_counter() if state.straggler is not None else 0.0
 
-    rows, cols = tiled.cells_of(ti, tj)
-    hrows, hcols = tiled.halo_of(ti, tj)
-    n = len(rows)
-    nh = len(hrows)
-
-    # group the halo per producing place, carrying each strip cell's
-    # position in the (hrows, hcols) order so fetched values land in an
-    # aligned buffer — the kernel path scatters that buffer into the
-    # window with one fancy store instead of a per-cell dict lookup
-    pof = state.dist.place_of
-    nbytes = cfg.value_nbytes
-    hcoords = list(zip(hrows.tolist(), hcols.tolist()))
-    halo_by_place: Dict[int, Tuple[List[Coord], List[int]]] = {}
-    for idx, c in enumerate(hcoords):
-        bucket = halo_by_place.get(pof(*c))
-        if bucket is None:
-            bucket = ([], [])
-            halo_by_place[pof(*c)] = bucket
-        bucket[0].append(c)
-        bucket[1].append(idx)
-
-    home_place = ts.home[tile]
     if exec_place is None:
-        dep_homes = [p for p, (cs, _) in halo_by_place.items() for _ in cs]
         exec_place = state.strategy.choose_place(
             tile,
             home_place,
-            dep_homes,
+            plane.owners_of(*tiled.halo_of(*tile)).tolist(),
             state.group.alive_ids(),
             state.rngs[home_place],
-            nbytes,
+            plane.nbytes,
         )
-
+    n, transfers = _plane.run_tile(
+        plane, tiled, state.app, state.kernel, tile, exec_place, cfg.sanitize
+    )
     if state.chaos is not None and state.chaos.has_throttles:
         # slow-place chaos at tile granularity: the batch analogue of the
         # per-vertex on_execute hook (which the tiled path never reaches)
         state.chaos.throttle_batch(exec_place, n)
 
-    typed = app.value_dtype is not None
-    hvals: object = (
-        np.empty(nh, dtype=app.value_dtype) if typed else [None] * nh
-    )
-
-    def _fill(idxs: List[int], vals) -> None:
-        if typed:
-            hvals[idxs] = vals
-        else:
-            for p, v in zip(idxs, vals):
-                hvals[p] = v
-
-    cache = state.caches[exec_place]
     metrics = state.metrics
-    prefetch: Optional[HaloPrefetcher] = state.prefetch
-    buffer = prefetch.take(tile) if prefetch is not None else None
-    value_nbytes = _halo_value_nbytes(state)
-    remote_fetch_bytes = 0
-    served_from_buffer = False
-    fetched_synchronously = False
-    fetch_start = trace.now() if trace is not None else 0.0
-    for producer, (coords, idxs) in halo_by_place.items():
-        if producer == exec_place:
-            _fill(idxs, state.stores[producer].get_block(coords))
-            continue
-        pos_of = dict(zip(coords, idxs))
-        hits, missing = cache.get_many(coords)
-        if hits:
-            _fill([pos_of[c] for c in hits], list(hits.values()))
-        if missing and buffer:
-            # prefetched strips serve ahead of the synchronous fallback;
-            # their traffic was recorded at prefetch time
-            served = {c: buffer[c] for c in missing if c in buffer}
-            if served:
-                served_from_buffer = True
-                _fill([pos_of[c] for c in served], list(served.values()))
-                cache.put_many(served.items())
-                missing = [c for c in missing if c not in served]
-        if missing:
-            # one batched remote fetch for this tile edge; raises
-            # DeadPlaceException if the producing place died
-            fetched_synchronously = True
-            vals = state.stores[producer].get_block(missing)
-            fetched_bytes = value_nbytes * len(missing)
-            state.network.record(producer, exec_place, fetched_bytes)
-            cache.put_many(zip(missing, vals))
-            _fill([pos_of[c] for c in missing], vals)
-            remote_fetch_bytes += fetched_bytes
-            if metrics.enabled:
-                metrics.counter(
-                    "dpx10_halo_fetches_total",
-                    "batched remote halo fetches (one per tile edge)",
-                    ("place",),
-                ).labels(exec_place).inc()
-                metrics.histogram(
-                    "dpx10_halo_fetch_bytes",
-                    "bytes moved per batched halo fetch",
-                    ("transport",),
-                    buckets=DEFAULT_BYTES_BUCKETS,
-                ).labels("store").observe(fetched_bytes)
-    if (
-        prefetch is not None
-        and metrics.enabled
-        and (served_from_buffer or fetched_synchronously)
-    ):
-        if fetched_synchronously:
+    for src, dst, nbytes in transfers:
+        state.network.record(src, dst, nbytes)
+        if metrics.enabled and dst == exec_place:
             metrics.counter(
-                "dpx10_halo_prefetch_misses_total",
-                "tiles whose remote halo still needed a synchronous fetch",
+                "dpx10_halo_fetches_total",
+                "batched remote halo fetches (one per tile edge)",
                 ("place",),
             ).labels(exec_place).inc()
-        else:
-            metrics.counter(
-                "dpx10_halo_prefetch_hits_total",
-                "tiles whose remote halo was covered by cache + prefetch buffer",
-                ("place",),
-            ).labels(exec_place).inc()
-    if remote_fetch_bytes and trace is not None:
-        trace.record_span(
-            Span(
-                "halo fetch", fetch_start, trace.now(),
-                category="halo", place=exec_place,
-            )
-        )
-
-    out_vals = None
-    halo_values: Optional[Dict[Coord, object]] = None
-    autokernel = state.autokernel
-    kernel_mode = getattr(autokernel, "mode", "window")
-    kernel_start = trace.now() if trace is not None else 0.0
-    if n and autokernel is not None and kernel_mode == "cells":
-        # cells-mode kernels (tree level gathers) map active cells to
-        # values directly — object-valued apps have no window plane
-        halo_values = dict(zip(hcoords, hvals))
-        out_vals = autokernel.fn.run_cells(rows, cols, halo_values)
-        if out_vals is not None and trace is not None:
-            trace.record_span(
-                Span(
-                    f"kernel {autokernel.klass}",
-                    kernel_start, trace.now(),
-                    category="kernel", place=exec_place,
-                )
-            )
-    elif n and typed and (autokernel is not None or _kernel_eligible(state)):
-        if autokernel is not None:
-            # the generated kernel's window must cover its inferred
-            # footprint box as well as the declared-stencil halo strips
-            pt, pb, pl, pr = (
-                max(a, d) for a, d in zip(autokernel.pads, tiled.pads)
-            )
-        else:
-            pt, pb, pl, pr = tiled.pads
-        wr0, wr1 = max(0, r0 - pt), min(base.height, r1 + pb)
-        wc0, wc1 = max(0, c0 - pl), min(base.width, c1 + pr)
-        window = np.zeros((wr1 - wr0, wc1 - wc0), dtype=app.value_dtype)
-        if nh:
-            # the fetch loop already landed the halo in (hrows, hcols)
-            # order, so the strips scatter in with one fancy store
-            if autokernel is not None:
-                # a dag may declare halo cells outside the window box;
-                # the kernel provably never reads them, so drop them
-                ins = (
-                    (hrows >= wr0)
-                    & (hrows < wr1)
-                    & (hcols >= wc0)
-                    & (hcols < wc1)
-                )
-                window[hrows[ins] - wr0, hcols[ins] - wc0] = hvals[ins]
-            else:
-                window[hrows - wr0, hcols - wc0] = hvals
-        kernel_fn = autokernel.fn if autokernel is not None else app.compute_tile
-        if kernel_fn(r0, c0, window, r0 - wr0, c0 - wc0, r1 - r0, c1 - c0):
-            out_vals = window[rows - wr0, cols - wc0]
-            if trace is not None:
-                trace.record_span(
-                    Span(
-                        "kernel "
-                        + (autokernel.klass if autokernel is not None else "hand"),
-                        kernel_start, trace.now(),
-                        category="kernel", place=exec_place,
-                    )
-                )
-
-    if out_vals is None and n:
-        # generic path: per-cell compute() in intra-tile wavefront order
-        if halo_values is None:
-            halo_values = dict(zip(hcoords, hvals))
-        sanitizing = cfg.sanitize
-        local: Dict[Coord, object] = {}
-        out: List[object] = []
-        get_dep = base.get_dependency
-        is_act = base.is_active
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            declared = get_dep(i, j)
-            verts: List[Vertex] = []
-            for d in declared:
-                key = (d.i, d.j)
-                if not is_act(*key):
-                    continue
-                if key in local:
-                    verts.append(Vertex(d.i, d.j, local[key]))
-                else:
-                    verts.append(Vertex(d.i, d.j, halo_values[key]))
-            if sanitizing:
-                with _sanitize.compute_guard(
-                    (i, j), ((d.i, d.j) for d in declared), exec_place
-                ):
-                    value = app.compute(i, j, verts)
-            else:
-                value = app.compute(i, j, verts)
-            local[(i, j)] = value
-            out.append(value)
-        out_vals = out
-
-    # write results back to the cells' home stores, batched per place
-    if n:
-        by_home: Dict[int, Tuple[List[Coord], List[object]]] = {}
-        for c, v in zip(zip(rows.tolist(), cols.tolist()), out_vals):
-            p = pof(*c)
-            bucket = by_home.get(p)
-            if bucket is None:
-                bucket = ([], [])
-                by_home[p] = bucket
-            bucket[0].append(c)
-            bucket[1].append(v)
-        for p, (coords, vals) in by_home.items():
-            state.stores[p].set_block(coords, vals)
-            if p != exec_place:
-                state.network.record(exec_place, p, nbytes * len(coords))
+            metrics.histogram(
+                "dpx10_halo_fetch_bytes",
+                "bytes moved per batched halo fetch",
+                ("transport",),
+                buckets=DEFAULT_BYTES_BUCKETS,
+            ).labels("store").observe(nbytes)
 
     with state._completions_lock:
         state.executed_by[exec_place] = state.executed_by.get(exec_place, 0) + n
@@ -1079,6 +662,7 @@ def execute_tile(
     if state.straggler is not None:
         state.straggler.observe(exec_place, time.perf_counter() - svc0, n)
     if trace is not None:
+        r0, c0 = ts.grid.origin(*tile)
         trace.record(
             TraceEvent(
                 r0, c0, home_place, exec_place, t_start, trace.now(),
@@ -1096,26 +680,6 @@ def execute_tile(
     ts.on_tile_finished(state, tile)
 
 
-def try_steal_tile(state: "ExecutionState", thief: int) -> Optional[Coord]:
-    """Steal a ready tile for an idle place (``work_stealing`` only)."""
-    if not state.config.work_stealing:
-        return None
-    ts: TileRunState = state.tiles
-    best, best_len = None, 0
-    for pid in state.dist.place_ids:
-        if pid == thief or not state.group.is_alive(pid):
-            continue
-        qlen = len(ts.ready[pid])
-        if qlen > best_len:
-            best, best_len = pid, qlen
-    if best is None:
-        return None
-    try:
-        return ts.ready[best].pop()
-    except IndexError:  # raced with the owner
-        return None
-
-
 # -- drivers --------------------------------------------------------------------------
 def run_tiled_inline(state: "ExecutionState") -> None:
     """Deterministic tiled driver: round-robin one tile per place per sweep."""
@@ -1126,19 +690,15 @@ def run_tiled_inline(state: "ExecutionState") -> None:
         for pid in place_ids:
             if not state.group.is_alive(pid):
                 continue
-            tile = ts.pop_ready(pid)
+            tile = state.pop_ready(pid)
             if tile is None:
-                tile = try_steal_tile(state, pid)
+                tile = try_steal(state, pid)
                 if tile is None:
                     continue
-                if state.prefetch is not None:
-                    state.prefetch.schedule(pid)
                 execute_tile(state, tile, exec_place=pid)
                 progressed = True
                 continue
             progressed = True
-            if state.prefetch is not None:
-                state.prefetch.schedule(pid)
             execute_tile(state, tile)
         if ts.all_done(state):
             return
@@ -1173,9 +733,9 @@ def run_tiled_threaded(state: "ExecutionState") -> None:
         cond = state.conds[pid]
         while not state.abort_event.is_set():
             stolen = False
-            tile = ts.pop_ready(pid)
+            tile = state.pop_ready(pid)
             if tile is None and stealing:
-                tile = try_steal_tile(state, pid)
+                tile = try_steal(state, pid)
                 stolen = tile is not None
             if tile is None:
                 if done_for(pid):
@@ -1183,8 +743,6 @@ def run_tiled_threaded(state: "ExecutionState") -> None:
                 with cond:
                     cond.wait(timeout=_IDLE_WAIT_S)
                 continue
-            if state.prefetch is not None:
-                state.prefetch.schedule(pid)
             try:
                 execute_tile(state, tile, exec_place=pid if stolen else None)
             except (DeadPlaceException, DependencyRaceError) as exc:

@@ -114,6 +114,22 @@ class ExecutionTrace:
         self._span_seq = itertools.count(1)
         self._span_stack = threading.local()
 
+    def set_dependency_meta(self, dag, tiled=None) -> None:
+        """Stash the dependency facts repro.obs.causal rebuilds edges from.
+
+        ``tiled`` is the coarsened DAG when the events are per tile; the
+        cell-level offsets serve per-cell events.
+        """
+        if tiled is not None:
+            self.meta["tile_shape"] = [tiled.grid.tile_h, tiled.grid.tile_w]
+            self.meta["grid"] = [tiled.grid.nti, tiled.grid.ntj]
+            if tiled.stencil_mode:
+                self.meta["tile_offsets"] = [list(o) for o in tiled.tile_offsets]
+        else:
+            offs = getattr(dag, "offsets", None)
+            if offs:
+                self.meta["offsets"] = [list(o) for o in offs]
+
     # -- recording ---------------------------------------------------------------
     def now(self) -> float:
         """Seconds since the trace began."""

@@ -51,7 +51,6 @@ class VertexStore:
         value_dtype: Optional[Any],
         init_value_fn,
         spill_dir: Optional[str] = None,
-        shm_arena: Optional[Any] = None,
     ) -> None:
         self.place = place
         self.place_id = place.id
@@ -62,28 +61,15 @@ class VertexStore:
         self.coords = coords
         n = len(coords)
         self._spill_path: Optional[str] = None
-        self._shm_backed = False
         if value_dtype is None:
             # object values cannot be memory-mapped; they stay in RAM
             values = np.empty(n, dtype=object)
         elif spill_dir is not None and n > 0:
             values = self._open_spill(spill_dir, value_dtype, n)
-        elif shm_arena is not None and n > 0:
-            # opted-in shared-memory backing: the arena owns the segment
-            # lifecycle, the store just holds a view
-            values = shm_arena.ndarray(
-                (n,), value_dtype, f"store{place.id}-values"
-            )
-            self._shm_backed = True
         else:
             values = np.zeros(n, dtype=value_dtype)
         indegree = np.zeros(n, dtype=np.int32)
-        if self._shm_backed:
-            finished = shm_arena.ndarray(
-                (n,), np.bool_, f"store{place.id}-finished"
-            )
-        else:
-            finished = np.zeros(n, dtype=bool)
+        finished = np.zeros(n, dtype=bool)
         active = np.ones(n, dtype=bool)
 
         # fast path: stencil patterns supply closed-form indegrees and a
@@ -146,24 +132,6 @@ class VertexStore:
     def spilled(self) -> bool:
         """Whether vertex values live on disk instead of RAM."""
         return self._spill_path is not None
-
-    @property
-    def shm_backed(self) -> bool:
-        """Whether values/finished live in a shared-memory segment."""
-        return self._shm_backed
-
-    def detach_shm(self) -> None:
-        """Copy shm-backed arrays to private heap memory.
-
-        Called before the owning arena unlinks its segments so results
-        stay readable through the bound :class:`ResultView` after the
-        run — a view into an unmapped segment would fault.
-        """
-        if not self._shm_backed:
-            return
-        self.values = np.array(self.values, copy=True)
-        self.finished = np.array(self.finished, copy=True)
-        self._shm_backed = False
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         path = getattr(self, "_spill_path", None)
@@ -230,47 +198,6 @@ class VertexStore:
             self.indegree[k] -= 1
             return self.indegree[k] == 0 and not self.finished[k]
 
-    # -- tile-granular bulk accessors (the tiled engine's data plane) ---------------
-    def get_block(self, coords) -> List[Any]:
-        """Values of many finished cells in one liveness-checked call.
-
-        The tiled engine fetches a tile's halo with one ``get_block`` per
-        producing place instead of one ``get_result`` per cell. Raises if
-        any requested cell is unfinished (a tile was released too early —
-        the tile-DAG analogue of a dependency race).
-        """
-        self._check()
-        slot = self._slot
-        ks = [slot[c] for c in coords]
-        if ks and not self.finished[ks].all():
-            bad = next(c for c, k in zip(coords, ks) if not self.finished[k])
-            raise DPX10Error(f"vertex {self._describe(*bad)} is not finished")
-        values = self.values
-        return [values[k] for k in ks]
-
-    def set_block(self, coords, block_values) -> int:
-        """Store and finish many cells under one lock; returns newly finished.
-
-        The tiled engine writes a whole tile's results back per home place
-        with this, instead of ``set_result`` + ``mark_finished`` per cell.
-        Already-finished cells are overwritten with the (identical —
-        ``compute()`` is pure) value and not double-counted, which is what
-        makes post-recovery re-execution of partially finished tiles safe.
-        """
-        self._check()
-        slot = self._slot
-        ks = np.fromiter((slot[c] for c in coords), dtype=np.int64, count=len(coords))
-        with self.lock:
-            if self.values.dtype == object:
-                for k, v in zip(ks, block_values):
-                    self.values[k] = v
-            else:
-                self.values[ks] = block_values
-            newly = int((~self.finished[ks] & self.active[ks]).sum())
-            self.finished[ks] = True
-            self.finished_active += newly
-        return newly
-
     def all_done(self) -> bool:
         self._check()
         with self.lock:
@@ -305,7 +232,6 @@ def build_stores(
     value_dtype: Optional[Any],
     init_value_fn,
     spill_dir: Optional[str] = None,
-    shm_arena: Optional[Any] = None,
 ) -> Dict[int, VertexStore]:
     """One store per place of ``dist`` (all must be alive)."""
     return {
@@ -316,7 +242,6 @@ def build_stores(
             value_dtype,
             init_value_fn,
             spill_dir,
-            shm_arena=shm_arena,
         )
         for pid in dist.place_ids
     }

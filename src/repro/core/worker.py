@@ -97,22 +97,19 @@ class ExecutionState:
     #: tile-granular scheduling state (config.tile_shape); None on the
     #: legacy per-vertex path. See repro.core.tiling.TileRunState.
     tiles: Optional[object] = None
+    #: the dense data plane of a tiled run (repro.core.plane.TilePlane),
+    #: which then owns values and finish flags: ``stores`` and ``caches``
+    #: stay empty and ``ready`` queues tile indices. None on the
+    #: per-vertex path.
+    plane: Optional[object] = None
     #: chaos controller (config.chaos); None on undisturbed runs. The
     #: worker consults it for slow-place throttles, recovery for
     #: mid-recovery kill triggers. See repro.chaos.controller.
     chaos: Optional[object] = None
-    #: pipelined halo prefetcher (tiled path, config.halo_prefetch);
-    #: None on per-vertex runs. See repro.core.tiling.HaloPrefetcher.
-    prefetch: Optional[object] = None
-    #: generated tile kernel (config.autokernel); None when the classifier
-    #: demoted the app to OPAQUE, the run is sanitized, or the knob is
-    #: off. See repro.analysis.codegen.AutoKernel.
-    autokernel: Optional[object] = None
-    #: shared-memory arena backing the vertex stores (config.shm=True on
-    #: in-process engines); owned and closed by the runtime. Recovery
-    #: passes it through build_stores so re-materialized stores stay
-    #: segment-backed. See repro.core.shm.ShmArena.
-    shm_arena: Optional[object] = None
+    #: the kernel tiles are swept with (repro.core.plane.tile_kernel):
+    #: generated (config.autokernel), else the app's hand compute_tile;
+    #: None selects the per-cell loop (OPAQUE apps, sanitized runs).
+    kernel: Optional[object] = None
     #: rolling per-place tile-service-time baseline (created whenever
     #: metrics or tracing is on); publishes dpx10_straggler{place}
     #: gauges. See repro.obs.causal.StragglerDetector.
@@ -167,12 +164,15 @@ class ExecutionState:
         computation. Returns the number of cells checkpointed.
         """
         assert self.snapshots is not None
-        cells = {}
-        for pid in self.dist.place_ids:
-            if not self.group.is_alive(pid):
-                continue
-            for coord, value in self.stores[pid].finished_items():
-                cells[coord] = value
+        if self.plane is not None:
+            cells = self.plane.results(copy=True)
+        else:
+            cells = {}
+            for pid in self.dist.place_ids:
+                if not self.group.is_alive(pid):
+                    continue
+                for coord, value in self.stores[pid].finished_items():
+                    cells[coord] = value
         self.snapshots.store(cells)
         return len(cells)
 

@@ -9,7 +9,7 @@ produced in the progress of computing", section VI-D).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 __all__ = ["SnapshotStore"]
 
@@ -20,7 +20,7 @@ class SnapshotStore:
     """Holds the most recent full snapshot of a distributed array."""
 
     def __init__(self) -> None:
-        self._data: Optional[Dict[Coord, Any]] = None
+        self._data: Optional[Mapping[Coord, Any]] = None
         self.snapshots_taken = 0
         self.cells_copied_total = 0
 
@@ -28,15 +28,20 @@ class SnapshotStore:
     def has_snapshot(self) -> bool:
         return self._data is not None
 
-    def store(self, cells: Dict[Coord, Any]) -> None:
-        """Replace the current snapshot with a copy of ``cells``."""
-        self._data = dict(cells)
+    def store(self, cells: Mapping[Coord, Any]) -> None:
+        """Replace the current snapshot with a copy of ``cells``.
+
+        Per-vertex runs pass a dict; tiled runs pass a frozen
+        :class:`~repro.core.plane.PlaneResults` (arrays, not a dict of
+        every cell).
+        """
+        self._data = cells.copy()
         self.snapshots_taken += 1
         self.cells_copied_total += len(cells)
 
-    def load(self) -> Dict[Coord, Any]:
+    def load(self) -> Mapping[Coord, Any]:
         """A copy of the last snapshot (empty if none was ever taken)."""
-        return dict(self._data) if self._data is not None else {}
+        return self._data.copy() if self._data is not None else {}
 
     def last_snapshot_size(self) -> int:
         return len(self._data) if self._data is not None else 0

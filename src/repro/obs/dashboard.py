@@ -199,14 +199,6 @@ def summary_text(
             f"cache: {int(hits)} hits / {int(misses)} misses "
             f"({hits / lookups:.1%} hit rate)"
         )
-    pf_hits = scalar(metrics, "dpx10_halo_prefetch_hits_total")
-    pf_misses = scalar(metrics, "dpx10_halo_prefetch_misses_total")
-    pf_tiles = pf_hits + pf_misses
-    if pf_tiles:
-        lines.append(
-            f"halo prefetch: {int(pf_hits)}/{int(pf_tiles)} tiles covered "
-            f"({pf_hits / pf_tiles:.1%} hit rate)"
-        )
     msgs = scalar(metrics, "dpx10_net_messages_total")
     if msgs:
         lines.append(

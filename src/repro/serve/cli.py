@@ -1,8 +1,9 @@
 """CLI wiring for the job server: ``python -m repro serve``.
 
 Starts the persistent server in the foreground and runs until
-interrupted; ``--trace-out`` writes the serving spans as a Chrome trace
-on shutdown (the CI smoke uploads this as an artifact). Tenant policies
+interrupted (SIGINT or SIGTERM, both shut down cleanly); ``--trace-out``
+writes the serving spans as a Chrome trace on shutdown (the CI smoke
+uploads this as an artifact). Tenant policies
 come from repeated ``--tenant name=rate:burst:max_in_flight:weight``
 flags; unnamed tenants get the default policy.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 from typing import Dict
 
 from repro.serve.scheduler import TenantPolicy
@@ -64,6 +66,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("  POST /jobs | GET /jobs/<id> | GET /metrics | GET /stats")
         await server.serve_forever()
 
+    # SIGTERM (what process managers and `kill` send) takes the SIGINT
+    # path: without this it skips the finally below and leaves the pool
+    # workers and their /dev/shm segments behind
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:

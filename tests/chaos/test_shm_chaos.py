@@ -9,9 +9,9 @@ plane forced on, then asserts two things the pickled-pipe battery cannot:
   detector is the whole point of routing segment lifetime through
   :class:`~repro.core.shm.ShmArena`.
 
-The kills land mid-wavefront (for the tiled cases: while halo strips are
-in flight / prefetched), which is exactly when a leaked or stale segment
-would surface.
+The kills land mid-wavefront (for the tiled cases: with finished tiles
+on the plane and their successors queued), which is exactly when a
+leaked or stale segment would surface.
 """
 
 import pytest
@@ -51,7 +51,8 @@ def test_kill_mid_run_shm_matches_oracle(engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_kill_mid_prefetch_tiled_shm_matches_oracle(engine):
-    """Tiled run with the halo prefetcher live when the place dies."""
+    """Tiled run killed mid-wavefront: the dead place's tiles are zeroed
+    on the plane, re-homed and recomputed (every engine, one rule)."""
     spec = CaseSpec(
         app="sw", pattern="diagonal", engine=engine, nplaces=4,
         height=24, width=24, tile_shape=(4, 4), shm=True,

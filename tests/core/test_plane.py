@@ -1,0 +1,279 @@
+"""Tests for the one tile data plane (repro.core.plane).
+
+The law the surviving tile path is held to: for every registered
+pattern, engine and value kind, with and without a place death, a tiled
+run leaves exactly the matrix the per-vertex run leaves — and every
+engine gets there through the same executor, with the same transfer
+accounting.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import repro.patterns  # noqa: F401 - registers the built-in patterns
+from repro.apgas.failure import FaultPlan
+from repro.core import plane as plane_mod
+from repro.core.api import DPX10App
+from repro.core.config import DPX10Config
+from repro.core.plane import PlaneResults, TilePlane
+from repro.core.runtime import DPX10Runtime
+from repro.core.shm import leaked_segments, shm_supported
+from repro.dist.dist import Dist
+from repro.dist.region import Region2D
+from repro.errors import PatternError
+from repro.patterns.base import PATTERNS
+from repro.patterns.diagonal import DiagonalDag
+from tests.core.test_tiling import MixApp, make_dag
+
+SIZE = 13  # make_dag's default matrix edge
+NPLACES = 3
+
+
+class Int32App(MixApp):
+    """MixApp on a 4-byte plane (its values stay below 100003)."""
+
+    value_dtype = np.int32
+
+
+class PairApp(DPX10App[tuple]):
+    """The same recurrence carried in an object-valued ``(acc, depth)`` pair."""
+
+    def compute(self, i, j, vertices):
+        acc, depth = i * 31 + j * 7, 0
+        for v in vertices:
+            a, d = v.get_result()
+            acc = (acc * 13 + a) % 100003
+            depth = max(depth, d + 1)
+        return (acc, depth)
+
+
+def tile_shape_for(name):
+    """A non-trivial tile shape the pattern coarsens acyclically under."""
+    for shape in ((4, 4), (4, SIZE), (SIZE, SIZE)):
+        try:
+            make_dag(name).coarsen(*shape)
+        except PatternError:
+            continue
+        return shape
+    raise AssertionError(f"no tile shape accepted for {name}")
+
+
+def run_plane(name, app, fault_plans=(), **cfg):
+    """Run ``app`` over pattern ``name``; the result matrix as nested lists."""
+    dag = make_dag(name)
+    config = DPX10Config(nplaces=NPLACES, **cfg)
+    report = DPX10Runtime(app, dag, config, fault_plans=list(fault_plans)).run()
+    return dag.to_array(fill=None, dtype=object).tolist(), report
+
+
+# -- (a) tiled == per-vertex, everywhere ---------------------------------------------
+ENGINES = {
+    "inline": dict(engine="inline"),
+    "threaded": dict(engine="threaded"),
+    # object values cannot live in a segment: that leg rides the pipes
+    "mp-shm": dict(engine="mp", shm=True),
+}
+
+
+@pytest.mark.parametrize("fault", [False, True], ids=["clean", "kill"])
+@pytest.mark.parametrize("app_cls", [MixApp, PairApp], ids=["typed", "object"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_tiled_plane_matches_per_vertex(name, engine, app_cls, fault):
+    if engine == "mp-shm" and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    want, _ = run_plane(name, app_cls())
+    plans = [FaultPlan(1, at_fraction=0.5)] if fault else []
+    got, report = run_plane(
+        name,
+        app_cls(),
+        fault_plans=plans,
+        tile_shape=tile_shape_for(name),
+        **ENGINES[engine],
+    )
+    assert got == want
+    assert report.recoveries == (1 if fault else 0)
+    assert leaked_segments() == []
+
+
+# -- (b) one executor ---------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
+    seen = Counter()
+    real = plane_mod.run_tile
+
+    def counting(plane, tiled, app, kernel, tile, place_id, *rest):
+        seen[tuple(tile)] += 1
+        return real(plane, tiled, app, kernel, tile, place_id, *rest)
+
+    monkeypatch.setattr(plane_mod, "run_tile", counting)
+    dag = DiagonalDag(SIZE, SIZE)
+    DPX10Runtime(
+        MixApp(), dag, DPX10Config(nplaces=NPLACES, engine=engine, tile_shape=(4, 4))
+    ).run()
+    tiled = DiagonalDag(SIZE, SIZE).coarsen(4, 4)
+    active = {
+        (ti, tj)
+        for ti in range(tiled.height)
+        for tj in range(tiled.width)
+        if tiled.is_active(ti, tj)
+    }
+    assert set(seen) == active
+    assert set(seen.values()) == {1}
+
+
+def test_tiled_in_process_runs_build_no_vertex_stores(monkeypatch):
+    want, _ = run_plane("diagonal", MixApp())
+    import repro.core.recovery as recovery_mod
+    import repro.core.runtime as runtime_mod
+
+    def no_stores(*args, **kwargs):
+        raise AssertionError("tiled runs must not build per-place stores")
+
+    monkeypatch.setattr(runtime_mod, "build_stores", no_stores)
+    monkeypatch.setattr(recovery_mod, "build_stores", no_stores)
+    got, report = run_plane(
+        "diagonal",
+        MixApp(),
+        fault_plans=[FaultPlan(1, at_fraction=0.5)],
+        tile_shape=(4, 4),
+    )
+    assert got == want and report.recoveries == 1
+
+
+# -- (c) one accounting rule ------------------------------------------------------------
+@pytest.mark.skipif(not shm_supported(), reason="no usable shared memory")
+@pytest.mark.parametrize("name", ["diagonal", "grid", "interval"])
+def test_inline_and_mp_shm_charge_the_same_bytes(name):
+    shape = tile_shape_for(name)
+    _, inline = run_plane(name, MixApp(), engine="inline", tile_shape=shape)
+    _, mp_shm = run_plane(name, MixApp(), engine="mp", shm=True, tile_shape=shape)
+    assert inline.network_bytes == mp_shm.network_bytes > 0
+    assert inline.network_messages == mp_shm.network_messages
+
+
+def test_typed_planes_charge_itemsize_object_planes_the_model():
+    def nbytes(app, value_nbytes):
+        _, report = run_plane(
+            "diagonal", app, tile_shape=(4, 4), value_nbytes=value_nbytes
+        )
+        return report.network_bytes
+
+    # typed: the dtype decides, the configured model is ignored
+    assert nbytes(MixApp(), 8) == nbytes(MixApp(), 16) == 2 * nbytes(Int32App(), 8)
+    # object-valued: there is no item size, so the model is the charge
+    assert nbytes(PairApp(), 16) == 2 * nbytes(PairApp(), 8) > 0
+
+
+def test_off_home_execution_charges_reads_and_write_back_by_one_rule():
+    # the random scheduler runs tiles away from home, so halo reads and
+    # result write-backs both cross places; placement is seed-determined,
+    # so halving the item size must halve every charge
+    def run(app):
+        return run_plane(
+            "grid", app, tile_shape=(3, 3), scheduler="random", seed=5
+        )
+
+    want, _ = run_plane("grid", MixApp())
+    got64, wide = run(MixApp())
+    got32, narrow = run(Int32App())
+    assert got64 == want == got32
+    assert wide.network_bytes == 2 * narrow.network_bytes > 0
+
+
+# -- (d) snapshot and spill on the plane --------------------------------------------------
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_tiled_snapshot_mode_survives_a_kill(engine):
+    want, _ = run_plane("diagonal", MixApp())
+    got, report = run_plane(
+        "diagonal",
+        MixApp(),
+        fault_plans=[FaultPlan(1, at_fraction=0.5)],
+        engine=engine,
+        tile_shape=(4, 4),
+        ft_mode="snapshot",
+        snapshot_interval=30,
+    )
+    assert got == want
+    assert report.recoveries == 1
+    stats = report.recovery_stats[0]
+    assert stats.mechanism == "snapshot"
+    assert 0 < stats.restored_from_snapshot < report.active_vertices
+    assert report.snapshots_taken > 1 and report.snapshot_cells_copied > 0
+
+
+def test_tiled_spill_survives_a_kill_on_a_memmapped_plane(tmp_path, monkeypatch):
+    backings = set()
+    real = plane_mod.run_tile
+
+    def spying(plane, *rest):
+        backings.add(type(plane.values))
+        return real(plane, *rest)
+
+    monkeypatch.setattr(plane_mod, "run_tile", spying)
+    want, _ = run_plane("diagonal", MixApp())
+    got, report = run_plane(
+        "diagonal",
+        MixApp(),
+        fault_plans=[FaultPlan(1, at_fraction=0.5)],
+        tile_shape=(4, 4),
+        spill_dir=str(tmp_path),
+    )
+    assert got == want and report.recoveries == 1
+    assert backings == {np.memmap}
+    # mapped, then unlinked: nothing to clean up however the run ends
+    assert list(tmp_path.iterdir()) == []
+
+
+# -- the plane itself ---------------------------------------------------------------------
+class TestTilePlane:
+    def _plane(self):
+        plane = TilePlane.allocate((6, 6), np.int64, (3, 3))
+        dist = Dist.block_cols(Region2D(0, 6, 0, 6), [0, 1])
+        plane.home(dist, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        return plane
+
+    def test_home_follows_the_unit_origin(self):
+        plane = self._plane()
+        assert plane.owners.tolist() == [[0, 1], [0, 1]]
+        rows, cols = np.array([0, 5, 2]), np.array([2, 3, 5])
+        assert plane.owners_of(rows, cols).tolist() == [0, 1, 1]
+
+    def test_lose_zeroes_and_rehomes_only_the_dead_places_units(self):
+        plane = self._plane()
+        plane.values[...] = 7
+        plane.finished[...] = 1
+        survivors = Dist.block_cols(Region2D(0, 6, 0, 6), [0])
+        assert plane.lose([1], survivors) == [(0, 1), (1, 1)]
+        assert plane.owners.tolist() == [[0, 0], [0, 0]]
+        assert plane.values[:, :3].tolist() == [[7] * 3] * 6
+        assert not plane.values[:, 3:].any() and not plane.finished[:, 3:].any()
+        assert plane.finished[:, :3].all()
+
+    def test_lose_keeps_ownership_of_replaced_places(self):
+        plane = self._plane()
+        plane.finished[...] = 1
+        assert plane.lose([1], None, rehome=[]) == [(0, 1), (1, 1)]
+        assert plane.owners.tolist() == [[0, 1], [0, 1]]
+        assert not plane.finished[:, 3:].any()
+
+    def test_results_view_is_live_and_copy_is_frozen(self):
+        plane = self._plane()
+        live, frozen = plane.results(), plane.results(copy=True)
+        plane.values[1, 1] = 5
+        plane.finished[1, 1] = 1
+        assert live[(1, 1)] == 5 and (1, 1) not in frozen
+        assert isinstance(live, PlaneResults) and len(live) == 1
+        with pytest.raises(KeyError):
+            live[(0, 0)]
+        plane.restore(frozen)
+        assert len(live) == 0
+
+    def test_object_plane_holds_composite_values(self):
+        plane = TilePlane.allocate((2, 2), None, (1, 1), value_nbytes=24)
+        assert plane.nbytes == 24 and plane.values.dtype == object
+        plane.values[0, 1] = np.arange(3)
+        plane.finished[0, 1] = 1
+        assert plane.results()[(0, 1)].tolist() == [0, 1, 2]

@@ -141,45 +141,7 @@ class TestDtypes:
 
 
 class TestBlockAPIs:
-    """get_block / set_block: the tiled engine's bulk data plane."""
-
-    def _finish(self, s, coords, base=10):
-        for k, c in enumerate(coords):
-            s.set_result(*c, base + k)
-            s.mark_finished(*c)
-
-    def test_get_block_roundtrip_in_memory(self):
-        _, _, _, stores = make_store(nplaces=1)
-        s = stores[0]
-        coords = [(0, 0), (0, 1), (0, 2)]
-        self._finish(s, coords)
-        assert s.get_block(coords) == [10, 11, 12]
-
-    def test_get_block_rejects_unfinished(self):
-        _, _, _, stores = make_store(nplaces=1)
-        s = stores[0]
-        s.set_result(0, 0, 1)
-        s.mark_finished(0, 0)
-        with pytest.raises(DPX10Error, match=r"\(0, 1\) is not finished"):
-            s.get_block([(0, 0), (0, 1)])
-
-    def test_set_block_counts_newly_finished_once(self):
-        _, _, _, stores = make_store(nplaces=1)
-        s = stores[0]
-        coords = [(0, 0), (0, 1)]
-        assert s.set_block(coords, [3, 4]) == 2
-        # re-writing finished cells (post-recovery re-execution) is a no-op
-        # for the counter but overwrites with the identical value
-        assert s.set_block(coords, [3, 4]) == 0
-        assert s.finished_active == 2
-        assert s.get_block(coords) == [3, 4]
-
-    def test_set_block_object_dtype(self):
-        _, _, _, stores = make_store(nplaces=1, dtype=None)
-        s = stores[0]
-        coords = [(0, 0), (0, 1)]
-        s.set_block(coords, [(1, 2), (3, 4)])
-        assert s.get_block(coords) == [(1, 2), (3, 4)]
+    """Spill files and recovery salvage (the per-vertex path's bulk views)."""
 
     def test_block_roundtrip_spilled(self, tmp_path):
         group = PlaceGroup(1)
@@ -192,8 +154,11 @@ class TestBlockAPIs:
         s = stores[0]
         assert s.spilled
         coords = [(0, 0), (0, 1), (1, 0)]
-        assert s.set_block(coords, [7, 8, 9]) == 3
-        assert s.get_block(coords) == [7, 8, 9]
+        for c, v in zip(coords, [7, 8, 9]):
+            s.set_result(*c, v)
+            s.mark_finished(*c)
+        assert [s.get_result(*c) for c in coords] == [7, 8, 9]
+        assert dict(s.finished_items()) == dict(zip(coords, [7, 8, 9]))
         # the values really live in the memmap file
         assert isinstance(s.values, np.memmap)
 

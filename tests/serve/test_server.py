@@ -183,3 +183,109 @@ class TestHTTP:
                     )
                 )
             assert exc.value.status == 400
+
+
+class TestSigterm:
+    """``python -m repro serve`` must shut down on SIGTERM as on SIGINT."""
+
+    @staticmethod
+    def _descendants(pid):
+        """Every live descendant pid of ``pid`` (Linux /proc walk)."""
+        import glob
+
+        found, frontier = [], [pid]
+        while frontier:
+            parent = frontier.pop()
+            for path in glob.glob(f"/proc/{parent}/task/*/children"):
+                try:
+                    with open(path) as fh:
+                        kids = [int(k) for k in fh.read().split()]
+                except OSError:
+                    continue  # the task exited between glob and open
+                found += kids
+                frontier += kids
+        return found
+
+    @staticmethod
+    def _alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                # a zombie is dead for our purposes: it holds no resources
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except OSError:
+            return False
+
+    def test_sigterm_after_jobs_leaves_nothing_behind(self):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        from repro.core.shm import SEGMENT_PREFIX, leaked_segments, shm_supported
+
+        if not (shm_supported() and os.path.isdir("/proc/self/task")):
+            pytest.skip("needs /dev/shm and a Linux /proc")
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--pool-capacity", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        children = []
+        prefix = f"{SEGMENT_PREFIX}{proc.pid}-"
+        try:
+            line = proc.stdout.readline().decode()
+            found = re.search(r"listening on (http://[\d.]+:\d+)", line)
+            assert found, f"job server did not start: {line!r}"
+            base = found.group(1)
+            for seed in (1, 2):
+                # mp jobs on shm planes: pool workers and pooled segments
+                body = _job(
+                    engine="mp", nplaces=2, size=48, seed=seed,
+                    tile_shape=[16, 16], cache=False,
+                )
+                req = urllib.request.Request(
+                    base + "/jobs", data=json.dumps(body).encode(), method="POST"
+                )
+                doc = json.load(urllib.request.urlopen(req, timeout=30))
+                final = json.load(
+                    urllib.request.urlopen(
+                        f"{base}/jobs/{doc['id']}?wait=60", timeout=90
+                    )
+                )
+                assert final["status"] == "done", final
+            children = self._descendants(proc.pid)
+            assert children, "the server should hold warm pool workers"
+            assert any(s.startswith(prefix) for s in leaked_segments())
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                self._alive(p) for p in children
+            ):
+                time.sleep(0.05)
+            assert [p for p in children if self._alive(p)] == []
+            assert [s for s in leaked_segments() if s.startswith(prefix)] == []
+        finally:
+            # a failing run must not leave its orphans to the next test
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in children:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            for seg in leaked_segments():
+                if seg.startswith(prefix):
+                    try:
+                        os.unlink(os.path.join("/dev/shm", seg))
+                    except FileNotFoundError:
+                        pass
