@@ -20,7 +20,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: package directory (relative to the repo root) -> maximum total lines
 CEILINGS = {
-    "src/repro/core": 6409,
+    "src/repro/core": 6161,
     "src/repro/analysis": 6014,
 }
 

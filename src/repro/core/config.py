@@ -107,7 +107,8 @@ class DPX10Config:
     #: computations on large scale of DP problems"). Requires a typed
     #: ``value_dtype``; object-valued apps silently stay in RAM. Tiled
     #: in-process runs memory-map their one value plane there instead of
-    #: a file per place; the mp engine falls back to the pipe transport.
+    #: a file per place; mp runs memory-map the master's plane and each
+    #: place's private plane there (a spilled run shares no memory).
     spill_dir: Optional[str] = None
     #: inline engine only: execute the pattern's precomputed topological
     #: order directly, skipping indegree bookkeeping and ready lists. An
@@ -133,14 +134,15 @@ class DPX10Config:
     #: pipes (real delay/drop/dup/reorder) or the in-process NetworkModel
     #: (modelled). Results must be — and are tested to be — unchanged.
     chaos: Optional[object] = None
-    #: mp engine only — the transport selector (see repro.core.shm and
-    #: docs/TILING.md "One plane"). ``None`` (default) and ``True`` back
-    #: the value/finished planes with multiprocessing.shared_memory
-    #: segments so place processes read owned cells and halo strips as
-    #: NumPy views; ``False`` forces the pickled pipe transport.
-    #: Regardless of the setting, object-dtype apps, spilled runs,
-    #: unsupported platforms and runs under *message* chaos (whose
-    #: ChaosPipe semantics must be preserved) use the pipes. The
+    #: mp engine only — which backing the one mp loop's planes get (see
+    #: repro.core.shm and docs/TILING.md "One plane"). ``None`` (default)
+    #: and ``True`` back the value/finished planes with
+    #: multiprocessing.shared_memory segments so place processes read
+    #: owned cells and halo strips as NumPy views; ``False`` gives every
+    #: process a private plane, with halo and result patches riding the
+    #: pipes. Regardless of the setting, object-dtype apps, spilled
+    #: runs, unsupported platforms and runs under *message* chaos (whose
+    #: ChaosPipe needs payloads to perturb) get private planes. The
     #: in-process engines ignore it: their plane is a heap array.
     shm: Optional[bool] = None
     #: tiled path only: compile ``compute()`` into a vectorized NumPy tile

@@ -1,31 +1,40 @@
 """The multiprocessing engine: places as real OS processes.
 
 X10 realizes places as processes; the ``inline``/``threaded`` engines fold
-them into one Python process. This engine does it for real:
+them into one Python process. This engine does it for real, with **one
+master loop, two plane backings and one request kind**:
 
-* every place is a ``multiprocessing.Process`` holding its partition of
-  the vertex matrix in its own address space;
-* cross-place dependency values travel over one of two data planes. The
-  default for numeric-dtype apps is **zero-copy shared memory**: the
-  master creates value/finished planes in ``multiprocessing.
-  shared_memory`` segments (lifecycle owned by :mod:`repro.core.shm`),
-  workers attach them as NumPy views, read owned cells and halo strips
-  directly, and write results in place — the pipes stay as the control
-  plane (level batches, replies, stats). Object-dtype apps, spilled
-  stores, unsupported platforms and runs under *message* chaos fall back
-  to the original pickled pipe transport (so
-  :class:`~repro.chaos.network.ChaosPipe` semantics are preserved); the
-  network accounting records the true transfer sizes on both planes;
+* every place is a ``multiprocessing.Process`` computing its partition
+  of the DP matrix against a :class:`~repro.core.plane.TilePlane` — the
+  dense layout the in-process engines use — through the same executor
+  (:func:`repro.core.plane.run_tile` per tile, a per-cell loop when the
+  run is untiled);
+* :func:`run_mp` is the only master. It keeps a plane of its own and
+  drives the places level by level with one request,
+  ``("units", units, halo_patch)``, answered by
+  ``("done", ncells, seconds, result_patch)``;
+* the plane's **backing** is an allocator fact (:func:`_shm_eligible`),
+  not a code path. Numeric-dtype apps get ``multiprocessing.
+  shared_memory`` segments (lifecycle owned by :mod:`repro.core.shm`)
+  that master and places all map: both patches are ``None`` and the
+  pipes carry unit indices only. Object-valued apps, ``spill_dir`` runs,
+  runs under *message* chaos and platforms without shm get a private
+  heap/memmap plane per process instead, and the two patches carry what
+  a shared mapping would have made visible — the request brings the
+  batch's halo cells homed on *other* places, gathered off the master's
+  plane; the reply brings the cells just computed, which the master
+  writes into its plane. Nothing else differs: same kernels, same
+  recovery, same results object, same owner-map network accounting;
 * a fault is a genuine ``SIGKILL`` of a place process, detected by the
-  master, and recovery reassigns the dead partition to survivors and
-  recomputes it — the paper's section VI-D protocol, against a real
-  process corpse. In shm mode the plane regions owned by the dead place
-  are zeroed and re-materialized by the recompute drain before any
-  consumer reads them.
+  master, and recovery is the paper's section VI-D protocol against a
+  real process corpse: :meth:`TilePlane.lose` zeroes the dead place's
+  units and re-homes them over the survivors (or a pooled spare takes
+  the dead place's identity with an empty plane), and the lost units
+  recompute in topological-depth order before any consumer reads them.
 
-Execution is **level-synchronous**: the master groups vertices by
+Execution is **level-synchronous**: the master groups units by
 topological depth and drives one level at a time; within a level every
-place computes its cells in parallel (true multi-core parallelism — no
+place computes its units in parallel (true multi-core parallelism — no
 GIL across processes). This is a bulk-synchronous rendering of the same
 DAG; per-vertex scheduling strategies and the FIFO cache are inline/
 threaded-engine concepts and do not apply here.
@@ -40,27 +49,30 @@ does not match the request in flight are stale duplicates and are
 discarded. On a healthy pipe none of this machinery fires (the master
 blocks exactly as a plain ``recv`` would); under ``repro.chaos`` message
 chaos (drop / duplicate / delay / reorder injected by
-:class:`~repro.chaos.network.ChaosPipe`) it is what keeps the run exact.
+:class:`~repro.chaos.network.ChaosPipe`) it is what keeps the run exact —
+which is why such runs keep their values on the pipes, as patches.
 
-Selected with ``DPX10Config(engine="mp")``. On the pickled fallback,
-sizes up to ~10^5 vertices are practical (the per-level pickling
-round-trip dominates beyond that); the shm plane removes that wall —
-tiled runs ship tile *indices* over the pipe and compute whole tiles
-against the plane with the app's vectorized kernel. Because apps and
-DAGs cross the pipe, both must be picklable — module-level classes, not
-closures or test-local definitions.
+A ``compute()`` that raises does not take its place down: the worker
+replies ``error`` with the formatted traceback, stays alive (it may be a
+pooled worker serving other jobs), and the master raises
+:class:`~repro.errors.RemoteComputeError`.
+
+Selected with ``DPX10Config(engine="mp")``. Because apps and DAGs cross
+the pipe, both must be picklable — module-level classes, not closures or
+test-local definitions.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import time
+import traceback
 import multiprocessing as mp
 from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import nullcontext
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -75,6 +87,7 @@ from repro.errors import (
     AllPlacesDeadError,
     DPX10Error,
     PlaceZeroDeadError,
+    RemoteComputeError,
 )
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS, NULL_REGISTRY, MetricsRegistry
 from repro.util.logging import get_logger
@@ -118,23 +131,26 @@ class MPRunStats:
         self.pool_restarts = 0
 
 
-class _ShmWorker:
-    """Worker-side view of the shared-memory data plane.
+class _PlaceWorker:
+    """Place-side view of the data plane.
 
-    Attaches the value/finished segments the master created as a
-    :class:`~repro.core.plane.TilePlane`, coarsens the DAG locally when
-    the run is tiled (tile geometry is deterministic, so shipping the
-    tile shape is enough), and serves the ``cells`` / ``tiles`` requests
-    by reading dependencies straight off the plane and writing results
-    in place — tiles through :func:`repro.core.plane.run_tile`, the
-    executor the in-process engines run too. The only pipe traffic left
-    is the unit index lists and the tiny ``done`` acknowledgements.
+    Holds this place's :class:`~repro.core.plane.TilePlane` — the shm
+    segments the master created, attached by name, or (``meta`` carries
+    no segment names) a private plane of the same layout — coarsens the
+    DAG locally when the run is tiled (tile geometry is deterministic,
+    so shipping the tile shape is enough), and serves ``units`` requests
+    by reading dependencies off the plane and writing results in place:
+    tiles through :func:`repro.core.plane.run_tile`, the executor the
+    in-process engines run too. On the shared backing the only pipe
+    traffic is the unit index lists and the tiny ``done``
+    acknowledgements; on a private plane the request's halo patch is
+    scattered in first and the reply carries the computed cells back.
 
     Accounting: reads of cells homed on *other* places are the halo
-    traffic the pipes used to carry; they feed
+    traffic, by the owner map on either backing; they feed
     ``dpx10_mp_shm_read_{bytes,batches}_total`` (folded into the master's
     network stats at collect time) and the ``dpx10_halo_fetch_bytes``
-    histogram under the ``shm`` transport label.
+    histogram under the ``shm`` / ``pipe`` transport label.
     """
 
     def __init__(
@@ -145,22 +161,29 @@ class _ShmWorker:
         meta: Dict[str, Any],
         registry: MetricsRegistry,
     ) -> None:
-        from repro.core import shm
-
         self.place_id = place_id
         self.app = app
         self.dag = dag
-        shape = meta["shape"]
+        shape = (dag.height, dag.width)
+        unit = meta["tile_shape"] or (1, 1)
+        self.shared = "values" in meta
+        if self.shared:
+            from repro.core import shm
+
+            self.plane = _plane.TilePlane(
+                shm.attach_array(meta["values"], shape, app.value_dtype),
+                shm.attach_array(meta["finished"], shape, np.uint8),
+                unit,
+            )
+        else:
+            self.plane = _plane.TilePlane.allocate(
+                shape, app.value_dtype, unit, meta["value_nbytes"], meta["spill_dir"]
+            )
         #: the owner map is unit-granular (tile grid or cell grid, -1 =
         #: inactive); Dist objects hold closures and cannot cross the
         #: pipe, so the master ships the resolved array (and again on
         #: redist)
-        self.plane = _plane.TilePlane(
-            shm.attach_array(meta["values"], shape, meta["dtype"]),
-            shm.attach_array(meta["finished"], shape, np.uint8),
-            meta["tile_shape"] or (1, 1),
-            owners=meta["owners"],
-        )
+        self.plane.owners = meta["owners"]
         self.tiled = None
         self.kernel = None
         if meta["tile_shape"] is not None:
@@ -178,14 +201,13 @@ class _ShmWorker:
             self.kernel = _plane.tile_kernel(app, self.tiled, autokernel)
         self.read_bytes = registry.counter(
             "dpx10_mp_shm_read_bytes_total",
-            "bytes read from the shared-memory plane for remote-homed "
-            "dependencies (the halo traffic the pipes used to carry)",
+            "bytes of remote-homed dependencies read off this place's "
+            "plane (the halo traffic, on either backing)",
             ("place",),
         ).labels(place_id)
         self.read_batches = registry.counter(
             "dpx10_mp_shm_read_batches_total",
-            "batched shared-memory halo reads (one per producing place "
-            "per unit batch)",
+            "batched halo reads (one per producing place per unit batch)",
             ("place",),
         ).labels(place_id)
         self.halo_bytes = registry.histogram(
@@ -193,7 +215,43 @@ class _ShmWorker:
             "bytes moved per batched halo fetch",
             ("transport",),
             buckets=DEFAULT_BYTES_BUCKETS,
-        ).labels("shm")
+        ).labels("shm" if self.shared else "pipe")
+
+    def compute(
+        self, units: Sequence[Coord], patch, sink: Optional[list] = None
+    ) -> Tuple[int, Optional[tuple]]:
+        """Serve one unit batch; returns ``(cells computed, result patch)``.
+
+        ``patch`` and the result patch are ``(rows, cols, values)`` on a
+        private plane and ``None`` on the shared one, where the mapping
+        already shows every place's writes to everyone.
+        """
+        values = self.plane.values
+        if patch is not None:
+            rows, cols, halo = patch
+            values[rows, cols] = halo
+        if self.tiled is not None:
+            ncomp = self.compute_tiles(units, sink)
+        else:
+            ncomp = self.compute_cells(units, sink)
+        if self.shared:
+            return ncomp, None
+        # the patch is what this place's own finish flags say it wrote:
+        # only units computed here are ever flagged on a private plane
+        finished = self.plane.finished
+        if self.tiled is None:
+            rows, cols = np.array(units, dtype=np.int64).reshape(-1, 2).T
+            done = finished[rows, cols] != 0
+            rows, cols = rows[done], cols[done]
+        else:
+            parts = []
+            for u in units:
+                r0, r1, c0, c1 = self.tiled.grid.bounds(*u)
+                fr, fc = np.nonzero(finished[r0:r1, c0:c1])
+                parts.append((fr + r0, fc + c0))
+            rows = np.concatenate([r for r, _ in parts])
+            cols = np.concatenate([c for _, c in parts])
+        return ncomp, (rows, cols, values[rows, cols])
 
     def _record_remote(self, nbytes: int, nproducers: int = 1) -> None:
         if nbytes:
@@ -213,6 +271,7 @@ class _ShmWorker:
         app, dag = self.app, self.dag
         plane = self.plane
         values, finished, owners = plane.values, plane.finished, plane.owners
+        typed = values.dtype != object
         remote = 0
         producers: Set[int] = set()
         for i, j in cells:
@@ -221,7 +280,8 @@ class _ShmWorker:
             for d in dag.get_dependency(i, j):
                 if not dag.is_active(d.i, d.j):
                     continue
-                verts.append(Vertex(d.i, d.j, values[d.i, d.j].item()))
+                value = values[d.i, d.j]
+                verts.append(Vertex(d.i, d.j, value.item() if typed else value))
                 owner = int(owners[d.i, d.j])
                 if owner != self.place_id:
                     remote += 1
@@ -294,22 +354,28 @@ class _WorkerInstruments:
 
 
 def _worker_main(place_id: int, conn) -> None:
-    """The place process: owns values for its coords, serves the master.
+    """The place process: holds its plane, serves the master.
 
     Every incoming message is ``(seq, kind, *payload)``; every reply is
     ``(seq, *body)``. Replies for the last :data:`_REPLY_CACHE` sequence
     numbers are cached so a retried or duplicated request is answered
-    idempotently — in particular a duplicated ``compute`` never runs the
-    user's kernel twice. ``cells``/``tiles`` (the shm data plane) get the
-    same guarantee: a duplicated request is answered from the cache, and
-    since a unit's recompute is deterministic even a lost-reply rerun
-    would write identical bytes.
+    idempotently — in particular a duplicated ``units`` request never
+    runs the user's kernel twice (and since a unit's recompute is
+    deterministic, even a lost-reply rerun would write identical bytes).
+
+    ``units`` is the one data request: ``(seq, "units", units, patch)``
+    computes a batch of tiles (tiled runs) or cells against the place's
+    plane — see :meth:`_PlaceWorker.compute` — and answers ``(seq,
+    "done", ncells, seconds, result_patch)``. An exception out of the
+    user's ``compute()`` is answered ``(seq, "error", place,
+    traceback)`` and the worker keeps serving: the run is the master's
+    to abort, and a pooled worker has other jobs to live for.
 
     **Pooled reuse.** A worker forked by :class:`repro.serve.pool.
     PlacePool` outlives any single run: ``init`` may carry a sixth
     element, the *logical* place id this worker plays for the leasing
     run (the forked ``place_id`` is just a pool serial). Each ``init``
-    clears run state — values, shm attachments, instruments — so runs
+    clears run state — plane, shm attachments, instruments — so runs
     are independent; ``reset`` does the same without starting a new run
     (the pool sends it on release so idle workers hold no job data).
 
@@ -321,23 +387,19 @@ def _worker_main(place_id: int, conn) -> None:
     the ``trace`` request ships ``(offset, events)`` back for the master
     to normalize onto its own timeline at merge time.
     """
-    app: Optional[DPX10App] = None
-    dag: Optional[Dag] = None
-    values: Dict[Coord, Any] = {}
-    shm_worker: Optional[_ShmWorker] = None
+    worker: Optional[_PlaceWorker] = None
     replied: Dict[int, tuple] = {}
     ins = _WorkerInstruments(place_id)
     trace_buf: Optional[List[tuple]] = None
     trace_offset = 0.0
 
     def _clear_run_state() -> None:
-        nonlocal values, shm_worker, ins, trace_buf, trace_offset
-        values = {}
-        if shm_worker is not None:
+        nonlocal worker, ins, trace_buf, trace_offset
+        if worker is not None and worker.shared:
             from repro.core import shm
 
             shm.detach_all()
-            shm_worker = None
+        worker = None
         ins = _WorkerInstruments(place_id)
         trace_buf = None
         trace_offset = 0.0
@@ -356,7 +418,6 @@ def _worker_main(place_id: int, conn) -> None:
                     return
                 continue
             if kind == "init":
-                _, _, app, dag, meta = msg[:5]
                 if len(msg) > 5 and msg[5] is not None:
                     place_id = msg[5]
                 _clear_run_state()
@@ -368,74 +429,31 @@ def _worker_main(place_id: int, conn) -> None:
                     trace_offset = (
                         time.time() - msg[6]["epoch0"]
                     ) - time.perf_counter()
-                shm_worker = (
-                    _ShmWorker(place_id, app, dag, meta, ins.registry)
-                    if meta is not None
-                    else None
-                )
+                worker = _PlaceWorker(place_id, *msg[2:5], ins.registry)
                 reply = (seq, "ok")
             elif kind == "reset":
-                app = dag = None
                 _clear_run_state()
                 reply = (seq, "ok")
-            elif kind == "cells":
-                _, _, cells = msg
-                assert shm_worker is not None
+            elif kind == "units":
+                assert worker is not None
                 t0 = time.perf_counter()
-                ncomp = shm_worker.compute_cells(cells, sink=trace_buf)
-                elapsed = time.perf_counter() - t0
-                ins.compute_seconds.inc(elapsed)
-                ins.cells_computed.inc(ncomp)
-                ins.levels_served.inc()
-                reply = (seq, "done", ncomp, elapsed)
-            elif kind == "tiles":
-                _, _, tile_list = msg
-                assert shm_worker is not None
-                t0 = time.perf_counter()
-                ncomp = shm_worker.compute_tiles(tile_list, sink=trace_buf)
-                elapsed = time.perf_counter() - t0
-                ins.compute_seconds.inc(elapsed)
-                ins.cells_computed.inc(ncomp)
-                ins.levels_served.inc()
-                reply = (seq, "done", ncomp, elapsed)
+                try:
+                    ncomp, result = worker.compute(*msg[2:], sink=trace_buf)
+                except Exception:
+                    # the user's compute() raised: report it, stay alive
+                    reply = (seq, "error", place_id, traceback.format_exc())
+                else:
+                    elapsed = time.perf_counter() - t0
+                    ins.compute_seconds.inc(elapsed)
+                    ins.cells_computed.inc(ncomp)
+                    ins.levels_served.inc()
+                    reply = (seq, "done", ncomp, elapsed, result)
             elif kind == "redist":
                 # recovery re-homed the units: track ownership so the
                 # halo accounting stays truthful
-                assert shm_worker is not None
-                shm_worker.plane.owners = msg[2]
+                assert worker is not None
+                worker.plane.owners = msg[2]
                 reply = (seq, "ok")
-            elif kind == "compute":
-                # compute the given cells; boundary holds remote dep values
-                _, _, cells, boundary = msg
-                assert app is not None and dag is not None
-                t0 = time.perf_counter()
-                for i, j in cells:
-                    tc0 = time.perf_counter() if trace_buf is not None else 0.0
-                    deps = [
-                        d
-                        for d in dag.get_dependency(i, j)
-                        if dag.is_active(d.i, d.j)
-                    ]
-                    verts = []
-                    for d in deps:
-                        key = (d.i, d.j)
-                        value = values.get(key, boundary.get(key))
-                        verts.append(Vertex(d.i, d.j, value))
-                    values[(i, j)] = app.compute(i, j, verts)
-                    if trace_buf is not None:
-                        trace_buf.append(
-                            (i, j, place_id, tc0, time.perf_counter(), 1, None)
-                        )
-                elapsed = time.perf_counter() - t0
-                ins.compute_seconds.inc(elapsed)
-                ins.cells_computed.inc(len(cells))
-                ins.levels_served.inc()
-                reply = (seq, "done", len(cells), elapsed)
-            elif kind == "fetch":
-                _, _, coords = msg
-                reply = (seq, "values", {c: values[c] for c in coords})
-            elif kind == "collect":
-                reply = (seq, "values", dict(values))
             elif kind == "stats":
                 reply = (seq, "stats", ins.registry.collect())
             elif kind == "trace":
@@ -456,10 +474,7 @@ def _worker_main(place_id: int, conn) -> None:
     except (EOFError, KeyboardInterrupt):  # pragma: no cover - teardown races
         return
     finally:
-        if shm_worker is not None:
-            from repro.core import shm
-
-            shm.detach_all()
+        _clear_run_state()
 
 
 class _PlaceProc:
@@ -776,13 +791,14 @@ def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> Non
 
 
 def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
-    """Whether this run may use the shared-memory data plane.
+    """Whether this run's planes may be shared-memory segments.
 
     Opt-out (``shm=False``) wins; otherwise the plane needs a numeric
     dtype (object values cannot live in a flat segment), no disk
     spilling, no *message* chaos (ChaosPipe perturbs pipe payloads — the
     data must stay on the pipes for those semantics to mean anything),
-    and a platform where segments actually work.
+    and a platform where segments actually work. Ineligible runs get
+    private planes and patches on the pipes; nothing else changes.
     """
     if config.shm is False:
         return False
@@ -806,23 +822,38 @@ def run_mp(
     chaos=None,
     trace: Optional[ExecutionTrace] = None,
     straggler=None,
-) -> Tuple[Mapping, MPRunStats]:
+) -> Tuple[_plane.PlaneResults, MPRunStats]:
     """Execute the application on real place processes.
 
-    Returns the complete ``{coord: value}`` result mapping plus run
-    stats — a plain dict from the pickled transport, a
-    :class:`~repro.core.plane.PlaneResults` from the shared-memory one.
-    Each place process keeps its own metrics registry; at gather time
-    the master requests a snapshot over the reply channel and merges it
-    into ``registry`` (counters add, histograms add bucket-wise), so
-    per-process accounting survives the address-space boundary.
+    The master keeps a :class:`~repro.core.plane.TilePlane` over the
+    whole matrix and drives the places one topological level at a time,
+    shipping each place the *units* it owns in that level — whole tiles
+    when the run is tiled, cells otherwise — over either plane backing
+    (see the module docstring). Level-synchronous execution makes the
+    lock-free cross-process reads, and the halo patches, safe: a unit's
+    dependencies always finished in an earlier level (or earlier in the
+    same process's batch), and kills only fire between levels at the
+    master's poll points, so no consumer can observe a torn write.
+
+    Recovery: a dead place's units are zeroed on the master plane
+    (restoring the "never written reads as zero" invariant for kernel
+    windows) and recomputed in topological-depth order by the survivors,
+    who receive the re-homed ownership via ``redist`` — or by a pooled
+    spare that takes over the dead place's identity with an empty plane.
+
+    Returns the results as a :class:`~repro.core.plane.PlaneResults`
+    plus run stats. Each place process keeps its own metrics registry;
+    at gather time the master requests a snapshot over the reply channel
+    and merges it into ``registry`` (counters add, histograms add
+    bucket-wise), so per-process accounting survives the address-space
+    boundary.
 
     ``chaos`` is an optional :class:`~repro.chaos.controller.
     ChaosController`: its kill plans merge into the fault injector, its
     recovery-kill triggers are polled between recovery redo batches, its
     throttles slow a place's level batches, and its message block wraps
     every master-side pipe in a :class:`~repro.chaos.network.ChaosPipe`
-    (which is also what forces such runs onto the pickled transport).
+    (which is also what keeps such runs' values on the pipes).
 
     ``trace`` (config.trace) collects master-side phase spans plus the
     worker-side per-unit events shipped back over the ``trace`` request,
@@ -831,354 +862,6 @@ def run_mp(
     service time (worker-measured elapsed plus master-side chaos
     throttle sleep, which the worker cannot see).
     """
-    if _shm_eligible(app, config, chaos):
-        return _run_mp_shm(
-            app, dag, config, fault_plans, registry, chaos,
-            trace=trace, straggler=straggler,
-        )
-    return _run_mp_pipes(
-        app, dag, config, fault_plans, registry, chaos,
-        trace=trace, straggler=straggler,
-    )
-
-
-def _run_mp_pipes(
-    app: DPX10App,
-    dag: Dag,
-    config: DPX10Config,
-    fault_plans: Sequence[FaultPlan] = (),
-    registry: MetricsRegistry = NULL_REGISTRY,
-    chaos=None,
-    trace: Optional[ExecutionTrace] = None,
-    straggler=None,
-) -> Tuple[Dict[Coord, Any], MPRunStats]:
-    """The pickled pipe transport: values travel as pipe payloads."""
-    ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-    stats = MPRunStats()
-    tiled = dag.coarsen(*config.tile_shape) if config.tiling_enabled else None
-    # worker events on this transport are per-cell even when tiled, so
-    # the causal layer links them by the cell-level offsets
-    if trace is not None:
-        trace.set_dependency_meta(dag)
-    with _tphase(trace, "schedule"):
-        if tiled is None:
-            levels = _topological_levels(dag)
-        else:
-            # tile-granular: level-synchronize over the coarsened DAG, then
-            # expand each tile to its cells in intra-tile wavefront order.
-            # Tiles sharing a level have no tile edge, so every cross-tile
-            # dependency resolves in an earlier level; in-tile dependencies
-            # resolve because the worker computes cells in message order
-            levels = []
-            for tile_level in _topological_levels(tiled):
-                cells: List[Coord] = []
-                for t in tile_level:
-                    rows, cols = tiled.cells_of(*t)
-                    cells.extend(zip(rows.tolist(), cols.tolist()))
-                levels.append(cells)
-    stats.levels = len(levels)
-    total_active = sum(len(lv) for lv in levels)
-    all_plans = list(fault_plans)
-    if chaos is not None:
-        all_plans += chaos.fault_plans()
-    injector = FaultInjector(all_plans, total_active) if all_plans else None
-
-    message = chaos.message if chaos is not None else None
-    record_event = chaos.record if chaos is not None else None
-
-    def on_retry() -> None:
-        stats.msg_retries += 1
-
-    with _tphase(trace, "lease places"):
-        procs, pool = _acquire_procs(
-            config,
-            ctx,
-            message=message,
-            chaos_seed=chaos.schedule.seed if chaos is not None else 0,
-            record_event=record_event,
-            on_retry=on_retry,
-        )
-    stats.warm_start = pool is not None
-    trace_ctx = _trace_ctx(trace)
-    try:
-        alive = sorted(procs)
-
-        def home_of(c: Coord, d) -> int:
-            # tiled runs own cells at tile granularity (the tile origin's
-            # place), so a tile is never split across processes and its
-            # intra-tile dependencies stay process-local
-            if tiled is None:
-                return d.place_of(*c)
-            return d.place_of(*tiled.grid.origin(*tiled.grid.tile_of(*c)))
-
-        owner: Dict[Coord, int] = {}
-        with _tphase(trace, "partition"):
-            dist = config.make_dist(dag.region, alive)
-            for i, j in dag.region:
-                if dag.is_active(i, j):
-                    owner[(i, j)] = home_of((i, j), dist)
-        for p in alive:
-            procs[p].request(("init", app, dag, None, p, trace_ctx))
-        halo_hist = (
-            registry.histogram(
-                "dpx10_halo_fetch_bytes",
-                "bytes moved per batched halo fetch",
-                ("transport",),
-                buckets=DEFAULT_BYTES_BUCKETS,
-            ).labels("pipe")
-            if registry.enabled
-            else None
-        )
-
-        #: topological depth of every active cell — recovery keys its
-        #: redo batches on this so dependencies always recompute first
-        depth_of: Dict[Coord, int] = {
-            c: d for d, lv in enumerate(levels) for c in lv
-        }
-        #: every cell whose value currently lives on an alive place
-        computed: Set[Coord] = set()
-
-        def compute_level(cells: List[Coord]) -> None:
-            """One bulk-synchronous step over the alive places."""
-            if config.pace is not None:
-                # serving-layer fairness gate: may block until the
-                # weighted-fair scheduler grants this batch its turn
-                t_pace0 = trace.now() if trace is not None else 0.0
-                config.pace(len(cells))
-                if trace is not None:
-                    t_pace1 = trace.now()
-                    if t_pace1 - t_pace0 > 1e-6:
-                        trace.record_span(
-                            Span("pace wait", t_pace0, t_pace1, "pace")
-                        )
-            by_place: Dict[int, List[Coord]] = defaultdict(list)
-            for c in cells:
-                by_place[owner[c]].append(c)
-            # boundary values: remote deps of each place's cells
-            needs: Dict[int, Dict[int, Set[Coord]]] = defaultdict(
-                lambda: defaultdict(set)
-            )  # consumer place -> producer place -> coords
-            for p, own_cells in by_place.items():
-                for i, j in own_cells:
-                    for d in dag.get_dependency(i, j):
-                        key = (d.i, d.j)
-                        if key in owner and owner[key] != p:
-                            needs[p][owner[key]].add(key)
-            boundary: Dict[int, Dict[Coord, Any]] = defaultdict(dict)
-            for consumer, per_producer in needs.items():
-                for producer, coords in per_producer.items():
-                    t_fetch0 = trace.now() if trace is not None else 0.0
-                    reply = procs[producer].request(("fetch", sorted(coords)))
-                    fetched = reply[1]
-                    boundary[consumer].update(fetched)
-                    if trace is not None:
-                        trace.record_span(
-                            Span(
-                                "halo fetch", t_fetch0, trace.now(),
-                                "halo", consumer,
-                            )
-                        )
-                    nbytes = len(
-                        pickle.dumps(fetched, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
-                    stats.network_bytes += nbytes
-                    stats.network_messages += 1
-                    if halo_hist is not None:
-                        # actual pickled payload size (satellite: the halo
-                        # byte accounting is real on every transport)
-                        halo_hist.observe(nbytes)
-            throttled: Dict[int, float] = {}
-            if chaos is not None and chaos.has_throttles:
-                for p in by_place:
-                    throttled[p] = chaos.throttle_batch(p, len(by_place[p]))
-            for p, own_cells in by_place.items():
-                procs[p].send_request(
-                    ("compute", own_cells, boundary.get(p, {}))
-                )
-            for p in by_place:
-                reply = procs[p].recv_reply()
-                assert reply[0] == "done"
-                stats.per_place_executed[p] = (
-                    stats.per_place_executed.get(p, 0) + reply[1]
-                )
-                if straggler is not None and len(reply) > 2:
-                    # attribute the master-side throttle sleep to the
-                    # place: the worker's own timer cannot see it
-                    straggler.observe(
-                        p,
-                        reply[2] + throttled.get(p, 0.0),
-                        len(by_place[p]),
-                    )
-            stats.completions += len(cells)
-            computed.update(cells)
-
-        def handle_victims(
-            victims: Sequence[int], pending: Dict[int, Set[Coord]]
-        ) -> None:
-            """Kill the victims, re-home their cells, queue lost work.
-
-            ``pending`` maps topological depth to the set of finished
-            cells that must recompute; the drain loop below consumes it
-            in ascending depth order so dependencies always exist before
-            their consumers ask for them.
-
-            With a place pool, each corpse is first swapped for a pooled
-            spare initialized as the same logical place: ownership is
-            unchanged and only the dead place's finished cells recompute.
-            Places the pool cannot replace fall back to re-homing on the
-            survivors — including the fatal place-0 case.
-            """
-            if pool is None and (0 in victims or not procs[0].alive):
-                raise PlaceZeroDeadError()
-            for v in set(victims):
-                if procs[v].alive:
-                    logger.warning("SIGKILL place %d process", v)
-                    procs[v].kill()
-            dead = {p for p in procs if not procs[p].alive}
-            replaced: Set[int] = set()
-            if pool is not None:
-                for p in sorted(dead):
-                    spare = pool.take_spare(procs[p])
-                    if spare is None:
-                        break
-                    spare.bind_run(on_retry)
-                    spare.request(("init", app, dag, None, p, trace_ctx))
-                    procs[p] = spare
-                    replaced.add(p)
-                    stats.pool_restarts += 1
-                    logger.warning("place %d restarted from pool", p)
-            unreplaced = dead - replaced
-            if 0 in unreplaced or not procs[0].alive:
-                raise PlaceZeroDeadError()
-            survivors = [p for p in sorted(procs) if procs[p].alive]
-            if not survivors:
-                raise AllPlacesDeadError("every place process died")
-            new_dist = (
-                config.make_dist(dag.region, survivors) if unreplaced else None
-            )
-            for c, p in owner.items():
-                if p in unreplaced:
-                    owner[c] = home_of(c, new_dist)
-                if p in dead and c in computed:
-                    computed.discard(c)
-                    pending.setdefault(depth_of[c], set()).add(c)
-
-        def poll_faults() -> List[int]:
-            """Injector kills due at the current completion count."""
-            if injector is None:
-                return []
-            victims = injector.poll_completions(stats.completions)
-            if victims and chaos is not None:
-                chaos.record("kill", len(victims))
-            return victims
-
-        def recover(first_victims: List[int]) -> None:
-            """Section VI-D against real corpses, chaos-aware.
-
-            Drains the lost finished cells in topological-depth order,
-            polling the injector and the chaos controller's mid-recovery
-            kill triggers between batches: a place dying *while this
-            recovery is in flight* simply folds its lost cells into the
-            same drain, which terminates because the alive set strictly
-            shrinks (ending, at worst, in PlaceZeroDeadError or
-            AllPlacesDeadError — never a hang).
-            """
-            stats.recoveries += 1
-            if chaos is not None:
-                chaos.begin_recovery_pass()
-            with _tphase(trace, "recovery", "recovery"):
-                pending: Dict[int, Set[Coord]] = {}
-                handle_victims(first_victims, pending)
-                progress = 0
-                while pending:
-                    d = min(pending)
-                    # level order, not coordinate order: a tiled level
-                    # lists each tile's cells in intra-tile wavefront
-                    # order, which the worker's in-message dependencies
-                    # rely on (row-major breaks interval-like patterns)
-                    lost = pending.pop(d)
-                    batch = [c for c in levels[d] if c in lost]
-                    compute_level(batch)
-                    progress += len(batch)
-                    more: List[int] = []
-                    if chaos is not None:
-                        more += chaos.poll_recovery(progress)
-                    more += poll_faults()
-                    if more:
-                        handle_victims(more, pending)
-
-        with _tphase(trace, "execute"):
-            level_idx = 0
-            while level_idx < len(levels):
-                compute_level(levels[level_idx])
-                level_idx += 1
-                victims = poll_faults()
-                if victims:
-                    recover(victims)
-
-        # gather everything for result binding, plus each surviving
-        # worker's metrics snapshot (the cross-process metric merge)
-        # and its normalized trace buffer
-        results: Dict[Coord, Any] = {}
-        with _tphase(trace, "collect"):
-            for p in sorted(procs):
-                if procs[p].alive:
-                    reply = procs[p].request(("collect",))
-                    results.update(reply[1])
-                    if trace is not None:
-                        _merge_worker_trace(trace, procs[p])
-                    snapshot = procs[p].request(("stats",))[1]
-                    registry.merge(snapshot)
-                    for label_values, seconds in snapshot.get(
-                        "dpx10_mp_worker_compute_seconds_total", {}
-                    ).get("values", []):
-                        stats.worker_compute_seconds[int(label_values[0])] = seconds
-        missing = [c for c in owner if c not in results]
-        if missing:
-            # name the first few stragglers in domain terms ("node 7" on a
-            # tree domain) — raw layout coords are meaningless to the user
-            shown = ", ".join(dag.describe_cell(*c) for c in sorted(missing)[:5])
-            raise DPX10Error(
-                f"{len(missing)} vertices missing after run "
-                f"(first: {shown})"
-            )
-        stats.final_alive_places = sum(1 for pr in procs.values() if pr.alive)
-        if registry.enabled:
-            _publish_master_metrics(registry, stats)
-        return results, stats
-    finally:
-        _release_procs(procs, pool)
-
-
-def _run_mp_shm(
-    app: DPX10App,
-    dag: Dag,
-    config: DPX10Config,
-    fault_plans: Sequence[FaultPlan] = (),
-    registry: MetricsRegistry = NULL_REGISTRY,
-    chaos=None,
-    trace: Optional[ExecutionTrace] = None,
-    straggler=None,
-) -> Tuple[_plane.PlaneResults, MPRunStats]:
-    """The zero-copy transport: values live in shared-memory planes.
-
-    The master creates a matrix-shaped value plane (the app's dtype) and
-    a uint8 finished plane before spawning the place processes; workers
-    attach both and compute in place. The pipes carry only *unit index
-    lists* — whole tiles when the run is tiled, cells otherwise — so the
-    per-level payload is O(units), not O(values). Level-synchronous
-    execution makes the lock-free cross-process reads safe: a unit's
-    dependencies always finished in an earlier level (or earlier in the
-    same process's batch), and kills only fire between levels at the
-    master's poll points, so no consumer can observe a torn write.
-
-    Recovery: a dead place's computed units have their plane regions
-    zeroed (restoring the "never written reads as zero" invariant for
-    kernel windows) and are recomputed in topological-depth order by the
-    survivors, who receive the re-homed distribution via ``redist``.
-    """
-    from repro.core.shm import ShmArena
-
     ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
     stats = MPRunStats()
     tiled = dag.coarsen(*config.tile_shape) if config.tiling_enabled else None
@@ -1188,7 +871,6 @@ def _run_mp_shm(
         unit_levels = _topological_levels(tiled if tiled is not None else dag)
     stats.levels = len(unit_levels)
     if tiled is not None:
-        kind_msg = "tiles"
         # exact per-tile active-cell counts: completions must count cells
         # (fault injection thresholds and progress are cell-granular)
         ncells_of: Dict[Coord, int] = {
@@ -1197,47 +879,59 @@ def _run_mp_shm(
             for u in lv
         }
     else:
-        kind_msg = "cells"
         ncells_of = {u: 1 for lv in unit_levels for u in lv}
     total_active = sum(ncells_of.values())
     all_plans = list(fault_plans)
     if chaos is not None:
         all_plans += chaos.fault_plans()
     injector = FaultInjector(all_plans, total_active) if all_plans else None
-    record_event = chaos.record if chaos is not None else None
 
     def on_retry() -> None:
         stats.msg_retries += 1
 
-    dt = np.dtype(app.value_dtype)
-    pool = config.place_pool
-    # pooled segment leases duck-type ShmArena (create/bytes_mapped/
-    # close); close() returns the segments to the pool's free list
-    # instead of unlinking, so the next job re-leases the same mappings
-    arena = pool.segment_lease() if pool is not None else ShmArena()
+    shape = (dag.height, dag.width)
+    unit = tuple(config.tile_shape) if tiled is not None else (1, 1)
+    # what a place needs at init besides the app and the dag; segment
+    # names are added below when (and only when) the planes are shared
+    meta: Dict[str, Any] = {
+        "tile_shape": unit if tiled is not None else None,
+        "autokernel": None,
+        "value_nbytes": config.value_nbytes,
+        "spill_dir": config.spill_dir,
+    }
+    shared = _shm_eligible(app, config, chaos)
+    arena = None
     try:
-        values, values_name = arena.create((dag.height, dag.width), dt, "values")
-        finished, finished_name = arena.create(
-            (dag.height, dag.width), np.uint8, "finished"
-        )
-        shm_gauge = (
+        if shared:
+            from repro.core.shm import ShmArena
+
+            # pooled segment leases duck-type ShmArena (create/
+            # bytes_mapped/close); close() returns the segments to the
+            # pool's free list instead of unlinking, so the next job
+            # re-leases the same mappings. Places attach by name at init
+            # time, so pre-forked pool workers and fresh forks are alike
+            pool = config.place_pool
+            arena = pool.segment_lease() if pool is not None else ShmArena()
+            values, meta["values"] = arena.create(shape, app.value_dtype, "values")
+            finished, meta["finished"] = arena.create(shape, np.uint8, "finished")
+            plane = _plane.TilePlane(values, finished, unit)
+        else:
+            plane = _plane.TilePlane.allocate(
+                shape, app.value_dtype, unit, config.value_nbytes, config.spill_dir
+            )
+        if arena is not None and registry.enabled:
             registry.gauge(
                 "dpx10_shm_bytes_mapped",
                 "bytes of shared-memory plane segments currently mapped",
-            )
-            if registry.enabled
-            else None
-        )
-        if shm_gauge is not None:
-            shm_gauge.set(arena.bytes_mapped)
-        # fresh forks happen after the planes exist; pooled workers were
-        # forked long before, which is fine — they attach the segments
-        # by name at init time, not by fork inheritance. Message chaos
-        # is excluded by shm eligibility, so the pipes here are always
-        # raw and the pool is always usable when configured
+            ).set(arena.bytes_mapped)
         with _tphase(trace, "lease places"):
             procs, lease_pool = _acquire_procs(
-                config, ctx, record_event=record_event, on_retry=on_retry
+                config,
+                ctx,
+                message=chaos.message if chaos is not None else None,
+                chaos_seed=chaos.schedule.seed if chaos is not None else 0,
+                record_event=chaos.record if chaos is not None else None,
+                on_retry=on_retry,
             )
         stats.warm_start = lease_pool is not None
         trace_ctx = _trace_ctx(trace)
@@ -1245,21 +939,15 @@ def _run_mp_shm(
             alive = sorted(procs)
 
             with _tphase(trace, "partition"):
-                # the master's handle on the plane the workers attach:
-                # it owns the unit-granular owner map (shipped resolved —
-                # Dist objects hold closures and cannot cross the pipe)
-                # and zeroes lost regions on recovery
-                plane = _plane.TilePlane(
-                    values,
-                    finished,
-                    tuple(config.tile_shape) if tiled is not None else (1, 1),
-                )
+                # the master owns the unit-granular owner map (shipped
+                # resolved — Dist objects hold closures and cannot cross
+                # the pipe) and zeroes lost regions on recovery
                 plane.home(
                     config.make_dist(dag.region, alive),
                     (u for lv in unit_levels for u in lv),
                 )
+            meta["owners"] = plane.owners
 
-            autokernel_spec = None
             if (
                 config.autokernel
                 and tiled is not None
@@ -1272,18 +960,7 @@ def _run_mp_shm(
 
                 master_kernel, _cls = build_autokernel(app, dag)
                 if master_kernel is not None:
-                    autokernel_spec = master_kernel.spec
-            meta = {
-                "values": values_name,
-                "finished": finished_name,
-                "shape": (dag.height, dag.width),
-                "dtype": dt.str,
-                "tile_shape": (
-                    tuple(config.tile_shape) if tiled is not None else None
-                ),
-                "autokernel": autokernel_spec,
-                "owners": plane.owners,
-            }
+                    meta["autokernel"] = master_kernel.spec
             for p in alive:
                 procs[p].request(("init", app, dag, meta, p, trace_ctx))
 
@@ -1292,8 +969,34 @@ def _run_mp_shm(
             }
             computed: Set[Coord] = set()
 
+            def halo_patch(p: int, units: List[Coord]) -> tuple:
+                """What place ``p``'s private plane lacks for this batch.
+
+                The batch's halo cells homed on other places, as
+                ``(rows, cols, values)`` off the master plane — each
+                finished in an earlier level, so the values are final.
+                """
+                width = dag.width
+                if tiled is not None:
+                    halos = [tiled.halo_of(*u) for u in units]
+                    flat = np.concatenate([r * width + c for r, c in halos])
+                else:
+                    flat = np.array(
+                        [
+                            d.i * width + d.j
+                            for i, j in units
+                            for d in dag.get_dependency(i, j)
+                            if dag.is_active(d.i, d.j)
+                        ],
+                        dtype=np.int64,
+                    )
+                rows, cols = np.divmod(np.unique(flat), width)
+                remote = plane.owners_of(rows, cols) != p
+                rows, cols = rows[remote], cols[remote]
+                return rows, cols, plane.values[rows, cols]
+
             def compute_level(units: List[Coord]) -> None:
-                """One bulk-synchronous step: ship unit indices only."""
+                """One bulk-synchronous step over the alive places."""
                 if config.pace is not None:
                     # serving-layer fairness gate: may block until the
                     # weighted-fair scheduler grants this batch its turn
@@ -1315,14 +1018,25 @@ def _run_mp_shm(
                             p, sum(ncells_of[u] for u in by_place[p])
                         )
                 for p, own in by_place.items():
-                    procs[p].send_request((kind_msg, own))
+                    patch = None if shared else halo_patch(p, own)
+                    procs[p].send_request(("units", own, patch))
+                failure: Optional[RemoteComputeError] = None
                 for p in by_place:
                     reply = procs[p].recv_reply()
+                    if reply[0] == "error":
+                        # keep draining: every pipe must be quiescent
+                        # before the places go back to a pool
+                        failure = failure or RemoteComputeError(*reply[1:3])
+                        continue
                     assert reply[0] == "done"
                     stats.per_place_executed[p] = (
                         stats.per_place_executed.get(p, 0) + reply[1]
                     )
-                    if straggler is not None and len(reply) > 2:
+                    if reply[3] is not None:
+                        rows, cols, result = reply[3]
+                        plane.values[rows, cols] = result
+                        plane.finished[rows, cols] = 1
+                    if straggler is not None:
                         # fold in the master-side throttle sleep: the
                         # worker's own timer cannot see it
                         straggler.observe(
@@ -1330,12 +1044,30 @@ def _run_mp_shm(
                             reply[2] + throttled.get(p, 0.0),
                             sum(ncells_of[u] for u in by_place[p]),
                         )
+                if failure is not None:
+                    raise failure
                 stats.completions += sum(ncells_of[u] for u in units)
                 computed.update(units)
 
             def handle_victims(
                 victims: Sequence[int], pending: Dict[int, Set[Coord]]
             ) -> None:
+                """Kill the victims, re-home their units, queue lost work.
+
+                ``pending`` maps topological depth to the set of finished
+                units that must recompute; the drain loop in ``recover``
+                consumes it in ascending depth order so dependencies
+                always exist before their consumers ask for them.
+
+                With a place pool, each corpse is first swapped for a
+                pooled spare initialized as the same logical place (it
+                attaches the live segments by name, or starts an empty
+                private plane; ``meta`` carries the live owner map):
+                ownership is unchanged and only the dead place's
+                finished units recompute. Places the pool cannot replace
+                fall back to re-homing on the survivors — including the
+                fatal place-0 case.
+                """
                 if lease_pool is None and (
                     0 in victims or not procs[0].alive
                 ):
@@ -1347,11 +1079,6 @@ def _run_mp_shm(
                 dead = {p for p in procs if not procs[p].alive}
                 replaced: Set[int] = set()
                 if lease_pool is not None:
-                    # warm restart: swap each corpse for a pooled spare
-                    # initialized as the same logical place (it attaches
-                    # the live planes by name; meta carries the live owner map)
-                    # — ownership is unchanged, only the dead place's
-                    # finished units are zeroed and recomputed
                     for p in sorted(dead):
                         spare = lease_pool.take_spare(procs[p])
                         if spare is None:
@@ -1383,6 +1110,7 @@ def _run_mp_shm(
                         procs[p].request(("redist", plane.owners))
 
             def poll_faults() -> List[int]:
+                """Injector kills due at the current completion count."""
                 if injector is None:
                     return []
                 victims = injector.poll_completions(stats.completions)
@@ -1391,6 +1119,16 @@ def _run_mp_shm(
                 return victims
 
             def recover(first_victims: List[int]) -> None:
+                """Section VI-D against real corpses, chaos-aware.
+
+                Drains the lost finished units in topological-depth
+                order, polling the injector and the chaos controller's
+                mid-recovery kill triggers between batches: a place dying
+                *while this recovery is in flight* simply folds its lost
+                units into the same drain, which terminates because the
+                alive set strictly shrinks (ending, at worst, in
+                PlaceZeroDeadError or AllPlacesDeadError — never a hang).
+                """
                 stats.recoveries += 1
                 if chaos is not None:
                     chaos.begin_recovery_pass()
@@ -1420,45 +1158,57 @@ def _run_mp_shm(
                         recover(victims)
 
             # no collect round trip: the results already live in the
-            # plane. Merge each survivor's metrics snapshot (and its
-            # normalized trace buffer) and fold its shm read accounting
-            # into the master's network stats (the snapshot is a plain
-            # dict, so this works even with the NULL registry)
-            for p in sorted(procs):
-                if procs[p].alive:
-                    if trace is not None:
-                        _merge_worker_trace(trace, procs[p])
-                    snapshot = procs[p].request(("stats",))[1]
-                    registry.merge(snapshot)
-                    for label_values, seconds in snapshot.get(
-                        "dpx10_mp_worker_compute_seconds_total", {}
-                    ).get("values", []):
-                        stats.worker_compute_seconds[int(label_values[0])] = (
-                            seconds
-                        )
-                    for _lv, nbytes in snapshot.get(
-                        "dpx10_mp_shm_read_bytes_total", {}
-                    ).get("values", []):
-                        stats.network_bytes += int(nbytes)
-                    for _lv, nbatches in snapshot.get(
-                        "dpx10_mp_shm_read_batches_total", {}
-                    ).get("values", []):
-                        stats.network_messages += int(nbatches)
-            done_cells = int(np.count_nonzero(finished))
-            if done_cells != total_active:
+            # master's plane. Merge each survivor's metrics snapshot (and
+            # its normalized trace buffer) and fold its halo-read
+            # accounting into the master's network stats (the snapshot is
+            # a plain dict, so this works even with the NULL registry)
+            with _tphase(trace, "collect"):
+                for p in sorted(procs):
+                    if procs[p].alive:
+                        if trace is not None:
+                            _merge_worker_trace(trace, procs[p])
+                        snapshot = procs[p].request(("stats",))[1]
+                        registry.merge(snapshot)
+                        for label_values, seconds in snapshot.get(
+                            "dpx10_mp_worker_compute_seconds_total", {}
+                        ).get("values", []):
+                            stats.worker_compute_seconds[int(label_values[0])] = (
+                                seconds
+                            )
+                        for _lv, nbytes in snapshot.get(
+                            "dpx10_mp_shm_read_bytes_total", {}
+                        ).get("values", []):
+                            stats.network_bytes += int(nbytes)
+                        for _lv, nbatches in snapshot.get(
+                            "dpx10_mp_shm_read_batches_total", {}
+                        ).get("values", []):
+                            stats.network_messages += int(nbatches)
+            missing = total_active - int(np.count_nonzero(plane.finished))
+            if missing:
+                # name the first few stragglers in domain terms ("node 7"
+                # on a tree domain) — raw layout coords mean nothing to
+                # the user
+                unfinished = (
+                    (i, j)
+                    for i, j in dag.region
+                    if dag.is_active(i, j) and not plane.finished[i, j]
+                )
+                shown = ", ".join(
+                    dag.describe_cell(*c) for c in islice(unfinished, 5)
+                )
                 raise DPX10Error(
-                    f"{total_active - done_cells} vertices missing after run"
+                    f"{missing} vertices missing after run (first: {shown})"
                 )
             stats.final_alive_places = sum(
                 1 for pr in procs.values() if pr.alive
             )
-            if shm_gauge is not None:
-                shm_gauge.set(arena.bytes_mapped)
             if registry.enabled:
                 _publish_master_metrics(registry, stats)
-            # copy the planes out before the segments unlink
-            return plane.results(copy=True), stats
+            # shared planes are copied out before the segments unlink; a
+            # private plane (maybe a spilled memmap) is handed over as is
+            return plane.results(copy=shared), stats
         finally:
             _release_procs(procs, lease_pool)
     finally:
-        arena.close()
+        if arena is not None:
+            arena.close()

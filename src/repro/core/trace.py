@@ -9,7 +9,7 @@ ASCII Gantt rendering.
 
 On top of the per-vertex/tile events sits a **span layer**: coarse
 :class:`Span` intervals for the runtime's phases (partition, schedule,
-execute, halo fetch, recovery) recorded via :meth:`ExecutionTrace.phase`.
+execute, recovery) recorded via :meth:`ExecutionTrace.phase`.
 Spans live in their own list — ``len(trace)`` and ``trace.events`` keep
 their historical meaning — and ride along into the Chrome-trace / JSONL
 exporters (:mod:`repro.obs.export`).

@@ -96,6 +96,23 @@ class DeadPlaceException(DPX10Error):
         super().__init__(message or f"place {place_id} is dead")
 
 
+class RemoteComputeError(DPX10Error):
+    """The user's ``compute()`` raised inside an mp place process.
+
+    The place stays alive (it may be a pooled worker serving other
+    jobs); the master aborts the run with this, carrying the place id
+    and the remote traceback text, which cannot cross the pipe as an
+    exception object.
+    """
+
+    def __init__(self, place_id: int, remote_traceback: str) -> None:
+        self.place_id = place_id
+        self.remote_traceback = remote_traceback
+        super().__init__(
+            f"compute() raised on place {place_id}:\n{remote_traceback}"
+        )
+
+
 class UnrecoverableError(RecoveryError):
     """A failure the runtime cannot recover from.
 

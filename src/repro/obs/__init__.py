@@ -7,7 +7,7 @@ scattered across the runtime:
   (counters, gauges, histograms with labels; no-op singletons when
   disabled; picklable snapshots that merge across processes);
 * the **span layer** in :mod:`repro.core.trace` — phase-level intervals
-  (partition, schedule, execute, halo fetch, recovery) recorded alongside
+  (partition, schedule, execute, recovery) recorded alongside
   per-vertex/tile events;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto /
   ``chrome://tracing``), JSONL event streams, Prometheus text exposition;

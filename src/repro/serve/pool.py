@@ -9,13 +9,13 @@ amortizes that tax across requests by keeping both resources warm here:
   A run leases ``n`` of them keyed ``0..n-1``; the init envelope's
   trailing place-id field relabels each worker to the logical place it
   plays for that run, so any worker can play any place. Released
-  workers are ``reset`` (values, shm attachments and instruments
+  workers are ``reset`` (plane, shm attachments and instruments
   cleared) and go back to the idle set; dead workers are retired and
   their capacity refilled lazily.
 * **Pooled segments** — shared-memory plane segments keyed by byte
   size. :meth:`PlacePool.segment_lease` returns an object duck-typed to
   :class:`~repro.core.shm.ShmArena` (``create`` / ``bytes_mapped`` /
-  ``close``), so ``_run_mp_shm`` swaps it in without caring. A leased
+  ``close``), so ``run_mp`` swaps it in without caring. A leased
   segment is zero-filled before reuse, restoring the data plane's
   "never written reads as zero" invariant; ``close()`` returns segments
   to the free list instead of unlinking.

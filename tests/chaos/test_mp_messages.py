@@ -12,6 +12,8 @@ import multiprocessing as mp
 import threading
 from collections import deque
 
+import numpy as np
+
 from repro.chaos.harness import CaseSpec, build_case, run_case
 from repro.chaos.network import DROPPED, ChaosPipe
 from repro.chaos.schedule import ChaosSchedule, MessageChaos
@@ -102,6 +104,17 @@ def _snapshot_value(snapshot, name):
     return sum(v for _, v in values)
 
 
+def _private_meta(dag):
+    """The init meta of an untiled private-plane run owned by place 1."""
+    return {
+        "tile_shape": None,
+        "autokernel": None,
+        "value_nbytes": 8,
+        "spill_dir": None,
+        "owners": np.full((dag.height, dag.width), 1, np.int32),
+    }
+
+
 class TestWorkerDedup:
     """Drive the worker loop directly: duplicates must not recompute."""
 
@@ -118,16 +131,23 @@ class TestWorkerDedup:
         app, dag, _ = build_case(spec)
         parent, t = self._start_worker()
         try:
-            parent.send((1, "init", app, dag, None))
+            parent.send((1, "init", app, dag, _private_meta(dag)))
             assert parent.recv() == (1, "ok")
-            parent.send((2, "compute", [(0, 0)], {}))
+            # the one data request: units, plus the (here empty) halo patch
+            empty = np.empty(0, np.int64)
+            request = (2, "units", [(0, 0)], (empty, empty, empty))
+            parent.send(request)
             first = parent.recv()
-            # (seq, "done", ncells, elapsed_seconds)
+            # (seq, "done", ncells, elapsed_seconds, result_patch)
             assert first[:3] == (2, "done", 1)
+            rows, cols, values = first[4]
+            assert (rows.tolist(), cols.tolist()) == ([0], [0])
             # the duplicate delivery (chaos dup or master retry): the
             # cached reply comes back verbatim, the kernel does not rerun
-            parent.send((2, "compute", [(0, 0)], {}))
-            assert parent.recv() == first
+            parent.send(request)
+            again = parent.recv()
+            assert again[:4] == first[:4]
+            assert again[4][2].tolist() == values.tolist()
             parent.send((3, "stats"))
             snapshot = parent.recv()[2]
             assert _snapshot_value(snapshot, "dpx10_mp_worker_cells_total") == 1
@@ -141,7 +161,7 @@ class TestWorkerDedup:
         spec = CaseSpec(pattern="diagonal", height=3, width=3)
         app, dag, _ = build_case(spec)
         parent, t = self._start_worker()
-        parent.send((1, "init", app, dag, None))
+        parent.send((1, "init", app, dag, _private_meta(dag)))
         assert parent.recv() == (1, "ok")
         parent.send((2, "stop"))
         assert parent.recv() == (2, "bye")

@@ -1,5 +1,6 @@
 """Tests for the multiprocessing engine (places as real OS processes)."""
 
+import numpy as np
 import pytest
 
 from repro.apgas.failure import FaultPlan
@@ -7,9 +8,17 @@ from repro.apps.knapsack import make_knapsack_instance, solve_knapsack
 from repro.apps.lcs import solve_lcs
 from repro.apps.lps import solve_lps
 from repro.apps.serial import knapsack_matrix, lcs_matrix, lps_matrix
+from repro.apps.tree_knapsack import make_tree_instance
+from repro.apps.tree_mis import solve_tree_mis
+from repro.core import mp_engine
+from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
+from repro.core.domain import TreeDomain
 from repro.core.mp_engine import _topological_levels
-from repro.errors import PlaceZeroDeadError
+from repro.core.plane import PlaneResults
+from repro.core.runtime import DPX10Runtime
+from repro.core.shm import shm_supported
+from repro.errors import DPX10Error, PlaceZeroDeadError, RemoteComputeError
 from repro.patterns import DiagonalDag, GridDag, IntervalDag
 
 X, Y = "ABCBDABACGTACGT", "BDCABAACGGTTAC"
@@ -106,3 +115,73 @@ class TestMPFaults:
         assert app.length == EXPECT
         assert rep.recoveries == 2
         assert rep.final_alive_places == 2
+
+
+class BoomApp(DPX10App[int]):
+    """Sums its dependencies; ``compute()`` raises at one cell."""
+
+    value_dtype = np.int64
+
+    def __init__(self, boom=(5, 5)):
+        self.boom = boom
+
+    def compute(self, i, j, vertices):
+        if (i, j) == self.boom:
+            raise ValueError(f"boom at {(i, j)}")
+        return 1 + sum(int(v.get_result()) for v in vertices) % 1009
+
+
+BACKINGS = pytest.mark.parametrize("shm", [True, False], ids=["shm", "pipe"])
+
+
+def _skip_without_shm(shm):
+    if shm and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+
+
+class TestOneMasterTwoBackings:
+    @BACKINGS
+    @pytest.mark.parametrize("tile_shape", [None, (4, 4)], ids=["cells", "tiles"])
+    def test_user_exception_is_typed_and_carries_the_remote_traceback(
+        self, shm, tile_shape
+    ):
+        _skip_without_shm(shm)
+        cfg = DPX10Config(nplaces=2, engine="mp", shm=shm, tile_shape=tile_shape)
+        with pytest.raises(RemoteComputeError) as err:
+            DPX10Runtime(BoomApp(), DiagonalDag(9, 9), cfg).run()
+        assert err.value.place_id in (0, 1)
+        assert "ValueError: boom at (5, 5)" in err.value.remote_traceback
+        assert "in compute" in err.value.remote_traceback
+
+    @BACKINGS
+    def test_results_are_plane_results_on_both_backings(self, shm):
+        _skip_without_shm(shm)
+        dag = DiagonalDag(6, 6)
+        cfg = DPX10Config(nplaces=2, engine="mp", shm=shm)
+        results, _ = mp_engine.run_mp(BoomApp(boom=None), dag, cfg)
+        assert isinstance(results, PlaneResults) and len(results) == 36
+
+    @pytest.mark.parametrize("domain", ["tree", "grid"])
+    def test_missing_vertices_are_named_in_domain_terms(self, domain, monkeypatch):
+        # a place that acknowledges a batch without computing one cell:
+        # the master's finish flags must catch it and say which one
+        parents, weights, _ = make_tree_instance(12, seed=3)
+        if domain == "tree":  # object values: private planes
+            skipped, shown = TreeDomain(parents).to_cell(0), "node 0"
+        else:
+            _skip_without_shm(True)
+            skipped, shown = (8, 8), r"\(8, 8\)"
+        real = mp_engine._PlaceWorker.compute_cells
+
+        def forgetful(self, cells, sink=None):
+            return real(self, [c for c in cells if tuple(c) != skipped], sink)
+
+        monkeypatch.setattr(mp_engine._PlaceWorker, "compute_cells", forgetful)
+        cfg = DPX10Config(nplaces=2, engine="mp")
+        with pytest.raises(
+            DPX10Error, match=rf"1 vertices missing after run \(first: {shown}\)"
+        ):
+            if domain == "tree":
+                solve_tree_mis(parents, weights, cfg)
+            else:
+                DPX10Runtime(BoomApp(boom=None), DiagonalDag(9, 9), cfg).run()

@@ -7,6 +7,7 @@ engine gets there through the same executor, with the same transfer
 accounting.
 """
 
+import os
 from collections import Counter
 
 import numpy as np
@@ -72,8 +73,11 @@ def run_plane(name, app, fault_plans=(), **cfg):
 ENGINES = {
     "inline": dict(engine="inline"),
     "threaded": dict(engine="threaded"),
-    # object values cannot live in a segment: that leg rides the pipes
+    # object values cannot live in a segment: that leg gets private
+    # planes whatever ``shm`` says
     "mp-shm": dict(engine="mp", shm=True),
+    # a private plane per process, halo and result patches on the pipes
+    "mp-pipe": dict(engine="mp", shm=False),
 }
 
 
@@ -99,6 +103,15 @@ def test_tiled_plane_matches_per_vertex(name, engine, app_cls, fault):
 
 
 # -- (b) one executor ---------------------------------------------------------------------
+def _active_tiles(tiled):
+    return {
+        (ti, tj)
+        for ti in range(tiled.height)
+        for tj in range(tiled.width)
+        if tiled.is_active(ti, tj)
+    }
+
+
 @pytest.mark.parametrize("engine", ["inline", "threaded"])
 def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
     seen = Counter()
@@ -113,15 +126,51 @@ def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch)
     DPX10Runtime(
         MixApp(), dag, DPX10Config(nplaces=NPLACES, engine=engine, tile_shape=(4, 4))
     ).run()
-    tiled = DiagonalDag(SIZE, SIZE).coarsen(4, 4)
-    active = {
-        (ti, tj)
-        for ti in range(tiled.height)
-        for tj in range(tiled.width)
-        if tiled.is_active(ti, tj)
-    }
-    assert set(seen) == active
+    assert set(seen) == _active_tiles(DiagonalDag(SIZE, SIZE).coarsen(4, 4))
     assert set(seen.values()) == {1}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
+    if shm and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    from repro.apps.smith_waterman import SWApp
+
+    log = tmp_path / "tiles.log"
+    real = plane_mod.run_tile
+
+    def logging(plane, tiled, app, kernel, tile, place_id, *rest):
+        # forked places inherit the spy; an O_APPEND line is their way back
+        with open(log, "a") as fh:
+            fh.write(f"{tile[0]} {tile[1]} {type(kernel).__name__}\n")
+        return real(plane, tiled, app, kernel, tile, place_id, *rest)
+
+    monkeypatch.setattr(plane_mod, "run_tile", logging)
+    a, b = "GATTACAGATTACA", "GCATGCTGCATG"
+    dag = DiagonalDag(len(a) + 1, len(b) + 1)
+    config = DPX10Config(
+        nplaces=NPLACES, engine="mp", shm=shm, tile_shape=(4, 4),
+        autokernel=True, trace=True,
+    )
+    report = DPX10Runtime(SWApp(a, b), dag, config).run()
+    lines = [line.split() for line in log.read_text().splitlines()]
+    tiled = DiagonalDag(len(a) + 1, len(b) + 1).coarsen(4, 4)
+    assert Counter((int(ti), int(tj)) for ti, tj, _ in lines) == Counter(
+        _active_tiles(tiled)
+    )
+    # the generated kernel, on the private-plane backing too
+    assert {name for _, _, name in lines} == {"AutoKernel"}
+    # worker events are tile-granular on both backings
+    events = report.trace.events
+    assert {e.tile for e in events} == _active_tiles(tiled)
+    assert all(e.cells == len(tiled.cells_of(*e.tile)[0]) for e in events)
+    want = DiagonalDag(len(a) + 1, len(b) + 1)
+    DPX10Runtime(SWApp(a, b), want, DPX10Config()).run()
+    assert (
+        dag.to_array(fill=-1, dtype=np.int64).tolist()
+        == want.to_array(fill=-1, dtype=np.int64).tolist()
+    )
 
 
 def test_tiled_in_process_runs_build_no_vertex_stores(monkeypatch):
@@ -150,8 +199,14 @@ def test_inline_and_mp_shm_charge_the_same_bytes(name):
     shape = tile_shape_for(name)
     _, inline = run_plane(name, MixApp(), engine="inline", tile_shape=shape)
     _, mp_shm = run_plane(name, MixApp(), engine="mp", shm=True, tile_shape=shape)
+    _, mp_pipe = run_plane(name, MixApp(), engine="mp", shm=False, tile_shape=shape)
     assert inline.network_bytes == mp_shm.network_bytes > 0
-    assert inline.network_messages == mp_shm.network_messages
+    assert inline.network_bytes == mp_pipe.network_bytes
+    assert (
+        inline.network_messages
+        == mp_shm.network_messages
+        == mp_pipe.network_messages
+    )
 
 
 def test_typed_planes_charge_itemsize_object_planes_the_model():
@@ -224,6 +279,32 @@ def test_tiled_spill_survives_a_kill_on_a_memmapped_plane(tmp_path, monkeypatch)
     assert got == want and report.recoveries == 1
     assert backings == {np.memmap}
     # mapped, then unlinked: nothing to clean up however the run ends
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mp_spill_survives_a_kill_on_memmapped_planes(tmp_path, monkeypatch):
+    # spill_dir rules out shm; the master's plane (and each place's)
+    # must then really be a memmap, not a RAM stand-in
+    backings = []
+    real = TilePlane.allocate.__func__
+
+    def spying(cls, *args, **kwargs):
+        plane = real(cls, *args, **kwargs)
+        backings.append(type(plane.values))
+        return plane
+
+    monkeypatch.setattr(TilePlane, "allocate", classmethod(spying))
+    want, _ = run_plane("diagonal", MixApp())
+    got, report = run_plane(
+        "diagonal",
+        MixApp(),
+        fault_plans=[FaultPlan(1, at_fraction=0.5)],
+        engine="mp",
+        tile_shape=(4, 4),
+        spill_dir=str(tmp_path),
+    )
+    assert got == want and report.recoveries == 1
+    assert backings == [np.memmap]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.apps.lcs import solve_lcs
+from repro.apps.serial import lcs_matrix
+from repro.core.config import DPX10Config
+from repro.core.runtime import DPX10Runtime
 from repro.core.shm import shm_supported
-from repro.errors import DPX10Error
+from repro.errors import DPX10Error, RemoteComputeError
+from repro.patterns import DiagonalDag
 from repro.serve.pool import PlacePool
+from tests.core.test_mp_engine import BoomApp
 
 
 @pytest.fixture
@@ -119,3 +125,26 @@ class TestSegments:
         lease.create((8, 8), np.float64, "v")
         assert lease.bytes_mapped == 8 * 8 * 8
         lease.close()
+
+
+class TestUserExceptions:
+    """A ``compute()`` that raises must not cost the pool a worker."""
+
+    @pytest.mark.parametrize("shm", [True, False], ids=["shm", "pipe"])
+    def test_pooled_workers_survive_and_serve_the_next_job(self, pool, shm):
+        if shm and not shm_supported():
+            pytest.skip("no usable shared memory on this platform")
+        pids = sorted(p.proc.pid for p in pool._idle)
+
+        def cfg():
+            return DPX10Config(nplaces=3, engine="mp", shm=shm, place_pool=pool)
+
+        with pytest.raises(RemoteComputeError):
+            DPX10Runtime(BoomApp(), DiagonalDag(9, 9), cfg()).run()
+        stats = pool.stats()
+        assert (stats.idle, stats.forks, stats.retired) == (3, 3, 0)
+        assert sorted(p.proc.pid for p in pool._idle) == pids
+        x, y = "ABCBDABACGTACGT", "BDCABAACGGTTAC"
+        app, _ = solve_lcs(x, y, cfg())
+        assert app.length == int(lcs_matrix(x, y)[-1, -1])
+        assert pool.stats().forks == 3
