@@ -1,7 +1,7 @@
 """Per-kernel microbenchmark: interpreted vs generated vs hand, per tile.
 
-Where ``bench_engines.py`` measures transports, this isolates the tile
-*compute* itself: every vectorization class the analyzer emits (flat
+Where the overhead ledger measures whole runs, this isolates the tile
+*compute* itself across tile shapes: every vectorization class the analyzer emits (flat
 sweep, elementwise, row scan, tensor hyperplane, tree level gather) is
 driven through the same inline tiled data plane in three modes —
 

@@ -3,21 +3,13 @@
 Scale selection: ``REPRO_SCALE=small`` (default, seconds per figure) or
 ``REPRO_SCALE=paper`` (the paper's 10^8-10^9-vertex sweeps, minutes).
 Rendered series tables are written to ``results/`` next to this file.
-
-Every benchmark session additionally refreshes ``BENCH_obs.json`` at the
-repo root: a quick instrumented SW + LPS tiled run with the metrics
-snapshot attached, so perf drift *and* instrument drift show up in the
-same diff. Set ``REPRO_SKIP_OBS_SNAPSHOT=1`` to skip it.
 """
 
-import json
 import os
-import time
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-OBS_SNAPSHOT = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
 
 
 @pytest.fixture(scope="session")
@@ -32,91 +24,3 @@ def scale() -> str:
 def results_dir() -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return RESULTS_DIR
-
-
-def write_obs_snapshot(path: str = OBS_SNAPSHOT, size: int = 256) -> dict:
-    """Run quick instrumented SW/LPS sweeps and write the perf snapshot.
-
-    Each run is traced so the snapshot also carries the causal columns —
-    critical-path fraction and per-category attribution — and diffs show
-    *where* a perf regression landed, not just that one happened.
-    """
-    from repro.apps.lps import solve_lps
-    from repro.apps.smith_waterman import solve_sw
-    from repro.core.config import DPX10Config
-    from repro.obs.causal import attribution, critical_path_fraction
-    from repro.util.rng import seeded_rng
-    from repro.util.timer import Timer
-
-    rng = seeded_rng(0, "bench-obs")
-    s1 = "".join(rng.choice(list("ACGT"), size=size))
-    s2 = "".join(rng.choice(list("ACGT"), size=size))
-    s = "".join(rng.choice(list("abcd"), size=size))
-
-    def run(solver, *args, tile_shape):
-        config = DPX10Config(
-            nplaces=4, engine="threaded", tile_shape=tile_shape,
-            metrics=True, trace=True,
-        )
-        with Timer() as t:
-            _, report = solver(*args, config)
-        out = {
-            "seconds": t.elapsed,
-            "completions": report.completions,
-            "metrics": report.metrics,
-        }
-        if report.trace is not None and report.trace.events:
-            out["critical_path_fraction"] = round(
-                critical_path_fraction(report.trace), 4
-            )
-            out["attribution"] = {
-                cat: round(frac, 4)
-                for cat, frac in sorted(attribution(report.trace).items())
-            }
-        return out
-
-    doc = {
-        "size": size,
-        "runs": {
-            "sw_per_vertex": run(solve_sw, s1, s2, tile_shape=None),
-            "sw_tiled_64": run(solve_sw, s1, s2, tile_shape=(64, 64)),
-            "lps_per_vertex": run(solve_lps, s, tile_shape=None),
-            "lps_tiled_64": run(solve_lps, s, tile_shape=(64, 64)),
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-ENGINES_SNAPSHOT = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_engines.json"
-)
-
-
-def write_engines_snapshot(path: str = ENGINES_SNAPSHOT) -> dict:
-    """Refresh the canonical engine-matrix snapshot (BENCH_engines.json)."""
-    from bench_engines import run_matrix, write_snapshot
-
-    doc = run_matrix((256, 512, 1024))
-    write_snapshot(doc, path)
-    return doc
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if exitstatus != 0 or os.environ.get("REPRO_SKIP_OBS_SNAPSHOT"):
-        return
-    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-    start = time.perf_counter()
-    write_obs_snapshot()
-    reporter.write_line(
-        f"wrote {os.path.relpath(OBS_SNAPSHOT)} "
-        f"({time.perf_counter() - start:.1f}s)"
-    )
-    start = time.perf_counter()
-    write_engines_snapshot()
-    reporter.write_line(
-        f"wrote {os.path.relpath(ENGINES_SNAPSHOT)} "
-        f"({time.perf_counter() - start:.1f}s)"
-    )

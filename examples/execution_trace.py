@@ -46,11 +46,6 @@ def main() -> None:
     print("\nskewed (triangular LPS) executed-per-place:",
           rep_skew.trace.executed_per_place())
 
-    cfg = DPX10Config(nplaces=4, trace=True, work_stealing=True)
-    _, rep_steal = solve_lps(s, cfg)
-    print("same DAG with work stealing:               ",
-          rep_steal.trace.executed_per_place())
-
 
 if __name__ == "__main__":
     main()

@@ -11,8 +11,9 @@ Emission strategy per class:
 
 * ``ELEMENTWISE`` — one vectorized sweep per tile row (every dependency
   is in an earlier row).
-* ``ANTIDIAG_WAVEFRONT`` — sweeps along the anti-diagonals ordered by
-  the ranking vector; all lanes on a level are independent.
+* ``ANTIDIAG_WAVEFRONT`` — the flat anti-diagonal sweep of
+  :mod:`.flatsweep` (the only emitter for the class: an app it refuses
+  is demoted to OPAQUE with ``DP403`` and runs interpreted).
 * ``ROW_SCAN_PREFIX`` — per row, the intra-row recurrence
   ``v[j] = max(base[j], v[j - s] + add)`` is solved in closed form with
   a strided ``np.maximum.accumulate`` over residue classes mod ``s``
@@ -486,20 +487,7 @@ def _emit_kernel(cls: Classification, app, dag) -> Tuple[str, Dict[str, object]]
     em.indent = 1
     em.line("_wh, _ww = window.shape")
 
-    if cls.klass == "ANTIDIAG_WAVEFRONT":
-        a, _b = cls.rank  # type: ignore[misc]
-        if a == 1:  # rank (1, 1): levels are i + j
-            em.line("for _s in range(0, h + w - 1):")
-            em.indent = 2
-            em.line("li = np.arange(max(0, _s - w + 1), min(h - 1, _s) + 1)")
-            em.line("lj = _s - li")
-        else:  # rank (-1, 1): levels are j - i
-            em.line("for _s in range(-(h - 1), w):")
-            em.indent = 2
-            em.line("li = np.arange(max(0, -_s), min(h - 1, w - 1 - _s) + 1)")
-            em.line("lj = li + _s")
-        _emit_level_body(em, cls, act)
-    elif cls.klass == "ELEMENTWISE":
+    if cls.klass == "ELEMENTWISE":
         em.line("for _r in range(h):")
         em.indent = 2
         em.line("li = np.full(w, _r)")
@@ -511,7 +499,7 @@ def _emit_kernel(cls: Classification, app, dag) -> Tuple[str, Dict[str, object]]
                 "prefix-scan emission requires a fully active row"
             )
         _emit_row_scan(em, cls)
-    else:  # pragma: no cover - caller filters OPAQUE
+    else:  # pragma: no cover - caller filters OPAQUE and the flat sweep
         raise KernelBuildError(f"no emitter for class {cls.klass}")
 
     em.indent = 1
@@ -654,18 +642,14 @@ def _kernel_for(cls: Classification, app, dag) -> AutoKernel:
     if cls.klass == "ANTIDIAG_WAVEFRONT":
         from .flatsweep import build_flat_sweep
 
-        try:
-            k = build_flat_sweep(cls, app, dag, pads)
-        except KernelBuildError:
-            pass  # per-level emission below still applies
-        else:
-            return AutoKernel(
-                fn=k,
-                pads=pads,
-                klass=cls.klass,
-                subject=cls.subject,
-                source=k.source,
-            )
+        k = build_flat_sweep(cls, app, dag, pads)
+        return AutoKernel(
+            fn=k,
+            pads=pads,
+            klass=cls.klass,
+            subject=cls.subject,
+            source=k.source,
+        )
     source, closures = _emit_kernel(cls, app, dag)
     namespace = dict(closures)
     code = compile(source, f"<autokernel:{cls.subject}>", "exec")

@@ -1,11 +1,12 @@
 """Flat-sweep (skewed-buffer) emission for antidiagonal wavefront kernels.
 
-The per-level emitter in :mod:`repro.analysis.codegen` pays one fancy
-``window[wi, wj]`` gather per dependency per wavefront level — the exact
-cost PR 7's hand Smith-Waterman kernel (``repro.apps.smith_waterman``)
-eliminated by *skewing* the tile into a buffer where every antidiagonal
-is one contiguous run. This module generalizes that technique to any
-``ANTIDIAG_WAVEFRONT`` classification with constant dependency offsets:
+Sweeping a wavefront level by level costs one fancy ``window[wi, wj]``
+gather per dependency per level — the exact cost PR 7's hand
+Smith-Waterman kernel (``repro.apps.smith_waterman``) eliminated by
+*skewing* the tile into a buffer where every antidiagonal is one
+contiguous run. This module generalizes that technique to any
+``ANTIDIAG_WAVEFRONT`` classification with constant dependency offsets,
+and is the class's only emitter:
 
 1. **Plan** (cached per ``(rank, pads, h, w)`` in :data:`_PLAN_CACHE`) —
    the skew geometry: a flat buffer slot for every cell of the tile plus
@@ -35,7 +36,7 @@ is one contiguous run. This module generalizes that technique to any
    so interior tiles reuse them verbatim.
 
 Out-of-window clipped reads produce garbage lanes exactly like the
-per-level emitter's ``np.clip`` gathers; the IR's own boundary cases and
+row emitters' ``np.clip`` gathers; the IR's own boundary cases and
 presence masks discard them, which the differential tests
 (``tests/analysis/test_codegen.py``) verify bit-for-bit per app.
 """
@@ -406,8 +407,8 @@ class FlatSweepKernel:
         self._sweeps: Dict[Tuple[str, ...], object] = {}
         self._sweep_sources: Dict[Tuple[str, ...], str] = {}
         # compile the fully-general variant eagerly: it both smoke-tests
-        # emission at build time (so failures demote to the per-level
-        # emitter instead of surfacing mid-run) and seeds ``source``
+        # emission at build time (so failures demote the app to the
+        # interpreted path instead of surfacing mid-run) and seeds ``source``
         self.general_profile = tuple("M" for _ in leaves.exprs)
         self._compile(self.general_profile)
 
@@ -500,7 +501,7 @@ def build_flat_sweep(cls, app, dag, pads: Tuple[int, int, int, int]):
     Raises :class:`repro.analysis.codegen.KernelBuildError` when the IR
     leaves the flat subset (data-dependent offsets, dependency-carrying
     case guards, activity predicates with no array form, ...); the
-    caller then falls back to the per-level emitter.
+    app is then demoted to OPAQUE (``DP403``) and runs interpreted.
     """
     from .codegen import KernelBuildError, _Emitter, _make_act
 
@@ -513,7 +514,7 @@ def build_flat_sweep(cls, app, dag, pads: Tuple[int, int, int, int]):
     for guard, value in cls.ir.cases:
         if guard is not None and _has_dep(guard):
             # a dependency-valued guard could hijack the where-chain on
-            # lanes whose reads are boundary garbage; stay per-level
+            # lanes whose reads are boundary garbage
             raise KernelBuildError("dependency read inside a case guard")
         for node in walk_expr(value):
             if isinstance(node, DepRead):

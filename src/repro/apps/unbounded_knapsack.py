@@ -79,11 +79,6 @@ class UnboundedKnapsackDag(Dag):
             anti.append(VertexId(i, j + self.weights[i - 1]))
         return anti
 
-    def static_order(self):
-        # the take-edge points left within the row, the skip-edge up:
-        # row-major is topological
-        return [(i, j) for i in range(self.height) for j in range(self.width)]
-
 
 class UnboundedKnapsackApp(DPX10App[int]):
     """Maximum value with unlimited copies of each item."""

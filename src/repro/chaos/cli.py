@@ -102,7 +102,7 @@ def _cmd_run(args) -> int:
         width=args.size,
         tile_shapes=tile_shapes,
         intensity=args.intensity,
-        shm={"on": True, "off": False, "auto": None}[args.shm],
+        shm=args.shm != "off",
         on_result=on_result,
         stop_on_failure=args.stop_on_failure,
     )
@@ -246,7 +246,8 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
         "--shm",
         choices=("on", "off", "auto"),
         default="auto",
-        help="force the shared-memory transport on/off (auto = runtime default)",
+        help="mp plane backing: off forces private planes (auto = on: "
+        "shared memory wherever the run is eligible)",
     )
     run.add_argument("--replay-dir", default="chaos-replays")
     run.add_argument(

@@ -73,8 +73,8 @@ class CaseSpec:
     tile_shape: Optional[Tuple[int, int]] = None
     #: probe salt / instance seed for the concrete apps
     salt: int = 0
-    #: shared-memory transport: None = runtime default, True/False = forced
-    shm: Optional[bool] = None
+    #: mp plane backing, as DPX10Config.shm: False forces private planes
+    shm: bool = True
     #: index domain the app's DAG lives on: "grid", "tree" or "tensor"
     domain: str = "grid"
 
@@ -84,7 +84,7 @@ class CaseSpec:
             if self.tile_shape
             else ""
         )
-        shm = "" if self.shm is None else f" shm={self.shm}"
+        shm = "" if self.shm else " shm=False"
         dom = "" if self.domain == "grid" else f" domain={self.domain}"
         return (
             f"{self.app}:{self.pattern} engine={self.engine} "
@@ -348,7 +348,7 @@ def sweep(
     tile_shapes: Sequence[Optional[Tuple[int, int]]] = (None,),
     intensity: float = 1.0,
     message_chaos: Optional[bool] = None,
-    shm: Optional[bool] = None,
+    shm: bool = True,
     on_result: Optional[Callable[[CaseResult], None]] = None,
     stop_on_failure: bool = False,
 ) -> List[CaseResult]:

@@ -110,11 +110,6 @@ class DPX10Config:
     #: a file per place; mp runs memory-map the master's plane and each
     #: place's private plane there (a spilled run shares no memory).
     spill_dir: Optional[str] = None
-    #: inline engine only: execute the pattern's precomputed topological
-    #: order directly, skipping indegree bookkeeping and ready lists. An
-    #: optimization extension; requires the pattern to provide
-    #: ``static_order()`` (all stencils, knapsack, full_row, triangular do)
-    static_schedule: bool = False
     #: tile-granular execution: block the matrix into ``(tile_h, tile_w)``
     #: tiles and schedule, fetch, and place whole tiles instead of single
     #: cells (see docs/TILING.md). The cell-level pattern is coarsened to a
@@ -135,16 +130,16 @@ class DPX10Config:
     #: (modelled). Results must be — and are tested to be — unchanged.
     chaos: Optional[object] = None
     #: mp engine only — which backing the one mp loop's planes get (see
-    #: repro.core.shm and docs/TILING.md "One plane"). ``None`` (default)
-    #: and ``True`` back the value/finished planes with
-    #: multiprocessing.shared_memory segments so place processes read
-    #: owned cells and halo strips as NumPy views; ``False`` gives every
-    #: process a private plane, with halo and result patches riding the
-    #: pipes. Regardless of the setting, object-dtype apps, spilled
-    #: runs, unsupported platforms and runs under *message* chaos (whose
-    #: ChaosPipe needs payloads to perturb) get private planes. The
-    #: in-process engines ignore it: their plane is a heap array.
-    shm: Optional[bool] = None
+    #: repro.core.shm and docs/TILING.md "One plane"). ``True`` (default)
+    #: backs the value/finished planes with multiprocessing.shared_memory
+    #: segments so place processes read owned cells and halo strips as
+    #: NumPy views; ``False`` gives every process a private plane, with
+    #: halo and result patches riding the pipes. Regardless of the
+    #: setting, object-dtype apps, spilled runs, unsupported platforms
+    #: and runs under *message* chaos (whose ChaosPipe needs payloads to
+    #: perturb) get private planes. The in-process engines ignore it:
+    #: their plane is a heap array.
+    shm: bool = True
     #: tiled path only: compile ``compute()`` into a vectorized NumPy tile
     #: kernel (repro.analysis: lift to IR, classify, emit) and use it in
     #: place of the per-vertex loop. Requires ``tile_shape`` and a typed
@@ -154,11 +149,6 @@ class DPX10Config:
     #: A generated kernel takes precedence over a hand-written
     #: ``compute_tile``.
     autokernel: bool = False
-    #: let idle workers steal ready vertices from other places' lists.
-    #: An extension beyond the paper (its future work cites X10
-    #: work-stealing schedulers [24, 25]); results are unchanged, load
-    #: balance and communication shift.
-    work_stealing: bool = False
     #: serving-layer pacing hook (see repro.serve.scheduler): called with
     #: the number of cells about to execute before every tile / level
     #: batch is dispatched. The callback may *block* — that is how the
@@ -214,14 +204,6 @@ class DPX10Config:
             self.progress_interval >= 0,
             f"progress_interval must be >= 0, got {self.progress_interval}",
         )
-        require(
-            not (self.static_schedule and self.engine != "inline"),
-            "static_schedule requires the inline engine",
-        )
-        require(
-            self.shm is None or isinstance(self.shm, bool),
-            f"shm must be None, True or False, got {self.shm!r}",
-        )
         if self.chaos is not None:
             # imported lazily: repro.chaos depends on repro.core for its
             # harness, so the config layer cannot import it at module scope
@@ -236,11 +218,6 @@ class DPX10Config:
                 len(tuple(self.tile_shape)) == 2
                 and all(isinstance(t, int) and t >= 1 for t in self.tile_shape),
                 f"tile_shape must be a pair of ints >= 1, got {self.tile_shape!r}",
-            )
-            require(
-                not (self.static_schedule and self.tiling_enabled),
-                "static_schedule and tile_shape are mutually exclusive "
-                "(the tiled engine has its own schedule)",
             )
         require(
             not self.autokernel or self.tiling_enabled,

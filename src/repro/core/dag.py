@@ -161,17 +161,6 @@ class Dag(Generic[T]):
         """
         return None
 
-    def static_order(self) -> Optional[List[Tuple[int, int]]]:
-        """A precomputed topological order of the active cells, or ``None``.
-
-        When a pattern can name a valid execution order up front, the
-        inline engine's static-schedule mode executes cells in that order
-        directly, skipping all indegree bookkeeping and ready-list traffic
-        (``DPX10Config(static_schedule=True)``). ``None`` (the default)
-        means "only dynamic scheduling knows the order".
-        """
-        return None
-
     # -- tile-granular coarsening ---------------------------------------------------
     def coarsen(self, tile_h: int, tile_w: int) -> "Dag":
         """Derive the tile-level DAG for ``(tile_h, tile_w)`` blocking.

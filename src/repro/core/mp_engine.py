@@ -357,11 +357,14 @@ def _worker_main(place_id: int, conn) -> None:
     """The place process: holds its plane, serves the master.
 
     Every incoming message is ``(seq, kind, *payload)``; every reply is
-    ``(seq, *body)``. Replies for the last :data:`_REPLY_CACHE` sequence
-    numbers are cached so a retried or duplicated request is answered
+    ``(seq, *body)``. The last :data:`_REPLY_CACHE` sequence numbers are
+    remembered so a retried or duplicated request is answered
     idempotently — in particular a duplicated ``units`` request never
-    runs the user's kernel twice (and since a unit's recompute is
-    deterministic, even a lost-reply rerun would write identical bytes).
+    runs the user's kernel twice. Only the newest reply is kept whole:
+    the master has one request in flight per pipe and discards stale
+    sequence numbers, so an older entry is cut down to ``(seq, kind)``
+    (no result patch, no trace events) when the next request arrives —
+    the pool's ``reset`` on release included.
 
     ``units`` is the one data request: ``(seq, "units", units, patch)``
     computes a batch of tiles (tiled runs) or cells against the place's
@@ -389,6 +392,7 @@ def _worker_main(place_id: int, conn) -> None:
     """
     worker: Optional[_PlaceWorker] = None
     replied: Dict[int, tuple] = {}
+    newest = 0  # the one seq whose cached reply still carries its payload
     ins = _WorkerInstruments(place_id)
     trace_buf: Optional[List[tuple]] = None
     trace_offset = 0.0
@@ -467,7 +471,12 @@ def _worker_main(place_id: int, conn) -> None:
             else:  # pragma: no cover - protocol guard
                 conn.send((seq, "error", f"unknown message {kind!r}"))
                 return
+            if newest in replied:
+                # superseded: keep the seq (a late duplicate must still
+                # not re-run anything), drop what the reply carried
+                replied[newest] = replied[newest][:2]
             replied[seq] = reply
+            newest = seq
             if len(replied) > _REPLY_CACHE:
                 del replied[min(replied)]
             conn.send(reply)
@@ -800,7 +809,7 @@ def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
     and a platform where segments actually work. Ineligible runs get
     private planes and patches on the pipes; nothing else changes.
     """
-    if config.shm is False:
+    if not config.shm:
         return False
     if app.value_dtype is None:
         return False

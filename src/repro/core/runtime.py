@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.apgas.network import NetworkModel
@@ -38,9 +38,10 @@ from repro.core.recovery import (
 from repro.core.trace import ExecutionTrace
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduler import make_strategy
+from repro.core.tiling import TileRunState
 from repro.core.vertex_store import build_stores
-from repro.core.worker import ExecutionState, run_inline, run_static, run_threaded
-from repro.errors import ConfigurationError, DeadPlaceException, PlaceZeroDeadError
+from repro.core.worker import ExecutionState, run_inline, run_threaded
+from repro.errors import DeadPlaceException, PlaceZeroDeadError
 from repro.util.logging import get_logger
 from repro.util.timer import Timer
 
@@ -71,7 +72,7 @@ class RunReport:
     cache_misses: int = 0
     per_place_activities: Dict[int, int] = field(default_factory=dict)
     #: compute() executions by execution place (moves under non-local
-    #: scheduling and work stealing)
+    #: scheduling)
     per_place_executed: Dict[int, int] = field(default_factory=dict)
     final_alive_places: int = 0
     #: periodic-snapshot FT accounting (ft_mode="snapshot" only)
@@ -234,32 +235,11 @@ class DPX10Runtime:
                     state.dist.kind,
                     cfg.engine,
                 )
-                with self._phase(state, "schedule"):
-                    static_order = (
-                        self.dag.static_order() if cfg.static_schedule else None
-                    )
-                if cfg.static_schedule and static_order is None:
-                    raise ConfigurationError(
-                        f"{type(self.dag).__name__} provides no static_order(); "
-                        "use dynamic scheduling"
-                    )
                 while True:
                     try:
                         with self._phase(state, "execute"):
-                            if state.tiles is not None:
-                                from repro.core.tiling import (
-                                    run_tiled_inline,
-                                    run_tiled_threaded,
-                                )
-
-                                if cfg.engine == "threaded":
-                                    run_tiled_threaded(state)
-                                else:
-                                    run_tiled_inline(state)
-                            elif cfg.engine == "threaded":
+                            if cfg.engine == "threaded":
                                 run_threaded(state)
-                            elif static_order is not None:
-                                run_static(state, static_order)
                             else:
                                 run_inline(state)
                         break
@@ -417,12 +397,8 @@ class DPX10Runtime:
                 # exact per-tile counts: completions, progress and fault
                 # thresholds are cell-granular
                 total_active = sum(len(tiled.cells_of(*t)[0]) for t in tiles)
-        # a tiled run queues tile indices instead (TileRunState.build) and
-        # never consults the caches: it reads finished cells in place
-        ready: Dict[int, Deque[Coord]] = {
-            pid: deque(store.zero_indegree_unfinished())
-            for pid, store in stores.items()
-        }
+        # a tiled run never consults the caches: it reads finished cells
+        # in place
         caches = {
             pid: RemoteCache(cfg.cache_size) for pid in range(rt.group.size)
         }
@@ -441,30 +417,37 @@ class DPX10Runtime:
             strategy=make_strategy(cfg.scheduler),
             dist=dist,
             stores=stores,
-            ready=ready,
+            ready={},
             caches=caches,
             injector=injector,
             total_active=total_active,
+            trace=trace,
             plane=plane,
         )
-        if tiled is not None:
-            from repro.core.tiling import TileRunState
+        with self._phase(state, "schedule"):
+            # the per-place ready lists: zero-indegree cells, or on a
+            # tiled run zero-indegree tile indices
+            if tiled is None:
+                state.ready = {
+                    pid: deque(store.zero_indegree_unfinished())
+                    for pid, store in stores.items()
+                }
+            else:
+                state.tiles = TileRunState(tiled)
+                state.tiles.build(state)
+        if tiled is not None and not cfg.sanitize:
+            # sanitized runs keep the per-cell loop, whose compute()
+            # calls the race guard wraps
+            autokernel = None
+            if cfg.autokernel:
+                # lift/classify/emit the compute() recurrence; OPAQUE
+                # apps keep the interpreted path (see `repro analyze`).
+                # Object-valued apps are eligible too: tree-level
+                # kernels run in "cells" mode, not on a typed window
+                from repro.analysis.codegen import build_autokernel
 
-            state.tiles = TileRunState(tiled)
-            state.tiles.build(state)
-            if not cfg.sanitize:
-                # sanitized runs keep the per-cell loop, whose compute()
-                # calls the race guard wraps
-                autokernel = None
-                if cfg.autokernel:
-                    # lift/classify/emit the compute() recurrence; OPAQUE
-                    # apps keep the interpreted path (see `repro analyze`).
-                    # Object-valued apps are eligible too: tree-level
-                    # kernels run in "cells" mode, not on a typed window
-                    from repro.analysis.codegen import build_autokernel
-
-                    autokernel, _cls = build_autokernel(self.app, self.dag)
-                state.kernel = tile_kernel(self.app, tiled, autokernel)
+                autokernel, _cls = build_autokernel(self.app, self.dag)
+            state.kernel = tile_kernel(self.app, tiled, autokernel)
         if cfg.ft_mode == "snapshot":
             from repro.dist.snapshot import SnapshotStore
 
@@ -477,7 +460,6 @@ class DPX10Runtime:
             # decode cell coordinates back to native indices; grid runs
             # omit the key, keeping their exported traces byte-identical
             trace.meta["domain"] = self.dag.domain.kind
-        state.trace = trace
         state.metrics = self.metrics
         state.chaos = self.chaos
         if self.metrics.enabled or trace is not None:

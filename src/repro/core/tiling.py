@@ -46,9 +46,8 @@ from repro.core.api import VertexId
 from repro.core.dag import Dag
 from repro.core import plane as _plane
 from repro.core.trace import Span, TraceEvent
-from repro.core.worker import try_steal
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS
-from repro.errors import DeadPlaceException, DependencyRaceError, PatternError
+from repro.errors import DeadPlaceException, PatternError
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,15 +60,10 @@ __all__ = [
     "coarsen",
     "coarsen_offsets",
     "execute_tile",
-    "run_tiled_inline",
-    "run_tiled_threaded",
 ]
 
 Coord = Tuple[int, int]
 Offset = Tuple[int, int]
-
-# matches the per-vertex threaded driver's idle poll (see worker._IDLE_WAIT_S)
-_IDLE_WAIT_S = 0.02
 
 #: relative intra-tile wavefront orders keyed by ``(h, w, a, b)``. For a
 #: dense stencil the rank ``a*i + b*j`` is linear, so the sorted cell
@@ -476,13 +470,14 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
 
 
 class TileRunState:
-    """Tile-granular scheduling state shared by the tiled drivers.
+    """Tile-granular scheduling state of a tiled in-process run.
 
     The :class:`~repro.core.plane.TilePlane` owns values, finish flags
     and tile homes; this tracks the *tile* wavefront over it: indegrees
     and finished tiles. The per-place ready lists are the run's own
-    (``state.ready``, holding tile indices), so pops, wakeups and work
-    stealing are the per-vertex drivers' code.
+    (``state.ready``, holding tile indices), so the drivers in
+    :mod:`repro.core.worker` pop, wake and terminate on tiles exactly as
+    they do on cells.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -558,24 +553,13 @@ class TileRunState:
         with self.lock:
             return self.remaining.get(pid, 0) <= 0
 
-    def all_done(self, state: "ExecutionState") -> bool:
-        with self.lock:
-            return all(
-                n <= 0
-                for pid, n in self.remaining.items()
-                if state.group.is_alive(pid)
-            )
-
 
 # -- the tile worker ------------------------------------------------------------------
-def execute_tile(
-    state: "ExecutionState", tile: Coord, exec_place: Optional[int] = None
-) -> None:
+def execute_tile(state: "ExecutionState", tile: Coord) -> None:
     """Run one tile end to end: place, compute on the plane, account, notify.
 
-    ``exec_place=None`` asks the scheduling strategy for a placement (one
-    decision per tile, costed on the tile's halo edges); a stolen tile
-    passes the thief's place explicitly. The compute itself is
+    The scheduling strategy places the tile (one decision per tile,
+    costed on the tile's halo edges); the compute itself is
     :func:`repro.core.plane.run_tile`, the executor every engine shares.
     """
     ts: TileRunState = state.tiles
@@ -602,15 +586,14 @@ def execute_tile(
     t_start = trace.now() if trace is not None else 0.0
     svc0 = time.perf_counter() if state.straggler is not None else 0.0
 
-    if exec_place is None:
-        exec_place = state.strategy.choose_place(
-            tile,
-            home_place,
-            plane.owners_of(*tiled.halo_of(*tile)).tolist(),
-            state.group.alive_ids(),
-            state.rngs[home_place],
-            plane.nbytes,
-        )
+    exec_place = state.strategy.choose_place(
+        tile,
+        home_place,
+        plane.owners_of(*tiled.halo_of(*tile)).tolist(),
+        state.group.alive_ids(),
+        state.rngs[home_place],
+        plane.nbytes,
+    )
     n, transfers = _plane.run_tile(
         plane, tiled, state.app, state.kernel, tile, exec_place, cfg.sanitize
     )
@@ -678,80 +661,3 @@ def execute_tile(
             raise DeadPlaceException(victims[0])
 
     ts.on_tile_finished(state, tile)
-
-
-# -- drivers --------------------------------------------------------------------------
-def run_tiled_inline(state: "ExecutionState") -> None:
-    """Deterministic tiled driver: round-robin one tile per place per sweep."""
-    ts: TileRunState = state.tiles
-    place_ids = list(state.dist.place_ids)
-    while True:
-        progressed = False
-        for pid in place_ids:
-            if not state.group.is_alive(pid):
-                continue
-            tile = state.pop_ready(pid)
-            if tile is None:
-                tile = try_steal(state, pid)
-                if tile is None:
-                    continue
-                execute_tile(state, tile, exec_place=pid)
-                progressed = True
-                continue
-            progressed = True
-            execute_tile(state, tile)
-        if ts.all_done(state):
-            return
-        if not progressed:
-            raise PatternError(
-                "deadlock: unfinished tiles remain but none are schedulable "
-                "(the coarsened DAG's dependencies are inconsistent)"
-            )
-
-
-def run_tiled_threaded(state: "ExecutionState") -> None:
-    """Concurrent tiled driver: one worker activity per place.
-
-    The same structure as the per-vertex ``run_threaded`` — per-place
-    condition-variable wakeups, the global abort latch for faults — with
-    tiles as the unit of work and termination when every tile homed at
-    the place has finished.
-    """
-    from repro.apgas.activity import Activity
-    from repro.apgas.engine import ExecutionEngine  # avoid import cycle at top
-
-    engine: ExecutionEngine = state._engine  # type: ignore[assignment]
-    ts: TileRunState = state.tiles
-    stealing = state.config.work_stealing
-
-    def done_for(pid: int) -> bool:
-        if not stealing:
-            return ts.place_done(pid)
-        return ts.all_done(state)
-
-    def worker(pid: int) -> None:
-        cond = state.conds[pid]
-        while not state.abort_event.is_set():
-            stolen = False
-            tile = state.pop_ready(pid)
-            if tile is None and stealing:
-                tile = try_steal(state, pid)
-                stolen = tile is not None
-            if tile is None:
-                if done_for(pid):
-                    return
-                with cond:
-                    cond.wait(timeout=_IDLE_WAIT_S)
-                continue
-            try:
-                execute_tile(state, tile, exec_place=pid if stolen else None)
-            except (DeadPlaceException, DependencyRaceError) as exc:
-                state.record_abort(exc)
-                return
-
-    for pid in state.dist.place_ids:
-        if state.group.is_alive(pid):
-            engine.submit(Activity(pid, worker, (pid,)))
-    engine.run_all()
-    if state.abort_exc is not None:
-        raise state.abort_exc

@@ -14,10 +14,14 @@ vertex's home place, mark it finished, then decrement the indegree of its
 anti-dependencies, pushing any that reach zero onto their home place's
 ready list.
 
-Two drivers share that path:
+That loop is written once per engine, for whatever the ready lists hold:
+cells executed by :func:`execute_vertex`, or on a tiled run whole tiles
+executed by :func:`repro.core.tiling.execute_tile`. Both executors take
+``(state, unit)``, choose the unit's execution place themselves and
+release its successors onto ``state.ready``.
 
 * :func:`run_inline` — a deterministic round-robin over the places' ready
-  lists (one vertex per alive place per sweep), single-threaded;
+  lists (one unit per alive place per sweep), single-threaded;
 * :func:`run_threaded` — one long-running worker activity per place on the
   :class:`~repro.apgas.engine.ThreadedEngine`, with condition-variable
   wakeups and a global abort protocol for fault handling.
@@ -48,6 +52,7 @@ from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
 from repro.core.scheduler import SchedulingStrategy
+from repro.core.tiling import execute_tile
 from repro.core.trace import ExecutionTrace, TraceEvent
 from repro.core.vertex_store import VertexStore
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -83,7 +88,7 @@ class ExecutionState:
     injector: Optional[FaultInjector] = None
     completions: int = 0
     #: vertices executed per place (keyed by the execution place, which
-    #: differs from the home place under non-local scheduling or stealing)
+    #: differs from the home place under non-local scheduling)
     executed_by: Dict[int, int] = field(default_factory=dict)
     #: stable checkpoint storage for ft_mode="snapshot"
     snapshots: Optional["SnapshotStore"] = None
@@ -155,6 +160,23 @@ class ExecutionState:
         except IndexError:
             return None
 
+    # -- termination (the paper's finished-vertices counter) -------------------------
+    def place_done(self, place_id: int) -> bool:
+        """Whether every unit homed at the place has finished.
+
+        Raises :class:`DeadPlaceException` for a dead place's vertex store.
+        """
+        if self.tiles is not None:
+            return self.tiles.place_done(place_id)
+        return self.stores[place_id].all_done()
+
+    def all_done(self) -> bool:
+        return all(
+            self.place_done(pid)
+            for pid in self.dist.place_ids
+            if self.group.is_alive(pid)
+        )
+
     # -- periodic snapshots (ft_mode="snapshot") -------------------------------------
     def take_snapshot(self) -> int:
         """Checkpoint every finished vertex to stable storage.
@@ -191,30 +213,29 @@ class ExecutionState:
         return self._abort_exc
 
 
-def execute_vertex(
-    state: ExecutionState, coord: Coord, exec_place: int, notify: bool = True
-) -> None:
-    """Run one vertex end to end (gather deps, compute, store, notify).
-
-    ``notify=False`` skips the anti-dependency indegree updates — used by
-    the static-schedule driver, whose precomputed order makes them moot.
-    """
+def execute_vertex(state: ExecutionState, coord: Coord) -> None:
+    """Run one vertex end to end (place, gather deps, compute, store, notify)."""
     i, j = coord
     dag = state.dag
     nbytes = state.config.value_nbytes
     sanitizing = state.config.sanitize
+    home = state.dist.place_of(i, j)
+
+    declared = dag.get_dependency(i, j)
+    deps = [d for d in declared if dag.is_active(d.i, d.j)]
+    dep_homes = [state.dist.place_of(d.i, d.j) for d in deps]
+    exec_place = state.strategy.choose_place(
+        coord, home, dep_homes, state.group.alive_ids(), state.rngs[home], nbytes
+    )
     if state.chaos is not None:
         # slow-place throttle: a real (tiny) sleep at the execution place,
         # perturbing interleavings without touching any value
         state.chaos.on_execute(exec_place)
     t_start = state.trace.now() if state.trace is not None else 0.0
 
-    declared = dag.get_dependency(i, j)
-    deps = [d for d in declared if dag.is_active(d.i, d.j)]
     cache = state.caches[exec_place]
     vertices: List[Vertex] = []
-    for d in deps:
-        dep_home = state.dist.place_of(d.i, d.j)
+    for d, dep_home in zip(deps, dep_homes):
         if sanitizing and not state.stores[dep_home].is_finished(d.i, d.j):
             # a declared dependency that has not finished means the
             # pattern's anti-dependency under-declares this edge and the
@@ -242,7 +263,6 @@ def execute_vertex(
     else:
         result = state.app.compute(i, j, vertices)
 
-    home = state.dist.place_of(i, j)
     store = state.stores[home]
     store.set_result(i, j, result)
     if exec_place != home:
@@ -283,173 +303,77 @@ def execute_vertex(
                     state.chaos.record("kill")
             raise DeadPlaceException(victims[0])
 
-    if notify:
-        for a in dag.get_anti_dependency(i, j):
-            if not dag.is_active(a.i, a.j):
-                continue
-            a_home = state.dist.place_of(a.i, a.j)
-            if not state.group.is_alive(a_home):
-                continue
-            if state.stores[a_home].dec_indegree(a.i, a.j):
-                state.push_ready(a_home, (a.i, a.j))
-
-
-def try_steal(state: ExecutionState, thief: int) -> Optional[Coord]:
-    """Steal a ready vertex for an idle place (``work_stealing`` only).
-
-    Victim selection is longest-queue; the steal takes the *tail* of the
-    victim's deque (the classic split: owners consume FIFO from the head,
-    thieves take the most recently enqueued work from the tail). Returns
-    ``None`` when there is nothing to steal.
-    """
-    if not state.config.work_stealing:
-        return None
-    best = None
-    best_len = 0
-    for pid in state.dist.place_ids:
-        if pid == thief or not state.group.is_alive(pid):
+    for a in dag.get_anti_dependency(i, j):
+        if not dag.is_active(a.i, a.j):
             continue
-        qlen = len(state.ready[pid])
-        if qlen > best_len:
-            best, best_len = pid, qlen
-    if best is None:
-        return None
-    try:
-        return state.ready[best].pop()
-    except IndexError:  # raced with the owner; treat as a failed steal
-        return None
-
-
-def _choose_exec_place(state: ExecutionState, coord: Coord, home: int) -> int:
-    dag = state.dag
-    dep_homes = [
-        state.dist.place_of(d.i, d.j)
-        for d in dag.get_dependency(*coord)
-        if dag.is_active(d.i, d.j)
-    ]
-    return state.strategy.choose_place(
-        coord,
-        home,
-        dep_homes,
-        state.group.alive_ids(),
-        state.rngs[home],
-        state.config.value_nbytes,
-    )
+        a_home = state.dist.place_of(a.i, a.j)
+        if not state.group.is_alive(a_home):
+            continue
+        if state.stores[a_home].dec_indegree(a.i, a.j):
+            state.push_ready(a_home, (a.i, a.j))
 
 
 def run_inline(state: ExecutionState) -> None:
-    """Deterministic driver: round-robin one vertex per place per sweep.
+    """Deterministic driver: round-robin one ready unit per place per sweep.
 
     Raises :class:`DeadPlaceException` on an injected fault (the runtime
     recovers and calls back in) and :class:`PatternError` if the DAG
-    deadlocks (unfinished vertices but nothing schedulable — a broken
+    deadlocks (unfinished units but nothing schedulable — a broken
     custom pattern).
     """
+    execute = execute_tile if state.tiles is not None else execute_vertex
     place_ids = list(state.dist.place_ids)
     while True:
         progressed = False
         for pid in place_ids:
             if not state.group.is_alive(pid):
                 continue
-            coord = state.pop_ready(pid)
-            if coord is None:
-                coord = try_steal(state, pid)
-                if coord is None:
-                    continue
-                # a stolen vertex executes at the thief
-                execute_vertex(state, coord, pid)
-                progressed = True
+            unit = state.pop_ready(pid)
+            if unit is None:
                 continue
             progressed = True
-            execute_vertex(state, coord, _choose_exec_place(state, coord, pid))
-        alive_stores = [
-            state.stores[pid] for pid in place_ids if state.group.is_alive(pid)
-        ]
-        if all(s.all_done() for s in alive_stores):
+            execute(state, unit)
+        if state.all_done():
             return
         if not progressed:
             raise PatternError(
-                "deadlock: unfinished vertices remain but none are schedulable "
+                "deadlock: unfinished units remain but none are schedulable "
                 "(the pattern's dependencies/anti-dependencies are inconsistent)"
             )
-
-
-def run_static(state: ExecutionState, order: List[Coord]) -> None:
-    """Static-schedule driver: execute a precomputed topological order.
-
-    An optimization extension ("sophisticated scheduling techniques" in
-    the paper's future work): no ready lists, no indegree updates — the
-    order already encodes every constraint. Cells finished before entry
-    (recovery restores, inactive initialization) are skipped, which also
-    makes the driver resumable after a fault.
-    """
-    for coord in order:
-        home = state.dist.place_of(*coord)
-        store = state.stores[home]
-        if store.is_finished(*coord):
-            continue
-        execute_vertex(
-            state, coord, _choose_exec_place(state, coord, home), notify=False
-        )
 
 
 def run_threaded(state: ExecutionState) -> None:
     """Concurrent driver: one worker activity per place.
 
     Each worker drains its own ready list until its *finished vertices
-    counter* covers all local active vertices (the paper's termination
-    rule). On any ``DeadPlaceException`` the observing worker records the
-    fault and wakes everyone; all workers park, and the exception is
-    re-raised here for the runtime's recovery loop.
+    counter* covers every local unit (the paper's termination rule). On
+    any ``DeadPlaceException`` the observing worker records the fault and
+    wakes everyone; all workers park, and the exception is re-raised here
+    for the runtime's recovery loop.
     """
+    from repro.apgas.activity import Activity
     from repro.apgas.engine import ExecutionEngine  # avoid import cycle at top
 
     engine: ExecutionEngine = state._engine  # type: ignore[attr-defined]
-
-    stealing = state.config.work_stealing
-
-    def all_work_done(own_store: VertexStore) -> bool:
-        if not stealing:
-            return own_store.all_done()
-        # a stealing worker only retires once every alive place is done —
-        # it may still be useful elsewhere after its own partition finishes
-        return all(
-            state.stores[p].all_done()
-            for p in state.dist.place_ids
-            if state.group.is_alive(p)
-        )
+    execute = execute_tile if state.tiles is not None else execute_vertex
 
     def worker(pid: int) -> None:
-        store = state.stores[pid]
         cond = state.conds[pid]
         while not state.abort_event.is_set():
-            stolen = False
-            coord = state.pop_ready(pid)
-            if coord is None and stealing:
-                coord = try_steal(state, pid)
-                stolen = coord is not None
-            if coord is None:
-                try:
-                    if all_work_done(store):
-                        return
-                except DeadPlaceException as exc:
-                    state.record_abort(exc)
-                    return
-                with cond:
-                    cond.wait(timeout=_IDLE_WAIT_S)
-                continue
+            unit = state.pop_ready(pid)
             try:
-                exec_place = (
-                    pid if stolen else _choose_exec_place(state, coord, pid)
-                )
-                execute_vertex(state, coord, exec_place)
+                if unit is not None:
+                    execute(state, unit)
+                elif state.place_done(pid):
+                    return
+                else:
+                    with cond:
+                        cond.wait(timeout=_IDLE_WAIT_S)
             except (DeadPlaceException, DependencyRaceError) as exc:
                 # a race diagnostic must stop the whole run, not strand
-                # the other workers waiting for this vertex forever
+                # the other workers waiting for this unit forever
                 state.record_abort(exc)
                 return
-
-    from repro.apgas.activity import Activity
 
     for pid in state.dist.place_ids:
         if state.group.is_alive(pid):

@@ -1,4 +1,4 @@
-"""Hand-vectorized NumPy baselines for the autokernel perf gate.
+"""Hand-vectorized NumPy baselines the overhead ledger divides by.
 
 Unlike :mod:`repro.native.swlag_native` (deliberately cell-at-a-time, to
 isolate *framework* overhead the way Figure 12 does), these sweeps are
@@ -6,12 +6,12 @@ what a performance-minded NumPy user hand-writes: one vectorized gather
 per antidiagonal over the whole matrix. They bound what the generated
 tile kernels (``DPX10Config(autokernel=True)``, see docs/ANALYSIS.md)
 can hope to achieve — the framework still pays tile scheduling, halo
-assembly and window scatter on top — and ``benchmarks/bench_engines.py
---native-check`` gates the autokernel engine at ~2x of them.
+assembly and window scatter on top — and ``benchmarks/ledger`` reports
+every workload as an overhead ratio over them.
 
 Each function mirrors its app's ``compute()`` bit-for-bit over the same
 ``(len(x)+1) x (len(y)+1)`` matrix (boundary row/column included), so
-the gate can also assert value equality against ``dag.to_array()``.
+the ledger also asserts value equality against ``dag.to_array()``.
 """
 
 from __future__ import annotations

@@ -138,26 +138,6 @@ class StencilDag(Dag):
         indeg[~active_here] = 0
         return indeg
 
-    def static_order(self):
-        """Row-major (or row-reversed) order when the stencil permits it.
-
-        Offsets all pointing lexicographically backwards make plain
-        row-major a topological order; offsets pointing to larger ``i``
-        (the interval family) make bottom-up row order one instead.
-        """
-        if all(di < 0 or (di == 0 and dj < 0) for di, dj in self.offsets):
-            row_range = range(self.height)
-        elif all(di > 0 or (di == 0 and dj < 0) for di, dj in self.offsets):
-            row_range = range(self.height - 1, -1, -1)
-        else:
-            return None
-        return [
-            (i, j)
-            for i in row_range
-            for j in range(self.width)
-            if self.is_active(i, j)
-        ]
-
     # -- tile-level structure for the cluster simulator ---------------------------
     def tile_deps(self, ti: int, tj: int, nti: int, ntj: int) -> List[Tuple[int, int]]:
         """Dependencies between tiles when the matrix is blocked.

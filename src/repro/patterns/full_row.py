@@ -33,10 +33,6 @@ class FullRowDag(Dag):
             return []
         return [VertexId(i + 1, k) for k in range(self.width)]
 
-    def static_order(self):
-        # everything depends only on the previous row: row-major works
-        return [(i, j) for i in range(self.height) for j in range(self.width)]
-
     def tile_deps(self, ti: int, tj: int, nti: int, ntj: int) -> List[Tuple[int, int]]:
         if ti == 0:
             return []

@@ -82,10 +82,6 @@ class KnapsackDag(Dag):
             anti.append(VertexId(i + 1, j + w))
         return anti
 
-    def static_order(self):
-        # both dependencies live in row i-1: row-major is topological
-        return [(i, j) for i in range(self.height) for j in range(self.width)]
-
     # -- tile-level structure for the cluster simulator ---------------------------
     def tile_deps(self, ti: int, tj: int, nti: int, ntj: int) -> List[Tuple[int, int]]:
         """Tile ``(ti, tj)`` reads the previous tile row back to the

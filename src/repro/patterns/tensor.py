@@ -109,11 +109,3 @@ class TensorWavefrontDag(Dag):
 
     def get_anti_dependency(self, i: int, j: int) -> List[VertexId]:
         return self._neighbors(i, j, -1)
-
-    def static_order(self) -> List[Tuple[int, int]]:
-        """Hyperplane (index-sum) order — topological by construction."""
-        dom: TensorDomain = self.domain  # type: ignore[assignment]
-        return [
-            dom.to_cell(idx)
-            for idx in sorted(dom.indices(), key=lambda t: (sum(t), t))
-        ]

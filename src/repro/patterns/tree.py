@@ -23,7 +23,7 @@ partition over the survivors automatically.
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from repro.core.api import VertexId
 from repro.core.dag import Dag
@@ -67,11 +67,6 @@ class TreeDag(Dag):
             return []
         p = dom.parent(dom.from_cell(i, j))
         return [] if p < 0 else [VertexId(*dom.to_cell(p))]
-
-    def static_order(self) -> List[Tuple[int, int]]:
-        """Post-order (heavy child last) — children always before parents."""
-        dom: TreeDomain = self.domain  # type: ignore[assignment]
-        return [dom.to_cell(v) for v in dom.post_order]
 
     def active_cells_in_rect(self, r0: int, r1: int, c0: int, c1: int) -> int:
         dom: TreeDomain = self.domain  # type: ignore[assignment]

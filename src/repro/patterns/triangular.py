@@ -50,15 +50,6 @@ class TriangularDag(Dag):
         up = [VertexId(k, j) for k in range(0, i)]
         return right + up
 
-    def static_order(self):
-        # row deps sit left (same i, smaller j) and column deps below
-        # (larger i): bottom-up rows, left-to-right columns is topological
-        return [
-            (i, j)
-            for i in range(self.height - 1, -1, -1)
-            for j in range(i, self.width)
-        ]
-
     def tile_deps(self, ti: int, tj: int, nti: int, ntj: int) -> List[Tuple[int, int]]:
         if ti > tj:
             return []

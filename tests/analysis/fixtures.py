@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.core.api import DPX10App, VertexId, dependency_map
 from repro.core.dag import Dag
-from repro.patterns import GridDag
+from repro.patterns import DiagonalDag, GridDag
 from repro.patterns.base import StencilDag
 
 SHADY_TOTALS = {}  # module-global a broken app mutates (DP203)
@@ -158,6 +160,21 @@ class WrongOffsetApp(DPX10App):
         return 1
 
 
+class DepGuardApp(DPX10App):
+    """A case guard reads dependencies: classified ANTIDIAG_WAVEFRONT, but
+    outside the flat sweep's subset -> demoted at emission, DP403."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        if i == 0 or j == 0:
+            return i + j
+        if dep[(i - 1, j - 1)] > dep[(i - 1, j)]:
+            return dep[(i - 1, j)] + 1
+        return dep[(i, j - 1)] + 2
+
+
 def cyclic_dag() -> Dag:
     return CyclicStencilDag(8, 8)
 
@@ -193,3 +210,7 @@ def wrong_offset_target():
 
 def tile_box_escape_target():
     return TileBoxEscapeApp(), GridDag(8, 8)
+
+
+def dep_guard_target():
+    return DepGuardApp(), DiagonalDag(11, 13)

@@ -10,10 +10,13 @@ recomputes tiles through the generated kernel.
 import numpy as np
 import pytest
 
+from repro.analysis.classify import classify_app
 from repro.analysis.codegen import AutoKernel, build_autokernel
 from repro.analysis.registry import app_fixture, app_names
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
+
+from tests.analysis.fixtures import dep_guard_target
 
 VECTORIZABLE = [
     n
@@ -51,7 +54,7 @@ class TestBuild:
         kernel, cls = build_autokernel(app, dag)
         assert isinstance(kernel, AutoKernel)
         assert kernel.klass == cls.klass
-        # per-level / row-scan kernels emit compute_tile; ANTIDIAG apps
+        # row-sweep / row-scan kernels emit compute_tile; ANTIDIAG apps
         # get the flat-sweep form; domain kernels describe themselves
         assert (
             "def compute_tile" in kernel.source
@@ -66,6 +69,23 @@ class TestBuild:
         kernel, cls = build_autokernel(app, dag)
         assert kernel is None
         assert cls.klass == "OPAQUE"
+
+    def test_antidiag_outside_the_flat_sweep_is_demoted_dp403(self):
+        # the flat sweep is the only ANTIDIAG emitter: what it refuses
+        # runs interpreted, bit-identical to the per-vertex oracle
+        app, dag = dep_guard_target()
+        assert classify_app(app, dag).klass == "ANTIDIAG_WAVEFRONT"
+        kernel, cls = build_autokernel(app, dag)
+        assert kernel is None
+        assert cls.klass == "OPAQUE"
+        assert [f.code for f in cls.report.findings] == ["DP403"]
+        DPX10Runtime(app, dag, DPX10Config()).run()
+        want = dag.to_array(fill=-1, dtype=np.int64)
+        for extra in ({"engine": "inline"}, {"engine": "mp", "nplaces": 2}):
+            app, dag = dep_guard_target()
+            cfg = DPX10Config(tile_shape=(4, 5), autokernel=True, **extra)
+            DPX10Runtime(app, dag, cfg).run()
+            assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
 
     def test_build_is_deterministic(self):
         # mp workers rebuild post-fork; both builds must emit the same

@@ -126,7 +126,7 @@ class TestThreadedRuntimeStress:
                 threads_per_place=3,
                 scheduler="random",
                 seed=seed,
-                work_stealing=bool(seed % 2),
+                tile_shape=(3, 3) if seed % 2 else None,
             )
             app, _ = solve_lcs(x, y, cfg)
             assert app.length == expect

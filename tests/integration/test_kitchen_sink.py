@@ -1,8 +1,8 @@
 """Everything on at once: the features must compose.
 
-A run with the threaded engine, min-communication scheduling, work
-stealing, disk spill, tracing, progress callbacks, a snapshot FT mode and
-an injected fault still produces the oracle answer. Feature interactions
+A run with the threaded engine, min-communication scheduling, disk
+spill, tracing, progress callbacks, a snapshot FT mode and an injected
+fault still produces the oracle answer. Feature interactions
 are where frameworks rot; this is the canary.
 """
 
@@ -28,7 +28,6 @@ def test_all_features_compose(tmp_path, engine, ft_mode):
         distribution="block_cyclic",
         dist_block=(3, 3),
         cache_size=32,
-        work_stealing=True,
         spill_dir=str(tmp_path),
         trace=True,
         on_progress=lambda d, t: progress.append(d),
@@ -54,7 +53,6 @@ def test_random_scheduler_with_stealing_and_fault():
         nplaces=5,
         scheduler="random",
         seed=17,
-        work_stealing=True,
         cache_size=16,
     )
     app, rep = solve_lcs(

@@ -15,7 +15,7 @@ configs = st.builds(
     ),
     scheduler=st.sampled_from(["local", "random", "mincomm"]),
     cache_size=st.sampled_from([0, 1, 16]),
-    work_stealing=st.booleans(),
+    tile_shape=st.sampled_from([None, (3, 4)]),
     seed=st.integers(0, 100),
 )
 

@@ -34,7 +34,7 @@ from repro.obs.causal import (
 _MP_CLOCK_SLACK = 5e-3
 
 
-def _traced_sw(size, engine, tile, nplaces=4, shm=None):
+def _traced_sw(size, engine, tile, nplaces=4, shm=True):
     from repro.apps.smith_waterman import solve_sw
     from repro.util.rng import seeded_rng
 

@@ -148,3 +148,29 @@ class TestUserExceptions:
         app, _ = solve_lcs(x, y, cfg())
         assert app.length == int(lcs_matrix(x, y)[-1, -1])
         assert pool.stats().forks == 3
+
+
+class TestIdleWorkersHoldNoJobData:
+    def test_reply_cache_keeps_no_payload_after_release(self, pool):
+        """On private planes every ``done`` reply carries a result patch;
+        the worker's reply cache must not pin those past the run, yet a
+        late duplicate of any envelope must still never re-run a kernel."""
+        x, y = "ABCBDABACGTACGT", "BDCABAACGGTTAC"
+        cfg = DPX10Config(
+            nplaces=3, engine="mp", shm=False, tile_shape=(4, 4), place_pool=pool
+        )
+        app, _ = solve_lcs(x, y, cfg)
+        assert app.length == int(lcs_matrix(x, y)[-1, -1])
+        for proc in pool._idle:
+            last = proc._seq
+            assert 3 < last <= 64  # init, unit batches, stats, reset: all cached
+            for seq in range(1, last + 1):
+                # what the cache answers IS what it holds
+                proc.raw.send((seq, "units", ((0, 0),), None))
+                reply = proc.raw.recv()
+                assert reply[0] == seq and len(reply) == 2, reply
+            (_, snapshot) = proc.request(("stats",))
+            dedup = snapshot["dpx10_mp_worker_dedup_total"]["values"]
+            cells = snapshot["dpx10_mp_worker_cells_total"]["values"]
+            assert sum(v for _, v in dedup) == last
+            assert sum(v for _, v in cells) == 0

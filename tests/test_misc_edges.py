@@ -75,7 +75,6 @@ class TestConfigCombos:
         seen = []
         cfg = DPX10Config(
             nplaces=2,
-            static_schedule=True,
             trace=True,
             on_progress=lambda d, t: seen.append(d),
             progress_interval=20,
