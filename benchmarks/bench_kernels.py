@@ -23,7 +23,8 @@ Entry points:
 * ``python benchmarks/bench_kernels.py`` — full battery, refreshes
   ``BENCH_kernels.json`` at the repo root.
 * ``python benchmarks/bench_kernels.py --quick`` — CI-sized instances,
-  a single 64x64 tile shape.
+  a single 64x64 tile shape; exits 1 when the ``level_batch`` row (eight
+  tiles of one level, batched vs one by one) shows no gain from batching.
 """
 
 import argparse
@@ -211,6 +212,58 @@ def run_battery(quick: bool) -> dict:
     return doc
 
 
+def run_level_batch(quick: bool) -> dict:
+    """One tile anti-diagonal, batched vs tile by tile.
+
+    Eight interior 64x64 SW tiles of one level go through
+    ``plane.run_tiles`` once as a batch (one flat sweep with a batch
+    axis) and once as eight single-tile calls — the two ways an mp place
+    could serve the ``units`` envelope it receives. Best of 5 (quick) or
+    25 repetitions.
+    """
+    from repro.analysis.codegen import build_autokernel
+    from repro.apps.smith_waterman import SWApp
+    from repro.core import plane as plane_mod
+    from repro.patterns.diagonal import DiagonalDag
+
+    ntiles, edge = 8, 64
+    n = (ntiles + 1) * edge
+    rng = seeded_rng(3, "bench-kernels-level")
+    app = SWApp(_dna(rng, n), _dna(rng, n))
+    dag = DiagonalDag(n + 1, n + 1)
+    tiled = dag.coarsen(edge, edge)
+    kernel = plane_mod.tile_kernel(app, tiled, build_autokernel(app, dag)[0])
+    level = [(k, ntiles + 1 - k) for k in range(1, ntiles + 1)]
+    best = {"solo": float("inf"), "batched": float("inf")}
+    planes = {}
+    for _ in range(5 if quick else 25):
+        for mode, calls in (("solo", [[t] for t in level]), ("batched", [level])):
+            plane = plane_mod.TilePlane.allocate(
+                (n + 1, n + 1), app.value_dtype, (edge, edge)
+            )
+            plane.owners[...] = 0
+            with Timer() as t:
+                for tiles in calls:
+                    plane_mod.run_tiles(plane, tiled, app, kernel, tiles, 0)
+            best[mode] = min(best[mode], t.elapsed)
+            planes[mode] = plane.values
+    assert np.array_equal(planes["solo"], planes["batched"])
+    row = {
+        "tiles": ntiles,
+        "tile_shape": [edge, edge],
+        "solo_s": round(best["solo"], 5),
+        "batched_s": round(best["batched"], 5),
+        "speedup_batched_vs_solo": round(best["solo"] / best["batched"], 2),
+    }
+    print(
+        f"  level batch: {ntiles} interior sw {edge}x{edge} tiles  "
+        f"solo {row['solo_s'] * 1e3:.2f}ms  batched {row['batched_s'] * 1e3:.2f}ms"
+        f"  ({row['speedup_batched_vs_solo']}x)",
+        flush=True,
+    )
+    return row
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -226,10 +279,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     print("kernel microbench: interpreted vs generated vs hand (inline engine)")
     doc = run_battery(args.quick)
+    doc["level_batch"] = run_level_batch(args.quick)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {os.path.relpath(args.out)}")
+    if args.quick and doc["level_batch"]["speedup_batched_vs_solo"] <= 1.0:
+        print("FAIL: a batched level is not faster than its tiles one by one")
+        return 1
     return 0
 
 

@@ -8,12 +8,12 @@ contiguous run. This module generalizes that technique to any
 ``ANTIDIAG_WAVEFRONT`` classification with constant dependency offsets,
 and is the class's only emitter:
 
-1. **Plan** (cached per ``(rank, pads, h, w)`` in :data:`_PLAN_CACHE`) —
-   the skew geometry: a flat buffer slot for every cell of the tile plus
-   its halo frame, the per-diagonal ``(row, lo, hi)`` spans, and the
-   gather/scatter index vectors. Building it costs a few array ops and
-   happens once per tile shape per process; under the mp engine the
-   master builds it pre-fork so forked places inherit it copy-on-write.
+1. **Plan** (cached per ``(rank, pads, h, w)`` in :data:`_PLAN_CACHE`, a
+   small LRU) — the skew geometry: a flat buffer slot for every cell of
+   the tile plus its halo frame, the per-diagonal ``(row, lo, hi)``
+   spans, and the gather/scatter index vectors. Building it costs a few
+   array ops; a run uses a handful of shapes, and a long-lived pooled
+   place drops the edge shapes of jobs long gone.
 2. **Prelude** (generated once per kernel) — every maximal
    *dependency-free* subexpression of the IR (boundary guards,
    ``present()`` masks, substitution scores, activity tests) is
@@ -34,6 +34,14 @@ and is the class's only emitter:
    buffer from the window (halo included); one fancy store writes the
    tile cells back. Index vectors are cached per ``(stride, oi, oj)``,
    so interior tiles reuse them verbatim.
+5. **The batch axis** — :meth:`FlatSweepKernel.sweep` takes a stack of
+   ``nb`` windows of one geometry and one boundary profile (what
+   :meth:`FlatSweepKernel.prepare` reports per tile). Buffers grow a
+   trailing axis, ``B2[row, lo:hi]`` becomes a contiguous ``(len, nb)``
+   block, and the generated sweep source is untouched: the ~12 NumPy
+   calls per diagonal are paid once per stack, not once per tile. The
+   tile executor (:func:`repro.core.plane.run_tiles`) does the
+   grouping; ``kernel(r0, c0, window, ...)`` is the stack of one.
 
 Out-of-window clipped reads produce garbage lanes exactly like the
 row emitters' ``np.clip`` gathers; the IR's own boundary cases and
@@ -43,7 +51,8 @@ presence masks discard them, which the differential tests
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -139,18 +148,23 @@ class _SweepPlan:
         return got
 
 
-#: plan cache shared by every kernel instance in the process; the mp
-#: master warms it pre-fork (see ``mp_engine``) so workers inherit the
-#: index arrays through fork copy-on-write instead of rebuilding them
-_PLAN_CACHE: Dict[Tuple[int, Tuple[int, int, int, int], int, int], _SweepPlan] = {}
+#: plan cache shared by every kernel instance in the process: a small
+#: LRU, because a pooled place outlives its jobs and every distinct job
+#: size brings its own ragged edge shapes. One run touches the interior
+#: shape plus at most three edge shapes per ``(rank, pads)``.
+_PLAN_CACHE: "OrderedDict[tuple, _SweepPlan]" = OrderedDict()
+_PLAN_CACHE_SIZE = 16
 
 
 def _plan_for(a: int, pads: Tuple[int, int, int, int], h: int, w: int) -> _SweepPlan:
     key = (a, pads, h, w)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = _SweepPlan(a, pads, h, w)
-        _PLAN_CACHE[key] = plan
+        plan = _PLAN_CACHE[key] = _SweepPlan(a, pads, h, w)
+        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+            _PLAN_CACHE.popitem(last=False)
+    else:
+        _PLAN_CACHE.move_to_end(key)
     return plan
 
 
@@ -433,54 +447,85 @@ class FlatSweepKernel:
         self._sweep_sources[profile] = src
         return fn
 
-    def _skew(self, plan: _SweepPlan, arr: np.ndarray, h: int, w: int) -> np.ndarray:
-        out = np.empty(plan.nslots, dtype=arr.dtype)
-        out[plan.cell_slot] = np.broadcast_to(arr, (h, w)).ravel()
-        return out.reshape(plan.nrows, plan.ncols)
+    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
+        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
+
+        ``profile`` is hashable — one entry per leaf: ``"T"``/``"F"`` for
+        a boolean uniform over the tile, ``"M"`` for an array, ``("S",
+        value)`` for a scalar — and tiles with equal profiles (and equal
+        geometry) may share one :meth:`sweep`. ``leaves`` keeps the
+        array leaves, unskewed, and ``None`` elsewhere.
+        """
+        profile: List[object] = []
+        leaves: List[object] = []
+        for v in self._leaves_fn(r0, c0, h, w):
+            arr = None
+            if np.ndim(v) == 0:
+                if isinstance(v, np.ndarray):
+                    v = v[()]  # a hashable scalar of the same dtype
+                if isinstance(v, (bool, np.bool_)):
+                    state = "T" if v else "F"
+                else:
+                    state = ("S", v)
+            else:
+                arr = np.asarray(v)
+                state = "M"
+                if arr.dtype == np.bool_:
+                    if arr.all():
+                        state, arr = "T", None
+                    elif not arr.any():
+                        state, arr = "F", None
+            profile.append(state)
+            leaves.append(arr)
+        return tuple(profile), leaves
+
+    def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
+        """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
+
+        ``windows`` is a C-contiguous ``(nb, wh, ww)`` stack, updated in
+        place; ``leaves`` holds each tile's :meth:`prepare` leaves. The
+        skew buffers carry the batch as a trailing axis, so a diagonal
+        ``B2[row, lo:hi]`` is a contiguous ``(len, nb)`` block and the
+        generated sweep is the one a single tile runs.
+        """
+        nb = len(windows)
+        plan = _plan_for(self.a, self.pads, h, w)
+        # a lone tile keeps the plain 2-D buffers: no batch axis to index
+        lanes = (nb,) if nb > 1 else ()
+        shape = (plan.nrows, plan.ncols) + lanes
+        states = tuple(s if isinstance(s, str) else "S" for s in profile)
+        fn = self._sweeps.get(states) or self._compile(states)
+
+        def skewed(slots: np.ndarray, per_tile: np.ndarray) -> np.ndarray:
+            """``(nb, len(slots))`` tile-major values -> a flat skew buffer."""
+            out = np.empty((plan.nslots,) + lanes, dtype=per_tile.dtype)
+            out[slots] = per_tile.T.reshape((-1,) + lanes)
+            return out
+
+        payload: List[object] = []
+        for k, state in enumerate(profile):
+            if state == "M":
+                tile_wide = np.empty((nb, h, w), dtype=leaves[0][k].dtype)
+                for dst, tile_leaves in zip(tile_wide, leaves):
+                    dst[...] = tile_leaves[k]  # broadcasts (h, 1) / (1, w) leaves
+                leaf = skewed(plan.cell_slot, tile_wide.reshape(nb, -1))
+                payload.append(leaf.reshape(shape))
+            else:
+                payload.append(None if isinstance(state, str) else state[1])
+        flat = windows.reshape(nb, -1)
+        gidx, sidx = plan.gather_scatter(windows.shape[2], oi, oj)
+        B = skewed(plan.b_slot, flat.take(gidx, axis=1, mode="clip"))
+        fn(B.reshape(shape), plan.spans, tuple(payload))
+        flat[:, sidx] = B.take(plan.cell_slot, axis=0).reshape(-1, nb).T
 
     def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
+        """One tile: the ``nb == 1`` case of :meth:`sweep`."""
         if h <= 0 or w <= 0:
             return True
         if not window.flags["C_CONTIGUOUS"]:
             return False  # the runtime falls back to the interpreted path
-        plan = _plan_for(self.a, self.pads, h, w)
-        states: List[str] = []
-        payload: List[object] = []
-        for v in self._leaves_fn(r0, c0, h, w):
-            if np.ndim(v) == 0:
-                if isinstance(v, (bool, np.bool_)):
-                    states.append("T" if v else "F")
-                    payload.append(None)
-                else:
-                    states.append("S")
-                    payload.append(v)
-                continue
-            arr = np.asarray(v)
-            if arr.dtype == np.bool_:
-                if arr.all():
-                    states.append("T")
-                    payload.append(None)
-                    continue
-                if not arr.any():
-                    states.append("F")
-                    payload.append(None)
-                    continue
-                states.append("M")
-            else:
-                states.append("M")
-            payload.append(self._skew(plan, arr, h, w))
-        profile = tuple(states)
-        sweep = self._sweeps.get(profile)
-        if sweep is None:
-            sweep = self._compile(profile)
-        flat = window.ravel()
-        stride = window.shape[1]
-        gidx, sidx = plan.gather_scatter(stride, oi, oj)
-        B = np.empty(plan.nslots, dtype=window.dtype)
-        B[plan.b_slot] = flat.take(gidx, mode="clip")
-        B2 = B.reshape(plan.nrows, plan.ncols)
-        sweep(B2, plan.spans, tuple(payload))
-        flat[sidx] = B.take(plan.cell_slot)
+        profile, leaves = self.prepare(r0, c0, h, w)
+        self.sweep(profile, [leaves], window[None], oi, oj, h, w)
         return True
 
     @property

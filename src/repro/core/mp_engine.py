@@ -7,8 +7,8 @@ master loop, two plane backings and one request kind**:
 * every place is a ``multiprocessing.Process`` computing its partition
   of the DP matrix against a :class:`~repro.core.plane.TilePlane` — the
   dense layout the in-process engines use — through the same executor
-  (:func:`repro.core.plane.run_tile` per tile, a per-cell loop when the
-  run is untiled);
+  (:func:`repro.core.plane.run_tiles` per level batch, a per-cell loop
+  when the run is untiled);
 * :func:`run_mp` is the only master. It keeps a plane of its own and
   drives the places level by level with one request,
   ``("units", units, halo_patch)``, answered by
@@ -140,9 +140,9 @@ class _PlaceWorker:
     DAG locally when the run is tiled (tile geometry is deterministic,
     so shipping the tile shape is enough), and serves ``units`` requests
     by reading dependencies off the plane and writing results in place:
-    tiles through :func:`repro.core.plane.run_tile`, the executor the
-    in-process engines run too. On the shared backing the only pipe
-    traffic is the unit index lists and the tiny ``done``
+    a tiled batch goes whole to :func:`repro.core.plane.run_tiles`, the
+    executor the in-process engines run too. On the shared backing the
+    only pipe traffic is the unit index lists and the tiny ``done``
     acknowledgements; on a private plane the request's halo patch is
     scattered in first and the reply carries the computed cells back.
 
@@ -298,25 +298,38 @@ class _PlaceWorker:
     def compute_tiles(
         self, tiles: Sequence[Coord], sink: Optional[list] = None
     ) -> int:
-        """Whole-tile compute against the plane (the tiled unit)."""
+        """Whole-tile compute against the plane (the tiled unit).
+
+        The whole batch goes to :func:`repro.core.plane.run_tiles` in one
+        call — a level's tiles are independent, so those that can share
+        a kernel sweep do. With ``sink`` set the batch's span is split
+        between its tiles contiguously, in proportion to cells: tiles of
+        one sweep have no times of their own, and a place's events must
+        still tile its busy time without overlap.
+        """
         tiled = self.tiled
         assert tiled is not None
-        total = 0
-        for tile in tiles:
-            t0 = time.perf_counter() if sink is not None else 0.0
-            n, transfers = _plane.run_tile(
-                self.plane, tiled, self.app, self.kernel, tile, self.place_id
-            )
+        t0 = time.perf_counter()
+        done = _plane.run_tiles(
+            self.plane, tiled, self.app, self.kernel, tiles, self.place_id
+        )
+        total = sum(n for n, _ in done)
+        per_cell = (time.perf_counter() - t0) / max(total, 1)
+        seen = 0
+        for tile, (n, transfers) in zip(tiles, done):
             # a place executes only tiles it owns: every transfer is a
             # halo read from one remote producer
             for _src, _dst, nbytes in transfers:
                 self._record_remote(nbytes)
-            total += n
             if sink is not None and n:
                 r0, c0 = tiled.grid.origin(*tile)
                 sink.append(
-                    (r0, c0, self.place_id, t0, time.perf_counter(), n, tile)
+                    (
+                        r0, c0, self.place_id,
+                        t0 + seen * per_cell, t0 + (seen + n) * per_cell, n, tile,
+                    )
                 )
+            seen += n
         return total
 
 

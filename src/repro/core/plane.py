@@ -12,12 +12,13 @@ single distributed array, in one address space:
 Only the *backing* of ``values`` differs between engines, and it is an
 allocator fact, not an option: a heap ``ndarray`` for the in-process
 engines, a ``multiprocessing.shared_memory`` segment for the mp engine,
-an ``open_memmap`` file when ``spill_dir`` is set. Every engine runs a
-tile through :func:`run_tile` against that layout: gather the halo off
-the plane, run the kernel on a zeroed window (or the per-cell loop),
-write the results back in place, and report the cross-place transfers
-the owner map implies. A place death is :meth:`TilePlane.lose`: zero
-what the place owned, re-home it over the survivors, recompute.
+an ``open_memmap`` file when ``spill_dir`` is set. Every engine runs
+its tiles through :func:`run_tiles` against that layout: gather each
+halo off the plane, run the kernel on zeroed windows (tiles that can
+share a sweep share it) or the per-cell loop, write the results back in
+place, and report the cross-place transfers the owner map implies. A
+place death is :meth:`TilePlane.lose`: zero what the place owned,
+re-home it over the survivors, recompute.
 """
 
 from __future__ import annotations
@@ -25,14 +26,14 @@ from __future__ import annotations
 import os
 import tempfile
 from collections.abc import Mapping
-from typing import Any, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis import sanitize as _sanitize
 from repro.core.api import DPX10App, Vertex
 
-__all__ = ["HandKernel", "PlaneResults", "TilePlane", "run_tile", "tile_kernel"]
+__all__ = ["HandKernel", "PlaneResults", "TilePlane", "run_tiles", "tile_kernel"]
 
 Coord = Tuple[int, int]
 #: one cross-place transfer: ``(source place, destination place, bytes)``
@@ -217,7 +218,7 @@ class HandKernel(NamedTuple):
 
 
 def tile_kernel(app: DPX10App, tiled, autokernel=None):
-    """The kernel :func:`run_tile` sweeps tiles with, or ``None``.
+    """The kernel :func:`run_tiles` sweeps tiles with, or ``None``.
 
     A generated kernel wins over a hand-written ``compute_tile``; window
     kernels need a typed plane and, for hand kernels, a stencil (the
@@ -236,103 +237,151 @@ def tile_kernel(app: DPX10App, tiled, autokernel=None):
     return None
 
 
-def run_tile(
+def _compute_cells(plane, base, app, rows, cols, place_id, sanitize) -> list:
+    """Per-cell ``compute()`` over a tile in intra-tile wavefront order:
+    in-tile values from a local dict, out-of-tile ones off the plane."""
+    values = plane.values
+    typed = values.dtype != object
+    local: dict = {}
+    get_dep, is_active = base.get_dependency, base.is_active
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        declared = get_dep(i, j)
+        verts: List[Vertex] = []
+        for d in declared:
+            key = (d.i, d.j)
+            if not is_active(*key):
+                continue
+            if key in local:
+                verts.append(Vertex(d.i, d.j, local[key]))
+            else:
+                value = values[key]
+                verts.append(Vertex(d.i, d.j, value.item() if typed else value))
+        if sanitize:
+            with _sanitize.compute_guard(
+                (i, j), ((d.i, d.j) for d in declared), place_id
+            ):
+                local[(i, j)] = app.compute(i, j, verts)
+        else:
+            local[(i, j)] = app.compute(i, j, verts)
+    return list(local.values())
+
+
+def _store(plane: TilePlane, rows: np.ndarray, cols: np.ndarray, out) -> None:
+    """Write a tile's cells back: every value first, then the flags."""
+    if plane.values.dtype != object:
+        plane.values[rows, cols] = out
+    else:
+        # composite values (arrays, tuples) must land as single objects
+        for i, j, value in zip(rows.tolist(), cols.tolist(), out):
+            plane.values[i, j] = value
+    plane.finished[rows, cols] = 1
+
+
+def run_tiles(
     plane: TilePlane,
     tiled,
     app: DPX10App,
     kernel,
-    tile: Coord,
+    tiles: Sequence[Coord],
     place_id: int,
     sanitize: bool = False,
-) -> Tuple[int, List[Transfer]]:
-    """Compute one tile in place on the plane, executing at ``place_id``.
+) -> List[Tuple[int, List[Transfer]]]:
+    """Compute mutually independent tiles in place, executing at ``place_id``.
 
-    Returns the number of cells computed and the cross-place transfers
-    the execution implies under the owner map: one halo read per remote
-    producing place, plus the write-back when ``place_id`` is not the
-    tile's home. The kernel window starts as zeros with only the halo
-    scattered in — never a raw plane copy, so values a recovery left
-    behind in unfinished cells cannot leak into a window.
+    ``tiles`` must not depend on one another — one tile, or (part of) a
+    level of the tile DAG. Returns, per tile and in order, the number of
+    cells computed and the cross-place transfers the execution implies
+    under the owner map: one halo read per remote producing place, plus
+    the write-back when ``place_id`` is not the tile's home.
+
+    Window kernels run on a zeroed window with only the halo scattered
+    in — never a raw plane copy, so values a recovery left behind in
+    unfinished cells cannot leak into a window. Where the kernel can
+    sweep a stack of windows at once (``fn.prepare`` / ``fn.sweep``, the
+    flat-sweep kernel), tiles of equal geometry *and* equal boundary
+    profile share one sweep: an interior tile never pays for the masks
+    of the boundary tile next to it, and a tile alone in its group runs
+    exactly what it ran before batching existed. Every other kernel sees
+    one window per call. Each tile's values land before its finish
+    flags, whatever else its batch still has to write.
     """
-    ti, tj = tile
-    rows, cols = tiled.cells_of(ti, tj)
-    n = len(rows)
-    if n == 0:
-        return 0, []
     values = plane.values
-    typed = values.dtype != object
     base = tiled.base
-    hrows, hcols = tiled.halo_of(ti, tj)
-    transfers: List[Transfer] = []
-    if len(hrows):
-        strip = plane.owners_of(hrows, hcols)
-        remote = strip[strip != place_id]
-        if len(remote):
-            producers, counts = np.unique(remote, return_counts=True)
-            transfers = [
-                (int(p), place_id, int(c) * plane.nbytes)
-                for p, c in zip(producers, counts)
-            ]
-    home = int(plane.owners[ti, tj])
-    if home != place_id:
-        transfers.append((place_id, home, n * plane.nbytes))
-
-    out = None
-    if kernel is not None and kernel.mode == "cells":
-        # tree-level kernels map active cells straight to values
-        halo = dict(
-            zip(zip(hrows.tolist(), hcols.tolist()), values[hrows, hcols].tolist())
-        )
-        out = kernel.fn.run_cells(rows, cols, halo)
-    elif kernel is not None:
-        r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
+    windowed = kernel is not None and kernel.mode == "window"
+    prepare = getattr(kernel.fn, "prepare", None) if windowed else None
+    if windowed:
         # a generated kernel's window covers its inferred footprint box
         # as well as the declared-stencil halo strips
         pt, pb, pl, pr = (max(a, d) for a, d in zip(kernel.pads, tiled.pads))
+    done: List[Tuple[int, List[Transfer]]] = []
+    groups: Dict[tuple, List[tuple]] = {}
+    for ti, tj in tiles:
+        rows, cols = tiled.cells_of(ti, tj)
+        n = len(rows)
+        if n == 0:
+            done.append((0, []))
+            continue
+        hrows, hcols = tiled.halo_of(ti, tj)
+        transfers: List[Transfer] = []
+        if len(hrows):
+            strip = plane.owners_of(hrows, hcols)
+            remote = strip[strip != place_id]
+            if len(remote):
+                producers, counts = np.unique(remote, return_counts=True)
+                transfers = [
+                    (int(p), place_id, int(c) * plane.nbytes)
+                    for p, c in zip(producers, counts)
+                ]
+        home = int(plane.owners[ti, tj])
+        if home != place_id:
+            transfers.append((place_id, home, n * plane.nbytes))
+        done.append((n, transfers))
+        if not windowed:
+            if kernel is not None:
+                # tree-level kernels map active cells straight to values
+                halo = dict(
+                    zip(
+                        zip(hrows.tolist(), hcols.tolist()),
+                        values[hrows, hcols].tolist(),
+                    )
+                )
+                out = kernel.fn.run_cells(rows, cols, halo)
+            else:
+                out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
+            _store(plane, rows, cols, out)
+            continue
+        r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
         wr0, wr1 = max(0, r0 - pt), min(base.height, r1 + pb)
         wc0, wc1 = max(0, c0 - pl), min(base.width, c1 + pr)
-        window = np.zeros((wr1 - wr0, wc1 - wc0), dtype=values.dtype)
-        if len(hrows):
-            # a dag may declare halo cells outside the window box; the
-            # kernel provably never reads them, so drop them
-            ins = (hrows >= wr0) & (hrows < wr1) & (hcols >= wc0) & (hcols < wc1)
-            hr, hc = hrows[ins], hcols[ins]
-            window[hr - wr0, hc - wc0] = values[hr, hc]
-        if kernel.fn(r0, c0, window, r0 - wr0, c0 - wc0, r1 - r0, c1 - c0):
-            out = window[rows - wr0, cols - wc0]
-    if out is None:
-        # per-cell compute() in intra-tile wavefront order: in-tile
-        # values from the local dict, out-of-tile ones off the plane
-        local: dict = {}
-        get_dep, is_active = base.get_dependency, base.is_active
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            declared = get_dep(i, j)
-            verts: List[Vertex] = []
-            for d in declared:
-                key = (d.i, d.j)
-                if not is_active(*key):
-                    continue
-                if key in local:
-                    verts.append(Vertex(d.i, d.j, local[key]))
-                else:
-                    value = values[key]
-                    verts.append(
-                        Vertex(d.i, d.j, value.item() if typed else value)
-                    )
-            if sanitize:
-                with _sanitize.compute_guard(
-                    (i, j), ((d.i, d.j) for d in declared), place_id
-                ):
-                    local[(i, j)] = app.compute(i, j, verts)
-            else:
-                local[(i, j)] = app.compute(i, j, verts)
-        out = list(local.values())
+        h, w = r1 - r0, c1 - c0
+        # a dag may declare halo cells outside the window box; the
+        # kernel provably never reads them, so drop them
+        ins = (hrows >= wr0) & (hrows < wr1) & (hcols >= wc0) & (hcols < wc1)
+        hr, hc = hrows[ins], hcols[ins]
+        halo = (hr - wr0, hc - wc0, values[hr, hc])
+        # a kernel that sweeps one window per call gets singleton groups
+        profile, leaves = prepare(r0, c0, h, w) if prepare else ((ti, tj), None)
+        key = (h, w, wr1 - wr0, wc1 - wc0, r0 - wr0, c0 - wc0, profile)
+        groups.setdefault(key, []).append((rows, cols, r0, c0, halo, leaves))
 
-    if typed:
-        values[rows, cols] = out
-    else:
-        # composite values (arrays, tuples) must land as single objects
-        for i, j, value in zip(rows.tolist(), cols.tolist(), out):
-            values[i, j] = value
-    plane.finished[rows, cols] = 1
-    return n, transfers
+    for (h, w, wh, ww, oi, oj, profile), jobs in groups.items():
+        windows = np.zeros((len(jobs), wh, ww), dtype=values.dtype)
+        for window, (*_, (hi, hj, hvalues), _leaves) in zip(windows, jobs):
+            window[hi, hj] = hvalues
+        if prepare is not None:
+            kernel.fn.sweep(profile, [job[-1] for job in jobs], windows, oi, oj, h, w)
+            swept = True
+        else:
+            ((*_, r0, c0, _halo, _leaves),) = jobs
+            swept = kernel.fn(r0, c0, windows[0], oi, oj, h, w)
+        for window, (rows, cols, r0, c0, *_) in zip(windows, jobs):
+            if not swept:  # the kernel declined this window
+                out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
+                _store(plane, rows, cols, out)
+            elif len(rows) == h * w:
+                # the tile is its rectangle: two slice stores
+                values[r0 : r0 + h, c0 : c0 + w] = window[oi : oi + h, oj : oj + w]
+                plane.finished[r0 : r0 + h, c0 : c0 + w] = 1
+            else:
+                _store(plane, rows, cols, window[rows - (r0 - oi), cols - (c0 - oj)])
+    return done

@@ -162,10 +162,6 @@ class ShmArena:
         return sum(seg.size for seg in self._created + self._attached)
 
     @property
-    def segment_names(self) -> List[str]:
-        return [seg.name for seg in self._created]
-
-    @property
     def closed(self) -> bool:
         return self._closed
 

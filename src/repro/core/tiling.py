@@ -24,8 +24,8 @@ Three layers live here (see docs/TILING.md for the full story):
   cells).
 * **The tile worker** — :func:`execute_tile` places a tile, runs it on
   the run's :class:`~repro.core.plane.TilePlane` through
-  :func:`~repro.core.plane.run_tile` (the executor the mp workers run
-  too), and feeds the transfers it reports to the network model.
+  :func:`~repro.core.plane.run_tiles` (the executor the mp workers hand
+  whole level batches), and feeds the transfers it reports to the network model.
 
 ``DPX10Config(tile_shape=(h, w))`` opts a run in; ``(1, 1)`` and ``None``
 keep the legacy per-vertex path bit-for-bit.
@@ -560,7 +560,8 @@ def execute_tile(state: "ExecutionState", tile: Coord) -> None:
 
     The scheduling strategy places the tile (one decision per tile,
     costed on the tile's halo edges); the compute itself is
-    :func:`repro.core.plane.run_tile`, the executor every engine shares.
+    :func:`repro.core.plane.run_tiles` on a batch of one — the executor
+    every engine shares.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
@@ -594,8 +595,8 @@ def execute_tile(state: "ExecutionState", tile: Coord) -> None:
         state.rngs[home_place],
         plane.nbytes,
     )
-    n, transfers = _plane.run_tile(
-        plane, tiled, state.app, state.kernel, tile, exec_place, cfg.sanitize
+    ((n, transfers),) = _plane.run_tiles(
+        plane, tiled, state.app, state.kernel, [tile], exec_place, cfg.sanitize
     )
     if state.chaos is not None and state.chaos.has_throttles:
         # slow-place chaos at tile granularity: the batch analogue of the

@@ -219,3 +219,168 @@ class TestKernelContract:
             remaining = again
         for (i, j), v in values.items():
             assert window[i, j] == v, (name, i, j, window[i, j], v)
+
+
+# -- the level batch: many tiles, one sweep ---------------------------------------------
+def _antidiag_instance(name):
+    """A registry ANTIDIAG app at a size with interior *and* ragged tiles."""
+    from repro.apps.banded_alignment import BandedEditDistanceApp
+    from repro.apps.edit_distance import EditDistanceApp
+    from repro.apps.lcs import LCSApp
+    from repro.apps.lps import LPSApp
+    from repro.apps.needleman_wunsch import NWApp
+    from repro.apps.smith_waterman import SWApp
+    from repro.patterns import BandedDiagonalDag, DiagonalDag, IntervalDag
+
+    rng = np.random.default_rng(7)
+    x = "".join(rng.choice(list("ACGT"), 18))
+    y = "".join(rng.choice(list("ACGT"), 16))
+    if name == "lps":
+        return LPSApp(x), IntervalDag(len(x), len(x))
+    if name == "banded":
+        return (
+            BandedEditDistanceApp(x, y),
+            BandedDiagonalDag(len(x) + 1, len(y) + 1, 9),
+        )
+    app_cls = {
+        "edit_distance": EditDistanceApp, "lcs": LCSApp, "nw": NWApp, "sw": SWApp
+    }[name]
+    return app_cls(x, y), DiagonalDag(len(x) + 1, len(y) + 1)
+
+
+def _solved_plane(app, dag, tiled):
+    """A finished plane holding the oracle, with every cell no tile reads
+    as halo poisoned — so a tile that is not recomputed shows."""
+    from repro.core.plane import TilePlane
+
+    DPX10Runtime(app, dag, DPX10Config()).run()
+    want = dag.to_array(fill=0, dtype=app.value_dtype)
+    plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
+    plane.owners[...] = 0
+    read = np.zeros(want.shape, bool)
+    for t in tiled.active_tiles():
+        read[tiled.halo_of(*t)] = True
+    plane.values[...] = np.where(read, want, -77)
+    plane.finished[...] = 1
+    return plane, want
+
+
+class TestLevelBatch:
+    ANTIDIAG = ["banded", "edit_distance", "lcs", "lps", "nw", "sw"]
+
+    @pytest.mark.parametrize("name", ANTIDIAG)
+    def test_batch_is_bit_identical_to_solo_and_no_more_general(self, name):
+        from collections import Counter
+
+        from repro.core.plane import run_tiles, tile_kernel
+
+        app, dag = _antidiag_instance(name)
+        kernel, cls = build_autokernel(app, dag)
+        assert cls.klass == "ANTIDIAG_WAVEFRONT"
+        tiled = dag.coarsen(4, 4)
+        kernel = tile_kernel(app, tiled, kernel)
+        tiles = tiled.active_tiles()
+        np.random.default_rng(3).shuffle(tiles)
+        tiles = [tuple(t) for t in tiles]
+
+        # what each tile runs alone: its own profile on its own geometry
+        alone = Counter()
+        for ti, tj in tiles:
+            r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
+            profile, _ = kernel.fn.prepare(r0, c0, r1 - r0, c1 - c0)
+            alone[(r1 - r0, c1 - c0, profile)] += 1
+
+        ran = Counter()
+        real = kernel.fn.sweep
+
+        def spy(profile, leaves, windows, oi, oj, h, w):
+            ran[(h, w, profile)] += len(windows)
+            return real(profile, leaves, windows, oi, oj, h, w)
+
+        kernel.fn.sweep = spy
+        batch, want = _solved_plane(app, dag, tiled)
+        run_tiles(batch, tiled, app, kernel, tiles, 0)
+        kernel.fn.sweep = real
+        solo, _ = _solved_plane(app, dag, tiled)
+        for t in tiles:
+            run_tiles(solo, tiled, app, kernel, [t], 0)
+
+        mask = np.zeros(want.shape, bool)
+        for t in tiles:
+            mask[tiled.cells_of(*t)] = True
+        assert np.array_equal(batch.values[mask], want[mask])
+        assert np.array_equal(batch.values, solo.values)
+        # every tile swept under exactly the variant it would have alone —
+        # interior tiles folded, never merged into a boundary tile's masks
+        assert ran == alone
+        nleaves = len(kernel.fn.general_profile)
+        assert any(
+            n > 1 and sum(s == "M" for s in profile) < nleaves
+            for (_h, _w, profile), n in ran.items()
+        )
+
+    def test_scalar_leaf_values_split_groups(self):
+        # a dependency-free scalar that varies from tile to tile is part
+        # of the profile: such tiles must not share one sweep
+        from repro.core.plane import run_tiles, tile_kernel
+
+        app, dag = _antidiag_instance("sw")
+        kernel, _ = build_autokernel(app, dag)
+        tiled = dag.coarsen(4, 4)
+        kernel = tile_kernel(app, tiled, kernel)
+        fn = kernel.fn
+        sizes = []
+        real_sweep, real_leaves = fn.sweep, fn._leaves_fn
+        fn.sweep = lambda profile, leaves, windows, *geo: (
+            sizes.append(len(windows)),
+            real_sweep(profile, leaves, windows, *geo),
+        )
+        pair = [(1, 2), (2, 1)]  # two interior tiles of one level
+        plane, _ = _solved_plane(app, dag, tiled)
+        run_tiles(plane, tiled, app, kernel, pair, 0)
+        assert sizes == [2]
+
+        scalar = next(
+            i for i, s in enumerate(fn.prepare(4, 4, 4, 4)[0]) if not isinstance(s, str)
+        )
+
+        def gap_by_tile_row(r0, c0, h, w):
+            leaves = list(real_leaves(r0, c0, h, w))
+            leaves[scalar] = leaves[scalar] - r0
+            return tuple(leaves)
+
+        fn._leaves_fn = gap_by_tile_row
+        del sizes[:]
+        batch, _ = _solved_plane(app, dag, tiled)
+        run_tiles(batch, tiled, app, kernel, pair, 0)
+        assert sizes == [1, 1]
+        solo, _ = _solved_plane(app, dag, tiled)
+        for t in pair:
+            run_tiles(solo, tiled, app, kernel, [t], 0)
+        assert np.array_equal(batch.values, solo.values)
+
+
+class TestPlanCache:
+    def test_plan_cache_is_bounded_and_eviction_keeps_results(self):
+        # a pooled place meets a new ragged edge shape per job size; the
+        # skew-plan cache must not keep them all
+        from repro.analysis import flatsweep
+
+        app, dag = _antidiag_instance("sw")
+        kernel, _ = build_autokernel(app, dag)
+        h, w = dag.height, dag.width
+
+        def solve():
+            window = np.zeros((h, w), dtype=app.value_dtype)
+            assert kernel.fn(0, 0, window, 0, 0, h, w) is True
+            return window
+
+        first = solve()
+        key = next(k for k in flatsweep._PLAN_CACHE if k[2:] == (h, w))
+        for hh in range(1, 21):
+            for ww in range(1, 11):
+                flatsweep._plan_for(1, kernel.pads, hh + 100, ww + 100)
+        assert len(flatsweep._PLAN_CACHE) <= flatsweep._PLAN_CACHE_SIZE
+        assert key not in flatsweep._PLAN_CACHE  # evicted: the next solve rebuilds it
+        assert np.array_equal(solve(), first)
+        assert key in flatsweep._PLAN_CACHE

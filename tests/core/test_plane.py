@@ -115,19 +115,41 @@ def _active_tiles(tiled):
 @pytest.mark.parametrize("engine", ["inline", "threaded"])
 def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
     seen = Counter()
-    real = plane_mod.run_tile
+    real = plane_mod.run_tiles
 
-    def counting(plane, tiled, app, kernel, tile, place_id, *rest):
-        seen[tuple(tile)] += 1
-        return real(plane, tiled, app, kernel, tile, place_id, *rest)
+    def counting(plane, tiled, app, kernel, tiles, place_id, *rest):
+        seen.update(tuple(t) for t in tiles)
+        return real(plane, tiled, app, kernel, tiles, place_id, *rest)
 
-    monkeypatch.setattr(plane_mod, "run_tile", counting)
+    monkeypatch.setattr(plane_mod, "run_tiles", counting)
     dag = DiagonalDag(SIZE, SIZE)
     DPX10Runtime(
         MixApp(), dag, DPX10Config(nplaces=NPLACES, engine=engine, tile_shape=(4, 4))
     ).run()
     assert set(seen) == _active_tiles(DiagonalDag(SIZE, SIZE).coarsen(4, 4))
     assert set(seen.values()) == {1}
+
+
+def _log_run_tiles(log, monkeypatch):
+    """Spy on ``run_tiles`` in forked places: one log line per call,
+    ``kernel-type ti,tj ti,tj ...`` (an O_APPEND line is their way back)."""
+    real = plane_mod.run_tiles
+
+    def logging(plane, tiled, app, kernel, tiles, place_id, *rest):
+        with open(log, "a") as fh:
+            coords = " ".join(f"{ti},{tj}" for ti, tj in tiles)
+            fh.write(f"{type(kernel).__name__} {coords}\n")
+        return real(plane, tiled, app, kernel, tiles, place_id, *rest)
+
+    monkeypatch.setattr(plane_mod, "run_tiles", logging)
+
+
+def _logged_calls(log):
+    calls = []
+    for line in log.read_text().splitlines():
+        name, *coords = line.split()
+        calls.append((name, [tuple(map(int, c.split(","))) for c in coords]))
+    return calls
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
@@ -138,15 +160,7 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
     from repro.apps.smith_waterman import SWApp
 
     log = tmp_path / "tiles.log"
-    real = plane_mod.run_tile
-
-    def logging(plane, tiled, app, kernel, tile, place_id, *rest):
-        # forked places inherit the spy; an O_APPEND line is their way back
-        with open(log, "a") as fh:
-            fh.write(f"{tile[0]} {tile[1]} {type(kernel).__name__}\n")
-        return real(plane, tiled, app, kernel, tile, place_id, *rest)
-
-    monkeypatch.setattr(plane_mod, "run_tile", logging)
+    _log_run_tiles(log, monkeypatch)
     a, b = "GATTACAGATTACA", "GCATGCTGCATG"
     dag = DiagonalDag(len(a) + 1, len(b) + 1)
     config = DPX10Config(
@@ -154,23 +168,109 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
         autokernel=True, trace=True,
     )
     report = DPX10Runtime(SWApp(a, b), dag, config).run()
-    lines = [line.split() for line in log.read_text().splitlines()]
+    calls = _logged_calls(log)
     tiled = DiagonalDag(len(a) + 1, len(b) + 1).coarsen(4, 4)
-    assert Counter((int(ti), int(tj)) for ti, tj, _ in lines) == Counter(
+    assert Counter(t for _, tiles in calls for t in tiles) == Counter(
         _active_tiles(tiled)
     )
+    # a place gets its share of a level in one call, not tile by tile
+    assert max(len(tiles) for _, tiles in calls) > 1
     # the generated kernel, on the private-plane backing too
-    assert {name for _, _, name in lines} == {"AutoKernel"}
-    # worker events are tile-granular on both backings
+    assert {name for name, _ in calls} == {"AutoKernel"}
+    # worker events are tile-granular on both backings, and the events of
+    # one batch partition its span: a place is never in two tiles at once
     events = report.trace.events
-    assert {e.tile for e in events} == _active_tiles(tiled)
+    assert sorted(e.tile for e in events) == sorted(_active_tiles(tiled))
     assert all(e.cells == len(tiled.cells_of(*e.tile)[0]) for e in events)
+    assert sum(e.cells for e in events) == report.active_vertices
+    for p in range(NPLACES):
+        mine = sorted((e.start, e.end) for e in events if e.exec_place == p)
+        assert all(s0 < e0 <= s1 for (s0, e0), (s1, _) in zip(mine, mine[1:]))
     want = DiagonalDag(len(a) + 1, len(b) + 1)
     DPX10Runtime(SWApp(a, b), want, DPX10Config()).run()
     assert (
         dag.to_array(fill=-1, dtype=np.int64).tolist()
         == want.to_array(fill=-1, dtype=np.int64).tolist()
     )
+
+
+def _sw_levels(n=24, m=20, shape=(4, 4)):
+    """A tiled SW instance under its generated kernel, level by level."""
+    from repro.analysis.codegen import build_autokernel
+    from repro.apps.smith_waterman import SWApp
+    from repro.core.mp_engine import _topological_levels
+
+    rng = np.random.default_rng(5)
+    a, b = ("".join(rng.choice(list("ACGT"), k)) for k in (n, m))
+    app = SWApp(a, b)
+    want = DiagonalDag(n + 1, m + 1)
+    DPX10Runtime(app, want, DPX10Config()).run()
+    dag = DiagonalDag(n + 1, m + 1)
+    tiled = dag.coarsen(*shape)
+    kernel = plane_mod.tile_kernel(app, tiled, build_autokernel(app, dag)[0])
+    levels = _topological_levels(tiled)
+    return app, dag, tiled, kernel, levels, want.to_array(fill=-1, dtype=np.int64)
+
+
+def test_a_batch_cut_short_leaves_no_flag_without_its_values():
+    # whatever stops a place inside a level batch (a SIGKILL, on the shm
+    # backing, leaves exactly this in the shared segments), a tile is
+    # either flagged with every value in place or not flagged at all
+    app, dag, tiled, kernel, levels, want = _sw_levels()
+    plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
+    plane.owners[...] = 0
+    cut = 3  # row-0 tile + col-0 tile + interior tiles: three sweeps
+    for level in levels[:cut]:
+        plane_mod.run_tiles(plane, tiled, app, kernel, level, 0)
+    calls = []
+    real = kernel.fn.sweep
+
+    def dying(*args):
+        calls.append(len(args[2]))
+        if len(calls) == 2:
+            raise KeyboardInterrupt("place dies here")
+        return real(*args)
+
+    kernel.fn.sweep = dying
+    with pytest.raises(KeyboardInterrupt):
+        plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], 0)
+    kernel.fn.sweep = real
+    flagged = 0
+    for t in levels[cut]:
+        rows, cols = tiled.cells_of(*t)
+        flags = plane.finished[rows, cols]
+        assert flags.all() or not flags.any()
+        if flags.all():
+            flagged += 1
+            assert plane.values[rows, cols].tolist() == want[rows, cols].tolist()
+    assert 0 < flagged < len(levels[cut])
+    # the recompute of the whole level lands on the oracle
+    plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], 0)
+    for level in levels[cut + 1 :]:
+        plane_mod.run_tiles(plane, tiled, app, kernel, level, 0)
+    assert plane.values.tolist() == want.tolist() and plane.finished.all()
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
+    if shm and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    app, dag, tiled, _kernel, levels, want = _sw_levels()
+    # a completion count strictly inside the widest level: the victim
+    # dies holding a batch of several tiles' worth of results
+    cells = [sum(len(tiled.cells_of(*t)[0]) for t in lv) for lv in levels]
+    widest = max(range(len(levels)), key=lambda k: len(levels[k]))
+    assert len(levels[widest]) >= 4
+    threshold = sum(cells[:widest]) + cells[widest] // 2
+    config = DPX10Config(
+        nplaces=2, engine="mp", shm=shm, tile_shape=(4, 4), autokernel=True
+    )
+    report = DPX10Runtime(
+        app, dag, config, fault_plans=[FaultPlan(1, after_completions=threshold)]
+    ).run()
+    assert report.recoveries == 1
+    assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
+    assert leaked_segments() == []
 
 
 def test_tiled_in_process_runs_build_no_vertex_stores(monkeypatch):
@@ -261,13 +361,13 @@ def test_tiled_snapshot_mode_survives_a_kill(engine):
 
 def test_tiled_spill_survives_a_kill_on_a_memmapped_plane(tmp_path, monkeypatch):
     backings = set()
-    real = plane_mod.run_tile
+    real = plane_mod.run_tiles
 
     def spying(plane, *rest):
         backings.add(type(plane.values))
         return real(plane, *rest)
 
-    monkeypatch.setattr(plane_mod, "run_tile", spying)
+    monkeypatch.setattr(plane_mod, "run_tiles", spying)
     want, _ = run_plane("diagonal", MixApp())
     got, report = run_plane(
         "diagonal",
