@@ -43,7 +43,7 @@ def test_2d1d_per_vertex_cost_real(benchmark, results_dir):
             ("full_row", FullRowDag(n, n)),
             ("triangular", TriangularDag(n, n)),
         ):
-            cfg = DPX10Config(nplaces=3)
+            cfg = DPX10Config(nplaces=3, tile_shape=(1, 1))
             with Timer() as t:
                 report = DPX10Runtime(MaxPlusOne(), dag, cfg).run()
             out[name] = (

@@ -29,7 +29,12 @@ def test_cache_size_sweep_real_runtime(benchmark, results_dir):
     def sweep():
         out = {}
         for size in CACHE_SIZES:
-            cfg = DPX10Config(nplaces=4, cache_size=size, distribution="block_rows")
+            cfg = DPX10Config(
+                nplaces=4,
+                cache_size=size,
+                distribution="block_rows",
+                tile_shape=(1, 1),
+            )
             _, report = solve_sw(x, y, cfg)
             out[size] = (report.network_bytes, report.cache_hit_rate)
         return out

@@ -34,7 +34,11 @@ def test_distribution_traffic_real_runtime(benchmark, results_dir):
         out = {}
         for dist in DISTS:
             cfg = DPX10Config(
-                nplaces=4, distribution=dist, dist_block=(4, 4), cache_size=0
+                nplaces=4,
+                distribution=dist,
+                dist_block=(4, 4),
+                cache_size=0,
+                tile_shape=(1, 1),
             )
             app, rep = solve_knapsack(w, v, 60, cfg)
             out[dist] = (rep.network_bytes, app.best_value)
@@ -67,7 +71,9 @@ def test_distribution_grid_prefers_matching_axis(benchmark):
     def sweep():
         out = {}
         for dist in ("block_rows", "block_cols"):
-            cfg = DPX10Config(nplaces=4, distribution=dist, cache_size=0)
+            cfg = DPX10Config(
+                nplaces=4, distribution=dist, cache_size=0, tile_shape=(1, 1)
+            )
             _, rep = solve_mtp(wd, wr, cfg)
             out[dist] = rep.network_bytes
         return out

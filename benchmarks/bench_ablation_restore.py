@@ -31,7 +31,9 @@ def test_restore_manner_recompute_volume(benchmark, results_dir):
     def sweep():
         out = {}
         for manner in ("discard", "copy"):
-            cfg = DPX10Config(nplaces=4, restore_manner=manner)
+            cfg = DPX10Config(
+                nplaces=4, restore_manner=manner, tile_shape=(1, 1)
+            )
             app, report = solve_lcs(x, y, cfg, fault_plans=plans)
             out[manner] = (report.recomputed, report.network_bytes, app.length)
         return out

@@ -32,7 +32,11 @@ def test_scheduler_traffic_ordering(benchmark, results_dir):
         out = {}
         for strat in STRATEGIES:
             cfg = DPX10Config(
-                nplaces=4, scheduler=strat, seed=7, distribution="block_rows"
+                nplaces=4,
+                scheduler=strat,
+                seed=7,
+                distribution="block_rows",
+                tile_shape=(1, 1),
             )
             app, report = solve_lcs(x, y, cfg)
             out[strat] = (report.network_bytes, report.wall_time, app.length)

@@ -44,7 +44,9 @@ def test_snapshot_volume_vs_recovery_transfer(benchmark, results_dir):
         snapshot_cells = arr.cells_copied_total
 
         # DPX10 recovery: run with a real fault, count copied cells
-        cfg = DPX10Config(nplaces=4, restore_manner="discard")
+        cfg = DPX10Config(
+            nplaces=4, restore_manner="discard", tile_shape=(1, 1)
+        )
         _, report = solve_lcs(x, y, cfg, fault_plans=[FaultPlan(2, at_fraction=0.5)])
         recovery_copied = sum(s.copied for s in report.recovery_stats)
         recovery_preserved = sum(s.preserved_in_place for s in report.recovery_stats)
@@ -133,7 +135,9 @@ def test_ft_modes_head_to_head(benchmark, results_dir):
             ("recovery", {}),
             ("snapshot", {"snapshot_interval": 300}),
         ):
-            cfg = DPX10Config(nplaces=4, ft_mode=mode, **extra)
+            cfg = DPX10Config(
+                nplaces=4, ft_mode=mode, tile_shape=(1, 1), **extra
+            )
             app, rep = solve_lcs(x, y, cfg, fault_plans=plans)
             out[mode] = (app.length, rep.recomputed, rep.snapshot_cells_copied)
         return out

@@ -67,7 +67,7 @@ def test_fig12_measured_python_overhead(benchmark, results_dir):
     x, y = _random_dna(150, 1), _random_dna(150, 2)
 
     def run_framework():
-        cfg = DPX10Config(nplaces=1, cache_size=0)
+        cfg = DPX10Config(nplaces=1, cache_size=0, tile_shape=(1, 1))
         app, _ = solve_swlag(x, y, cfg)
         return app.best_score
 

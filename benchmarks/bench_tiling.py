@@ -31,8 +31,9 @@ from repro.core.config import DPX10Config
 from repro.util.rng import seeded_rng
 from repro.util.timer import Timer
 
-#: tile shapes swept by the CLI; ``None`` is the per-vertex baseline
-SWEEP_SHAPES = (None, (32, 32), (64, 64), (128, 128), (256, 256))
+#: tile shapes swept by the CLI; ``(1, 1)`` is the per-vertex baseline
+PER_VERTEX = (1, 1)
+SWEEP_SHAPES = (PER_VERTEX, (32, 32), (64, 64), (128, 128), (256, 256))
 
 
 def _random_dna(rng, n: int) -> str:
@@ -64,7 +65,7 @@ def test_tiling_speedup(benchmark, results_dir):
     expect = int(sw_matrix(s1, s2).max())
 
     def sweep():
-        base_t, base_score = time_sw(s1, s2, None)
+        base_t, base_score = time_sw(s1, s2, PER_VERTEX)
         tile_t, tile_score = time_sw(s1, s2, (64, 64))
         assert base_score == expect and tile_score == expect
         return {"per-vertex": base_t, "tiled(64,64)": tile_t}
@@ -93,7 +94,7 @@ def run_sweep(size: int, shapes, out_dir: str, verify: bool) -> dict:
 
     results = {"size": size, "sw": {}, "lps": {}}
     for shape in shapes:
-        label = "per-vertex" if shape is None else f"{shape[0]}x{shape[1]}"
+        label = "per-vertex" if shape == PER_VERTEX else f"{shape[0]}x{shape[1]}"
         sw_t, sw_score = time_sw(s1, s2, shape)
         lps_t, lps_len = time_lps(s1, shape)
         if verify:
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        size, shapes = 256, (None, (64, 64))
+        size, shapes = 256, (PER_VERTEX, (64, 64))
     else:
         size, shapes = args.size, SWEEP_SHAPES
     print(f"tile sweep: {size}x{size}, shapes={[s or 'per-vertex' for s in shapes]}")

@@ -19,7 +19,9 @@ def main() -> None:
     x = "".join(rng.choice(list("ACGT"), size=120))
     y = "".join(rng.choice(list("ACGT"), size=120))
 
-    cfg = DPX10Config(nplaces=4, trace=True)
+    # tile_shape=(1, 1) is the per-vertex reference path: one trace event
+    # per cell. The default (planned tiles) logs one event per tile.
+    cfg = DPX10Config(nplaces=4, trace=True, tile_shape=(1, 1))
     app, report = solve_sw(x, y, cfg)
     trace = report.trace
     print(f"Smith-Waterman {len(x)}x{len(y)}: best score {app.best_score}, "
@@ -41,7 +43,7 @@ def main() -> None:
 
     # a skewed DAG for contrast: the LPS triangle loads later places more
     s = "".join(rng.choice(list("ABCD"), size=90))
-    cfg = DPX10Config(nplaces=4, trace=True)
+    cfg = DPX10Config(nplaces=4, trace=True, tile_shape=(1, 1))
     _, rep_skew = solve_lps(s, cfg)
     print("\nskewed (triangular LPS) executed-per-place:",
           rep_skew.trace.executed_per_place())

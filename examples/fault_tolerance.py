@@ -21,14 +21,19 @@ def main() -> None:
     x = "".join(rng.choice(list("ACGT"), size=150))
     y = "".join(rng.choice(list("ACGT"), size=150))
 
+    # the paper's per-vertex recovery protocol (and restore_manner) lives
+    # on the reference path, tile_shape=(1, 1); planned tiles recover by
+    # re-homing the dead place's tiles instead
+    reference = dict(nplaces=4, tile_shape=(1, 1))
+
     print("== Fault-free baseline ==")
-    app, report = solve_sw(x, y, DPX10Config(nplaces=4))
+    app, report = solve_sw(x, y, DPX10Config(**reference))
     baseline = app.best_score
     print(f"  best score {baseline}, {report.completions} vertices computed")
 
     print("\n== Node failure at 50% progress (default: discard remote results) ==")
     plans = [FaultPlan(place_id=2, at_fraction=0.5)]
-    app, report = solve_sw(x, y, DPX10Config(nplaces=4), fault_plans=plans)
+    app, report = solve_sw(x, y, DPX10Config(**reference), fault_plans=plans)
     stats = report.recovery_stats[0]
     print(f"  best score {app.best_score} (unchanged: {app.best_score == baseline})")
     print(f"  recoveries          : {report.recoveries}")
@@ -39,7 +44,7 @@ def main() -> None:
     assert app.best_score == baseline
 
     print("\n== Same failure, restore_manner='copy' ==")
-    cfg = DPX10Config(nplaces=4, restore_manner="copy")
+    cfg = DPX10Config(restore_manner="copy", **reference)
     app, report = solve_sw(x, y, cfg, fault_plans=plans)
     stats = report.recovery_stats[0]
     print(f"  best score {app.best_score}, copied {stats.copied} results "
@@ -48,7 +53,7 @@ def main() -> None:
 
     print("\n== The Resilient X10 limitation: Place 0 must survive ==")
     try:
-        solve_sw(x, y, DPX10Config(nplaces=4),
+        solve_sw(x, y, DPX10Config(**reference),
                  fault_plans=[FaultPlan(place_id=0, at_fraction=0.5)])
     except PlaceZeroDeadError as exc:
         print(f"  caught as the paper describes: {exc}")

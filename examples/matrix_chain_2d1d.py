@@ -27,19 +27,23 @@ def main() -> None:
     print(f"chain dims {dims}")
     print(f"minimal multiplications: {app.min_multiplications} (expected 15125)\n")
 
-    # expressiveness: a bigger chain, with a mid-run node failure
+    # expressiveness: a bigger chain, with a mid-run node failure (on the
+    # per-vertex reference path, tile_shape=(1, 1): a chain this small
+    # is one planned tile, which nothing can interrupt)
     dims = make_chain_dims(24, seed=9)
     plans = [FaultPlan(place_id=2, at_fraction=0.5)]
-    app, report = solve_matrix_chain(dims, DPX10Config(nplaces=4), fault_plans=plans)
+    cfg = DPX10Config(nplaces=4, tile_shape=(1, 1))
+    app, report = solve_matrix_chain(dims, cfg, fault_plans=plans)
     print(f"24-matrix chain with one injected fault:")
     print(f"  minimal multiplications: {app.min_multiplications}")
     print(f"  recoveries: {report.recoveries}, recomputed: {report.recomputed}\n")
 
     # the cost: per-vertex time vs a 2D/0D app with the same vertex count
     n = 24
-    _, rep_2d1d = solve_matrix_chain(make_chain_dims(n, seed=1), DPX10Config(nplaces=3))
+    cfg = DPX10Config(nplaces=3, tile_shape=(1, 1))
+    _, rep_2d1d = solve_matrix_chain(make_chain_dims(n, seed=1), cfg)
     x = "A" * (n - 1)
-    _, rep_2d0d = solve_lcs(x, x, DPX10Config(nplaces=3))
+    _, rep_2d0d = solve_lcs(x, x, cfg)
     t1 = rep_2d1d.wall_time / rep_2d1d.active_vertices
     t0 = rep_2d0d.wall_time / rep_2d0d.active_vertices
     print("per-vertex cost (same-order vertex counts):")

@@ -21,6 +21,7 @@ def main() -> None:
 
     def run(cache_size: int, scheduler: str):
         cfg = DPX10Config(
+            tile_shape=(1, 1),  # both knobs act on the per-vertex path
             nplaces=4,
             cache_size=cache_size,
             scheduler=scheduler,

@@ -22,25 +22,32 @@ def main() -> None:
     y = "".join(rng.choice(list("ACGT"), size=130))
     plans = [FaultPlan(place_id=2, at_fraction=0.6)]
 
+    # both mechanisms are compared on the paper's per-vertex path
+    reference = dict(nplaces=4, tile_shape=(1, 1))
+
     print("== ledger 1: the fault-free run ==")
-    _, clean = solve_sw(x, y, DPX10Config(nplaces=4))
+    _, clean = solve_sw(x, y, DPX10Config(**reference))
     print(f"  recovery mode : 0 checkpoint cells (nothing until a fault)")
     for interval in (500, 2000):
-        cfg = DPX10Config(nplaces=4, ft_mode="snapshot", snapshot_interval=interval)
+        cfg = DPX10Config(
+            ft_mode="snapshot", snapshot_interval=interval, **reference
+        )
         _, rep = solve_sw(x, y, cfg)
         print(f"  snapshot every {interval:4d} completions: "
               f"{rep.snapshots_taken} checkpoints, "
               f"{rep.snapshot_cells_copied:,} cells copied to stable storage")
 
     print("\n== ledger 2: one fault at 60% progress ==")
-    app, rep = solve_sw(x, y, DPX10Config(nplaces=4), fault_plans=plans)
+    app, rep = solve_sw(x, y, DPX10Config(**reference), fault_plans=plans)
     baseline_score = app.best_score
     stats = rep.recovery_stats[0]
     print(f"  recovery mode : {stats.preserved_in_place:,} kept in place, "
           f"{stats.discarded:,} discarded, {rep.recomputed:,} recomputed, "
           f"0 cells ever checkpointed")
     for interval in (500, 2000):
-        cfg = DPX10Config(nplaces=4, ft_mode="snapshot", snapshot_interval=interval)
+        cfg = DPX10Config(
+            ft_mode="snapshot", snapshot_interval=interval, **reference
+        )
         app, rep = solve_sw(x, y, cfg, fault_plans=plans)
         assert app.best_score == baseline_score
         stats = rep.recovery_stats[0]

@@ -24,21 +24,27 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: package directory (relative to the repo root) -> maximum total lines.
-#: Raised once, by exactly the net growth of the level-batch change
-#: (core 5948 -> 6007, analysis 5999 -> 6044), after paying what could be
-#: paid: one body each (``FlatSweepKernel.__call__`` is ``sweep`` on a
-#: stack of one; ``plane.run_tile`` is gone, not kept beside
-#: ``run_tiles``) and ``shm.ShmArena.segment_names`` dropped. What
-#: remains: the grouping in ``run_tiles`` (plane.py +49), the span split
-#: in ``_PlaceWorker.compute_tiles`` (mp_engine.py +13; tiling.py +1,
-#: shm.py -4), and in flatsweep.py (+45) the ``prepare``/``sweep`` split
-#: with the batch axis and the LRU plan cache. It buys, on the ledger
-#: (alternated pairs, CHANGES.md PR 19): ``sw_tiled_mp_2048`` overhead_x
-#: 2.8-3.3 -> 1.6-1.7, solve_s 1.35-1.43 -> 0.66-0.75 s, nothing else
-#: moved.
+#: Raised by exactly the net growth of the planned-default change (core
+#: 6007 -> 6086, analysis 6044 -> 6094), after paying with what it
+#: strands: ``DPX10Config.tiling_enabled`` and the autokernel-requires-
+#: tiling validation (config.py: the new docstring/comments net +2), the
+#: three ``dag.coarsen(*cfg.tile_shape) if cfg.tiling_enabled`` copies
+#: (runtime, mp_engine, chaos harness -> one ``plan_tiles`` call each) and
+#: ``serve.api``'s autokernel gate. What remains in core: ``plan_tiles``
+#: and its rule (tiling.py +40), ``RunReport.tile_shape`` / ``kernel`` /
+#: ``plan`` with their summary, to_dict and constructor lines (runtime.py
+#: +23), the mp master filling the same two fields (mp_engine.py +9) and
+#: ``kernel_name`` (plane.py +5); in analysis: the source-level memo
+#: ``_read_source`` / ``_SourceFacts`` that the default path now needs
+#: (classify.py +50: the front-end runs on every planned solve and every
+#: served job). It buys, on the ledger (ten alternated pairs, CHANGES.md
+#: PR 20): ``sw_vertex_default_256`` overhead_x 121-149 -> 2.5-2.7,
+#: solve_s 1.49-2.18 -> 0.028-0.044 s, setup_s 1.6-2.4 -> 0.29-0.42 s,
+#: peak_rss_mb 55.3 -> 51.9; the three explicit-config workloads did not
+#: move.
 CEILINGS = {
-    "src/repro/core": 6007,
-    "src/repro/analysis": 6044,
+    "src/repro/core": 6086,
+    "src/repro/analysis": 6094,
 }
 
 MAX_CONFIG_FIELDS = 27

@@ -7,6 +7,7 @@ figures without writing any code:
 
     python -m repro lcs ABCBDAB BDCABA --places 4
     python -m repro sw GATTACA GCATGCT --engine threaded
+    python -m repro sw GATTACA GCATGCT --tile 1x1   # the per-vertex reference
     python -m repro lps character
     python -m repro knapsack --items 12 --capacity 40 --seed 3
     python -m repro matrix-chain --n 8
@@ -42,6 +43,7 @@ from repro.bench import (
     format_series,
 )
 from repro.bench.figures import FIG10_NODES
+from repro.obs.cli import parse_tile
 from repro.patterns import PATTERNS
 
 
@@ -53,7 +55,14 @@ def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--scheduler", choices=["local", "random", "mincomm"], default="local"
     )
-    p.add_argument("--cache-size", type=int, default=64)
+    p.add_argument(
+        "--cache-size", type=int, default=64, help="per-vertex path only"
+    )
+    p.add_argument(
+        "--tile", metavar="HxW", default=None,
+        help="tile shape (default: planned by the runtime; 1x1 is the "
+        "paper's per-vertex reference path)",
+    )
 
 
 def _config(args: argparse.Namespace) -> DPX10Config:
@@ -62,10 +71,12 @@ def _config(args: argparse.Namespace) -> DPX10Config:
         engine=args.engine,
         scheduler=args.scheduler,
         cache_size=args.cache_size,
+        tile_shape=parse_tile(args.tile),
     )
 
 
 def _print_report(report) -> None:
+    print(f"  plan              : {report.plan}")
     print(f"  vertices computed : {report.completions}")
     print(f"  cross-place bytes : {report.network_bytes}")
     print(f"  cache hit rate    : {report.cache_hit_rate:.1%}")

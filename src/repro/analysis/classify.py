@@ -30,8 +30,9 @@ Demotion findings:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .findings import AnalysisReport
 from .infer import (
@@ -449,6 +450,67 @@ def _match_row_scan(
     )
 
 
+class _SourceFacts(NamedTuple):
+    """What the front-end learns from ``compute()``'s source alone."""
+
+    effects: Optional[Effects]  # None: source unavailable
+    ir: Optional[ComputeIR] = None
+    entries: Optional[Tuple[FootEntry, ...]] = None
+    #: the ``(code, message, location)`` finding that stopped lifting
+    #: (``ir`` is None) or footprint extraction (``entries`` is None)
+    finding: Optional[tuple] = None
+
+
+@functools.lru_cache(maxsize=64)
+def _read_source(compute, _folded: tuple = ()) -> _SourceFacts:
+    """Effect analysis, lift + normalize and the symbolic footprint.
+
+    Pure functions of ``compute()``'s source and of the scalar module
+    globals the lifter folds into constants (``_folded``, part of the
+    key), and since planned tiles try a generated kernel on every run
+    and every served job, memoized — ``inspect.getsource`` + tokenizer +
+    AST walk were ~2.5 ms of a 25 ms default solve. Bounded: a
+    long-lived server meets an open-ended set of user app classes.
+    """
+    try:
+        effects = analyze_effects(compute)
+    except (OSError, TypeError):
+        effects = None
+    if effects is not None and not effects.pure:
+        return _SourceFacts(effects)
+    try:
+        ir = normalize(lift_compute(compute))
+    except LiftError as exc:
+        return _SourceFacts(
+            effects,
+            finding=(
+                "DP401",
+                f"compute() left the liftable subset: {exc.reason}",
+                f"line {exc.lineno}" if exc.lineno else None,
+            ),
+        )
+    except (OSError, TypeError) as exc:
+        return _SourceFacts(
+            effects, finding=("DP401", f"compute() source unavailable: {exc}", None)
+        )
+    try:
+        entries = tuple(footprint(ir))
+    except InferError as exc:
+        return _SourceFacts(
+            effects, ir, finding=("DP403", f"footprint extraction failed: {exc}", None)
+        )
+    return _SourceFacts(effects, ir, entries)
+
+
+def _source_facts(compute) -> _SourceFacts:
+    ns = getattr(compute, "__globals__", {})
+    names = getattr(getattr(compute, "__code__", None), "co_names", ())
+    return _read_source(
+        compute,
+        tuple((n, ns[n]) for n in names if type(ns.get(n)) in (int, float, bool)),
+    )
+
+
 def classify_app(app, dag, subject: str = "") -> Classification:
     """Run the full analysis front-end over one app/dag pair."""
     subject = subject or type(app).__name__
@@ -478,27 +540,17 @@ def classify_app(app, dag, subject: str = "") -> Classification:
         cls.klass = domain_klass
         return cls
 
-    compute = type(app).compute
-    try:
-        cls.effects = analyze_effects(compute)
-    except (OSError, TypeError):
-        cls.effects = None
+    # the source-level half of the front-end is memoized per compute();
+    # everything below that takes ``app`` or ``dag`` runs per instance
+    facts = _source_facts(type(app).compute)
+    cls.effects = facts.effects
     if cls.effects is not None and not cls.effects.pure:
         report.add("DP405", f"compute() is impure: {cls.effects.describe()}")
         return cls
-
-    try:
-        cls.ir = normalize(lift_compute(compute))
-    except LiftError as exc:
-        report.add(
-            "DP401",
-            f"compute() left the liftable subset: {exc.reason}",
-            location=f"line {exc.lineno}" if exc.lineno else None,
-        )
+    if facts.ir is None:
+        report.add(*facts.finding)
         return cls
-    except (OSError, TypeError) as exc:
-        report.add("DP401", f"compute() source unavailable: {exc}")
-        return cls
+    cls.ir = facts.ir
 
     if type(app).value_dtype is None:
         report.add("DP402", "value_dtype is None: no typed value plane to vectorize")
@@ -510,12 +562,10 @@ def classify_app(app, dag, subject: str = "") -> Classification:
         report.add("DP403", f"dtype inference failed: {exc}")
         return cls
 
-    try:
-        entries = footprint(cls.ir)
-    except InferError as exc:
-        report.add("DP403", f"footprint extraction failed: {exc}")
+    if facts.entries is None:
+        report.add(*facts.finding)
         return cls
-    cls.entries = tuple(entries)
+    entries = cls.entries = facts.entries
 
     problems = probe_footprint(cls.ir, app, dag)
     if problems:

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import List, Optional
+from typing import List
 
 from repro.chaos.harness import (
     APPS,
+    PLANNED,
     CaseResult,
     CaseSpec,
     build_case,
@@ -59,7 +60,8 @@ def _cmd_run(args) -> int:
     )
     engines = _csv(args.engines)
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    tile_shapes: List[Optional[tuple]] = [None]
+    # per-vertex (the oracle path) and what a bare config plans
+    tile_shapes: list = [None, PLANNED]
     if args.tiled:
         tile_shapes += [(2, 2), (3, 2)]
     os.makedirs(args.replay_dir, exist_ok=True)

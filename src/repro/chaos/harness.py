@@ -26,16 +26,19 @@ only run on their own pattern.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.probe import ChaosProbeApp, probe_oracle
 from repro.chaos.schedule import ChaosSchedule
 from repro.errors import PatternError, UnrecoverableError
 from repro.patterns import get_pattern
 
-__all__ = ["CaseSpec", "CaseResult", "build_case", "run_case", "sweep"]
+__all__ = ["PLANNED", "CaseSpec", "CaseResult", "build_case", "run_case", "sweep"]
 
 Coord = Tuple[int, int]
+
+#: the ``CaseSpec.tile_shape`` spelling of "let the runtime plan it"
+PLANNED = "planned"
 
 #: mismatches reported per failing trial before truncation
 _MAX_DIFFS = 8
@@ -70,7 +73,10 @@ class CaseSpec:
     nplaces: int = 3
     height: int = 12
     width: int = 12
-    tile_shape: Optional[Tuple[int, int]] = None
+    #: ``None`` is the per-vertex oracle path (``DPX10Config(tile_shape=
+    #: (1, 1))`` — stored replays keep their meaning), ``"planned"`` leaves
+    #: the shape to the runtime (a bare config), a pair pins it
+    tile_shape: Union[None, str, Tuple[int, int]] = None
     #: probe salt / instance seed for the concrete apps
     salt: int = 0
     #: mp plane backing, as DPX10Config.shm: False forces private planes
@@ -79,11 +85,12 @@ class CaseSpec:
     domain: str = "grid"
 
     def label(self) -> str:
-        tile = (
-            f" tile={self.tile_shape[0]}x{self.tile_shape[1]}"
-            if self.tile_shape
-            else ""
-        )
+        if self.tile_shape == PLANNED:
+            tile = " tile=planned"
+        elif self.tile_shape:
+            tile = f" tile={self.tile_shape[0]}x{self.tile_shape[1]}"
+        else:
+            tile = ""
         shm = "" if self.shm else " shm=False"
         dom = "" if self.domain == "grid" else f" domain={self.domain}"
         return (
@@ -93,13 +100,14 @@ class CaseSpec:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["tile_shape"] = list(self.tile_shape) if self.tile_shape else None
+        if self.tile_shape and self.tile_shape != PLANNED:
+            d["tile_shape"] = list(self.tile_shape)
         return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "CaseSpec":
         data = dict(data)
-        if data.get("tile_shape"):
+        if data.get("tile_shape") and data["tile_shape"] != PLANNED:
             data["tile_shape"] = tuple(data["tile_shape"])
         return cls(**data)
 
@@ -281,6 +289,7 @@ def run_case(spec: CaseSpec, schedule: ChaosSchedule) -> CaseResult:
     """Run one trial and diff every cell against the serial reference."""
     from repro.core.config import DPX10Config
     from repro.core.runtime import DPX10Runtime
+    from repro.core.tiling import plan_tiles
 
     try:
         app, dag, expected = build_case(spec)
@@ -291,7 +300,9 @@ def run_case(spec: CaseSpec, schedule: ChaosSchedule) -> CaseResult:
         config = DPX10Config(
             nplaces=spec.nplaces,
             engine=spec.engine,
-            tile_shape=spec.tile_shape,
+            tile_shape=(
+                None if spec.tile_shape == PLANNED else spec.tile_shape or (1, 1)
+            ),
             chaos=None if schedule.is_empty else schedule,
             shm=spec.shm,
             custom_dist=custom_dist,
@@ -299,8 +310,7 @@ def run_case(spec: CaseSpec, schedule: ChaosSchedule) -> CaseResult:
         runtime = DPX10Runtime(app, dag, config)
         # tiling verifies the coarsened pattern lazily; probe it up front
         # so impossible (pattern, tile) pairs skip instead of fail
-        if config.tiling_enabled:
-            dag.coarsen(*config.tile_shape)
+        plan_tiles(dag, config)
     except PatternError as exc:
         return CaseResult(
             spec, schedule, ok=True, skipped=True, error=str(exc)
@@ -345,7 +355,7 @@ def sweep(
     nplaces: int = 3,
     height: int = 12,
     width: int = 12,
-    tile_shapes: Sequence[Optional[Tuple[int, int]]] = (None,),
+    tile_shapes: Sequence[Union[None, str, Tuple[int, int]]] = (None,),
     intensity: float = 1.0,
     message_chaos: Optional[bool] = None,
     shm: bool = True,

@@ -149,6 +149,9 @@ def _request_body(
         "params": {"size": spec.size, "seed": seed},
         "engine": "mp",
         "nplaces": spec.nplaces,
+        # the per-vertex path: planned, a soak-sized job is a single tile
+        # and the kill would find nothing left to interrupt
+        "tile_shape": [1, 1],
         # a cached fault-free result would short-circuit recovery
         "use_cache": False,
     }

@@ -39,7 +39,13 @@ _RESTORE = ("discard", "copy")
 
 @dataclass
 class DPX10Config:
-    """All runtime knobs with paper-faithful defaults."""
+    """All runtime knobs. The defaults are the fast path, not the paper's:
+    ``tile_shape=None`` lets the runtime plan tiles and a generated kernel
+    (:func:`repro.core.tiling.plan_tiles`). ``tile_shape=(1, 1)`` is the
+    paper-faithful per-vertex reference, the only path on which per-cell
+    scheduling, ``cache_size``, ``restore_manner`` and per-cell traces
+    apply.
+    """
 
     #: number of places (X10_NPLACES)
     nplaces: int = 4
@@ -116,9 +122,12 @@ class DPX10Config:
     #: tile-level DAG (``Dag.coarsen``, symbolically verified acyclic),
     #: the matrix lives in one dense plane every engine computes against
     #: (repro.core.plane), and apps may supply a vectorized
-    #: ``compute_tile`` kernel. ``None`` and ``(1, 1)`` both select the
-    #: legacy per-vertex path, bit-for-bit. Supported by the inline,
-    #: threaded and mp engines.
+    #: ``compute_tile`` kernel. ``None`` (default) leaves the shape to the
+    #: planner (``repro.core.tiling.plan_tiles``: 128x128 capped at the
+    #: matrix, a full-width strip or per-vertex where the pattern allows
+    #: no less), an explicit shape is used as given, and ``(1, 1)`` is the
+    #: one spelling of the per-vertex reference path. Supported by the
+    #: inline, threaded and mp engines.
     tile_shape: Optional[tuple[int, int]] = None
     #: chaos-engineering schedule (see repro.chaos): a seeded composite of
     #: kills, mid-recovery kills, slow-place throttles and message chaos.
@@ -140,11 +149,13 @@ class DPX10Config:
     #: perturb) get private planes. The in-process engines ignore it:
     #: their plane is a heap array.
     shm: bool = True
-    #: tiled path only: compile ``compute()`` into a vectorized NumPy tile
-    #: kernel (repro.analysis: lift to IR, classify, emit) and use it in
-    #: place of the per-vertex loop. Requires ``tile_shape`` and a typed
-    #: ``value_dtype``; apps the classifier demotes to OPAQUE (see
-    #: ``python -m repro analyze``) and sanitized runs keep the
+    #: explicit tile shapes only: compile ``compute()`` into a vectorized
+    #: NumPy tile kernel (repro.analysis: lift to IR, classify, emit) and
+    #: use it in place of the hand ``compute_tile`` / per-cell loop the
+    #: shape otherwise keeps. Planned tiles (``tile_shape=None``) always
+    #: try the generated kernel, so the flag changes nothing there; with
+    #: ``(1, 1)`` it is an error. Apps the classifier demotes to OPAQUE
+    #: (see ``python -m repro analyze``) and sanitized runs keep the
     #: interpreted path, which remains the differential-testing oracle.
     #: A generated kernel takes precedence over a hand-written
     #: ``compute_tile``.
@@ -219,20 +230,11 @@ class DPX10Config:
                 and all(isinstance(t, int) and t >= 1 for t in self.tile_shape),
                 f"tile_shape must be a pair of ints >= 1, got {self.tile_shape!r}",
             )
-        require(
-            not self.autokernel or self.tiling_enabled,
-            "autokernel=True requires tile-granular execution "
-            "(tile_shape=(th, tw) with th*tw > 1)",
-        )
-
-    @property
-    def tiling_enabled(self) -> bool:
-        """Whether the tile-granular engine is selected.
-
-        ``tile_shape=(1, 1)`` is the degenerate one-cell tile and routes
-        through the legacy per-vertex path unchanged.
-        """
-        return self.tile_shape is not None and tuple(self.tile_shape) != (1, 1)
+            require(
+                not self.autokernel or tuple(self.tile_shape) != (1, 1),
+                "autokernel=True has no per-vertex form: tile_shape=(1, 1) "
+                "is the interpreted reference path",
+            )
 
     def make_dist(self, region: Region2D, alive_place_ids: Sequence[int]) -> Dist:
         """Build the configured distribution over the given alive places."""

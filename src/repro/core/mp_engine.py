@@ -82,6 +82,7 @@ from repro.core import plane as _plane
 from repro.core.api import DPX10App, Vertex
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
+from repro.core.tiling import plan_tiles
 from repro.core.trace import ExecutionTrace, Span, TraceEvent
 from repro.errors import (
     AllPlacesDeadError,
@@ -129,6 +130,9 @@ class MPRunStats:
         #: dead places restarted in place from pooled spares mid-run
         #: (the job keeps its distribution; only the lost cells recompute)
         self.pool_restarts = 0
+        #: the plan that ran (see RunReport.tile_shape / RunReport.kernel)
+        self.tile_shape: Optional[Tuple[int, int]] = None
+        self.kernel: Optional[str] = None
 
 
 class _PlaceWorker:
@@ -886,7 +890,7 @@ def run_mp(
     """
     ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
     stats = MPRunStats()
-    tiled = dag.coarsen(*config.tile_shape) if config.tiling_enabled else None
+    tiled = plan_tiles(dag, config)
     if trace is not None:
         trace.set_dependency_meta(dag, tiled)
     with _tphase(trace, "schedule"):
@@ -912,7 +916,7 @@ def run_mp(
         stats.msg_retries += 1
 
     shape = (dag.height, dag.width)
-    unit = tuple(config.tile_shape) if tiled is not None else (1, 1)
+    unit = (tiled.grid.tile_h, tiled.grid.tile_w) if tiled is not None else (1, 1)
     # what a place needs at init besides the app and the dag; segment
     # names are added below when (and only when) the planes are shared
     meta: Dict[str, Any] = {
@@ -970,19 +974,24 @@ def run_mp(
                 )
             meta["owners"] = plane.owners
 
-            if (
-                config.autokernel
-                and tiled is not None
-                and app.value_dtype is not None
-                and not config.sanitize
-            ):
-                # classify + probe once here on the master; workers get
-                # the picklable spec and re-emit without re-analysis
-                from repro.analysis.codegen import build_autokernel
+            if tiled is not None:
+                master_kernel = None
+                if (
+                    tiled.autokernel
+                    and app.value_dtype is not None
+                    and not config.sanitize
+                ):
+                    # classify + probe once here on the master; workers get
+                    # the picklable spec and re-emit without re-analysis
+                    from repro.analysis.codegen import build_autokernel
 
-                master_kernel, _cls = build_autokernel(app, dag)
-                if master_kernel is not None:
-                    meta["autokernel"] = master_kernel.spec
+                    master_kernel, _cls = build_autokernel(app, dag)
+                    if master_kernel is not None:
+                        meta["autokernel"] = master_kernel.spec
+                stats.tile_shape = unit
+                stats.kernel = _plane.kernel_name(
+                    _plane.tile_kernel(app, tiled, master_kernel)
+                )
             for p in alive:
                 procs[p].request(("init", app, dag, meta, p, trace_ctx))
 

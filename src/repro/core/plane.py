@@ -33,7 +33,7 @@ import numpy as np
 from repro.analysis import sanitize as _sanitize
 from repro.core.api import DPX10App, Vertex
 
-__all__ = ["HandKernel", "PlaneResults", "TilePlane", "run_tiles", "tile_kernel"]
+__all__ = ["HandKernel", "PlaneResults", "TilePlane", "kernel_name", "run_tiles", "tile_kernel"]
 
 Coord = Tuple[int, int]
 #: one cross-place transfer: ``(source place, destination place, bytes)``
@@ -235,6 +235,11 @@ def tile_kernel(app: DPX10App, tiled, autokernel=None):
     ):
         return HandKernel(app.compute_tile, tiled.pads)
     return None
+
+
+def kernel_name(kernel) -> Optional[str]:
+    """What ``RunReport.kernel`` calls a :func:`tile_kernel` result."""
+    return None if kernel is None else getattr(kernel, "klass", "hand")
 
 
 def _compute_cells(plane, base, app, rows, cols, place_id, sanitize) -> list:

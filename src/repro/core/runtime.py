@@ -28,7 +28,7 @@ from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag, ResultView
-from repro.core.plane import TilePlane, tile_kernel
+from repro.core.plane import TilePlane, kernel_name, tile_kernel
 from repro.core.recovery import (
     RecoveryStats,
     recover,
@@ -38,7 +38,7 @@ from repro.core.recovery import (
 from repro.core.trace import ExecutionTrace
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduler import make_strategy
-from repro.core.tiling import TileRunState
+from repro.core.tiling import TileRunState, plan_tiles
 from repro.core.vertex_store import build_stores
 from repro.core.worker import ExecutionState, run_inline, run_threaded
 from repro.errors import DeadPlaceException, PlaceZeroDeadError
@@ -84,6 +84,12 @@ class RunReport:
     #: only): {name: {kind, help, labelnames, values}} — see
     #: repro.obs.metrics.MetricsRegistry.collect
     metrics: Optional[Dict[str, dict]] = None
+    #: the plan that ran: the planned or explicit tile shape (``None`` on
+    #: the per-vertex path, where ``cache_size`` / ``restore_manner``
+    #: apply) and the tile kernel — a generated kernel's class, ``"hand"``
+    #: for the app's ``compute_tile``, ``None`` for the per-cell loop
+    tile_shape: Optional[Tuple[int, int]] = None
+    kernel: Optional[str] = None
 
     @property
     def recomputed(self) -> int:
@@ -95,9 +101,20 @@ class RunReport:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
+    @property
+    def plan(self) -> str:
+        """The granularity and kernel the run used, in words."""
+        if self.tile_shape is None:
+            return "per-vertex"
+        return "{}x{} tiles, {}".format(
+            *self.tile_shape,
+            f"{self.kernel} kernel" if self.kernel else "per-cell loop",
+        )
+
     def summary(self) -> str:
         """A human-readable multi-line digest of the run."""
         lines = [
+            f"plan: {self.plan}",
             f"vertices: {self.active_vertices} active, "
             f"{self.completions} compute() calls"
             + (f" ({self.recomputed} recomputed)" if self.recomputed else ""),
@@ -136,6 +153,8 @@ class RunReport:
             "final_alive_places": self.final_alive_places,
             "snapshots_taken": self.snapshots_taken,
             "snapshot_cells_copied": self.snapshot_cells_copied,
+            "tile_shape": list(self.tile_shape) if self.tile_shape else None,
+            "kernel": self.kernel,
         }
 
 
@@ -295,6 +314,8 @@ class DPX10Runtime:
                 state.snapshots.cells_copied_total if state.snapshots else 0
             ),
             trace=state.trace,
+            tile_shape=state.plane.unit if state.plane is not None else None,
+            kernel=kernel_name(state.kernel),
         )
         if self.metrics.enabled:
             self.metrics.gauge(
@@ -349,6 +370,8 @@ class DPX10Runtime:
             per_place_executed=dict(stats.per_place_executed),
             final_alive_places=stats.final_alive_places,
             trace=trace,
+            tile_shape=stats.tile_shape,
+            kernel=stats.kernel,
         )
         if self.metrics.enabled:
             self.metrics.gauge(
@@ -366,10 +389,10 @@ class DPX10Runtime:
         # the trace exists before partitioning so the "partition" phase
         # span covers distribution + store/plane construction
         trace = ExecutionTrace() if cfg.trace else None
-        # tile-granular execution: coarsen the pattern (verified acyclic)
-        # and schedule tiles over one dense plane instead of cells over
-        # per-place vertex stores
-        tiled = self.dag.coarsen(*cfg.tile_shape) if cfg.tiling_enabled else None
+        # tile-granular execution (planned unless the config pins a shape):
+        # schedule tiles of the coarsened pattern over one dense plane
+        # instead of cells over per-place vertex stores
+        tiled = plan_tiles(self.dag, cfg)
         stores: Dict[int, object] = {}
         plane = None
         with trace.phase("partition") if trace is not None else nullcontext():
@@ -439,7 +462,7 @@ class DPX10Runtime:
             # sanitized runs keep the per-cell loop, whose compute()
             # calls the race guard wraps
             autokernel = None
-            if cfg.autokernel:
+            if tiled.autokernel:
                 # lift/classify/emit the compute() recurrence; OPAQUE
                 # apps keep the interpreted path (see `repro analyze`).
                 # Object-valued apps are eligible too: tree-level

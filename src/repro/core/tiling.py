@@ -27,8 +27,9 @@ Three layers live here (see docs/TILING.md for the full story):
   :func:`~repro.core.plane.run_tiles` (the executor the mp workers hand
   whole level batches), and feeds the transfers it reports to the network model.
 
-``DPX10Config(tile_shape=(h, w))`` opts a run in; ``(1, 1)`` and ``None``
-keep the legacy per-vertex path bit-for-bit.
+:func:`plan_tiles` is the one place a run decides its granularity:
+``DPX10Config(tile_shape=(h, w))`` is used as given, ``None`` is planned,
+and ``(1, 1)`` keeps the per-vertex reference path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "coarsen",
     "coarsen_offsets",
     "execute_tile",
+    "plan_tiles",
 ]
 
 Coord = Tuple[int, int]
@@ -181,6 +183,9 @@ class TiledDag(Dag):
         self._anti = anti
         self._tile_active = tile_active
         self._base_rank = base_rank
+        #: whether the run should try a generated kernel before the hand
+        #: ``compute_tile`` / per-cell loop; decided by :func:`plan_tiles`
+        self.autokernel = False
         #: stencil mode: offsets known, halo and order derivable symbolically
         self.stencil_mode = tile_offsets is not None
         if self.stencil_mode:
@@ -467,6 +472,41 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
         anti={t: sorted(s) for t, s in anti.items()},
         tile_active=tile_active,
     )
+
+
+#: edge of a planned tile: docs/TILING.md §4 measures 128x128 at the sweet
+#: spot on the inline and mp engines (per-tile fixed cost against parallel
+#: slack and window size)
+PLANNED_TILE = 128
+
+
+def plan_tiles(dag: Dag, config) -> Optional[TiledDag]:
+    """Decide a run's granularity: its tile DAG, or ``None`` for per-vertex.
+
+    An explicit ``config.tile_shape`` is used as given — ``(1, 1)`` is the
+    per-vertex reference path — and tries a generated kernel only on
+    ``config.autokernel``. ``None`` plans ``PLANNED_TILE`` square tiles
+    capped at the matrix, then the full-width strip row-reaching patterns
+    need, then per-vertex where no shape coarsens acyclically; planned
+    tiles always try the generated kernel (``plane.tile_kernel`` falls
+    back to the hand kernel, then the per-cell loop).
+    """
+    shape = config.tile_shape
+    if shape is not None:
+        if tuple(shape) == (1, 1):
+            return None
+        tiled = dag.coarsen(*shape)
+        tiled.autokernel = config.autokernel
+        return tiled
+    th = min(dag.height, PLANNED_TILE)
+    for shape in dict.fromkeys(((th, min(dag.width, PLANNED_TILE)), (th, dag.width))):
+        try:
+            tiled = dag.coarsen(*shape)
+        except PatternError:
+            continue
+        tiled.autokernel = True
+        return tiled
+    return None
 
 
 class TileRunState:

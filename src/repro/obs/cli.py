@@ -18,7 +18,7 @@ Four subcommands:
 
 Examples::
 
-    python -m repro obs run --app sw --size 64 --export trace.json
+    python -m repro obs run --app sw --size 64 --tile 1x1 --export trace.json
     python -m repro obs run --app lps --size 200 --tile 32x32 --live
     python -m repro obs summary trace.json
     python -m repro obs explain trace.json
@@ -44,12 +44,13 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 
-__all__ = ["add_obs_parser"]
+__all__ = ["add_obs_parser", "parse_tile"]
 
 _APPS = ("sw", "lps", "lcs")
 
 
-def _parse_tile(spec: Optional[str]) -> Optional[Tuple[int, int]]:
+def parse_tile(spec: Optional[str]) -> Optional[Tuple[int, int]]:
+    """``--tile HxW`` (or ``N`` for ``NxN``); ``None`` stays planned."""
     if spec is None:
         return None
     h, _, w = spec.lower().partition("x")
@@ -90,7 +91,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = DPX10Config(
         nplaces=args.places,
         engine=args.engine,
-        tile_shape=_parse_tile(args.tile),
+        tile_shape=parse_tile(args.tile),
         trace=True,
         metrics_registry=registry,
         seed=args.seed,
@@ -170,7 +171,8 @@ def add_obs_parser(sub) -> None:
     )
     r.add_argument(
         "--tile", metavar="HxW", default=None,
-        help="tile shape, e.g. 32x32 (default: per-vertex)",
+        help="tile shape, e.g. 32x32 (default: planned by the runtime; "
+        "1x1 is the per-vertex reference with per-cell events)",
     )
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--live", action="store_true", help="live dashboard on stderr")

@@ -399,12 +399,16 @@ class JobRequest:
 
 
 def parse_job_request(
-    body: Any, *, allow_faults: bool = False
+    body: Any, *, allow_faults: bool = False, default_nplaces: int = 4
 ) -> JobRequest:
     """Validate a decoded JSON body into a :class:`JobRequest`.
 
     Raises :class:`BadRequest` with a client-presentable message on any
-    violation; nothing about the request is trusted.
+    violation; nothing about the request is trusted. Only ``app`` and
+    ``params`` are required: an omitted ``tile_shape`` is planned by the
+    runtime (as under a bare ``DPX10Config()``) and an omitted
+    ``nplaces`` is ``default_nplaces`` — the server passes what its pool
+    can actually lease.
     """
     _require(isinstance(body, dict), "request body must be a JSON object")
     tenant = body.get("tenant", "default")
@@ -422,7 +426,7 @@ def parse_job_request(
     params = APPS[app].normalize(raw_params)
     engine = body.get("engine", "mp")
     _require(engine in _ENGINES, f"engine must be one of {_ENGINES}")
-    nplaces = body.get("nplaces", 4)
+    nplaces = body.get("nplaces", default_nplaces)
     _require(
         isinstance(nplaces, int) and 1 <= nplaces <= 64,
         "nplaces must be an int in [1, 64]",
@@ -438,8 +442,9 @@ def parse_job_request(
         tile_shape = (tile_shape[0], tile_shape[1])
     autokernel = bool(body.get("autokernel", False))
     _require(
-        not autokernel or tile_shape is not None,
-        "autokernel requires tile_shape",
+        not autokernel or tile_shape != (1, 1),
+        "autokernel has no per-vertex form: tile_shape [1, 1] is the "
+        "interpreted reference path",
     )
     use_cache = bool(body.get("cache", True))
     trace = bool(body.get("trace", False))
@@ -520,6 +525,8 @@ def execute_job(req: JobRequest, config, on_report=None) -> Dict[str, Any]:
             "active_vertices": report.active_vertices,
             "recoveries": report.recoveries,
             "final_alive_places": report.final_alive_places,
+            "tile_shape": list(report.tile_shape) if report.tile_shape else None,
+            "kernel": report.kernel,
         }
     )
     return payload

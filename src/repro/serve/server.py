@@ -179,7 +179,13 @@ class JobServer:
         Transport-independent so tests can drive it without sockets.
         """
         try:
-            req = parse_job_request(body, allow_faults=self.allow_faults)
+            req = parse_job_request(
+                body,
+                allow_faults=self.allow_faults,
+                # a bare {app, params} must run on any server: only an
+                # explicit nplaces can exceed the pool
+                default_nplaces=min(4, self.pool.capacity),
+            )
         except BadRequest as exc:
             return 400, {"error": str(exc)}
         if req.engine == "mp" and req.nplaces > self.pool.capacity:

@@ -182,3 +182,106 @@ class TestDemotions:
         cls = classify_app(clone, dag)
         assert cls.klass == "OPAQUE"
         assert "DP403" in {f.code for f in cls.report.findings}
+
+
+# -- the source-level memo -------------------------------------------------------------
+STEP = 1  # folded into the IR as a constant by the lifter
+
+
+class _StepApp(DPX10App):
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        return dep.get((i, j - 1), 0) + STEP
+
+
+class TestSourceMemo:
+    """Effects, IR and footprint are read off ``compute()``'s source once
+    per code object; everything that looks at an instance runs per run."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """``spies()`` -> (source reads so far, instance probes so far)."""
+        from repro.analysis import classify
+
+        probes = []
+        real_probe = classify.probe_footprint
+
+        def probe(*args, **kwargs):
+            probes.append(args)
+            return real_probe(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "probe_footprint", probe)
+        classify._read_source.cache_clear()
+        return lambda: (classify._read_source.cache_info().misses, len(probes))
+
+    def test_instances_share_the_entry_and_each_runs_its_own_probe(self, spies):
+        first = classify_app(_StepApp(), _RowChainDag(4, 6))
+        second = classify_app(_StepApp(), _RowChainDag(5, 7))
+        assert spies() == (1, 2)
+        assert first.ir is second.ir and first.entries is second.entries
+        # the classification itself is per instance, never shared
+        assert first is not second and first.report is not second.report
+        assert first.klass == second.klass == "ANTIDIAG_WAVEFRONT"
+
+    def test_a_redefined_compute_gets_a_fresh_entry(self, spies, monkeypatch):
+        class App(_StepApp):
+            pass
+
+        assert classify_app(App(), _RowChainDag(4, 6)).vectorizable
+
+        def compute(self, i, j, vertices):
+            return len([v for v in vertices])  # leaves the liftable subset
+
+        monkeypatch.setattr(App, "compute", compute, raising=False)
+        cls = classify_app(App(), _RowChainDag(4, 6))
+        assert spies()[0] == 2
+        assert cls.klass == "OPAQUE"
+        assert [f.code for f in cls.report.findings] == ["DP401"]
+
+    def test_a_folded_module_constant_is_part_of_the_key(self, spies, monkeypatch):
+        from repro.analysis.ir import Const, walk_expr
+
+        def consts(cls):
+            return {
+                n.value for e in cls.ir.exprs() for n in walk_expr(e)
+                if isinstance(n, Const)
+            }
+
+        assert 7 not in consts(classify_app(_StepApp(), _RowChainDag(4, 6)))
+        monkeypatch.setitem(globals(), "STEP", 7)
+        assert 7 in consts(classify_app(_StepApp(), _RowChainDag(4, 6)))
+        assert spies()[0] == 2
+
+    def test_the_memo_is_bounded(self, spies, tmp_path):
+        import importlib.util
+
+        from repro.analysis import classify
+
+        body = "".join(
+            f"class App{k}(DPX10App):\n"
+            "    value_dtype = np.int64\n"
+            "    def compute(self, i, j, vertices):\n"
+            "        dep = dependency_map(vertices)\n"
+            f"        return dep.get((i, j - 1), 0) + {k}\n"
+            for k in range(200)
+        )
+        path = tmp_path / "many_apps.py"
+        path.write_text(
+            "import numpy as np\n"
+            "from repro.core.api import DPX10App, dependency_map\n" + body
+        )
+        spec = importlib.util.spec_from_file_location("many_apps", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for k in range(200):
+            cls = classify_app(getattr(module, f"App{k}")(), _RowChainDag(3, 5))
+            assert cls.vectorizable
+            info = classify._read_source.cache_info()
+            assert info.currsize <= info.maxsize == 64
+        assert spies() == (200, 200)
+        assert classify._read_source.cache_info().currsize == 64
+        # an evicted class is simply read again
+        assert classify_app(module.App0(), _RowChainDag(3, 5)).vectorizable
+        assert spies()[0] == 201

@@ -15,6 +15,7 @@ from repro.analysis.codegen import AutoKernel, build_autokernel
 from repro.analysis.registry import app_fixture, app_names
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
+from repro.errors import ConfigurationError
 
 from tests.analysis.fixtures import dep_guard_target
 
@@ -44,7 +45,8 @@ def _run(name, **kw):
 
 
 def _oracle(name):
-    return _run(name, engine="inline")
+    # the per-vertex interpreted path: the differential oracle
+    return _run(name, engine="inline", tile_shape=(1, 1))
 
 
 class TestBuild:
@@ -79,7 +81,7 @@ class TestBuild:
         assert kernel is None
         assert cls.klass == "OPAQUE"
         assert [f.code for f in cls.report.findings] == ["DP403"]
-        DPX10Runtime(app, dag, DPX10Config()).run()
+        DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
         want = dag.to_array(fill=-1, dtype=np.int64)
         for extra in ({"engine": "inline"}, {"engine": "mp", "nplaces": 2}):
             app, dag = dep_guard_target()
@@ -152,8 +154,11 @@ class TestWholeTileEquivalence:
 
 class TestGating:
     def test_autokernel_requires_tiling(self):
-        with pytest.raises(Exception):
-            DPX10Config(autokernel=True)
+        # only the per-vertex spelling has no generated-kernel form; on
+        # its own the flag is what planned tiles do anyway
+        with pytest.raises(ConfigurationError):
+            DPX10Config(tile_shape=(1, 1), autokernel=True)
+        assert DPX10Config(autokernel=True).tile_shape is None
 
     def test_sanitize_keeps_interpreted_path(self):
         # the sanitizer instruments per-vertex compute(); a whole-tile
@@ -253,7 +258,7 @@ def _solved_plane(app, dag, tiled):
     as halo poisoned — so a tile that is not recomputed shows."""
     from repro.core.plane import TilePlane
 
-    DPX10Runtime(app, dag, DPX10Config()).run()
+    DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
     want = dag.to_array(fill=0, dtype=app.value_dtype)
     plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
     plane.owners[...] = 0

@@ -69,7 +69,7 @@ class TestTreeEquivalence:
     @pytest.mark.parametrize("name", TREE_APPS)
     @pytest.mark.parametrize("shape", TILE_SHAPES)
     def test_inline_tiled_equals_untiled(self, name, shape):
-        want, _, _ = _run(name, engine="inline")
+        want, _, _ = _run(name, engine="inline", tile_shape=(1, 1))
         got, _, _ = _run(
             name, engine="inline", tile_shape=shape, autokernel=True
         )
@@ -77,7 +77,7 @@ class TestTreeEquivalence:
 
     @pytest.mark.parametrize("name", TREE_APPS)
     def test_threaded_engine(self, name):
-        want, _, _ = _run(name, engine="inline")
+        want, _, _ = _run(name, engine="inline", tile_shape=(1, 1))
         got, _, _ = _run(
             name,
             engine="threaded",
@@ -89,7 +89,7 @@ class TestTreeEquivalence:
 
     @pytest.mark.parametrize("name", TREE_APPS)
     def test_mp_engine(self, name):
-        want, _, _ = _run(name, engine="inline")
+        want, _, _ = _run(name, engine="inline", tile_shape=(1, 1))
         got, _, _ = _run(
             name,
             engine="mp",
@@ -103,7 +103,7 @@ class TestTreeEquivalence:
     def test_kill_and_recover_through_kernel(self, name):
         # recovery recomputes the dead partition's tiles through the
         # level-gather kernel; results must stay interpreter-identical
-        want, _, _ = _run(name, engine="inline")
+        want, _, _ = _run(name, engine="inline", tile_shape=(1, 1))
         got, _, report = _run(
             name,
             fault_plans=[FaultPlan(1, at_fraction=0.4)],
@@ -148,7 +148,7 @@ class TestKernelSpecShipping:
         # the warm-restart path re-sends the meta dict (including the
         # cached kernel plan) to the replacement worker: a post-restart
         # run must still be bit-identical to the interpreted oracle
-        want, _, _ = _run("sw", engine="inline")
+        want, _, _ = _run("sw", engine="inline", tile_shape=(1, 1))
         got, _, report = _run(
             "sw",
             fault_plans=[FaultPlan(2, at_fraction=0.5)],

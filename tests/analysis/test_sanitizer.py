@@ -59,7 +59,7 @@ class TestSanitizedRuns:
     def test_undeclared_read_raises_with_diagnostics(self):
         app, dag = undeclared_read_target()
         with pytest.raises(DependencyRaceError) as ei:
-            _run(app, dag, sanitize=True)
+            _run(app, dag, sanitize=True, tile_shape=(1, 1))
         e = ei.value
         assert e.code == "DP301"
         assert e.offset == (-2, 0)  # the fixture reads (i-2, j)
@@ -68,7 +68,9 @@ class TestSanitizedRuns:
 
     def test_unsanitized_run_completes_silently(self):
         app, dag = undeclared_read_target()
-        report = _run(app, dag, sanitize=False)
+        # the per-vertex stores serve any finished cell; on a planned
+        # tile the same undeclared read is a KeyError off the plane
+        report = _run(app, dag, sanitize=False, tile_shape=(1, 1))
         assert report.completions == dag.size
 
     def test_clean_app_passes_sanitized(self):
@@ -99,7 +101,9 @@ class TestSanitizedRuns:
         dag = over_anti_dag()
         with pytest.raises(DependencyRaceError) as ei:
             DPX10Runtime(
-                Sum(), dag, config=DPX10Config(nplaces=1, sanitize=True)
+                Sum(),
+                dag,
+                config=DPX10Config(nplaces=1, sanitize=True, tile_shape=(1, 1)),
             ).run()
         e = ei.value
         assert e.code == "DP302"

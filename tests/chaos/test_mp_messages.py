@@ -200,6 +200,7 @@ class TestMpRuns:
         config = DPX10Config(
             nplaces=3,
             engine="mp",
+            tile_shape=(1, 1),
             metrics=True,
             chaos=_message_schedule(seed=13, p_drop=0.25, p_dup=0.3),
         )

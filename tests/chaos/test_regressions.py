@@ -24,7 +24,9 @@ def _raw_run(engine, schedule, *, nplaces=3, fault_plans=()):
     """Run the probe app directly so exception types stay observable."""
     spec = CaseSpec(pattern="diagonal", engine=engine, nplaces=nplaces)
     app, dag, _ = build_case(spec)
-    cfg = DPX10Config(nplaces=nplaces, engine=engine, chaos=schedule)
+    cfg = DPX10Config(
+        nplaces=nplaces, engine=engine, chaos=schedule, tile_shape=(1, 1)
+    )
     return DPX10Runtime(app, dag, cfg, fault_plans=fault_plans).run()
 
 

@@ -65,7 +65,7 @@ class TestThrottledPlaceIsFlagged:
         assert set(flags) == {THROTTLED_PLACE}
 
     def test_mp_pipes_per_cell(self):
-        flags = _flags("mp", 48, None, _throttle(), shm=False)
+        flags = _flags("mp", 48, (1, 1), _throttle(), shm=False)
         assert set(flags) == {THROTTLED_PLACE}
 
     def test_a_different_place_moves_the_flag(self):
@@ -82,7 +82,7 @@ class TestCleanRunsRaiseNoAlerts:
         assert _flags(engine, 96, (16, 16), None, shm=shm) == {}
 
     def test_clean_mp_pipes_run_is_quiet(self):
-        assert _flags("mp", 48, None, None, shm=False) == {}
+        assert _flags("mp", 48, (1, 1), None, shm=False) == {}
 
     def test_clean_threaded_repeats_stay_quiet(self):
         # scheduler jitter across repetitions must stay under the

@@ -65,12 +65,14 @@ class TestMPExecution:
         assert rep.network_bytes == 0  # nothing crosses a process boundary
 
     def test_cross_place_bytes_are_real(self):
-        _, rep = solve_lcs(X, Y, DPX10Config(nplaces=3, engine="mp"))
+        cfg = DPX10Config(nplaces=3, engine="mp", tile_shape=(1, 1))
+        _, rep = solve_lcs(X, Y, cfg)
         assert rep.network_bytes > 0
         assert rep.network_messages > 0
 
     def test_work_split_across_processes(self):
-        _, rep = solve_lcs(X, Y, DPX10Config(nplaces=3, engine="mp"))
+        cfg = DPX10Config(nplaces=3, engine="mp", tile_shape=(1, 1))
+        _, rep = solve_lcs(X, Y, cfg)
         assert set(rep.per_place_executed) == {0, 1, 2}
         assert sum(rep.per_place_executed.values()) == rep.completions
 
@@ -93,7 +95,7 @@ class TestMPExecution:
 
 class TestMPFaults:
     def test_sigkill_recovery_preserves_answer(self):
-        cfg = DPX10Config(nplaces=3, engine="mp")
+        cfg = DPX10Config(nplaces=3, engine="mp", tile_shape=(1, 1))
         app, rep = solve_lcs(
             X, Y, cfg, fault_plans=[FaultPlan(2, at_fraction=0.5)]
         )
@@ -109,7 +111,7 @@ class TestMPFaults:
             solve_lcs(X, Y, cfg, fault_plans=[FaultPlan(0, at_fraction=0.4)])
 
     def test_two_sequential_faults(self):
-        cfg = DPX10Config(nplaces=4, engine="mp")
+        cfg = DPX10Config(nplaces=4, engine="mp", tile_shape=(1, 1))
         plans = [FaultPlan(3, at_fraction=0.3), FaultPlan(2, at_fraction=0.7)]
         app, rep = solve_lcs(X, Y, cfg, fault_plans=plans)
         assert app.length == EXPECT
@@ -141,7 +143,7 @@ def _skip_without_shm(shm):
 
 class TestOneMasterTwoBackings:
     @BACKINGS
-    @pytest.mark.parametrize("tile_shape", [None, (4, 4)], ids=["cells", "tiles"])
+    @pytest.mark.parametrize("tile_shape", [(1, 1), (4, 4)], ids=["cells", "tiles"])
     def test_user_exception_is_typed_and_carries_the_remote_traceback(
         self, shm, tile_shape
     ):
@@ -177,7 +179,7 @@ class TestOneMasterTwoBackings:
             return real(self, [c for c in cells if tuple(c) != skipped], sink)
 
         monkeypatch.setattr(mp_engine._PlaceWorker, "compute_cells", forgetful)
-        cfg = DPX10Config(nplaces=2, engine="mp")
+        cfg = DPX10Config(nplaces=2, engine="mp", tile_shape=(1, 1))
         with pytest.raises(
             DPX10Error, match=rf"1 vertices missing after run \(first: {shown}\)"
         ):

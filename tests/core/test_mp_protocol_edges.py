@@ -55,7 +55,8 @@ class TestRunMP:
     def test_direct_api(self):
         app = AddApp()
         dag = GridDag(4, 4)
-        results, stats = run_mp(app, dag, DPX10Config(nplaces=2, engine="mp"))
+        cfg = DPX10Config(nplaces=2, engine="mp", tile_shape=(1, 1))
+        results, stats = run_mp(app, dag, cfg)
         assert len(results) == 16
         assert stats.completions == 16
         assert stats.levels == 7  # anti-diagonals of 4x4

@@ -62,8 +62,12 @@ def tile_shape_for(name):
 
 
 def run_plane(name, app, fault_plans=(), **cfg):
-    """Run ``app`` over pattern ``name``; the result matrix as nested lists."""
+    """Run ``app`` over pattern ``name``; the result matrix as nested lists.
+
+    Without a ``tile_shape`` this is the per-vertex reference leg.
+    """
     dag = make_dag(name)
+    cfg.setdefault("tile_shape", (1, 1))
     config = DPX10Config(nplaces=NPLACES, **cfg)
     report = DPX10Runtime(app, dag, config, fault_plans=list(fault_plans)).run()
     return dag.to_array(fill=None, dtype=object).tolist(), report
@@ -187,7 +191,7 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
         mine = sorted((e.start, e.end) for e in events if e.exec_place == p)
         assert all(s0 < e0 <= s1 for (s0, e0), (s1, _) in zip(mine, mine[1:]))
     want = DiagonalDag(len(a) + 1, len(b) + 1)
-    DPX10Runtime(SWApp(a, b), want, DPX10Config()).run()
+    DPX10Runtime(SWApp(a, b), want, DPX10Config(tile_shape=(1, 1))).run()
     assert (
         dag.to_array(fill=-1, dtype=np.int64).tolist()
         == want.to_array(fill=-1, dtype=np.int64).tolist()
@@ -204,7 +208,7 @@ def _sw_levels(n=24, m=20, shape=(4, 4)):
     a, b = ("".join(rng.choice(list("ACGT"), k)) for k in (n, m))
     app = SWApp(a, b)
     want = DiagonalDag(n + 1, m + 1)
-    DPX10Runtime(app, want, DPX10Config()).run()
+    DPX10Runtime(app, want, DPX10Config(tile_shape=(1, 1))).run()
     dag = DiagonalDag(n + 1, m + 1)
     tiled = dag.coarsen(*shape)
     kernel = plane_mod.tile_kernel(app, tiled, build_autokernel(app, dag)[0])

@@ -17,6 +17,7 @@ class TestProgressCallback:
             nplaces=2,
             on_progress=lambda done, total: seen.append((done, total)),
             progress_interval=25,
+            tile_shape=(1, 1),
         )
         _, rep = solve_lcs(X, Y, cfg)
         total = rep.active_vertices
@@ -57,7 +58,9 @@ class TestSummary:
         assert "snapshots" not in text  # not in snapshot mode
 
     def test_mentions_recomputation_and_snapshots(self):
-        cfg = DPX10Config(nplaces=3, ft_mode="snapshot", snapshot_interval=30)
+        cfg = DPX10Config(
+            nplaces=3, ft_mode="snapshot", snapshot_interval=30, tile_shape=(1, 1)
+        )
         _, rep = solve_lcs(X, Y, cfg, fault_plans=[FaultPlan(1, at_fraction=0.5)])
         text = rep.summary()
         assert "recomputed" in text

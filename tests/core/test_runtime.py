@@ -77,7 +77,9 @@ class TestReportAccounting:
 
     def test_network_traffic_positive_across_places(self):
         rep = DPX10Runtime(
-            SumApp(), GridDag(5, 5), DPX10Config(nplaces=3, cache_size=0)
+            SumApp(),
+            GridDag(5, 5),
+            DPX10Config(nplaces=3, cache_size=0, tile_shape=(1, 1)),
         ).run()
         assert rep.network_bytes > 0
         assert rep.network_messages > 0
@@ -98,8 +100,10 @@ class TestReportAccounting:
                     + dep.get((i - 1, j - 1), 0)
                 )
 
-        cfg0 = DPX10Config(nplaces=3, cache_size=0, distribution="block_rows")
-        cfg1 = DPX10Config(nplaces=3, cache_size=64, distribution="block_rows")
+        # cache_size is a per-vertex-path knob
+        ref = dict(nplaces=3, distribution="block_rows", tile_shape=(1, 1))
+        cfg0 = DPX10Config(cache_size=0, **ref)
+        cfg1 = DPX10Config(cache_size=64, **ref)
         rep0 = DPX10Runtime(DiagSumApp(), DiagonalDag(8, 8), cfg0).run()
         rep1 = DPX10Runtime(DiagSumApp(), DiagonalDag(8, 8), cfg1).run()
         assert rep1.cache_hits > 0
@@ -148,7 +152,7 @@ class TestFaults:
         rep = DPX10Runtime(
             app,
             GridDag(8, 8),
-            DPX10Config(nplaces=4),
+            DPX10Config(nplaces=4, tile_shape=(1, 1)),
             fault_plans=[
                 FaultPlan(2, at_fraction=0.25),
                 FaultPlan(3, at_fraction=0.75),
@@ -159,8 +163,10 @@ class TestFaults:
         assert rep.final_alive_places == 2
 
     def test_restore_copy_transfers_results(self):
-        cfg_discard = DPX10Config(nplaces=3, restore_manner="discard")
-        cfg_copy = DPX10Config(nplaces=3, restore_manner="copy")
+        # restore_manner is a per-vertex-path knob
+        ref = dict(nplaces=3, tile_shape=(1, 1))
+        cfg_discard = DPX10Config(restore_manner="discard", **ref)
+        cfg_copy = DPX10Config(restore_manner="copy", **ref)
         plans = [FaultPlan(2, at_fraction=0.6)]
         app1 = SumApp()
         rep_d = DPX10Runtime(app1, GridDag(9, 9), cfg_discard, plans).run()
@@ -192,7 +198,9 @@ class TestValidateFlag:
                 return []
 
         with pytest.raises(PatternError, match="deadlock"):
-            DPX10Runtime(SumApp(), BrokenDag(3, 3), DPX10Config()).run()
+            DPX10Runtime(
+                SumApp(), BrokenDag(3, 3), DPX10Config(tile_shape=(1, 1))
+            ).run()
 
 
 class TestAppFinishedContract:

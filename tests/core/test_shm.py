@@ -100,7 +100,7 @@ def _solve(engine, *, shm_flag, tile_shape=None, fault_plans=(), size=48):
 
 
 class TestMpTransportEquivalence:
-    @pytest.mark.parametrize("tile_shape", [None, (8, 8)])
+    @pytest.mark.parametrize("tile_shape", [None, (8, 8), (1, 1)])
     def test_shm_matches_pipes(self, tile_shape):
         pipe_score, _ = _solve("mp", shm_flag=False, tile_shape=tile_shape)
         shm_score, _ = _solve("mp", shm_flag=True, tile_shape=tile_shape)

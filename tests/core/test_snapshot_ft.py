@@ -41,7 +41,9 @@ class TestSnapshotMode:
         assert rep.recovery_stats[0].mechanism == "snapshot"
 
     def test_snapshots_are_taken_periodically(self):
-        cfg = DPX10Config(nplaces=3, ft_mode="snapshot", snapshot_interval=40)
+        cfg = DPX10Config(
+            nplaces=3, ft_mode="snapshot", snapshot_interval=40, tile_shape=(1, 1)
+        )
         _, rep = solve_lcs(X, Y, cfg)
         # initial + one per 40 completions
         vertices = (len(X) + 1) * (len(Y) + 1)
@@ -56,7 +58,7 @@ class TestSnapshotMode:
     def test_rollback_loses_progress_since_snapshot(self):
         # a sparse snapshot interval forces a big rollback: more vertices
         # must be recomputed than under the paper's recovery
-        common = dict(nplaces=4)
+        common = dict(nplaces=4, tile_shape=(1, 1))
         cfg_snap = DPX10Config(
             ft_mode="snapshot", snapshot_interval=200, **common
         )
@@ -78,7 +80,10 @@ class TestSnapshotMode:
         results = {}
         for interval in (30, 150):
             cfg = DPX10Config(
-                nplaces=4, ft_mode="snapshot", snapshot_interval=interval
+                nplaces=4,
+                ft_mode="snapshot",
+                snapshot_interval=interval,
+                tile_shape=(1, 1),
             )
             _, rep = solve_lcs(X, Y, cfg, fault_plans=PLANS)
             results[interval] = rep

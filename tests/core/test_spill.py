@@ -71,18 +71,23 @@ class TestSpilledStore:
 
 
 class TestSpilledRuns:
+    # the per-place vertex stores are what spills a file per place: that
+    # is the per-vertex path (tiled runs memory-map one plane, see
+    # test_plane.py)
     def test_lcs_answer_unchanged(self, tmp_path):
-        cfg = DPX10Config(nplaces=3, spill_dir=str(tmp_path))
+        cfg = DPX10Config(nplaces=3, spill_dir=str(tmp_path), tile_shape=(1, 1))
         app, _ = solve_lcs(X, Y, cfg)
         assert app.length == EXPECT
 
     def test_threaded_with_spill(self, tmp_path):
-        cfg = DPX10Config(nplaces=3, engine="threaded", spill_dir=str(tmp_path))
+        cfg = DPX10Config(
+            nplaces=3, engine="threaded", spill_dir=str(tmp_path), tile_shape=(1, 1)
+        )
         app, _ = solve_lcs(X, Y, cfg)
         assert app.length == EXPECT
 
     def test_recovery_with_spill(self, tmp_path):
-        cfg = DPX10Config(nplaces=4, spill_dir=str(tmp_path))
+        cfg = DPX10Config(nplaces=4, spill_dir=str(tmp_path), tile_shape=(1, 1))
         app, rep = solve_lcs(
             X, Y, cfg, fault_plans=[FaultPlan(2, at_fraction=0.5)]
         )
@@ -91,7 +96,7 @@ class TestSpilledRuns:
 
     def test_object_valued_app_ignores_spill(self, tmp_path):
         # SWLAG vertices are (H, E, F) tuples -> object dtype -> RAM
-        cfg = DPX10Config(nplaces=2, spill_dir=str(tmp_path))
+        cfg = DPX10Config(nplaces=2, spill_dir=str(tmp_path), tile_shape=(1, 1))
         app, _ = solve_swlag("ACGTA", "ACTGA", cfg)
         assert app.best_score is not None
         assert glob.glob(os.path.join(tmp_path, "*.npy")) == []

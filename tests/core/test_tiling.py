@@ -181,7 +181,7 @@ SHAPE_POOL = [(2, 2), (3, 5), (4, 4), (5, 3), (7, 7), (13, 13), (16, 16)]
 class TestEquivalence:
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_tiled_matches_per_vertex_all_patterns(self, name):
-        ref, _ = run_matrix(name, None)
+        ref, _ = run_matrix(name, (1, 1))
         rng = seeded_rng(11, "tiling-prop", name)
         shapes = [(1, 1)] + [
             SHAPE_POOL[int(k)]
@@ -200,7 +200,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_tiled_survives_place_failure(self, name):
-        ref, _ = run_matrix(name, None)
+        ref, _ = run_matrix(name, (1, 1))
         # find a workable non-trivial shape for this pattern
         for shape in ((4, 4), (4, 13), (13, 13)):
             try:
@@ -221,7 +221,7 @@ class TestEquivalence:
         rng = seeded_rng(3, "tiling-sw")
         s1 = "".join(rng.choice(list("ACGT"), 60))
         s2 = "".join(rng.choice(list("ACGT"), 45))
-        app0, _ = solve_sw(s1, s2, DPX10Config())
+        app0, _ = solve_sw(s1, s2, DPX10Config(tile_shape=(1, 1)))
         for shape in ((7, 5), (16, 16), (64, 64)):
             app1, _ = solve_sw(
                 s1, s2, DPX10Config(engine="threaded", tile_shape=shape)
@@ -232,7 +232,7 @@ class TestEquivalence:
     def test_lps_kernel_matches_per_vertex(self):
         rng = seeded_rng(3, "tiling-lps")
         s = "".join(rng.choice(list("abc"), 57))
-        app0, _ = solve_lps(s, DPX10Config())
+        app0, _ = solve_lps(s, DPX10Config(tile_shape=(1, 1)))
         for shape in ((6, 9), (16, 16), (64, 64)):
             app1, _ = solve_lps(
                 s, DPX10Config(engine="threaded", tile_shape=shape)
@@ -258,7 +258,9 @@ class TestEquivalence:
         rng = seeded_rng(5, "tiling-mp")
         s1 = "".join(rng.choice(list("ACGT"), 24))
         s2 = "".join(rng.choice(list("ACGT"), 24))
-        a0, _ = solve_sw(s1, s2, DPX10Config(engine="mp", nplaces=2))
+        a0, _ = solve_sw(
+            s1, s2, DPX10Config(engine="mp", nplaces=2, tile_shape=(1, 1))
+        )
         a1, _ = solve_sw(
             s1, s2, DPX10Config(engine="mp", nplaces=2, tile_shape=(8, 8))
         )
@@ -270,18 +272,31 @@ class TestEquivalence:
 class TestLegacyRouting:
     def test_one_by_one_routes_through_per_vertex_path(self):
         cfg = DPX10Config(tile_shape=(1, 1), trace=True)
-        assert not cfg.tiling_enabled
         dag = DiagonalDag(6, 6)
         report = DPX10Runtime(MixApp(), dag, cfg).run()
+        assert report.tile_shape is None
         # legacy path: per-vertex trace events carry no tile id
         assert report.trace is not None
         assert all(ev.tile is None for ev in report.trace.events)
         assert all(ev.cells == 1 for ev in report.trace.events)
 
     def test_none_is_legacy_too(self):
-        assert not DPX10Config().tiling_enabled
-        assert not DPX10Config(tile_shape=None).tiling_enabled
-        assert DPX10Config(tile_shape=(4, 4)).tiling_enabled
+        # no longer: None is planned, and (1, 1) is the only spelling of
+        # the per-vertex path — still that path bit for bit
+        def run(tile_shape):
+            dag = DiagonalDag(6, 6)
+            cfg = DPX10Config(nplaces=2, tile_shape=tile_shape, trace=True)
+            report = DPX10Runtime(MixApp(), dag, cfg).run()
+            return dag.to_array(fill=-1, dtype=np.int64), report
+
+        planned, rep_planned = run(None)
+        legacy, rep_legacy = run((1, 1))
+        assert rep_planned.tile_shape == (6, 6)
+        assert len(rep_planned.trace.tile_events()) == 1
+        assert rep_legacy.tile_shape is None and rep_legacy.kernel is None
+        assert len(rep_legacy.trace) == 36 and not rep_legacy.trace.tile_events()
+        assert rep_legacy.cache_hits + rep_legacy.cache_misses > 0
+        np.testing.assert_array_equal(planned, legacy)
 
     def test_tiled_trace_events_carry_tile_ids(self):
         cfg = DPX10Config(tile_shape=(3, 3), trace=True)
@@ -317,7 +332,7 @@ class TestTiledRuntimeDetails:
         # sanitize forces the per-cell path inside tiles; a correct
         # pattern must still run clean
         dag = GridDag(10, 10)
-        arr_ref, _ = run_matrix("grid", None)
+        arr_ref, _ = run_matrix("grid", (1, 1))
         cfg = DPX10Config(tile_shape=(4, 4), sanitize=True)
         dag = make_dag("grid")
         DPX10Runtime(MixApp(), dag, cfg).run()
@@ -342,7 +357,7 @@ class TestTiledRuntimeDetails:
     def test_work_stealing_tiled(self):
         # tiles that run away from home (random placement): the write-back
         # and the halo reads are accounted against the execution place
-        ref, _ = run_matrix("diagonal", None)
+        ref, _ = run_matrix("diagonal", (1, 1))
         dag = make_dag("diagonal")
         cfg = DPX10Config(
             engine="threaded", tile_shape=(3, 3), scheduler="random", seed=5
@@ -354,7 +369,7 @@ class TestTiledRuntimeDetails:
         assert sum(report.per_place_executed.values()) == report.completions
 
     def test_mincomm_scheduler_tiled(self):
-        ref, _ = run_matrix("grid", None)
+        ref, _ = run_matrix("grid", (1, 1))
         dag = make_dag("grid")
         cfg = DPX10Config(tile_shape=(3, 3), scheduler="mincomm")
         DPX10Runtime(MixApp(), dag, cfg).run()

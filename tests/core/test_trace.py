@@ -146,7 +146,8 @@ class TestRuntimeIntegration:
 
     @pytest.mark.parametrize("engine", ["inline", "threaded"])
     def test_trace_covers_every_vertex(self, engine):
-        cfg = DPX10Config(nplaces=2, engine=engine, trace=True)
+        # one event per cell is the per-vertex path; tiles log one each
+        cfg = DPX10Config(nplaces=2, engine=engine, trace=True, tile_shape=(1, 1))
         _, rep = solve_lcs(X, Y, cfg)
         assert rep.trace is not None
         assert len(rep.trace) == rep.completions
@@ -154,7 +155,7 @@ class TestRuntimeIntegration:
         assert len(coords) == rep.active_vertices
 
     def test_trace_places_match_report(self):
-        cfg = DPX10Config(nplaces=3, trace=True)
+        cfg = DPX10Config(nplaces=3, trace=True, tile_shape=(1, 1))
         _, rep = solve_lcs(X, Y, cfg)
         assert rep.trace.executed_per_place() == rep.per_place_executed
 

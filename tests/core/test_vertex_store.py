@@ -183,9 +183,9 @@ class TestBlockAPIs:
         from repro.core.config import DPX10Config
 
         a, b = "ACGTACGTACGT", "ACGTTACGTAC"
-        base_cfg = DPX10Config(nplaces=3, engine="inline")
+        base_cfg = DPX10Config(nplaces=3, engine="inline", tile_shape=(1, 1))
         base, _ = solve_sw(a, b, base_cfg)
-        cfg = DPX10Config(nplaces=3, engine="inline")
+        cfg = DPX10Config(nplaces=3, engine="inline", tile_shape=(1, 1))
         app, report = solve_sw(
             a, b, cfg, fault_plans=[FaultPlan(1, after_completions=40)]
         )

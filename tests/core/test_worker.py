@@ -186,7 +186,7 @@ class TestSharedDrivers:
             return real(state)
 
         monkeypatch.setattr(runtime_module, driver, spy)
-        per_vertex, _ = run_mix(engine=engine)
+        per_vertex, _ = run_mix(engine=engine, tile_shape=(1, 1))
         tiled, _ = run_mix(engine=engine, tile_shape=TILE)
         assert entered == [False, True]
         np.testing.assert_array_equal(tiled, per_vertex)
@@ -215,7 +215,7 @@ class TestSharedDrivers:
     def test_threaded_tiled_kill_mid_wavefront_recovers(self):
         # the observing worker latches the abort, every worker parks, the
         # runtime recovers and re-enters run_threaded on the survivors
-        reference, _ = run_mix()
+        reference, _ = run_mix(tile_shape=(1, 1))
         matrix, report = run_mix(
             [FaultPlan(1, at_fraction=0.5)], engine="threaded", tile_shape=TILE
         )

@@ -1,4 +1,9 @@
-"""Integration: recovery correctness under faults at arbitrary points."""
+"""Integration: recovery correctness under faults at arbitrary points.
+
+Every config pins ``tile_shape=(1, 1)``: the paper's per-vertex recovery
+(and ``restore_manner``) is the subject, and on inputs this small a
+planned run is one tile, which no mid-run kill can interrupt.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,7 @@ class TestSingleFault:
     @pytest.mark.parametrize("engine", ["inline", "threaded"])
     @pytest.mark.parametrize("victim", [1, 2, 3])
     def test_lcs_answer_preserved(self, engine, victim):
-        cfg = DPX10Config(nplaces=4, engine=engine)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=4, engine=engine)
         app, rep = solve_lcs(
             X, Y, cfg, fault_plans=[FaultPlan(victim, at_fraction=0.5)]
         )
@@ -30,7 +35,7 @@ class TestSingleFault:
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.9, 1.0])
     def test_fault_at_any_fraction(self, fraction):
-        cfg = DPX10Config(nplaces=3)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=3)
         app, rep = solve_lcs(
             X, Y, cfg, fault_plans=[FaultPlan(2, at_fraction=fraction)]
         )
@@ -40,14 +45,14 @@ class TestSingleFault:
 
     @pytest.mark.parametrize("restore", ["discard", "copy"])
     def test_restore_manners_agree(self, restore):
-        cfg = DPX10Config(nplaces=4, restore_manner=restore)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=4, restore_manner=restore)
         app, _ = solve_lcs(X, Y, cfg, fault_plans=[FaultPlan(2, at_fraction=0.4)])
         assert app.length == EXPECT
 
 
 class TestMultipleFaults:
     def test_cascade_down_to_one_place(self):
-        cfg = DPX10Config(nplaces=4)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=4)
         plans = [
             FaultPlan(1, at_fraction=0.2),
             FaultPlan(2, at_fraction=0.5),
@@ -59,7 +64,7 @@ class TestMultipleFaults:
         assert rep.recoveries == 3
 
     def test_simultaneous_faults(self):
-        cfg = DPX10Config(nplaces=5)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=5)
         plans = [
             FaultPlan(2, after_completions=40),
             FaultPlan(3, after_completions=40),
@@ -74,7 +79,7 @@ class TestOtherAppsUnderFaults:
         s = "BBABCBCABBACB"
         app, _ = solve_lps(
             s,
-            DPX10Config(nplaces=3),
+            DPX10Config(tile_shape=(1, 1), nplaces=3),
             fault_plans=[FaultPlan(1, at_fraction=0.5)],
         )
         assert app.length == lps_matrix(s)[0, len(s) - 1]
@@ -85,7 +90,7 @@ class TestOtherAppsUnderFaults:
             w,
             v,
             20,
-            DPX10Config(nplaces=3),
+            DPX10Config(tile_shape=(1, 1), nplaces=3),
             fault_plans=[FaultPlan(2, at_fraction=0.5)],
         )
         assert app.best_value == knapsack_matrix(w, v, 20)[-1, -1]
@@ -94,7 +99,7 @@ class TestOtherAppsUnderFaults:
 class TestPlaceZeroLimitation:
     @pytest.mark.parametrize("engine", ["inline", "threaded"])
     def test_faithful_to_resilient_x10(self, engine):
-        cfg = DPX10Config(nplaces=3, engine=engine)
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=3, engine=engine)
         with pytest.raises(PlaceZeroDeadError):
             solve_lcs(X, Y, cfg, fault_plans=[FaultPlan(0, at_fraction=0.3)])
 
@@ -108,7 +113,7 @@ class TestPlaceZeroLimitation:
 def test_property_fault_at_any_completion_count(completions, victim, dist):
     """Killing any non-zero place after any number of completions still
     yields the oracle answer."""
-    cfg = DPX10Config(nplaces=3, distribution=dist)
+    cfg = DPX10Config(tile_shape=(1, 1), nplaces=3, distribution=dist)
     app, _ = solve_lcs(
         X, Y, cfg, fault_plans=[FaultPlan(victim, after_completions=completions)]
     )

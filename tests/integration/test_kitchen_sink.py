@@ -22,6 +22,7 @@ EXPECT = int(lcs_matrix(X, Y)[-1, -1])
 def test_all_features_compose(tmp_path, engine, ft_mode):
     progress = []
     cfg = DPX10Config(
+        tile_shape=(1, 1),  # every knob below acts on the per-vertex path
         nplaces=4,
         engine=engine,
         scheduler="mincomm",
@@ -50,6 +51,7 @@ def test_all_features_compose(tmp_path, engine, ft_mode):
 
 def test_random_scheduler_with_stealing_and_fault():
     cfg = DPX10Config(
+        tile_shape=(1, 1),
         nplaces=5,
         scheduler="random",
         seed=17,

@@ -15,7 +15,8 @@ configs = st.builds(
     ),
     scheduler=st.sampled_from(["local", "random", "mincomm"]),
     cache_size=st.sampled_from([0, 1, 16]),
-    tile_shape=st.sampled_from([None, (3, 4)]),
+    # planned, the per-vertex reference, an explicit shape
+    tile_shape=st.sampled_from([None, (1, 1), (3, 4)]),
     seed=st.integers(0, 100),
 )
 

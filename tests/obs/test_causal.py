@@ -85,7 +85,7 @@ class TestCriticalPath:
         assert path[-1].end == max(e.end for e in trace.events)
 
     def test_per_vertex_path_uses_cell_offsets(self):
-        trace = _traced_sw(24, "threaded", None, nplaces=2)
+        trace = _traced_sw(24, "threaded", (1, 1), nplaces=2)
         assert "offsets" in trace.meta
         _assert_dependency_chain(trace)
 

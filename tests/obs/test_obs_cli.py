@@ -90,7 +90,13 @@ class TestRunMetrics:
 
 class TestSummaryFaithfulness:
     def test_summary_matches_report(self, tmp_path):
-        cfg = DPX10Config(nplaces=3, engine="threaded", trace=True, metrics=True)
+        cfg = DPX10Config(
+            nplaces=3,
+            engine="threaded",
+            trace=True,
+            metrics=True,
+            tile_shape=(1, 1),  # the cache line needs the per-vertex path
+        )
         _, rep = solve_lcs(X, Y, cfg)
         path = str(tmp_path / "trace.json")
         from repro.obs.export import write_chrome_trace

@@ -1,6 +1,7 @@
 """JobServer behaviour: lifecycle, backpressure, caching, HTTP transport."""
 
 import json
+import os
 import urllib.error
 import urllib.request
 
@@ -289,3 +290,72 @@ class TestSigterm:
                         os.unlink(os.path.join("/dev/shm", seg))
                     except FileNotFoundError:
                         pass
+
+
+class TestBareBody:
+    """``{app, params}`` is a complete request on any server: the place
+    count defaults to what the pool can lease and the runtime plans the
+    tiles and the kernel, as under a bare ``DPX10Config()``."""
+
+    BODY = {"app": "sw", "params": {"size": 150, "seed": 4}}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
+    def test_minimal_body_runs_planned_on_a_two_place_server(
+        self, server, tmp_path, monkeypatch
+    ):
+        from repro.core import plane as plane_mod
+        from repro.serve.api import APPS, parse_job_request
+
+        # mp places are forked at lease time (prewarm=False), after the
+        # patch: each run_tiles call appends its kernel's type to the log
+        log = tmp_path / "kernels.log"
+        real = plane_mod.run_tiles
+
+        def logging(plane, tiled, app, kernel, *rest):
+            with open(log, "a") as fh:
+                fh.write(f"{type(kernel).__name__} {tiled.grid.tile_h}\n")
+            return real(plane, tiled, app, kernel, *rest)
+
+        monkeypatch.setattr(plane_mod, "run_tiles", logging)
+        status, payload = server.submit(self.BODY)
+        assert status == 202
+        final = server.wait(payload["id"])
+        assert final["status"] == "done", final
+        result = final["result"]
+        params = parse_job_request(self.BODY).params
+        assert result["score"] == APPS["sw"].oracle(params)
+        assert result["tile_shape"] == [128, 128]
+        assert result["kernel"] == "ANTIDIAG_WAVEFRONT"
+        assert server.jobs[payload["id"]].request.nplaces == 2
+        assert set(log.read_text().split("\n")) - {""} == {"AutoKernel 128"}
+
+    def test_omitted_nplaces_is_capped_by_the_pool(self, server):
+        from repro.serve.api import parse_job_request
+
+        assert parse_job_request(self.BODY).nplaces == 4
+        assert parse_job_request(self.BODY, default_nplaces=2).nplaces == 2
+        # an explicit value the pool cannot lease is still the client's error
+        status, payload = server.submit({**self.BODY, "nplaces": 3})
+        assert status == 400 and "capacity 2" in payload["error"]
+
+    def test_autokernel_alone_is_accepted(self, server):
+        status, payload = server.submit({**self.BODY, "autokernel": True})
+        assert status == 202
+        assert server.wait(payload["id"])["result"]["kernel"] == "ANTIDIAG_WAVEFRONT"
+
+    def test_autokernel_on_the_per_vertex_spelling_is_400(self, server):
+        status, payload = server.submit(
+            {**self.BODY, "tile_shape": [1, 1], "autokernel": True}
+        )
+        assert status == 400 and "per-vertex" in payload["error"]
+
+    def test_the_explicit_body_keeps_its_cache_key(self):
+        from repro.serve.api import parse_job_request
+        from repro.serve.cache import cache_key
+
+        explicit = {**self.BODY, "nplaces": 2, "tile_shape": [64, 64], "autokernel": True}
+        req = parse_job_request(explicit)
+        assert req.cache_key == cache_key("sw", req.params, "diagonal", (64, 64))
+        assert parse_job_request(self.BODY).cache_key == cache_key(
+            "sw", req.params, "diagonal", None
+        )

@@ -78,6 +78,7 @@ class TestConfigCombos:
             trace=True,
             on_progress=lambda d, t: seen.append(d),
             progress_interval=20,
+            tile_shape=(1, 1),
         )
         app, rep = solve_lcs("ABCBDAB", "BDCABA", cfg)
         assert app.length == 4
