@@ -42,9 +42,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: solve_s 1.49-2.18 -> 0.028-0.044 s, setup_s 1.6-2.4 -> 0.29-0.42 s,
 #: peak_rss_mb 55.3 -> 51.9; the three explicit-config workloads did not
 #: move.
+#:
+#: Analysis raised again, 6094 -> 6181, by exactly the net growth of the
+#: row-scan kernel change after paying with what it deleted: the per-row
+#: ``_emit_row_scan`` emitter, ``_ScalarRowEmitter``, the scan-case
+#: override in ``emit_cases`` and the ``ROW_SCAN_PREFIX`` branch of
+#: ``_emit_kernel`` (codegen.py -109) and ``flatsweep._children_of``. What
+#: remains is ``RowScanKernel`` on the flat sweep's shared parts
+#: (flatsweep.py +183: the kernel, its builder, the row-geometry rendering
+#: of ``_SliceEmitter``, and the base both slice kernels now share) and
+#: the cached-field ``ir.children`` walk (ir.py +13). It buys, on the
+#: ledger (alternated pairs, CHANGES.md PR 25): ``serve_http_small``
+#: overhead_x ~7.9 -> ~4.4 (medians), ``analysis.mcells_per_s.mtp``
+#: 8.6 -> 31. Core holds at 6086: the size-bounded halo cache is paid
+#: for by the halo geometry it rewrote.
 CEILINGS = {
     "src/repro/core": 6086,
-    "src/repro/analysis": 6094,
+    "src/repro/analysis": 6181,
 }
 
 MAX_CONFIG_FIELDS = 27

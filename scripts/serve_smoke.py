@@ -6,7 +6,8 @@ prewarmed place pool), then exercises the serving contract end to end
 over HTTP, the way ``python -m repro serve`` clients would:
 
 * three concurrent jobs from two tenants (differential-checked against
-  the app catalog's serial oracles);
+  the app catalog's serial oracles, each run by its class's generated
+  kernel — a demoted app still matches the oracle, only slower);
 * a repeat submission that must come back ``cached: true``;
 * a ``GET /metrics`` scrape validated line-by-line against the
   Prometheus text-format schema, including the per-tenant families the
@@ -37,6 +38,13 @@ JOBS = (
     ("alice", "lcs", {"size": 160, "seed": 12}),
     ("bob", "mtp", {"size": 128, "seed": 13}),
 )
+
+#: the generated kernel each job's app must run (its ``kernel`` field)
+KERNELS = {
+    "sw": "ANTIDIAG_WAVEFRONT",
+    "lcs": "ANTIDIAG_WAVEFRONT",
+    "mtp": "ROW_SCAN_PREFIX",
+}
 
 #: metric families the scrape must expose (docs/OBSERVABILITY.md)
 REQUIRED_FAMILIES = (
@@ -150,14 +158,20 @@ def main(argv=None) -> int:
             job = rest[0]
             spec = APPS[app]
             want = spec.oracle(spec.normalize(dict(params)))
-            got = (job.get("result") or {}).get("score")
+            result = job.get("result") or {}
+            got = result.get("score")
             if job.get("status") != "done" or got != want:
                 failures.append(
                     f"job {i} ({tenant}/{app}): status={job.get('status')} "
                     f"score={got} oracle={want} error={job.get('error')}"
                 )
+            elif result.get("kernel") != KERNELS[app]:
+                failures.append(
+                    f"job {i} ({tenant}/{app}) ran kernel {result.get('kernel')!r}, "
+                    f"not {KERNELS[app]!r}"
+                )
             else:
-                print(f"  {tenant:>6} {app:>4} score {got} == oracle")
+                print(f"  {tenant:>6} {app:>4} score {got} == oracle ({result['kernel']})")
 
         # a repeat submission must hit the result cache
         tenant, app, params = JOBS[0]

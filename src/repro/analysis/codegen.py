@@ -7,18 +7,21 @@ compute_tile`): the window covers the tile plus its stencil halo, the
 halo is pre-filled, unwritten cells read as dtype zero, and cell
 ``(i, j)`` lives at ``window[oi + i - r0, oj + j - c0]``.
 
-Emission strategy per class:
+Emission strategy per class, one emitter each (an app its emitter
+refuses is demoted to OPAQUE with ``DP403`` and runs interpreted):
 
 * ``ELEMENTWISE`` — one vectorized sweep per tile row (every dependency
-  is in an earlier row).
+  is in an earlier row), emitted here.
 * ``ANTIDIAG_WAVEFRONT`` — the flat anti-diagonal sweep of
-  :mod:`.flatsweep` (the only emitter for the class: an app it refuses
-  is demoted to OPAQUE with ``DP403`` and runs interpreted).
-* ``ROW_SCAN_PREFIX`` — per row, the intra-row recurrence
-  ``v[j] = max(base[j], v[j - s] + add)`` is solved in closed form with
-  a strided ``np.maximum.accumulate`` over residue classes mod ``s``
-  (within a residue class, ``v_k = max_{l<=k}(base_l + (k-l)*add)``,
-  which is ``accumulate(base - k*add) + k*add``).
+  :mod:`.flatsweep` (:class:`~.flatsweep.FlatSweepKernel`).
+* ``ROW_SCAN_PREFIX`` — :class:`~.flatsweep.RowScanKernel`, on the same
+  prelude and batch axis: per row, the intra-row recurrence
+  ``v[j] = max(base[j], v[j - s] + add[j])`` is solved in closed form
+  with one ``np.maximum.accumulate`` over residue classes mod ``s``
+  (within a class, ``v = accumulate(base - S) + S`` with ``S`` the
+  inclusive prefix sum of ``add``, which the prelude computes per tile).
+* ``TENSOR_HYPERPLANE`` / ``TREE_LEVEL_GATHER`` — the domain kernels of
+  :mod:`.domainkern`.
 
 Lane-safety rules baked into every emission:
 
@@ -461,16 +464,12 @@ class _Emitter:
         return t
 
     # -- case chain -------------------------------------------------------------------
-    def emit_cases(
-        self, cases, override: Optional[Dict[int, str]] = None
-    ) -> None:
+    def emit_cases(self, cases) -> None:
         """Emit ``_res`` = first-match decision list as a where-chain."""
-        override = override or {}
         rendered = []
-        for idx, (guard, value) in enumerate(cases):
+        for guard, value in cases:
             g = None if guard is None else self.expr(guard)
-            v = override.get(idx) or self.expr(value)
-            rendered.append((g, v))
+            rendered.append((g, self.expr(value)))
         # the last case acts as the default: by termination, some case
         # always fires, so its guard is redundant once the others failed
         _, default = rendered[-1]
@@ -480,36 +479,17 @@ class _Emitter:
 
 
 def _emit_kernel(cls: Classification, app, dag) -> Tuple[str, Dict[str, object]]:
+    """The ELEMENTWISE kernel: one vectorized sweep per tile row."""
     act = _make_act(dag)
     em = _Emitter(app, dag, has_act=act is not None)
     if act is not None:
         em.closures["_act"] = act
     em.indent = 1
     em.line("_wh, _ww = window.shape")
-
-    if cls.klass == "ELEMENTWISE":
-        em.line("for _r in range(h):")
-        em.indent = 2
-        em.line("li = np.full(w, _r)")
-        em.line("lj = np.arange(w)")
-        _emit_level_body(em, cls, act)
-    elif cls.klass == "ROW_SCAN_PREFIX":
-        if act is not None:
-            raise KernelBuildError(
-                "prefix-scan emission requires a fully active row"
-            )
-        _emit_row_scan(em, cls)
-    else:  # pragma: no cover - caller filters OPAQUE and the flat sweep
-        raise KernelBuildError(f"no emitter for class {cls.klass}")
-
-    em.indent = 1
-    em.line("return True")
-    body = "\n".join(em.lines)
-    source = f"def compute_tile(r0, c0, window, oi, oj, h, w):\n{body}\n"
-    return source, em.closures
-
-
-def _emit_level_body(em: _Emitter, cls: Classification, act) -> None:
+    em.line("for _r in range(h):")
+    em.indent = 2
+    em.line("li = np.full(w, _r)")
+    em.line("lj = np.arange(w)")
     em.line("gi = r0 + li")
     em.line("gj = c0 + lj")
     if act is not None:
@@ -520,103 +500,13 @@ def _emit_level_body(em: _Emitter, cls: Classification, act) -> None:
         em.line("    continue")
     em.line("wi = oi + li")
     em.line("wj = oj + lj")
-    em.reset_cache()
     em.emit_cases(cls.ir.cases)  # type: ignore[union-attr]
     em.line("window[wi, wj] = _res")
-
-
-def _emit_row_scan(em: _Emitter, cls: Classification) -> None:
-    form = cls.row_scan
-    assert form is not None and cls.ir is not None
-    em.ident_closure()
-    em.line("lj = np.arange(w)")
-    em.line("gj = c0 + lj")
-    em.line("for _r in range(h):")
-    em.indent = 2
-    em.line("li = np.full(w, _r)")
-    em.line("gi = r0 + li")
-    em.line("wi = oi + _r")
-    em.line("wj = oj + lj")
-    em.reset_cache()
-    # the stride is row-constant: render it against scalar coordinates
-    scalar = _ScalarRowEmitter(em)
-    em.line(f"_stride = int({scalar.expr(form.stride)})")
-    em.line(f"_base = np.zeros(w, dtype=window.dtype) + ({em.expr(form.base)})")
-    for idx in reversed(form.pins):
-        # pinned cases chain through the scan: their (dependency-free)
-        # values join the base wherever their guards fire
-        guard, value = cls.ir.cases[idx]
-        assert guard is not None
-        em.line(
-            f"_base = np.where({em.expr(guard)}, {em.expr(value)}, _base)"
-        )
-    em.line("_nc = -(-w // _stride)")
-    em.line("_B = np.concatenate([_base, np.full(_nc * _stride - w, _minv, dtype=_base.dtype)]).reshape(_nc, _stride)")
-    em.line("_sr = np.arange(_stride)")
-    em.line("_seed = np.where(c0 + _sr - _stride >= 0, window[wi, np.clip(oj + _sr - _stride, 0, _ww - 1)], _minv)")
-    if form.lane_add:
-        # lane-varying add: v_k = max(b_k, v_{k-1} + a_k) solves to
-        # accumulate(b - S) + S with S the inclusive prefix sum of a
-        em.line(f"_addv = np.zeros(w, dtype=window.dtype) + ({em.expr(form.add)})")
-        em.line("_A = np.concatenate([_addv, np.zeros(_nc * _stride - w, dtype=_addv.dtype)]).reshape(_nc, _stride)")
-        em.line("_B[0] = np.maximum(_B[0], _seed + _A[0])")
-        em.line("_S = np.cumsum(_A, axis=0)")
-        em.line("_T = np.maximum.accumulate(_B - _S, axis=0) + _S")
-    else:
-        em.line(f"_add = {scalar.expr(form.add)}")
-        em.line("_B[0] = np.maximum(_B[0], _seed + _add)")
-        em.line("_k = np.arange(_nc)[:, None]")
-        em.line("_T = np.maximum.accumulate(_B - _k * _add, axis=0) + _k * _add")
-    em.line("_scan = _T.reshape(-1)[:w]")
-    em.emit_cases(cls.ir.cases, override={_scan_case_index(cls): "_scan"})
-    em.line("window[wi, wj] = _res")
-
-
-def _scan_case_index(cls: Classification) -> int:
-    form = cls.row_scan
-    assert form is not None and cls.ir is not None
-    from .ir import walk_expr
-
-    for idx, (guard, value) in enumerate(cls.ir.cases):
-        if any(n == form.read for n in walk_expr(value)):
-            return idx
-    raise KernelBuildError("row-scan case vanished")  # pragma: no cover
-
-
-class _ScalarRowEmitter:
-    """Renders row-constant exprs with scalar ``gi`` (``r0 + _r``)."""
-
-    def __init__(self, em: _Emitter) -> None:
-        self.em = em
-
-    def expr(self, e: Expr) -> str:
-        if isinstance(e, Index):
-            if e.axis == "i":
-                return "(r0 + _r)"
-            raise KernelBuildError("j inside a row-constant expression")
-        if isinstance(e, SelfElem):
-            name, shape = self.em.array_closure(e.attr)
-            return f"{name}[np.clip({self.expr(e.index)}, 0, {shape[0] - 1})]"
-        if isinstance(e, SelfElem2):
-            name, shape = self.em.array_closure(e.attr)
-            return (
-                f"{name}[np.clip({self.expr(e.row)}, 0, {shape[0] - 1}),"
-                f" np.clip({self.expr(e.col)}, 0, {shape[1] - 1})]"
-            )
-        if isinstance(e, SelfScalar):
-            return self.em.scalar_closure(e.attr)
-        if isinstance(e, Const):
-            return repr(e.value)
-        if isinstance(e, Bin):
-            return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
-        if isinstance(e, Neg):
-            return f"(-{self.expr(e.operand)})"
-        if isinstance(e, Call) and e.fn in ("max", "min", "abs", "int", "float"):
-            args = ", ".join(self.expr(a) for a in e.args)
-            return f"{e.fn}({args})"
-        raise KernelBuildError(
-            f"{type(e).__name__} inside a row-constant expression"
-        )
+    em.indent = 1
+    em.line("return True")
+    body = "\n".join(em.lines)
+    source = f"def compute_tile(r0, c0, window, oi, oj, h, w):\n{body}\n"
+    return source, em.closures
 
 
 def _kernel_for(cls: Classification, app, dag) -> AutoKernel:
@@ -639,10 +529,11 @@ def _kernel_for(cls: Classification, app, dag) -> AutoKernel:
             mode=k.mode,
         )
     pads = _pads_for(cls.entries, app)
-    if cls.klass == "ANTIDIAG_WAVEFRONT":
-        from .flatsweep import build_flat_sweep
+    if cls.klass in ("ANTIDIAG_WAVEFRONT", "ROW_SCAN_PREFIX"):
+        from .flatsweep import build_flat_sweep, build_row_scan
 
-        k = build_flat_sweep(cls, app, dag, pads)
+        build = build_flat_sweep if cls.klass == "ANTIDIAG_WAVEFRONT" else build_row_scan
+        k = build(cls, app, dag, pads)
         return AutoKernel(
             fn=k,
             pads=pads,

@@ -42,20 +42,32 @@ and is the class's only emitter:
    calls per diagonal are paid once per stack, not once per tile. The
    tile executor (:func:`repro.core.plane.run_tiles`) does the
    grouping; ``kernel(r0, c0, window, ...)`` is the stack of one.
+6. **The row scan** — :class:`RowScanKernel` runs ``ROW_SCAN_PREFIX``
+   on the same leaf table, prelude, profile classification and slice
+   emitter, in row geometry: no skew, the buffer is the batch-first
+   window stack and a dependency ``(di, dj)`` reads
+   ``B2[:, _vd + di, _a + dj:_b + dj]``. Its prelude also evaluates the
+   scan's add and that add's inclusive prefix sum within each residue
+   class mod the stride, so a row costs only its earlier-row slice
+   reads, the seed, one ``np.maximum.accumulate`` and a slice store, on
+   ``(nb, w)`` blocks. A row-varying stride joins the profile as the
+   tile's per-row stride tuple.
 
-Out-of-window clipped reads produce garbage lanes exactly like the
-row emitters' ``np.clip`` gathers; the IR's own boundary cases and
-presence masks discard them, which the differential tests
+Out-of-window reads produce garbage lanes (clipped gathers, the zero
+frame of a row-scan buffer); the IR's own boundary cases and presence
+masks discard them, which the differential tests
 (``tests/analysis/test_codegen.py``) verify bit-for-bit per app.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .codegen import KernelBuildError, _Emitter, _make_act
 from .infer import _expr_kind
 from .ir import (
     Bin,
@@ -66,18 +78,15 @@ from .ir import (
     Const,
     DepRead,
     Expr,
-    Index,
     Neg,
     NotE,
     Present,
     Reduce,
-    SelfElem,
-    SelfElem2,
-    SelfScalar,
+    children,
     walk_expr,
 )
 
-__all__ = ["FlatSweepKernel", "build_flat_sweep"]
+__all__ = ["FlatSweepKernel", "RowScanKernel", "build_flat_sweep", "build_row_scan"]
 
 
 def _has_dep(e: Expr) -> bool:
@@ -186,6 +195,48 @@ class _LeafTable:
             self.exprs.append(e)
         return got
 
+    def intern_cases(self, cases) -> None:
+        """Every leaf of ``cases``, in walk order: guards first, values after."""
+        for guard, value in cases:
+            if guard is not None:
+                self._walk(guard)
+            self._walk(value)
+
+    def _walk(self, e: Expr) -> None:
+        if isinstance(e, Const):
+            return
+        if not _has_dep(e):
+            self.intern(e)
+        elif isinstance(e, DepRead):
+            if e.default is not None:
+                self.intern(Present(e.row, e.col))
+                self._walk(e.default)
+        else:
+            for child in children(e):
+                self._walk(child)
+
+
+def _const_offsets(cases, entries) -> Dict[DepRead, Tuple[int, int]]:
+    """Every dependency read of ``cases`` -> its constant ``(di, dj)``.
+
+    Raises :class:`KernelBuildError` on a data-dependent offset, and on a
+    read inside a case guard: a dependency-valued guard could hijack the
+    where-chain on lanes whose reads are boundary garbage.
+    """
+    by_read = {e.read: e for e in entries if e.read is not None}
+    offsets: Dict[DepRead, Tuple[int, int]] = {}
+    for guard, value in cases:
+        if guard is not None and _has_dep(guard):
+            raise KernelBuildError("dependency read inside a case guard")
+        for node in walk_expr(value):
+            if isinstance(node, DepRead):
+                entry = by_read.get(node)
+                off = entry.const_offset if entry is not None else None
+                if off is None:
+                    raise KernelBuildError("data-dependent dependency offset")
+                offsets[node] = off
+    return offsets
+
 
 def _emit_prelude(em, leaves: _LeafTable) -> str:
     """``def _leaves(r0, c0, h, w)`` evaluating every leaf tile-wide.
@@ -208,6 +259,54 @@ def _emit_prelude(em, leaves: _LeafTable) -> str:
     return f"def _leaves(r0, c0, h, w):\n{body}\n"
 
 
+def _classify_leaves(values) -> Tuple[List[object], List[object]]:
+    """One tile's evaluated leaves -> ``(profile, arrays)``.
+
+    Per leaf, the profile holds ``"T"``/``"F"`` for a boolean uniform over
+    the tile, ``"M"`` for an array, ``("S", value)`` for a scalar; only
+    ``"M"`` leaves keep their (unbroadcast) array, the rest ``None``.
+    """
+    profile: List[object] = []
+    arrays: List[object] = []
+    for v in values:
+        arr = None
+        if np.ndim(v) == 0:
+            if isinstance(v, np.ndarray):
+                v = v[()]  # a hashable scalar of the same dtype
+            if isinstance(v, (bool, np.bool_)):
+                state = "T" if v else "F"
+            else:
+                state = ("S", v)
+        else:
+            arr = np.asarray(v)
+            state = "M"
+            if arr.dtype == np.bool_:
+                if arr.all():
+                    state, arr = "T", None
+                elif not arr.any():
+                    state, arr = "F", None
+        profile.append(state)
+        arrays.append(arr)
+    return profile, arrays
+
+
+def _payload(profile, leaves, h: int, w: int) -> List[object]:
+    """Per leaf, what a sweep binds as ``_L{k}``: an ``"M"`` leaf of every
+    tile stacked ``(nb, h, w)``, an ``"S"`` leaf's scalar, else None."""
+    out: List[object] = []
+    for k, state in enumerate(profile):
+        if state != "M":
+            out.append(None if isinstance(state, str) else state[1])
+        elif len(leaves) == 1:  # a lone tile binds a broadcast view: no copy
+            out.append(np.broadcast_to(leaves[0][k], (h, w))[None])
+        else:
+            stack = np.empty((len(leaves), h, w), dtype=leaves[0][k].dtype)
+            for dst, tile_leaves in zip(stack, leaves):
+                dst[...] = tile_leaves[k]  # broadcasts (h, 1) / (1, w) leaves
+            out.append(stack)
+    return out
+
+
 # -- the profile-specialized sweep emitter ----------------------------------------------
 
 
@@ -215,12 +314,14 @@ class _SliceEmitter:
     """Renders the case IR in slice context for one boundary profile.
 
     Dependency reads become contiguous ``B2[...]`` slices; leaves render
-    as their skewed-slice, their scalar, or — when the profile says a
-    boolean leaf is uniform over the tile — fold to a constant, erasing
-    the mask entirely.
+    as their slice, their scalar, or — when the profile says a boolean
+    leaf is uniform over the tile — fold to a constant, erasing the mask
+    entirely. ``a`` is the skew rank of the flat sweep's buffer, or None
+    for row geometry: the batch-first window stack, one tile row per
+    iteration.
     """
 
-    def __init__(self, em, leaves: _LeafTable, offsets, profile, a: int) -> None:
+    def __init__(self, em, leaves: _LeafTable, offsets, profile, a: Optional[int]) -> None:
         self.em = em  # the codegen._Emitter (closures / kinds / app)
         self.leaves = leaves
         self.offsets = offsets  # DepRead -> (di, dj)
@@ -254,7 +355,7 @@ class _SliceEmitter:
             return False
         if state == "S":
             return f"_L{k}"
-        return self.cached(f"_L{k}[_vd, _a:_b]")
+        return self.cached(f"_L{k}[:, _r]" if self.a is None else f"_L{k}[_vd, _a:_b]")
 
     def _col(self, di: int) -> str:
         if di == 0:
@@ -263,6 +364,8 @@ class _SliceEmitter:
 
     def dep_slice(self, e: DepRead) -> str:
         di, dj = self.offsets[e]
+        if self.a is None:
+            return self.cached(f"B2[:, _vd{di:+d}, {self._col(dj)}]")
         dr = self.a * di + dj
         return self.cached(f"B2[_vd - {-dr}, {self._col(di)}]")
 
@@ -305,8 +408,6 @@ class _SliceEmitter:
         em = self.em
         if isinstance(e, Const):
             if isinstance(e.value, str):
-                from .codegen import KernelBuildError
-
                 raise KernelBuildError("string constant in a dependency expression")
             return repr(e.value)
         if not _has_dep(e):
@@ -371,112 +472,126 @@ class _SliceEmitter:
                     term = f"np.where({gv}, {term}, {ident})"
                 out = term if out is None else f"{fold}({out}, {term})"
             return out if out is not None else ident
-        from .codegen import KernelBuildError
-
         raise KernelBuildError(
             f"{type(e).__name__} is not flat-sweep emittable"
         )
 
-    def emit(self, cases) -> str:
-        """The sweep body for this profile: one where-chain per diagonal."""
+    def emit(self, cases, scan: Optional[int] = None) -> str:
+        """The sweep body for this profile: one where-chain per diagonal
+        (or row), case ``scan``'s value being the row scan's ``_scan``."""
         rendered: List[Tuple[object, str]] = []
-        for guard, value in cases:
+        for idx, (guard, value) in enumerate(cases):
             g = True if guard is None else self.boolv(guard)
             if g is False:
                 continue
-            rendered.append((g, self.val(value)))
+            rendered.append((g, "_scan" if idx == scan else self.val(value)))
             if g is True:
                 break
         if not rendered:  # pragma: no cover - a decision list always fires
-            from .codegen import KernelBuildError
-
             raise KernelBuildError("every case folded away")
         _, default = rendered[-1]
         self.line(f"_res = {default}")
         for g, v in reversed(rendered[:-1]):
             self.line(f"_res = np.where({g}, {v}, _res)")
-        self.line("B2[_vd, _a:_b] = _res")
+        self.line(f"B2[{':, ' if self.a is None else ''}_vd, _a:_b] = _res")
         return "\n".join(self.lines)
 
 
-# -- the kernel object ------------------------------------------------------------------
+# -- the kernel objects -----------------------------------------------------------------
 
 
-class FlatSweepKernel:
-    """A compiled flat-sweep tile kernel (the ``fn`` of an AutoKernel)."""
+@functools.lru_cache(maxsize=256)
+def _code(src: str, name: str):
+    """Compiled generated source, memoized: a pooled place re-emits the
+    same kernels job after job, and ``compile`` is most of a rebuild."""
+    return compile(src, name, "exec")
 
-    def __init__(self, app, cases, leaves: _LeafTable, offsets, a: int,
-                 pads: Tuple[int, int, int, int], em, prelude_src: str) -> None:
-        self.app = app
-        self.cases = cases
-        self.leaves = leaves
-        self.offsets = offsets
-        self.a = a
-        self.pads = pads
-        self._em = em
-        self.prelude_source = prelude_src
+
+class _SliceKernel:
+    """What both slice kernels share: the prelude, one sweep compiled per
+    profile on first sight, and the one-tile call."""
+
+    kind = ""  # names the generated code objects
+    header = ""  # the --dump-kernel banner
+
+    def __init__(self, app, cases, leaves: _LeafTable, offsets, pads, em,
+                 nrender: int) -> None:
+        self.app, self.cases, self.leaves, self.offsets = app, cases, leaves, offsets
+        self.pads, self._em = pads, em
+        self.prelude_source = _emit_prelude(em, leaves)
         ns = dict(em.closures)
-        exec(compile(prelude_src, "<flatsweep:prelude>", "exec"), ns)
+        exec(_code(self.prelude_source, f"<{self.kind}:prelude>"), ns)
         self._leaves_fn = ns["_leaves"]
         self._sweeps: Dict[Tuple[str, ...], object] = {}
         self._sweep_sources: Dict[Tuple[str, ...], str] = {}
         # compile the fully-general variant eagerly: it both smoke-tests
         # emission at build time (so failures demote the app to the
         # interpreted path instead of surfacing mid-run) and seeds ``source``
-        self.general_profile = tuple("M" for _ in leaves.exprs)
+        self.general_profile = ("M",) * nrender
         self._compile(self.general_profile)
 
-    # one sweep per boundary profile, compiled on first sight
     def _compile(self, profile: Tuple[str, ...]):
-        se = _SliceEmitter(self._em, self.leaves, self.offsets, profile, self.a)
-        body = se.emit(self.cases)
-        names = ", ".join(f"_L{k}" for k in range(len(self.leaves.exprs)))
+        names = ", ".join(f"_L{k}" for k in range(len(profile)))
         unpack = f"    ({names},) = _leaves\n" if names else ""
-        src = (
-            f"def _sweep(B2, _spans, _leaves):\n{unpack}"
-            f"    for _vd, _a, _b in _spans:\n{body}\n"
-        )
-        ns = {
-            "np": np,
-            "_minv": self._em.closures.get("_minv"),
-            "_maxv": self._em.closures.get("_maxv"),
-        }
-        exec(compile(src, f"<flatsweep:{''.join(profile)}>", "exec"), ns)
-        fn = ns["_sweep"]
-        self._sweeps[profile] = fn
+        src = self._sweep_source(profile, unpack)
+        ns = {"np": np, **{k: self._em.closures.get(k) for k in ("_minv", "_maxv")}}
+        exec(_code(src, f"<{self.kind}:{''.join(profile)}>"), ns)
+        fn = self._sweeps[profile] = ns["_sweep"]
         self._sweep_sources[profile] = src
         return fn
 
-    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
-        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
+    def _sweep_fn(self, profile):
+        """The compiled sweep for a profile's leaf states."""
+        states = tuple(
+            s if isinstance(s, str) else "S" for s in profile[: len(self.general_profile)]
+        )
+        return self._sweeps.get(states) or self._compile(states)
 
-        ``profile`` is hashable — one entry per leaf: ``"T"``/``"F"`` for
-        a boolean uniform over the tile, ``"M"`` for an array, ``("S",
-        value)`` for a scalar — and tiles with equal profiles (and equal
-        geometry) may share one :meth:`sweep`. ``leaves`` keeps the
-        array leaves, unskewed, and ``None`` elsewhere.
-        """
-        profile: List[object] = []
-        leaves: List[object] = []
-        for v in self._leaves_fn(r0, c0, h, w):
-            arr = None
-            if np.ndim(v) == 0:
-                if isinstance(v, np.ndarray):
-                    v = v[()]  # a hashable scalar of the same dtype
-                if isinstance(v, (bool, np.bool_)):
-                    state = "T" if v else "F"
-                else:
-                    state = ("S", v)
-            else:
-                arr = np.asarray(v)
-                state = "M"
-                if arr.dtype == np.bool_:
-                    if arr.all():
-                        state, arr = "T", None
-                    elif not arr.any():
-                        state, arr = "F", None
-            profile.append(state)
-            leaves.append(arr)
+    def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
+        """One tile: the ``nb == 1`` case of ``sweep``."""
+        if h <= 0 or w <= 0:
+            return True
+        if not window.flags["C_CONTIGUOUS"]:
+            return False  # the runtime falls back to the interpreted path
+        profile, leaves = self.prepare(r0, c0, h, w)
+        self.sweep(profile, [leaves], window[None], oi, oj, h, w)
+        return True
+
+    @property
+    def source(self) -> str:
+        """Prelude + the general sweep variant, for ``--dump-kernel``."""
+        general = self._sweep_sources[self.general_profile]
+        return f"{self.header}{self.prelude_source}\n{general}"
+
+
+class FlatSweepKernel(_SliceKernel):
+    """A compiled flat-sweep tile kernel (the ``fn`` of an AutoKernel)."""
+
+    kind = "flatsweep"
+    header = (
+        "# flat-sweep kernel: gather -> prelude -> sweep -> scatter\n"
+        "# (boundary-profile variants fold uniform masks; this is the\n"
+        "#  fully-masked general variant)\n"
+    )
+
+    def __init__(self, app, cases, leaves: _LeafTable, offsets, a: int,
+                 pads: Tuple[int, int, int, int], em) -> None:
+        self.a = a
+        super().__init__(app, cases, leaves, offsets, pads, em, len(leaves.exprs))
+
+    def _sweep_source(self, profile, unpack: str) -> str:
+        se = _SliceEmitter(self._em, self.leaves, self.offsets, profile, self.a)
+        body = se.emit(self.cases)
+        return (
+            f"def _sweep(B2, _spans, _leaves):\n{unpack}"
+            f"    for _vd, _a, _b in _spans:\n{body}\n"
+        )
+
+    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
+        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep` (see
+        :func:`_classify_leaves`); tiles with equal profiles (and equal
+        geometry) may share one sweep."""
+        profile, leaves = _classify_leaves(self._leaves_fn(r0, c0, h, w))
         return tuple(profile), leaves
 
     def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
@@ -493,8 +608,7 @@ class FlatSweepKernel:
         # a lone tile keeps the plain 2-D buffers: no batch axis to index
         lanes = (nb,) if nb > 1 else ()
         shape = (plan.nrows, plan.ncols) + lanes
-        states = tuple(s if isinstance(s, str) else "S" for s in profile)
-        fn = self._sweeps.get(states) or self._compile(states)
+        fn = self._sweep_fn(profile)
 
         def skewed(slots: np.ndarray, per_tile: np.ndarray) -> np.ndarray:
             """``(nb, len(slots))`` tile-major values -> a flat skew buffer."""
@@ -502,42 +616,146 @@ class FlatSweepKernel:
             out[slots] = per_tile.T.reshape((-1,) + lanes)
             return out
 
-        payload: List[object] = []
-        for k, state in enumerate(profile):
-            if state == "M":
-                tile_wide = np.empty((nb, h, w), dtype=leaves[0][k].dtype)
-                for dst, tile_leaves in zip(tile_wide, leaves):
-                    dst[...] = tile_leaves[k]  # broadcasts (h, 1) / (1, w) leaves
-                leaf = skewed(plan.cell_slot, tile_wide.reshape(nb, -1))
-                payload.append(leaf.reshape(shape))
-            else:
-                payload.append(None if isinstance(state, str) else state[1])
+        payload = [
+            skewed(plan.cell_slot, p.reshape(nb, -1)).reshape(shape) if s == "M" else p
+            for s, p in zip(profile, _payload(profile, leaves, h, w))
+        ]
         flat = windows.reshape(nb, -1)
         gidx, sidx = plan.gather_scatter(windows.shape[2], oi, oj)
         B = skewed(plan.b_slot, flat.take(gidx, axis=1, mode="clip"))
         fn(B.reshape(shape), plan.spans, tuple(payload))
         flat[:, sidx] = B.take(plan.cell_slot, axis=0).reshape(-1, nb).T
 
-    def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
-        """One tile: the ``nb == 1`` case of :meth:`sweep`."""
-        if h <= 0 or w <= 0:
-            return True
-        if not window.flags["C_CONTIGUOUS"]:
-            return False  # the runtime falls back to the interpreted path
-        profile, leaves = self.prepare(r0, c0, h, w)
-        self.sweep(profile, [leaves], window[None], oi, oj, h, w)
-        return True
 
-    @property
-    def source(self) -> str:
-        """Prelude + the general sweep variant, for ``--dump-kernel``."""
-        general = self._sweep_sources[self.general_profile]
+@functools.lru_cache(maxsize=64)
+def _row_table(strides: tuple, pt: int, pl: int) -> tuple:
+    """Per tile row ``r``: ``(r, buffer row, stride s, the seed's first
+    buffer column)`` — the seed being the ``s`` cells left of the tile,
+    whose chains the row continues."""
+    return tuple((r, pt + r, s, pl - s) for r, s in enumerate(strides))
+
+
+def _scan_buffers(nb: int, w: int, s: int, dtype) -> tuple:
+    """One row's scan buffer for stride ``s`` as three views: the seed
+    chunk, the ``w`` data lanes after it, and the whole buffer split
+    into residue classes mod ``s`` (padded with lanes that end their
+    classes, so never read back)."""
+    buf = np.empty((nb, s * (1 + -(-w // s))), dtype)
+    return buf[:, :s], buf[:, s : s + w], buf.reshape(nb, -1, s) if s > 1 else buf
+
+
+class RowScanKernel(_SliceKernel):
+    """A compiled row-scan tile kernel (the ``fn`` of a ROW_SCAN_PREFIX AutoKernel).
+
+    Row by row, the intra-row recurrence ``v[j] = max(base[j], v[j - s] +
+    add[j])`` is solved in closed form: with ``S`` the inclusive prefix
+    sum of ``add`` within each residue class mod ``s``, ``v - S`` is a
+    running maximum of ``base - S`` down each class, seeded by the chain
+    arriving from the ``s`` cells left of the tile.
+    """
+
+    kind = "rowscan"
+    header = (
+        "# row-scan kernel: prelude (base terms, pins, add, prefix sums)\n"
+        "# -> per row: earlier-row slices -> seed -> accumulate -> store\n"
+        "# (this is the fully-masked general variant)\n"
+    )
+
+    def __init__(self, app, cases, scan: int, form, leaves: _LeafTable,
+                 offsets, pads, em) -> None:
+        self.scan = scan  # the case the scan solves; renders as ``_scan``
+        self.pins = form.pins
+        self.lane_add = form.lane_add
+        # the add and a data stride are prelude leaves no sweep renders
+        nrender = len(leaves.exprs)
+        self.add_k = leaves.intern(form.add)
+        literal = isinstance(form.stride, Const)
+        self.stride = int(form.stride.value) if literal else None
+        self.stride_k = None if literal else leaves.intern(form.stride)
+        super().__init__(app, cases, leaves, offsets, pads, em, nrender)
+
+    def _sweep_source(self, profile, unpack: str) -> str:
+        se = _SliceEmitter(self._em, self.leaves, self.offsets, profile, None)
+        base = se.val(self.cases[self.scan][1])
+        for idx in reversed(self.pins):
+            # pinned cases chain through the scan: their (dependency-free)
+            # values join the base wherever their guards fire
+            guard, value = self.cases[idx]
+            g = se.boolv(guard)
+            if g is True:
+                base = se.val(value)
+            elif g is not False:
+                base = f"np.where({g}, {se.val(value)}, {base})"
+        se.line("_seed, _data, _classes = _bufs[_s]")
+        se.line("_seed[...] = B2[:, _vd, _p:_a]")
+        se.line("_Sr = _S[:, _r]")
+        se.line(f"np.subtract({base}, _Sr, out=_data)")
+        se.line("np.maximum.accumulate(_classes, axis=1, out=_classes)")
+        se.line("_scan = _data + _Sr")
+        body = se.emit(self.cases, scan=self.scan)
         return (
-            "# flat-sweep kernel: gather -> prelude -> sweep -> scatter\n"
-            "# (boundary-profile variants fold uniform masks; this is the\n"
-            "#  fully-masked general variant)\n"
-            f"{self.prelude_source}\n{general}"
+            f"def _sweep(B2, _rows, _a, _b, _leaves, _S, _bufs):\n{unpack}"
+            f"    for _r, _vd, _s, _p in _rows:\n{body}\n"
         )
+
+    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
+        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
+
+        The profile is the rendered leaves' (see :func:`_classify_leaves`)
+        plus, for a row-varying stride, the tile's per-row stride tuple:
+        only tiles whose rows scan alike share a sweep. ``leaves`` ends
+        with ``S``, the add's inclusive prefix sum per residue class.
+        """
+        values = self._leaves_fn(r0, c0, h, w)
+        profile, leaves = _classify_leaves(values[: len(self.general_profile)])
+        add, s = values[self.add_k], self.stride
+        if s is None:
+            s = np.broadcast_to(values[self.stride_k], (h, 1))
+            profile.append(tuple(s[:, 0].tolist()))
+        if self.lane_add and s == 1:  # a lane-varying add has a literal stride
+            leaves.append(np.cumsum(add, axis=-1))
+        elif self.lane_add:  # per residue class: pad to whole classes
+            lanes = np.pad(np.broadcast_to(add, (h, w)), ((0, 0), (0, -w % s)))
+            leaves.append(np.cumsum(lanes.reshape(h, -1, s), axis=1).reshape(h, -1)[:, :w])
+        else:  # a row-constant add: the k-th lane of a class holds k + 1 of it
+            leaves.append((np.arange(w) // s + 1) * add)
+        return tuple(profile), leaves
+
+    def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
+        """Scan ``nb`` same-geometry, same-profile tiles in one pass.
+
+        ``windows`` is an ``(nb, wh, ww)`` stack, updated in place. The
+        scan runs on the stack itself when each window is exactly the
+        tile's pads box, else on a framed copy of that box; every row
+        then works on ``(nb, w)`` blocks.
+        """
+        n = len(self.general_profile)
+        fn = self._sweep_fn(profile)
+        strides = profile[n] if len(profile) > n else (self.stride,) * h
+        pt, pb, pl, pr = self.pads
+        nb, wh, ww = windows.shape
+        B = windows
+        if (oi, oj, wh, ww) != (pt, pl, pt + h + pb, pl + w + pr):
+            B = np.zeros((nb, pt + h + pb, pl + w + pr), windows.dtype)
+            # a window covers the pads box clipped to the grid, so frame
+            # columns it leaves out on the left lie off the grid: no chain
+            # arrives from there
+            B[:, :, : max(0, pl - oj)] = self._em.closures["_minv"]
+            r_lo, r_hi = max(-oi, -pt), min(wh - oi, h + pb)  # the overlap,
+            c_lo, c_hi = max(-oj, -pl), min(ww - oj, w + pr)  # tile-relative
+            B[:, pt + r_lo : pt + r_hi, pl + c_lo : pl + c_hi] = windows[
+                :, oi + r_lo : oi + r_hi, oj + c_lo : oj + c_hi
+            ]
+        # S rides along as one more array leaf
+        *payload, S = _payload(profile[:n] + ("M",), leaves, h, w)
+        dtype = np.result_type(B.dtype, S.dtype)
+        bufs = {s: _scan_buffers(nb, w, s, dtype) for s in set(strides)}
+        fn(B, _row_table(strides, pt, pl), pl, pl + w, tuple(payload), S, bufs)
+        if B is not windows:
+            windows[:, oi : oi + h, oj : oj + w] = B[:, pt : pt + h, pl : pl + w]
+
+
+# -- the builders -----------------------------------------------------------------------
 
 
 def build_flat_sweep(cls, app, dag, pads: Tuple[int, int, int, int]):
@@ -548,84 +766,49 @@ def build_flat_sweep(cls, app, dag, pads: Tuple[int, int, int, int]):
     case guards, activity predicates with no array form, ...); the
     app is then demoted to OPAQUE (``DP403``) and runs interpreted.
     """
-    from .codegen import KernelBuildError, _Emitter, _make_act
-
     if cls.klass != "ANTIDIAG_WAVEFRONT" or cls.ir is None:
         raise KernelBuildError("flat sweep requires an ANTIDIAG classification")
     a, _b = cls.rank
-    # every dependency read must sit at a constant offset
-    offsets: Dict[DepRead, Tuple[int, int]] = {}
-    by_read = {e.read: e for e in cls.entries if e.read is not None}
-    for guard, value in cls.ir.cases:
-        if guard is not None and _has_dep(guard):
-            # a dependency-valued guard could hijack the where-chain on
-            # lanes whose reads are boundary garbage
-            raise KernelBuildError("dependency read inside a case guard")
-        for node in walk_expr(value):
-            if isinstance(node, DepRead):
-                entry = by_read.get(node)
-                off = entry.const_offset if entry is not None else None
-                if off is None:
-                    raise KernelBuildError("data-dependent dependency offset")
-                offsets[node] = off
+    offsets = _const_offsets(cls.ir.cases, cls.entries)
     act = _make_act(dag)
     em = _Emitter(app, dag, has_act=act is not None)
     if act is not None:
         em.closures["_act"] = act
     em.ident_closure()
-    # intern leaves in deterministic walk order (guards first, values after)
     leaves = _LeafTable()
+    leaves.intern_cases(cls.ir.cases)
+    return FlatSweepKernel(app, cls.ir.cases, leaves, offsets, a, pads, em)
 
-    def _walk_leaves(e: Expr) -> None:
-        if isinstance(e, Const):
-            return
-        if not _has_dep(e):
-            leaves.intern(e)
-            return
-        if isinstance(e, DepRead):
-            if e.default is not None:
-                leaves.intern(Present(e.row, e.col))
-                _walk_leaves(e.default)
-            return
-        for child in _children_of(e):
-            _walk_leaves(child)
 
-    for guard, value in cls.ir.cases:
-        if guard is not None:
-            _walk_leaves(guard)
-        _walk_leaves(value)
-    prelude_src = _emit_prelude(em, leaves)
-    return FlatSweepKernel(
-        app, cls.ir.cases, leaves, offsets, a, pads, em, prelude_src
+def build_row_scan(cls, app, dag, pads: Tuple[int, int, int, int]):
+    """A :class:`RowScanKernel` for a ROW_SCAN_PREFIX classification.
+
+    Raises :class:`repro.analysis.codegen.KernelBuildError` when the IR
+    leaves the slice form — a data-dependent offset outside the scan
+    read, a base read in the row being scanned, a partially active dag,
+    a lane-varying add under a data stride — and the app is then demoted
+    to OPAQUE (``DP403``) and runs interpreted.
+    """
+    form = cls.row_scan
+    if cls.klass != "ROW_SCAN_PREFIX" or cls.ir is None or form is None:
+        raise KernelBuildError("row scan requires a ROW_SCAN_PREFIX classification")
+    if _make_act(dag) is not None:
+        raise KernelBuildError("prefix-scan emission requires a fully active row")
+    if form.lane_add and not isinstance(form.stride, Const):
+        raise KernelBuildError("a lane-varying add needs a literal stride")
+    scan = next(
+        idx for idx, (_g, v) in enumerate(cls.ir.cases)
+        if any(n == form.read for n in walk_expr(v))
     )
-
-
-def _children_of(e: Expr):
-    if isinstance(e, Bin):
-        return (e.left, e.right)
-    if isinstance(e, Neg):
-        return (e.operand,)
-    if isinstance(e, Cmp):
-        return (e.left, e.right)
-    if isinstance(e, BoolE):
-        return tuple(e.parts)
-    if isinstance(e, NotE):
-        return (e.operand,)
-    if isinstance(e, Call):
-        return tuple(e.args)
-    if isinstance(e, Cond):
-        return (e.test, e.then, e.orelse)
-    if isinstance(e, Reduce):
-        out = []
-        for g, x in e.items:
-            if g is not None:
-                out.append(g)
-            out.append(x)
-        return tuple(out)
-    if isinstance(e, (SelfElem, SelfElem2, SelfScalar, Index, Present, Const)):
-        # dep-free by construction (a DepRead cannot appear in an index
-        # that reached footprint extraction as affine)
-        return ()
-    from .codegen import KernelBuildError
-
-    raise KernelBuildError(f"unknown node {type(e).__name__}")
+    # the scan case renders as its base: the recurrence itself is the scan
+    cases = tuple(
+        (g, form.base if idx == scan else v) for idx, (g, v) in enumerate(cls.ir.cases)
+    )
+    offsets = _const_offsets(cases, cls.entries)
+    if any(di >= 0 for di, _dj in offsets.values()):
+        raise KernelBuildError("a base read in the row being scanned")
+    em = _Emitter(app, dag, has_act=False)
+    em.ident_closure()
+    leaves = _LeafTable()
+    leaves.intern_cases(cases)
+    return RowScanKernel(app, cases, scan, form, leaves, offsets, pads, em)

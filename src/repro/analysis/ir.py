@@ -198,21 +198,34 @@ class Reduce(Expr):
     items: Tuple[Tuple[Optional[Expr], Expr], ...]
 
 
-def walk_expr(e: Expr) -> Iterator[Expr]:
-    """Yield ``e`` and every sub-expression, depth-first."""
-    yield e
-    for f in fields(e):
-        v = getattr(e, f.name)
+#: field names per node class: ``dataclasses.fields()`` per visited node
+#: dominated every IR walk
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def children(e: Expr) -> Iterator[Expr]:
+    """The direct sub-expressions of ``e``, in field order (Reduce guards
+    before their candidates)."""
+    names = _FIELD_NAMES.get(type(e))
+    if names is None:
+        names = _FIELD_NAMES[type(e)] = tuple(f.name for f in fields(e))
+    for name in names:
+        v = getattr(e, name)
         if isinstance(v, Expr):
-            yield from walk_expr(v)
+            yield v
         elif isinstance(v, tuple):
             for item in v:
                 if isinstance(item, Expr):
-                    yield from walk_expr(item)
+                    yield item
                 elif isinstance(item, tuple):  # Reduce items
-                    for sub in item:
-                        if isinstance(sub, Expr):
-                            yield from walk_expr(sub)
+                    yield from (sub for sub in item if isinstance(sub, Expr))
+
+
+def walk_expr(e: Expr) -> Iterator[Expr]:
+    """Yield ``e`` and every sub-expression, depth-first."""
+    yield e
+    for child in children(e):
+        yield from walk_expr(child)
 
 
 # -- the lifted program ---------------------------------------------------------------

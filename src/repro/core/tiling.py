@@ -90,10 +90,42 @@ def _cell_order(h: int, w: int, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]
     return cached
 
 
-#: dense-pattern halo cells keyed by ``(offsets, H, W, r0, r1, c0, c1)``.
-#: Same rationale as :data:`_CELL_ORDER_CACHE`: the strips are pure
-#: bounds arithmetic, recomputed for identical tiles on every run.
+#: dense-pattern halo cells. Computed tile-relative per class ``(offsets,
+#: h, w, margins)`` — position matters only through each grid edge within
+#: the stencil's reach, so a shape has at most nine — and kept per
+#: ``(class, r0, c0)`` too, so a repeated tile allocates nothing. FIFO
+#: past the bound: a pooled place meets new job sizes without end.
 _HALO_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+_HALO_CACHE_SIZE = 4096
+
+
+def _stencil_halo(offs, H, W, r0, r1, c0, c1) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major cells outside rectangle ``[r0, r1) x [c0, c1)`` of an
+    ``H x W`` grid that its cells reach through stencil ``offs``."""
+    pieces: List[Tuple[int, int, int, int]] = []
+    for di, dj in offs:
+        sr0, sr1 = max(r0 + di, 0), min(r1 + di, H)
+        sc0, sc1 = max(c0 + dj, 0), min(c1 + dj, W)
+        if sr0 >= sr1 or sc0 >= sc1:
+            continue
+        # shifted-rect rows above/below the tile: full shifted width
+        if sr0 < r0:
+            pieces.append((sr0, min(sr1, r0), sc0, sc1))
+        if sr1 > r1:
+            pieces.append((max(sr0, r1), sr1, sc0, sc1))
+        # rows overlapping the tile: only the columns outside it
+        rr0, rr1 = max(sr0, r0), min(sr1, r1)
+        if rr0 < rr1:
+            if sc0 < c0:
+                pieces.append((rr0, rr1, sc0, min(sc1, c0)))
+            if sc1 > c1:
+                pieces.append((rr0, rr1, max(sc0, c1), sc1))
+    if not pieces:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    rows = np.concatenate([np.repeat(np.arange(a, b), d - c) for a, b, c, d in pieces])
+    cols = np.concatenate([np.tile(np.arange(c, d), b - a) for a, b, c, d in pieces])
+    _, idx = np.unique(rows * W + cols, return_index=True)
+    return rows[idx], cols[idx]
 
 
 @dataclass(frozen=True)
@@ -309,60 +341,28 @@ class TiledDag(Dag):
         r0, r1, c0, c1 = self.grid.bounds(ti, tj)
         base = self.base
         if self.stencil_mode:
-            H, W = base.height, base.width
             offs = tuple(base.offsets)  # type: ignore[attr-defined]
-            dense = type(base).is_active is Dag.is_active
-            if dense:
-                # halo geometry is pure bounds arithmetic for dense
-                # patterns; identical tiles recur every run, so pooled
-                # warm places replay from the cache
-                key = (offs, H, W, r0, r1, c0, c1)
-                cached = _HALO_CACHE.get(key)
-                if cached is not None:
-                    return cached
-            pieces: List[Tuple[int, int, int, int]] = []
-            for di, dj in offs:
-                sr0, sr1 = max(r0 + di, 0), min(r1 + di, H)
-                sc0, sc1 = max(c0 + dj, 0), min(c1 + dj, W)
-                if sr0 >= sr1 or sc0 >= sc1:
-                    continue
-                # shifted-rect rows above/below the tile: full shifted width
-                if sr0 < r0:
-                    pieces.append((sr0, min(sr1, r0), sc0, sc1))
-                if sr1 > r1:
-                    pieces.append((max(sr0, r1), sr1, sc0, sc1))
-                # rows overlapping the tile: only the columns outside it
-                rr0, rr1 = max(sr0, r0), min(sr1, r1)
-                if rr0 < rr1:
-                    if sc0 < c0:
-                        pieces.append((rr0, rr1, sc0, min(sc1, c0)))
-                    if sc1 > c1:
-                        pieces.append((rr0, rr1, max(sc0, c1), sc1))
-            if not pieces:
-                out = (np.empty(0, np.int64), np.empty(0, np.int64))
-                if dense:
-                    _HALO_CACHE[key] = out
-                return out
-            rs, cs = [], []
-            for a0, a1, b0, b1 in pieces:
-                ii, jj = np.meshgrid(
-                    np.arange(a0, a1, dtype=np.int64),
-                    np.arange(b0, b1, dtype=np.int64),
-                    indexing="ij",
-                )
-                rs.append(ii.ravel())
-                cs.append(jj.ravel())
-            rows = np.concatenate(rs)
-            cols = np.concatenate(cs)
-            _, idx = np.unique(rows * W + cols, return_index=True)
-            rows, cols = rows[idx], cols[idx]
-            if not dense:
+            if type(base).is_active is not Dag.is_active:
+                rows, cols = _stencil_halo(offs, base.height, base.width, r0, r1, c0, c1)
                 mask = self._active_mask(rows, cols)
-                rows, cols = rows[mask], cols[mask]
-            out = (rows, cols)
-            if dense:
-                _HALO_CACHE[key] = out
-            return out
+                return rows[mask], cols[mask]
+            # dense: pure bounds arithmetic, computed once per class in a
+            # frame that keeps only the grid edges within the stencil's reach
+            pt, pb, pl, pr = self.pads
+            h, w, vr, vc = r1 - r0, c1 - c0, min(r0, pt), min(c0, pl)
+            key = (offs, h, w, vr, min(base.height - r1, pb), vc, min(base.width - c1, pr))
+            got = _HALO_CACHE.get((key, r0, c0))
+            if got is None:
+                rel = _HALO_CACHE.get(key)
+                if rel is None:
+                    rows, cols = _stencil_halo(
+                        offs, vr + h + key[4], vc + w + key[6], vr, vr + h, vc, vc + w
+                    )
+                    rel = _HALO_CACHE[key] = (rows - vr, cols - vc)
+                got = _HALO_CACHE[key, r0, c0] = (rel[0] + r0, rel[1] + c0)
+                while len(_HALO_CACHE) > _HALO_CACHE_SIZE:
+                    del _HALO_CACHE[next(iter(_HALO_CACHE))]
+            return got
         seen: Dict[Coord, None] = {}
         for i in range(r0, r1):
             for j in range(c0, c1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.classify import classify_app
+from repro.analysis.infer import probe_footprint
 from repro.analysis.registry import app_fixture, app_names
 from repro.core.api import DPX10App, dependency_map
 from repro.patterns import GridDag
@@ -68,6 +69,36 @@ class _RowChainDag(StencilDag):
     offsets = ((0, -1),)
 
 
+class _RowAboveApp(DPX10App):
+    """Reads the row above while a ``_RowChainDag`` declares only (0, -1)."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        if i == 0 or j == 0:
+            return 1
+        return dep[(i - 1, j)] + dep[(i, j - 1)]
+
+
+class _TwoIntraRowApp(DPX10App):
+    """Two intra-row reads at data-dependent strides."""
+
+    value_dtype = np.int64
+
+    def __init__(self):
+        self.w = [1, 2, 1, 2, 1, 2]
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        if i == 0:
+            return 0
+        s = self.w[i - 1]
+        a = dep.get((i, j - s), 0) if s <= j else 0
+        b = dep.get((i, j - s - s), 0) if s + s <= j else 0
+        return max(a, b, dep.get((i - 1, j), 0))
+
+
 class TestDemotions:
     def test_value_dtype_none_dp402(self):
         class App(DPX10App):
@@ -127,38 +158,14 @@ class TestDemotions:
     def test_footprint_contradiction_dp404(self):
         # reads the row above while the pattern declares only (0, -1):
         # the probe catches it on real cells, as an ERROR
-        class App(DPX10App):
-            value_dtype = np.int64
-
-            def compute(self, i, j, vertices):
-                dep = dependency_map(vertices)
-                if i == 0 or j == 0:
-                    return 1
-                return dep[(i - 1, j)] + dep[(i, j - 1)]
-
-        cls = classify_app(App(), _RowChainDag(4, 6))
+        cls = classify_app(_RowAboveApp(), _RowChainDag(4, 6))
         assert cls.klass == "OPAQUE"
         findings = cls.report.findings
         assert {f.code for f in findings} == {"DP404"}
         assert not cls.report.ok  # DP404 is an error, not a note
 
     def test_two_intra_row_reads_dp403(self):
-        class App(DPX10App):
-            value_dtype = np.int64
-
-            def __init__(self):
-                self.w = [1, 2, 1, 2, 1, 2]
-
-            def compute(self, i, j, vertices):
-                dep = dependency_map(vertices)
-                if i == 0:
-                    return 0
-                s = self.w[i - 1]
-                a = dep.get((i, j - s), 0) if s <= j else 0
-                b = dep.get((i, j - s - s), 0) if s + s <= j else 0
-                return max(a, b, dep.get((i - 1, j), 0))
-
-        cls = classify_app(App(), GridDag(4, 6))
+        cls = classify_app(_TwoIntraRowApp(), GridDag(4, 6))
         assert cls.klass == "OPAQUE"
         assert any(f.code in ("DP403", "DP404") for f in cls.report.findings)
 
@@ -182,6 +189,39 @@ class TestDemotions:
         cls = classify_app(clone, dag)
         assert cls.klass == "OPAQUE"
         assert "DP403" in {f.code for f in cls.report.findings}
+
+
+# -- the footprint probe ---------------------------------------------------------------
+class TestProbe:
+    """The probe walks every IR node of every sampled cell: how the walk
+    is made cheap must not change what it finds."""
+
+    LIFTED = [
+        n for n, (klass, _code) in sorted(EXPECTED.items())
+        if klass in ("ELEMENTWISE", "ANTIDIAG_WAVEFRONT", "ROW_SCAN_PREFIX")
+    ]
+
+    @pytest.mark.parametrize("name", LIFTED)
+    def test_registry_apps_probe_clean(self, name):
+        app, dag = app_fixture(name)
+        assert probe_footprint(classify_app(app, dag).ir, app, dag) == []
+
+    def test_dp404_fixtures_report_the_same_problems(self):
+        # in sample order, stopping at five
+        def problems(app, dag):
+            return probe_footprint(classify_app(app, dag).ir, app, dag)
+
+        assert problems(_RowAboveApp(), _RowChainDag(4, 6)) == [
+            f"cell (1, {j}) reads (0, {j}) but the pattern declares only [(1, {j - 1})]"
+            for j in range(1, 6)
+        ]
+        assert problems(_TwoIntraRowApp(), GridDag(4, 6)) == [
+            "cell (1, 2) reads (1, 0) but the pattern declares only [(0, 2), (1, 1)]",
+            "cell (1, 3) reads (1, 1) but the pattern declares only [(0, 3), (1, 2)]",
+            "cell (1, 4) reads (1, 2) but the pattern declares only [(0, 4), (1, 3)]",
+            "cell (1, 5) reads (1, 3) but the pattern declares only [(0, 5), (1, 4)]",
+            "cell (2, 2) reads (2, 0) but the pattern declares only [(1, 2), (2, 1)]",
+        ]
 
 
 # -- the source-level memo -------------------------------------------------------------

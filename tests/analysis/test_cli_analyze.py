@@ -35,10 +35,14 @@ class TestAnalyzeAll:
         assert "def _sweep(B2, _spans, _leaves):" in out
 
     def test_row_scan_kernel_dump(self, capsys):
+        # mtp is ROW_SCAN_PREFIX: the prelude, then a batched per-row sweep
+        # whose one scan call is the accumulate
         assert main(["analyze", "--app", "mtp", "--dump-kernel"]) == 0
         out = capsys.readouterr().out
-        assert "def compute_tile(r0, c0, window, oi, oj, h, w):" in out
-        assert "np.maximum.accumulate" in out
+        assert "row-scan kernel" in out
+        assert "def _leaves(r0, c0, h, w):" in out
+        assert "def _sweep(B2, _rows, _a, _b, _leaves, _S, _bufs):" in out
+        assert out.count("np.maximum.accumulate") == 1
 
     def test_ir_dump(self, capsys):
         assert main(["analyze", "--app", "knapsack", "--ir"]) == 0

@@ -13,9 +13,12 @@ import pytest
 from repro.analysis.classify import classify_app
 from repro.analysis.codegen import AutoKernel, build_autokernel
 from repro.analysis.registry import app_fixture, app_names
+from repro.core.api import DPX10App, dependency_map
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
 from repro.errors import ConfigurationError
+from repro.patterns import GridDag
+from repro.patterns.base import StencilDag
 
 from tests.analysis.fixtures import dep_guard_target
 
@@ -37,6 +40,44 @@ VECTORIZABLE = [
 TILE_SHAPES = [(4, 4), (5, 3), (2, 7)]
 
 
+def _lagged_knapsack():
+    """Unbounded knapsack whose skip edge lags ``lags[i - 1]`` columns."""
+    from repro.apps.unbounded_knapsack import UnboundedKnapsackApp, UnboundedKnapsackDag
+    from repro.core.api import VertexId
+
+    weights, values, lags = [3, 5, 2, 4], [4, 7, 2, 6], [1, 2, 1, 3]
+
+    class Dag(UnboundedKnapsackDag):
+        def get_dependency(self, i, j):
+            deps = super().get_dependency(i, j)
+            if i > 0 and j >= lags[i - 1]:
+                deps.append(VertexId(i - 1, j - lags[i - 1]))
+            return deps
+
+        def get_anti_dependency(self, i, j):
+            anti = super().get_anti_dependency(i, j)
+            if i + 1 < self.height and j + lags[i] < self.width:
+                anti.append(VertexId(i + 1, j + lags[i]))
+            return anti
+
+    class App(UnboundedKnapsackApp):
+        def compute(self, i, j, vertices):
+            if i == 0:
+                return 0
+            dep = dependency_map(vertices)
+            best = dep.get((i - 1, j - self.lags[i - 1]), 0)
+            w, v = self.weights[i - 1], self.values[i - 1]
+            if w <= j:
+                take = dep[(i, j - w)] + v
+                if take > best:
+                    best = take
+            return best
+
+    app = App(weights, values, 13)
+    app.lags = lags
+    return app, Dag(weights, 13)
+
+
 def _run(name, **kw):
     app, dag = app_fixture(name)
     cfg = DPX10Config(**kw)
@@ -56,13 +97,16 @@ class TestBuild:
         kernel, cls = build_autokernel(app, dag)
         assert isinstance(kernel, AutoKernel)
         assert kernel.klass == cls.klass
-        # row-sweep / row-scan kernels emit compute_tile; ANTIDIAG apps
-        # get the flat-sweep form; domain kernels describe themselves
-        assert (
-            "def compute_tile" in kernel.source
-            or "flat-sweep kernel" in kernel.source
-            or kernel.klass in ("TENSOR_HYPERPLANE", "TREE_LEVEL_GATHER")
-        )
+        # one emitter per class, each recognisable by its source; domain
+        # kernels describe themselves
+        marker = {
+            "ELEMENTWISE": "def compute_tile",
+            "ANTIDIAG_WAVEFRONT": "flat-sweep kernel",
+            "ROW_SCAN_PREFIX": "row-scan kernel",
+        }.get(kernel.klass, "")
+        assert marker in kernel.source
+        if kernel.klass == "ROW_SCAN_PREFIX":
+            assert type(kernel.fn).__name__ == "RowScanKernel"
         assert len(kernel.pads) == 4
 
     @pytest.mark.parametrize("name", ["cyk", "egg_drop", "viterbi"])
@@ -88,6 +132,21 @@ class TestBuild:
             cfg = DPX10Config(tile_shape=(4, 5), autokernel=True, **extra)
             DPX10Runtime(app, dag, cfg).run()
             assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
+
+    def test_row_scan_outside_the_slice_form_is_demoted_dp403(self):
+        # the row the base reads sits at a data-dependent column: no
+        # constant-offset slice expresses it, so the app runs interpreted
+        app, dag = _lagged_knapsack()
+        assert classify_app(app, dag).klass == "ROW_SCAN_PREFIX"
+        kernel, cls = build_autokernel(app, dag)
+        assert kernel is None
+        assert cls.klass == "OPAQUE"
+        assert [f.code for f in cls.report.findings] == ["DP403"]
+        DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
+        want = dag.to_array(fill=-1, dtype=np.int64)
+        app, dag = _lagged_knapsack()
+        DPX10Runtime(app, dag, DPX10Config(tile_shape=(3, 4), autokernel=True)).run()
+        assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
 
     def test_build_is_deterministic(self):
         # mp workers rebuild post-fork; both builds must emit the same
@@ -227,8 +286,48 @@ class TestKernelContract:
 
 
 # -- the level batch: many tiles, one sweep ---------------------------------------------
-def _antidiag_instance(name):
-    """A registry ANTIDIAG app at a size with interior *and* ragged tiles."""
+class _StridedGainDag(StencilDag):
+    offsets = ((-1, 0), (0, -3))
+
+
+class _StridedGainApp(DPX10App):
+    """A row scan with a literal stride of 3 and a lane-varying add."""
+
+    value_dtype = np.int64
+
+    def __init__(self, gain):
+        self.gain = gain
+
+    def compute(self, i, j, vertices):
+        if i == 0:
+            return 0
+        dep = dependency_map(vertices)
+        best = dep[(i - 1, j)]
+        if j >= 3:
+            best = max(best, dep[(i, j - 3)] + int(self.gain[i, j]))
+        return best
+
+
+def _row_scan_instance(name):
+    """A ROW_SCAN app with ragged tiles whose stride outreaches the tile
+    width (mtp: interior tiles to share sweeps), and its tile shape."""
+    from repro.apps.mtp import MTPApp, make_mtp_weights
+    from repro.apps.unbounded_knapsack import UnboundedKnapsackApp, UnboundedKnapsackDag
+
+    if name == "mtp":
+        w_down, w_right = make_mtp_weights(19, 18, seed=7)
+        return MTPApp(w_down, w_right), GridDag(19, 18), (4, 4)
+    if name == "unbounded_knapsack":
+        weights, values = [3, 9, 5, 6, 2, 7, 4, 8, 1], [4, 13, 7, 9, 2, 10, 5, 12, 1]
+        dag = UnboundedKnapsackDag(weights, 30)
+        return UnboundedKnapsackApp(weights, values, 30), dag, (4, 4)
+    gain = np.random.default_rng(7).integers(-3, 6, size=(17, 23))
+    return _StridedGainApp(gain), _StridedGainDag(17, 23), (3, 2)
+
+
+def _batch_instance(name):
+    """An app at a size with interior *and* ragged tiles, and its tile
+    shape: a registry ANTIDIAG app, or a row-scan instance."""
     from repro.apps.banded_alignment import BandedEditDistanceApp
     from repro.apps.edit_distance import EditDistanceApp
     from repro.apps.lcs import LCSApp
@@ -237,20 +336,23 @@ def _antidiag_instance(name):
     from repro.apps.smith_waterman import SWApp
     from repro.patterns import BandedDiagonalDag, DiagonalDag, IntervalDag
 
+    if name in TestLevelBatch.ROW_SCAN:
+        return _row_scan_instance(name)
     rng = np.random.default_rng(7)
     x = "".join(rng.choice(list("ACGT"), 18))
     y = "".join(rng.choice(list("ACGT"), 16))
     if name == "lps":
-        return LPSApp(x), IntervalDag(len(x), len(x))
+        return LPSApp(x), IntervalDag(len(x), len(x)), (4, 4)
     if name == "banded":
         return (
             BandedEditDistanceApp(x, y),
             BandedDiagonalDag(len(x) + 1, len(y) + 1, 9),
+            (4, 4),
         )
     app_cls = {
         "edit_distance": EditDistanceApp, "lcs": LCSApp, "nw": NWApp, "sw": SWApp
     }[name]
-    return app_cls(x, y), DiagonalDag(len(x) + 1, len(y) + 1)
+    return app_cls(x, y), DiagonalDag(len(x) + 1, len(y) + 1), (4, 4)
 
 
 def _solved_plane(app, dag, tiled):
@@ -260,7 +362,8 @@ def _solved_plane(app, dag, tiled):
 
     DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
     want = dag.to_array(fill=0, dtype=app.value_dtype)
-    plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
+    unit = (tiled.grid.tile_h, tiled.grid.tile_w)
+    plane = TilePlane.allocate(want.shape, app.value_dtype, unit)
     plane.owners[...] = 0
     read = np.zeros(want.shape, bool)
     for t in tiled.active_tiles():
@@ -272,17 +375,20 @@ def _solved_plane(app, dag, tiled):
 
 class TestLevelBatch:
     ANTIDIAG = ["banded", "edit_distance", "lcs", "lps", "nw", "sw"]
+    ROW_SCAN = ["mtp", "unbounded_knapsack", "strided_gain"]
 
-    @pytest.mark.parametrize("name", ANTIDIAG)
+    @pytest.mark.parametrize("name", ANTIDIAG + ROW_SCAN)
     def test_batch_is_bit_identical_to_solo_and_no_more_general(self, name):
         from collections import Counter
 
         from repro.core.plane import run_tiles, tile_kernel
 
-        app, dag = _antidiag_instance(name)
+        app, dag, shape = _batch_instance(name)
         kernel, cls = build_autokernel(app, dag)
-        assert cls.klass == "ANTIDIAG_WAVEFRONT"
-        tiled = dag.coarsen(4, 4)
+        assert cls.klass == (
+            "ROW_SCAN_PREFIX" if name in self.ROW_SCAN else "ANTIDIAG_WAVEFRONT"
+        )
+        tiled = dag.coarsen(*shape)
         kernel = tile_kernel(app, tiled, kernel)
         tiles = tiled.active_tiles()
         np.random.default_rng(3).shuffle(tiles)
@@ -329,7 +435,7 @@ class TestLevelBatch:
         # of the profile: such tiles must not share one sweep
         from repro.core.plane import run_tiles, tile_kernel
 
-        app, dag = _antidiag_instance("sw")
+        app, dag, _shape = _batch_instance("sw")
         kernel, _ = build_autokernel(app, dag)
         tiled = dag.coarsen(4, 4)
         kernel = tile_kernel(app, tiled, kernel)
@@ -371,7 +477,7 @@ class TestPlanCache:
         # skew-plan cache must not keep them all
         from repro.analysis import flatsweep
 
-        app, dag = _antidiag_instance("sw")
+        app, dag, _shape = _batch_instance("sw")
         kernel, _ = build_autokernel(app, dag)
         h, w = dag.height, dag.width
 

@@ -136,13 +136,15 @@ def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch)
 
 def _log_run_tiles(log, monkeypatch):
     """Spy on ``run_tiles`` in forked places: one log line per call,
-    ``kernel-type ti,tj ti,tj ...`` (an O_APPEND line is their way back)."""
+    ``kernel-type:fn-type ti,tj ti,tj ...`` (an O_APPEND line is their way
+    back)."""
     real = plane_mod.run_tiles
 
     def logging(plane, tiled, app, kernel, tiles, place_id, *rest):
         with open(log, "a") as fh:
             coords = " ".join(f"{ti},{tj}" for ti, tj in tiles)
-            fh.write(f"{type(kernel).__name__} {coords}\n")
+            kind = f"{type(kernel).__name__}:{type(getattr(kernel, 'fn', None)).__name__}"
+            fh.write(f"{kind} {coords}\n")
         return real(plane, tiled, app, kernel, tiles, place_id, *rest)
 
     monkeypatch.setattr(plane_mod, "run_tiles", logging)
@@ -180,7 +182,7 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
     # a place gets its share of a level in one call, not tile by tile
     assert max(len(tiles) for _, tiles in calls) > 1
     # the generated kernel, on the private-plane backing too
-    assert {name for name, _ in calls} == {"AutoKernel"}
+    assert {name for name, _ in calls} == {"AutoKernel:FlatSweepKernel"}
     # worker events are tile-granular on both backings, and the events of
     # one batch partition its span: a place is never in two tiles at once
     events = report.trace.events
@@ -198,18 +200,26 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
     )
 
 
-def _sw_levels(n=24, m=20, shape=(4, 4)):
-    """A tiled SW instance under its generated kernel, level by level."""
+def _levels(name="sw", shape=(4, 4)):
+    """A tiled SW (flat sweep) or mtp (row scan) instance under its
+    generated kernel, level by level, with the per-vertex oracle."""
     from repro.analysis.codegen import build_autokernel
-    from repro.apps.smith_waterman import SWApp
     from repro.core.mp_engine import _topological_levels
 
-    rng = np.random.default_rng(5)
-    a, b = ("".join(rng.choice(list("ACGT"), k)) for k in (n, m))
-    app = SWApp(a, b)
-    want = DiagonalDag(n + 1, m + 1)
+    if name == "mtp":
+        from repro.apps.mtp import MTPApp, make_mtp_weights
+        from repro.patterns.grid import GridDag
+
+        app, pattern = MTPApp(*make_mtp_weights(25, 21, seed=5)), GridDag
+    else:
+        from repro.apps.smith_waterman import SWApp
+
+        rng = np.random.default_rng(5)
+        app = SWApp(*("".join(rng.choice(list("ACGT"), k)) for k in (24, 20)))
+        pattern = DiagonalDag
+    want = pattern(25, 21)
     DPX10Runtime(app, want, DPX10Config(tile_shape=(1, 1))).run()
-    dag = DiagonalDag(n + 1, m + 1)
+    dag = pattern(25, 21)
     tiled = dag.coarsen(*shape)
     kernel = plane_mod.tile_kernel(app, tiled, build_autokernel(app, dag)[0])
     levels = _topological_levels(tiled)
@@ -220,7 +230,7 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     # whatever stops a place inside a level batch (a SIGKILL, on the shm
     # backing, leaves exactly this in the shared segments), a tile is
     # either flagged with every value in place or not flagged at all
-    app, dag, tiled, kernel, levels, want = _sw_levels()
+    app, dag, tiled, kernel, levels, want = _levels()
     plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
     plane.owners[...] = 0
     cut = 3  # row-0 tile + col-0 tile + interior tiles: three sweeps
@@ -255,11 +265,10 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     assert plane.values.tolist() == want.tolist() and plane.finished.all()
 
 
-@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
-def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
+def _kill_inside_the_widest_level(name, shm):
     if shm and not shm_supported():
         pytest.skip("no usable shared memory on this platform")
-    app, dag, tiled, _kernel, levels, want = _sw_levels()
+    app, dag, tiled, _kernel, levels, want = _levels(name)
     # a completion count strictly inside the widest level: the victim
     # dies holding a batch of several tiles' worth of results
     cells = [sum(len(tiled.cells_of(*t)[0]) for t in lv) for lv in levels]
@@ -275,6 +284,37 @@ def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
     assert report.recoveries == 1
     assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
     assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
+    _kill_inside_the_widest_level("sw", shm)
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_kill_inside_a_row_scan_level_batch_recovers_bit_identically(shm):
+    _kill_inside_the_widest_level("mtp", shm)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_places_sweep_mtp_with_the_row_scan_kernel(shm, tmp_path, monkeypatch):
+    # a place rebuilds its kernel from the shipped spec, and one that
+    # failed to would compute interpreted: correct, and silently slow
+    if shm and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    log = tmp_path / "tiles.log"
+    _log_run_tiles(log, monkeypatch)
+    app, dag, _tiled, _kernel, _lv, want = _levels("mtp")
+    config = DPX10Config(
+        nplaces=NPLACES, engine="mp", shm=shm, tile_shape=(4, 4), autokernel=True
+    )
+    report = DPX10Runtime(app, dag, config).run()
+    calls = _logged_calls(log)
+    assert {name for name, _ in calls} == {"AutoKernel:RowScanKernel"}
+    assert max(len(tiles) for _, tiles in calls) > 1
+    assert report.kernel == "ROW_SCAN_PREFIX"
+    assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
 
 
 def test_tiled_in_process_runs_build_no_vertex_stores(monkeypatch):

@@ -19,7 +19,7 @@ from repro.core.runtime import DPX10Runtime
 from repro.core.tiling import TileGrid, coarsen_offsets
 from repro.errors import PatternError
 from repro.patterns.antidiag_band import AntiDiagonalDag
-from repro.patterns.base import PATTERNS, get_pattern
+from repro.patterns.base import PATTERNS, StencilDag, get_pattern
 from repro.patterns.diagonal import DiagonalDag
 from repro.patterns.full_row import FullRowDag
 from repro.patterns.grid import GridDag
@@ -139,6 +139,75 @@ class TestCoarsen:
         rows, cols = tiled.halo_of(0, 1)
         for i, j in zip(rows.tolist(), cols.tolist()):
             assert i <= j
+
+    @staticmethod
+    def _direct_halo(tiled, ti, tj):
+        """Row-major cells outside the tile its cells reach, by brute force."""
+        r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
+        base = tiled.base
+        return sorted(
+            {
+                (i + di, j + dj)
+                for i in range(r0, r1)
+                for j in range(c0, c1)
+                for di, dj in base.offsets
+                if base.contains(i + di, j + dj)
+                and not (r0 <= i + di < r1 and c0 <= j + dj < c1)
+            }
+        )
+
+    def test_halo_matches_a_direct_computation_on_random_geometries(self, monkeypatch):
+        # cached by tile shape and grid-edge margins, not by position:
+        # every tile of every geometry still gets exactly its own halo
+        from repro.core import tiling
+
+        class WideDag(StencilDag):
+            offsets = ((-2, 1), (-1, -3), (0, -2))
+
+        monkeypatch.setattr(tiling, "_HALO_CACHE", {})
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(30):
+            pattern = [DiagonalDag, GridDag, WideDag][int(rng.integers(3))]
+            h, w = (int(x) for x in rng.integers(3, 40, size=2))
+            try:
+                tiled = pattern(h, w).coarsen(*(int(x) for x in rng.integers(2, 9, size=2)))
+            except PatternError:
+                continue
+            for ti, tj in tiled.active_tiles():
+                rows, cols = tiled.halo_of(ti, tj)
+                assert rows.dtype == cols.dtype == np.int64
+                got = list(zip(rows.tolist(), cols.tolist()))
+                assert got == self._direct_halo(tiled, ti, tj), (pattern, h, w, ti, tj)
+                checked += 1
+        assert checked > 500
+        # one shape on a large grid: at most nine edge classes computed,
+        # beside the 100 tiles' own (class, r0, c0) entries
+        tiling._HALO_CACHE.clear()
+        tiled = DiagonalDag(80, 80).coarsen(8, 8)
+        for t in tiled.active_tiles():
+            tiled.halo_of(*t)
+        classes = [k for k in tiling._HALO_CACHE if len(k) != 3]
+        assert 1 < len(classes) <= 9
+        assert len(tiling._HALO_CACHE) == len(classes) + 100
+
+    def test_halo_cache_stays_bounded_across_job_sizes(self, monkeypatch):
+        # a pooled place meets new ragged edge shapes with every job size
+        from repro.core import tiling
+
+        monkeypatch.setattr(tiling, "_HALO_CACHE", {})
+        monkeypatch.setattr(tiling, "_HALO_CACHE_SIZE", 24)
+        for n in range(40, 90):  # fifty distinct dag sizes
+            tiled = DiagonalDag(n, n + 3).coarsen(16, 16)
+            for t in tiled.active_tiles():
+                tiled.halo_of(*t)
+            assert len(tiling._HALO_CACHE) <= 24
+        # evicted classes are simply recomputed, and still right
+        tiled = DiagonalDag(40, 43).coarsen(16, 16)
+        for ti, tj in tiled.active_tiles():
+            rows, cols = tiled.halo_of(ti, tj)
+            got = list(zip(rows.tolist(), cols.tolist()))
+            assert got == self._direct_halo(tiled, ti, tj)
 
     def test_cells_in_wavefront_order(self):
         for name in sorted(PATTERNS):
