@@ -56,9 +56,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: overhead_x ~7.9 -> ~4.4 (medians), ``analysis.mcells_per_s.mtp``
 #: 8.6 -> 31. Core holds at 6086: the size-bounded halo cache is paid
 #: for by the halo geometry it rewrote.
+#:
+#: Analysis lowered, 6181 -> 5965, when ELEMENTWISE joined the slice
+#: kernels: deleted ``codegen._Emitter`` (the ~290-line expression
+#: renderer every generated kernel used), ``_emit_kernel`` (the per-row
+#: gather ``compute_tile`` emitter) and ``_kernel_for``'s compile-and-exec
+#: fallthrough (codegen.py -364). What replaced them is in flatsweep.py
+#: (+148): ``_Renderer``, one renderer for the prelude whose subclass
+#: ``_SliceEmitter`` renders the sweeps, ``RowKernel`` (the row scan's
+#: row geometry without the scan, now ``RowScanKernel``'s base) and the
+#: per-row column shift of ``_const_offsets``.
 CEILINGS = {
     "src/repro/core": 6086,
-    "src/repro/analysis": 6181,
+    "src/repro/analysis": 5965,
 }
 
 MAX_CONFIG_FIELDS = 27

@@ -1,4 +1,4 @@
-"""Flat-sweep (skewed-buffer) emission for antidiagonal wavefront kernels.
+"""Slice-kernel emission: the flat sweep and the row kernels.
 
 Sweeping a wavefront level by level costs one fancy ``window[wi, wj]``
 gather per dependency per level — the exact cost PR 7's hand
@@ -6,7 +6,8 @@ Smith-Waterman kernel (``repro.apps.smith_waterman``) eliminated by
 *skewing* the tile into a buffer where every antidiagonal is one
 contiguous run. This module generalizes that technique to any
 ``ANTIDIAG_WAVEFRONT`` classification with constant dependency offsets,
-and is the class's only emitter:
+runs ``ELEMENTWISE`` and ``ROW_SCAN_PREFIX`` on the same parts in row
+geometry, and is the only emitter of all three classes:
 
 1. **Plan** (cached per ``(rank, pads, h, w)`` in :data:`_PLAN_CACHE`, a
    small LRU) — the skew geometry: a flat buffer slot for every cell of
@@ -14,22 +15,23 @@ and is the class's only emitter:
    spans, and the gather/scatter index vectors. Building it costs a few
    array ops; a run uses a handful of shapes, and a long-lived pooled
    place drops the edge shapes of jobs long gone.
-2. **Prelude** (generated once per kernel) — every maximal
-   *dependency-free* subexpression of the IR (boundary guards,
+2. **Prelude** (generated once per kernel by :class:`_Renderer`) — every
+   maximal *dependency-free* subexpression of the IR (boundary guards,
    ``present()`` masks, substitution scores, activity tests) is
    evaluated over the whole tile as a broadcast 2-D array, then skewed
    into buffer geometry with one scatter.
-3. **Sweep** (generated lazily per *boundary profile*) — the per-diagonal
-   loop, where every dependency read is a contiguous ``B2[row, lo:hi]``
-   slice. Before sweeping, each boolean prelude leaf is classified as
-   all-true / all-false / mixed over the tile; the ``(state, ...)``
-   tuple selects a sweep variant with those leaves constant-folded
-   away. Interior tiles — where every ``present()`` is true and no
-   boundary case fires — run a branch-free sweep of ~6 slice ops per
-   diagonal, matching the hand kernel; only the O(grid-edge) boundary
-   tiles pay the masked general variant. This is the "scalar fixups
-   instead of per-lane bounds masks" trade: boundary handling costs
-   nothing on the hot interior path.
+3. **Sweep** (generated lazily per *boundary profile* by
+   :class:`_SliceEmitter`, the same renderer in slice context) — the
+   per-diagonal loop, where every dependency read is a contiguous
+   ``B2[row, lo:hi]`` slice. Before sweeping, each boolean prelude leaf
+   is classified as all-true / all-false / mixed over the tile; the
+   ``(state, ...)`` tuple selects a sweep variant with those leaves
+   constant-folded away. Interior tiles — where every ``present()`` is
+   true and no boundary case fires — run a branch-free sweep of ~6
+   slice ops per diagonal, matching the hand kernel; only the
+   O(grid-edge) boundary tiles pay the masked general variant. This is
+   the "scalar fixups instead of per-lane bounds masks" trade: boundary
+   handling costs nothing on the hot interior path.
 4. **Gather/scatter** — one ``flat.take(..., mode="clip")`` fills the
    buffer from the window (halo included); one fancy store writes the
    tile cells back. Index vectors are cached per ``(stride, oi, oj)``,
@@ -42,20 +44,23 @@ and is the class's only emitter:
    calls per diagonal are paid once per stack, not once per tile. The
    tile executor (:func:`repro.core.plane.run_tiles`) does the
    grouping; ``kernel(r0, c0, window, ...)`` is the stack of one.
-6. **The row scan** — :class:`RowScanKernel` runs ``ROW_SCAN_PREFIX``
-   on the same leaf table, prelude, profile classification and slice
-   emitter, in row geometry: no skew, the buffer is the batch-first
-   window stack and a dependency ``(di, dj)`` reads
-   ``B2[:, _vd + di, _a + dj:_b + dj]``. Its prelude also evaluates the
-   scan's add and that add's inclusive prefix sum within each residue
-   class mod the stride, so a row costs only its earlier-row slice
-   reads, the seed, one ``np.maximum.accumulate`` and a slice store, on
-   ``(nb, w)`` blocks. A row-varying stride joins the profile as the
-   tile's per-row stride tuple.
+6. **Row geometry** — :class:`RowKernel` runs ``ELEMENTWISE`` and its
+   subclass :class:`RowScanKernel` runs ``ROW_SCAN_PREFIX``, on the same
+   leaf table, prelude, profile classification and slice emitter: no
+   skew, the buffer is the batch-first window stack and a dependency
+   ``(di, dj)`` reads ``B2[:, _vd + di, _a + dj:_b + dj]``. An
+   elementwise row is one where-chain over ``(nb, w)`` blocks; a read
+   whose column adds row-only data (knapsack's ``j - weights[i-1]``)
+   takes that shift from the row table, and the tile's per-row shifts
+   join its profile. The row scan's prelude also evaluates the scan's
+   add and that add's inclusive prefix sum within each residue class
+   mod the stride, so a row costs only its earlier-row slice reads, the
+   seed, one ``np.maximum.accumulate`` and a slice store. A row-varying
+   stride joins the profile as the tile's per-row stride tuple.
 
-Out-of-window reads produce garbage lanes (clipped gathers, the zero
-frame of a row-scan buffer); the IR's own boundary cases and presence
-masks discard them, which the differential tests
+Out-of-window reads produce garbage lanes (clipped gathers, the frame
+of a row buffer); the IR's own boundary cases and presence masks
+discard them, which the differential tests
 (``tests/analysis/test_codegen.py``) verify bit-for-bit per app.
 """
 
@@ -67,7 +72,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .codegen import KernelBuildError, _Emitter, _make_act
+from .codegen import KernelBuildError, _make_act
 from .infer import _expr_kind
 from .ir import (
     Bin,
@@ -78,15 +83,20 @@ from .ir import (
     Const,
     DepRead,
     Expr,
+    Index,
     Neg,
     NotE,
     Present,
     Reduce,
+    SelfElem,
+    SelfElem2,
+    SelfScalar,
+    affine_of,
     children,
     walk_expr,
 )
 
-__all__ = ["FlatSweepKernel", "RowScanKernel", "build_flat_sweep", "build_row_scan"]
+__all__ = ["FlatSweepKernel", "RowKernel", "RowScanKernel", "build_slice_kernel"]
 
 
 def _has_dep(e: Expr) -> bool:
@@ -216,15 +226,19 @@ class _LeafTable:
                 self._walk(child)
 
 
-def _const_offsets(cases, entries) -> Dict[DepRead, Tuple[int, int]]:
-    """Every dependency read of ``cases`` -> its constant ``(di, dj)``.
+def _const_offsets(cases, entries, shifts: Optional[List[Expr]] = None):
+    """Every dependency read of ``cases`` -> its ``(di, dj)``.
 
-    Raises :class:`KernelBuildError` on a data-dependent offset, and on a
-    read inside a case guard: a dependency-valued guard could hijack the
-    where-chain on lanes whose reads are boundary garbage.
+    ``dj`` is a constant, or — given a ``shifts`` list (row geometry) —
+    the name ``_d{n}`` of a per-row column shift: a read whose column is
+    ``j`` plus row-only data gets its shift ``col - j`` appended to
+    ``shifts`` at position ``n``. Raises :class:`KernelBuildError` on any
+    other data-dependent offset, and on a read inside a case guard: a
+    dependency-valued guard could hijack the where-chain on lanes whose
+    reads are boundary garbage.
     """
     by_read = {e.read: e for e in entries if e.read is not None}
-    offsets: Dict[DepRead, Tuple[int, int]] = {}
+    offsets: Dict[DepRead, Tuple[int, object]] = {}
     for guard, value in cases:
         if guard is not None and _has_dep(guard):
             raise KernelBuildError("dependency read inside a case guard")
@@ -232,30 +246,232 @@ def _const_offsets(cases, entries) -> Dict[DepRead, Tuple[int, int]]:
             if isinstance(node, DepRead):
                 entry = by_read.get(node)
                 off = entry.const_offset if entry is not None else None
+                if off is None and shifts is not None and entry is not None:
+                    row, col = entry.row, entry.col
+                    lane = any(
+                        isinstance(n, DepRead) or n == Index("j")
+                        for _sign, term in col.terms
+                        for n in walk_expr(term)
+                    )
+                    if not (row.terms or lane):
+                        shift: Expr = Const(col.const)
+                        for sign, term in col.terms:
+                            shift = Bin("+" if sign > 0 else "-", shift, term)
+                        if shift not in shifts:
+                            shifts.append(shift)
+                        off = (row.const, f"_d{shifts.index(shift)}")
                 if off is None:
                     raise KernelBuildError("data-dependent dependency offset")
                 offsets[node] = off
     return offsets
 
 
-def _emit_prelude(em, leaves: _LeafTable) -> str:
-    """``def _leaves(r0, c0, h, w)`` evaluating every leaf tile-wide.
+class _Renderer:
+    """Renders dependency-free IR as NumPy source over a whole tile.
 
-    ``em`` is a :class:`repro.analysis.codegen._Emitter`; its ``gi``/
-    ``gj`` lane vectors are bound to broadcast column/row vectors here,
-    so every rendered expression evaluates over the full tile at once.
+    ``gi``/``gj`` are the tile's global row/column coordinates as
+    broadcast column/row vectors. ``self`` data becomes closures in
+    :attr:`closures` (the prelude's namespace), every gather
+    ``np.clip``-ed: ``np.where`` evaluates both branches, so masked lanes
+    must still index in range. A ``present()`` test becomes a bounds
+    mask, plus an activity test on a partially active dag, whose inactive
+    cells keep the zero that defaulted reads of them observe (the
+    window's zero fill is *not* the default — banded's is ``10**9``).
+    Each repeated line is hoisted into one temp. A rendered value is a
+    source string, or a Python bool where a boolean folded to a constant.
     """
-    em.indent = 1
-    em.lines = []
-    em.reset_cache()
-    em.line("gi = (r0 + np.arange(h)).reshape(-1, 1)")
-    em.line("gj = (c0 + np.arange(w)).reshape(1, -1)")
+
+    indent, prefix = "    ", "_t"
+
+    def __init__(self, app, dag) -> None:
+        act = _make_act(dag)
+        self.app, self.H, self.W, self.has_act = app, dag.height, dag.width, act is not None
+        dtype = np.dtype(type(app).value_dtype)
+        if dtype.kind in ("i", "u"):
+            lo, hi = int(np.iinfo(dtype).min // 4), int(np.iinfo(dtype).max // 4)
+        else:
+            lo, hi = -np.inf, np.inf
+        # _minv / _maxv: the identities of a guarded max / min reduction
+        self.closures: Dict[str, object] = {"np": np, "_act": act, "_minv": lo, "_maxv": hi}
+        self.lines: List[str] = []
+        self._line_cache: Dict[str, str] = {}
+
+    def line(self, text: str) -> None:
+        self.lines.append(self.indent + text)
+
+    def cached(self, rhs: str) -> str:
+        """Hoist ``rhs`` into a temp once; later uses share it."""
+        if rhs.isidentifier():
+            return rhs
+        t = self._line_cache.get(rhs)
+        if t is None:
+            t = self._line_cache[rhs] = f"{self.prefix}{len(self._line_cache) + 1}"
+            self.line(f"{t} = {rhs}")
+        return t
+
+    def boolv(self, e: Expr):
+        """:meth:`val` in boolean context, where any constant folds."""
+        return bool(e.value) if isinstance(e, Const) else self.val(e)
+
+    def val(self, e: Expr):
+        if isinstance(e, Const):
+            if isinstance(e.value, str):
+                raise KernelBuildError("string constant outside a comparison")
+            return repr(e.value)
+        if isinstance(e, Index):
+            return "gi" if e.axis == "i" else "gj"
+        if isinstance(e, SelfScalar):
+            value = getattr(self.app, e.attr)
+            if isinstance(value, str):
+                raise KernelBuildError("string attribute outside a comparison")
+            self.closures[f"_s_{e.attr}"] = value
+            return f"_s_{e.attr}"
+        if isinstance(e, (SelfElem, SelfElem2)):
+            data = getattr(self.app, e.attr)
+            if isinstance(data, str):
+                raise KernelBuildError(
+                    f"string element self.{e.attr}[...] outside a comparison"
+                )
+            name = f"_a_{e.attr}"
+            if name not in self.closures:
+                self.closures[name] = np.asarray(data)
+            idx = (e.index,) if isinstance(e, SelfElem) else (e.row, e.col)
+            shape = self.closures[name].shape  # type: ignore[union-attr]
+            return name + "[" + ", ".join(
+                f"np.clip({self.val(x)}, 0, {n - 1})" for x, n in zip(idx, shape)
+            ) + "]"
+        if isinstance(e, Present):
+            return self.present(e)
+        if isinstance(e, Cmp) and "str" in (
+            _expr_kind(e.left, self.app), _expr_kind(e.right, self.app)
+        ):
+            return f"({self.str_code(e.left)} {e.op} {self.str_code(e.right)})"
+        if isinstance(e, (Bin, Cmp)):
+            return f"({self.val(e.left)} {e.op} {self.val(e.right)})"
+        if isinstance(e, Neg):
+            return f"(-{self.val(e.operand)})"
+        if isinstance(e, BoolE):
+            parts = [self.boolv(p) for p in e.parts]
+            stop = e.op == "or"  # the part value that decides the whole
+            if any(p is stop for p in parts):
+                return stop
+            parts = [p for p in parts if p is not (not stop)]
+            if not parts:
+                return not stop
+            fn = "np.logical_or" if stop else "np.logical_and"
+            out = str(parts[0])
+            for p in parts[1:]:
+                out = f"{fn}({out}, {p})"
+            return out
+        if isinstance(e, NotE):
+            inner = self.boolv(e.operand)
+            return (not inner) if isinstance(inner, bool) else f"np.logical_not({inner})"
+        if isinstance(e, Cond):
+            t = self.boolv(e.test)
+            if isinstance(t, bool):
+                return self.val(e.then if t else e.orelse)
+            return f"np.where({t}, {self.val(e.then)}, {self.val(e.orelse)})"
+        if isinstance(e, Call):
+            return self.call(e)
+        if isinstance(e, Reduce):
+            ident = "_minv" if e.fn == "max" else "_maxv"
+            fold = "np.maximum" if e.fn == "max" else "np.minimum"
+            out = None
+            for g, x in e.items:
+                gv = True if g is None else self.boolv(g)
+                if gv is False:
+                    continue
+                term = self.val(x)
+                if gv is not True:
+                    term = f"np.where({gv}, {term}, {ident})"
+                out = term if out is None else f"{fold}({out}, {term})"
+            return out if out is not None else ident
+        raise KernelBuildError(f"{type(e).__name__} is not emittable here")
+
+    def call(self, e: Call) -> str:
+        if e.fn in ("max", "min"):
+            fold = "np.maximum" if e.fn == "max" else "np.minimum"
+            out = self.val(e.args[0])
+            for x in e.args[1:]:
+                out = f"{fold}({out}, {self.val(x)})"
+            return out
+        if e.fn == "abs":
+            return f"np.abs({self.val(e.args[0])})"
+        if e.fn in ("int", "float"):
+            operand = e.args[0]
+            rendered = self.val(operand)
+            kind = _expr_kind(operand, self.app)
+            if e.fn == "int" and kind == "float":
+                return f"np.trunc({rendered}).astype(np.int64)"
+            if e.fn == "float" and kind != "float":
+                return f"({rendered} * 1.0)"
+            return f"({rendered})"
+        raise KernelBuildError(f"call {e.fn}() is not emittable")
+
+    def str_code(self, e: Expr) -> str:
+        """A string operand of ``==``/``!=`` as ord codes."""
+        if isinstance(e, Const) and isinstance(e.value, str):
+            return str(ord(e.value)) if len(e.value) == 1 else "-1"
+        if isinstance(e, SelfElem) and isinstance(getattr(self.app, e.attr), str):
+            name = f"_c_{e.attr}"
+            if name not in self.closures:
+                self.closures[name] = np.asarray(
+                    [ord(ch) for ch in getattr(self.app, e.attr)], dtype=np.int64
+                )
+            top = max(len(self.closures[name]) - 1, 0)  # type: ignore[arg-type]
+            return f"{name}[np.clip({self.val(e.index)}, 0, {top})]"
+        raise KernelBuildError("string value outside a simple comparison")
+
+    def _axis_conds(self, e: Expr, temp: str, size: int) -> List[str]:
+        """Bounds comparisons for ``0 <= e < size``, minus the provable ones.
+
+        Lane coordinates satisfy ``gi in [0, H-1]`` / ``gj in [0, W-1]``,
+        so for a stencil index ``Index +- k`` at most one side of the
+        bounds check can actually fail; the other folds away.
+        """
+        aff = affine_of(e)
+        if aff is None or aff.axis is None or aff.terms:
+            return [f"({temp} >= 0)", f"({temp} < {size})"]
+        span = (self.H if aff.axis == "i" else self.W) - 1
+        conds = []
+        if aff.const < 0:
+            conds.append(f"({temp} >= 0)")
+        if span + aff.const >= size:
+            conds.append(f"({temp} < {size})")
+        return conds
+
+    def present(self, e: Present):
+        """The in-bounds (and active) mask of a ``present()`` test."""
+        r, c = self.cached(self.val(e.row)), self.cached(self.val(e.col))
+        conds = self._axis_conds(e.row, r, self.H) + self._axis_conds(e.col, c, self.W)
+        terms = [self.cached(cond) for cond in conds]
+        if self.has_act:
+            terms.append(
+                self.cached(
+                    f"_act(np.clip({r}, 0, {self.H - 1}),"
+                    f" np.clip({c}, 0, {self.W - 1}))"
+                )
+            )
+        if not terms:
+            return True
+        mask = terms[0]
+        for term in terms[1:]:
+            mask = f"np.logical_and({mask}, {term})"
+        return self.cached(mask)
+
+
+def _emit_prelude(pre: _Renderer, leaves: _LeafTable) -> str:
+    """``def _leaves(r0, c0, h, w)`` evaluating every leaf tile-wide:
+    ``gi``/``gj`` are bound to broadcast column/row vectors, so every
+    rendered expression evaluates over the full tile at once."""
+    pre.line("gi = (r0 + np.arange(h)).reshape(-1, 1)")
+    pre.line("gj = (c0 + np.arange(w)).reshape(1, -1)")
     names = []
     for k, e in enumerate(leaves.exprs):
         names.append(f"_lv{k}")
-        em.line(f"_lv{k} = {em.expr(e)}")
-    em.line(f"return ({', '.join(names)}{',' if names else ''})")
-    body = "\n".join(em.lines)
+        pre.line(f"_lv{k} = {pre.val(e)}")
+    pre.line(f"return ({', '.join(names)}{',' if names else ''})")
+    body = "\n".join(pre.lines)
     return f"def _leaves(r0, c0, h, w):\n{body}\n"
 
 
@@ -310,113 +526,49 @@ def _payload(profile, leaves, h: int, w: int) -> List[object]:
 # -- the profile-specialized sweep emitter ----------------------------------------------
 
 
-class _SliceEmitter:
+def _cols(d) -> str:
+    """The ``_a:_b`` column span moved ``d`` columns: a constant, or the
+    name of a per-row shift."""
+    if d == 0:
+        return "_a:_b"
+    if isinstance(d, str):
+        return f"_a+{d}:_b+{d}"
+    return f"_a{d:+d}:_b{d:+d}"
+
+
+class _SliceEmitter(_Renderer):
     """Renders the case IR in slice context for one boundary profile.
 
-    Dependency reads become contiguous ``B2[...]`` slices; leaves render
-    as their slice, their scalar, or — when the profile says a boolean
-    leaf is uniform over the tile — fold to a constant, erasing the mask
-    entirely. ``a`` is the skew rank of the flat sweep's buffer, or None
-    for row geometry: the batch-first window stack, one tile row per
-    iteration.
+    Dependency reads become contiguous ``B2[...]`` slices; every maximal
+    dependency-free subexpression renders as its prelude leaf: its slice,
+    its scalar, or — when the profile says a boolean leaf is uniform over
+    the tile — a constant, erasing the mask entirely. ``a`` is the skew
+    rank of the flat sweep's buffer, or None for row geometry: the
+    batch-first window stack, one tile row per iteration.
     """
 
-    def __init__(self, em, leaves: _LeafTable, offsets, profile, a: Optional[int]) -> None:
-        self.em = em  # the codegen._Emitter (closures / kinds / app)
+    indent, prefix = "        ", "_x"
+
+    def __init__(self, pre: _Renderer, leaves: _LeafTable, offsets, profile,
+                 a: Optional[int]) -> None:
+        self.app, self.closures = pre.app, pre.closures
         self.leaves = leaves
         self.offsets = offsets  # DepRead -> (di, dj)
         self.profile = profile
         self.a = a
-        self.lines: List[str] = []
-        self._line_cache: Dict[str, str] = {}
-        self._tmp = 0
-
-    def line(self, text: str) -> None:
-        self.lines.append("        " + text)
-
-    def cached(self, rhs: str) -> str:
-        if rhs.isidentifier():
-            return rhs
-        t = self._line_cache.get(rhs)
-        if t is None:
-            self._tmp += 1
-            t = f"_x{self._tmp}"
-            self.line(f"{t} = {rhs}")
-            self._line_cache[rhs] = t
-        return t
-
-    # a leaf renders as True/False (folded bool), a scalar name, or a slice
-    def leaf(self, e: Expr):
-        k = self.leaves.intern(e)
-        state = self.profile[k]
-        if state == "T":
-            return True
-        if state == "F":
-            return False
-        if state == "S":
-            return f"_L{k}"
-        return self.cached(f"_L{k}[:, _r]" if self.a is None else f"_L{k}[_vd, _a:_b]")
-
-    def _col(self, di: int) -> str:
-        if di == 0:
-            return "_a:_b"
-        return f"_a{di:+d}:_b{di:+d}"
+        self.lines = []
+        self._line_cache = {}
 
     def dep_slice(self, e: DepRead) -> str:
         di, dj = self.offsets[e]
         if self.a is None:
-            return self.cached(f"B2[:, _vd{di:+d}, {self._col(dj)}]")
+            return self.cached(f"B2[:, _vd{di:+d}, {_cols(dj)}]")
         dr = self.a * di + dj
-        return self.cached(f"B2[_vd - {-dr}, {self._col(di)}]")
+        return self.cached(f"B2[_vd - {-dr}, {_cols(di)}]")
 
-    def boolv(self, e: Expr):
-        """Boolean context: True / False / a rendered string."""
-        if isinstance(e, Const):
-            return bool(e.value)
-        if not _has_dep(e):
-            return self.leaf(e)
-        if isinstance(e, BoolE):
-            parts = [self.boolv(p) for p in e.parts]
-            if e.op == "and":
-                if any(p is False for p in parts):
-                    return False
-                parts = [p for p in parts if p is not True]
-                fn = "np.logical_and"
-                if not parts:
-                    return True
-            else:
-                if any(p is True for p in parts):
-                    return True
-                parts = [p for p in parts if p is not False]
-                fn = "np.logical_or"
-                if not parts:
-                    return False
-            out = str(parts[0])
-            for p in parts[1:]:
-                out = f"{fn}({out}, {p})"
-            return out
-        if isinstance(e, NotE):
-            inner = self.boolv(e.operand)
-            if isinstance(inner, bool):
-                return not inner
-            return f"np.logical_not({inner})"
-        if isinstance(e, Cmp):
-            return f"({self.val(e.left)} {e.op} {self.val(e.right)})"
-        return self.val(e)
-
-    def val(self, e: Expr) -> str:
-        em = self.em
-        if isinstance(e, Const):
-            if isinstance(e.value, str):
-                raise KernelBuildError("string constant in a dependency expression")
-            return repr(e.value)
-        if not _has_dep(e):
-            v = self.leaf(e)
-            return repr(v) if isinstance(v, bool) else v
+    def val(self, e: Expr):
         if isinstance(e, DepRead):
-            if e.default is None:
-                return self.dep_slice(e)
-            mask = self.boolv(Present(e.row, e.col))
+            mask = True if e.default is None else self.boolv(Present(e.row, e.col))
             if mask is True:
                 return self.dep_slice(e)
             if mask is False:
@@ -424,57 +576,15 @@ class _SliceEmitter:
             return self.cached(
                 f"np.where({mask}, {self.dep_slice(e)}, {self.val(e.default)})"
             )
-        if isinstance(e, Bin):
-            return f"({self.val(e.left)} {e.op} {self.val(e.right)})"
-        if isinstance(e, Neg):
-            return f"(-{self.val(e.operand)})"
-        if isinstance(e, Cmp):
-            return f"({self.val(e.left)} {e.op} {self.val(e.right)})"
-        if isinstance(e, (BoolE, NotE)):
-            v = self.boolv(e)
-            return repr(v) if isinstance(v, bool) else v
-        if isinstance(e, Cond):
-            t = self.boolv(e.test)
-            if t is True:
-                return self.val(e.then)
-            if t is False:
-                return self.val(e.orelse)
-            return f"np.where({t}, {self.val(e.then)}, {self.val(e.orelse)})"
-        if isinstance(e, Call):
-            if e.fn in ("max", "min"):
-                fold = "np.maximum" if e.fn == "max" else "np.minimum"
-                out = self.val(e.args[0])
-                for x in e.args[1:]:
-                    out = f"{fold}({out}, {self.val(x)})"
-                return out
-            if e.fn == "abs":
-                return f"np.abs({self.val(e.args[0])})"
-            if e.fn in ("int", "float"):
-                operand = e.args[0]
-                rendered = self.val(operand)
-                kind = _expr_kind(operand, em.app)
-                if e.fn == "int" and kind == "float":
-                    return f"np.trunc({rendered}).astype(np.int64)"
-                if e.fn == "float" and kind != "float":
-                    return f"({rendered} * 1.0)"
-                return f"({rendered})"
-        if isinstance(e, Reduce):
-            ident = "_minv" if e.fn == "max" else "_maxv"
-            em.ident_closure()
-            fold = "np.maximum" if e.fn == "max" else "np.minimum"
-            out = None
-            for g, x in e.items:
-                gv = True if g is None else self.boolv(g)
-                if gv is False:
-                    continue
-                term = self.val(x)
-                if gv is not True:
-                    term = f"np.where({gv}, {term}, {ident})"
-                out = term if out is None else f"{fold}({out}, {term})"
-            return out if out is not None else ident
-        raise KernelBuildError(
-            f"{type(e).__name__} is not flat-sweep emittable"
-        )
+        if isinstance(e, Const) or _has_dep(e):
+            return super().val(e)
+        k = self.leaves.intern(e)
+        state = self.profile[k]
+        if state in ("T", "F"):
+            return state == "T"
+        if state == "S":
+            return f"_L{k}"
+        return self.cached(f"_L{k}[:, _r]" if self.a is None else f"_L{k}[_vd, _a:_b]")
 
     def emit(self, cases, scan: Optional[int] = None) -> str:
         """The sweep body for this profile: one where-chain per diagonal
@@ -508,18 +618,18 @@ def _code(src: str, name: str):
 
 
 class _SliceKernel:
-    """What both slice kernels share: the prelude, one sweep compiled per
+    """What every slice kernel shares: the prelude, one sweep compiled per
     profile on first sight, and the one-tile call."""
 
     kind = ""  # names the generated code objects
     header = ""  # the --dump-kernel banner
 
-    def __init__(self, app, cases, leaves: _LeafTable, offsets, pads, em,
+    def __init__(self, cases, leaves: _LeafTable, offsets, pads, pre: _Renderer,
                  nrender: int) -> None:
-        self.app, self.cases, self.leaves, self.offsets = app, cases, leaves, offsets
-        self.pads, self._em = pads, em
-        self.prelude_source = _emit_prelude(em, leaves)
-        ns = dict(em.closures)
+        self.cases, self.leaves, self.offsets = cases, leaves, offsets
+        self.pads, self._pre = pads, pre
+        self.prelude_source = _emit_prelude(pre, leaves)
+        ns = dict(pre.closures)
         exec(_code(self.prelude_source, f"<{self.kind}:prelude>"), ns)
         self._leaves_fn = ns["_leaves"]
         self._sweeps: Dict[Tuple[str, ...], object] = {}
@@ -534,7 +644,7 @@ class _SliceKernel:
         names = ", ".join(f"_L{k}" for k in range(len(profile)))
         unpack = f"    ({names},) = _leaves\n" if names else ""
         src = self._sweep_source(profile, unpack)
-        ns = {"np": np, **{k: self._em.closures.get(k) for k in ("_minv", "_maxv")}}
+        ns = {k: self._pre.closures[k] for k in ("np", "_minv", "_maxv")}
         exec(_code(src, f"<{self.kind}:{''.join(profile)}>"), ns)
         fn = self._sweeps[profile] = ns["_sweep"]
         self._sweep_sources[profile] = src
@@ -574,13 +684,13 @@ class FlatSweepKernel(_SliceKernel):
         "#  fully-masked general variant)\n"
     )
 
-    def __init__(self, app, cases, leaves: _LeafTable, offsets, a: int,
-                 pads: Tuple[int, int, int, int], em) -> None:
+    def __init__(self, cases, leaves: _LeafTable, offsets, a: int,
+                 pads: Tuple[int, int, int, int], pre: _Renderer) -> None:
         self.a = a
-        super().__init__(app, cases, leaves, offsets, pads, em, len(leaves.exprs))
+        super().__init__(cases, leaves, offsets, pads, pre, len(leaves.exprs))
 
     def _sweep_source(self, profile, unpack: str) -> str:
-        se = _SliceEmitter(self._em, self.leaves, self.offsets, profile, self.a)
+        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, self.a)
         body = se.emit(self.cases)
         return (
             f"def _sweep(B2, _spans, _leaves):\n{unpack}"
@@ -628,11 +738,9 @@ class FlatSweepKernel(_SliceKernel):
 
 
 @functools.lru_cache(maxsize=64)
-def _row_table(strides: tuple, pt: int, pl: int) -> tuple:
-    """Per tile row ``r``: ``(r, buffer row, stride s, the seed's first
-    buffer column)`` — the seed being the ``s`` cells left of the tile,
-    whose chains the row continues."""
-    return tuple((r, pt + r, s, pl - s) for r, s in enumerate(strides))
+def _row_table(extras: tuple, pt: int) -> tuple:
+    """Per tile row ``r``: ``(r, buffer row, *extras[r])``."""
+    return tuple((r, pt + r, *x) for r, x in enumerate(extras))
 
 
 def _scan_buffers(nb: int, w: int, s: int, dtype) -> tuple:
@@ -644,14 +752,94 @@ def _scan_buffers(nb: int, w: int, s: int, dtype) -> tuple:
     return buf[:, :s], buf[:, s : s + w], buf.reshape(nb, -1, s) if s > 1 else buf
 
 
-class RowScanKernel(_SliceKernel):
+class RowKernel(_SliceKernel):
+    """A compiled row kernel (the ``fn`` of an ELEMENTWISE AutoKernel).
+
+    Every read lies in an earlier row, so each tile row is one
+    where-chain over ``(nb, w)`` blocks of the batch-first window stack.
+    ``hidden`` expressions are prelude leaves no sweep renders: here the
+    column shifts of reads whose column adds row-only data, which the
+    row table hands each row as ``_d0, _d1, ...``.
+    """
+
+    kind = "rows"
+    header = (
+        "# row kernel: prelude -> per row: earlier-row slices -> store\n"
+        "# (this is the fully-masked general variant)\n"
+    )
+
+    def __init__(self, cases, leaves: _LeafTable, offsets, pads, pre: _Renderer,
+                 hidden=()) -> None:
+        nrender = len(leaves.exprs)
+        self.hidden_k = [leaves.intern(e) for e in hidden]
+        super().__init__(cases, leaves, offsets, pads, pre, nrender)
+
+    def _sweep_source(self, profile, unpack: str) -> str:
+        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, None)
+        body = se.emit(self.cases)
+        shifts = "".join(f", _d{n}" for n in range(len(self.hidden_k)))
+        return (
+            f"def _sweep(B2, _rows, _a, _b, _leaves):\n{unpack}"
+            f"    for _r, _vd{shifts} in _rows:\n{body}\n"
+        )
+
+    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
+        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
+
+        The profile is the rendered leaves' (see :func:`_classify_leaves`)
+        plus, given column shifts, the tile's per-row shift tuples: only
+        tiles whose rows shift alike share a sweep.
+        """
+        values = self._leaves_fn(r0, c0, h, w)
+        profile, leaves = _classify_leaves(values[: len(self.general_profile)])
+        if self.hidden_k:
+            per_row = (np.broadcast_to(values[k], (h, 1))[:, 0].tolist() for k in self.hidden_k)
+            profile.append(tuple(zip(*per_row)))
+        return tuple(profile), leaves
+
+    def _row_args(self, profile, leaves, B, h, w) -> tuple:
+        """The generated sweep's arguments after ``B2``."""
+        n = len(self.general_profile)
+        shifts = profile[n] if len(profile) > n else ((),) * h
+        pt, _pb, pl, _pr = self.pads
+        return _row_table(shifts, pt), pl, pl + w, tuple(_payload(profile[:n], leaves, h, w))
+
+    def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
+        """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
+
+        ``windows`` is an ``(nb, wh, ww)`` stack, updated in place. The
+        rows run on the stack itself when each window is exactly the
+        tile's pads box, else on a framed copy of that box; every row
+        then works on ``(nb, w)`` blocks.
+        """
+        pt, pb, pl, pr = self.pads
+        nb, wh, ww = windows.shape
+        B = windows
+        if (oi, oj, wh, ww) != (pt, pl, pt + h + pb, pl + w + pr):
+            B = np.zeros((nb, pt + h + pb, pl + w + pr), windows.dtype)
+            # a window covers the pads box clipped to the grid, so frame
+            # columns it leaves out on the left lie off the grid: no scan
+            # chain arrives from there
+            B[:, :, : max(0, pl - oj)] = self._pre.closures["_minv"]
+            r_lo, r_hi = max(-oi, -pt), min(wh - oi, h + pb)  # the overlap,
+            c_lo, c_hi = max(-oj, -pl), min(ww - oj, w + pr)  # tile-relative
+            B[:, pt + r_lo : pt + r_hi, pl + c_lo : pl + c_hi] = windows[
+                :, oi + r_lo : oi + r_hi, oj + c_lo : oj + c_hi
+            ]
+        self._sweep_fn(profile)(B, *self._row_args(profile, leaves, B, h, w))
+        if B is not windows:
+            windows[:, oi : oi + h, oj : oj + w] = B[:, pt : pt + h, pl : pl + w]
+
+
+class RowScanKernel(RowKernel):
     """A compiled row-scan tile kernel (the ``fn`` of a ROW_SCAN_PREFIX AutoKernel).
 
     Row by row, the intra-row recurrence ``v[j] = max(base[j], v[j - s] +
     add[j])`` is solved in closed form: with ``S`` the inclusive prefix
     sum of ``add`` within each residue class mod ``s``, ``v - S`` is a
     running maximum of ``base - S`` down each class, seeded by the chain
-    arriving from the ``s`` cells left of the tile.
+    arriving from the ``s`` cells left of the tile. The hidden leaves are
+    the add and a data stride.
     """
 
     kind = "rowscan"
@@ -661,21 +849,18 @@ class RowScanKernel(_SliceKernel):
         "# (this is the fully-masked general variant)\n"
     )
 
-    def __init__(self, app, cases, scan: int, form, leaves: _LeafTable,
-                 offsets, pads, em) -> None:
+    def __init__(self, cases, scan: int, form, leaves: _LeafTable, offsets, pads,
+                 pre: _Renderer) -> None:
         self.scan = scan  # the case the scan solves; renders as ``_scan``
         self.pins = form.pins
         self.lane_add = form.lane_add
-        # the add and a data stride are prelude leaves no sweep renders
-        nrender = len(leaves.exprs)
-        self.add_k = leaves.intern(form.add)
         literal = isinstance(form.stride, Const)
         self.stride = int(form.stride.value) if literal else None
-        self.stride_k = None if literal else leaves.intern(form.stride)
-        super().__init__(app, cases, leaves, offsets, pads, em, nrender)
+        hidden = (form.add,) if literal else (form.add, form.stride)
+        super().__init__(cases, leaves, offsets, pads, pre, hidden)
 
     def _sweep_source(self, profile, unpack: str) -> str:
-        se = _SliceEmitter(self._em, self.leaves, self.offsets, profile, None)
+        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, None)
         base = se.val(self.cases[self.scan][1])
         for idx in reversed(self.pins):
             # pinned cases chain through the scan: their (dependency-free)
@@ -708,9 +893,9 @@ class RowScanKernel(_SliceKernel):
         """
         values = self._leaves_fn(r0, c0, h, w)
         profile, leaves = _classify_leaves(values[: len(self.general_profile)])
-        add, s = values[self.add_k], self.stride
+        add, s = values[self.hidden_k[0]], self.stride
         if s is None:
-            s = np.broadcast_to(values[self.stride_k], (h, 1))
+            s = np.broadcast_to(values[self.hidden_k[1]], (h, 1))
             profile.append(tuple(s[:, 0].tolist()))
         if self.lane_add and s == 1:  # a lane-varying add has a literal stride
             leaves.append(np.cumsum(add, axis=-1))
@@ -721,94 +906,57 @@ class RowScanKernel(_SliceKernel):
             leaves.append((np.arange(w) // s + 1) * add)
         return tuple(profile), leaves
 
-    def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
-        """Scan ``nb`` same-geometry, same-profile tiles in one pass.
-
-        ``windows`` is an ``(nb, wh, ww)`` stack, updated in place. The
-        scan runs on the stack itself when each window is exactly the
-        tile's pads box, else on a framed copy of that box; every row
-        then works on ``(nb, w)`` blocks.
-        """
+    def _row_args(self, profile, leaves, B, h, w) -> tuple:
         n = len(self.general_profile)
-        fn = self._sweep_fn(profile)
         strides = profile[n] if len(profile) > n else (self.stride,) * h
-        pt, pb, pl, pr = self.pads
-        nb, wh, ww = windows.shape
-        B = windows
-        if (oi, oj, wh, ww) != (pt, pl, pt + h + pb, pl + w + pr):
-            B = np.zeros((nb, pt + h + pb, pl + w + pr), windows.dtype)
-            # a window covers the pads box clipped to the grid, so frame
-            # columns it leaves out on the left lie off the grid: no chain
-            # arrives from there
-            B[:, :, : max(0, pl - oj)] = self._em.closures["_minv"]
-            r_lo, r_hi = max(-oi, -pt), min(wh - oi, h + pb)  # the overlap,
-            c_lo, c_hi = max(-oj, -pl), min(ww - oj, w + pr)  # tile-relative
-            B[:, pt + r_lo : pt + r_hi, pl + c_lo : pl + c_hi] = windows[
-                :, oi + r_lo : oi + r_hi, oj + c_lo : oj + c_hi
-            ]
+        pt, _pb, pl, _pr = self.pads
         # S rides along as one more array leaf
         *payload, S = _payload(profile[:n] + ("M",), leaves, h, w)
         dtype = np.result_type(B.dtype, S.dtype)
-        bufs = {s: _scan_buffers(nb, w, s, dtype) for s in set(strides)}
-        fn(B, _row_table(strides, pt, pl), pl, pl + w, tuple(payload), S, bufs)
-        if B is not windows:
-            windows[:, oi : oi + h, oj : oj + w] = B[:, pt : pt + h, pl : pl + w]
+        bufs = {s: _scan_buffers(len(B), w, s, dtype) for s in set(strides)}
+        # a row's seed is the s cells left of the tile, whose chains it continues
+        rows = _row_table(tuple((s, pl - s) for s in strides), pt)
+        return rows, pl, pl + w, tuple(payload), S, bufs
 
 
-# -- the builders -----------------------------------------------------------------------
+# -- the builder ------------------------------------------------------------------------
 
 
-def build_flat_sweep(cls, app, dag, pads: Tuple[int, int, int, int]):
-    """A :class:`FlatSweepKernel` for an ANTIDIAG classification.
-
-    Raises :class:`repro.analysis.codegen.KernelBuildError` when the IR
-    leaves the flat subset (data-dependent offsets, dependency-carrying
-    case guards, activity predicates with no array form, ...); the
-    app is then demoted to OPAQUE (``DP403``) and runs interpreted.
-    """
-    if cls.klass != "ANTIDIAG_WAVEFRONT" or cls.ir is None:
-        raise KernelBuildError("flat sweep requires an ANTIDIAG classification")
-    a, _b = cls.rank
-    offsets = _const_offsets(cls.ir.cases, cls.entries)
-    act = _make_act(dag)
-    em = _Emitter(app, dag, has_act=act is not None)
-    if act is not None:
-        em.closures["_act"] = act
-    em.ident_closure()
-    leaves = _LeafTable()
-    leaves.intern_cases(cls.ir.cases)
-    return FlatSweepKernel(app, cls.ir.cases, leaves, offsets, a, pads, em)
-
-
-def build_row_scan(cls, app, dag, pads: Tuple[int, int, int, int]):
-    """A :class:`RowScanKernel` for a ROW_SCAN_PREFIX classification.
+def build_slice_kernel(cls, app, dag, pads: Tuple[int, int, int, int]):
+    """The slice kernel for an ANTIDIAG, ELEMENTWISE or ROW_SCAN_PREFIX
+    classification.
 
     Raises :class:`repro.analysis.codegen.KernelBuildError` when the IR
-    leaves the slice form — a data-dependent offset outside the scan
-    read, a base read in the row being scanned, a partially active dag,
-    a lane-varying add under a data stride — and the app is then demoted
-    to OPAQUE (``DP403``) and runs interpreted.
+    leaves the slice form — a data-dependent offset (in row geometry:
+    one whose column data varies per lane), a dependency-carrying case
+    guard, an activity predicate the prelude cannot vectorize, a
+    partially active dag under a row kernel, a base read in the row
+    being scanned, a lane-varying add under a data stride — and the app
+    is then demoted to OPAQUE (``DP403``) and runs interpreted.
     """
+    cases, leaves, pre = cls.ir.cases, _LeafTable(), _Renderer(app, dag)
+    if cls.klass == "ANTIDIAG_WAVEFRONT":
+        offsets = _const_offsets(cases, cls.entries)
+        leaves.intern_cases(cases)
+        return FlatSweepKernel(cases, leaves, offsets, cls.rank[0], pads, pre)
+    if pre.has_act:
+        raise KernelBuildError("row emission requires a fully active dag")
     form = cls.row_scan
-    if cls.klass != "ROW_SCAN_PREFIX" or cls.ir is None or form is None:
-        raise KernelBuildError("row scan requires a ROW_SCAN_PREFIX classification")
-    if _make_act(dag) is not None:
-        raise KernelBuildError("prefix-scan emission requires a fully active row")
+    if form is None:  # ELEMENTWISE
+        shifts: List[Expr] = []
+        offsets = _const_offsets(cases, cls.entries, shifts)
+        leaves.intern_cases(cases)
+        return RowKernel(cases, leaves, offsets, pads, pre, shifts)
     if form.lane_add and not isinstance(form.stride, Const):
         raise KernelBuildError("a lane-varying add needs a literal stride")
     scan = next(
-        idx for idx, (_g, v) in enumerate(cls.ir.cases)
+        idx for idx, (_g, v) in enumerate(cases)
         if any(n == form.read for n in walk_expr(v))
     )
     # the scan case renders as its base: the recurrence itself is the scan
-    cases = tuple(
-        (g, form.base if idx == scan else v) for idx, (g, v) in enumerate(cls.ir.cases)
-    )
+    cases = tuple((g, form.base if idx == scan else v) for idx, (g, v) in enumerate(cases))
     offsets = _const_offsets(cases, cls.entries)
     if any(di >= 0 for di, _dj in offsets.values()):
         raise KernelBuildError("a base read in the row being scanned")
-    em = _Emitter(app, dag, has_act=False)
-    em.ident_closure()
-    leaves = _LeafTable()
     leaves.intern_cases(cases)
-    return RowScanKernel(app, cases, scan, form, leaves, offsets, pads, em)
+    return RowScanKernel(cases, scan, form, leaves, offsets, pads, pre)

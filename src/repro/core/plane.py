@@ -302,8 +302,8 @@ def run_tiles(
     Window kernels run on a zeroed window with only the halo scattered
     in — never a raw plane copy, so values a recovery left behind in
     unfinished cells cannot leak into a window. Where the kernel can
-    sweep a stack of windows at once (``fn.prepare`` / ``fn.sweep``, the
-    flat-sweep kernel), tiles of equal geometry *and* equal boundary
+    sweep a stack of windows at once (``fn.prepare`` / ``fn.sweep``: every
+    generated window kernel), tiles of equal geometry *and* equal boundary
     profile share one sweep: an interior tile never pays for the masks
     of the boundary tile next to it, and a tile alone in its group runs
     exactly what it ran before batching existed. Every other kernel sees

@@ -27,8 +27,8 @@ class TestAnalyzeAll:
         assert "4 OPAQUE" in capsys.readouterr().out
 
     def test_single_app_with_kernel_dump(self, capsys):
-        # lcs is ANTIDIAG: the flat-sweep emitter prints its prelude +
-        # general sweep variant rather than a compute_tile body
+        # lcs is ANTIDIAG: the flat-sweep kernel prints its prelude and
+        # general sweep variant
         assert main(["analyze", "--app", "lcs", "--dump-kernel"]) == 0
         out = capsys.readouterr().out
         assert "flat-sweep kernel" in out
@@ -43,6 +43,17 @@ class TestAnalyzeAll:
         assert "def _leaves(r0, c0, h, w):" in out
         assert "def _sweep(B2, _rows, _a, _b, _leaves, _S, _bufs):" in out
         assert out.count("np.maximum.accumulate") == 1
+
+    def test_row_kernel_dump(self, capsys):
+        # knapsack is ELEMENTWISE: the prelude, then a batched per-row
+        # sweep whose weight shift comes from the row table
+        assert main(["analyze", "--app", "knapsack", "--dump-kernel"]) == 0
+        out = capsys.readouterr().out
+        assert "# row kernel" in out
+        assert "def _leaves(r0, c0, h, w):" in out
+        assert "def _sweep(B2, _rows, _a, _b, _leaves):" in out
+        assert "for _r, _vd, _d0 in _rows:" in out
+        assert "compute_tile" not in out
 
     def test_ir_dump(self, capsys):
         assert main(["analyze", "--app", "knapsack", "--ir"]) == 0

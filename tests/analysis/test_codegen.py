@@ -13,11 +13,12 @@ import pytest
 from repro.analysis.classify import classify_app
 from repro.analysis.codegen import AutoKernel, build_autokernel
 from repro.analysis.registry import app_fixture, app_names
-from repro.core.api import DPX10App, dependency_map
+from repro.core.api import DPX10App, VertexId, dependency_map
 from repro.core.config import DPX10Config
+from repro.core.dag import Dag
 from repro.core.runtime import DPX10Runtime
 from repro.errors import ConfigurationError
-from repro.patterns import GridDag
+from repro.patterns import BandedDiagonalDag, GridDag
 from repro.patterns.base import StencilDag
 
 from tests.analysis.fixtures import dep_guard_target
@@ -43,7 +44,6 @@ TILE_SHAPES = [(4, 4), (5, 3), (2, 7)]
 def _lagged_knapsack():
     """Unbounded knapsack whose skip edge lags ``lags[i - 1]`` columns."""
     from repro.apps.unbounded_knapsack import UnboundedKnapsackApp, UnboundedKnapsackDag
-    from repro.core.api import VertexId
 
     weights, values, lags = [3, 5, 2, 4], [4, 7, 2, 6], [1, 2, 1, 3]
 
@@ -78,6 +78,68 @@ def _lagged_knapsack():
     return app, Dag(weights, 13)
 
 
+_LAGS = (1, 3, 2, 1, 4, 2, 3, 1, 2, 4, 1, 3, 2)
+
+
+class _LaneShiftDag(Dag):
+    """Each cell reads the row above, and ``_LAGS[j]`` columns left of it."""
+
+    def __init__(self):
+        super().__init__(height=10, width=len(_LAGS))
+
+    def get_dependency(self, i, j):
+        if i == 0:
+            return []
+        deps = [VertexId(i - 1, j)]
+        if j >= _LAGS[j]:
+            deps.append(VertexId(i - 1, j - _LAGS[j]))
+        return deps
+
+    def get_anti_dependency(self, i, j):
+        if i + 1 == self.height:
+            return []
+        return [VertexId(i + 1, j)] + [
+            VertexId(i + 1, k) for k in range(self.width) if k - _LAGS[k] == j
+        ]
+
+
+class _LaneShiftApp(DPX10App):
+    """ELEMENTWISE, but the shifted read's column data varies per lane."""
+
+    value_dtype = np.int64
+
+    def __init__(self):
+        self.lags = list(_LAGS)
+
+    def compute(self, i, j, vertices):
+        if i == 0:
+            return j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)], dep.get((i - 1, j - self.lags[j]), 0) + 1)
+
+
+def _lane_shift_rows():
+    return _LaneShiftApp(), _LaneShiftDag()
+
+
+class _BandRowsDag(BandedDiagonalDag):
+    offsets = ((-1, -1), (-1, 0))
+
+
+class _BandRowsApp(DPX10App):
+    """An earlier-row stencil on a partially active (banded) dag."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        return max(dep.get((i - 1, j - 1), 0) + 2, dep.get((i - 1, j), 0) + j)
+
+
+def _band_rows():
+    return _BandRowsApp(), _BandRowsDag(13, 11, 3)
+
+
 def _run(name, **kw):
     app, dag = app_fixture(name)
     cfg = DPX10Config(**kw)
@@ -97,16 +159,14 @@ class TestBuild:
         kernel, cls = build_autokernel(app, dag)
         assert isinstance(kernel, AutoKernel)
         assert kernel.klass == cls.klass
-        # one emitter per class, each recognisable by its source; domain
-        # kernels describe themselves
-        marker = {
-            "ELEMENTWISE": "def compute_tile",
-            "ANTIDIAG_WAVEFRONT": "flat-sweep kernel",
-            "ROW_SCAN_PREFIX": "row-scan kernel",
-        }.get(kernel.klass, "")
-        assert marker in kernel.source
-        if kernel.klass == "ROW_SCAN_PREFIX":
-            assert type(kernel.fn).__name__ == "RowScanKernel"
+        # one kernel type per class
+        assert type(kernel.fn).__name__ == {
+            "ELEMENTWISE": "RowKernel",
+            "ANTIDIAG_WAVEFRONT": "FlatSweepKernel",
+            "ROW_SCAN_PREFIX": "RowScanKernel",
+            "TENSOR_HYPERPLANE": "TensorHyperplaneKernel",
+            "TREE_LEVEL_GATHER": "TreeLevelKernel",
+        }[kernel.klass]
         assert len(kernel.pads) == 4
 
     @pytest.mark.parametrize("name", ["cyk", "egg_drop", "viterbi"])
@@ -147,6 +207,24 @@ class TestBuild:
         app, dag = _lagged_knapsack()
         DPX10Runtime(app, dag, DPX10Config(tile_shape=(3, 4), autokernel=True)).run()
         assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
+
+    @pytest.mark.parametrize("make", [_lane_shift_rows, _band_rows])
+    def test_rows_outside_the_slice_form_are_demoted_dp403(self, make):
+        # a column shift that varies per lane has no per-row slice, and a
+        # row kernel has no activity masks: both apps run interpreted
+        app, dag = make()
+        assert classify_app(app, dag).klass == "ELEMENTWISE"
+        kernel, cls = build_autokernel(app, dag)
+        assert kernel is None
+        assert cls.klass == "OPAQUE"
+        assert [f.code for f in cls.report.findings] == ["DP403"]
+        DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
+        want = dag.to_array(fill=-1, dtype=np.int64)
+        for extra in ({"engine": "inline"}, {"engine": "mp", "nplaces": 2}):
+            app, dag = make()
+            cfg = DPX10Config(tile_shape=(4, 5), autokernel=True, **extra)
+            DPX10Runtime(app, dag, cfg).run()
+            assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
 
     def test_build_is_deterministic(self):
         # mp workers rebuild post-fork; both builds must emit the same
@@ -327,20 +405,30 @@ def _row_scan_instance(name):
 
 def _batch_instance(name):
     """An app at a size with interior *and* ragged tiles, and its tile
-    shape: a registry ANTIDIAG app, or a row-scan instance."""
+    shape: a registry ANTIDIAG or ELEMENTWISE app, or a row-scan
+    instance."""
     from repro.apps.banded_alignment import BandedEditDistanceApp
+    from repro.apps.common_substring import CommonSubstringApp
     from repro.apps.edit_distance import EditDistanceApp
+    from repro.apps.knapsack import KnapsackApp, KnapsackDag
     from repro.apps.lcs import LCSApp
     from repro.apps.lps import LPSApp
     from repro.apps.needleman_wunsch import NWApp
     from repro.apps.smith_waterman import SWApp
-    from repro.patterns import BandedDiagonalDag, DiagonalDag, IntervalDag
+    from repro.patterns import DiagChainDag, DiagonalDag, IntervalDag
 
     if name in TestLevelBatch.ROW_SCAN:
         return _row_scan_instance(name)
+    if name == "knapsack":
+        # ragged both ways, and weights up to 9 reach past the left
+        # neighbour of a 4-wide tile
+        weights, values = [3, 9, 5, 6, 2, 7, 4, 8, 1, 6], [4, 13, 7, 9, 2, 10, 5, 12, 1, 8]
+        return KnapsackApp(weights, values, 30), KnapsackDag(weights, 30), (4, 4)
     rng = np.random.default_rng(7)
     x = "".join(rng.choice(list("ACGT"), 18))
     y = "".join(rng.choice(list("ACGT"), 16))
+    if name == "common_substring":
+        return CommonSubstringApp(x, y), DiagChainDag(len(x) + 1, len(y) + 1), (4, 4)
     if name == "lps":
         return LPSApp(x), IntervalDag(len(x), len(x)), (4, 4)
     if name == "banded":
@@ -376,8 +464,9 @@ def _solved_plane(app, dag, tiled):
 class TestLevelBatch:
     ANTIDIAG = ["banded", "edit_distance", "lcs", "lps", "nw", "sw"]
     ROW_SCAN = ["mtp", "unbounded_knapsack", "strided_gain"]
+    ELEMENTWISE = ["knapsack", "common_substring"]
 
-    @pytest.mark.parametrize("name", ANTIDIAG + ROW_SCAN)
+    @pytest.mark.parametrize("name", ANTIDIAG + ROW_SCAN + ELEMENTWISE)
     def test_batch_is_bit_identical_to_solo_and_no_more_general(self, name):
         from collections import Counter
 
@@ -386,7 +475,9 @@ class TestLevelBatch:
         app, dag, shape = _batch_instance(name)
         kernel, cls = build_autokernel(app, dag)
         assert cls.klass == (
-            "ROW_SCAN_PREFIX" if name in self.ROW_SCAN else "ANTIDIAG_WAVEFRONT"
+            "ROW_SCAN_PREFIX" if name in self.ROW_SCAN
+            else "ELEMENTWISE" if name in self.ELEMENTWISE
+            else "ANTIDIAG_WAVEFRONT"
         )
         tiled = dag.coarsen(*shape)
         kernel = tile_kernel(app, tiled, kernel)
