@@ -271,9 +271,9 @@ class _Renderer:
 
     ``gi``/``gj`` are the tile's global row/column coordinates as
     broadcast column/row vectors. ``self`` data becomes closures in
-    :attr:`closures` (the prelude's namespace), every gather
-    ``np.clip``-ed: ``np.where`` evaluates both branches, so masked lanes
-    must still index in range. A ``present()`` test becomes a bounds
+    :attr:`closures` (the namespace of the prelude and every sweep),
+    every gather ``np.clip``-ed: ``np.where`` evaluates both branches,
+    so masked lanes index in range. A ``present()`` test becomes a bounds
     mask, plus an activity test on a partially active dag, whose inactive
     cells keep the zero that defaulted reads of them observe (the
     window's zero fill is *not* the default — banded's is ``10**9``).
@@ -283,18 +283,21 @@ class _Renderer:
 
     indent, prefix = "    ", "_t"
 
-    def __init__(self, app, dag) -> None:
-        act = _make_act(dag)
-        self.app, self.H, self.W, self.has_act = app, dag.height, dag.width, act is not None
-        dtype = np.dtype(type(app).value_dtype)
-        if dtype.kind in ("i", "u"):
-            lo, hi = int(np.iinfo(dtype).min // 4), int(np.iinfo(dtype).max // 4)
-        else:
-            lo, hi = -np.inf, np.inf
-        # _minv / _maxv: the identities of a guarded max / min reduction
-        self.closures: Dict[str, object] = {"np": np, "_act": act, "_minv": lo, "_maxv": hi}
+    def __init__(self, app, H: int, W: int, closures: Dict[str, object]) -> None:
+        self.app, self.H, self.W, self.closures = app, H, W, closures
+        self.has_act = closures["_act"] is not None
         self.lines: List[str] = []
         self._line_cache: Dict[str, str] = {}
+
+    @classmethod
+    def for_dag(cls, app, dag) -> "_Renderer":
+        """The prelude's renderer, holding fresh closures for ``app`` on ``dag``."""
+        dtype = np.dtype(type(app).value_dtype)
+        info = np.iinfo(dtype) if dtype.kind in ("i", "u") else None
+        lo, hi = (int(info.min // 4), int(info.max // 4)) if info else (-np.inf, np.inf)
+        # _minv / _maxv: the identities of a guarded max / min reduction
+        closures = {"np": np, "_act": _make_act(dag), "_minv": lo, "_maxv": hi}
+        return cls(app, dag.height, dag.width, closures)
 
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
@@ -544,20 +547,17 @@ class _SliceEmitter(_Renderer):
     its scalar, or — when the profile says a boolean leaf is uniform over
     the tile — a constant, erasing the mask entirely. ``a`` is the skew
     rank of the flat sweep's buffer, or None for row geometry: the
-    batch-first window stack, one tile row per iteration.
+    batch-first window stack, one tile row per iteration. It shares the
+    prelude's geometry and closures.
     """
 
     indent, prefix = "        ", "_x"
 
     def __init__(self, pre: _Renderer, leaves: _LeafTable, offsets, profile,
                  a: Optional[int]) -> None:
-        self.app, self.closures = pre.app, pre.closures
-        self.leaves = leaves
-        self.offsets = offsets  # DepRead -> (di, dj)
-        self.profile = profile
-        self.a = a
-        self.lines = []
-        self._line_cache = {}
+        super().__init__(pre.app, pre.H, pre.W, pre.closures)
+        # offsets: DepRead -> (di, dj)
+        self.leaves, self.offsets, self.profile, self.a = leaves, offsets, profile, a
 
     def dep_slice(self, e: DepRead) -> str:
         di, dj = self.offsets[e]
@@ -644,7 +644,7 @@ class _SliceKernel:
         names = ", ".join(f"_L{k}" for k in range(len(profile)))
         unpack = f"    ({names},) = _leaves\n" if names else ""
         src = self._sweep_source(profile, unpack)
-        ns = {k: self._pre.closures[k] for k in ("np", "_minv", "_maxv")}
+        ns = dict(self._pre.closures)  # rendering src may have added closures
         exec(_code(src, f"<{self.kind}:{''.join(profile)}>"), ns)
         fn = self._sweeps[profile] = ns["_sweep"]
         self._sweep_sources[profile] = src
@@ -934,7 +934,7 @@ def build_slice_kernel(cls, app, dag, pads: Tuple[int, int, int, int]):
     being scanned, a lane-varying add under a data stride — and the app
     is then demoted to OPAQUE (``DP403``) and runs interpreted.
     """
-    cases, leaves, pre = cls.ir.cases, _LeafTable(), _Renderer(app, dag)
+    cases, leaves, pre = cls.ir.cases, _LeafTable(), _Renderer.for_dag(app, dag)
     if cls.klass == "ANTIDIAG_WAVEFRONT":
         offsets = _const_offsets(cases, cls.entries)
         leaves.intern_cases(cases)

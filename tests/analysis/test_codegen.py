@@ -140,6 +140,57 @@ def _band_rows():
     return _BandRowsApp(), _BandRowsDag(13, 11, 3)
 
 
+class _DepIndexRowsDag(StencilDag):
+    offsets = ((-1, -1), (-1, 0))
+
+
+class _DepIndexRowsApp(DPX10App):
+    """ELEMENTWISE, indexing ``self`` data (numeric and string) by
+    dependency values: the sweep itself gathers from those closures."""
+
+    value_dtype = np.int64
+
+    def __init__(self):
+        rng = np.random.default_rng(3)
+        self.table = rng.integers(0, 8, size=8).tolist()
+        self.s = "".join(rng.choice(list("AC"), 8))
+
+    def compute(self, i, j, vertices):
+        if i == 0:
+            return j % 7
+        dep = dependency_map(vertices)
+        up = dep[(i - 1, j)]
+        mixed = (self.table[up] + dep.get((i - 1, j - 1), 0)) % 7
+        return mixed + int(self.s[up] == "A")
+
+
+class _DepIndexWaveDag(StencilDag):
+    offsets = ((-1, 0), (0, -1), (-1, -1))
+
+
+class _DepIndexWaveApp(DPX10App):
+    """ANTIDIAG, indexing a 2-D ``self`` table by two dependency values."""
+
+    value_dtype = np.int64
+
+    def __init__(self):
+        self.mix = np.random.default_rng(5).integers(0, 8, size=(8, 8))
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return (i + 2 * j) % 8
+        dep = dependency_map(vertices)
+        return (int(self.mix[dep[(i - 1, j)], dep[(i, j - 1)]]) + dep[(i - 1, j - 1)]) % 8
+
+
+def _dep_index_rows():
+    return _DepIndexRowsApp(), _DepIndexRowsDag(11, 13)
+
+
+def _dep_index_wave():
+    return _DepIndexWaveApp(), _DepIndexWaveDag(12, 13)
+
+
 def _run(name, **kw):
     app, dag = app_fixture(name)
     cfg = DPX10Config(**kw)
@@ -224,6 +275,34 @@ class TestBuild:
             app, dag = make()
             cfg = DPX10Config(tile_shape=(4, 5), autokernel=True, **extra)
             DPX10Runtime(app, dag, cfg).run()
+            assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
+
+    @pytest.mark.parametrize(
+        "make, klass, fn",
+        [
+            (_dep_index_rows, "ELEMENTWISE", "RowKernel"),
+            (_dep_index_wave, "ANTIDIAG_WAVEFRONT", "FlatSweepKernel"),
+        ],
+    )
+    def test_self_data_indexed_by_a_dependency_runs_in_the_sweep(self, make, klass, fn):
+        # the gather sits in the sweep, not the prelude: every sweep
+        # variant must see the closures its rendering added
+        app, dag = make()
+        kernel, cls = build_autokernel(app, dag)
+        assert cls.klass == klass
+        assert type(kernel.fn).__name__ == fn
+        DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
+        want = dag.to_array(fill=-1, dtype=np.int64)
+        assert len(np.unique(want)) > 4  # the tables, not a constant, decide
+        for extra in (
+            {"engine": "inline"},
+            {"engine": "mp", "nplaces": 2, "shm": True},
+            {"engine": "mp", "nplaces": 2, "shm": False},
+        ):
+            app, dag = make()
+            cfg = DPX10Config(tile_shape=(4, 5), autokernel=True, **extra)
+            report = DPX10Runtime(app, dag, cfg).run()
+            assert report.kernel == klass
             assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
 
     def test_build_is_deterministic(self):
