@@ -66,8 +66,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ``_SliceEmitter`` renders the sweeps, ``RowKernel`` (the row scan's
 #: row geometry without the scan, now ``RowScanKernel``'s base) and the
 #: per-row column shift of ``_const_offsets``.
+#:
+#: Core lowered, 6086 -> 6082, when the in-process engines began handing
+#: a place's whole ready list to one executor: deleted ``execute_tile``
+#: (its replacement ``tiling.execute_tiles`` places each tile, then makes
+#: one ``run_tiles`` call per execution place) and ``TiledDag.autokernel``
+#: with the runtime and mp-master branches that read it (every tiled run
+#: now builds the generated kernel unless sanitized), and moved the mp
+#: places' proportional span split into ``trace.split_span``, which the
+#: in-process executor shares. ``DPX10Config`` holds at 27 fields.
 CEILINGS = {
-    "src/repro/core": 6086,
+    "src/repro/core": 6082,
     "src/repro/analysis": 5965,
 }
 

@@ -7,6 +7,10 @@ Checks the structural contract that Perfetto / ``chrome://tracing`` and
 * the document is an object with a ``traceEvents`` list;
 * every event has ``name`` (str), ``ph`` (str), ``pid``/``tid`` (int);
 * duration events (``"ph": "X"``) carry numeric ``ts`` and ``dur >= 0``;
+* no two tile events of one place overlap: the tiles of one batched
+  kernel sweep share its span out contiguously
+  (:func:`repro.core.trace.split_span`), so a place's tile events tile
+  its busy time;
 * ``otherData.format`` is ``dpx10-trace`` with a known version;
 * if a metrics snapshot rides along, every instrument entry has the
   ``kind`` / ``labelnames`` / ``values`` shape ``MetricsRegistry.merge``
@@ -28,6 +32,9 @@ from typing import List
 
 KNOWN_PHASES = {"X", "M", "B", "E", "i", "C"}
 KNOWN_KINDS = {"counter", "gauge", "histogram"}
+#: microseconds two adjacent tile events may overlap by: float rounding
+#: of a shared boundary, not a place in two tiles at once
+OVERLAP_SLACK_US = 1e-3
 
 
 def check_file(path: str) -> List[str]:
@@ -48,6 +55,7 @@ def check_file(path: str) -> List[str]:
     if not isinstance(events, list):
         return [f"{path}: traceEvents must be a list"]
 
+    tiles: dict = {}  # (pid, tid) -> [(start, end, index)] of tile events
     for k, ev in enumerate(events):
         where = f"traceEvents[{k}]"
         if not isinstance(ev, dict):
@@ -70,6 +78,16 @@ def check_file(path: str) -> List[str]:
                 err(f"{where}: X event missing numeric 'ts'")
             if not isinstance(dur, (int, float)) or dur < 0:
                 err(f"{where}: X event needs 'dur' >= 0, got {dur!r}")
+            elif ev.get("cat") == "tile" and isinstance(ts, (int, float)):
+                tiles.setdefault((ev["pid"], ev["tid"]), []).append((ts, ts + dur, k))
+    for (_pid, place), spans in sorted(tiles.items()):
+        spans.sort()
+        for (_s0, e0, k0), (s1, _e1, k1) in zip(spans, spans[1:]):
+            if s1 < e0 - OVERLAP_SLACK_US:
+                err(
+                    f"traceEvents[{k1}]: tile event on place {place} starts "
+                    f"before traceEvents[{k0}] ends (overlapping tiles)"
+                )
 
     other = doc.get("otherData", {})
     if not isinstance(other, dict):

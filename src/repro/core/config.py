@@ -149,16 +149,13 @@ class DPX10Config:
     #: perturb) get private planes. The in-process engines ignore it:
     #: their plane is a heap array.
     shm: bool = True
-    #: explicit tile shapes only: compile ``compute()`` into a vectorized
-    #: NumPy tile kernel (repro.analysis: lift to IR, classify, emit) and
-    #: use it in place of the hand ``compute_tile`` / per-cell loop the
-    #: shape otherwise keeps. Planned tiles (``tile_shape=None``) always
-    #: try the generated kernel, so the flag changes nothing there; with
-    #: ``(1, 1)`` it is an error. Apps the classifier demotes to OPAQUE
-    #: (see ``python -m repro analyze``) and sanitized runs keep the
-    #: interpreted path, which remains the differential-testing oracle.
-    #: A generated kernel takes precedence over a hand-written
-    #: ``compute_tile``.
+    #: no longer changes which kernel runs: every tiled run, planned or
+    #: explicit, compiles ``compute()`` into a vectorized NumPy tile
+    #: kernel (repro.analysis) ahead of the hand ``compute_tile`` and the
+    #: per-cell loop. Its one effect is a guard: with ``tile_shape=(1,
+    #: 1)`` it is an error. It goes, with the apps' hand kernels, once
+    #: nothing calls ``compute_tile`` directly; the ledger and serve
+    #: bodies still pass it.
     autokernel: bool = False
     #: serving-layer pacing hook (see repro.serve.scheduler): called with
     #: the number of cells about to execute before every tile / level

@@ -83,7 +83,7 @@ from repro.core.api import DPX10App, Vertex
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
 from repro.core.tiling import plan_tiles
-from repro.core.trace import ExecutionTrace, Span, TraceEvent
+from repro.core.trace import ExecutionTrace, Span, TraceEvent, split_span
 from repro.errors import (
     AllPlacesDeadError,
     DPX10Error,
@@ -192,7 +192,7 @@ class _PlaceWorker:
         self.kernel = None
         if meta["tile_shape"] is not None:
             self.tiled = dag.coarsen(*meta["tile_shape"])
-            autokernel = None
+            generated = None
             spec = meta.get("autokernel")
             if spec is not None:
                 # generated kernels close over compiled code objects and
@@ -201,8 +201,8 @@ class _PlaceWorker:
                 # AST pipeline, no numeric probes, just codegen
                 from repro.analysis.codegen import kernel_from_spec
 
-                autokernel = kernel_from_spec(spec, app, dag)
-            self.kernel = _plane.tile_kernel(app, self.tiled, autokernel)
+                generated = kernel_from_spec(spec, app, dag)
+            self.kernel = _plane.tile_kernel(app, self.tiled, generated)
         self.read_bytes = registry.counter(
             "dpx10_mp_shm_read_bytes_total",
             "bytes of remote-homed dependencies read off this place's "
@@ -306,10 +306,8 @@ class _PlaceWorker:
 
         The whole batch goes to :func:`repro.core.plane.run_tiles` in one
         call — a level's tiles are independent, so those that can share
-        a kernel sweep do. With ``sink`` set the batch's span is split
-        between its tiles contiguously, in proportion to cells: tiles of
-        one sweep have no times of their own, and a place's events must
-        still tile its busy time without overlap.
+        a kernel sweep do. With ``sink`` set each tile's event is its
+        :func:`~repro.core.trace.split_span` share of the batch's span.
         """
         tiled = self.tiled
         assert tiled is not None
@@ -317,24 +315,17 @@ class _PlaceWorker:
         done = _plane.run_tiles(
             self.plane, tiled, self.app, self.kernel, tiles, self.place_id
         )
-        total = sum(n for n, _ in done)
-        per_cell = (time.perf_counter() - t0) / max(total, 1)
-        seen = 0
-        for tile, (n, transfers) in zip(tiles, done):
+        cells = [n for n, _ in done]
+        spans = split_span(t0, time.perf_counter(), cells)
+        for tile, (n, transfers), (start, end) in zip(tiles, done, spans):
             # a place executes only tiles it owns: every transfer is a
             # halo read from one remote producer
             for _src, _dst, nbytes in transfers:
                 self._record_remote(nbytes)
             if sink is not None and n:
                 r0, c0 = tiled.grid.origin(*tile)
-                sink.append(
-                    (
-                        r0, c0, self.place_id,
-                        t0 + seen * per_cell, t0 + (seen + n) * per_cell, n, tile,
-                    )
-                )
-            seen += n
-        return total
+                sink.append((r0, c0, self.place_id, start, end, n, tile))
+        return sum(cells)
 
 
 class _WorkerInstruments:
@@ -976,11 +967,7 @@ def run_mp(
 
             if tiled is not None:
                 master_kernel = None
-                if (
-                    tiled.autokernel
-                    and app.value_dtype is not None
-                    and not config.sanitize
-                ):
+                if not config.sanitize:
                     # classify + probe once here on the master; workers get
                     # the picklable spec and re-emit without re-analysis
                     from repro.analysis.codegen import build_autokernel

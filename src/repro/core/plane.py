@@ -217,17 +217,17 @@ class HandKernel(NamedTuple):
     mode: str = "window"
 
 
-def tile_kernel(app: DPX10App, tiled, autokernel=None):
+def tile_kernel(app: DPX10App, tiled, generated=None):
     """The kernel :func:`run_tiles` sweeps tiles with, or ``None``.
 
-    A generated kernel wins over a hand-written ``compute_tile``; window
-    kernels need a typed plane and, for hand kernels, a stencil (the
-    window box is the stencil's reach). ``None`` selects the per-cell
-    loop.
+    A generated kernel wins over a hand-written ``compute_tile``, which
+    runs only where the build yields nothing; window kernels need a
+    typed plane and, for hand kernels, a stencil (the window box is the
+    stencil's reach). ``None`` selects the per-cell loop.
     """
     typed = app.value_dtype is not None
-    if autokernel is not None and (typed or autokernel.mode == "cells"):
-        return autokernel
+    if generated is not None and (typed or generated.mode == "cells"):
+        return generated
     if (
         typed
         and tiled.stencil_mode

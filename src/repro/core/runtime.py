@@ -86,8 +86,9 @@ class RunReport:
     metrics: Optional[Dict[str, dict]] = None
     #: the plan that ran: the planned or explicit tile shape (``None`` on
     #: the per-vertex path, where ``cache_size`` / ``restore_manner``
-    #: apply) and the tile kernel — a generated kernel's class, ``"hand"``
-    #: for the app's ``compute_tile``, ``None`` for the per-cell loop
+    #: apply) and the tile kernel — a generated kernel's class whatever
+    #: the shape, ``"hand"`` for the app's ``compute_tile`` where no
+    #: kernel generates, ``None`` for the per-cell loop
     tile_shape: Optional[Tuple[int, int]] = None
     kernel: Optional[str] = None
 
@@ -460,17 +461,15 @@ class DPX10Runtime:
                 state.tiles.build(state)
         if tiled is not None and not cfg.sanitize:
             # sanitized runs keep the per-cell loop, whose compute()
-            # calls the race guard wraps
-            autokernel = None
-            if tiled.autokernel:
-                # lift/classify/emit the compute() recurrence; OPAQUE
-                # apps keep the interpreted path (see `repro analyze`).
-                # Object-valued apps are eligible too: tree-level
-                # kernels run in "cells" mode, not on a typed window
-                from repro.analysis.codegen import build_autokernel
+            # calls the race guard wraps. Otherwise lift/classify/emit the
+            # compute() recurrence; OPAQUE apps keep the hand kernel or
+            # the interpreted path (see `repro analyze`). Object-valued
+            # apps are eligible too: tree-level kernels run in "cells"
+            # mode, not on a typed window
+            from repro.analysis.codegen import build_autokernel
 
-                autokernel, _cls = build_autokernel(self.app, self.dag)
-            state.kernel = tile_kernel(self.app, tiled, autokernel)
+            generated, _cls = build_autokernel(self.app, self.dag)
+            state.kernel = tile_kernel(self.app, tiled, generated)
         if cfg.ft_mode == "snapshot":
             from repro.dist.snapshot import SnapshotStore
 

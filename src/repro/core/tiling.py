@@ -22,10 +22,11 @@ Three layers live here (see docs/TILING.md for the full story):
   per-place ready lists and the finished set; recovery rebuilds it from
   the plane's finish flags (a dead place invalidates *tiles*, not
   cells).
-* **The tile worker** — :func:`execute_tile` places a tile, runs it on
-  the run's :class:`~repro.core.plane.TilePlane` through
-  :func:`~repro.core.plane.run_tiles` (the executor the mp workers hand
-  whole level batches), and feeds the transfers it reports to the network model.
+* **The tile worker** — :func:`execute_tiles` places a place's ready
+  tiles, runs them on the run's :class:`~repro.core.plane.TilePlane`
+  through one :func:`~repro.core.plane.run_tiles` call per execution
+  place (the executor the mp workers hand whole level batches), and
+  feeds the transfers it reports to the network model.
 
 :func:`plan_tiles` is the one place a run decides its granularity:
 ``DPX10Config(tile_shape=(h, w))`` is used as given, ``None`` is planned,
@@ -46,7 +47,7 @@ from repro.analysis.symbolic import find_ranking_vector
 from repro.core.api import VertexId
 from repro.core.dag import Dag
 from repro.core import plane as _plane
-from repro.core.trace import Span, TraceEvent
+from repro.core.trace import Span, TraceEvent, split_span
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS
 from repro.errors import DeadPlaceException, PatternError
 from repro.util.validation import require
@@ -60,7 +61,7 @@ __all__ = [
     "TileRunState",
     "coarsen",
     "coarsen_offsets",
-    "execute_tile",
+    "execute_tiles",
     "plan_tiles",
 ]
 
@@ -215,9 +216,6 @@ class TiledDag(Dag):
         self._anti = anti
         self._tile_active = tile_active
         self._base_rank = base_rank
-        #: whether the run should try a generated kernel before the hand
-        #: ``compute_tile`` / per-cell loop; decided by :func:`plan_tiles`
-        self.autokernel = False
         #: stencil mode: offsets known, halo and order derivable symbolically
         self.stencil_mode = tile_offsets is not None
         if self.stencil_mode:
@@ -484,28 +482,22 @@ def plan_tiles(dag: Dag, config) -> Optional[TiledDag]:
     """Decide a run's granularity: its tile DAG, or ``None`` for per-vertex.
 
     An explicit ``config.tile_shape`` is used as given — ``(1, 1)`` is the
-    per-vertex reference path — and tries a generated kernel only on
-    ``config.autokernel``. ``None`` plans ``PLANNED_TILE`` square tiles
-    capped at the matrix, then the full-width strip row-reaching patterns
-    need, then per-vertex where no shape coarsens acyclically; planned
-    tiles always try the generated kernel (``plane.tile_kernel`` falls
-    back to the hand kernel, then the per-cell loop).
+    per-vertex reference path. ``None`` plans ``PLANNED_TILE`` square
+    tiles capped at the matrix, then the full-width strip row-reaching
+    patterns need, then per-vertex where no shape coarsens acyclically.
+    Every tiled run, planned or explicit, tries the generated kernel
+    (``plane.tile_kernel`` falls back to the hand kernel, then the
+    per-cell loop).
     """
     shape = config.tile_shape
     if shape is not None:
-        if tuple(shape) == (1, 1):
-            return None
-        tiled = dag.coarsen(*shape)
-        tiled.autokernel = config.autokernel
-        return tiled
+        return None if tuple(shape) == (1, 1) else dag.coarsen(*shape)
     th = min(dag.height, PLANNED_TILE)
     for shape in dict.fromkeys(((th, min(dag.width, PLANNED_TILE)), (th, dag.width))):
         try:
-            tiled = dag.coarsen(*shape)
+            return dag.coarsen(*shape)
         except PatternError:
             continue
-        tiled.autokernel = True
-        return tiled
     return None
 
 
@@ -516,8 +508,8 @@ class TileRunState:
     and tile homes; this tracks the *tile* wavefront over it: indegrees
     and finished tiles. The per-place ready lists are the run's own
     (``state.ready``, holding tile indices), so the drivers in
-    :mod:`repro.core.worker` pop, wake and terminate on tiles exactly as
-    they do on cells.
+    :mod:`repro.core.worker` wake and terminate on tiles exactly as they
+    do on cells; they take a place's whole ready list per turn.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -595,110 +587,118 @@ class TileRunState:
 
 
 # -- the tile worker ------------------------------------------------------------------
-def execute_tile(state: "ExecutionState", tile: Coord) -> None:
-    """Run one tile end to end: place, compute on the plane, account, notify.
+def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
+    """Run a place's ready tiles end to end: place, compute, account, notify.
 
-    The scheduling strategy places the tile (one decision per tile,
-    costed on the tile's halo edges); the compute itself is
-    :func:`repro.core.plane.run_tiles` on a batch of one — the executor
-    every engine shares.
+    A tile is released only once all its producers finished, so the
+    tiles of one ready list never depend on one another: they go to
+    :func:`repro.core.plane.run_tiles` in one call per execution place,
+    where tiles that can share a kernel sweep share it. The scheduling
+    strategy still places each tile (one decision per tile, costed on
+    the tile's halo edges), and each tile is accounted in batch order;
+    its trace event and straggler sample are its
+    :func:`~repro.core.trace.split_span` share of the call.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
     plane = state.plane
     cfg = state.config
     trace = state.trace
-    home_place = ts.home[tile]
-    if cfg.pace is not None:
-        # serving-layer fairness gate: may block until the weighted-fair
-        # scheduler grants this tile its turn (see repro.serve.scheduler)
-        pace_start = trace.now() if trace is not None else 0.0
-        cfg.pace(int(len(tiled.cells_of(*tile)[0])))
-        if trace is not None:
-            pace_end = trace.now()
-            # sub-microsecond grants are uncontended — not a stall
-            if pace_end - pace_start > 1e-6:
-                trace.record_span(
-                    Span(
-                        "pace wait", pace_start, pace_end,
-                        category="pace", place=home_place,
+    by_place: Dict[int, List[Coord]] = {}
+    for tile in tiles:
+        home_place = ts.home[tile]
+        if cfg.pace is not None:
+            # serving-layer fairness gate: may block until the weighted-fair
+            # scheduler grants this tile its turn (see repro.serve.scheduler)
+            pace_start = trace.now() if trace is not None else 0.0
+            cfg.pace(int(len(tiled.cells_of(*tile)[0])))
+            if trace is not None:
+                pace_end = trace.now()
+                # sub-microsecond grants are uncontended — not a stall
+                if pace_end - pace_start > 1e-6:
+                    trace.record_span(
+                        Span(
+                            "pace wait", pace_start, pace_end,
+                            category="pace", place=home_place,
+                        )
+                    )
+        exec_place = state.strategy.choose_place(
+            tile,
+            home_place,
+            plane.owners_of(*tiled.halo_of(*tile)).tolist(),
+            state.group.alive_ids(),
+            state.rngs[home_place],
+            plane.nbytes,
+        )
+        by_place.setdefault(exec_place, []).append(tile)
+
+    clock = trace.now if trace is not None else time.perf_counter
+    metrics = state.metrics
+    for exec_place, batch in by_place.items():
+        t0 = clock()
+        done = _plane.run_tiles(
+            plane, tiled, state.app, state.kernel, batch, exec_place, cfg.sanitize
+        )
+        cells = [n for n, _ in done]
+        if state.chaos is not None and state.chaos.has_throttles:
+            # slow-place chaos at batch granularity: the analogue of the
+            # per-vertex on_execute hook (which the tiled path never reaches)
+            state.chaos.throttle_batch(exec_place, sum(cells))
+        spans = split_span(t0, clock(), cells)
+        with state._completions_lock:
+            state.executed_by[exec_place] = state.executed_by.get(exec_place, 0) + sum(cells)
+            completed = state.completions
+            state.completions += sum(cells)
+        if metrics.enabled:
+            metrics.counter(
+                "dpx10_tiles_executed_total",
+                "tiles executed per place",
+                ("place",),
+            ).labels(exec_place).inc(len(batch))
+        for tile, (n, transfers), (start, end) in zip(batch, done, spans):
+            for src, dst, nbytes in transfers:
+                state.network.record(src, dst, nbytes)
+                if metrics.enabled and dst == exec_place:
+                    metrics.counter(
+                        "dpx10_halo_fetches_total",
+                        "batched remote halo fetches (one per tile edge)",
+                        ("place",),
+                    ).labels(exec_place).inc()
+                    metrics.histogram(
+                        "dpx10_halo_fetch_bytes",
+                        "bytes moved per batched halo fetch",
+                        ("transport",),
+                        buckets=DEFAULT_BYTES_BUCKETS,
+                    ).labels("store").observe(nbytes)
+            # the call reserved its cells' completion numbers up front:
+            # each tile crosses thresholds inside its own slice of them
+            prev, completed = completed, completed + n
+            if (
+                cfg.ft_mode == "snapshot"
+                and cfg.snapshot_interval > 0
+                and completed // cfg.snapshot_interval > prev // cfg.snapshot_interval
+            ):
+                state.take_snapshot()
+            if (
+                cfg.on_progress is not None
+                and cfg.progress_interval > 0
+                and completed // cfg.progress_interval > prev // cfg.progress_interval
+            ):
+                cfg.on_progress(completed, state.total_active)
+            if state.straggler is not None:
+                state.straggler.observe(exec_place, end - start, n)
+            if trace is not None:
+                r0, c0 = ts.grid.origin(*tile)
+                trace.record(
+                    TraceEvent(
+                        r0, c0, ts.home[tile], exec_place, start, end,
+                        tile=tile, cells=n,
                     )
                 )
-    t_start = trace.now() if trace is not None else 0.0
-    svc0 = time.perf_counter() if state.straggler is not None else 0.0
-
-    exec_place = state.strategy.choose_place(
-        tile,
-        home_place,
-        plane.owners_of(*tiled.halo_of(*tile)).tolist(),
-        state.group.alive_ids(),
-        state.rngs[home_place],
-        plane.nbytes,
-    )
-    ((n, transfers),) = _plane.run_tiles(
-        plane, tiled, state.app, state.kernel, [tile], exec_place, cfg.sanitize
-    )
-    if state.chaos is not None and state.chaos.has_throttles:
-        # slow-place chaos at tile granularity: the batch analogue of the
-        # per-vertex on_execute hook (which the tiled path never reaches)
-        state.chaos.throttle_batch(exec_place, n)
-
-    metrics = state.metrics
-    for src, dst, nbytes in transfers:
-        state.network.record(src, dst, nbytes)
-        if metrics.enabled and dst == exec_place:
-            metrics.counter(
-                "dpx10_halo_fetches_total",
-                "batched remote halo fetches (one per tile edge)",
-                ("place",),
-            ).labels(exec_place).inc()
-            metrics.histogram(
-                "dpx10_halo_fetch_bytes",
-                "bytes moved per batched halo fetch",
-                ("transport",),
-                buckets=DEFAULT_BYTES_BUCKETS,
-            ).labels("store").observe(nbytes)
-
-    with state._completions_lock:
-        state.executed_by[exec_place] = state.executed_by.get(exec_place, 0) + n
-        prev = state.completions
-        state.completions += n
-        completed = state.completions
-    if metrics.enabled:
-        metrics.counter(
-            "dpx10_tiles_executed_total",
-            "tiles executed per place",
-            ("place",),
-        ).labels(exec_place).inc()
-    if (
-        cfg.ft_mode == "snapshot"
-        and cfg.snapshot_interval > 0
-        and completed // cfg.snapshot_interval > prev // cfg.snapshot_interval
-    ):
-        state.take_snapshot()
-    if (
-        cfg.on_progress is not None
-        and cfg.progress_interval > 0
-        and completed // cfg.progress_interval > prev // cfg.progress_interval
-    ):
-        cfg.on_progress(completed, state.total_active)
-
-    if state.straggler is not None:
-        state.straggler.observe(exec_place, time.perf_counter() - svc0, n)
-    if trace is not None:
-        r0, c0 = ts.grid.origin(*tile)
-        trace.record(
-            TraceEvent(
-                r0, c0, home_place, exec_place, t_start, trace.now(),
-                tile=tile, cells=n,
-            )
-        )
-
-    if state.injector is not None:
-        victims = state.injector.poll_completions(completed)
-        if victims:
-            for victim in victims:
-                state.group.kill(victim)
-            raise DeadPlaceException(victims[0])
-
-    ts.on_tile_finished(state, tile)
+            if state.injector is not None:
+                victims = state.injector.poll_completions(completed)
+                if victims:
+                    for victim in victims:
+                        state.group.kill(victim)
+                    raise DeadPlaceException(victims[0])
+            ts.on_tile_finished(state, tile)

@@ -14,11 +14,12 @@ vertex's home place, mark it finished, then decrement the indegree of its
 anti-dependencies, pushing any that reach zero onto their home place's
 ready list.
 
-That loop is written once per engine, for whatever the ready lists hold:
-cells executed by :func:`execute_vertex`, or on a tiled run whole tiles
-executed by :func:`repro.core.tiling.execute_tile`. Both executors take
-``(state, unit)``, choose the unit's execution place themselves and
-release its successors onto ``state.ready``.
+That loop is written once per engine, for whatever the ready lists hold.
+A unit is one cell, executed by :func:`execute_vertex`, or on a tiled run
+a place's whole ready list of tiles — independent by construction —
+executed by :func:`repro.core.tiling.execute_tiles` in one batch. Both
+executors take ``(state, unit)``, choose execution places themselves and
+release successors onto ``state.ready``.
 
 * :func:`run_inline` — a deterministic round-robin over the places' ready
   lists (one unit per alive place per sweep), single-threaded;
@@ -52,7 +53,7 @@ from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
 from repro.core.scheduler import SchedulingStrategy
-from repro.core.tiling import execute_tile
+from repro.core.tiling import execute_tiles
 from repro.core.trace import ExecutionTrace, TraceEvent
 from repro.core.vertex_store import VertexStore
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
@@ -112,7 +113,7 @@ class ExecutionState:
     #: mid-recovery kill triggers. See repro.chaos.controller.
     chaos: Optional[object] = None
     #: the kernel tiles are swept with (repro.core.plane.tile_kernel):
-    #: generated (config.autokernel), else the app's hand compute_tile;
+    #: generated on every tiled run, else the app's hand compute_tile;
     #: None selects the per-cell loop (OPAQUE apps, sanitized runs).
     kernel: Optional[object] = None
     #: rolling per-place tile-service-time baseline (created whenever
@@ -154,11 +155,14 @@ class ExecutionState:
             with cond:
                 cond.notify()
 
-    def pop_ready(self, place_id: int) -> Optional[Coord]:
-        try:
-            return self.ready[place_id].popleft()
-        except IndexError:
-            return None
+    def pop_ready(self, place_id: int):
+        """The place's next unit: one cell, or on a tiled run its whole
+        ready list, drained by ``popleft`` (its worker is the only
+        consumer) so that a tile another worker pushes is never lost."""
+        ready = self.ready[place_id]
+        if self.tiles is None:
+            return ready.popleft() if ready else None
+        return [ready.popleft() for _ in range(len(ready))] or None
 
     # -- termination (the paper's finished-vertices counter) -------------------------
     def place_done(self, place_id: int) -> bool:
@@ -321,7 +325,7 @@ def run_inline(state: ExecutionState) -> None:
     deadlocks (unfinished units but nothing schedulable — a broken
     custom pattern).
     """
-    execute = execute_tile if state.tiles is not None else execute_vertex
+    execute = execute_tiles if state.tiles is not None else execute_vertex
     place_ids = list(state.dist.place_ids)
     while True:
         progressed = False
@@ -355,7 +359,7 @@ def run_threaded(state: ExecutionState) -> None:
     from repro.apgas.engine import ExecutionEngine  # avoid import cycle at top
 
     engine: ExecutionEngine = state._engine  # type: ignore[attr-defined]
-    execute = execute_tile if state.tiles is not None else execute_vertex
+    execute = execute_tiles if state.tiles is not None else execute_vertex
 
     def worker(pid: int) -> None:
         cond = state.conds[pid]

@@ -10,7 +10,7 @@ paper-scale ratio.
 
 :mod:`repro.native.dp_native` adds fully-vectorized NumPy antidiagonal
 sweeps for SW/LCS/edit distance — the hand-written bound the generated
-tile kernels (``autokernel=True``) are perf-gated against.
+tile kernels (every tiled run's first choice) are perf-gated against.
 """
 
 from repro.native.dp_native import (

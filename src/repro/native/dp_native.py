@@ -4,7 +4,7 @@ Unlike :mod:`repro.native.swlag_native` (deliberately cell-at-a-time, to
 isolate *framework* overhead the way Figure 12 does), these sweeps are
 what a performance-minded NumPy user hand-writes: one vectorized gather
 per antidiagonal over the whole matrix. They bound what the generated
-tile kernels (``DPX10Config(autokernel=True)``, see docs/ANALYSIS.md)
+tile kernels (every tiled run's first choice, see docs/ANALYSIS.md)
 can hope to achieve — the framework still pays tile scheduling, halo
 assembly and window scatter on top — and ``benchmarks/ledger`` reports
 every workload as an overhead ratio over them.

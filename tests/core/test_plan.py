@@ -2,7 +2,8 @@
 
 ``tile_shape=None`` is *planned* (:func:`repro.core.tiling.plan_tiles`),
 an explicit shape is exactly what it was, and ``(1, 1)`` is the one
-spelling of the per-vertex reference. The battery at the bottom is the
+spelling of the per-vertex reference. Every tiled run, planned or
+explicit, tries the generated kernel first. The battery at the bottom is the
 bit-identity law for the flip: every registry app on every engine under
 a bare config equals the per-vertex reference, which equals the serial
 oracle.
@@ -42,6 +43,14 @@ class SumApp(DPX10App):
         return 1 + sum(int(v.get_result()) for v in vertices) % 1009
 
 
+class OpaqueSWApp(SWApp):
+    """SW whose ``compute()`` the classifier cannot lift (DP405), keeping
+    the inherited hand ``compute_tile``: the fallback chain's middle rung."""
+
+    def compute(self, i, j, vertices):
+        return super().compute(i, j, vertices)
+
+
 class ZigDag(StencilDag):
     """Acyclic by rank (1, 2), but a row strip both feeds and needs the
     strip below it: no tile shape short of the whole matrix coarsens."""
@@ -64,7 +73,6 @@ class TestShapeRule:
         assert PLANNED_TILE == 128
         tiled = plan_tiles(DiagonalDag(h, w), DPX10Config())
         assert (tiled.grid.tile_h, tiled.grid.tile_w) == want
-        assert tiled.autokernel
 
     # full_row is coarsened by enumeration (every cell reads a whole
     # row): keep it short
@@ -87,8 +95,6 @@ class TestShapeRule:
         dag = DiagonalDag(300, 300)
         tiled = plan_tiles(dag, DPX10Config(tile_shape=(5, 3)))
         assert (tiled.grid.tile_h, tiled.grid.tile_w) == (5, 3)
-        assert not tiled.autokernel
-        assert plan_tiles(dag, DPX10Config(tile_shape=(5, 3), autokernel=True)).autokernel
         assert plan_tiles(dag, DPX10Config(tile_shape=(1, 1))) is None
         # an explicit shape is the caller's: an unsound one raises, no fallback
         with pytest.raises(PatternError):
@@ -111,14 +117,22 @@ class TestKernelChoice:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_explicit_shape_without_autokernel_keeps_the_hand_kernel(self, engine):
-        # sw_tiled_inline_1024 names the hand kernel: a planner that turned
-        # the generated one on for every tiled run cost that workload +39%
-        report = run_report("sw", engine=engine, nplaces=2, tile_shape=(4, 4))
+        # an explicit shape runs the generated kernel too, autokernel or
+        # not. While the in-process engines swept one tile per call that
+        # cost sw_tiled_inline_1024 +39%; sweeping a place's whole ready
+        # list per call, it took that workload's overhead_x from ~2.25 to
+        # ~1.8 (docs/TILING.md §4)
+        for extra in ({}, {"autokernel": True}):
+            report = run_report("sw", engine=engine, nplaces=2, tile_shape=(4, 4), **extra)
+            assert (report.tile_shape, report.kernel) == ((4, 4), "ANTIDIAG_WAVEFRONT")
+        # the hand compute_tile still runs where no kernel generates
+        a, b = "GATTACAGATTACA", "GCATGCTGCATGC"
+        want = serial.sw_matrix(a, b)
+        app, dag = OpaqueSWApp(a, b), DiagonalDag(len(a) + 1, len(b) + 1)
+        cfg = DPX10Config(engine=engine, nplaces=2, tile_shape=(4, 4))
+        report = DPX10Runtime(app, dag, cfg).run()
         assert (report.tile_shape, report.kernel) == ((4, 4), "hand")
-        report = run_report(
-            "sw", engine=engine, nplaces=2, tile_shape=(4, 4), autokernel=True
-        )
-        assert report.kernel == "ANTIDIAG_WAVEFRONT"
+        assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
 
     def test_autokernel_alone_is_legal_and_changes_nothing(self):
         report = run_report("sw", autokernel=True)
@@ -251,4 +265,41 @@ def test_bare_config_survives_a_mid_run_kill(engine):
     want = serial.sw_matrix(a, b)
     assert np.array_equal(dag.to_array(fill=-1, dtype=np.int64), want)
     assert app.best_score == int(want.max())
+    assert leaked_segments() == []
+
+
+# -- an explicit shape: one kernel rule, every engine ---------------------------------------
+@pytest.mark.parametrize("name", app_names())
+def test_explicit_shape_runs_one_kernel_on_every_engine(name):
+    # (2, 2) coarsens every registry pattern into several tiles; the
+    # kernel plane.tile_kernel picks must not depend on the engine (the
+    # mp master once skipped the cells-mode tree kernels)
+    want, app, _ = solve_cells(name, tile_shape=(1, 1))
+    kernels = {}
+    for engine in ENGINES:
+        cells, _, report = solve_cells(name, engine=engine, tile_shape=(2, 2))
+        assert report.tile_shape == (2, 2)
+        assert_same_cells(cells, want)
+        kernels[engine] = report.kernel
+    assert len(set(kernels.values())) == 1, kernels
+    if name in SERIAL:
+        oracle = SERIAL[name](app)
+        assert_same_cells(want, {c: oracle[c] for c in want})
+    assert leaked_segments() == []
+
+
+@pytest.mark.parametrize("name", ["tree_knapsack", "tree_mis"])
+def test_tree_kernels_run_on_mp_through_a_place_kill(name):
+    want, _, _ = solve_cells(name, tile_shape=(1, 1))
+    app, dag = app_fixture(name)
+    report = DPX10Runtime(
+        app,
+        dag,
+        DPX10Config(nplaces=3, engine="mp", tile_shape=(2, 2)),
+        fault_plans=[FaultPlan(1, at_fraction=0.5)],
+    ).run()
+    assert report.kernel == "TREE_LEVEL_GATHER"
+    assert report.recoveries == 1
+    got = {c: dag.get_vertex(*c).get_result() for c in want}
+    assert_same_cells(got, want)
     assert leaked_segments() == []

@@ -116,22 +116,44 @@ def _active_tiles(tiled):
     }
 
 
-@pytest.mark.parametrize("engine", ["inline", "threaded"])
-def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
-    seen = Counter()
+def _spy_run_tiles(monkeypatch):
+    """Record every ``run_tiles`` call as ``(tiles, place_id, homes, cells)``."""
+    calls = []
     real = plane_mod.run_tiles
 
-    def counting(plane, tiled, app, kernel, tiles, place_id, *rest):
-        seen.update(tuple(t) for t in tiles)
-        return real(plane, tiled, app, kernel, tiles, place_id, *rest)
+    def spying(plane, tiled, app, kernel, tiles, place_id, *rest):
+        homes = [int(plane.owners[t]) for t in tiles]
+        done = real(plane, tiled, app, kernel, tiles, place_id, *rest)
+        calls.append((list(tiles), place_id, homes, sum(n for n, _ in done)))
+        return done
 
-    monkeypatch.setattr(plane_mod, "run_tiles", counting)
-    dag = DiagonalDag(SIZE, SIZE)
-    DPX10Runtime(
-        MixApp(), dag, DPX10Config(nplaces=NPLACES, engine=engine, tile_shape=(4, 4))
-    ).run()
+    monkeypatch.setattr(plane_mod, "run_tiles", spying)
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
+    want, _ = run_plane("diagonal", MixApp())
+    calls = _spy_run_tiles(monkeypatch)
+    got, report = run_plane("diagonal", MixApp(), engine=engine, tile_shape=(4, 4))
+    seen = Counter(tuple(t) for tiles, *_ in calls for t in tiles)
     assert set(seen) == _active_tiles(DiagonalDag(SIZE, SIZE).coarsen(4, 4))
     assert set(seen.values()) == {1}
+    # a place hands over its whole ready list: independent tiles share a call
+    assert max(len(tiles) for tiles, *_ in calls) > 1
+    assert sum(cells for *_, cells in calls) == report.active_vertices
+    assert got == want
+
+
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_random_scheduler_batches_run_tiles_away_from_home(engine, monkeypatch):
+    want, _ = run_plane("grid", MixApp())
+    calls = _spy_run_tiles(monkeypatch)
+    got, _ = run_plane(
+        "grid", MixApp(), engine=engine, tile_shape=(3, 3), scheduler="random", seed=5
+    )
+    assert any(p != home for _, p, homes, _ in calls for home in homes)
+    assert got == want
 
 
 def _log_run_tiles(log, monkeypatch):
@@ -265,8 +287,8 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     assert plane.values.tolist() == want.tolist() and plane.finished.all()
 
 
-def _kill_inside_the_widest_level(name, shm):
-    if shm and not shm_supported():
+def _kill_inside_the_widest_level(name, **cfg):
+    if cfg.get("shm") and not shm_supported():
         pytest.skip("no usable shared memory on this platform")
     app, dag, tiled, _kernel, levels, want = _levels(name)
     # a completion count strictly inside the widest level: the victim
@@ -275,25 +297,51 @@ def _kill_inside_the_widest_level(name, shm):
     widest = max(range(len(levels)), key=lambda k: len(levels[k]))
     assert len(levels[widest]) >= 4
     threshold = sum(cells[:widest]) + cells[widest] // 2
-    config = DPX10Config(
-        nplaces=2, engine="mp", shm=shm, tile_shape=(4, 4), autokernel=True
-    )
+    config = DPX10Config(nplaces=2, tile_shape=(4, 4), **cfg)
     report = DPX10Runtime(
         app, dag, config, fault_plans=[FaultPlan(1, after_completions=threshold)]
     ).run()
     assert report.recoveries == 1
     assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
     assert leaked_segments() == []
+    return tiled, want
 
 
 @pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
 def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
-    _kill_inside_the_widest_level("sw", shm)
+    _kill_inside_the_widest_level("sw", engine="mp", shm=shm)
 
 
 @pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
 def test_mp_kill_inside_a_row_scan_level_batch_recovers_bit_identically(shm):
-    _kill_inside_the_widest_level("mtp", shm)
+    _kill_inside_the_widest_level("mtp", engine="mp", shm=shm)
+
+
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_in_process_kill_inside_a_ready_list_batch_recovers_bit_identically(
+    engine, monkeypatch
+):
+    # inside the widest level the kill lands between two tiles of one
+    # run_tiles call (on inline: after the first of three); the call's
+    # later tiles are computed and flagged, and must survive as values
+    import repro.core.runtime as runtime_mod
+
+    planes = []
+    real = runtime_mod.recover_tiled
+
+    def recording(state):
+        stats = real(state)
+        planes.append((state.plane.finished.astype(bool), np.array(state.plane.values)))
+        return stats
+
+    monkeypatch.setattr(runtime_mod, "recover_tiled", recording)
+    tiled, want = _kill_inside_the_widest_level("sw", engine=engine)
+    ((finished, values),) = planes
+    assert 0 < finished.sum() < finished.size
+    assert values[finished].tolist() == want[finished].tolist()
+    for t in tiled.active_tiles():
+        flags = finished[tiled.cells_of(*t)]
+        assert flags.all() or not flags.any(), t
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")

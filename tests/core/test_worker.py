@@ -1,7 +1,8 @@
 """The in-process drivers (run_inline / run_threaded) and execute_vertex.
 
 The drivers are written once per engine and run whatever the ready lists
-hold: cells through ``execute_vertex``, tiles through ``execute_tile``.
+hold: cells through ``execute_vertex``, a place's whole ready list of
+tiles through ``execute_tiles``.
 """
 
 from collections import deque

@@ -165,6 +165,36 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_schema_script_checks_tile_events_never_overlap(self, tmp_path):
+        import subprocess
+        import sys as _sys
+
+        # inline tiles sweep a place's ready list per call: the call's
+        # span is split between them, so a place's events tile its time
+        trace_path = tmp_path / "t.json"
+        assert main(
+            ["obs", "run", "--app", "sw", "--size", "64", "--places", "4",
+             "--engine", "inline", "--tile", "16x16", "--export", str(trace_path)]
+        ) == 0
+
+        def check():
+            return subprocess.run(
+                [_sys.executable, "scripts/check_trace_schema.py", str(trace_path)],
+                capture_output=True, text=True,
+            )
+
+        proc = check()
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        doc = json.loads(trace_path.read_text())
+        mine = sorted(
+            (e for e in doc["traceEvents"] if e.get("cat") == "tile" and e["tid"] == 0),
+            key=lambda e: e["ts"],
+        )
+        mine[1]["ts"] = mine[0]["ts"] + mine[0]["dur"] / 2
+        trace_path.write_text(json.dumps(doc))
+        proc = check()
+        assert proc.returncode == 1 and "overlapping tiles" in proc.stdout
+
     def test_schema_script_rejects_malformed(self, tmp_path):
         import subprocess
         import sys as _sys
