@@ -40,7 +40,7 @@ from .infer import (
     FootEntry,
     InferError,
     analyze_effects,
-    eval_expr,
+    compile_expr,
     footprint,
     infer_types,
     probe_footprint,
@@ -206,11 +206,12 @@ def _scan_pins(
         if _mentions_j(guard):
             if stride_val is None:
                 return None
+            fires = compile_expr(guard)
             for i, j in sample_cells(dag, 64):
                 if j < stride_val:
                     continue
                 try:
-                    if bool(eval_expr(guard, i, j, app)):
+                    if fires(i, j, app):
                         return None
                 except Exception:
                     return None
@@ -643,9 +644,10 @@ def classify_app(app, dag, subject: str = "") -> Classification:
         )
         return cls
     # the scan stride must be positive on every sampled row
+    stride = compile_expr(form.stride)
     for i, j in sample_cells(dag, 64):
         try:
-            s = eval_expr(form.stride, i, j, app)
+            s = stride(i, j, app)
         except Exception:
             s = None
         if not isinstance(s, int) or s < 1:

@@ -631,7 +631,9 @@ class _SliceKernel:
         self.prelude_source = _emit_prelude(pre, leaves)
         ns = dict(pre.closures)
         exec(_code(self.prelude_source, f"<{self.kind}:prelude>"), ns)
-        self._leaves_fn = ns["_leaves"]
+        # popped: ``ns`` is the function's ``__globals__`` and holds the app's
+        # arrays and dag, so the function left in it would be a reference cycle
+        self._leaves_fn = ns.pop("_leaves")
         self._sweeps: Dict[Tuple[str, ...], object] = {}
         self._sweep_sources: Dict[Tuple[str, ...], str] = {}
         # compile the fully-general variant eagerly: it both smoke-tests
@@ -646,7 +648,7 @@ class _SliceKernel:
         src = self._sweep_source(profile, unpack)
         ns = dict(self._pre.closures)  # rendering src may have added closures
         exec(_code(src, f"<{self.kind}:{''.join(profile)}>"), ns)
-        fn = self._sweeps[profile] = ns["_sweep"]
+        fn = self._sweeps[profile] = ns.pop("_sweep")  # no cycle: see __init__
         self._sweep_sources[profile] = src
         return fn
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import ast
 import builtins
+import functools
 import inspect
+import operator
 import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +56,7 @@ from .ir import (
     SelfElem2,
     SelfScalar,
     affine_of,
+    children,
 )
 from .lint import _NONDET_ATTRS, _NONDET_BUILTINS, _NONDET_ROOTS
 
@@ -64,7 +67,7 @@ __all__ = [
     "analyze_effects",
     "infer_types",
     "footprint",
-    "eval_expr",
+    "compile_expr",
     "probe_footprint",
     "sample_cells",
 ]
@@ -446,80 +449,75 @@ def footprint(ir: ComputeIR) -> List[FootEntry]:
     return entries
 
 
-# -- scalar evaluation / numeric probing ----------------------------------------------
+# -- the compiled evaluator / numeric probing ----------------------------------------
 class _NeedsDep(Exception):
-    """eval_expr hit a DepRead/Present — value unknown without a solve."""
+    """A compiled expression hit a DepRead/Present: unknown without a solve."""
 
 
-def eval_expr(e: Expr, i: int, j: int, app):
-    """Evaluate a data-only IR expression at cell ``(i, j)``.
+def _needs_dep(i, j, app):
+    raise _NeedsDep()
 
-    Dependency reads/presence tests raise an internal marker the probe
-    treats as "unknown"; everything else evaluates with the app's real
-    data, which is what resolves data-dependent indices numerically.
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "//": operator.floordiv, "%": operator.mod, "==": operator.eq,
+        "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+_CALLS = {"max": max, "min": min, "abs": abs, "int": int, "float": float}
+
+
+def compile_expr(e: Expr):
+    """``e`` as a closure ``f(i, j, app)`` that evaluates it at cell ``(i, j)``.
+
+    Dependency reads/presence tests (and a ``Reduce`` with no live
+    candidate) raise an internal marker the probe treats as "unknown";
+    everything else evaluates with the app's real data, read from ``app``
+    at call time — which is what resolves data-dependent indices
+    numerically, and why one compilation serves every instance.
     """
     if isinstance(e, Const):
-        return e.value
+        v = e.value
+        return lambda i, j, app: v
     if isinstance(e, Index):
-        return i if e.axis == "i" else j
+        return (lambda i, j, app: i) if e.axis == "i" else (lambda i, j, app: j)
     if isinstance(e, (DepRead, Present)):
-        raise _NeedsDep()
+        return _needs_dep
     if isinstance(e, SelfScalar):
-        return getattr(app, e.attr)
+        attr = e.attr
+        return lambda i, j, app: getattr(app, attr)
     if isinstance(e, SelfElem):
-        return getattr(app, e.attr)[eval_expr(e.index, i, j, app)]
+        attr, ix = e.attr, compile_expr(e.index)
+        return lambda i, j, app: getattr(app, attr)[ix(i, j, app)]
     if isinstance(e, SelfElem2):
-        return getattr(app, e.attr)[
-            eval_expr(e.row, i, j, app), eval_expr(e.col, i, j, app)
-        ]
-    if isinstance(e, Bin):
-        lv, rv = eval_expr(e.left, i, j, app), eval_expr(e.right, i, j, app)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "//":
-            return lv // rv
-        return lv % rv
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, i, j, app)
-    if isinstance(e, Cmp):
-        lv, rv = eval_expr(e.left, i, j, app), eval_expr(e.right, i, j, app)
-        return {
-            "==": lv == rv,
-            "!=": lv != rv,
-            "<": lv < rv,
-            "<=": lv <= rv,
-            ">": lv > rv,
-            ">=": lv >= rv,
-        }[e.op]
+        attr, r, c = e.attr, compile_expr(e.row), compile_expr(e.col)
+        return lambda i, j, app: getattr(app, attr)[r(i, j, app), c(i, j, app)]
+    if isinstance(e, (Bin, Cmp)):
+        op, a, b = _OPS[e.op], compile_expr(e.left), compile_expr(e.right)
+        return lambda i, j, app: op(a(i, j, app), b(i, j, app))
+    if isinstance(e, (Neg, NotE)):
+        op, f = operator.neg if isinstance(e, Neg) else operator.not_, compile_expr(e.operand)
+        return lambda i, j, app: op(f(i, j, app))
     if isinstance(e, BoolE):
-        if e.op == "and":
-            return all(bool(eval_expr(p, i, j, app)) for p in e.parts)
-        return any(bool(eval_expr(p, i, j, app)) for p in e.parts)
-    if isinstance(e, NotE):
-        return not eval_expr(e.operand, i, j, app)
+        ps, any_all = tuple(map(compile_expr, e.parts)), all if e.op == "and" else any
+        return lambda i, j, app: any_all(p(i, j, app) for p in ps)
     if isinstance(e, Call):
-        args = [eval_expr(a, i, j, app) for a in e.args]
-        return {"max": max, "min": min, "abs": abs, "int": int, "float": float}[
-            e.fn
-        ](*args)
+        fn, args = _CALLS[e.fn], tuple(map(compile_expr, e.args))
+        return lambda i, j, app: fn(*[a(i, j, app) for a in args])
     if isinstance(e, Cond):
-        if bool(eval_expr(e.test, i, j, app)):
-            return eval_expr(e.then, i, j, app)
-        return eval_expr(e.orelse, i, j, app)
+        t, a, b = compile_expr(e.test), compile_expr(e.then), compile_expr(e.orelse)
+        return lambda i, j, app: a(i, j, app) if t(i, j, app) else b(i, j, app)
     if isinstance(e, Reduce):
         fn = max if e.fn == "max" else min
-        vals = [
-            eval_expr(x, i, j, app)
-            for g, x in e.items
-            if g is None or bool(eval_expr(g, i, j, app))
-        ]
-        if not vals:
-            raise _NeedsDep()  # empty candidate set: treat as unknown
-        return fn(vals)
+        items = tuple(
+            (None if g is None else compile_expr(g), compile_expr(x)) for g, x in e.items
+        )
+
+        def reduce_(i, j, app):
+            vals = [x(i, j, app) for g, x in items if g is None or g(i, j, app)]
+            if not vals:
+                raise _NeedsDep()  # empty candidate set: treat as unknown
+            return fn(vals)
+
+        return reduce_
     raise InferError(f"unevaluable IR node {type(e).__name__}")  # pragma: no cover
 
 
@@ -537,68 +535,72 @@ def sample_cells(dag, limit: int = 144) -> List[Tuple[int, int]]:
     return cells[:limit]
 
 
-def _reachable_exprs(ir: ComputeIR, i: int, j: int, app) -> List[Expr]:
-    """Exprs (guards included) of cases that may fire at cell (i, j)."""
-    out: List[Expr] = []
-    for guard, value in ir.cases:
-        if guard is None:
-            out.append(value)
-            return out
-        try:
-            taken = bool(eval_expr(guard, i, j, app))
-        except _NeedsDep:
-            out.append(guard)
-            out.append(value)
-            continue
-        if taken:
-            out.append(value)
-            return out
-    return out
+def _seq(plans):
+    """Run the non-``None`` read plans in order (``None`` if there are none)."""
+    plans = tuple(p for p in plans if p is not None)
+    if len(plans) <= 1:
+        return plans[0] if plans else None
+
+    def seq(i, j, app, out):
+        for p in plans:
+            p(i, j, app, out)
+
+    return seq
 
 
-def _collect_reads(e: Expr, i: int, j: int, app, out: List[Expr]) -> None:
-    """Collect DepRead/Present nodes that may actually execute at (i, j).
+#: a branch that reads nothing (a Reduce item's or a decision list's miss)
+_NOTHING = Const(None)
 
-    Respects inner guards when they evaluate with data alone: a
+
+def _read_plan(e: Expr):
+    """A closure ``f(i, j, app, out)`` appending, in pre-order, the
+    ``(row, col, optional)`` reads of ``e`` that may execute at ``(i, j)``;
+    ``None`` when ``e`` holds no DepRead/Present and so can add no read.
+
+    Inner guards are respected when they evaluate with data alone: a
     ``Cond`` only contributes its taken branch and a ``Reduce`` only its
     live candidates, which is what keeps guarded reads like MTP's
     ``i > 0 => dep[(i-1, j)]`` from tripping false DP404s on the border.
+    An unknown guard contributes its own reads and both sides.
     """
     if isinstance(e, (DepRead, Present)):
-        out.append(e)
-        if isinstance(e, DepRead) and e.default is not None:
-            _collect_reads(e.default, i, j, app, out)
-        return
+        default = e.default if isinstance(e, DepRead) else None
+        read = (compile_expr(e.row), compile_expr(e.col),
+                default is not None or isinstance(e, Present))
+        return _seq([lambda i, j, app, out: out.append(read),
+                     None if default is None else _read_plan(default)])
     if isinstance(e, Cond):
-        try:
-            taken = bool(eval_expr(e.test, i, j, app))
-        except _NeedsDep:
-            _collect_reads(e.test, i, j, app, out)
-            _collect_reads(e.then, i, j, app, out)
-            _collect_reads(e.orelse, i, j, app, out)
-            return
-        _collect_reads(e.then if taken else e.orelse, i, j, app, out)
-        return
-    if isinstance(e, Reduce):
-        for g, x in e.items:
-            if g is not None:
-                try:
-                    if not bool(eval_expr(g, i, j, app)):
-                        continue
-                except _NeedsDep:
-                    _collect_reads(g, i, j, app, out)
-            _collect_reads(x, i, j, app, out)
-        return
-    from dataclasses import fields as _fields
+        then, orelse = _read_plan(e.then), _read_plan(e.orelse)
+        unknown, test = _seq([_read_plan(e.test), then, orelse]), compile_expr(e.test)
 
-    for f in _fields(e):
-        v = getattr(e, f.name)
-        if isinstance(v, Expr):
-            _collect_reads(v, i, j, app, out)
-        elif isinstance(v, tuple):
-            for item in v:
-                if isinstance(item, Expr):
-                    _collect_reads(item, i, j, app, out)
+        def cond(i, j, app, out):
+            try:
+                branch = then if test(i, j, app) else orelse
+            except _NeedsDep:
+                branch = unknown
+            if branch is not None:
+                branch(i, j, app, out)
+
+        return None if unknown is None else cond
+    if isinstance(e, Reduce):  # each guarded candidate reads as ``g ? x : nothing``
+        return _seq([_read_plan(x if g is None else Cond(g, x, _NOTHING)) for g, x in e.items])
+    return _seq([_read_plan(c) for c in children(e)])
+
+
+@functools.lru_cache(maxsize=64)
+def _probe_plan(cases) -> object:
+    """``ir.cases`` compiled for :func:`probe_footprint`, memoized per IR:
+    it holds no instance data, so every build still probes its own app.
+
+    The decision list is the chain ``g1 ? v1 : (g2 ? v2 : ...)``, which the
+    Cond rule reads exactly as the cases run: a false guard moves on, a
+    true one stops, an unknown one adds its own and its value's reads and
+    moves on.
+    """
+    chain: Expr = _NOTHING
+    for guard, value in reversed(cases):
+        chain = value if guard is None else Cond(guard, value, chain)
+    return _read_plan(chain)
 
 
 def probe_footprint(
@@ -615,38 +617,32 @@ def probe_footprint(
     scan presence) must be declared whenever in bounds and active.
     Returns human-readable problem strings (empty = consistent).
     """
+    plan = _probe_plan(ir.cases)
     problems: List[str] = []
+    if plan is None:  # no case reads a dependency
+        return problems
     h, w = dag.height, dag.width
     for i, j in sample_cells(dag, limit):
-        declared = None
-        for e in _reachable_exprs(ir, i, j, app):
-            nodes: List[Expr] = []
-            _collect_reads(e, i, j, app, nodes)
-            for node in nodes:
-                if not isinstance(node, (DepRead, Present)):
-                    continue
-                try:
-                    ri = eval_expr(node.row, i, j, app)
-                    rj = eval_expr(node.col, i, j, app)
-                except _NeedsDep:  # pragma: no cover - indices are data-only
-                    continue
-                optional = isinstance(node, Present) or node.default is not None
-                in_bounds = 0 <= ri < h and 0 <= rj < w
-                if not in_bounds or not dag.is_active(ri, rj):
-                    if optional:
-                        continue
+        declared, reads = None, []
+        plan(i, j, app, reads)
+        for row, col, optional in reads:
+            try:
+                ri, rj = row(i, j, app), col(i, j, app)
+            except _NeedsDep:  # pragma: no cover - indices are data-only
+                continue
+            if not (0 <= ri < h and 0 <= rj < w) or not dag.is_active(ri, rj):
+                if not optional:
                     problems.append(
-                        f"cell ({i}, {j}) reads ({ri}, {rj}) which is"
-                        " outside the DAG"
+                        f"cell ({i}, {j}) reads ({ri}, {rj}) which is outside the DAG"
                     )
-                    continue
-                if declared is None:
-                    declared = {(d.i, d.j) for d in dag.get_dependency(i, j)}
-                if (ri, rj) not in declared:
-                    problems.append(
-                        f"cell ({i}, {j}) reads ({ri}, {rj}) but the pattern"
-                        f" declares only {sorted(declared)}"
-                    )
+                continue
+            if declared is None:
+                declared = {(d.i, d.j) for d in dag.get_dependency(i, j)}
+            if (ri, rj) not in declared:
+                problems.append(
+                    f"cell ({i}, {j}) reads ({ri}, {rj}) but the pattern"
+                    f" declares only {sorted(declared)}"
+                )
         if len(problems) >= 5:
             break
     return problems

@@ -954,22 +954,22 @@ class AffineIndex:
         return bool(self.terms)
 
 
+def _signed_terms(node: Expr, sign: int, parts: List[Tuple[int, Expr]]) -> None:
+    """``+``/``-``/negation flattened to ``(sign, term)`` parts (not a closure:
+    a self-recursive nested function is a reference cycle per call)."""
+    if isinstance(node, Bin) and node.op in ("+", "-"):
+        _signed_terms(node.left, sign, parts)
+        _signed_terms(node.right, sign if node.op == "+" else -sign, parts)
+    elif isinstance(node, Neg):
+        _signed_terms(node.operand, -sign, parts)
+    else:
+        parts.append((sign, node))
+
+
 def affine_of(e: Expr) -> Optional[AffineIndex]:
     """Resolve an IR index expression to :class:`AffineIndex`, or ``None``."""
     parts: List[Tuple[int, Expr]] = []
-
-    def collect(node: Expr, sign: int) -> bool:
-        if isinstance(node, Bin) and node.op in ("+", "-"):
-            if not collect(node.left, sign):
-                return False
-            return collect(node.right, sign if node.op == "+" else -sign)
-        if isinstance(node, Neg):
-            return collect(node.operand, -sign)
-        parts.append((sign, node))
-        return True
-
-    if not collect(e, 1):  # pragma: no cover - collect always succeeds
-        return None
+    _signed_terms(e, 1, parts)
     axis: Optional[str] = None
     const = 0
     terms: List[Tuple[int, Expr]] = []

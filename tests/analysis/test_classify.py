@@ -224,6 +224,162 @@ class TestProbe:
         ]
 
 
+class _ScanOrAboveApp(DPX10App):
+    """The scan idiom: ``present(i, j-1)`` is a Cond test only a solve
+    can decide, so the probe collects both branches."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        best = dep.get((i - 1, j), 0)
+        for v in vertices:
+            if v.i == i and v.j == j - 1:
+                best = v.get_result() + 1
+        return best
+
+
+class _NoSeedApp(DPX10App):
+    """A guarded Reduce with no seed case: both guards are false at (0, 0)."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        cands = []
+        if i > 0:
+            cands.append(dep[(i - 1, j)] + 1)
+        if j > 0:
+            cands.append(dep[(i, j - 1)] + 1)
+        return max(cands)
+
+
+class _DefaultReadsApp(DPX10App):
+    """``dep.get`` whose default is itself a mandatory read."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        return dep.get((i, j - 1), dep[(i - 1, j)]) + 1
+
+
+class _ThreeAboveApp(DPX10App):
+    """Three mandatory reads the row-chain pattern never declares."""
+
+    value_dtype = np.int64
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        return dep[(i - 1, j)] + dep[(i - 1, j - 1)] + dep[(i - 2, j)]
+
+
+class _DataGuardApp(DPX10App):
+    """Which case fires past column 0 depends on ``self.far``: only a row
+    with ``far[i] != 0`` reaches the undeclared read of the row above."""
+
+    value_dtype = np.int64
+
+    def __init__(self, far):
+        self.far = far
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        if j == 0:
+            return 0
+        if self.far[i] == 0:
+            return dep[(i, j - 1)] + 1
+        return dep[(i - 1, j)] + 1
+
+
+class TestProbePaths:
+    """Probe paths the registry goldens never reach, pinned message for
+    message (sample order, the five-problem cap checked per cell)."""
+
+    def test_an_unknown_cond_test_collects_both_branches(self):
+        # then-branch reads past the border, else-branch reads the
+        # undeclared row above: both are reported, test first
+        app, dag = _ScanOrAboveApp(), _RowChainDag(3, 4)
+        assert probe_footprint(classify_app(app, dag).ir, app, dag) == [
+            "cell (0, 0) reads (0, -1) which is outside the DAG",
+            "cell (1, 0) reads (1, -1) which is outside the DAG",
+            "cell (1, 0) reads (0, 0) but the pattern declares only []",
+            "cell (1, 1) reads (0, 1) but the pattern declares only [(1, 0)]",
+            "cell (1, 2) reads (0, 2) but the pattern declares only [(1, 1)]",
+        ]
+
+    def test_a_reduce_with_every_guard_false_reads_nothing(self):
+        app, dag = _NoSeedApp(), GridDag(3, 4)
+        # unguarded, (0, 0) would read (-1, 0) and (0, -1), both outside
+        assert probe_footprint(classify_app(app, dag).ir, app, dag) == []
+
+    def test_a_default_that_reads_is_collected(self):
+        app, dag = _DefaultReadsApp(), _RowChainDag(3, 4)
+        assert probe_footprint(classify_app(app, dag).ir, app, dag) == [
+            "cell (0, 0) reads (-1, 0) which is outside the DAG",
+            "cell (0, 1) reads (-1, 1) which is outside the DAG",
+            "cell (0, 2) reads (-1, 2) which is outside the DAG",
+            "cell (0, 3) reads (-1, 3) which is outside the DAG",
+            "cell (1, 0) reads (0, 0) but the pattern declares only []",
+        ]
+
+    def test_the_cap_stops_after_the_cell_that_reaches_five(self):
+        app, dag = _ThreeAboveApp(), _RowChainDag(3, 4)
+        assert probe_footprint(classify_app(app, dag).ir, app, dag) == [
+            "cell (0, 0) reads (-1, 0) which is outside the DAG",
+            "cell (0, 0) reads (-1, -1) which is outside the DAG",
+            "cell (0, 0) reads (-2, 0) which is outside the DAG",
+            "cell (0, 1) reads (-1, 1) which is outside the DAG",
+            "cell (0, 1) reads (-1, 0) which is outside the DAG",
+            "cell (0, 1) reads (-2, 1) which is outside the DAG",
+        ]
+
+    def test_compiled_closures_keep_the_evaluator_semantics(self):
+        from repro.analysis import infer
+        from repro.analysis.ir import BoolE, Cmp, Const, DepRead, Index, Reduce, SelfElem
+
+        i, j = Index("i"), Index("j")
+        read = DepRead(i, j)
+        # and/or short-circuit to a bool: the read after a deciding part never runs
+        assert infer.compile_expr(BoolE("or", (Const(3), read)))(0, 0, None) is True
+        assert infer.compile_expr(BoolE("and", (Const(0), read)))(0, 0, None) is False
+        with pytest.raises(infer._NeedsDep):
+            infer.compile_expr(BoolE("and", (Const(1), read)))(0, 0, None)
+        # an empty candidate set is unknown, not an error
+        empty = Reduce("max", ((Cmp(">", i, Const(0)), j),))
+        with pytest.raises(infer._NeedsDep):
+            infer.compile_expr(empty)(0, 5, None)
+        assert infer.compile_expr(empty)(1, 5, None) == 5
+
+        # self.* is read from the app at call time, never captured
+        class App:
+            w = [4, 5]
+
+        f, app = infer.compile_expr(SelfElem("w", j)), App()
+        assert f(0, 1, app) == 5
+        app.w = [7, 8]
+        assert f(0, 1, app) == 8
+
+    def test_the_compiled_plan_holds_no_instance_data(self):
+        from repro.analysis import infer
+
+        dag = _RowChainDag(3, 4)
+
+        def dp404(far):
+            cls = classify_app(_DataGuardApp(far), dag)
+            return [f.message for f in cls.report.findings if f.code == "DP404"]
+
+        far_row = [
+            f"cell (1, {j}) reads (0, {j}) but the pattern declares only [(1, {j - 1})]"
+            for j in range(1, 4)
+        ]
+        assert dp404([0, 1, 0]) == far_row
+        hits = infer._probe_plan.cache_info().hits
+        assert dp404([0, 0, 0]) == []
+        assert dp404([0, 1, 0]) == far_row
+        assert infer._probe_plan.cache_info().hits == hits + 2
+
+
 # -- the source-level memo -------------------------------------------------------------
 STEP = 1  # folded into the IR as a constant by the lifter
 

@@ -665,3 +665,30 @@ class TestPlanCache:
         assert key not in flatsweep._PLAN_CACHE  # evicted: the next solve rebuilds it
         assert np.array_equal(solve(), first)
         assert key in flatsweep._PLAN_CACHE
+
+
+class TestNoReferenceCycles:
+    """A job's build leaves no cyclic garbage: every generated kernel's
+    globals hold the app's arrays and dag, so a cycle through them would
+    keep each job's data alive until a full collection."""
+
+    @pytest.mark.parametrize("engine", ["inline", "mp"])
+    @pytest.mark.parametrize("name", ["sw", "lcs", "edit_distance", "mtp"])
+    def test_a_warm_job_leaves_no_cycles(self, name, engine):
+        import gc
+        import weakref
+
+        def job():
+            app, dag = app_fixture(name)
+            DPX10Runtime(app, dag, DPX10Config(engine=engine, nplaces=2)).run()
+            return weakref.ref(app)
+
+        job()  # warm: lazy imports and the memoized source facts
+        gc.collect()
+        gc.disable()
+        try:
+            app = job()
+            assert app() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
