@@ -75,9 +75,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: now builds the generated kernel unless sanitized), and moved the mp
 #: places' proportional span split into ``trace.split_span``, which the
 #: in-process executor shares. ``DPX10Config`` holds at 27 fields.
+#:
+#: Raised again by exactly the net growth of the edge-tile peel (core
+#: 6082 -> 6106, analysis 5965 -> 6001), after paying with the dead
+#: ``_SweepPlan.a/h/w/norm`` attributes (flatsweep.py -2): a top-row or
+#: left-column tile takes its initial-condition row / column straight
+#: from the prelude (``FlatSweepKernel.peel``, flatsweep.py +28, and the
+#: module docstring's corrected boundary-cost account, +7) and sweeps the
+#: rest shifted into the interior tiles' stack (``run_tiles``' window
+#: branch, plane.py +20); the halo and plan caches take a lock, because
+#: the threaded engine's places insert and evict at once (tiling.py +4,
+#: flatsweep.py +3). It buys, on the ledger (alternated parent/change
+#: pairs in CHANGES.md, 0 failed): ``sw_tiled_inline_1024`` overhead_x
+#: 1.705 [1.687, 1.716] -> 1.313 [1.297, 1.325] (10/10 lower, ROADMAP
+#: item 2's <= 1.5x gate), ``sw_vertex_default_256`` 1.80 -> 1.33 (5/5),
+#: ``sw_tiled_mp_2048`` 1.72 -> 1.48 (8/8).
 CEILINGS = {
-    "src/repro/core": 6082,
-    "src/repro/analysis": 5965,
+    "src/repro/core": 6106,
+    "src/repro/analysis": 6001,
 }
 
 MAX_CONFIG_FIELDS = 27

@@ -27,11 +27,18 @@ geometry, and is the only emitter of all three classes:
    is classified as all-true / all-false / mixed over the tile; the
    ``(state, ...)`` tuple selects a sweep variant with those leaves
    constant-folded away. Interior tiles — where every ``present()`` is
-   true and no boundary case fires — run a branch-free sweep of ~6
-   slice ops per diagonal, matching the hand kernel; only the
-   O(grid-edge) boundary tiles pay the masked general variant. This is
-   the "scalar fixups instead of per-lane bounds masks" trade: boundary
-   handling costs nothing on the hot interior path.
+   true and no boundary case fires — run a branch-free sweep (SW: ~11
+   NumPy operations per diagonal, against the masked variant's ~20).
+   The O(grid-edge) boundary tiles are not cheap: swept alone under
+   masks they took ~48 ms of a ~186 ms inline SW 1024² solve at 64²
+   (33 of 289 tiles, 2 places, median of 5 solves on a 2-vCPU box).
+   So a tile on the matrix's top row or left column whose leading pads
+   rows / columns are the DP's initial condition (every cell takes a
+   dependency-free case) has them *peeled* (:meth:`FlatSweepKernel.peel`,
+   values straight from the prelude), and
+   :func:`repro.core.plane.run_tiles` sweeps the rest as an interior
+   tile. Only tiles whose edge reads a dependency (LPS) still pay the
+   masked general variant.
 4. **Gather/scatter** — one ``flat.take(..., mode="clip")`` fills the
    buffer from the window (halo included); one fancy store writes the
    tile cells back. Index vectors are cached per ``(stride, oi, oj)``,
@@ -67,6 +74,7 @@ discard them, which the differential tests
 from __future__ import annotations
 
 import functools
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -119,15 +127,13 @@ class _SweepPlan:
     def __init__(self, a: int, pads: Tuple[int, int, int, int], h: int, w: int):
         pt, pb, pl, pr = pads
         eh, ew = h + pt + pb, w + pl + pr
-        self.a, self.pads, self.h, self.w = a, pads, h, w
+        self.pads = pads
         vi = np.repeat(np.arange(eh), ew)
         vj = np.tile(np.arange(ew), eh)
         if a == 1:
             s = vi + vj
-            self.norm = 0
         else:  # rank (-1, 1): diagonals are vj - vi
             s = vj - vi + (eh - 1)
-            self.norm = eh - 1
         self.nrows = eh + ew - 1
         self.ncols = eh
         self.nslots = self.nrows * self.ncols
@@ -173,17 +179,19 @@ class _SweepPlan:
 #: shape plus at most three edge shapes per ``(rank, pads)``.
 _PLAN_CACHE: "OrderedDict[tuple, _SweepPlan]" = OrderedDict()
 _PLAN_CACHE_SIZE = 16
+_PLAN_LOCK = threading.Lock()
 
 
 def _plan_for(a: int, pads: Tuple[int, int, int, int], h: int, w: int) -> _SweepPlan:
     key = (a, pads, h, w)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _PLAN_CACHE[key] = _SweepPlan(a, pads, h, w)
-        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(key)
+    with _PLAN_LOCK:  # a threaded run's places share the cache
+        plan = _PLAN_CACHE.get(key)
+        if plan is None:
+            plan = _PLAN_CACHE[key] = _SweepPlan(a, pads, h, w)
+            if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
+                _PLAN_CACHE.popitem(last=False)
+        else:
+            _PLAN_CACHE.move_to_end(key)
     return plan
 
 
@@ -705,6 +713,34 @@ class FlatSweepKernel(_SliceKernel):
         geometry) may share one sweep."""
         profile, leaves = _classify_leaves(self._leaves_fn(r0, c0, h, w))
         return tuple(profile), leaves
+
+    def peel(self, r0, c0, h, w, k, l) -> Optional[List[Tuple[int, int, np.ndarray]]]:
+        """A tile's leading ``k`` rows and ``l`` columns, straight from the
+        prelude: ``(li, lj, values)`` per strip, tile-relative, or None
+        unless every cell there takes a dependency-free case (the DP's
+        initial condition) — earlier guards uniformly false, the firing
+        guard uniformly true, its value reading no dependency."""
+        strips = []
+        for li, lj, sh, sw in ((0, 0, k, w), (k, 0, h - k, l)):
+            if sh * sw == 0:
+                continue
+            values = self._leaves_fn(r0 + li, c0 + lj, sh, sw)
+            profile, _ = _classify_leaves(values)
+            for guard, value in self.cases:
+                if guard is None or isinstance(guard, Const):
+                    state = "T" if guard is None or guard.value else "F"
+                else:
+                    state = profile[self.leaves.intern(guard)]
+                if state == "F":
+                    continue
+                if state != "T" or _has_dep(value):
+                    return None
+                got = value.value if isinstance(value, Const) else values[self.leaves.intern(value)]
+                strips.append((li, lj, np.broadcast_to(got, (sh, sw))))
+                break
+            else:  # pragma: no cover - a decision list always fires
+                return None
+        return strips
 
     def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
         """Sweep ``nb`` same-geometry, same-profile tiles in one pass.

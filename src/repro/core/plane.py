@@ -306,14 +306,19 @@ def run_tiles(
     generated window kernel), tiles of equal geometry *and* equal boundary
     profile share one sweep: an interior tile never pays for the masks
     of the boundary tile next to it, and a tile alone in its group runs
-    exactly what it ran before batching existed. Every other kernel sees
-    one window per call. Each tile's values land before its finish
-    flags, whatever else its batch still has to write.
+    exactly what it ran before batching existed. A top-row or left-column
+    tile whose leading pads rows / columns are the DP's initial condition
+    (``fn.peel``) takes those from the prelude and sweeps the rest, where
+    it can at interior geometry, in the interior tiles' stack. Every
+    other kernel sees one window per call. Each tile's values (peeled
+    ones too) land before its finish flags, whatever else its batch
+    still has to write.
     """
     values = plane.values
     base = tiled.base
     windowed = kernel is not None and kernel.mode == "window"
     prepare = getattr(kernel.fn, "prepare", None) if windowed else None
+    peel = getattr(kernel.fn, "peel", None) if windowed else None
     if windowed:
         # a generated kernel's window covers its inferred footprint box
         # as well as the declared-stencil halo strips
@@ -356,37 +361,52 @@ def run_tiles(
             _store(plane, rows, cols, out)
             continue
         r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
-        wr0, wr1 = max(0, r0 - pt), min(base.height, r1 + pb)
-        wc0, wc1 = max(0, c0 - pl), min(base.width, c1 + pr)
         h, w = r1 - r0, c1 - c0
+        # the rest of a peeled tile sweeps as its rectangle shifted by
+        # (k, l), whose cells past the tile read zeros and are discarded;
+        # an axis where a dependency reaches past the shift, or the matrix
+        # ends first, sweeps the remainder alone
+        k = pt if r0 == 0 and h > pt else 0
+        l = pl if c0 == 0 and w > pl else 0
+        strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
+        if strips is None:
+            k = l = 0
+        sr0, sh = r0 + k, (h if pb == 0 and r1 + k <= base.height else h - k)
+        sc0, sw = c0 + l, (w if pr == 0 and c1 + l <= base.width else w - l)
+        wr0, wr1 = max(0, sr0 - pt), min(base.height, sr0 + sh + pb)
+        wc0, wc1 = max(0, sc0 - pl), min(base.width, sc0 + sw + pr)
         # a dag may declare halo cells outside the window box; the
         # kernel provably never reads them, so drop them
         ins = (hrows >= wr0) & (hrows < wr1) & (hcols >= wc0) & (hcols < wc1)
         hr, hc = hrows[ins], hcols[ins]
         halo = (hr - wr0, hc - wc0, values[hr, hc])
+        peeled = [(r0 + i - wr0, c0 + j - wc0, v) for i, j, v in strips or ()]
         # a kernel that sweeps one window per call gets singleton groups
-        profile, leaves = prepare(r0, c0, h, w) if prepare else ((ti, tj), None)
-        key = (h, w, wr1 - wr0, wc1 - wc0, r0 - wr0, c0 - wc0, profile)
-        groups.setdefault(key, []).append((rows, cols, r0, c0, halo, leaves))
+        profile, leaves = prepare(sr0, sc0, sh, sw) if prepare else ((ti, tj), None)
+        key = (sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0, profile)
+        box = (r0, r1, c0, c1, wr0, wc0)
+        groups.setdefault(key, []).append((rows, cols, box, halo, peeled, leaves))
 
     for (h, w, wh, ww, oi, oj, profile), jobs in groups.items():
         windows = np.zeros((len(jobs), wh, ww), dtype=values.dtype)
-        for window, (*_, (hi, hj, hvalues), _leaves) in zip(windows, jobs):
+        for window, (*_, (hi, hj, hvalues), peeled, _leaves) in zip(windows, jobs):
             window[hi, hj] = hvalues
+            for i, j, strip in peeled:
+                window[i : i + strip.shape[0], j : j + strip.shape[1]] = strip
         if prepare is not None:
             kernel.fn.sweep(profile, [job[-1] for job in jobs], windows, oi, oj, h, w)
             swept = True
         else:
-            ((*_, r0, c0, _halo, _leaves),) = jobs
+            r0, _r1, c0, *_ = jobs[0][2]  # a hand kernel's tile is unpeeled
             swept = kernel.fn(r0, c0, windows[0], oi, oj, h, w)
-        for window, (rows, cols, r0, c0, *_) in zip(windows, jobs):
+        for window, (rows, cols, (r0, r1, c0, c1, wr0, wc0), *_) in zip(windows, jobs):
             if not swept:  # the kernel declined this window
                 out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
                 _store(plane, rows, cols, out)
-            elif len(rows) == h * w:
+            elif len(rows) == (r1 - r0) * (c1 - c0):
                 # the tile is its rectangle: two slice stores
-                values[r0 : r0 + h, c0 : c0 + w] = window[oi : oi + h, oj : oj + w]
-                plane.finished[r0 : r0 + h, c0 : c0 + w] = 1
+                values[r0:r1, c0:c1] = window[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]
+                plane.finished[r0:r1, c0:c1] = 1
             else:
-                _store(plane, rows, cols, window[rows - (r0 - oi), cols - (c0 - oj)])
+                _store(plane, rows, cols, window[rows - wr0, cols - wc0])
     return done

@@ -95,9 +95,12 @@ def _cell_order(h: int, w: int, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]
 #: h, w, margins)`` — position matters only through each grid edge within
 #: the stencil's reach, so a shape has at most nine — and kept per
 #: ``(class, r0, c0)`` too, so a repeated tile allocates nothing. FIFO
-#: past the bound: a pooled place meets new job sizes without end.
+#: past the bound: a pooled place meets new job sizes without end. Every
+#: place's worker of a threaded run fills it at once, so inserts and
+#: evictions take the lock (a lone ``get`` is atomic).
 _HALO_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 _HALO_CACHE_SIZE = 4096
+_HALO_LOCK = threading.Lock()
 
 
 def _stencil_halo(offs, H, W, r0, r1, c0, c1) -> Tuple[np.ndarray, np.ndarray]:
@@ -351,15 +354,16 @@ class TiledDag(Dag):
             key = (offs, h, w, vr, min(base.height - r1, pb), vc, min(base.width - c1, pr))
             got = _HALO_CACHE.get((key, r0, c0))
             if got is None:
-                rel = _HALO_CACHE.get(key)
-                if rel is None:
-                    rows, cols = _stencil_halo(
-                        offs, vr + h + key[4], vc + w + key[6], vr, vr + h, vc, vc + w
-                    )
-                    rel = _HALO_CACHE[key] = (rows - vr, cols - vc)
-                got = _HALO_CACHE[key, r0, c0] = (rel[0] + r0, rel[1] + c0)
-                while len(_HALO_CACHE) > _HALO_CACHE_SIZE:
-                    del _HALO_CACHE[next(iter(_HALO_CACHE))]
+                with _HALO_LOCK:
+                    rel = _HALO_CACHE.get(key)
+                    if rel is None:
+                        rows, cols = _stencil_halo(
+                            offs, vr + h + key[4], vc + w + key[6], vr, vr + h, vc, vc + w
+                        )
+                        rel = _HALO_CACHE[key] = (rows - vr, cols - vc)
+                    got = _HALO_CACHE[key, r0, c0] = (rel[0] + r0, rel[1] + c0)
+                    while len(_HALO_CACHE) > _HALO_CACHE_SIZE:
+                        del _HALO_CACHE[next(iter(_HALO_CACHE))]
             return got
         seen: Dict[Coord, None] = {}
         for i in range(r0, r1):

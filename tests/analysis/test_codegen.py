@@ -564,27 +564,24 @@ class TestLevelBatch:
         np.random.default_rng(3).shuffle(tiles)
         tiles = [tuple(t) for t in tiles]
 
-        # what each tile runs alone: its own profile on its own geometry
-        alone = Counter()
-        for ti, tj in tiles:
-            r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
-            profile, _ = kernel.fn.prepare(r0, c0, r1 - r0, c1 - c0)
-            alone[(r1 - r0, c1 - c0, profile)] += 1
-
-        ran = Counter()
+        # what each tile runs alone — one run_tiles call per tile — and
+        # what the batch runs, both counted per (geometry, profile)
+        alone, ran = Counter(), Counter()
         real = kernel.fn.sweep
 
         def spy(profile, leaves, windows, oi, oj, h, w):
-            ran[(h, w, profile)] += len(windows)
+            seen[(h, w, profile)] += len(windows)
             return real(profile, leaves, windows, oi, oj, h, w)
 
         kernel.fn.sweep = spy
-        batch, want = _solved_plane(app, dag, tiled)
-        run_tiles(batch, tiled, app, kernel, tiles, 0)
-        kernel.fn.sweep = real
+        seen = alone
         solo, _ = _solved_plane(app, dag, tiled)
         for t in tiles:
             run_tiles(solo, tiled, app, kernel, [t], 0)
+        seen = ran
+        batch, want = _solved_plane(app, dag, tiled)
+        run_tiles(batch, tiled, app, kernel, tiles, 0)
+        kernel.fn.sweep = real
 
         mask = np.zeros(want.shape, bool)
         for t in tiles:

@@ -1,0 +1,212 @@
+"""Edge-tile peeling (``FlatSweepKernel.peel`` and ``plane.run_tiles``).
+
+A tile on the matrix's top row or left column takes its initial-condition
+cells straight from the prelude and sweeps the rest as the tile's
+rectangle shifted past them — interior geometry, interior profile — or,
+where a dependency reaches past the shift or the matrix ends first, as
+the remainder alone. Every case here is compared bit for bit against the
+per-vertex reference (``tile_shape=(1, 1)``) and a serial oracle, on
+every engine and both mp backings.
+"""
+
+import numpy as np
+import pytest
+
+import repro.patterns  # noqa: F401 - registers the built-in patterns
+from repro.analysis.flatsweep import FlatSweepKernel
+from repro.apps import serial
+from repro.apps.banded_alignment import BandedEditDistanceApp
+from repro.apps.edit_distance import EditDistanceApp
+from repro.apps.lcs import LCSApp
+from repro.apps.lps import LPSApp
+from repro.apps.needleman_wunsch import NWApp
+from repro.apps.smith_waterman import SWApp
+from repro.core.api import DPX10App, Vertex, dependency_map
+from repro.core.config import DPX10Config
+from repro.core.runtime import DPX10Runtime
+from repro.core.shm import shm_supported
+from repro.patterns import BandedDiagonalDag, DiagonalDag, IntervalDag
+from repro.patterns.base import StencilDag
+
+
+class EdgeReadApp(DPX10App[int]):
+    """Both edge cases read a dependency: nothing may peel."""
+
+    value_dtype = np.int64
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def compute(self, i, j, vertices):
+        dep = dependency_map(vertices)
+        if i == 0:
+            return dep.get((i, j - 1), 0) + 1
+        if j == 0:
+            return dep.get((i - 1, j), 0) + 2
+        match = 3 if self.x[i - 1] == self.y[j - 1] else 1
+        return max(dep[(i - 1, j)], dep[(i, j - 1)]) + match
+
+
+class LookaheadDag(StencilDag):
+    """Reads the row below too: pads (1, 1, 5, 0), so no down-shift. The
+    read lands five columns left, past a tile of width <= 5, so tile rows
+    do not depend on each other both ways."""
+
+    offsets = ((-1, 0), (0, -1), (1, -5))
+
+
+class LookaheadApp(DPX10App[int]):
+    """A dependency-free edge five columns wide, under a positive row offset."""
+
+    value_dtype = np.int64
+
+    def __init__(self, x, y):
+        self.x, self.y = x, y
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j < 5:
+            return i + 2 * j
+        dep = dependency_map(vertices)
+        match = 3 if self.x[i - 1] == self.y[j - 1] else 1
+        return max(dep[(i - 1, j)], dep[(i, j - 1)], dep.get((i + 1, j - 5), 0)) + match
+
+
+def _serial(app, dag):
+    """Every active cell's ``compute()`` in antidiagonal order."""
+    out = np.full((dag.height, dag.width), -1, np.int64)
+    cells = [
+        (i, j) for i in range(dag.height) for j in range(dag.width) if dag.is_active(i, j)
+    ]
+    for i, j in sorted(cells, key=sum):
+        deps = [
+            Vertex(d.i, d.j, int(out[d.i, d.j]))
+            for d in dag.get_dependency(i, j)
+            if dag.is_active(d.i, d.j)
+        ]
+        out[i, j] = app.compute(i, j, deps)
+    return out
+
+
+ANTIDIAG = ["banded", "edit_distance", "lcs", "lps", "nw", "sw"]
+FIXTURES = ["edge_read", "lookahead"]
+
+
+def _instance(name):
+    """``(app, dag factory, serial oracle)`` on a 21 x 17 matrix (LPS 20 x 20)."""
+    rng = np.random.default_rng(11)
+    x = "".join(rng.choice(list("ACGT"), 20))
+    y = "".join(rng.choice(list("ACGT"), 16))
+    H, W = len(x) + 1, len(y) + 1
+    if name == "lps":
+        return LPSApp(x), lambda: IntervalDag(len(x), len(x)), serial.lps_matrix(x)
+    if name == "banded":
+        app, make = BandedEditDistanceApp(x, y), lambda: BandedDiagonalDag(H, W, 5)
+    elif name == "edge_read":
+        app, make = EdgeReadApp(x, y), lambda: DiagonalDag(H, W)
+    elif name == "lookahead":
+        app, make = LookaheadApp(x, y), lambda: LookaheadDag(H, W)
+    else:
+        app = {"edit_distance": EditDistanceApp, "lcs": LCSApp, "nw": NWApp, "sw": SWApp}[
+            name
+        ](x, y)
+        oracle = {
+            "edit_distance": serial.edit_distance_matrix,
+            "lcs": serial.lcs_matrix,
+            "nw": serial.nw_matrix,
+            "sw": serial.sw_matrix,
+        }[name](x, y)
+        return app, lambda: DiagonalDag(H, W), oracle
+    return app, make, _serial(app, make())
+
+
+#: tile shapes, as functions of the matrix: ones that shift, ragged last
+#: tiles, and the fallbacks — one tile row, one tile column, one tile
+SHAPES = {
+    "4x4": lambda H, W: (4, 4),
+    "5x3": lambda H, W: (5, 3),
+    "one-row": lambda H, W: (H, 4),
+    "one-col": lambda H, W: (4, W),
+    "single": lambda H, W: (H, W),
+}
+
+ENGINES = {
+    "inline": dict(engine="inline"),
+    "threaded": dict(engine="threaded"),
+    "mp-shm": dict(engine="mp", shm=True),
+    "mp-pipe": dict(engine="mp", shm=False),
+}
+
+
+def _solve(app, dag, **cfg):
+    report = DPX10Runtime(app, dag, DPX10Config(**cfg)).run()
+    return dag.to_array(fill=-1, dtype=np.int64), report
+
+
+#: a one-column tiling puts a row-below read in the tile below: cyclic
+CASES = [
+    (name, shape)
+    for name in ANTIDIAG + FIXTURES
+    for shape in SHAPES
+    if (name, shape) != ("lookahead", "one-col")
+]
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("name, shape", CASES)
+def test_peeled_tiles_are_bit_identical(name, shape, engine, monkeypatch):
+    if ENGINES[engine].get("shm") and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    app, make, oracle = _instance(name)
+    peels, heights = [], set()
+    real_peel, real_sweep = FlatSweepKernel.peel, FlatSweepKernel.sweep
+
+    def peel(self, *args):
+        got = real_peel(self, *args)
+        peels.append(got is not None)
+        return got
+
+    def sweep(self, profile, leaves, windows, oi, oj, h, w):
+        heights.add(h)
+        return real_sweep(self, profile, leaves, windows, oi, oj, h, w)
+
+    monkeypatch.setattr(FlatSweepKernel, "peel", peel)
+    monkeypatch.setattr(FlatSweepKernel, "sweep", sweep)
+    ref, _ = _solve(app, make(), tile_shape=(1, 1))
+    dag = make()
+    tile_shape = SHAPES[shape](dag.height, dag.width)
+    got, report = _solve(app, dag, tile_shape=tile_shape, nplaces=2, **ENGINES[engine])
+    assert report.kernel == "ANTIDIAG_WAVEFRONT"
+    assert got.tolist() == ref.tolist()
+    active = ref != -1
+    assert got[active].tolist() == oracle[active].tolist()
+    if engine in ("inline", "threaded"):  # mp places peel in their own processes
+        assert any(peels) == (name not in ("lps", "edge_read")), peels
+        if shape == "4x4":
+            # 21 rows of 4-high tiles sweep 4 or 1 rows (the ragged last
+            # tile row); only a row-0 tile that may not shift down sweeps
+            # its 3-row remainder alone
+            assert (3 in heights) == (name == "lookahead"), heights
+
+
+def test_edge_tiles_join_the_interior_sweep(monkeypatch):
+    # SW 1024^2 at 64^2 on 2 inline places: the 33 top-row / left-column
+    # tiles peel, so no sweep runs a boolean mask, and the solve needs
+    # fewer than the 107 sweeps one masked sweep per edge tile costs
+    sweeps = []
+    real = FlatSweepKernel.sweep
+
+    def spy(self, profile, leaves, windows, *geo):
+        masked = [k for k, s in enumerate(profile) if s == "M"]
+        sweeps.append(any(tile[k].dtype == np.bool_ for tile in leaves for k in masked))
+        return real(self, profile, leaves, windows, *geo)
+
+    monkeypatch.setattr(FlatSweepKernel, "sweep", spy)
+    rng = np.random.default_rng(7)
+    x, y = ("".join(rng.choice(list("ACGT"), 1024)) for _ in range(2))
+    dag = DiagonalDag(1025, 1025)
+    report = DPX10Runtime(
+        SWApp(x, y), dag, DPX10Config(tile_shape=(64, 64), nplaces=2)
+    ).run()
+    assert report.kernel == "ANTIDIAG_WAVEFRONT"
+    assert not any(sweeps)
+    assert len(sweeps) < 107

@@ -255,7 +255,11 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     app, dag, tiled, kernel, levels, want = _levels()
     plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
     plane.owners[...] = 0
-    cut = 3  # row-0 tile + col-0 tile + interior tiles: three sweeps
+    # interior tiles + the peeled col-0 tile, then the ragged last column's
+    # peeled row-0 tile: two sweeps, each holding a tile with peeled cells
+    cut = 5
+    peeled = {(5, 0): (slice(None), slice(0, 1)), (0, 5): (slice(0, 1), slice(None))}
+    assert set(peeled) <= set(levels[cut])
     for level in levels[:cut]:
         plane_mod.run_tiles(plane, tiled, app, kernel, level, 0)
     calls = []
@@ -280,6 +284,17 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
             flagged += 1
             assert plane.values[rows, cols].tolist() == want[rows, cols].tolist()
     assert 0 < flagged < len(levels[cut])
+    # a peeled strip is flagged exactly when the rest of its tile is
+    states = set()
+    for (ti, tj), (si, sj) in peeled.items():
+        r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
+        tile = plane.finished[r0:r1, c0:c1].astype(bool)
+        in_strip = np.zeros(tile.shape, bool)
+        in_strip[si, sj] = True
+        strip, rest = set(tile[in_strip].tolist()), set(tile[~in_strip].tolist())
+        assert len(strip) == 1 and strip == rest
+        states |= strip
+    assert states == {True, False}
     # the recompute of the whole level lands on the oracle
     plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], 0)
     for level in levels[cut + 1 :]:

@@ -12,7 +12,8 @@ import pytest
 import repro.patterns  # noqa: F401 - registers the built-in patterns
 from repro.apgas.failure import FaultPlan
 from repro.apps.lps import solve_lps
-from repro.apps.smith_waterman import solve_sw
+from repro.apps.serial import sw_matrix
+from repro.apps.smith_waterman import SWApp, solve_sw
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
@@ -208,6 +209,50 @@ class TestCoarsen:
             rows, cols = tiled.halo_of(ti, tj)
             got = list(zip(rows.tolist(), cols.tolist()))
             assert got == self._direct_halo(tiled, ti, tj)
+
+    def test_halo_cache_eviction_is_thread_safe(self, monkeypatch):
+        # every place's worker of a threaded run inserts and evicts at
+        # once: two evictions racing on one FIFO head kill a worker (a
+        # KeyError, or the dict changing size under its iterator) and
+        # leave the others waiting for its tiles. A watchdog aborts a
+        # stuck run, so a race surfaces as that error instead of a hang.
+        import sys
+        import threading
+
+        from repro.core import tiling, worker
+
+        monkeypatch.setattr(tiling, "_HALO_CACHE", {})
+        monkeypatch.setattr(tiling, "_HALO_CACHE_SIZE", 8)
+        states = []
+        real_init = worker.ExecutionState.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            states.append(self)
+
+        monkeypatch.setattr(worker.ExecutionState, "__init__", init)
+        rng = np.random.default_rng(0)
+        x, y = ("".join(rng.choice(list("ACGT"), 120)) for _ in range(2))
+        want = sw_matrix(x, y)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(6):
+                dag = DiagonalDag(121, 121)
+                cfg = DPX10Config(
+                    engine="threaded", nplaces=4, tile_shape=(4, 4), seed=seed
+                )
+                watchdog = threading.Timer(
+                    20, lambda: [s.abort_event.set() for s in states]
+                )
+                watchdog.start()
+                try:
+                    DPX10Runtime(SWApp(x, y), dag, cfg).run()
+                finally:
+                    watchdog.cancel()
+                assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_cells_in_wavefront_order(self):
         for name in sorted(PATTERNS):
