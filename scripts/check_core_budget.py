@@ -90,8 +90,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: 1.705 [1.687, 1.716] -> 1.313 [1.297, 1.325] (10/10 lower, ROADMAP
 #: item 2's <= 1.5x gate), ``sw_vertex_default_256`` 1.80 -> 1.33 (5/5),
 #: ``sw_tiled_mp_2048`` 1.72 -> 1.48 (8/8).
+#:
+#: Core raised again, 6106 -> 6124, by exactly the net growth of the
+#: merged inline batch, after paying with what it replaced: the
+#: per-execution-place ``by_place`` split and loop in
+#: ``tiling.execute_tiles``, the ``execute`` alias of ``run_inline``, and
+#: the ``DependencyRaceError`` / ``DPX10Error`` special cases of the
+#: threaded abort. What remains: ``run_tiles`` takes one execution place
+#: per tile (plane.py +2), ``execute_tiles`` accounts each tile at its own
+#: place and lands a throttled place's sleep on its own tiles' spans
+#: (tiling.py +8), ``run_inline`` drains every alive place's ready list
+#: into one batch per turn beside the per-vertex round-robin, and the
+#: threaded engine aborts on any exception (worker.py +8, with the
+#: docstrings that say so). It buys, on the
+#: ledger (ten alternated parent/change pairs in CHANGES.md, 0 failed):
+#: ``sw_tiled_inline_1024`` overhead_x 1.497 [1.485, 1.507] -> 1.336
+#: [1.305, 1.366] (10/10 lower), ``sw_vertex_default_256`` 1.451 ->
+#: 1.386 (5/5), and a threaded run whose ``compute()`` raises no longer
+#: hangs.
 CEILINGS = {
-    "src/repro/core": 6106,
+    "src/repro/core": 6124,
     "src/repro/analysis": 6001,
 }
 

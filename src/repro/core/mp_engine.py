@@ -313,7 +313,7 @@ class _PlaceWorker:
         assert tiled is not None
         t0 = time.perf_counter()
         done = _plane.run_tiles(
-            self.plane, tiled, self.app, self.kernel, tiles, self.place_id
+            self.plane, tiled, self.app, self.kernel, tiles, [self.place_id] * len(tiles)
         )
         cells = [n for n, _ in done]
         spans = split_span(t0, time.perf_counter(), cells)

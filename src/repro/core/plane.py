@@ -288,16 +288,18 @@ def run_tiles(
     app: DPX10App,
     kernel,
     tiles: Sequence[Coord],
-    place_id: int,
+    places: Sequence[int],
     sanitize: bool = False,
 ) -> List[Tuple[int, List[Transfer]]]:
-    """Compute mutually independent tiles in place, executing at ``place_id``.
+    """Compute mutually independent tiles in place, ``tiles[k]`` at ``places[k]``.
 
     ``tiles`` must not depend on one another — one tile, or (part of) a
-    level of the tile DAG. Returns, per tile and in order, the number of
-    cells computed and the cross-place transfers the execution implies
-    under the owner map: one halo read per remote producing place, plus
-    the write-back when ``place_id`` is not the tile's home.
+    level of the tile DAG, at any mix of places: a tile's place decides
+    its transfers and sanitizer guard, not its sweep. Returns, per tile
+    and in order, the number of cells computed and the cross-place
+    transfers the execution implies under the owner map: one halo read
+    per remote producing place, plus the write-back when the tile's
+    place is not its home.
 
     Window kernels run on a zeroed window with only the halo scattered
     in — never a raw plane copy, so values a recovery left behind in
@@ -325,7 +327,7 @@ def run_tiles(
         pt, pb, pl, pr = (max(a, d) for a, d in zip(kernel.pads, tiled.pads))
     done: List[Tuple[int, List[Transfer]]] = []
     groups: Dict[tuple, List[tuple]] = {}
-    for ti, tj in tiles:
+    for (ti, tj), place_id in zip(tiles, places):
         rows, cols = tiled.cells_of(ti, tj)
         n = len(rows)
         if n == 0:
@@ -384,7 +386,7 @@ def run_tiles(
         # a kernel that sweeps one window per call gets singleton groups
         profile, leaves = prepare(sr0, sc0, sh, sw) if prepare else ((ti, tj), None)
         key = (sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0, profile)
-        box = (r0, r1, c0, c1, wr0, wc0)
+        box = (r0, r1, c0, c1, wr0, wc0, place_id)
         groups.setdefault(key, []).append((rows, cols, box, halo, peeled, leaves))
 
     for (h, w, wh, ww, oi, oj, profile), jobs in groups.items():
@@ -399,7 +401,7 @@ def run_tiles(
         else:
             r0, _r1, c0, *_ = jobs[0][2]  # a hand kernel's tile is unpeeled
             swept = kernel.fn(r0, c0, windows[0], oi, oj, h, w)
-        for window, (rows, cols, (r0, r1, c0, c1, wr0, wc0), *_) in zip(windows, jobs):
+        for window, (rows, cols, (r0, r1, c0, c1, wr0, wc0, place_id), *_) in zip(windows, jobs):
             if not swept:  # the kernel declined this window
                 out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
                 _store(plane, rows, cols, out)

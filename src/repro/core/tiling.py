@@ -22,11 +22,12 @@ Three layers live here (see docs/TILING.md for the full story):
   per-place ready lists and the finished set; recovery rebuilds it from
   the plane's finish flags (a dead place invalidates *tiles*, not
   cells).
-* **The tile worker** — :func:`execute_tiles` places a place's ready
-  tiles, runs them on the run's :class:`~repro.core.plane.TilePlane`
-  through one :func:`~repro.core.plane.run_tiles` call per execution
-  place (the executor the mp workers hand whole level batches), and
-  feeds the transfers it reports to the network model.
+* **The tile worker** — :func:`execute_tiles` places a batch of ready
+  tiles (inline: every place's ready list; threaded: one worker's),
+  runs them on the run's :class:`~repro.core.plane.TilePlane` through
+  one :func:`~repro.core.plane.run_tiles` call (the executor the mp
+  workers hand whole level batches), and accounts each tile at its own
+  execution place.
 
 :func:`plan_tiles` is the one place a run decides its granularity:
 ``DPX10Config(tile_shape=(h, w))`` is used as given, ``None`` is planned,
@@ -513,7 +514,7 @@ class TileRunState:
     and finished tiles. The per-place ready lists are the run's own
     (``state.ready``, holding tile indices), so the drivers in
     :mod:`repro.core.worker` wake and terminate on tiles exactly as they
-    do on cells; they take a place's whole ready list per turn.
+    do on cells; they take whole ready lists per turn.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -592,15 +593,16 @@ class TileRunState:
 
 # -- the tile worker ------------------------------------------------------------------
 def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
-    """Run a place's ready tiles end to end: place, compute, account, notify.
+    """Run a batch of ready tiles end to end: place, compute, account, notify.
 
     A tile is released only once all its producers finished, so the
-    tiles of one ready list never depend on one another: they go to
-    :func:`repro.core.plane.run_tiles` in one call per execution place,
-    where tiles that can share a kernel sweep share it. The scheduling
-    strategy still places each tile (one decision per tile, costed on
-    the tile's halo edges), and each tile is accounted in batch order;
-    its trace event and straggler sample are its
+    tiles of one batch never depend on one another — whichever places'
+    ready lists they came from. The scheduling strategy places each tile
+    (one decision per tile, costed on the tile's halo edges), then the
+    whole batch goes to :func:`repro.core.plane.run_tiles` in one call,
+    where tiles that can share a kernel sweep share it whatever their
+    execution place. Each tile is accounted at its execution place, in
+    batch order; its trace event and straggler sample are its
     :func:`~repro.core.trace.split_span` share of the call.
     """
     ts: TileRunState = state.tiles
@@ -608,7 +610,7 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     plane = state.plane
     cfg = state.config
     trace = state.trace
-    by_place: Dict[int, List[Coord]] = {}
+    places: List[int] = []
     for tile in tiles:
         home_place = ts.home[tile]
         if cfg.pace is not None:
@@ -634,75 +636,81 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
             state.rngs[home_place],
             plane.nbytes,
         )
-        by_place.setdefault(exec_place, []).append(tile)
+        places.append(exec_place)
 
     clock = trace.now if trace is not None else time.perf_counter
     metrics = state.metrics
-    for exec_place, batch in by_place.items():
-        t0 = clock()
-        done = _plane.run_tiles(
-            plane, tiled, state.app, state.kernel, batch, exec_place, cfg.sanitize
-        )
-        cells = [n for n, _ in done]
-        if state.chaos is not None and state.chaos.has_throttles:
-            # slow-place chaos at batch granularity: the analogue of the
-            # per-vertex on_execute hook (which the tiled path never reaches)
-            state.chaos.throttle_batch(exec_place, sum(cells))
-        spans = split_span(t0, clock(), cells)
-        with state._completions_lock:
-            state.executed_by[exec_place] = state.executed_by.get(exec_place, 0) + sum(cells)
-            completed = state.completions
-            state.completions += sum(cells)
+    t0 = clock()
+    done = _plane.run_tiles(
+        plane, tiled, state.app, state.kernel, tiles, places, cfg.sanitize
+    )
+    cells = [n for n, _ in done]
+    load: Dict[int, int] = {}  # cells executed per place
+    for p, n in zip(places, cells):
+        load[p] = load.get(p, 0) + n
+    weights: List[float] = cells
+    if state.chaos is not None and state.chaos.has_throttles:
+        # slow-place chaos, one sleep per execution place (the per-vertex
+        # on_execute hook's analogue): its own tiles' spans carry it
+        per_cell = (clock() - t0) / max(sum(cells), 1)
+        sleep_per_cell = {p: state.chaos.throttle_batch(p, n) / max(n, 1) for p, n in load.items()}
+        weights = [n * (per_cell + sleep_per_cell[p]) for p, n in zip(places, cells)]
+    spans = split_span(t0, clock(), weights)
+    with state._completions_lock:
+        for p, n in load.items():
+            state.executed_by[p] = state.executed_by.get(p, 0) + n
+        completed = state.completions
+        state.completions += sum(cells)
+    for tile, exec_place, (n, transfers), (start, end) in zip(tiles, places, done, spans):
         if metrics.enabled:
             metrics.counter(
                 "dpx10_tiles_executed_total",
                 "tiles executed per place",
                 ("place",),
-            ).labels(exec_place).inc(len(batch))
-        for tile, (n, transfers), (start, end) in zip(batch, done, spans):
-            for src, dst, nbytes in transfers:
-                state.network.record(src, dst, nbytes)
-                if metrics.enabled and dst == exec_place:
-                    metrics.counter(
-                        "dpx10_halo_fetches_total",
-                        "batched remote halo fetches (one per tile edge)",
-                        ("place",),
-                    ).labels(exec_place).inc()
-                    metrics.histogram(
-                        "dpx10_halo_fetch_bytes",
-                        "bytes moved per batched halo fetch",
-                        ("transport",),
-                        buckets=DEFAULT_BYTES_BUCKETS,
-                    ).labels("store").observe(nbytes)
-            # the call reserved its cells' completion numbers up front:
-            # each tile crosses thresholds inside its own slice of them
-            prev, completed = completed, completed + n
-            if (
-                cfg.ft_mode == "snapshot"
-                and cfg.snapshot_interval > 0
-                and completed // cfg.snapshot_interval > prev // cfg.snapshot_interval
-            ):
-                state.take_snapshot()
-            if (
-                cfg.on_progress is not None
-                and cfg.progress_interval > 0
-                and completed // cfg.progress_interval > prev // cfg.progress_interval
-            ):
-                cfg.on_progress(completed, state.total_active)
-            if state.straggler is not None:
-                state.straggler.observe(exec_place, end - start, n)
-            if trace is not None:
-                r0, c0 = ts.grid.origin(*tile)
-                trace.record(
-                    TraceEvent(
-                        r0, c0, ts.home[tile], exec_place, start, end,
-                        tile=tile, cells=n,
-                    )
+            ).labels(exec_place).inc()
+        for src, dst, nbytes in transfers:
+            state.network.record(src, dst, nbytes)
+            if metrics.enabled and dst == exec_place:
+                metrics.counter(
+                    "dpx10_halo_fetches_total",
+                    "batched remote halo fetches (one per tile edge)",
+                    ("place",),
+                ).labels(exec_place).inc()
+                metrics.histogram(
+                    "dpx10_halo_fetch_bytes",
+                    "bytes moved per batched halo fetch",
+                    ("transport",),
+                    buckets=DEFAULT_BYTES_BUCKETS,
+                ).labels("store").observe(nbytes)
+        # the call reserved its cells' completion numbers up front:
+        # each tile crosses thresholds inside its own slice of them
+        prev, completed = completed, completed + n
+        if (
+            cfg.ft_mode == "snapshot"
+            and cfg.snapshot_interval > 0
+            and completed // cfg.snapshot_interval > prev // cfg.snapshot_interval
+        ):
+            state.take_snapshot()
+        if (
+            cfg.on_progress is not None
+            and cfg.progress_interval > 0
+            and completed // cfg.progress_interval > prev // cfg.progress_interval
+        ):
+            cfg.on_progress(completed, state.total_active)
+        if state.straggler is not None:
+            state.straggler.observe(exec_place, end - start, n)
+        if trace is not None:
+            r0, c0 = ts.grid.origin(*tile)
+            trace.record(
+                TraceEvent(
+                    r0, c0, ts.home[tile], exec_place, start, end,
+                    tile=tile, cells=n,
                 )
-            if state.injector is not None:
-                victims = state.injector.poll_completions(completed)
-                if victims:
-                    for victim in victims:
-                        state.group.kill(victim)
-                    raise DeadPlaceException(victims[0])
-            ts.on_tile_finished(state, tile)
+            )
+        if state.injector is not None:
+            victims = state.injector.poll_completions(completed)
+            if victims:
+                for victim in victims:
+                    state.group.kill(victim)
+                raise DeadPlaceException(victims[0])
+        ts.on_tile_finished(state, tile)

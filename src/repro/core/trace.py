@@ -33,10 +33,10 @@ __all__ = ["TraceEvent", "Span", "ExecutionTrace", "split_span"]
 
 
 def split_span(t0: float, t1: float, cells) -> List[Tuple[float, float]]:
-    """``[t0, t1)`` split contiguously between a batch's tiles by cells:
-    tiles of one sweep have no times of their own, and a place's events
-    must still tile its busy time without overlap."""
-    per_cell = (t1 - t0) / max(sum(cells), 1)
+    """``[t0, t1)`` split contiguously between a batch's tiles by weight
+    (cells): tiles of one sweep have no times of their own, and a place's
+    events must still tile its busy time without overlap."""
+    per_cell = (t1 - t0) / (sum(cells) or 1)
     bounds = [t0 + c * per_cell for c in itertools.accumulate(cells, initial=0)]
     return list(zip(bounds, bounds[1:]))
 

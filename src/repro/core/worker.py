@@ -16,16 +16,17 @@ ready list.
 
 That loop is written once per engine, for whatever the ready lists hold.
 A unit is one cell, executed by :func:`execute_vertex`, or on a tiled run
-a place's whole ready list of tiles — independent by construction —
-executed by :func:`repro.core.tiling.execute_tiles` in one batch. Both
+a batch of ready tiles — independent by construction — executed by
+:func:`repro.core.tiling.execute_tiles` in one ``run_tiles`` call. Both
 executors take ``(state, unit)``, choose execution places themselves and
 release successors onto ``state.ready``.
 
-* :func:`run_inline` — a deterministic round-robin over the places' ready
-  lists (one unit per alive place per sweep), single-threaded;
+* :func:`run_inline` — deterministic and single-threaded: one cell per
+  alive place per turn, or on a tiled run every alive place's ready list;
 * :func:`run_threaded` — one long-running worker activity per place on the
-  :class:`~repro.apgas.engine.ThreadedEngine`, with condition-variable
-  wakeups and a global abort protocol for fault handling.
+  :class:`~repro.apgas.engine.ThreadedEngine`, each handing over its own
+  ready list, with condition-variable wakeups and a global abort protocol
+  for fault handling.
 
 Placement note: a scheduling strategy may choose a non-home execution
 place. All observable consequences — dependency-transfer volume, cache
@@ -33,7 +34,7 @@ behaviour, result write-back, per-place activity counts, and (in the
 simulator) timing — follow that choice. Physical execution stays on the
 home worker's thread because places share one Python process; nothing the
 framework, tests or figures measure depends on which OS thread ran the
-bytecode.
+bytecode; on a tiled inline run, the tiles of all places sweep together.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.core.vertex_store import VertexStore
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.dist.dist import Dist
 from repro.dist.snapshot import SnapshotStore
-from repro.errors import DeadPlaceException, DependencyRaceError, DPX10Error, PatternError
+from repro.errors import DeadPlaceException, PatternError
 from repro.util.rng import seeded_rng
 
 __all__ = ["ExecutionState", "execute_vertex", "run_inline", "run_threaded"]
@@ -123,7 +124,7 @@ class ExecutionState:
     _completions_lock: threading.Lock = field(default_factory=threading.Lock)
     conds: Dict[int, threading.Condition] = field(default_factory=dict)
     abort_event: threading.Event = field(default_factory=threading.Event)
-    _abort_exc: Optional[DPX10Error] = None
+    _abort_exc: Optional[Exception] = None
     rngs: Dict[int, np.random.Generator] = field(default_factory=dict)
     # set by the runtime before run_threaded; the inline driver ignores it
     _engine: object = None
@@ -203,7 +204,7 @@ class ExecutionState:
         return len(cells)
 
     # -- abort protocol (threaded engine) ------------------------------------------
-    def record_abort(self, exc: DPX10Error) -> None:
+    def record_abort(self, exc: Exception) -> None:
         with self._completions_lock:
             if self._abort_exc is None:
                 self._abort_exc = exc
@@ -213,7 +214,7 @@ class ExecutionState:
                 cond.notify_all()
 
     @property
-    def abort_exc(self) -> Optional[DPX10Error]:
+    def abort_exc(self) -> Optional[Exception]:
         return self._abort_exc
 
 
@@ -318,25 +319,31 @@ def execute_vertex(state: ExecutionState, coord: Coord) -> None:
 
 
 def run_inline(state: ExecutionState) -> None:
-    """Deterministic driver: round-robin one ready unit per place per sweep.
+    """Deterministic driver: one turn round-robins one ready cell per
+    alive place, or on a tiled run drains every alive place's ready list,
+    in place-id order, into one :func:`~repro.core.tiling.execute_tiles`
+    batch: places of one process do not sweep a shared level apart.
 
     Raises :class:`DeadPlaceException` on an injected fault (the runtime
     recovers and calls back in) and :class:`PatternError` if the DAG
     deadlocks (unfinished units but nothing schedulable — a broken
     custom pattern).
     """
-    execute = execute_tiles if state.tiles is not None else execute_vertex
     place_ids = list(state.dist.place_ids)
     while True:
+        alive = [pid for pid in place_ids if state.group.is_alive(pid)]
         progressed = False
-        for pid in place_ids:
-            if not state.group.is_alive(pid):
-                continue
-            unit = state.pop_ready(pid)
-            if unit is None:
-                continue
-            progressed = True
-            execute(state, unit)
+        if state.tiles is not None:
+            batch = [tile for pid in alive for tile in state.pop_ready(pid) or ()]
+            if batch:
+                progressed = True
+                execute_tiles(state, batch)
+        else:
+            for pid in alive:
+                unit = state.pop_ready(pid)
+                if unit is not None:
+                    progressed = True
+                    execute_vertex(state, unit)
         if state.all_done():
             return
         if not progressed:
@@ -351,9 +358,10 @@ def run_threaded(state: ExecutionState) -> None:
 
     Each worker drains its own ready list until its *finished vertices
     counter* covers every local unit (the paper's termination rule). On
-    any ``DeadPlaceException`` the observing worker records the fault and
-    wakes everyone; all workers park, and the exception is re-raised here
-    for the runtime's recovery loop.
+    any exception (a dead place, a race diagnostic, an error in
+    ``compute()``) the observing worker records it and wakes everyone;
+    all workers park, and the first is re-raised here as raised: a dead
+    place for the runtime's recovery loop, anything else ends the run.
     """
     from repro.apgas.activity import Activity
     from repro.apgas.engine import ExecutionEngine  # avoid import cycle at top
@@ -373,9 +381,9 @@ def run_threaded(state: ExecutionState) -> None:
                 else:
                     with cond:
                         cond.wait(timeout=_IDLE_WAIT_S)
-            except (DeadPlaceException, DependencyRaceError) as exc:
-                # a race diagnostic must stop the whole run, not strand
-                # the other workers waiting for this unit forever
+            except Exception as exc:  # noqa: BLE001 - re-raised by run_threaded
+                # any error must stop the whole run, not strand the other
+                # workers waiting for this unit forever
                 state.record_abort(exc)
                 return
 

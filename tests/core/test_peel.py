@@ -17,16 +17,20 @@ from repro.analysis.flatsweep import FlatSweepKernel
 from repro.apps import serial
 from repro.apps.banded_alignment import BandedEditDistanceApp
 from repro.apps.edit_distance import EditDistanceApp
+from repro.apps.knapsack import KnapsackApp, make_knapsack_instance
 from repro.apps.lcs import LCSApp
 from repro.apps.lps import LPSApp
+from repro.apps.mtp import MTPApp, make_mtp_weights
 from repro.apps.needleman_wunsch import NWApp
 from repro.apps.smith_waterman import SWApp
+from repro.core import plane as plane_mod
 from repro.core.api import DPX10App, Vertex, dependency_map
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import shm_supported
-from repro.patterns import BandedDiagonalDag, DiagonalDag, IntervalDag
+from repro.patterns import BandedDiagonalDag, DiagonalDag, GridDag, IntervalDag
 from repro.patterns.base import StencilDag
+from repro.patterns.knapsack import KnapsackDag
 
 
 class EdgeReadApp(DPX10App[int]):
@@ -210,3 +214,34 @@ def test_edge_tiles_join_the_interior_sweep(monkeypatch):
     assert report.kernel == "ANTIDIAG_WAVEFRONT"
     assert not any(sweeps)
     assert len(sweeps) < 107
+
+
+@pytest.mark.parametrize("scheduler", ["local", "random"])
+@pytest.mark.parametrize("nplaces", [1, 2, 4])
+@pytest.mark.parametrize("name", ANTIDIAG + ["mtp", "knapsack"])
+def test_merged_inline_batches_are_bit_identical(name, nplaces, scheduler, monkeypatch):
+    # an inline turn hands every place's ready tiles to one run_tiles
+    # call: peeled and unpeeled, flat-sweep and row kernels, tiles of
+    # several homes and execution places share sweeps
+    if name == "mtp":
+        app, make = MTPApp(*make_mtp_weights(21, 17, seed=5)), lambda: GridDag(21, 17)
+    elif name == "knapsack":
+        weights, values = make_knapsack_instance(20, 16, seed=3)
+        app, make = KnapsackApp(weights, values, 16), lambda: KnapsackDag(weights, 16)
+    else:
+        app, make, _oracle = _instance(name)
+    mixes = []  # the execution places of each run_tiles call
+    real = plane_mod.run_tiles
+
+    def spy(plane, tiled, app, kernel, tiles, places, *rest):
+        mixes.append(set(places))
+        return real(plane, tiled, app, kernel, tiles, places, *rest)
+
+    ref, _ = _solve(app, make(), tile_shape=(1, 1))
+    monkeypatch.setattr(plane_mod, "run_tiles", spy)
+    got, report = _solve(
+        app, make(), tile_shape=(4, 4), nplaces=nplaces, scheduler=scheduler
+    )
+    assert report.kernel is not None
+    assert got.tolist() == ref.tolist()
+    assert (max(map(len, mixes)) > 1) == (nplaces > 1)

@@ -117,14 +117,15 @@ def _active_tiles(tiled):
 
 
 def _spy_run_tiles(monkeypatch):
-    """Record every ``run_tiles`` call as ``(tiles, place_id, homes, cells)``."""
+    """Record every ``run_tiles`` call as ``(tiles, places, homes, cells)``:
+    each tile's execution place and home, in call order."""
     calls = []
     real = plane_mod.run_tiles
 
-    def spying(plane, tiled, app, kernel, tiles, place_id, *rest):
+    def spying(plane, tiled, app, kernel, tiles, places, *rest):
         homes = [int(plane.owners[t]) for t in tiles]
-        done = real(plane, tiled, app, kernel, tiles, place_id, *rest)
-        calls.append((list(tiles), place_id, homes, sum(n for n, _ in done)))
+        done = real(plane, tiled, app, kernel, tiles, places, *rest)
+        calls.append((list(tiles), list(places), homes, sum(n for n, _ in done)))
         return done
 
     monkeypatch.setattr(plane_mod, "run_tiles", spying)
@@ -152,7 +153,9 @@ def test_random_scheduler_batches_run_tiles_away_from_home(engine, monkeypatch):
     got, _ = run_plane(
         "grid", MixApp(), engine=engine, tile_shape=(3, 3), scheduler="random", seed=5
     )
-    assert any(p != home for _, p, homes, _ in calls for home in homes)
+    assert any(
+        p != home for _, places, homes, _ in calls for p, home in zip(places, homes)
+    )
     assert got == want
 
 
@@ -162,12 +165,12 @@ def _log_run_tiles(log, monkeypatch):
     back)."""
     real = plane_mod.run_tiles
 
-    def logging(plane, tiled, app, kernel, tiles, place_id, *rest):
+    def logging(plane, tiled, app, kernel, tiles, places, *rest):
         with open(log, "a") as fh:
             coords = " ".join(f"{ti},{tj}" for ti, tj in tiles)
             kind = f"{type(kernel).__name__}:{type(getattr(kernel, 'fn', None)).__name__}"
             fh.write(f"{kind} {coords}\n")
-        return real(plane, tiled, app, kernel, tiles, place_id, *rest)
+        return real(plane, tiled, app, kernel, tiles, places, *rest)
 
     monkeypatch.setattr(plane_mod, "run_tiles", logging)
 
@@ -261,7 +264,7 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     peeled = {(5, 0): (slice(None), slice(0, 1)), (0, 5): (slice(0, 1), slice(None))}
     assert set(peeled) <= set(levels[cut])
     for level in levels[:cut]:
-        plane_mod.run_tiles(plane, tiled, app, kernel, level, 0)
+        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
     calls = []
     real = kernel.fn.sweep
 
@@ -273,7 +276,7 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
 
     kernel.fn.sweep = dying
     with pytest.raises(KeyboardInterrupt):
-        plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], 0)
+        plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], [0] * len(levels[cut]))
     kernel.fn.sweep = real
     flagged = 0
     for t in levels[cut]:
@@ -296,9 +299,9 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
         states |= strip
     assert states == {True, False}
     # the recompute of the whole level lands on the oracle
-    plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], 0)
+    plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], [0] * len(levels[cut]))
     for level in levels[cut + 1 :]:
-        plane_mod.run_tiles(plane, tiled, app, kernel, level, 0)
+        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
     assert plane.values.tolist() == want.tolist() and plane.finished.all()
 
 
@@ -337,7 +340,7 @@ def test_in_process_kill_inside_a_ready_list_batch_recovers_bit_identically(
     engine, monkeypatch
 ):
     # inside the widest level the kill lands between two tiles of one
-    # run_tiles call (on inline: after the first of three); the call's
+    # run_tiles call (on inline the call holds the whole level); the call's
     # later tiles are computed and flagged, and must survive as values
     import repro.core.runtime as runtime_mod
 
@@ -443,6 +446,136 @@ def test_off_home_execution_charges_reads_and_write_back_by_one_rule():
     got32, narrow = run(Int32App())
     assert got64 == want == got32
     assert wide.network_bytes == 2 * narrow.network_bytes > 0
+
+
+# -- one merged batch per inline turn ------------------------------------------------------
+def _sw_1024():
+    from repro.apps.smith_waterman import SWApp
+
+    rng = np.random.default_rng(7)
+    return SWApp(*("".join(rng.choice(list("ACGT"), 1024)) for _ in range(2)))
+
+
+def test_inline_turn_sweeps_every_place_s_ready_tiles_in_one_call(monkeypatch):
+    # SW 1024^2 at 64^2 on 2 inline places: a driver turn drains both
+    # places' ready lists into one run_tiles call, so a tile antidiagonal
+    # shared by the places sweeps once, not once per place
+    from repro.analysis.flatsweep import FlatSweepKernel
+    from repro.core import worker
+
+    turns, sweeps = [], []
+    real_execute, real_sweep = worker.execute_tiles, FlatSweepKernel.sweep
+
+    def execute(state, tiles):
+        turns.append(len(tiles))
+        return real_execute(state, tiles)
+
+    def sweep(self, *args):
+        sweeps.append(len(args[2]))
+        return real_sweep(self, *args)
+
+    monkeypatch.setattr(worker, "execute_tiles", execute)
+    monkeypatch.setattr(FlatSweepKernel, "sweep", sweep)
+    calls = _spy_run_tiles(monkeypatch)
+    config = dict(tile_shape=(64, 64), nplaces=2, scheduler="local")
+    inline = DPX10Runtime(_sw_1024(), DiagonalDag(1025, 1025), DPX10Config(**config)).run()
+    assert [len(tiles) for tiles, *_ in calls] == turns
+    # with local placement every turn is one whole tile antidiagonal
+    assert [sorted({ti + tj for ti, tj in tiles}) for tiles, *_ in calls] == [
+        [k] for k in range(33)
+    ]
+    assert turns == [min(k, 32 - k) + 1 for k in range(33)]
+    assert any(len(set(homes)) == 2 for _, _, homes, _ in calls)
+    # one place sweeping alone needs 33 calls and 64 sweeps; two places
+    # swept apart needed 49 and 79
+    assert len(calls) < 49 and len(sweeps) < 79
+    # places stay accounting labels: the threaded engine, whose places
+    # sweep their own lists, executes and charges exactly the same
+    threaded = DPX10Runtime(
+        _sw_1024(), DiagonalDag(1025, 1025), DPX10Config(engine="threaded", **config)
+    ).run()
+    assert inline.per_place_executed == threaded.per_place_executed
+    assert set(inline.per_place_executed) == {0, 1}
+    assert inline.network_bytes == threaded.network_bytes > 0
+
+
+def test_a_throttled_place_s_tile_spans_carry_its_sleep(monkeypatch):
+    # one merged call holds every place's tiles, but the slow place's
+    # sleep lands on its own tiles' spans: that is what flags a straggler
+    from repro.chaos.controller import ChaosController
+    from repro.chaos.schedule import ChaosSchedule, ThrottleSpec
+
+    slept = Counter()
+    real = ChaosController.throttle_batch
+
+    def throttle_batch(self, place_id, ncells):
+        got = real(self, place_id, ncells)
+        slept[place_id] += got
+        return got
+
+    monkeypatch.setattr(ChaosController, "throttle_batch", throttle_batch)
+    chaos = ChaosSchedule(seed=1, throttles=(ThrottleSpec(1, sleep_s=0.002),))
+    calls = _spy_run_tiles(monkeypatch)
+    _, report = run_plane("diagonal", MixApp(), tile_shape=(4, 4), chaos=chaos, trace=True)
+    assert any(len(set(places)) == NPLACES for _, places, _, _ in calls)
+    events = [e for e in report.trace.events if e.tile is not None]
+    busy = Counter()
+    for e in events:
+        busy[e.exec_place] += e.end - e.start
+    assert slept[1] > 0 and slept[0] == slept[2] == 0
+    assert busy[1] >= slept[1] * (1 - 1e-9)
+    assert busy[0] + busy[2] < slept[1] / 2
+    for p in range(NPLACES):
+        mine = sorted((e.start, e.end) for e in events if e.exec_place == p)
+        assert all(e0 <= s1 for (_s0, e0), (s1, _e1) in zip(mine, mine[1:]))
+
+
+def test_inline_kill_between_homes_of_one_merged_call_recovers(monkeypatch):
+    # the kill lands after a tile of one home, with a tile of another
+    # home later in the same run_tiles call: that tile is computed and
+    # flagged but never accounted, and recovery must keep it whole
+    import repro.core.runtime as runtime_mod
+
+    app, _dag, tiled, _kernel, _lv, want = _levels("sw")
+    calls = _spy_run_tiles(monkeypatch)
+    config = DPX10Config(nplaces=NPLACES, tile_shape=(4, 4))
+    DPX10Runtime(app, DiagonalDag(*want.shape), config).run()
+    completed = 0
+    for tiles, _places, homes, _cells in calls:
+        sizes = [len(tiled.cells_of(*t)[0]) for t in tiles]
+        cut = next(
+            (k for k in range(1, len(tiles)) if 0 != homes[k - 1] != homes[k]), None
+        )
+        if cut is not None:
+            break
+        completed += sum(sizes)
+    assert cut is not None
+    victim, threshold = homes[cut - 1], completed + sum(sizes[:cut])
+    unaccounted = [t for t, h in zip(tiles[cut:], homes[cut:]) if h != victim]
+    assert unaccounted
+
+    seen = []
+    real = runtime_mod.recover_tiled
+
+    def recording(state):
+        seen.append((state.plane.finished.astype(bool), np.array(state.plane.values)))
+        return real(state)
+
+    monkeypatch.setattr(runtime_mod, "recover_tiled", recording)
+    dag = DiagonalDag(*want.shape)
+    report = DPX10Runtime(
+        app, dag, config, fault_plans=[FaultPlan(victim, after_completions=threshold)]
+    ).run()
+    assert report.recoveries == 1
+    assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
+    ((finished, values),) = seen
+    for t in tiled.active_tiles():
+        flags = finished[tiled.cells_of(*t)]
+        assert flags.all() or not flags.any(), t
+    for t in unaccounted:
+        cells = tiled.cells_of(*t)
+        assert finished[cells].all()
+        assert values[cells].tolist() == want[cells].tolist()
 
 
 # -- (d) snapshot and spill on the plane --------------------------------------------------

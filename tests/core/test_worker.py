@@ -1,8 +1,9 @@
 """The in-process drivers (run_inline / run_threaded) and execute_vertex.
 
 The drivers are written once per engine and run whatever the ready lists
-hold: cells through ``execute_vertex``, a place's whole ready list of
-tiles through ``execute_tiles``.
+hold: cells through ``execute_vertex``, batches of ready tiles (a
+threaded place's list, or every place's on an inline turn) through
+``execute_tiles``.
 """
 
 from collections import deque
@@ -41,6 +42,15 @@ class RecordingApp(DPX10App[int]):
     def compute(self, i, j, vertices):
         self.seen_deps[(i, j)] = [(v.i, v.j) for v in vertices]
         return i * 10 + j
+
+
+class FailingApp(RecordingApp):
+    """Raises a plain user error at one cell."""
+
+    def compute(self, i, j, vertices):
+        if (i, j) == (3, 2):
+            raise ValueError(f"compute failed at {(i, j)}")
+        return super().compute(i, j, vertices)
 
 
 def make_state(dag=None, nplaces=2, cache_size=8, dist_kind="block_rows", plans=()):
@@ -223,6 +233,40 @@ class TestSharedDrivers:
         assert report.recoveries == 1
         assert report.final_alive_places == 2
         np.testing.assert_array_equal(matrix, reference)
+
+    @pytest.mark.parametrize("engine", ["inline", "threaded"])
+    @pytest.mark.parametrize("tile_shape", [(1, 1), TILE], ids=["per-vertex", "tiled"])
+    def test_user_error_stops_the_run_as_raised(self, monkeypatch, engine, tile_shape):
+        # an error from compute() must abort every threaded worker and
+        # surface unchanged, as on inline — not strand the other workers
+        # waiting on the failed unit. A watchdog aborts a stuck run, so a
+        # hang fails the test instead of holding it.
+        import threading
+
+        from repro.core import worker
+
+        states, fired = [], []
+        real_init = worker.ExecutionState.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            states.append(self)
+
+        def abort():
+            fired.append(True)
+            for state in states:
+                state.abort_event.set()
+
+        monkeypatch.setattr(worker.ExecutionState, "__init__", init)
+        cfg = DPX10Config(engine=engine, nplaces=2, tile_shape=tile_shape)
+        watchdog = threading.Timer(10, abort)
+        watchdog.start()
+        try:
+            with pytest.raises(ValueError, match="compute failed at"):
+                DPX10Runtime(FailingApp(), GridDag(12, 12), cfg).run()
+        finally:
+            watchdog.cancel()
+        assert not fired
 
     def test_threaded_tiled_race_stops_the_run(self):
         # a race diagnostic inside one tile must abort every worker, not
