@@ -108,8 +108,20 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: [1.305, 1.366] (10/10 lower), ``sw_vertex_default_256`` 1.451 ->
 #: 1.386 (5/5), and a threaded run whose ``compute()`` raises no longer
 #: hangs.
+#:
+#: Core lowered, 6124 -> 6065, when the mp engine kept one unit of work:
+#: a run with no tile plan (``tile_shape=(1, 1)``, or a pattern no shape
+#: coarsens) runs a grid of 1x1 tiles through ``plane.run_tiles``, so
+#: ``_PlaceWorker.compute_cells``, the cell branches of the private-plane
+#: result patch and of ``halo_patch``, and the per-cell ``ncells_of`` /
+#: ``tile_shape is None`` forks are deleted (mp_engine.py 1232 -> 1173).
+#: The master makes the kernel decision once and ships it in the init
+#: meta, so a sanitized mp run no longer slips into the hand kernel; a
+#: ``planned`` flag keeps the per-vertex trace events and message count.
+#: The price is per-cell speed on ``(1, 1)`` mp runs, which no ledger
+#: workload runs (CHANGES.md has the figures).
 CEILINGS = {
-    "src/repro/core": 6124,
+    "src/repro/core": 6065,
     "src/repro/analysis": 6001,
 }
 

@@ -149,8 +149,9 @@ def _request_body(
         "params": {"size": spec.size, "seed": seed},
         "engine": "mp",
         "nplaces": spec.nplaces,
-        # the per-vertex path: planned, a soak-sized job is a single tile
-        # and the kill would find nothing left to interrupt
+        # per-vertex: planned, a soak-sized job is a single tile and the
+        # kill would find nothing left to interrupt. On mp, (1, 1) runs a
+        # grid of 1×1 tiles through run_tiles, the executor planned jobs use
         "tile_shape": [1, 1],
         # a cached fault-free result would short-circuit recovery
         "use_cache": False,
@@ -161,7 +162,14 @@ def _request_body(
 
 
 def _submit_http(base_url: str, body: Dict[str, Any]) -> Dict[str, Any]:
+    """POST one job; the JSON payload of any reply, as ``server.submit``.
+
+    ``urlopen`` raises on a 429 (or any error status); its body is the
+    same ``{"error", "retry_after"}`` payload the in-process submit
+    returns, which the caller's retry loop reads.
+    """
     import json
+    import urllib.error
     import urllib.request
 
     req = urllib.request.Request(
@@ -169,8 +177,12 @@ def _submit_http(base_url: str, body: Dict[str, Any]) -> Dict[str, Any]:
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
     )
-    with urllib.request.urlopen(req) as resp:
-        return json.loads(resp.read())
+    try:
+        with urllib.request.urlopen(req) as resp:
+            return json.loads(resp.read())
+    except urllib.error.HTTPError as err:
+        with err:
+            return json.loads(err.read())
 
 
 def run_soak(

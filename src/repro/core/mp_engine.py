@@ -6,9 +6,10 @@ master loop, two plane backings and one request kind**:
 
 * every place is a ``multiprocessing.Process`` computing its partition
   of the DP matrix against a :class:`~repro.core.plane.TilePlane` — the
-  dense layout the in-process engines use — through the same executor
-  (:func:`repro.core.plane.run_tiles` per level batch, a per-cell loop
-  when the run is untiled);
+  dense layout the in-process engines use — through the same executor,
+  :func:`repro.core.plane.run_tiles`, one call per level batch of tiles
+  (a run with no tile plan, ``tile_shape=(1, 1)`` included, is a grid
+  of 1×1 tiles);
 * :func:`run_mp` is the only master. It keeps a plane of its own and
   drives the places level by level with one request,
   ``("units", units, halo_patch)``, answered by
@@ -70,7 +71,6 @@ import time
 import traceback
 import multiprocessing as mp
 from collections import defaultdict
-from collections.abc import Mapping
 from contextlib import nullcontext
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -79,7 +79,7 @@ import numpy as np
 
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.core import plane as _plane
-from repro.core.api import DPX10App, Vertex
+from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
 from repro.core.tiling import plan_tiles
@@ -141,11 +141,12 @@ class _PlaceWorker:
     Holds this place's :class:`~repro.core.plane.TilePlane` — the shm
     segments the master created, attached by name, or (``meta`` carries
     no segment names) a private plane of the same layout — coarsens the
-    DAG locally when the run is tiled (tile geometry is deterministic,
-    so shipping the tile shape is enough), and serves ``units`` requests
-    by reading dependencies off the plane and writing results in place:
-    a tiled batch goes whole to :func:`repro.core.plane.run_tiles`, the
-    executor the in-process engines run too. On the shared backing the
+    DAG locally (tile geometry is deterministic, so shipping the tile
+    shape is enough; a run with no tile plan ships ``(1, 1)``), and
+    serves ``units`` requests by reading dependencies off the plane and
+    writing results in place: every batch of tiles goes whole to
+    :func:`repro.core.plane.run_tiles`, the executor the in-process
+    engines run too. On the shared backing the
     only pipe traffic is the unit index lists and the tiny ``done``
     acknowledgements; on a private plane the request's halo patch is
     scattered in first and the reply carries the computed cells back.
@@ -169,7 +170,7 @@ class _PlaceWorker:
         self.app = app
         self.dag = dag
         shape = (dag.height, dag.width)
-        unit = meta["tile_shape"] or (1, 1)
+        unit = meta["tile_shape"]
         self.shared = "values" in meta
         if self.shared:
             from repro.core import shm
@@ -183,26 +184,27 @@ class _PlaceWorker:
             self.plane = _plane.TilePlane.allocate(
                 shape, app.value_dtype, unit, meta["value_nbytes"], meta["spill_dir"]
             )
-        #: the owner map is unit-granular (tile grid or cell grid, -1 =
-        #: inactive); Dist objects hold closures and cannot cross the
-        #: pipe, so the master ships the resolved array (and again on
-        #: redist)
+        #: the owner map is tile-granular (-1 = inactive); Dist objects
+        #: hold closures and cannot cross the pipe, so the master ships
+        #: the resolved array (and again on redist)
         self.plane.owners = meta["owners"]
-        self.tiled = None
-        self.kernel = None
-        if meta["tile_shape"] is not None:
-            self.tiled = dag.coarsen(*meta["tile_shape"])
-            generated = None
-            spec = meta.get("autokernel")
-            if spec is not None:
-                # generated kernels close over compiled code objects and
-                # cannot cross the pipe; the master ships its classified
-                # spec instead, and each place re-emits from it — no
-                # AST pipeline, no numeric probes, just codegen
-                from repro.analysis.codegen import kernel_from_spec
+        self.tiled = dag.coarsen(*unit)
+        #: the master's kernel decision: ``None`` (the per-cell loop),
+        #: ``"hand"`` or a generated kernel's spec. Generated kernels close
+        #: over compiled code objects and cannot cross the pipe; each place
+        #: re-emits from the spec — no AST pipeline, no numeric probes
+        self.kernel = meta["kernel"]
+        if self.kernel == "hand":
+            self.kernel = _plane.HandKernel(app.compute_tile, self.tiled.pads)
+        elif self.kernel is not None:
+            from repro.analysis.codegen import kernel_from_spec
 
-                generated = kernel_from_spec(spec, app, dag)
-            self.kernel = _plane.tile_kernel(app, self.tiled, generated)
+            self.kernel = kernel_from_spec(self.kernel, app, dag)
+        self.sanitize = meta["sanitize"]
+        #: false when the run has no tile plan: its 1×1 tiles report as
+        #: the vertices they are — cell trace events, and one halo read
+        #: per producing place per request rather than per tile
+        self.planned = meta["planned"]
         self.read_bytes = registry.counter(
             "dpx10_mp_shm_read_bytes_total",
             "bytes of remote-homed dependencies read off this place's "
@@ -234,97 +236,52 @@ class _PlaceWorker:
         if patch is not None:
             rows, cols, halo = patch
             values[rows, cols] = halo
-        if self.tiled is not None:
-            ncomp = self.compute_tiles(units, sink)
-        else:
-            ncomp = self.compute_cells(units, sink)
+        ncomp = self.compute_tiles(units, sink)
         if self.shared:
             return ncomp, None
         # the patch is what this place's own finish flags say it wrote:
         # only units computed here are ever flagged on a private plane
-        finished = self.plane.finished
-        if self.tiled is None:
-            rows, cols = np.array(units, dtype=np.int64).reshape(-1, 2).T
-            done = finished[rows, cols] != 0
-            rows, cols = rows[done], cols[done]
-        else:
-            parts = []
-            for u in units:
-                r0, r1, c0, c1 = self.tiled.grid.bounds(*u)
-                fr, fc = np.nonzero(finished[r0:r1, c0:c1])
-                parts.append((fr + r0, fc + c0))
-            rows = np.concatenate([r for r, _ in parts])
-            cols = np.concatenate([c for _, c in parts])
+        parts = []
+        for u in units:
+            r0, r1, c0, c1 = self.tiled.grid.bounds(*u)
+            fr, fc = np.nonzero(self.plane.finished[r0:r1, c0:c1])
+            parts.append((fr + r0, fc + c0))
+        rows = np.concatenate([r for r, _ in parts])
+        cols = np.concatenate([c for _, c in parts])
         return ncomp, (rows, cols, values[rows, cols])
-
-    def _record_remote(self, nbytes: int, nproducers: int = 1) -> None:
-        if nbytes:
-            self.read_bytes.inc(nbytes)
-            self.read_batches.inc(nproducers)
-            self.halo_bytes.observe(nbytes)
-
-    def compute_cells(
-        self, cells: Sequence[Coord], sink: Optional[list] = None
-    ) -> int:
-        """Per-cell compute against the plane (the untiled unit).
-
-        ``sink`` (tracing on) receives one ``(i, j, home, t0, t1, cells,
-        tile)`` record per cell with raw ``perf_counter`` stamps; the
-        master normalizes them onto its own timeline at merge time.
-        """
-        app, dag = self.app, self.dag
-        plane = self.plane
-        values, finished, owners = plane.values, plane.finished, plane.owners
-        typed = values.dtype != object
-        remote = 0
-        producers: Set[int] = set()
-        for i, j in cells:
-            t0 = time.perf_counter() if sink is not None else 0.0
-            verts: List[Vertex] = []
-            for d in dag.get_dependency(i, j):
-                if not dag.is_active(d.i, d.j):
-                    continue
-                value = values[d.i, d.j]
-                verts.append(Vertex(d.i, d.j, value.item() if typed else value))
-                owner = int(owners[d.i, d.j])
-                if owner != self.place_id:
-                    remote += 1
-                    producers.add(owner)
-            values[i, j] = app.compute(i, j, verts)
-            finished[i, j] = 1
-            if sink is not None:
-                sink.append(
-                    (i, j, self.place_id, t0, time.perf_counter(), 1, None)
-                )
-        self._record_remote(remote * plane.nbytes, len(producers))
-        return len(cells)
 
     def compute_tiles(
         self, tiles: Sequence[Coord], sink: Optional[list] = None
     ) -> int:
-        """Whole-tile compute against the plane (the tiled unit).
+        """Compute a batch of tiles against the plane.
 
         The whole batch goes to :func:`repro.core.plane.run_tiles` in one
         call — a level's tiles are independent, so those that can share
         a kernel sweep do. With ``sink`` set each tile's event is its
         :func:`~repro.core.trace.split_span` share of the batch's span.
         """
-        tiled = self.tiled
-        assert tiled is not None
+        tiled, planned = self.tiled, self.planned
+        places = [self.place_id] * len(tiles)
         t0 = time.perf_counter()
         done = _plane.run_tiles(
-            self.plane, tiled, self.app, self.kernel, tiles, [self.place_id] * len(tiles)
+            self.plane, tiled, self.app, self.kernel, tiles, places, self.sanitize
         )
         cells = [n for n, _ in done]
         spans = split_span(t0, time.perf_counter(), cells)
-        for tile, (n, transfers), (start, end) in zip(tiles, done, spans):
+        reads: Dict[Any, int] = defaultdict(int)
+        for k, (tile, (n, transfers), span) in enumerate(zip(tiles, done, spans)):
             # a place executes only tiles it owns: every transfer is a
             # halo read from one remote producer
-            for _src, _dst, nbytes in transfers:
-                self._record_remote(nbytes)
+            for src, _dst, nbytes in transfers:
+                reads[(k, src) if planned else src] += nbytes
             if sink is not None and n:
                 r0, c0 = tiled.grid.origin(*tile)
-                sink.append((r0, c0, self.place_id, start, end, n, tile))
+                unit = tile if planned else None
+                sink.append((r0, c0, self.place_id, *span, n, unit))
+        for nbytes in reads.values():
+            self.read_bytes.inc(nbytes)
+            self.read_batches.inc()
+            self.halo_bytes.observe(nbytes)
         return sum(cells)
 
 
@@ -375,8 +332,8 @@ def _worker_main(place_id: int, conn) -> None:
     the pool's ``reset`` on release included.
 
     ``units`` is the one data request: ``(seq, "units", units, patch)``
-    computes a batch of tiles (tiled runs) or cells against the place's
-    plane — see :meth:`_PlaceWorker.compute` — and answers ``(seq,
+    computes a batch of tiles against the place's plane — see
+    :meth:`_PlaceWorker.compute` — and answers ``(seq,
     "done", ncells, seconds, result_patch)``. An exception out of the
     user's ``compute()`` is answered ``(seq, "error", place,
     traceback)`` and the worker keeps serving: the run is the master's
@@ -844,9 +801,9 @@ def run_mp(
 
     The master keeps a :class:`~repro.core.plane.TilePlane` over the
     whole matrix and drives the places one topological level at a time,
-    shipping each place the *units* it owns in that level — whole tiles
-    when the run is tiled, cells otherwise — over either plane backing
-    (see the module docstring). Level-synchronous execution makes the
+    shipping each place the tiles it owns in that level — 1×1 tiles when
+    the run has no tile plan — over either plane backing (see the module
+    docstring). Level-synchronous execution makes the
     lock-free cross-process reads, and the halo patches, safe: a unit's
     dependencies always finished in an earlier level (or earlier in the
     same process's batch), and kills only fire between levels at the
@@ -881,22 +838,20 @@ def run_mp(
     """
     ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
     stats = MPRunStats()
-    tiled = plan_tiles(dag, config)
+    plan = plan_tiles(dag, config)
+    # every unit a place computes is a tile: a run with no plan ((1, 1),
+    # or a pattern no shape coarsens) runs one cell per tile
+    tiled = plan or dag.coarsen(1, 1)
     if trace is not None:
-        trace.set_dependency_meta(dag, tiled)
+        trace.set_dependency_meta(dag, plan)
     with _tphase(trace, "schedule"):
-        unit_levels = _topological_levels(tiled if tiled is not None else dag)
+        unit_levels = _topological_levels(tiled)
     stats.levels = len(unit_levels)
-    if tiled is not None:
-        # exact per-tile active-cell counts: completions must count cells
-        # (fault injection thresholds and progress are cell-granular)
-        ncells_of: Dict[Coord, int] = {
-            u: int(len(tiled.cells_of(*u)[0]))
-            for lv in unit_levels
-            for u in lv
-        }
-    else:
-        ncells_of = {u: 1 for lv in unit_levels for u in lv}
+    # exact per-tile active-cell counts: completions must count cells
+    # (fault injection thresholds and progress are cell-granular)
+    ncells_of: Dict[Coord, int] = {
+        u: int(len(tiled.cells_of(*u)[0])) for lv in unit_levels for u in lv
+    }
     total_active = sum(ncells_of.values())
     all_plans = list(fault_plans)
     if chaos is not None:
@@ -907,12 +862,14 @@ def run_mp(
         stats.msg_retries += 1
 
     shape = (dag.height, dag.width)
-    unit = (tiled.grid.tile_h, tiled.grid.tile_w) if tiled is not None else (1, 1)
+    unit = (tiled.grid.tile_h, tiled.grid.tile_w)
     # what a place needs at init besides the app and the dag; segment
     # names are added below when (and only when) the planes are shared
     meta: Dict[str, Any] = {
-        "tile_shape": unit if tiled is not None else None,
-        "autokernel": None,
+        "tile_shape": unit,
+        "planned": plan is not None,
+        "kernel": None,
+        "sanitize": config.sanitize,
         "value_nbytes": config.value_nbytes,
         "spill_dir": config.spill_dir,
     }
@@ -965,20 +922,22 @@ def run_mp(
                 )
             meta["owners"] = plane.owners
 
-            if tiled is not None:
-                master_kernel = None
+            if plan is not None:
+                stats.tile_shape = unit
                 if not config.sanitize:
-                    # classify + probe once here on the master; workers get
-                    # the picklable spec and re-emit without re-analysis
+                    # sanitized runs and unplanned ones keep the per-cell
+                    # loop. Classify + probe once here on the master;
+                    # places get the decision, a generated kernel as its
+                    # picklable spec
                     from repro.analysis.codegen import build_autokernel
 
-                    master_kernel, _cls = build_autokernel(app, dag)
-                    if master_kernel is not None:
-                        meta["autokernel"] = master_kernel.spec
-                stats.tile_shape = unit
-                stats.kernel = _plane.kernel_name(
-                    _plane.tile_kernel(app, tiled, master_kernel)
-                )
+                    generated, _cls = build_autokernel(app, dag)
+                    kernel = _plane.tile_kernel(app, tiled, generated)
+                    stats.kernel = _plane.kernel_name(kernel)
+                    if kernel is not None:
+                        meta["kernel"] = (
+                            "hand" if kernel is not generated else generated.spec
+                        )
             for p in alive:
                 procs[p].request(("init", app, dag, meta, p, trace_ctx))
 
@@ -994,21 +953,9 @@ def run_mp(
                 ``(rows, cols, values)`` off the master plane — each
                 finished in an earlier level, so the values are final.
                 """
-                width = dag.width
-                if tiled is not None:
-                    halos = [tiled.halo_of(*u) for u in units]
-                    flat = np.concatenate([r * width + c for r, c in halos])
-                else:
-                    flat = np.array(
-                        [
-                            d.i * width + d.j
-                            for i, j in units
-                            for d in dag.get_dependency(i, j)
-                            if dag.is_active(d.i, d.j)
-                        ],
-                        dtype=np.int64,
-                    )
-                rows, cols = np.divmod(np.unique(flat), width)
+                halos = [tiled.halo_of(*u) for u in units]
+                flat = np.concatenate([r * dag.width + c for r, c in halos])
+                rows, cols = np.divmod(np.unique(flat), dag.width)
                 remote = plane.owners_of(rows, cols) != p
                 rows, cols = rows[remote], cols[remote]
                 return rows, cols, plane.values[rows, cols]
@@ -1029,12 +976,10 @@ def run_mp(
                 by_place: Dict[int, List[Coord]] = defaultdict(list)
                 for u in units:
                     by_place[int(plane.owners[u])].append(u)
+                ncells = {p: sum(map(ncells_of.get, own)) for p, own in by_place.items()}
                 throttled: Dict[int, float] = {}
                 if chaos is not None and chaos.has_throttles:
-                    for p in by_place:
-                        throttled[p] = chaos.throttle_batch(
-                            p, sum(ncells_of[u] for u in by_place[p])
-                        )
+                    throttled = {p: chaos.throttle_batch(p, n) for p, n in ncells.items()}
                 for p, own in by_place.items():
                     patch = None if shared else halo_patch(p, own)
                     procs[p].send_request(("units", own, patch))
@@ -1057,11 +1002,7 @@ def run_mp(
                     if straggler is not None:
                         # fold in the master-side throttle sleep: the
                         # worker's own timer cannot see it
-                        straggler.observe(
-                            p,
-                            reply[2] + throttled.get(p, 0.0),
-                            sum(ncells_of[u] for u in by_place[p]),
-                        )
+                        straggler.observe(p, reply[2] + throttled.get(p, 0.0), ncells[p])
                 if failure is not None:
                     raise failure
                 stats.completions += sum(ncells_of[u] for u in units)

@@ -6,8 +6,8 @@ single distributed array, in one address space:
 * ``values``   — ``(H, W)`` in the app's ``value_dtype`` (``object`` when
   the app declares none);
 * ``finished`` — ``(H, W)`` ``uint8`` finish flags;
-* ``owners``   — ``int32`` unit-grid map from unit (a tile, or a cell on
-  the untiled mp transport) to its home place, ``-1`` where inactive.
+* ``owners``   — ``int32`` tile-grid map from tile to its home place,
+  ``-1`` where inactive.
 
 Only the *backing* of ``values`` differs between engines, and it is an
 allocator fact, not an option: a heap ``ndarray`` for the in-process

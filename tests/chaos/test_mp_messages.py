@@ -105,10 +105,12 @@ def _snapshot_value(snapshot, name):
 
 
 def _private_meta(dag):
-    """The init meta of an untiled private-plane run owned by place 1."""
+    """The init meta of a (1, 1) private-plane run owned by place 1."""
     return {
-        "tile_shape": None,
-        "autokernel": None,
+        "tile_shape": (1, 1),
+        "planned": False,
+        "kernel": None,
+        "sanitize": False,
         "value_nbytes": 8,
         "spill_dir": None,
         "owners": np.full((dag.height, dag.width), 1, np.int32),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.registry import app_fixture
 from repro.apgas.failure import FaultPlan
 from repro.apps.knapsack import make_knapsack_instance, solve_knapsack
 from repro.apps.lcs import solve_lcs
@@ -173,12 +174,13 @@ class TestOneMasterTwoBackings:
         else:
             _skip_without_shm(True)
             skipped, shown = (8, 8), r"\(8, 8\)"
-        real = mp_engine._PlaceWorker.compute_cells
+        real = mp_engine._PlaceWorker.compute_tiles
 
-        def forgetful(self, cells, sink=None):
-            return real(self, [c for c in cells if tuple(c) != skipped], sink)
+        # (1, 1) runs a 1×1 tile grid: a tile's index is its cell
+        def forgetful(self, tiles, sink=None):
+            return real(self, [t for t in tiles if tuple(t) != skipped], sink)
 
-        monkeypatch.setattr(mp_engine._PlaceWorker, "compute_cells", forgetful)
+        monkeypatch.setattr(mp_engine._PlaceWorker, "compute_tiles", forgetful)
         cfg = DPX10Config(nplaces=2, engine="mp", tile_shape=(1, 1))
         with pytest.raises(
             DPX10Error, match=rf"1 vertices missing after run \(first: {shown}\)"
@@ -187,3 +189,44 @@ class TestOneMasterTwoBackings:
                 solve_tree_mis(parents, weights, cfg)
             else:
                 DPX10Runtime(BoomApp(boom=None), DiagonalDag(9, 9), cfg).run()
+
+
+def _lcs_run(cfg):
+    return solve_lcs(X, Y, cfg)[1]
+
+
+def _knapsack_run(cfg):
+    # KnapsackDag is enumerated, not a stencil: its 1×1 tile DAG is the
+    # cell DAG hoisted edge by edge
+    return DPX10Runtime(*app_fixture("knapsack"), cfg).run()
+
+
+def _tree_run(cfg):
+    # object values: a private plane on either setting of shm
+    parents, weights, _ = make_tree_instance(12, seed=3)
+    return solve_tree_mis(parents, weights, cfg)[1]
+
+
+class TestPerVertexAccounting:
+    """``(1, 1)`` on mp runs a 1×1 tile grid through ``run_tiles`` and
+    still reports the per-vertex path: no plan, no kernel, and the
+    accounting the per-cell loop it replaced reported, figure for figure
+    — one halo read per producing place per request, not per tile (the
+    knapsack and tree figures tell the two rules apart)."""
+
+    @pytest.mark.parametrize("shm", [True, False])
+    @pytest.mark.parametrize(
+        "run, executed, nbytes, messages",
+        [
+            (_lcs_run, {0: 80, 1: 80, 2: 80}, 496, 32),
+            (_knapsack_run, {0: 30, 1: 25, 2: 25}, 232, 9),
+            (_tree_run, {0: 7, 1: 3, 2: 2}, 40, 4),
+        ],
+        ids=["lcs", "knapsack", "tree_mis"],
+    )
+    def test_figures_match_the_per_cell_loop(self, run, executed, nbytes, messages, shm):
+        _skip_without_shm(shm)
+        report = run(DPX10Config(nplaces=3, engine="mp", shm=shm, tile_shape=(1, 1)))
+        assert report.tile_shape is None and report.kernel is None
+        assert report.per_place_executed == executed
+        assert (report.network_bytes, report.network_messages) == (nbytes, messages)

@@ -39,6 +39,16 @@ def test_soak_over_http_transport():
     assert any(not t.faulted for t in report.trials)
 
 
+def test_soak_over_http_retries_a_429():
+    # twelve back-to-back submissions overrun admission: the 429's JSON
+    # body carries retry_after, which the soak's retry loop must see
+    # instead of urlopen's HTTPError
+    spec = SoakSpec(requests=12, size=32, nplaces=2, fault_fraction=0.5)
+    report = run_soak(spec, over_http=True)
+    assert report.ok, report.describe()
+    assert len(report.trials) == 12
+
+
 def test_soak_requires_fault_enabled_server():
     from repro.serve.server import JobServer
 
