@@ -151,8 +151,12 @@ class TestKernelChoice:
         assert report.summary().startswith("plan: per-vertex")
         assert report.to_dict()["tile_shape"] is None
 
+    def test_sanitize_keeps_the_per_cell_loop(self):
+        report = run_report("sw", sanitize=True)
+        assert report.tile_shape == (8, 8) and report.kernel is None
+
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_sanitize_keeps_the_per_cell_loop(self, engine):
+    def test_sanitize_keeps_the_per_cell_loop_on_every_engine(self, engine):
         # mp places follow the master's kernel decision: no hand kernel
         # slips in where the sanitized master chose the per-cell loop
         report = run_report("sw", engine=engine, nplaces=2, sanitize=True)
