@@ -18,21 +18,19 @@ geometry, and is the only emitter of all three classes:
 2. **Prelude** (generated once per kernel by :class:`_Renderer`) — every
    maximal *dependency-free* subexpression of the IR (boundary guards,
    ``present()`` masks, substitution scores, activity tests) is
-   evaluated over the whole tile as a broadcast 2-D array, then skewed
-   into buffer geometry with one scatter.
+   evaluated over a whole stack of same-shape tiles in one call, as a
+   broadcast ``(nb, h, w)`` array, then skewed into buffer geometry.
 3. **Sweep** (generated lazily per *boundary profile* by
    :class:`_SliceEmitter`, the same renderer in slice context) — the
    per-diagonal loop, where every dependency read is a contiguous
-   ``B2[row, lo:hi]`` slice. Before sweeping, each boolean prelude leaf
-   is classified as all-true / all-false / mixed over the tile; the
-   ``(state, ...)`` tuple selects a sweep variant with those leaves
-   constant-folded away. Interior tiles — where every ``present()`` is
-   true and no boundary case fires — run a branch-free sweep (SW: ~11
-   NumPy operations per diagonal, against the masked variant's ~20).
-   The O(grid-edge) boundary tiles are not cheap: swept alone under
-   masks they took ~48 ms of a ~186 ms inline SW 1024² solve at 64²
-   (33 of 289 tiles, 2 places, median of 5 solves on a 2-vCPU box).
-   So a tile on the matrix's top row or left column whose leading pads
+   ``B2[row, lo:hi]`` slice. Each boolean prelude leaf is classified
+   per tile as all-true / all-false / mixed; the ``(state, ...)`` tuple
+   selects a sweep variant with those leaves constant-folded away.
+   Interior tiles — every ``present()`` true, no boundary case firing —
+   run a branch-free sweep (SW: ~11 NumPy operations per diagonal,
+   against the masked variant's ~20). Boundary tiles swept alone under
+   masks took ~48 ms of a ~186 ms inline SW 1024² solve at 64², so a
+   tile on the matrix's top row or left column whose leading pads
    rows / columns are the DP's initial condition (every cell takes a
    dependency-free case) has them *peeled* (:meth:`FlatSweepKernel.peel`,
    values straight from the prelude), and
@@ -43,14 +41,14 @@ geometry, and is the only emitter of all three classes:
    buffer from the window (halo included); one fancy store writes the
    tile cells back. Index vectors are cached per ``(stride, oi, oj)``,
    so interior tiles reuse them verbatim.
-5. **The batch axis** — :meth:`FlatSweepKernel.sweep` takes a stack of
-   ``nb`` windows of one geometry and one boundary profile (what
-   :meth:`FlatSweepKernel.prepare` reports per tile). Buffers grow a
-   trailing axis, ``B2[row, lo:hi]`` becomes a contiguous ``(len, nb)``
-   block, and the generated sweep source is untouched: the ~12 NumPy
-   calls per diagonal are paid once per stack, not once per tile. The
-   tile executor (:func:`repro.core.plane.run_tiles`) does the
-   grouping; ``kernel(r0, c0, window, ...)`` is the stack of one.
+5. **The batch axis** — :meth:`~_SliceKernel.prepare` classifies a
+   stack of origins in one prelude call, one profile per tile;
+   :meth:`FlatSweepKernel.sweep` takes a stack of ``nb`` windows of one
+   geometry and profile. Buffers grow a trailing axis, ``B2[row, lo:hi]``
+   becomes a contiguous ``(len, nb)`` block, and the generated sweep is
+   untouched: its NumPy calls are paid once per stack, not per tile.
+   :func:`repro.core.plane.run_tiles` does the grouping;
+   ``kernel(r0, c0, window, ...)`` is the stack of one.
 6. **Row geometry** — :class:`RowKernel` runs ``ELEMENTWISE`` and its
    subclass :class:`RowScanKernel` runs ``ROW_SCAN_PREFIX``, on the same
    leaf table, prelude, profile classification and slice emitter: no
@@ -76,6 +74,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -472,11 +471,11 @@ class _Renderer:
 
 
 def _emit_prelude(pre: _Renderer, leaves: _LeafTable) -> str:
-    """``def _leaves(r0, c0, h, w)`` evaluating every leaf tile-wide:
-    ``gi``/``gj`` are bound to broadcast column/row vectors, so every
-    rendered expression evaluates over the full tile at once."""
-    pre.line("gi = (r0 + np.arange(h)).reshape(-1, 1)")
-    pre.line("gj = (c0 + np.arange(w)).reshape(1, -1)")
+    """``def _leaves(r0, c0, h, w)`` evaluating every leaf over a stack of
+    ``h x w`` tiles at origins ``r0``/``c0`` (ints, or arrays of them):
+    ``gi``/``gj`` are ``(nb, h, 1)`` / ``(nb, 1, w)`` broadcast vectors."""
+    pre.line("gi = np.reshape(r0, (-1, 1, 1)) + np.arange(h).reshape(-1, 1)")
+    pre.line("gj = np.reshape(c0, (-1, 1, 1)) + np.arange(w)")
     names = []
     for k, e in enumerate(leaves.exprs):
         names.append(f"_lv{k}")
@@ -486,14 +485,15 @@ def _emit_prelude(pre: _Renderer, leaves: _LeafTable) -> str:
     return f"def _leaves(r0, c0, h, w):\n{body}\n"
 
 
-def _classify_leaves(values) -> Tuple[List[object], List[object]]:
-    """One tile's evaluated leaves -> ``(profile, arrays)``.
+def _classify_leaves(values, nb: int) -> Tuple[List[List[object]], List[object]]:
+    """A stack of ``nb`` tiles' evaluated leaves -> ``(profiles, arrays)``.
 
-    Per leaf, the profile holds ``"T"``/``"F"`` for a boolean uniform over
-    the tile, ``"M"`` for an array, ``("S", value)`` for a scalar; only
-    ``"M"`` leaves keep their (unbroadcast) array, the rest ``None``.
+    Each leaf is reduced over its tile axes into a per-tile state:
+    ``"T"``/``"F"`` for a boolean uniform over the tile, ``("S", value)``
+    for a value constant over it (a scalar, or tile axes both 1), else
+    ``"M"``, whose batch array ``arrays`` keeps (the rest ``None``).
     """
-    profile: List[object] = []
+    columns: List[List[object]] = []
     arrays: List[object] = []
     for v in values:
         arr = None
@@ -501,37 +501,60 @@ def _classify_leaves(values) -> Tuple[List[object], List[object]]:
             if isinstance(v, np.ndarray):
                 v = v[()]  # a hashable scalar of the same dtype
             if isinstance(v, (bool, np.bool_)):
-                state = "T" if v else "F"
+                states: List[object] = ["T" if v else "F"] * nb
             else:
-                state = ("S", v)
+                states = [("S", v)] * nb
         else:
-            arr = np.asarray(v)
-            state = "M"
-            if arr.dtype == np.bool_:
-                if arr.all():
-                    state, arr = "T", None
-                elif not arr.any():
-                    state, arr = "F", None
-        profile.append(state)
+            v = np.asarray(v)
+            v = v.reshape((1,) * (3 - v.ndim) + v.shape)  # (nb or 1, h or 1, w or 1)
+            if v.dtype == np.bool_:
+                if not v.any():
+                    states = ["F"]
+                elif v.all():
+                    states = ["T"]
+                else:
+                    alls, anys = v.all(axis=(1, 2)).tolist(), v.any(axis=(1, 2)).tolist()
+                    states = ["T" if a else "M" if b else "F" for a, b in zip(alls, anys)]
+                    arr = v if "M" in states else None
+            elif v.shape[1:] == (1, 1):
+                states = [("S", x) for x in v[:, 0, 0]]
+            else:
+                states, arr = ["M"] * nb, v
+            if len(states) < nb:  # one value for the whole stack
+                states *= nb
+        columns.append(states)
         arrays.append(arr)
-    return profile, arrays
+    return [list(p) for p in zip(*columns)] if columns else [[] for _ in range(nb)], arrays
 
 
-def _payload(profile, leaves, h: int, w: int) -> List[object]:
-    """Per leaf, what a sweep binds as ``_L{k}``: an ``"M"`` leaf of every
-    tile stacked ``(nb, h, w)``, an ``"S"`` leaf's scalar, else None."""
-    out: List[object] = []
-    for k, state in enumerate(profile):
-        if state != "M":
-            out.append(None if isinstance(state, str) else state[1])
-        elif len(leaves) == 1:  # a lone tile binds a broadcast view: no copy
-            out.append(np.broadcast_to(leaves[0][k], (h, w))[None])
-        else:
-            stack = np.empty((len(leaves), h, w), dtype=leaves[0][k].dtype)
-            for dst, tile_leaves in zip(stack, leaves):
-                dst[...] = tile_leaves[k]  # broadcasts (h, 1) / (1, w) leaves
-            out.append(stack)
-    return out
+class _Leaves(Sequence):
+    """A stack's prelude leaves: per leaf a batch array (leading axis ``nb``
+    or 1) or None; indexed by tile, that tile's own list of leaves."""
+
+    def __init__(self, arrays: List[object], nb: int) -> None:
+        self.arrays, self.nb = arrays, nb
+
+    def __len__(self) -> int:
+        return self.nb
+
+    def __getitem__(self, t: int) -> List[object]:
+        if not 0 <= t < self.nb:
+            raise IndexError(t)
+        return [None if a is None else a[t if len(a) > 1 else 0] for a in self.arrays]
+
+    def select(self, js) -> "_Leaves":
+        """The sub-stack of tiles ``js``."""
+        return _Leaves([a if a is None or len(a) == 1 else a[js] for a in self.arrays], len(js))
+
+
+def _payload(profile, leaves: _Leaves, nb: int, h: int, w: int) -> List[object]:
+    """Per leaf, what a sweep binds as ``_L{k}``: an ``"M"`` leaf as an
+    ``(nb, h, w)`` view of its batch array, an ``"S"`` leaf's scalar."""
+    return [
+        np.broadcast_to(leaf, (nb, h, w)) if state == "M"
+        else None if isinstance(state, str) else state[1]
+        for state, leaf in zip(profile, leaves.arrays)
+    ]
 
 
 # -- the profile-specialized sweep emitter ----------------------------------------------
@@ -667,6 +690,22 @@ class _SliceKernel:
         )
         return self._sweeps.get(states) or self._compile(states)
 
+    def prepare(self, r0, c0, h, w) -> Tuple[object, List[object]]:
+        """Classify ``h x w`` tiles at origins ``r0``/``c0`` — ints, or arrays
+        for a stack, in one prelude call — as ``(profile, leaves)`` for
+        :meth:`sweep`: a stack gets one profile per tile (tiles of equal
+        profile and geometry may share a sweep) and its :class:`_Leaves`.
+        """
+        nb = int(np.size(r0))
+        values = self._leaves_fn(r0, c0, h, w)
+        profiles, leaves = _classify_leaves(values[: len(self.general_profile)], nb)
+        self._extend(values, profiles, leaves, nb, h, w)
+        profiles = [tuple(p) for p in profiles]
+        return (profiles if np.ndim(r0) else profiles[0]), _Leaves(leaves, nb)
+
+    def _extend(self, values, profiles, leaves, nb, h, w) -> None:
+        """Add what a kernel's sweep needs beyond the rendered leaves."""
+
     def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
         """One tile: the ``nb == 1`` case of ``sweep``."""
         if h <= 0 or w <= 0:
@@ -674,7 +713,7 @@ class _SliceKernel:
         if not window.flags["C_CONTIGUOUS"]:
             return False  # the runtime falls back to the interpreted path
         profile, leaves = self.prepare(r0, c0, h, w)
-        self.sweep(profile, [leaves], window[None], oi, oj, h, w)
+        self.sweep(profile, leaves, window[None], oi, oj, h, w)
         return True
 
     @property
@@ -707,13 +746,6 @@ class FlatSweepKernel(_SliceKernel):
             f"    for _vd, _a, _b in _spans:\n{body}\n"
         )
 
-    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
-        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep` (see
-        :func:`_classify_leaves`); tiles with equal profiles (and equal
-        geometry) may share one sweep."""
-        profile, leaves = _classify_leaves(self._leaves_fn(r0, c0, h, w))
-        return tuple(profile), leaves
-
     def peel(self, r0, c0, h, w, k, l) -> Optional[List[Tuple[int, int, np.ndarray]]]:
         """A tile's leading ``k`` rows and ``l`` columns, straight from the
         prelude: ``(li, lj, values)`` per strip, tile-relative, or None
@@ -725,7 +757,7 @@ class FlatSweepKernel(_SliceKernel):
             if sh * sw == 0:
                 continue
             values = self._leaves_fn(r0 + li, c0 + lj, sh, sw)
-            profile, _ = _classify_leaves(values)
+            (profile,), _ = _classify_leaves(values, 1)
             for guard, value in self.cases:
                 if guard is None or isinstance(guard, Const):
                     state = "T" if guard is None or guard.value else "F"
@@ -736,7 +768,7 @@ class FlatSweepKernel(_SliceKernel):
                 if state != "T" or _has_dep(value):
                     return None
                 got = value.value if isinstance(value, Const) else values[self.leaves.intern(value)]
-                strips.append((li, lj, np.broadcast_to(got, (sh, sw))))
+                strips.append((li, lj, np.broadcast_to(got, (1, sh, sw))[0]))
                 break
             else:  # pragma: no cover - a decision list always fires
                 return None
@@ -746,7 +778,7 @@ class FlatSweepKernel(_SliceKernel):
         """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
 
         ``windows`` is a C-contiguous ``(nb, wh, ww)`` stack, updated in
-        place; ``leaves`` holds each tile's :meth:`prepare` leaves. The
+        place; ``leaves`` are the stack's :meth:`prepare` leaves. The
         skew buffers carry the batch as a trailing axis, so a diagonal
         ``B2[row, lo:hi]`` is a contiguous ``(len, nb)`` block and the
         generated sweep is the one a single tile runs.
@@ -759,14 +791,14 @@ class FlatSweepKernel(_SliceKernel):
         fn = self._sweep_fn(profile)
 
         def skewed(slots: np.ndarray, per_tile: np.ndarray) -> np.ndarray:
-            """``(nb, len(slots))`` tile-major values -> a flat skew buffer."""
+            """Tile-major values, ``len(slots)`` per tile -> a flat skew buffer."""
             out = np.empty((plan.nslots,) + lanes, dtype=per_tile.dtype)
-            out[slots] = per_tile.T.reshape((-1,) + lanes)
+            out[slots] = per_tile.reshape(nb, -1).T.reshape((-1,) + lanes)
             return out
 
         payload = [
-            skewed(plan.cell_slot, p.reshape(nb, -1)).reshape(shape) if s == "M" else p
-            for s, p in zip(profile, _payload(profile, leaves, h, w))
+            skewed(plan.cell_slot, p).reshape(shape) if s == "M" else p
+            for s, p in zip(profile, _payload(profile, leaves, nb, h, w))
         ]
         flat = windows.reshape(nb, -1)
         gidx, sidx = plan.gather_scatter(windows.shape[2], oi, oj)
@@ -821,26 +853,22 @@ class RowKernel(_SliceKernel):
             f"    for _r, _vd{shifts} in _rows:\n{body}\n"
         )
 
-    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
-        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
-
-        The profile is the rendered leaves' (see :func:`_classify_leaves`)
-        plus, given column shifts, the tile's per-row shift tuples: only
-        tiles whose rows shift alike share a sweep.
-        """
-        values = self._leaves_fn(r0, c0, h, w)
-        profile, leaves = _classify_leaves(values[: len(self.general_profile)])
+    def _extend(self, values, profiles, leaves, nb, h, w) -> None:
+        """Given column shifts, each tile's profile ends with its per-row
+        shift tuples: only tiles whose rows shift alike share a sweep."""
         if self.hidden_k:
-            per_row = (np.broadcast_to(values[k], (h, 1))[:, 0].tolist() for k in self.hidden_k)
-            profile.append(tuple(zip(*per_row)))
-        return tuple(profile), leaves
+            per_row = [np.broadcast_to(values[k], (nb, h, 1))[:, :, 0].tolist()
+                       for k in self.hidden_k]
+            for t, profile in enumerate(profiles):
+                profile.append(tuple(zip(*(rows[t] for rows in per_row))))
 
     def _row_args(self, profile, leaves, B, h, w) -> tuple:
         """The generated sweep's arguments after ``B2``."""
         n = len(self.general_profile)
         shifts = profile[n] if len(profile) > n else ((),) * h
         pt, _pb, pl, _pr = self.pads
-        return _row_table(shifts, pt), pl, pl + w, tuple(_payload(profile[:n], leaves, h, w))
+        payload = _payload(profile[:n], leaves, len(B), h, w)
+        return _row_table(shifts, pt), pl, pl + w, tuple(payload)
 
     def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
         """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
@@ -921,35 +949,31 @@ class RowScanKernel(RowKernel):
             f"    for _r, _vd, _s, _p in _rows:\n{body}\n"
         )
 
-    def prepare(self, r0, c0, h, w) -> Tuple[tuple, List[object]]:
-        """Classify one tile: ``(profile, leaves)`` for :meth:`sweep`.
-
-        The profile is the rendered leaves' (see :func:`_classify_leaves`)
-        plus, for a row-varying stride, the tile's per-row stride tuple:
-        only tiles whose rows scan alike share a sweep. ``leaves`` ends
-        with ``S``, the add's inclusive prefix sum per residue class.
-        """
-        values = self._leaves_fn(r0, c0, h, w)
-        profile, leaves = _classify_leaves(values[: len(self.general_profile)])
+    def _extend(self, values, profiles, leaves, nb, h, w) -> None:
+        """For a row-varying stride, each tile's profile ends with its
+        per-row stride tuple: only tiles whose rows scan alike share a
+        sweep. ``leaves`` gains ``S``, the add's inclusive prefix sum per
+        residue class."""
         add, s = values[self.hidden_k[0]], self.stride
         if s is None:
-            s = np.broadcast_to(values[self.hidden_k[1]], (h, 1))
-            profile.append(tuple(s[:, 0].tolist()))
+            s = np.broadcast_to(values[self.hidden_k[1]], (nb, h, 1))
+            for profile, strides in zip(profiles, s[:, :, 0].tolist()):
+                profile.append(tuple(strides))
         if self.lane_add and s == 1:  # a lane-varying add has a literal stride
-            leaves.append(np.cumsum(add, axis=-1))
+            S = np.cumsum(add, axis=-1)
         elif self.lane_add:  # per residue class: pad to whole classes
-            lanes = np.pad(np.broadcast_to(add, (h, w)), ((0, 0), (0, -w % s)))
-            leaves.append(np.cumsum(lanes.reshape(h, -1, s), axis=1).reshape(h, -1)[:, :w])
+            lanes = np.pad(np.broadcast_to(add, (nb, h, w)), ((0, 0), (0, 0), (0, -w % s)))
+            S = np.cumsum(lanes.reshape(nb, h, -1, s), axis=2).reshape(nb, h, -1)[:, :, :w]
         else:  # a row-constant add: the k-th lane of a class holds k + 1 of it
-            leaves.append((np.arange(w) // s + 1) * add)
-        return tuple(profile), leaves
+            S = (np.arange(w) // s + 1) * add
+        leaves.append(S if np.ndim(S) == 3 else np.reshape(S, (1, 1, w)))
 
     def _row_args(self, profile, leaves, B, h, w) -> tuple:
         n = len(self.general_profile)
         strides = profile[n] if len(profile) > n else (self.stride,) * h
         pt, _pb, pl, _pr = self.pads
         # S rides along as one more array leaf
-        *payload, S = _payload(profile[:n] + ("M",), leaves, h, w)
+        *payload, S = _payload(profile[:n] + ("M",), leaves, len(B), h, w)
         dtype = np.result_type(B.dtype, S.dtype)
         bufs = {s: _scan_buffers(len(B), w, s, dtype) for s in set(strides)}
         # a row's seed is the s cells left of the tile, whose chains it continues

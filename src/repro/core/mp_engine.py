@@ -82,7 +82,7 @@ from repro.core import plane as _plane
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.tiling import plan_tiles
+from repro.core.tiling import TiledDag, plan_tiles
 from repro.core.trace import ExecutionTrace, Span, TraceEvent, split_span
 from repro.errors import (
     AllPlacesDeadError,
@@ -201,6 +201,10 @@ class _PlaceWorker:
 
             self.kernel = kernel_from_spec(self.kernel, app, dag)
         self.sanitize = meta["sanitize"]
+        # compute() reads other cells through the dag (the app and dag came
+        # in one message, so the app's dag is this one): a live view of the
+        # plane, as in process, so a sanitized read is checked here too
+        _plane.bind_mapping(dag, self.plane.results())
         #: false when the run has no tile plan: its 1×1 tiles report as
         #: the vertices they are — cell trace events, and one halo read
         #: per producing place per request rather than per tile
@@ -699,34 +703,8 @@ def _merge_worker_trace(trace: ExecutionTrace, proc: "_PlaceProc") -> None:
 
 
 def _topological_levels(dag: Dag) -> List[List[Coord]]:
-    """Group active cells by topological depth (Kahn by generations)."""
-    active = [(i, j) for i, j in dag.region if dag.is_active(i, j)]
-    active_set = set(active)
-    indeg: Dict[Coord, int] = {}
-    for i, j in active:
-        indeg[(i, j)] = sum(
-            1 for d in dag.get_dependency(i, j) if (d.i, d.j) in active_set
-        )
-    frontier = [c for c in active if indeg[c] == 0]
-    levels: List[List[Coord]] = []
-    done = 0
-    while frontier:
-        levels.append(frontier)
-        done += len(frontier)
-        nxt: List[Coord] = []
-        for i, j in frontier:
-            for a in dag.get_anti_dependency(i, j):
-                key = (a.i, a.j)
-                if key in indeg:
-                    indeg[key] -= 1
-                    if indeg[key] == 0:
-                        nxt.append(key)
-        frontier = nxt
-    if done != len(active):
-        raise DPX10Error(
-            f"only {done} of {len(active)} vertices reachable: cyclic pattern"
-        )
-    return levels
+    """Group active cells (a tile DAG's tiles) by topological depth."""
+    return (dag if isinstance(dag, TiledDag) else dag.coarsen(1, 1)).levels()
 
 
 def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> None:
@@ -849,10 +827,8 @@ def run_mp(
     stats.levels = len(unit_levels)
     # exact per-tile active-cell counts: completions must count cells
     # (fault injection thresholds and progress are cell-granular)
-    ncells_of: Dict[Coord, int] = {
-        u: int(len(tiled.cells_of(*u)[0])) for lv in unit_levels for u in lv
-    }
-    total_active = sum(ncells_of.values())
+    ncells_of = tiled.tile_cells
+    total_active = int(ncells_of.sum())
     all_plans = list(fault_plans)
     if chaos is not None:
         all_plans += chaos.fault_plans()
@@ -953,9 +929,8 @@ def run_mp(
                 ``(rows, cols, values)`` off the master plane — each
                 finished in an earlier level, so the values are final.
                 """
-                halos = [tiled.halo_of(*u) for u in units]
-                flat = np.concatenate([r * dag.width + c for r, c in halos])
-                rows, cols = np.divmod(np.unique(flat), dag.width)
+                _, rows, cols = tiled.halos_of(units)
+                rows, cols = np.divmod(np.unique(rows * dag.width + cols), dag.width)
                 remote = plane.owners_of(rows, cols) != p
                 rows, cols = rows[remote], cols[remote]
                 return rows, cols, plane.values[rows, cols]
@@ -966,7 +941,7 @@ def run_mp(
                     # serving-layer fairness gate: may block until the
                     # weighted-fair scheduler grants this batch its turn
                     t_pace0 = trace.now() if trace is not None else 0.0
-                    config.pace(sum(ncells_of[u] for u in units))
+                    config.pace(sum(int(ncells_of[u]) for u in units))
                     if trace is not None:
                         t_pace1 = trace.now()
                         if t_pace1 - t_pace0 > 1e-6:
@@ -976,7 +951,7 @@ def run_mp(
                 by_place: Dict[int, List[Coord]] = defaultdict(list)
                 for u in units:
                     by_place[int(plane.owners[u])].append(u)
-                ncells = {p: sum(map(ncells_of.get, own)) for p, own in by_place.items()}
+                ncells = {p: sum(int(ncells_of[u]) for u in own) for p, own in by_place.items()}
                 throttled: Dict[int, float] = {}
                 if chaos is not None and chaos.has_throttles:
                     throttled = {p: chaos.throttle_batch(p, n) for p, n in ncells.items()}
@@ -1005,7 +980,7 @@ def run_mp(
                         straggler.observe(p, reply[2] + throttled.get(p, 0.0), ncells[p])
                 if failure is not None:
                     raise failure
-                stats.completions += sum(ncells_of[u] for u in units)
+                stats.completions += sum(int(ncells_of[u]) for u in units)
                 computed.update(units)
 
             def handle_victims(

@@ -32,8 +32,12 @@ import numpy as np
 
 from repro.analysis import sanitize as _sanitize
 from repro.core.api import DPX10App, Vertex
+from repro.core.dag import ResultView
 
-__all__ = ["HandKernel", "PlaneResults", "TilePlane", "kernel_name", "run_tiles", "tile_kernel"]
+__all__ = [
+    "HandKernel", "PlaneResults", "TilePlane", "bind_mapping", "kernel_name", "run_tiles",
+    "tile_kernel",
+]
 
 Coord = Tuple[int, int]
 #: one cross-place transfer: ``(source place, destination place, bytes)``
@@ -88,9 +92,23 @@ class PlaneResults(Mapping):
 
     def as_bulk(self, fill: Any, dtype: Any) -> np.ndarray:
         """``ResultView`` bulk gather: full matrix, ``fill`` where unfinished."""
-        out = np.full(self._values.shape, fill, dtype=dtype or object)
-        out[self._finished] = self._values[self._finished]
-        return out
+        out = np.where(self._finished, self._values, fill)
+        return out.astype(dtype or object, copy=False)
+
+
+def bind_mapping(dag, results) -> None:
+    """Bind ``dag`` to a ``{(i, j): value}`` mapping (membership = finished).
+
+    :class:`PlaneResults` offers a vectorized gather; the pickled
+    transport's plain dict does not.
+    """
+    dag.bind_results(
+        ResultView(
+            lambda i, j: results[(i, j)],
+            lambda i, j: (i, j) in results,
+            getattr(results, "as_bulk", None),
+        )
+    )
 
 
 class TilePlane:
@@ -282,6 +300,23 @@ def _store(plane: TilePlane, rows: np.ndarray, cols: np.ndarray, out) -> None:
     plane.finished[rows, cols] = 1
 
 
+def _transfers(plane, homes, places, ncells, k, owners) -> List[List[Transfer]]:
+    """Per tile: one halo read per remote producing place (``k``/``owners``:
+    the batch's halo cells' tiles and homes), then any write-back home."""
+    out: List[List[Transfer]] = [[] for _ in places]
+    at = np.asarray(places, np.int64)
+    remote = owners != at[k]
+    if remote.any():
+        span = int(max(owners.max(), at.max())) + 1
+        counts = np.bincount(k[remote] * span + owners[remote], minlength=len(at) * span)
+        for key in np.flatnonzero(counts).tolist():
+            t, p = divmod(key, span)
+            out[t].append((p, places[t], int(counts[key]) * plane.nbytes))
+    for t in np.flatnonzero((homes != at) & (ncells > 0)).tolist():
+        out[t].append((places[t], int(homes[t]), int(ncells[t]) * plane.nbytes))
+    return out
+
+
 def run_tiles(
     plane: TilePlane,
     tiled,
@@ -296,119 +331,144 @@ def run_tiles(
     ``tiles`` must not depend on one another — one tile, or (part of) a
     level of the tile DAG, at any mix of places: a tile's place decides
     its transfers and sanitizer guard, not its sweep. Returns, per tile
-    and in order, the number of cells computed and the cross-place
-    transfers the execution implies under the owner map: one halo read
-    per remote producing place, plus the write-back when the tile's
-    place is not its home.
+    and in order, its cell count and the cross-place transfers the owner
+    map implies (one halo read per remote producing place, plus the
+    write-back when the tile's place is not its home).
 
-    Window kernels run on a zeroed window with only the halo scattered
-    in — never a raw plane copy, so values a recovery left behind in
-    unfinished cells cannot leak into a window. Where the kernel can
-    sweep a stack of windows at once (``fn.prepare`` / ``fn.sweep``: every
-    generated window kernel), tiles of equal geometry *and* equal boundary
-    profile share one sweep: an interior tile never pays for the masks
-    of the boundary tile next to it, and a tile alone in its group runs
-    exactly what it ran before batching existed. A top-row or left-column
-    tile whose leading pads rows / columns are the DP's initial condition
-    (``fn.peel``) takes those from the prelude and sweeps the rest, where
-    it can at interior geometry, in the interior tiles' stack. Every
-    other kernel sees one window per call. Each tile's values (peeled
-    ones too) land before its finish flags, whatever else its batch
-    still has to write.
+    The batch, not the tile, is the unit of every step. Window kernels
+    run on zeroed windows with only the halo scattered in, so values a
+    recovery left behind cannot leak in. Tiles of equal window geometry
+    share one prelude call (``fn.prepare``); of equal geometry *and*
+    boundary profile, one window stack, filled by one gather off the
+    plane, one sweep (``fn.sweep``) and one write-back, values before
+    flags. A top-row or left-column tile whose leading pads rows /
+    columns are the DP's initial condition (``fn.peel``) takes those
+    from the prelude and sweeps the rest in the interior tiles' stack.
+    Other window kernels see one window per call; cells-mode kernels and
+    the per-cell loop run tile by tile.
     """
-    values = plane.values
-    base = tiled.base
-    windowed = kernel is not None and kernel.mode == "window"
-    prepare = getattr(kernel.fn, "prepare", None) if windowed else None
-    peel = getattr(kernel.fn, "peel", None) if windowed else None
-    if windowed:
-        # a generated kernel's window covers its inferred footprint box
-        # as well as the declared-stencil halo strips
-        pt, pb, pl, pr = (max(a, d) for a, d in zip(kernel.pads, tiled.pads))
-    done: List[Tuple[int, List[Transfer]]] = []
-    groups: Dict[tuple, List[tuple]] = {}
-    for (ti, tj), place_id in zip(tiles, places):
-        rows, cols = tiled.cells_of(ti, tj)
-        n = len(rows)
-        if n == 0:
-            done.append((0, []))
-            continue
-        hrows, hcols = tiled.halo_of(ti, tj)
-        transfers: List[Transfer] = []
-        if len(hrows):
-            strip = plane.owners_of(hrows, hcols)
-            remote = strip[strip != place_id]
-            if len(remote):
-                producers, counts = np.unique(remote, return_counts=True)
-                transfers = [
-                    (int(p), place_id, int(c) * plane.nbytes)
-                    for p, c in zip(producers, counts)
-                ]
-        home = int(plane.owners[ti, tj])
-        if home != place_id:
-            transfers.append((place_id, home, n * plane.nbytes))
-        done.append((n, transfers))
-        if not windowed:
-            if kernel is not None:
-                # tree-level kernels map active cells straight to values
-                halo = dict(
-                    zip(
-                        zip(hrows.tolist(), hcols.tolist()),
-                        values[hrows, hcols].tolist(),
-                    )
-                )
-                out = kernel.fn.run_cells(rows, cols, halo)
-            else:
-                out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
-            _store(plane, rows, cols, out)
-            continue
-        r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
+    nb = len(tiles)
+    ti, tj = np.array(tiles, np.int64).reshape(nb, 2).T
+    ncells = tiled.tile_cells[ti, tj]
+    live = np.flatnonzero(ncells)
+    k, hrows, hcols = tiled.halos_of([tiles[t] for t in live.tolist()])
+    owners = plane.owners_of(hrows, hcols)
+    done = list(zip(ncells.tolist(), _transfers(
+        plane, plane.owners[ti, tj], places, ncells, live[k], owners
+    )))
+    at = [places[t] for t in live.tolist()]
+    if kernel is not None and kernel.mode == "window":
+        _run_windows(plane, tiled, app, kernel, [tiles[t] for t in live.tolist()],
+                     ncells[live].tolist(), at, (k, hrows, hcols), sanitize)
+        return done
+    for t, place_id in zip(live.tolist(), at):
+        rows, cols = tiled.cells_of(*tiles[t])
+        if kernel is not None:
+            # tree-level kernels map active cells straight to values
+            hr, hc = tiled.halo_of(*tiles[t])
+            halo = dict(zip(zip(hr.tolist(), hc.tolist()), plane.values[hr, hc].tolist()))
+            out = kernel.fn.run_cells(rows, cols, halo)
+        else:
+            out = _compute_cells(plane, tiled.base, app, rows, cols, place_id, sanitize)
+        _store(plane, rows, cols, out)
+    return done
+
+
+def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitize) -> None:
+    """:func:`run_tiles`' window branch, over tiles with work and their
+    :meth:`~repro.core.tiling.TiledDag.halos_of`."""
+    values, base = plane.values, tiled.base
+    H, W = base.height, base.width
+    prepare = getattr(kernel.fn, "prepare", None)
+    peel = getattr(kernel.fn, "peel", None)
+    # a generated kernel's window covers its inferred footprint box
+    # as well as the declared-stencil halo strips
+    pt, pb, pl, pr = (max(a, d) for a, d in zip(kernel.pads, tiled.pads))
+    boxes, peeled = [], {}
+    geometry: Dict[tuple, List[int]] = {}
+    for t, tile in enumerate(tiles):
+        r0, r1, c0, c1 = tiled.grid.bounds(*tile)
         h, w = r1 - r0, c1 - c0
-        # the rest of a peeled tile sweeps as its rectangle shifted by
-        # (k, l), whose cells past the tile read zeros and are discarded;
-        # an axis where a dependency reaches past the shift, or the matrix
-        # ends first, sweeps the remainder alone
         k = pt if r0 == 0 and h > pt else 0
         l = pl if c0 == 0 and w > pl else 0
         strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
         if strips is None:
             k = l = 0
-        sr0, sh = r0 + k, (h if pb == 0 and r1 + k <= base.height else h - k)
-        sc0, sw = c0 + l, (w if pr == 0 and c1 + l <= base.width else w - l)
-        wr0, wr1 = max(0, sr0 - pt), min(base.height, sr0 + sh + pb)
-        wc0, wc1 = max(0, sc0 - pl), min(base.width, sc0 + sw + pr)
+        peeled[t] = strips or ()
+        # the rest of a peeled tile sweeps as its rectangle shifted by
+        # (k, l), whose cells past the tile read zeros and are discarded;
+        # an axis where a dependency reaches past the shift, or the matrix
+        # ends first, sweeps the remainder alone
+        sr0, sh = r0 + k, (h if pb == 0 and r1 + k <= H else h - k)
+        sc0, sw = c0 + l, (w if pr == 0 and c1 + l <= W else w - l)
+        wr0, wr1 = max(0, sr0 - pt), min(H, sr0 + sh + pb)
+        wc0, wc1 = max(0, sc0 - pl), min(W, sc0 + sw + pr)
+        boxes.append((r0, r1, c0, c1, wr0, wc0, wr1 - wr0, wc1 - wc0, sr0, sc0))
+        geometry.setdefault((sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0), []).append(t)
+    groups = []  # (geometry, profile, tiles, leaves) per shared sweep
+    for geo, members in geometry.items():
+        if prepare is not None:
+            origins = np.array([boxes[t][8:] for t in members]).T
+            profiles, leaves = prepare(origins[0], origins[1], geo[0], geo[1])
+        else:  # a kernel that sweeps one window per call gets singleton groups
+            profiles, leaves = [(t,) for t in members], None
+        split: Dict[tuple, List[int]] = {}
+        for j, profile in enumerate(profiles):
+            split.setdefault(profile, []).append(j)
+        for profile, js in split.items():
+            share = leaves.select(js) if leaves is not None and len(js) < len(members) else leaves
+            groups.append((geo, profile, [members[j] for j in js], share))
+
+    # one gather off the plane for every window's halo, scattered into its
+    # group's stack at ``woff + row * ww + col`` (per tile ``woff``, ``ww``)
+    hk, hrows, hcols = halo
+    gid, woff, ww = (np.empty(len(tiles), np.int64) for _ in range(3))
+    for g, (_geo, _profile, members, _leaves) in enumerate(groups):
+        for j, t in enumerate(members):
+            _r0, _r1, _c0, _c1, wr0, wc0, wh, ww[t], *_ = boxes[t]
+            gid[t], woff[t] = g, (j * wh - wr0) * ww[t] - wc0
+    if not tiled.stencil_mode:
         # a dag may declare halo cells outside the window box; the
         # kernel provably never reads them, so drop them
-        ins = (hrows >= wr0) & (hrows < wr1) & (hcols >= wc0) & (hcols < wc1)
-        hr, hc = hrows[ins], hcols[ins]
-        halo = (hr - wr0, hc - wc0, values[hr, hc])
-        peeled = [(r0 + i - wr0, c0 + j - wc0, v) for i, j, v in strips or ()]
-        # a kernel that sweeps one window per call gets singleton groups
-        profile, leaves = prepare(sr0, sc0, sh, sw) if prepare else ((ti, tj), None)
-        key = (sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0, profile)
-        box = (r0, r1, c0, c1, wr0, wc0, place_id)
-        groups.setdefault(key, []).append((rows, cols, box, halo, peeled, leaves))
+        box = np.array([b[4:8] for b in boxes]).reshape(-1, 4)[hk].T
+        ins = (hrows >= box[0]) & (hrows < box[0] + box[2])
+        ins &= (hcols >= box[1]) & (hcols < box[1] + box[3])
+        hk, hrows, hcols = hk[ins], hrows[ins], hcols[ins]
+    src = values.take(hrows * W + hcols)
+    dst = woff[hk] + hrows * ww[hk] + hcols
+    bounds = [0, len(dst)]
+    if len(groups) > 1:
+        order = np.argsort(gid[hk], kind="stable")
+        src, dst = src[order], dst[order]
+        bounds = np.searchsorted(gid[hk[order]], np.arange(len(groups) + 1)).tolist()
 
-    for (h, w, wh, ww, oi, oj, profile), jobs in groups.items():
-        windows = np.zeros((len(jobs), wh, ww), dtype=values.dtype)
-        for window, (*_, (hi, hj, hvalues), peeled, _leaves) in zip(windows, jobs):
-            window[hi, hj] = hvalues
-            for i, j, strip in peeled:
+    for g, ((gh, gw, gwh, gww, oi, oj), profile, members, leaves) in enumerate(groups):
+        windows = np.zeros((len(members), gwh, gww), dtype=values.dtype)
+        windows.put(dst[bounds[g] : bounds[g + 1]], src[bounds[g] : bounds[g + 1]])
+        for window, t in zip(windows, members):
+            r0, _r1, c0, _c1, wr0, wc0, *_ = boxes[t]
+            for i, j, strip in peeled[t]:
+                i, j = i + r0 - wr0, j + c0 - wc0
                 window[i : i + strip.shape[0], j : j + strip.shape[1]] = strip
         if prepare is not None:
-            kernel.fn.sweep(profile, [job[-1] for job in jobs], windows, oi, oj, h, w)
-            swept = True
-        else:
-            r0, _r1, c0, *_ = jobs[0][2]  # a hand kernel's tile is unpeeled
-            swept = kernel.fn(r0, c0, windows[0], oi, oj, h, w)
-        for window, (rows, cols, (r0, r1, c0, c1, wr0, wc0, place_id), *_) in zip(windows, jobs):
-            if not swept:  # the kernel declined this window
-                out = _compute_cells(plane, base, app, rows, cols, place_id, sanitize)
-                _store(plane, rows, cols, out)
-            elif len(rows) == (r1 - r0) * (c1 - c0):
-                # the tile is its rectangle: two slice stores
-                values[r0:r1, c0:c1] = window[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]
-                plane.finished[r0:r1, c0:c1] = 1
-            else:
+            kernel.fn.sweep(profile, leaves, windows, oi, oj, gh, gw)
+        elif not kernel.fn(boxes[members[0]][0], boxes[members[0]][2], windows[0], oi, oj, gh, gw):
+            # the kernel declined this window (a hand kernel's tile is unpeeled)
+            rows, cols = tiled.cells_of(*tiles[members[0]])
+            out = _compute_cells(plane, base, app, rows, cols, places[members[0]], sanitize)
+            _store(plane, rows, cols, out)
+            continue
+        # the stack's values, then its flags; a whole-rectangle tile lands
+        # as slice stores (faster than one fancy store of the stack)
+        rects = []
+        for window, t in zip(windows, members):
+            r0, r1, c0, c1, wr0, wc0, *_ = boxes[t]
+            if ncells[t] == (r1 - r0) * (c1 - c0):
+                rects.append((r0, r1, c0, c1, window[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]))
+            else:  # partly active: cell by cell
+                rows, cols = tiled.cells_of(*tiles[t])
                 _store(plane, rows, cols, window[rows - wr0, cols - wc0])
-    return done
+        for r0, r1, c0, c1, window in rects:
+            values[r0:r1, c0:c1] = window
+        for r0, r1, c0, c1, _window in rects:
+            plane.finished[r0:r1, c0:c1] = 1

@@ -28,7 +28,7 @@ from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag, ResultView
-from repro.core.plane import TilePlane, kernel_name, tile_kernel
+from repro.core.plane import TilePlane, bind_mapping, kernel_name, tile_kernel
 from repro.core.recovery import (
     RecoveryStats,
     recover,
@@ -357,7 +357,7 @@ class DPX10Runtime:
                 trace=trace,
                 straggler=straggler,
             )
-            self._bind_mapping(results)
+            bind_mapping(self.dag, results)
             self.app.app_finished(self.dag)
 
         report = RunReport(
@@ -416,11 +416,10 @@ class DPX10Runtime:
                     cfg.value_nbytes,
                     cfg.spill_dir,
                 )
-                tiles = tiled.active_tiles()
-                plane.home(dist, tiles)
+                plane.home(dist, tiled.active_tiles())
                 # exact per-tile counts: completions, progress and fault
                 # thresholds are cell-granular
-                total_active = sum(len(tiled.cells_of(*t)[0]) for t in tiles)
+                total_active = int(tiled.tile_cells.sum())
         # a tiled run never consults the caches: it reads finished cells
         # in place
         caches = {
@@ -561,24 +560,10 @@ class DPX10Runtime:
         reg.register_collector(scrape)
 
     # -- stage 3: bind results ------------------------------------------------------
-    def _bind_mapping(self, results) -> None:
-        """Bind a ``{(i, j): value}`` mapping (membership = finished).
-
-        PlaneResults (tiled in-process runs, the mp shm transport) offers
-        a vectorized gather; the pickled transport's plain dict does not.
-        """
-        self.dag.bind_results(
-            ResultView(
-                lambda i, j: results[(i, j)],
-                lambda i, j: (i, j) in results,
-                getattr(results, "as_bulk", None),
-            )
-        )
-
     def _bind_results(self, state: ExecutionState) -> None:
         if state.plane is not None:
             # a live view: the plane is updated in place, recoveries included
-            self._bind_mapping(state.plane.results())
+            bind_mapping(self.dag, state.plane.results())
             return
         # read dist/stores through ``state`` on every call: recovery
         # replaces both, and the view must follow the surviving places

@@ -36,11 +36,12 @@ and ``(1, 1)`` keeps the per-vertex reference path bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,29 +69,6 @@ __all__ = [
 
 Coord = Tuple[int, int]
 Offset = Tuple[int, int]
-
-#: relative intra-tile wavefront orders keyed by ``(h, w, a, b)``. For a
-#: dense stencil the rank ``a*i + b*j`` is linear, so the sorted cell
-#: order of every full ``h×w`` tile is the same up to the tile origin —
-#: cache it once per shape instead of lexsorting per tile, per run.
-_CELL_ORDER_CACHE: Dict[Tuple[int, int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cell_order(h: int, w: int, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Tile-relative ``(rows, cols)`` in ascending ``a*i + b*j`` rank order."""
-    cached = _CELL_ORDER_CACHE.get((h, w, a, b))
-    if cached is None:
-        ii, jj = np.meshgrid(
-            np.arange(h, dtype=np.int64),
-            np.arange(w, dtype=np.int64),
-            indexing="ij",
-        )
-        ri, rj = ii.ravel(), jj.ravel()
-        order = np.lexsort((rj, ri, a * ri + b * rj))
-        cached = (ri[order], rj[order])
-        _CELL_ORDER_CACHE[(h, w, a, b)] = cached
-    return cached
-
 
 #: dense-pattern halo cells. Computed tile-relative per class ``(offsets,
 #: h, w, margins)`` — position matters only through each grid edge within
@@ -133,6 +111,17 @@ def _stencil_halo(offs, H, W, r0, r1, c0, c1) -> Tuple[np.ndarray, np.ndarray]:
     return rows[idx], cols[idx]
 
 
+def _release(indegree: np.ndarray, successors: np.ndarray, done) -> List[int]:
+    """Finish tiles ``done`` (flat, in order): one ``np.subtract.at`` over
+    their out-edges; returns the tiles that releases, each at its last
+    edge here — the order finishing ``done`` one at a time gives."""
+    out = successors[done].ravel()
+    out = out[out >= 0]
+    np.subtract.at(indegree, out, 1)
+    hit = out[np.flatnonzero(indegree[out] == 0)].tolist()
+    return list(dict.fromkeys(reversed(hit)))[::-1]
+
+
 @dataclass(frozen=True)
 class TileGrid:
     """Geometry of a ``tile_h x tile_w`` blocking of a ``height x width`` matrix."""
@@ -157,6 +146,11 @@ class TileGrid:
 
     def origin(self, ti: int, tj: int) -> Coord:
         return (ti * self.tile_h, tj * self.tile_w)
+
+    def per_tile(self, cells: np.ndarray) -> np.ndarray:
+        """An ``(height, width)`` cell array summed over each tile."""
+        rs, cs = np.arange(0, self.height, self.tile_h), np.arange(0, self.width, self.tile_w)
+        return np.add.reduceat(np.add.reduceat(cells, rs, axis=0, dtype=np.int64), cs, axis=1)
 
     def bounds(self, ti: int, tj: int) -> Tuple[int, int, int, int]:
         """The tile's cell rectangle ``(r0, r1, c0, c1)``, clipped to the matrix."""
@@ -233,27 +227,75 @@ class TiledDag(Dag):
         else:
             self.pads = (0, 0, 0, 0)
 
+    # -- the tile wavefront as arrays ----------------------------------------------
+    @functools.cached_property
+    def tile_cells(self) -> np.ndarray:
+        """Active cells per tile, ``(nti, ntj)``, 0 on inactive tiles: exact,
+        so completions, progress and fault thresholds stay cell-granular."""
+        g, base = self.grid, self.base
+        if type(base).is_active is Dag.is_active:
+            counts = np.outer(*(np.diff(np.r_[0:n:t, n]) for n, t in
+                                ((g.height, g.tile_h), (g.width, g.tile_w))))
+        else:
+            rows, cols = np.arange(g.height)[:, None], np.arange(g.width)[None, :]
+            mask = base.is_active_array(rows, cols)
+            if np.shape(mask) != (g.height, g.width):
+                rows, cols = (x.ravel() for x in np.broadcast_arrays(rows, cols))
+                mask = self._active_mask(rows, cols).reshape(g.height, g.width)
+            counts = g.per_tile(mask)
+        return np.where(self._tile_active, counts, 0)
+
+    @functools.cached_property
+    def successors(self) -> np.ndarray:
+        """Row ``ti * ntj + tj``: that tile's successors as flat tile indices
+        in :meth:`get_anti_dependency` order, padded with -1."""
+        return self._neighbor_table(-1, self._anti)
+
+    @functools.cached_property
+    def predecessors(self) -> np.ndarray:
+        """:attr:`successors`' transpose: :meth:`get_dependency` per tile."""
+        return self._neighbor_table(+1, self._deps)
+
+    def _neighbor_table(self, sign: int, lists) -> np.ndarray:
+        nti, ntj = self.grid.nti, self.grid.ntj
+        if not self.stencil_mode:
+            table = np.full((nti * ntj, max(map(len, lists.values()), default=0)), -1)
+            for (ti, tj), nbrs in lists.items():
+                table[ti * ntj + tj, : len(nbrs)] = [a * ntj + b for a, b in nbrs]
+            return table
+        ti, tj = np.divmod(np.arange(nti * ntj), ntj)
+        cols = [np.full((nti * ntj, 0), -1)]
+        for a, b in self.tile_offsets:
+            si, sj = ti + sign * a, tj + sign * b
+            ok = (si >= 0) & (si < nti) & (sj >= 0) & (sj < ntj)
+            ok[ok] = self._tile_active[si[ok], sj[ok]]
+            cols.append(np.where(ok, si * ntj + sj, -1)[:, None])
+        return np.concatenate(cols, axis=1)
+
+    def levels(self) -> List[List[Coord]]:
+        """Active tiles by topological depth (Kahn by generations); within a
+        level, in the order releasing the one before tile by tile gives."""
+        active = self._tile_active.ravel()
+        out = self.successors[active].ravel()
+        indegree = np.bincount(out[out >= 0], minlength=len(active))
+        level = np.flatnonzero(active & (indegree == 0)).tolist()
+        levels = []
+        while level:
+            levels.append([divmod(t, self.grid.ntj) for t in level])
+            level = _release(indegree, self.successors, level)
+        return levels
+
     # -- the Dag interface over tiles ----------------------------------------------
     def is_active(self, ti: int, tj: int) -> bool:
         return bool(self._tile_active[ti, tj])
 
     def get_dependency(self, ti: int, tj: int) -> List[VertexId]:
-        if self.stencil_mode:
-            return self._tile_neighbors(ti, tj, +1)
-        return [VertexId(*t) for t in self._deps.get((ti, tj), [])]
+        return [VertexId(*divmod(t, self.grid.ntj)) for t in
+                self.predecessors[ti * self.grid.ntj + tj].tolist() if t >= 0]
 
     def get_anti_dependency(self, ti: int, tj: int) -> List[VertexId]:
-        if self.stencil_mode:
-            return self._tile_neighbors(ti, tj, -1)
-        return [VertexId(*t) for t in self._anti.get((ti, tj), [])]
-
-    def _tile_neighbors(self, ti: int, tj: int, sign: int) -> List[VertexId]:
-        out: List[VertexId] = []
-        for a, b in self.tile_offsets:
-            ni, nj = ti + sign * a, tj + sign * b
-            if self.contains(ni, nj) and self.is_active(ni, nj):
-                out.append(VertexId(ni, nj))
-        return out
+        return [VertexId(*divmod(t, self.grid.ntj)) for t in
+                self.successors[ti * self.grid.ntj + tj].tolist() if t >= 0]
 
     def active_tiles(self) -> List[Coord]:
         """Tiles with work, row-major. A tile whose cells are all inactive
@@ -285,21 +327,18 @@ class TiledDag(Dag):
         base = self.base
         if self.stencil_mode:
             a, b = self._base_rank
-            if type(base).is_active is Dag.is_active:
-                # dense pattern: every cell is active and the wavefront
-                # rank is linear, so the sorted order depends only on the
-                # tile's shape — reuse it via the relative-order cache
-                # instead of re-running meshgrid + lexsort per tile
-                ri, rj = _cell_order(r1 - r0, c1 - c0, a, b)
-                return r0 + ri, c0 + rj
+            if r1 - r0 == c1 - c0 == 1:  # one cell: the unplanned mp grid
+                n = int(base.is_active(r0, c0))
+                return np.full(n, r0, np.int64), np.full(n, c0, np.int64)
             ii, jj = np.meshgrid(
                 np.arange(r0, r1, dtype=np.int64),
                 np.arange(c0, c1, dtype=np.int64),
                 indexing="ij",
             )
             rows, cols = ii.ravel(), jj.ravel()
-            mask = self._active_mask(rows, cols)
-            rows, cols = rows[mask], cols[mask]
+            if type(base).is_active is not Dag.is_active:
+                mask = self._active_mask(rows, cols)
+                rows, cols = rows[mask], cols[mask]
             order = np.lexsort((cols, rows, a * rows + b * cols))
             return rows[order], cols[order]
         cells = [
@@ -381,6 +420,13 @@ class TiledDag(Dag):
         arr = np.array(list(seen), dtype=np.int64)
         return arr[:, 0], arr[:, 1]
 
+    def halos_of(self, tiles: Sequence[Coord]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`halo_of` for a batch, flattened: ``(k, rows, cols)``, cell
+        ``(rows[e], cols[e])`` lying in the halo of ``tiles[k[e]]``."""
+        halos = [self.halo_of(*t) for t in tiles] or [(np.empty(0, np.int64),) * 2]
+        k = np.repeat(np.arange(len(halos)), [len(rows) for rows, _ in halos])
+        return k, np.concatenate([r for r, _ in halos]), np.concatenate([c for _, c in halos])
+
 
 def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
     """Build and verify the tile-level DAG (see :meth:`Dag.coarsen`)."""
@@ -451,30 +497,21 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
             if td != t:
                 deps.setdefault(t, set()).add(td)
                 anti.setdefault(td, set()).add(t)
-    tiles = [(int(a), int(b)) for a, b in np.argwhere(tile_active)]
-    indeg = {t: len(deps.get(t, ())) for t in tiles}
-    q: Deque[Coord] = deque(t for t in tiles if indeg[t] == 0)
-    done = 0
-    while q:
-        t = q.popleft()
-        done += 1
-        for s in anti.get(t, ()):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                q.append(s)
-    if done != len(tiles):
-        raise PatternError(
-            f"tile shape ({tile_h}, {tile_w}) makes the coarsened "
-            f"{type(base).__name__} cyclic: only {done} of {len(tiles)} "
-            "tiles schedulable"
-        )
-    return TiledDag(
+    tiled = TiledDag(
         base,
         grid,
         deps={t: sorted(s) for t, s in deps.items()},
         anti={t: sorted(s) for t, s in anti.items()},
         tile_active=tile_active,
     )
+    done, ntiles = sum(map(len, tiled.levels())), int(tile_active.sum())
+    if done != ntiles:
+        raise PatternError(
+            f"tile shape ({tile_h}, {tile_w}) makes the coarsened "
+            f"{type(base).__name__} cyclic: only {done} of {ntiles} "
+            "tiles schedulable"
+        )
+    return tiled
 
 
 #: edge of a planned tile: docs/TILING.md §4 measures 128x128 at the sweet
@@ -510,19 +547,19 @@ class TileRunState:
     """Tile-granular scheduling state of a tiled in-process run.
 
     The :class:`~repro.core.plane.TilePlane` owns values, finish flags
-    and tile homes; this tracks the *tile* wavefront over it: indegrees
-    and finished tiles. The per-place ready lists are the run's own
-    (``state.ready``, holding tile indices), so the drivers in
-    :mod:`repro.core.worker` wake and terminate on tiles exactly as they
-    do on cells; they take whole ready lists per turn.
+    and tile homes; this tracks the *tile* wavefront over it with the
+    paper's indegree counters, held as arrays over flat tile indices
+    (``indegree``, -1 once finished; ``finished``; ``home``). The
+    per-place ready lists are the run's own (``state.ready``), so the
+    drivers in :mod:`repro.core.worker` take whole ready lists per turn.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
         self.tiled = tiled
         self.grid = tiled.grid
-        self.home: Dict[Coord, int] = {}
-        self.indegree: Dict[Coord, int] = {}
-        self.finished: Set[Coord] = set()
+        self.home = np.empty((tiled.grid.nti, tiled.grid.ntj), np.int32)
+        self.indegree = np.empty(0, np.int64)
+        self.finished = np.empty(0, bool)
         self.remaining: Dict[int, int] = {}
         self.lock = threading.Lock()
 
@@ -535,56 +572,46 @@ class TileRunState:
         tile gets its indegree reset — the tile-granular analogue of the
         paper's "reset the indegree" step.
         """
-        tiled = self.tiled
-        plane = state.plane
-        owners = plane.owners
-        active_tiles = tiled.active_tiles()
-        finished: Set[Coord] = set()
+        tiled, plane, g = self.tiled, state.plane, self.grid
+        active, cells = tiled._tile_active.ravel(), tiled.tile_cells.ravel()
+        finished = np.zeros(len(active), bool)
         if plane.finished.any():
-            for t in active_tiles:
-                rows, cols = tiled.cells_of(*t)
-                if len(rows) and plane.finished[rows, cols].all():
-                    finished.add(t)
+            finished = active & (cells > 0) & (g.per_tile(plane.finished).ravel() == cells)
+        out = tiled.successors[active & ~finished].ravel()
+        indegree = np.bincount(out[out >= 0], minlength=len(active))
+        indegree[finished] = -1
+        pending = np.flatnonzero(active & ~finished)
+        ready = pending[indegree[pending] == 0]
+        home = plane.owners.copy()
         place_ids = state.dist.place_ids
+        counts = np.bincount(home.ravel()[pending], minlength=max(place_ids) + 1)
         with self.lock:
-            self.home = {t: int(owners[t]) for t in active_tiles}
-            self.finished = finished
-            self.indegree = {}
+            self.home, self.finished, self.indegree = home, finished, indegree
             state.ready = {pid: deque() for pid in place_ids}
-            self.remaining = {pid: 0 for pid in place_ids}
-            for t in active_tiles:
-                if t in finished:
-                    continue
-                indeg = sum(
-                    1
-                    for d in tiled.get_dependency(*t)
-                    if (d.i, d.j) not in finished
-                )
-                self.indegree[t] = indeg
-                pid = self.home[t]
-                self.remaining[pid] += 1
-                if indeg == 0:
-                    state.ready[pid].append(t)
+            self.remaining = {pid: int(counts[pid]) for pid in place_ids}
+            for t, pid in zip(ready.tolist(), home.ravel()[ready].tolist()):
+                state.ready[pid].append(divmod(t, g.ntj))
 
     # -- scheduling ------------------------------------------------------------------
-    def on_tile_finished(self, state: "ExecutionState", tile: Coord) -> None:
-        """Mark finished and release successor tiles whose indegree hits 0."""
-        newly_ready: List[Coord] = []
+    def on_tiles_finished(self, state: "ExecutionState", tiles: Sequence[Coord]) -> None:
+        """Mark a batch finished and release the successors whose indegree
+        hits 0: one ``np.subtract.at`` over the batch's out-edges, each
+        released tile pushed at its last such edge, so the ready lists see
+        the order tile-by-tile release gives."""
+        ntj = self.grid.ntj
+        t = np.array([a * ntj + b for a, b in tiles], np.int64)
         with self.lock:
-            if tile in self.finished:
+            t = t[~self.finished[t]]
+            if not len(t):
                 return
-            self.finished.add(tile)
-            pid = self.home[tile]
-            if pid in self.remaining:
-                self.remaining[pid] -= 1
-            for a in self.tiled.get_anti_dependency(*tile):
-                key = (a.i, a.j)
-                if key in self.indegree and key not in self.finished:
-                    self.indegree[key] -= 1
-                    if self.indegree[key] == 0:
-                        newly_ready.append(key)
-        for t in newly_ready:
-            state.push_ready(self.home[t], t)
+            self.finished[t] = True
+            for pid in self.home.ravel()[t].tolist():
+                if pid in self.remaining:
+                    self.remaining[pid] -= 1
+            released = _release(self.indegree, self.tiled.successors, t)
+            homes = self.home.ravel()[released].tolist()
+        for r, pid in zip(released, homes):
+            state.push_ready(pid, divmod(r, ntj))
 
     def place_done(self, pid: int) -> bool:
         with self.lock:
@@ -592,32 +619,44 @@ class TileRunState:
 
 
 # -- the tile worker ------------------------------------------------------------------
+def _dep_homes(plane, tiled: TiledDag, tiles: Sequence[Coord]) -> List[List[int]]:
+    """Per tile, the home place of each of its halo cells: one owner lookup
+    for the whole batch."""
+    k, rows, cols = tiled.halos_of(tiles)
+    order = np.argsort(k, kind="stable")
+    owners = plane.owners_of(rows[order], cols[order]).tolist()
+    bounds = np.searchsorted(k[order], np.arange(len(tiles) + 1)).tolist()
+    return [owners[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     """Run a batch of ready tiles end to end: place, compute, account, notify.
 
     A tile is released only once all its producers finished, so the
-    tiles of one batch never depend on one another — whichever places'
-    ready lists they came from. The scheduling strategy places each tile
-    (one decision per tile, costed on the tile's halo edges), then the
-    whole batch goes to :func:`repro.core.plane.run_tiles` in one call,
-    where tiles that can share a kernel sweep share it whatever their
-    execution place. Each tile is accounted at its execution place, in
-    batch order; its trace event and straggler sample are its
-    :func:`~repro.core.trace.split_span` share of the call.
+    tiles of one batch never depend on one another. The strategy places
+    each tile (halo owners, where it weighs them, from one lookup over
+    the batch), then the batch goes to :func:`repro.core.plane.run_tiles`
+    in one call. Each tile is accounted at its execution place, in batch
+    order; its trace event and straggler sample are its
+    :func:`~repro.core.trace.split_span` share of the call. The batch's
+    successors are released in one indegree update.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
     plane = state.plane
     cfg = state.config
     trace = state.trace
+    strategy = state.strategy
+    dep_homes = _dep_homes(plane, tiled, tiles) if strategy.weighs_dependencies else None
+    homes = [int(ts.home[tile]) for tile in tiles]
     places: List[int] = []
-    for tile in tiles:
-        home_place = ts.home[tile]
+    for k, tile in enumerate(tiles):
+        home_place = homes[k]
         if cfg.pace is not None:
             # serving-layer fairness gate: may block until the weighted-fair
             # scheduler grants this tile its turn (see repro.serve.scheduler)
             pace_start = trace.now() if trace is not None else 0.0
-            cfg.pace(int(len(tiled.cells_of(*tile)[0])))
+            cfg.pace(int(tiled.tile_cells[tile]))
             if trace is not None:
                 pace_end = trace.now()
                 # sub-microsecond grants are uncontended — not a stall
@@ -628,10 +667,10 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
                             category="pace", place=home_place,
                         )
                     )
-        exec_place = state.strategy.choose_place(
+        exec_place = strategy.choose_place(
             tile,
             home_place,
-            plane.owners_of(*tiled.halo_of(*tile)).tolist(),
+            dep_homes[k] if dep_homes is not None else (),
             state.group.alive_ids(),
             state.rngs[home_place],
             plane.nbytes,
@@ -661,12 +700,12 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
             state.executed_by[p] = state.executed_by.get(p, 0) + n
         completed = state.completions
         state.completions += sum(cells)
-    for tile, exec_place, (n, transfers), (start, end) in zip(tiles, places, done, spans):
+    for k, (tile, exec_place, (n, transfers), (start, end)) in enumerate(
+        zip(tiles, places, done, spans)
+    ):
         if metrics.enabled:
             metrics.counter(
-                "dpx10_tiles_executed_total",
-                "tiles executed per place",
-                ("place",),
+                "dpx10_tiles_executed_total", "tiles executed per place", ("place",)
             ).labels(exec_place).inc()
         for src, dst, nbytes in transfers:
             state.network.record(src, dst, nbytes)
@@ -677,10 +716,8 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
                     ("place",),
                 ).labels(exec_place).inc()
                 metrics.histogram(
-                    "dpx10_halo_fetch_bytes",
-                    "bytes moved per batched halo fetch",
-                    ("transport",),
-                    buckets=DEFAULT_BYTES_BUCKETS,
+                    "dpx10_halo_fetch_bytes", "bytes moved per batched halo fetch",
+                    ("transport",), buckets=DEFAULT_BYTES_BUCKETS,
                 ).labels("store").observe(nbytes)
         # the call reserved its cells' completion numbers up front:
         # each tile crosses thresholds inside its own slice of them
@@ -701,16 +738,12 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
             state.straggler.observe(exec_place, end - start, n)
         if trace is not None:
             r0, c0 = ts.grid.origin(*tile)
-            trace.record(
-                TraceEvent(
-                    r0, c0, ts.home[tile], exec_place, start, end,
-                    tile=tile, cells=n,
-                )
-            )
+            trace.record(TraceEvent(r0, c0, homes[k], exec_place, start, end, tile=tile, cells=n))
         if state.injector is not None:
             victims = state.injector.poll_completions(completed)
             if victims:
+                ts.on_tiles_finished(state, tiles[:k])
                 for victim in victims:
                     state.group.kill(victim)
                 raise DeadPlaceException(victims[0])
-        ts.on_tile_finished(state, tile)
+    ts.on_tiles_finished(state, tiles)

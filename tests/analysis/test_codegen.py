@@ -597,6 +597,72 @@ class TestLevelBatch:
             for (_h, _w, profile), n in ran.items()
         )
 
+    @pytest.mark.parametrize("name", ANTIDIAG + ROW_SCAN + ELEMENTWISE)
+    def test_a_tile_prepares_alike_alone_and_in_a_stack(self, name):
+        # one prelude call over a stack of same-shape tiles gives each tile
+        # the profile and leaves it gets prepared alone: interior,
+        # matrix-edge and clipped tiles alike
+        app, dag, shape = _batch_instance(name)
+        fn = build_autokernel(app, dag)[0].fn
+        tiled = dag.coarsen(*shape)
+        stacks = {}
+        for t in tiled.active_tiles():
+            r0, r1, c0, c1 = tiled.grid.bounds(*t)
+            stacks.setdefault((r1 - r0, c1 - c0), []).append((r0, c0))
+        kinds = set()
+        for (h, w), origins in stacks.items():
+            r0s, c0s = (np.array(x) for x in zip(*origins))
+            profiles, leaves = fn.prepare(r0s, c0s, h, w)
+            assert len(profiles) == len(leaves) == len(origins)
+            for k, (r0, c0) in enumerate(origins):
+                kinds.add(
+                    "clipped" if (h, w) != shape
+                    else "edge" if 0 in (r0, c0) else "interior"
+                )
+                profile, alone = fn.prepare(r0, c0, h, w)
+                assert profiles[k] == profile, (name, r0, c0)
+                for state, a, b in zip(profile, alone[0], leaves[k]):
+                    if state == "M":
+                        assert np.array_equal(
+                            np.broadcast_to(a, (h, w)), np.broadcast_to(b, (h, w))
+                        ), (name, r0, c0)
+        assert kinds == {"interior", "edge", "clipped"}
+
+    def test_one_prelude_per_turn_and_geometry(self, monkeypatch):
+        # an inline turn hands every ready tile to one run_tiles call, which
+        # evaluates the prelude once per window geometry, not once per tile
+        from repro.analysis import flatsweep
+        from repro.apps.serial import sw_matrix
+        from repro.apps.smith_waterman import SWApp
+        from repro.core import plane as plane_mod
+        from repro.patterns.diagonal import DiagonalDag
+
+        turns, preludes = [], []
+        real_run, real_prepare = plane_mod.run_tiles, flatsweep._SliceKernel.prepare
+
+        def run_tiles(plane, tiled, app, kernel, tiles, *rest):
+            turns.append(len(tiles))
+            return real_run(plane, tiled, app, kernel, tiles, *rest)
+
+        def prepare(self, r0, c0, h, w):
+            preludes.append((len(turns), h, w))
+            return real_prepare(self, r0, c0, h, w)
+
+        monkeypatch.setattr(plane_mod, "run_tiles", run_tiles)
+        monkeypatch.setattr(flatsweep._SliceKernel, "prepare", prepare)
+        rng = np.random.default_rng(7)
+        x, y = ("".join(rng.choice(list("ACGT"), 200)) for _ in range(2))
+        dag = DiagonalDag(201, 201)
+        report = DPX10Runtime(
+            SWApp(x, y), dag, DPX10Config(tile_shape=(32, 32), nplaces=2)
+        ).run()
+        assert report.kernel == "ANTIDIAG_WAVEFRONT"
+        # a turn's tiles come in at most two shapes here (full, and the
+        # clipped last row or column), each its own window geometry
+        assert len(preludes) == len(set(preludes)) <= 2 * len(turns)
+        assert len(preludes) < sum(turns) / 2
+        assert dag.to_array(fill=-1, dtype=np.int64).tolist() == sw_matrix(x, y).tolist()
+
     def test_scalar_leaf_values_split_groups(self):
         # a dependency-free scalar that varies from tile to tile is part
         # of the profile: such tiles must not share one sweep
@@ -623,8 +689,10 @@ class TestLevelBatch:
         )
 
         def gap_by_tile_row(r0, c0, h, w):
+            # batched: r0 / c0 hold every tile's origin, and a value that
+            # is constant over each tile has both tile axes 1
             leaves = list(real_leaves(r0, c0, h, w))
-            leaves[scalar] = leaves[scalar] - r0
+            leaves[scalar] = leaves[scalar] - np.reshape(r0, (-1, 1, 1))
             return tuple(leaves)
 
         fn._leaves_fn = gap_by_tile_row

@@ -21,7 +21,7 @@ from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import leaked_segments
 from repro.core.tiling import PLANNED_TILE, plan_tiles
-from repro.errors import DependencyRaceError, PatternError
+from repro.errors import DependencyRaceError, PatternError, RemoteComputeError
 from repro.patterns import get_pattern
 from repro.patterns.base import StencilDag
 from repro.patterns.diagonal import DiagonalDag
@@ -169,6 +169,17 @@ class TestKernelChoice:
         with pytest.raises(DependencyRaceError) as err:
             DPX10Runtime(app, dag, cfg).run()
         assert err.value.code == "DP301"
+
+    def test_a_seeded_race_reaches_the_sanitizer_on_mp_places(self):
+        # each place binds its dag to a live view of its plane, so the
+        # undeclared read is checked there, not refused as an unbound dag
+        app, dag = undeclared_read_target()
+        cfg = DPX10Config(nplaces=2, engine="mp", sanitize=True)
+        with pytest.raises(RemoteComputeError) as err:
+            DPX10Runtime(app, dag, cfg).run()
+        assert "DependencyRaceError" in err.value.remote_traceback
+        assert "DP301" in err.value.remote_traceback
+        assert leaked_segments() == []
 
 
 # -- bare == (1, 1) == serial oracle, every app, every engine -------------------------

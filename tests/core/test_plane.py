@@ -692,6 +692,22 @@ class TestTilePlane:
         plane.restore(frozen)
         assert len(live) == 0
 
+    @pytest.mark.parametrize("dtype", [np.int64, None])
+    def test_to_array_reads_a_partly_finished_plane(self, dtype):
+        # the bulk gather behind Dag.to_array: typed and object planes,
+        # unfinished cells read as the fill whatever the plane holds there
+        plane = TilePlane.allocate((3, 4), dtype, (1, 1))
+        plane.values[...] = np.arange(12).reshape(3, 4)
+        plane.finished[::2, 1:] = 1
+        dag = DiagonalDag(3, 4)
+        plane_mod.bind_mapping(dag, plane.results())
+        want = np.where(plane.finished.astype(bool), np.arange(12).reshape(3, 4), -1)
+        got = dag.to_array(fill=-1, dtype=np.int64)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        got = dag.to_array(fill=None, dtype=object)
+        assert got.dtype == object
+        assert got.tolist() == [[v if v != -1 else None for v in row] for row in want.tolist()]
+
     def test_object_plane_holds_composite_values(self):
         plane = TilePlane.allocate((2, 2), None, (1, 1), value_nbytes=24)
         assert plane.nbytes == 24 and plane.values.dtype == object

@@ -278,6 +278,74 @@ class TestCoarsen:
                                 assert key in seen, (name, (ti, tj), (i, j))
                         seen.add((i, j))
 
+    def test_per_cell_loop_keeps_no_cache_per_job_size(self, monkeypatch):
+        # the per-cell loop orders each tile as it runs it: a pooled place
+        # meeting new clipped tile shapes with every job size grows nothing
+        # but the bounded halo cache
+        from repro.core import tiling
+
+        monkeypatch.setattr(tiling, "_HALO_CACHE", {})
+        monkeypatch.setattr(tiling, "_HALO_CACHE_SIZE", 24)
+        rng = np.random.default_rng(5)
+        for n in range(20, 32):  # twelve sizes, each with its own clipped edges
+            x, y = ("".join(rng.choice(list("ACGT"), n)) for _ in range(2))
+            dag = DiagonalDag(n + 1, n + 1)
+            cfg = DPX10Config(tile_shape=(8, 8), sanitize=True)  # the per-cell loop
+            DPX10Runtime(SWApp(x, y), dag, cfg).run()
+            assert len(tiling._HALO_CACHE) <= 24
+            got = dag.to_array(fill=-1, dtype=np.int64)
+            assert got.tolist() == sw_matrix(x, y).tolist()
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [("diagonal", (3, 3)), ("grid", (2, 5)), ("full_row", (4, 13)), ("interval", (3, 3))],
+    )
+    def test_batch_release_keeps_the_tile_by_tile_order(self, name, shape):
+        # one subtract.at over a batch's out-edges releases exactly the
+        # tiles, in exactly the order, that releasing it tile by tile does
+        from types import SimpleNamespace
+
+        from repro.core.plane import TilePlane
+        from repro.core.tiling import TileRunState
+
+        tiled = make_dag(name).coarsen(*shape)
+        plane = TilePlane.allocate((13, 13), np.int64, shape)
+        plane.owners[...] = np.arange(plane.owners.size).reshape(plane.owners.shape) % 3
+        pushed = []
+
+        def push_ready(pid, tile):
+            pushed.append((pid, tile))
+            state.ready[pid].append(tile)
+
+        state = SimpleNamespace(
+            plane=plane, dist=SimpleNamespace(place_ids=[0, 1, 2]), push_ready=push_ready
+        )
+        ts = TileRunState(tiled)
+        ts.build(state)
+        indegree = {
+            t: len(tiled.get_dependency(*t)) for t in tiled.active_tiles()
+        }
+        rng = np.random.default_rng(3)
+        done = 0
+        while any(state.ready.values()):
+            batch = [t for pid in (0, 1, 2) for t in state.ready[pid]]
+            for q in state.ready.values():
+                q.clear()
+            rng.shuffle(batch)
+            batch = [tuple(t) for t in batch]
+            want = []
+            for t in batch:
+                for a in tiled.get_anti_dependency(*t):
+                    indegree[(a.i, a.j)] -= 1
+                    if indegree[(a.i, a.j)] == 0:
+                        want.append((int(plane.owners[a.i, a.j]), (a.i, a.j)))
+            del pushed[:]
+            ts.on_tiles_finished(state, batch)
+            assert pushed == want
+            done += len(batch)
+        assert done == len(tiled.active_tiles())
+        assert all(ts.place_done(pid) for pid in (0, 1, 2))
+
     def test_tiled_dag_validates(self):
         # the coarsened DAG is itself a well-formed Dag
         DiagonalDag(20, 20).coarsen(4, 4).validate()
