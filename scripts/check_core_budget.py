@@ -121,32 +121,26 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: The price is per-cell speed on ``(1, 1)`` mp runs, which no ledger
 #: workload runs (CHANGES.md has the figures).
 #:
-#: Raised by exactly the net growth of the batched tile path (core 6065 ->
-#: 6123, analysis 6001 -> 6025): 82 lines over the two packages' 12066,
-#: the target that change set itself and missed. What it deleted to pay:
-#: the per-shape intra-tile order cache ``_CELL_ORDER_CACHE`` /
-#: ``_cell_order`` (tiling.py; ``cells_of`` now serves only the per-cell
-#: loop and partly active tiles), ``TiledDag._tile_neighbors`` and the
-#: irregular coarsening's own Kahn pass (both now read the tile arrays),
-#: the mp master's per-cell Kahn ``_topological_levels`` body (now
-#: ``TiledDag.levels()``), the per-tile ``ncells_of`` / ``cells_of``
-#: counting in runtime.py and mp_engine.py, the three per-kernel
-#: ``prepare`` copies in flatsweep.py (one batched ``prepare`` plus
-#: ``_extend`` hooks) and ``_payload``'s stacking copy. What it added:
-#: ``TiledDag.tile_cells`` / ``successors`` / ``predecessors`` /
-#: ``levels`` / ``halos_of`` and the array ``TileRunState`` (tiling.py),
-#: the batched transfers, halo gather and write-back of ``run_tiles``
-#: (plane.py), ``_Leaves`` and the per-tile profile reduction
-#: (flatsweep.py), and ``SchedulingStrategy.weighs_dependencies``. It buys,
-#: on the ledger (alternated parent/change pairs in CHANGES.md, 0
-#: failed): ``sw_tiled_inline_1024`` overhead_x 1.240 [IQR 1.203, 1.267]
-#: -> 0.987 (10/10 lower; 3/3 on seed 11, 1.283 -> 1.007),
-#: ``sw_tiled_mp_2048`` 1.59 -> 1.30 (3/3), peak RSS 81.0 -> 72.9 MB and
-#: 215 -> 187 MB; ``sw_vertex_default_256`` read 1.33 -> 1.38 (inside
-#: its 25% bound) and ``serve_http_small`` did not resolve.
+#: Analysis lowered, 6001 -> 5999, and core held at 6065, by the batched
+#: tile path, which paid for its arrays inside the same two packages:
+#: deleted the per-shape intra-tile order cache ``_CELL_ORDER_CACHE`` /
+#: ``_cell_order``, ``TiledDag._tile_neighbors`` and its dependency dicts
+#: (``get_dependency`` reads the successor table), the irregular
+#: coarsening's own Kahn pass and the mp master's per-cell Kahn
+#: ``_topological_levels`` (both now ``TiledDag.levels()``), the per-tile
+#: ``cells_of`` counting in runtime.py and mp_engine.py, the three
+#: per-kernel ``prepare`` copies in flatsweep.py (one batched ``prepare``
+#: plus ``_extend`` hooks), ``_payload``'s stacking copy and the two
+#: copies of the pacer's trace span (now ``trace.paced``). What it added:
+#: ``TiledDag.tile_cells`` / ``successors`` / ``levels`` / ``halos_of``,
+#: the array ``TileRunState``, the batched transfers, halo gather and
+#: write-back of ``run_tiles``, and the per-tile profile reduction. It
+#: buys, on the ledger (alternated parent/change pairs in CHANGES.md, 0
+#: failed): ``sw_tiled_inline_1024`` overhead_x down by a fifth (ten
+#: pairs, every pair lower) and ``sw_tiled_mp_2048`` lower too.
 CEILINGS = {
-    "src/repro/core": 6123,
-    "src/repro/analysis": 6025,
+    "src/repro/core": 6065,
+    "src/repro/analysis": 5999,
 }
 
 MAX_CONFIG_FIELDS = 27

@@ -74,7 +74,6 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -496,55 +495,30 @@ def _classify_leaves(values, nb: int) -> Tuple[List[List[object]], List[object]]
     columns: List[List[object]] = []
     arrays: List[object] = []
     for v in values:
-        arr = None
-        if np.ndim(v) == 0:
-            if isinstance(v, np.ndarray):
-                v = v[()]  # a hashable scalar of the same dtype
-            if isinstance(v, (bool, np.bool_)):
-                states: List[object] = ["T" if v else "F"] * nb
-            else:
-                states = [("S", v)] * nb
+        arr, a = None, np.asarray(v)
+        a = a.reshape((1,) * (3 - a.ndim) + a.shape)  # (nb or 1, h or 1, w or 1)
+        if a.dtype == np.bool_:
+            alls, anys = a.all(axis=(1, 2)).tolist(), a.any(axis=(1, 2)).tolist()
+            states: List[object] = ["T" if x else "M" if y else "F" for x, y in zip(alls, anys)]
+            arr = a if "M" in states else None
+        elif np.ndim(v) == 0:  # a hashable scalar of its own type
+            states = [("S", v[()] if isinstance(v, np.ndarray) else v)]
+        elif a.shape[1:] == (1, 1):
+            states = [("S", x) for x in a[:, 0, 0]]
         else:
-            v = np.asarray(v)
-            v = v.reshape((1,) * (3 - v.ndim) + v.shape)  # (nb or 1, h or 1, w or 1)
-            if v.dtype == np.bool_:
-                if not v.any():
-                    states = ["F"]
-                elif v.all():
-                    states = ["T"]
-                else:
-                    alls, anys = v.all(axis=(1, 2)).tolist(), v.any(axis=(1, 2)).tolist()
-                    states = ["T" if a else "M" if b else "F" for a, b in zip(alls, anys)]
-                    arr = v if "M" in states else None
-            elif v.shape[1:] == (1, 1):
-                states = [("S", x) for x in v[:, 0, 0]]
-            else:
-                states, arr = ["M"] * nb, v
-            if len(states) < nb:  # one value for the whole stack
-                states *= nb
-        columns.append(states)
+            states, arr = ["M"] * nb, a
+        columns.append(states * nb if len(states) < nb else states)
         arrays.append(arr)
     return [list(p) for p in zip(*columns)] if columns else [[] for _ in range(nb)], arrays
 
 
-class _Leaves(Sequence):
+class _Leaves(list):
     """A stack's prelude leaves: per leaf a batch array (leading axis ``nb``
-    or 1) or None; indexed by tile, that tile's own list of leaves."""
-
-    def __init__(self, arrays: List[object], nb: int) -> None:
-        self.arrays, self.nb = arrays, nb
-
-    def __len__(self) -> int:
-        return self.nb
-
-    def __getitem__(self, t: int) -> List[object]:
-        if not 0 <= t < self.nb:
-            raise IndexError(t)
-        return [None if a is None else a[t if len(a) > 1 else 0] for a in self.arrays]
+    or 1), or None."""
 
     def select(self, js) -> "_Leaves":
         """The sub-stack of tiles ``js``."""
-        return _Leaves([a if a is None or len(a) == 1 else a[js] for a in self.arrays], len(js))
+        return _Leaves(a if a is None or len(a) == 1 else a[js] for a in self)
 
 
 def _payload(profile, leaves: _Leaves, nb: int, h: int, w: int) -> List[object]:
@@ -553,7 +527,7 @@ def _payload(profile, leaves: _Leaves, nb: int, h: int, w: int) -> List[object]:
     return [
         np.broadcast_to(leaf, (nb, h, w)) if state == "M"
         else None if isinstance(state, str) else state[1]
-        for state, leaf in zip(profile, leaves.arrays)
+        for state, leaf in zip(profile, leaves)
     ]
 
 
@@ -701,7 +675,7 @@ class _SliceKernel:
         profiles, leaves = _classify_leaves(values[: len(self.general_profile)], nb)
         self._extend(values, profiles, leaves, nb, h, w)
         profiles = [tuple(p) for p in profiles]
-        return (profiles if np.ndim(r0) else profiles[0]), _Leaves(leaves, nb)
+        return (profiles if np.ndim(r0) else profiles[0]), _Leaves(leaves)
 
     def _extend(self, values, profiles, leaves, nb, h, w) -> None:
         """Add what a kernel's sweep needs beyond the rendered leaves."""

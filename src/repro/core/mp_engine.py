@@ -82,8 +82,8 @@ from repro.core import plane as _plane
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.tiling import TiledDag, plan_tiles
-from repro.core.trace import ExecutionTrace, Span, TraceEvent, split_span
+from repro.core.tiling import plan_tiles
+from repro.core.trace import ExecutionTrace, TraceEvent, paced, split_span
 from repro.errors import (
     AllPlacesDeadError,
     DPX10Error,
@@ -250,8 +250,7 @@ class _PlaceWorker:
             r0, r1, c0, c1 = self.tiled.grid.bounds(*u)
             fr, fc = np.nonzero(self.plane.finished[r0:r1, c0:c1])
             parts.append((fr + r0, fc + c0))
-        rows = np.concatenate([r for r, _ in parts])
-        cols = np.concatenate([c for _, c in parts])
+        rows, cols = (np.concatenate(x) for x in zip(*parts))
         return ncomp, (rows, cols, values[rows, cols])
 
     def compute_tiles(
@@ -702,11 +701,6 @@ def _merge_worker_trace(trace: ExecutionTrace, proc: "_PlaceProc") -> None:
         )
 
 
-def _topological_levels(dag: Dag) -> List[List[Coord]]:
-    """Group active cells (a tile DAG's tiles) by topological depth."""
-    return (dag if isinstance(dag, TiledDag) else dag.coarsen(1, 1)).levels()
-
-
 def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> None:
     """Record the master-side accounting as named instruments."""
     registry.counter(
@@ -823,7 +817,7 @@ def run_mp(
     if trace is not None:
         trace.set_dependency_meta(dag, plan)
     with _tphase(trace, "schedule"):
-        unit_levels = _topological_levels(tiled)
+        unit_levels = tiled.levels()
     stats.levels = len(unit_levels)
     # exact per-tile active-cell counts: completions must count cells
     # (fault injection thresholds and progress are cell-granular)
@@ -937,21 +931,12 @@ def run_mp(
 
             def compute_level(units: List[Coord]) -> None:
                 """One bulk-synchronous step over the alive places."""
-                if config.pace is not None:
-                    # serving-layer fairness gate: may block until the
-                    # weighted-fair scheduler grants this batch its turn
-                    t_pace0 = trace.now() if trace is not None else 0.0
-                    config.pace(sum(int(ncells_of[u]) for u in units))
-                    if trace is not None:
-                        t_pace1 = trace.now()
-                        if t_pace1 - t_pace0 > 1e-6:
-                            trace.record_span(
-                                Span("pace wait", t_pace0, t_pace1, "pace")
-                            )
                 by_place: Dict[int, List[Coord]] = defaultdict(list)
                 for u in units:
                     by_place[int(plane.owners[u])].append(u)
                 ncells = {p: sum(int(ncells_of[u]) for u in own) for p, own in by_place.items()}
+                if config.pace is not None:  # the whole batch's turn
+                    paced(config.pace, sum(ncells.values()), trace)
                 throttled: Dict[int, float] = {}
                 if chaos is not None and chaos.has_throttles:
                     throttled = {p: chaos.throttle_batch(p, n) for p, n in ncells.items()}
@@ -980,7 +965,7 @@ def run_mp(
                         straggler.observe(p, reply[2] + throttled.get(p, 0.0), ncells[p])
                 if failure is not None:
                     raise failure
-                stats.completions += sum(int(ncells_of[u]) for u in units)
+                stats.completions += sum(ncells.values())
                 computed.update(units)
 
             def handle_victims(

@@ -347,14 +347,12 @@ def run_tiles(
     Other window kernels see one window per call; cells-mode kernels and
     the per-cell loop run tile by tile.
     """
-    nb = len(tiles)
-    ti, tj = np.array(tiles, np.int64).reshape(nb, 2).T
+    ti, tj = np.array(tiles, np.int64).reshape(-1, 2).T
     ncells = tiled.tile_cells[ti, tj]
     live = np.flatnonzero(ncells)
     k, hrows, hcols = tiled.halos_of([tiles[t] for t in live.tolist()])
-    owners = plane.owners_of(hrows, hcols)
     done = list(zip(ncells.tolist(), _transfers(
-        plane, plane.owners[ti, tj], places, ncells, live[k], owners
+        plane, plane.owners[ti, tj], places, ncells, live[k], plane.owners_of(hrows, hcols)
     )))
     at = [places[t] for t in live.tolist()]
     if kernel is not None and kernel.mode == "window":
@@ -394,7 +392,6 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
         if strips is None:
             k = l = 0
-        peeled[t] = strips or ()
         # the rest of a peeled tile sweeps as its rectangle shifted by
         # (k, l), whose cells past the tile read zeros and are discarded;
         # an axis where a dependency reaches past the shift, or the matrix
@@ -403,6 +400,7 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         sc0, sw = c0 + l, (w if pr == 0 and c1 + l <= W else w - l)
         wr0, wr1 = max(0, sr0 - pt), min(H, sr0 + sh + pb)
         wc0, wc1 = max(0, sc0 - pl), min(W, sc0 + sw + pr)
+        peeled[t] = [(i + r0 - wr0, j + c0 - wc0, strip) for i, j, strip in strips or ()]
         boxes.append((r0, r1, c0, c1, wr0, wc0, wr1 - wr0, wc1 - wc0, sr0, sc0))
         geometry.setdefault((sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0), []).append(t)
     groups = []  # (geometry, profile, tiles, leaves) per shared sweep
@@ -419,14 +417,15 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
             share = leaves.select(js) if leaves is not None and len(js) < len(members) else leaves
             groups.append((geo, profile, [members[j] for j in js], share))
 
-    # one gather off the plane for every window's halo, scattered into its
-    # group's stack at ``woff + row * ww + col`` (per tile ``woff``, ``ww``)
+    # every group's window stack in one zeroed buffer, each window's halo
+    # scattered in at ``woff + row * ww + col`` by one gather off the plane
     hk, hrows, hcols = halo
-    gid, woff, ww = (np.empty(len(tiles), np.int64) for _ in range(3))
-    for g, (_geo, _profile, members, _leaves) in enumerate(groups):
+    woff, ww = np.empty(len(tiles), np.int64), np.empty(len(tiles), np.int64)
+    stacks = [0]
+    for (_gh, _gw, gwh, gww, *_), _profile, members, _leaves in groups:
         for j, t in enumerate(members):
-            _r0, _r1, _c0, _c1, wr0, wc0, wh, ww[t], *_ = boxes[t]
-            gid[t], woff[t] = g, (j * wh - wr0) * ww[t] - wc0
+            ww[t], woff[t] = gww, stacks[-1] + (j * gwh - boxes[t][4]) * gww - boxes[t][5]
+        stacks.append(stacks[-1] + len(members) * gwh * gww)
     if not tiled.stencil_mode:
         # a dag may declare halo cells outside the window box; the
         # kernel provably never reads them, so drop them
@@ -434,21 +433,13 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         ins = (hrows >= box[0]) & (hrows < box[0] + box[2])
         ins &= (hcols >= box[1]) & (hcols < box[1] + box[3])
         hk, hrows, hcols = hk[ins], hrows[ins], hcols[ins]
-    src = values.take(hrows * W + hcols)
-    dst = woff[hk] + hrows * ww[hk] + hcols
-    bounds = [0, len(dst)]
-    if len(groups) > 1:
-        order = np.argsort(gid[hk], kind="stable")
-        src, dst = src[order], dst[order]
-        bounds = np.searchsorted(gid[hk[order]], np.arange(len(groups) + 1)).tolist()
+    buf = np.zeros(stacks[-1], dtype=values.dtype)
+    buf[woff[hk] + hrows * ww[hk] + hcols] = values.take(hrows * W + hcols)
 
     for g, ((gh, gw, gwh, gww, oi, oj), profile, members, leaves) in enumerate(groups):
-        windows = np.zeros((len(members), gwh, gww), dtype=values.dtype)
-        windows.put(dst[bounds[g] : bounds[g + 1]], src[bounds[g] : bounds[g + 1]])
+        windows = buf[stacks[g] : stacks[g + 1]].reshape(len(members), gwh, gww)
         for window, t in zip(windows, members):
-            r0, _r1, c0, _c1, wr0, wc0, *_ = boxes[t]
             for i, j, strip in peeled[t]:
-                i, j = i + r0 - wr0, j + c0 - wc0
                 window[i : i + strip.shape[0], j : j + strip.shape[1]] = strip
         if prepare is not None:
             kernel.fn.sweep(profile, leaves, windows, oi, oj, gh, gw)

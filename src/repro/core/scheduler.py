@@ -47,9 +47,6 @@ class SchedulingStrategy(ABC):
     """Chooses the execution place for a ready vertex."""
 
     name: str
-    #: whether :meth:`choose_place` reads ``dep_homes``; callers that would
-    #: have to gather it (a tile's halo owners) skip that when it does not
-    weighs_dependencies = True
 
     @abstractmethod
     def choose_place(
@@ -73,7 +70,6 @@ class LocalScheduling(SchedulingStrategy):
     """Execute at the vertex's home place (the paper's default)."""
 
     name = "local"
-    weighs_dependencies = False
 
     def choose_place(self, vid, home, dep_homes, alive_ids, rng, value_nbytes):
         return home
@@ -83,7 +79,6 @@ class RandomScheduling(SchedulingStrategy):
     """Execute at a uniformly random alive place."""
 
     name = "random"
-    weighs_dependencies = False
 
     def choose_place(self, vid, home, dep_homes, alive_ids, rng, value_nbytes):
         require(len(alive_ids) > 0, "no alive place to schedule onto", SchedulingError)

@@ -49,7 +49,7 @@ from repro.analysis.symbolic import find_ranking_vector
 from repro.core.api import VertexId
 from repro.core.dag import Dag
 from repro.core import plane as _plane
-from repro.core.trace import Span, TraceEvent, split_span
+from repro.core.trace import TraceEvent, paced, split_span
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS
 from repro.errors import DeadPlaceException, PatternError
 from repro.util.validation import require
@@ -201,7 +201,6 @@ class TiledDag(Dag):
         grid: TileGrid,
         *,
         tile_offsets: Optional[Tuple[Offset, ...]] = None,
-        deps: Optional[Dict[Coord, List[Coord]]] = None,
         anti: Optional[Dict[Coord, List[Coord]]] = None,
         tile_active: Optional[np.ndarray] = None,
         base_rank: Optional[Offset] = None,
@@ -210,7 +209,6 @@ class TiledDag(Dag):
         self.base = base
         self.grid = grid
         self.tile_offsets = tile_offsets
-        self._deps = deps
         self._anti = anti
         self._tile_active = tile_active
         self._base_rank = base_rank
@@ -237,36 +235,24 @@ class TiledDag(Dag):
             counts = np.outer(*(np.diff(np.r_[0:n:t, n]) for n, t in
                                 ((g.height, g.tile_h), (g.width, g.tile_w))))
         else:
-            rows, cols = np.arange(g.height)[:, None], np.arange(g.width)[None, :]
-            mask = base.is_active_array(rows, cols)
-            if np.shape(mask) != (g.height, g.width):
-                rows, cols = (x.ravel() for x in np.broadcast_arrays(rows, cols))
-                mask = self._active_mask(rows, cols).reshape(g.height, g.width)
-            counts = g.per_tile(mask)
+            rows, cols = np.divmod(np.arange(g.height * g.width), g.width)
+            counts = g.per_tile(self._active_mask(rows, cols).reshape(g.height, g.width))
         return np.where(self._tile_active, counts, 0)
 
     @functools.cached_property
     def successors(self) -> np.ndarray:
         """Row ``ti * ntj + tj``: that tile's successors as flat tile indices
         in :meth:`get_anti_dependency` order, padded with -1."""
-        return self._neighbor_table(-1, self._anti)
-
-    @functools.cached_property
-    def predecessors(self) -> np.ndarray:
-        """:attr:`successors`' transpose: :meth:`get_dependency` per tile."""
-        return self._neighbor_table(+1, self._deps)
-
-    def _neighbor_table(self, sign: int, lists) -> np.ndarray:
         nti, ntj = self.grid.nti, self.grid.ntj
         if not self.stencil_mode:
-            table = np.full((nti * ntj, max(map(len, lists.values()), default=0)), -1)
-            for (ti, tj), nbrs in lists.items():
+            table = np.full((nti * ntj, max(map(len, self._anti.values()), default=0)), -1)
+            for (ti, tj), nbrs in self._anti.items():
                 table[ti * ntj + tj, : len(nbrs)] = [a * ntj + b for a, b in nbrs]
             return table
         ti, tj = np.divmod(np.arange(nti * ntj), ntj)
         cols = [np.full((nti * ntj, 0), -1)]
         for a, b in self.tile_offsets:
-            si, sj = ti + sign * a, tj + sign * b
+            si, sj = ti - a, tj - b
             ok = (si >= 0) & (si < nti) & (sj >= 0) & (sj < ntj)
             ok[ok] = self._tile_active[si[ok], sj[ok]]
             cols.append(np.where(ok, si * ntj + sj, -1)[:, None])
@@ -290,8 +276,9 @@ class TiledDag(Dag):
         return bool(self._tile_active[ti, tj])
 
     def get_dependency(self, ti: int, tj: int) -> List[VertexId]:
-        return [VertexId(*divmod(t, self.grid.ntj)) for t in
-                self.predecessors[ti * self.grid.ntj + tj].tolist() if t >= 0]
+        # cold (validation, tests): the active tiles whose successors list this one
+        hit = (self.successors == ti * self.grid.ntj + tj).any(axis=1) & self._tile_active.ravel()
+        return [VertexId(*divmod(t, self.grid.ntj)) for t in np.flatnonzero(hit).tolist()]
 
     def get_anti_dependency(self, ti: int, tj: int) -> List[VertexId]:
         return [VertexId(*divmod(t, self.grid.ntj)) for t in
@@ -482,7 +469,6 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
         )
 
     # irregular pattern: enumerate the cell edges and hoist them
-    deps: Dict[Coord, Set[Coord]] = {}
     anti: Dict[Coord, Set[Coord]] = {}
     tile_active = np.zeros((grid.nti, grid.ntj), dtype=bool)
     for i, j in base.region:
@@ -495,12 +481,10 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
                 continue
             td = grid.tile_of(d.i, d.j)
             if td != t:
-                deps.setdefault(t, set()).add(td)
                 anti.setdefault(td, set()).add(t)
     tiled = TiledDag(
         base,
         grid,
-        deps={t: sorted(s) for t, s in deps.items()},
         anti={t: sorted(s) for t, s in anti.items()},
         tile_active=tile_active,
     )
@@ -602,8 +586,6 @@ class TileRunState:
         t = np.array([a * ntj + b for a, b in tiles], np.int64)
         with self.lock:
             t = t[~self.finished[t]]
-            if not len(t):
-                return
             self.finished[t] = True
             for pid in self.home.ravel()[t].tolist():
                 if pid in self.remaining:
@@ -619,60 +601,38 @@ class TileRunState:
 
 
 # -- the tile worker ------------------------------------------------------------------
-def _dep_homes(plane, tiled: TiledDag, tiles: Sequence[Coord]) -> List[List[int]]:
-    """Per tile, the home place of each of its halo cells: one owner lookup
-    for the whole batch."""
-    k, rows, cols = tiled.halos_of(tiles)
-    order = np.argsort(k, kind="stable")
-    owners = plane.owners_of(rows[order], cols[order]).tolist()
-    bounds = np.searchsorted(k[order], np.arange(len(tiles) + 1)).tolist()
-    return [owners[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     """Run a batch of ready tiles end to end: place, compute, account, notify.
 
     A tile is released only once all its producers finished, so the
     tiles of one batch never depend on one another. The strategy places
-    each tile (halo owners, where it weighs them, from one lookup over
-    the batch), then the batch goes to :func:`repro.core.plane.run_tiles`
-    in one call. Each tile is accounted at its execution place, in batch
-    order; its trace event and straggler sample are its
-    :func:`~repro.core.trace.split_span` share of the call. The batch's
-    successors are released in one indegree update.
+    each tile (halo owners from one lookup over the batch), then the
+    batch goes to :func:`repro.core.plane.run_tiles` in one call. Each
+    tile is accounted at its execution place, in batch order; its trace
+    event and straggler sample are its :func:`~repro.core.trace.split_span`
+    share of the call. The batch's successors are released in one
+    indegree update.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
     plane = state.plane
     cfg = state.config
     trace = state.trace
-    strategy = state.strategy
-    dep_homes = _dep_homes(plane, tiled, tiles) if strategy.weighs_dependencies else None
+    # every tile's halo owners (the strategy's ``dep_homes``) in one lookup
+    hk, hrows, hcols = tiled.halos_of(tiles)
+    owners = plane.owners_of(hrows, hcols).tolist()
+    bounds = np.searchsorted(hk, np.arange(len(tiles) + 1)).tolist()
     homes = [int(ts.home[tile]) for tile in tiles]
     places: List[int] = []
     for k, tile in enumerate(tiles):
-        home_place = homes[k]
-        if cfg.pace is not None:
-            # serving-layer fairness gate: may block until the weighted-fair
-            # scheduler grants this tile its turn (see repro.serve.scheduler)
-            pace_start = trace.now() if trace is not None else 0.0
-            cfg.pace(int(tiled.tile_cells[tile]))
-            if trace is not None:
-                pace_end = trace.now()
-                # sub-microsecond grants are uncontended — not a stall
-                if pace_end - pace_start > 1e-6:
-                    trace.record_span(
-                        Span(
-                            "pace wait", pace_start, pace_end,
-                            category="pace", place=home_place,
-                        )
-                    )
-        exec_place = strategy.choose_place(
+        if cfg.pace is not None:  # this tile's turn (see repro.serve.scheduler)
+            paced(cfg.pace, int(tiled.tile_cells[tile]), trace, homes[k])
+        exec_place = state.strategy.choose_place(
             tile,
-            home_place,
-            dep_homes[k] if dep_homes is not None else (),
+            homes[k],
+            owners[bounds[k] : bounds[k + 1]],
             state.group.alive_ids(),
-            state.rngs[home_place],
+            state.rngs[homes[k]],
             plane.nbytes,
         )
         places.append(exec_place)

@@ -29,7 +29,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Span", "ExecutionTrace", "split_span"]
+__all__ = ["TraceEvent", "Span", "ExecutionTrace", "paced", "split_span"]
+
+
+def paced(pace, ncells: int, trace: Optional["ExecutionTrace"], place: int = -1) -> None:
+    """Pass the serving layer's fairness gate for ``ncells`` cells: ``pace``
+    may block until the weighted-fair scheduler grants the turn. A wait
+    past a microsecond (shorter grants are uncontended, not a stall) is
+    traced as a ``pace wait`` span at ``place``."""
+    t0 = trace.now() if trace is not None else 0.0
+    pace(ncells)
+    if trace is not None and (t1 := trace.now()) - t0 > 1e-6:
+        trace.record_span(Span("pace wait", t0, t1, category="pace", place=place))
 
 
 def split_span(t0: float, t1: float, cells) -> List[Tuple[float, float]]:

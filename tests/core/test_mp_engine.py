@@ -15,7 +15,6 @@ from repro.core import mp_engine
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.domain import TreeDomain
-from repro.core.mp_engine import _topological_levels
 from repro.core.plane import PlaneResults
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import shm_supported
@@ -28,23 +27,23 @@ EXPECT = int(lcs_matrix(X, Y)[-1, -1])
 
 class TestTopologicalLevels:
     def test_diagonal_levels_are_antidiagonals(self):
-        levels = _topological_levels(DiagonalDag(3, 3))
+        levels = DiagonalDag(3, 3).coarsen(1, 1).levels()
         assert levels[0] == [(0, 0)]
         assert sorted(levels[1]) == [(0, 1), (1, 0)]
         assert len(levels) == 5  # anti-diagonals of a 3x3
 
     def test_grid_levels_cover_all(self):
-        levels = _topological_levels(GridDag(4, 5))
+        levels = GridDag(4, 5).coarsen(1, 1).levels()
         assert sum(len(lv) for lv in levels) == 20
 
     def test_interval_levels_respect_triangle(self):
-        levels = _topological_levels(IntervalDag(4, 4))
+        levels = IntervalDag(4, 4).coarsen(1, 1).levels()
         assert sorted(levels[0]) == [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert sum(len(lv) for lv in levels) == 10
 
     def test_no_cell_before_its_dependency(self):
         dag = DiagonalDag(5, 5)
-        levels = _topological_levels(dag)
+        levels = dag.coarsen(1, 1).levels()
         depth = {}
         for k, lv in enumerate(levels):
             for c in lv:

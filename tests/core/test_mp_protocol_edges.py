@@ -6,7 +6,7 @@ import pytest
 from repro.core.api import DPX10App, VertexId
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.mp_engine import _topological_levels, run_mp
+from repro.core.mp_engine import run_mp
 from repro.core.runtime import DPX10Runtime
 from repro.errors import DPX10Error
 from repro.patterns import GridDag, RowChainDag
@@ -31,7 +31,7 @@ class TupleApp(DPX10App):
 
 class TestLevels:
     def test_row_chain_levels_are_columns(self):
-        levels = _topological_levels(RowChainDag(3, 4))
+        levels = RowChainDag(3, 4).coarsen(1, 1).levels()
         assert sorted(levels[0]) == [(0, 0), (1, 0), (2, 0)]
         assert len(levels) == 4
 
@@ -44,10 +44,10 @@ class TestLevels:
                 return [VertexId(i, 1 - j)]
 
         with pytest.raises(DPX10Error, match="cyclic"):
-            _topological_levels(Cyclic(1, 2))
+            Cyclic(1, 2).coarsen(1, 1).levels()
 
     def test_single_cell(self):
-        levels = _topological_levels(GridDag(1, 1))
+        levels = GridDag(1, 1).coarsen(1, 1).levels()
         assert levels == [[(0, 0)]]
 
 

@@ -201,7 +201,7 @@ def test_edge_tiles_join_the_interior_sweep(monkeypatch):
 
     def spy(self, profile, leaves, windows, *geo):
         masked = [k for k, s in enumerate(profile) if s == "M"]
-        sweeps.append(any(tile[k].dtype == np.bool_ for tile in leaves for k in masked))
+        sweeps.append(any(leaves[k].dtype == np.bool_ for k in masked))
         return real(self, profile, leaves, windows, *geo)
 
     monkeypatch.setattr(FlatSweepKernel, "sweep", spy)

@@ -229,7 +229,6 @@ def _levels(name="sw", shape=(4, 4)):
     """A tiled SW (flat sweep) or mtp (row scan) instance under its
     generated kernel, level by level, with the per-vertex oracle."""
     from repro.analysis.codegen import build_autokernel
-    from repro.core.mp_engine import _topological_levels
 
     if name == "mtp":
         from repro.apps.mtp import MTPApp, make_mtp_weights
@@ -247,7 +246,7 @@ def _levels(name="sw", shape=(4, 4)):
     dag = pattern(25, 21)
     tiled = dag.coarsen(*shape)
     kernel = plane_mod.tile_kernel(app, tiled, build_autokernel(app, dag)[0])
-    levels = _topological_levels(tiled)
+    levels = tiled.levels()
     return app, dag, tiled, kernel, levels, want.to_array(fill=-1, dtype=np.int64)
 
 
