@@ -496,17 +496,20 @@ def _classify_leaves(values, nb: int) -> Tuple[List[List[object]], List[object]]
     arrays: List[object] = []
     for v in values:
         arr, a = None, np.asarray(v)
-        a = a.reshape((1,) * (3 - a.ndim) + a.shape)  # (nb or 1, h or 1, w or 1)
-        if a.dtype == np.bool_:
-            alls, anys = a.all(axis=(1, 2)).tolist(), a.any(axis=(1, 2)).tolist()
-            states: List[object] = ["T" if x else "M" if y else "F" for x, y in zip(alls, anys)]
-            arr = a if "M" in states else None
-        elif np.ndim(v) == 0:  # a hashable scalar of its own type
-            states = [("S", v[()] if isinstance(v, np.ndarray) else v)]
-        elif a.shape[1:] == (1, 1):
-            states = [("S", x) for x in a[:, 0, 0]]
+        if a.ndim == 0 and a.dtype != np.bool_:  # a hashable scalar of its own type
+            states: List[object] = [("S", v[()] if isinstance(v, np.ndarray) else v)]
+        elif a.dtype == np.bool_ and (not a.any() or a.all()):  # uniform over the stack
+            states = ["T" if a.any() else "F"]
         else:
-            states, arr = ["M"] * nb, a
+            a = a.reshape((1,) * (3 - a.ndim) + a.shape)  # (nb or 1, h or 1, w or 1)
+            if a.dtype == np.bool_:  # mixed: a state per tile
+                alls, anys = a.all(axis=(1, 2)).tolist(), a.any(axis=(1, 2)).tolist()
+                states = ["T" if x else "M" if y else "F" for x, y in zip(alls, anys)]
+                arr = a if "M" in states else None
+            elif a.shape[1:] == (1, 1):
+                states = [("S", x) for x in a[:, 0, 0]]
+            else:
+                states, arr = ["M"] * nb, a
         columns.append(states * nb if len(states) < nb else states)
         arrays.append(arr)
     return [list(p) for p in zip(*columns)] if columns else [[] for _ in range(nb)], arrays
@@ -841,8 +844,7 @@ class RowKernel(_SliceKernel):
         n = len(self.general_profile)
         shifts = profile[n] if len(profile) > n else ((),) * h
         pt, _pb, pl, _pr = self.pads
-        payload = _payload(profile[:n], leaves, len(B), h, w)
-        return _row_table(shifts, pt), pl, pl + w, tuple(payload)
+        return _row_table(shifts, pt), pl, pl + w, _payload(profile[:n], leaves, len(B), h, w)
 
     def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
         """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
