@@ -135,9 +135,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: ``TiledDag.tile_cells`` / ``successors`` / ``levels`` / ``halos_of``,
 #: the array ``TileRunState``, the batched transfers, halo gather and
 #: write-back of ``run_tiles``, and the per-tile profile reduction. It
-#: buys, on the ledger (alternated parent/change pairs in CHANGES.md, 0
-#: failed): ``sw_tiled_inline_1024`` overhead_x down by a fifth (ten
-#: pairs, every pair lower) and ``sw_tiled_mp_2048`` lower too.
+#: buys, on the ledger (ten alternated parent/change pairs per workload
+#: in CHANGES.md, 0 failed): ``sw_tiled_inline_1024`` overhead_x 1.260
+#: [IQR 1.236, 1.276] -> 1.009 (10/10 lower), ``sw_tiled_mp_2048`` 1.642
+#: -> 1.321 (10/10), peak RSS 81.0 -> 73.0 MB and 214.9 -> 186.9 MB;
+#: ``sw_vertex_default_256`` (1.370 -> 1.376) and ``serve_http_small``
+#: (3.82 -> 3.93) stayed inside their bounds.
 CEILINGS = {
     "src/repro/core": 6065,
     "src/repro/analysis": 6001,

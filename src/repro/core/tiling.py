@@ -498,9 +498,9 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
     return tiled
 
 
-#: edge of a planned tile: docs/TILING.md §4 measures 128x128 at the sweet
-#: spot on the inline and mp engines (per-tile fixed cost against parallel
-#: slack and window size)
+#: edge of a planned tile: per-tile cost against parallel slack and window
+#: size (docs/TILING.md §4; since the batched tile path 64x64 reads as fast
+#: or faster, so a ledger rung should settle it)
 PLANNED_TILE = 128
 
 
