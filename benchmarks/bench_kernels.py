@@ -238,9 +238,7 @@ def run_level_batch(quick: bool) -> dict:
     planes = {}
     for _ in range(5 if quick else 25):
         for mode, calls in (("solo", [[t] for t in level]), ("batched", [level])):
-            plane = plane_mod.TilePlane.allocate(
-                (n + 1, n + 1), app.value_dtype, (edge, edge)
-            )
+            plane = plane_mod.TilePlane.allocate(tiled.grid, app.value_dtype)
             plane.owners[...] = 0
             with Timer() as t:
                 for tiles in calls:

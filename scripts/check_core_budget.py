@@ -141,8 +141,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: -> 1.321 (10/10), peak RSS 81.0 -> 73.0 MB and 214.9 -> 186.9 MB;
 #: ``sw_vertex_default_256`` (1.370 -> 1.376) and ``serve_http_small``
 #: (3.82 -> 3.93) stayed inside their bounds.
+#:
+#: Core raised, 6065 -> 6074, by exactly the net growth of the leading
+#: boundary tile (a remainder of one row or column joins the first tile
+#: row or column instead of trailing as 1-wide sliver tiles), after
+#: paying with the ownership arithmetic ``TilePlane`` kept beside the
+#: grid: its ``unit``, the owner-map shape, the origins ``home`` and
+#: ``lose`` computed from it, ``owners_of``' division and the unused
+#: ``owners`` argument (plane.py -6 with the new peel rule; runtime.py
+#: and mp_engine.py -1 each), and ``TileGrid.bounds``' own clipping. What
+#: remains is the rule in ``TileGrid`` (``lead``, ``edges``, ``tile_of``
+#: on arrays) and the reach into the leading cell that ``coarsen_offsets``
+#: must add for offsets of two or more whole tiles (tiling.py +17). It
+#: buys, on the ledger (alternated parent/change pairs in CHANGES.md, 0
+#: failed): ``sw_vertex_default_256`` overhead_x 1.349 [IQR 1.336, 1.379]
+#: -> 1.002 [0.990, 1.027] (10/10 lower), ``sw_tiled_inline_1024`` 1.041
+#: -> 0.870 (5/5), ``sw_tiled_mp_2048`` 1.278 -> 1.229 (6/8);
+#: ``serve_http_small`` (3.975 -> 3.994) stayed inside its bound.
 CEILINGS = {
-    "src/repro/core": 6065,
+    "src/repro/core": 6074,
     "src/repro/analysis": 6001,
 }
 

@@ -154,7 +154,7 @@ def _request_body(
         # grid of 1×1 tiles through run_tiles, the executor planned jobs use
         "tile_shape": [1, 1],
         # a cached fault-free result would short-circuit recovery
-        "use_cache": False,
+        "cache": False,
     }
     if faulted:
         body["faults"] = [{"place": victim, "at_fraction": spec.kill_at}]

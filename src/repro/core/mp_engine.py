@@ -170,7 +170,7 @@ class _PlaceWorker:
         self.app = app
         self.dag = dag
         shape = (dag.height, dag.width)
-        unit = meta["tile_shape"]
+        self.tiled = dag.coarsen(*meta["tile_shape"])
         self.shared = "values" in meta
         if self.shared:
             from repro.core import shm
@@ -178,17 +178,16 @@ class _PlaceWorker:
             self.plane = _plane.TilePlane(
                 shm.attach_array(meta["values"], shape, app.value_dtype),
                 shm.attach_array(meta["finished"], shape, np.uint8),
-                unit,
+                self.tiled.grid,
             )
         else:
             self.plane = _plane.TilePlane.allocate(
-                shape, app.value_dtype, unit, meta["value_nbytes"], meta["spill_dir"]
+                self.tiled.grid, app.value_dtype, meta["value_nbytes"], meta["spill_dir"]
             )
         #: the owner map is tile-granular (-1 = inactive); Dist objects
         #: hold closures and cannot cross the pipe, so the master ships
         #: the resolved array (and again on redist)
         self.plane.owners = meta["owners"]
-        self.tiled = dag.coarsen(*unit)
         #: the master's kernel decision: ``None`` (the per-cell loop),
         #: ``"hand"`` or a generated kernel's spec. Generated kernels close
         #: over compiled code objects and cannot cross the pipe; each place
@@ -858,10 +857,10 @@ def run_mp(
             arena = pool.segment_lease() if pool is not None else ShmArena()
             values, meta["values"] = arena.create(shape, app.value_dtype, "values")
             finished, meta["finished"] = arena.create(shape, np.uint8, "finished")
-            plane = _plane.TilePlane(values, finished, unit)
+            plane = _plane.TilePlane(values, finished, tiled.grid)
         else:
             plane = _plane.TilePlane.allocate(
-                shape, app.value_dtype, unit, config.value_nbytes, config.spill_dir
+                tiled.grid, app.value_dtype, config.value_nbytes, config.spill_dir
             )
         if arena is not None and registry.enabled:
             registry.gauge(

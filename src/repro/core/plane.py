@@ -118,18 +118,13 @@ class TilePlane:
         self,
         values: np.ndarray,
         finished: np.ndarray,
-        unit: Tuple[int, int],
+        grid,
         value_nbytes: int = 8,
-        owners: Optional[np.ndarray] = None,
     ) -> None:
         self.values = values
         self.finished = finished
-        #: cell extent ``(uh, uw)`` of one ownership unit
-        self.unit = unit
-        if owners is None:
-            h, w = values.shape
-            owners = np.full((-(-h // unit[0]), -(-w // unit[1])), -1, np.int32)
-        self.owners = owners
+        self.grid = grid  #: the run's TileGrid; a tile is the unit of ownership
+        self.owners = np.full((grid.nti, grid.ntj), -1, np.int32)
         typed = values.dtype != object
         #: bytes charged per value moved between places: the real item
         #: size on typed planes, the configured model on object planes
@@ -139,19 +134,19 @@ class TilePlane:
     @classmethod
     def allocate(
         cls,
-        shape: Tuple[int, int],
+        grid,
         dtype: Optional[Any],
-        unit: Tuple[int, int],
         value_nbytes: int = 8,
         spill_dir: Optional[str] = None,
     ) -> "TilePlane":
-        """A process-private plane: heap, or a memmap when spilling.
+        """A process-private plane over ``grid``: heap, or a memmap when spilling.
 
         Object values cannot be memory-mapped and stay in RAM. The spill
         file is unlinked as soon as it is mapped: the mapping keeps the
         blocks alive for as long as results are read, and nothing is
         left to clean up however the run ends.
         """
+        shape = (grid.height, grid.width)
         if dtype is None:
             values = np.empty(shape, dtype=object)
         elif spill_dir is not None:
@@ -166,18 +161,17 @@ class TilePlane:
             os.unlink(path)
         else:
             values = np.zeros(shape, dtype=dtype)
-        return cls(values, np.zeros(shape, np.uint8), unit, value_nbytes)
+        return cls(values, np.zeros(shape, np.uint8), grid, value_nbytes)
 
     # -- ownership ------------------------------------------------------------------
-    def home(self, dist, units: Iterable[Coord]) -> None:
-        """Home each unit where ``dist`` places its origin cell."""
-        uh, uw = self.unit
-        for u in units:
-            self.owners[u] = dist.place_of(u[0] * uh, u[1] * uw)
+    def home(self, dist, tiles: Iterable[Coord]) -> None:
+        """Home each tile where ``dist`` places its origin cell."""
+        for t in tiles:
+            self.owners[t] = dist.place_of(*self.grid.origin(*t))
 
     def owners_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Home place of each cell: a cell lives where its unit does."""
-        return self.owners[rows // self.unit[0], cols // self.unit[1]]
+        """Home place of each cell: a cell lives where its tile does."""
+        return self.owners[self.grid.tile_of(rows, cols)]
 
     def lose(
         self,
@@ -185,28 +179,27 @@ class TilePlane:
         dist=None,
         rehome: Optional[Iterable[int]] = None,
     ) -> List[Coord]:
-        """Places died: zero every unit they owned and re-home it.
+        """Places died: zero every tile they owned and re-home it.
 
-        Values and flags both reset, so a lost unit reads as never
-        computed until its recompute re-materializes it. Units of the
+        Values and flags both reset, so a lost tile reads as never
+        computed until its recompute re-materializes it. Tiles of the
         places in ``rehome`` (default: all of ``dead``; the mp master
         excludes places a pooled spare replaced) move to their home
         under ``dist``, the distribution over the survivors. Returns the
-        lost units.
+        lost tiles.
         """
         dead = set(dead)
         rehome = dead if rehome is None else set(rehome)
-        uh, uw = self.unit
         owners = self.owners
         lost = [
             (int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))
         ]
-        for u in lost:
-            r0, c0 = u[0] * uh, u[1] * uw
-            self.values[r0 : r0 + uh, c0 : c0 + uw] = self._zero
-            self.finished[r0 : r0 + uh, c0 : c0 + uw] = 0
-            if owners[u] in rehome:
-                owners[u] = dist.place_of(r0, c0)
+        for t in lost:
+            r0, r1, c0, c1 = self.grid.bounds(*t)
+            self.values[r0:r1, c0:c1] = self._zero
+            self.finished[r0:r1, c0:c1] = 0
+            if owners[t] in rehome:
+                owners[t] = dist.place_of(r0, c0)
         return lost
 
     # -- results and snapshots ----------------------------------------------------------
@@ -376,7 +369,7 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
     """:func:`run_tiles`' window branch, over tiles with work and their
     :meth:`~repro.core.tiling.TiledDag.halos_of`."""
     values, base = plane.values, tiled.base
-    H, W = base.height, base.width
+    H, W, th, tw = base.height, base.width, tiled.grid.tile_h, tiled.grid.tile_w
     prepare = getattr(kernel.fn, "prepare", None)
     peel = getattr(kernel.fn, "peel", None)
     # a generated kernel's window covers its inferred footprint box
@@ -392,12 +385,13 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
         if strips is None:
             k = l = 0
-        # the rest of a peeled tile sweeps as its rectangle shifted by
-        # (k, l), whose cells past the tile read zeros and are discarded;
-        # an axis where a dependency reaches past the shift, or the matrix
-        # ends first, sweeps the remainder alone
-        sr0, sh = r0 + k, (h if pb == 0 and r1 + k <= H else h - k)
-        sc0, sw = c0 + l, (w if pr == 0 and c1 + l <= W else w - l)
+        # the rest of a peeled tile sweeps as interior rows: exactly, on a
+        # grid's leading tile, else as its rectangle shifted by (k, l), whose
+        # cells past the tile read zeros and are discarded; an axis where a
+        # dependency reaches past the shift, or the matrix ends first,
+        # sweeps the remainder alone
+        sr0, sh = r0 + k, (h - k if h - k == th or pb or r1 + k > H else h)
+        sc0, sw = c0 + l, (w - l if w - l == tw or pr or c1 + l > W else w)
         wr0, wr1 = max(0, sr0 - pt), min(H, sr0 + sh + pb)
         wc0, wc1 = max(0, sc0 - pl), min(W, sc0 + sw + pr)
         peeled[t] = [(i + r0 - wr0, j + c0 - wc0, strip) for i, j, strip in strips or ()]

@@ -315,7 +315,10 @@ class DPX10Runtime:
                 state.snapshots.cells_copied_total if state.snapshots else 0
             ),
             trace=state.trace,
-            tile_shape=state.plane.unit if state.plane is not None else None,
+            tile_shape=(
+                (state.plane.grid.tile_h, state.plane.grid.tile_w)
+                if state.plane is not None else None
+            ),
             kernel=kernel_name(state.kernel),
         )
         if self.metrics.enabled:
@@ -410,11 +413,7 @@ class DPX10Runtime:
                 total_active = sum(s.active_count for s in stores.values())
             else:
                 plane = TilePlane.allocate(
-                    (self.dag.height, self.dag.width),
-                    self.app.value_dtype,
-                    (tiled.grid.tile_h, tiled.grid.tile_w),
-                    cfg.value_nbytes,
-                    cfg.spill_dir,
+                    tiled.grid, self.app.value_dtype, cfg.value_nbytes, cfg.spill_dir
                 )
                 plane.home(dist, tiled.active_tiles())
                 # exact per-tile counts: completions, progress and fault

@@ -124,48 +124,59 @@ def _release(indegree: np.ndarray, successors: np.ndarray, done) -> List[int]:
 
 @dataclass(frozen=True)
 class TileGrid:
-    """Geometry of a ``tile_h x tile_w`` blocking of a ``height x width`` matrix."""
+    """Geometry of a ``tile_h x tile_w`` blocking of a ``height x width`` matrix:
+    the one place it is decided. A remainder of exactly one row (column),
+    the boundary of an ``(n+1) x (m+1)`` DP matrix, joins the *first* tile
+    row (column); any other remainder trails as a clipped last tile."""
 
     height: int
     width: int
     tile_h: int
     tile_w: int
 
+    @functools.cached_property
+    def lead(self) -> Coord:
+        """Cells the first tile row and column hold beyond ``tile_h`` / ``tile_w``."""
+        (h, th), (w, tw) = (self.height, self.tile_h), (self.width, self.tile_w)
+        return (int(h % th == 1 and h > th), int(w % tw == 1 and w > tw))
+
     @property
     def nti(self) -> int:
-        """Tile rows (the last row may be clipped)."""
-        return -(-self.height // self.tile_h)
+        return -(-(self.height - self.lead[0]) // self.tile_h)
 
     @property
     def ntj(self) -> int:
-        """Tile columns (the last column may be clipped)."""
-        return -(-self.width // self.tile_w)
+        return -(-(self.width - self.lead[1]) // self.tile_w)
 
-    def tile_of(self, i: int, j: int) -> Coord:
-        return (i // self.tile_h, j // self.tile_w)
+    def tile_of(self, i, j):
+        """The tile of cell ``(i, j)``, on ints or arrays of cells."""
+        lh, lw = self.lead  # a leading row floors to tile -1: lift it to 0
+        return ((i - lh) // self.tile_h + (i < lh), (j - lw) // self.tile_w + (j < lw))
 
     def origin(self, ti: int, tj: int) -> Coord:
-        return (ti * self.tile_h, tj * self.tile_w)
+        lh, lw = self.lead
+        return (ti * self.tile_h + lh * (ti > 0), tj * self.tile_w + lw * (tj > 0))
+
+    @functools.cached_property
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Each tile row's (column's) first cell, then the matrix edge."""
+        (lh, lw), (th, tw) = self.lead, (self.tile_h, self.tile_w)
+        return (np.r_[0, np.arange(th + lh, self.height, th), self.height],
+                np.r_[0, np.arange(tw + lw, self.width, tw), self.width])
 
     def per_tile(self, cells: np.ndarray) -> np.ndarray:
         """An ``(height, width)`` cell array summed over each tile."""
-        rs, cs = np.arange(0, self.height, self.tile_h), np.arange(0, self.width, self.tile_w)
+        rs, cs = (starts[:-1] for starts in self.edges)
         return np.add.reduceat(np.add.reduceat(cells, rs, axis=0, dtype=np.int64), cs, axis=1)
 
     def bounds(self, ti: int, tj: int) -> Tuple[int, int, int, int]:
         """The tile's cell rectangle ``(r0, r1, c0, c1)``, clipped to the matrix."""
-        r0 = ti * self.tile_h
-        c0 = tj * self.tile_w
-        return (
-            r0,
-            min(r0 + self.tile_h, self.height),
-            c0,
-            min(c0 + self.tile_w, self.width),
-        )
+        (r0, c0), (r1, c1) = self.origin(ti, tj), self.origin(ti + 1, tj + 1)
+        return (r0, min(r1, self.height), c0, min(c1, self.width))
 
 
 def coarsen_offsets(
-    offsets: Tuple[Offset, ...], tile_h: int, tile_w: int
+    offsets: Tuple[Offset, ...], tile_h: int, tile_w: int, lead: Coord = (0, 0)
 ) -> Tuple[Offset, ...]:
     """Map a cell-offset set to tile granularity (the clipping rule).
 
@@ -174,12 +185,19 @@ def coarsen_offsets(
     exactly ``[floor(di/tile_h), ceil(di/tile_h)]`` (and likewise for
     columns). The tile-level offset set is the cross product of those
     ranges over all offsets, minus ``(0, 0)`` (intra-tile edges are
-    resolved by the intra-tile wavefront order, not the tile DAG).
+    resolved by the intra-tile wavefront order, not the tile DAG). Where
+    the first tile leads by a cell (``TileGrid.lead``), reaching from or
+    into that cell spans one tile fewer: ``sign(d) * ((|d| - 1) // t)``.
     """
+
+    def reach(d: int, t: int, led: int) -> range:
+        near = (abs(d) - 1) // t * ((d > 0) - (d < 0)) if led else d // t
+        return range(min(d // t, near), max(-(-d // t), near) + 1)
+
     out: Set[Offset] = set()
     for di, dj in offsets:
-        for a in range(di // tile_h, -(-di // tile_h) + 1):
-            for b in range(dj // tile_w, -(-dj // tile_w) + 1):
+        for a in reach(di, tile_h, lead[0]):
+            for b in reach(dj, tile_w, lead[1]):
                 if (a, b) != (0, 0):
                     out.add((a, b))
     return tuple(sorted(out))
@@ -232,8 +250,7 @@ class TiledDag(Dag):
         so completions, progress and fault thresholds stay cell-granular."""
         g, base = self.grid, self.base
         if type(base).is_active is Dag.is_active:
-            counts = np.outer(*(np.diff(np.r_[0:n:t, n]) for n, t in
-                                ((g.height, g.tile_h), (g.width, g.tile_w))))
+            counts = np.outer(*map(np.diff, g.edges))
         else:
             rows, cols = np.divmod(np.arange(g.height * g.width), g.width)
             counts = g.per_tile(self._active_mask(rows, cols).reshape(g.height, g.width))
@@ -437,7 +454,7 @@ def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
                 f"{type(base).__name__} offsets {sorted(offsets)} admit no "
                 "ranking vector; the cell DAG itself is cyclic"
             )
-        toffsets = coarsen_offsets(offsets, tile_h, tile_w)
+        toffsets = coarsen_offsets(offsets, tile_h, tile_w, grid.lead)
         # prune tile offsets that cannot land inside the tile grid — e.g.
         # with a single tile column (tile_w >= width) every (0, +-1) edge
         # falls off the grid, which is what legalizes row-strip tiling of

@@ -398,6 +398,14 @@ class JobRequest:
         return cache_key(self.app, self.params, self.pattern, self.tile_shape)
 
 
+#: every top-level key a job body may carry; any other is a 400, so a
+#: misspelled option (``"use_cache"`` for ``"cache"``) cannot pass silently
+_REQUEST_KEYS = frozenset(
+    ("tenant", "app", "params", "engine", "nplaces", "tile_shape", "autokernel",
+     "cache", "trace", "faults")
+)
+
+
 def parse_job_request(
     body: Any, *, allow_faults: bool = False, default_nplaces: int = 4
 ) -> JobRequest:
@@ -411,6 +419,8 @@ def parse_job_request(
     can actually lease.
     """
     _require(isinstance(body, dict), "request body must be a JSON object")
+    unknown = [key for key in body if key not in _REQUEST_KEYS]
+    _require(not unknown, f"unknown request key(s) {unknown}; known: {sorted(_REQUEST_KEYS)}")
     tenant = body.get("tenant", "default")
     _require(
         isinstance(tenant, str) and 1 <= len(tenant) <= 64,

@@ -39,10 +39,11 @@ import json
 import threading
 import time
 import uuid
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.config import DPX10Config
 from repro.core.trace import ExecutionTrace
@@ -67,6 +68,11 @@ __all__ = ["JobServer", "serve_background"]
 logger = get_logger("serve.server")
 
 _MAX_BODY = 8 * 1024 * 1024
+
+#: finished (done or failed) jobs kept for ``GET /jobs/{id}``; past it the
+#: oldest finished job is evicted and its id answers 404. Queued and
+#: running jobs are never evicted
+MAX_FINISHED_JOBS = 4096
 
 
 @dataclass
@@ -144,6 +150,7 @@ class JobServer:
         self.registry = MetricsRegistry()
         self.trace = ExecutionTrace()
         self.jobs: Dict[str, Job] = {}
+        self._finished: Deque[str] = deque()  # finished job ids, oldest first
         self._jobs_lock = threading.Lock()
         self._queued = 0
         self._executor = ThreadPoolExecutor(
@@ -225,6 +232,7 @@ class JobServer:
                 job.result = hit
                 job.finished_at = time.time()
                 job.done_event.set()
+                self._retire(job)
                 self.admission.release(tenant)
                 self._jobs_total.labels(tenant, "cached").inc()
                 self._job_seconds.labels(tenant).observe(
@@ -290,9 +298,18 @@ class JobServer:
             self.admission.release(tenant)
             job.finished_at = time.time()
             job.done_event.set()
+            self._retire(job)
             self._job_seconds.labels(tenant).observe(
                 job.finished_at - job.submitted_at
             )
+
+    def _retire(self, job: Job) -> None:
+        """``job`` finished: keep at most :data:`MAX_FINISHED_JOBS` finished
+        jobs, evicting the oldest finished first."""
+        with self._jobs_lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self.jobs[self._finished.popleft()]
 
     def job_status(self, job_id: str) -> Optional[Dict[str, Any]]:
         with self._jobs_lock:

@@ -529,8 +529,7 @@ def _solved_plane(app, dag, tiled):
 
     DPX10Runtime(app, dag, DPX10Config(tile_shape=(1, 1))).run()
     want = dag.to_array(fill=0, dtype=app.value_dtype)
-    unit = (tiled.grid.tile_h, tiled.grid.tile_w)
-    plane = TilePlane.allocate(want.shape, app.value_dtype, unit)
+    plane = TilePlane.allocate(tiled.grid, app.value_dtype)
     plane.owners[...] = 0
     read = np.zeros(want.shape, bool)
     for t in tiled.active_tiles():

@@ -123,10 +123,15 @@ def _instance(name):
     return app, make, _serial(app, make())
 
 
-#: tile shapes, as functions of the matrix: ones that shift, ragged last
-#: tiles, and the fallbacks — one tile row, one tile column, one tile
+#: tile shapes, as functions of the matrix (21 x 17; LPS 20 x 20): ones
+#: whose first tile row and / or column leads by the boundary's one spare
+#: cell, one that shifts, ragged last tiles, and the fallbacks — one tile
+#: row, one tile column, one tile
 SHAPES = {
-    "4x4": lambda H, W: (4, 4),
+    "4x4": lambda H, W: (4, 4),  # 21 = 1 + 5 * 4 and 17 = 1 + 4 * 4 lead
+    "4x3": lambda H, W: (4, 3),  # rows lead; 17 = 5 * 3 + 2 trails
+    "3x4": lambda H, W: (3, 4),  # 21 = 7 * 3 shifts; columns lead
+    "20x5": lambda H, W: (H - 1, 5),  # H = th + 1: one tall tile row
     "5x3": lambda H, W: (5, 3),
     "one-row": lambda H, W: (H, 4),
     "one-col": lambda H, W: (4, W),
@@ -186,16 +191,22 @@ def test_peeled_tiles_are_bit_identical(name, shape, engine, monkeypatch):
     if engine in ("inline", "threaded"):  # mp places peel in their own processes
         assert any(peels) == (name not in ("lps", "edge_read")), peels
         if shape == "4x4":
-            # 21 rows of 4-high tiles sweep 4 or 1 rows (the ragged last
-            # tile row); only a row-0 tile that may not shift down sweeps
-            # its 3-row remainder alone
-            assert (3 in heights) == (name == "lookahead"), heights
+            # 21 = 1 + 5 * 4: the boundary row joins tile row 0, whose
+            # peeled tiles sweep exactly the interior 4 rows, even where a
+            # row-below read forbids shifting down
+            assert 3 not in heights, heights
+        if shape == "3x4" and name != "lps":
+            # 21 = 7 * 3 rows, no remainder: a row-0 tile shifts down,
+            # except one that may not (lookahead), which sweeps its 2-row
+            # remainder alone
+            assert (2 in heights) == (name == "lookahead"), heights
 
 
 def test_edge_tiles_join_the_interior_sweep(monkeypatch):
-    # SW 1024^2 at 64^2 on 2 inline places: the 33 top-row / left-column
-    # tiles peel, so no sweep runs a boolean mask, and the solve needs
-    # fewer than the 107 sweeps one masked sweep per edge tile costs
+    # SW 1024^2 at 64^2 on 2 inline places: the 31 top-row / left-column
+    # tiles, 65 cells tall or wide, peel, so no sweep runs a boolean mask,
+    # and the solve needs one sweep per tile antidiagonal (31), not the
+    # 107 that one masked sweep per edge tile cost
     sweeps = []
     real = FlatSweepKernel.sweep
 
@@ -213,7 +224,7 @@ def test_edge_tiles_join_the_interior_sweep(monkeypatch):
     ).run()
     assert report.kernel == "ANTIDIAG_WAVEFRONT"
     assert not any(sweeps)
-    assert len(sweeps) < 107
+    assert len(sweeps) == 31
 
 
 @pytest.mark.parametrize("scheduler", ["local", "random"])
@@ -245,3 +256,16 @@ def test_merged_inline_batches_are_bit_identical(name, nplaces, scheduler, monke
     assert report.kernel is not None
     assert got.tolist() == ref.tolist()
     assert (max(map(len, mixes)) > 1) == (nplaces > 1)
+
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_per_vertex_spelling_is_bit_identical_on_every_engine(engine):
+    # (1, 1) has no remainder to lead: in process the per-vertex path, on
+    # mp a grid of 1x1 tiles; both land on the serial oracle
+    if ENGINES[engine].get("shm") and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    app, make, oracle = _instance("sw")
+    got, report = _solve(app, make(), tile_shape=(1, 1), nplaces=2, **ENGINES[engine])
+    assert report.tile_shape is None and report.kernel is None
+    assert got.tolist() == oracle.tolist()

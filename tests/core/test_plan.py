@@ -91,6 +91,37 @@ class TestShapeRule:
         assert report.tile_shape is None and report.kernel is None
         assert report.completions == 130 * 4
 
+    def test_bare_sw_257_runs_one_call_and_one_sweep_per_level(self, monkeypatch):
+        # 257 = 1 + 2 * 128: the boundary row and column join the first
+        # tile row and column, so the bare plan is a 2 x 2 grid of 3
+        # levels, each one run_tiles call and one sweep (trailing 1-wide
+        # tiles made it 3 x 3: 5 levels, 8 sweeps)
+        from repro.analysis.flatsweep import FlatSweepKernel
+        from repro.core import plane as plane_mod
+
+        calls, sweeps = [], []
+        real_run, real_sweep = plane_mod.run_tiles, FlatSweepKernel.sweep
+
+        def run(*args):
+            calls.append(len(args[4]))
+            return real_run(*args)
+
+        def sweep(self, *args):
+            sweeps.append(len(args[2]))
+            return real_sweep(self, *args)
+
+        monkeypatch.setattr(plane_mod, "run_tiles", run)
+        monkeypatch.setattr(FlatSweepKernel, "sweep", sweep)
+        rng = np.random.default_rng(7)
+        x, y = ("".join(rng.choice(list("ACGT"), 256)) for _ in range(2))
+        dag = DiagonalDag(257, 257)
+        tiled = plan_tiles(dag, DPX10Config())
+        assert (tiled.grid.nti, tiled.grid.ntj) == (2, 2) and len(tiled.levels()) == 3
+        report = DPX10Runtime(SWApp(x, y), dag, DPX10Config()).run()
+        assert report.tile_shape == (128, 128)
+        assert calls == sweeps == [1, 2, 1]
+        assert dag.to_array(fill=-1, dtype=np.int64).tolist() == serial.sw_matrix(x, y).tolist()
+
     def test_explicit_shapes_pass_through_untouched(self):
         dag = DiagonalDag(300, 300)
         tiled = plan_tiles(dag, DPX10Config(tile_shape=(5, 3)))

@@ -21,6 +21,7 @@ from repro.core.config import DPX10Config
 from repro.core.plane import PlaneResults, TilePlane
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import leaked_segments, shm_supported
+from repro.core.tiling import TileGrid
 from repro.dist.dist import Dist
 from repro.dist.region import Region2D
 from repro.errors import PatternError
@@ -132,18 +133,35 @@ def _spy_run_tiles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("engine", ["inline", "threaded"])
-def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
+def _in_process_tile_calls(engine, shape, monkeypatch):
+    """Every ``run_tiles`` call of a tiled diagonal run, checked to cover
+    each active tile once and every cell."""
     want, _ = run_plane("diagonal", MixApp())
     calls = _spy_run_tiles(monkeypatch)
-    got, report = run_plane("diagonal", MixApp(), engine=engine, tile_shape=(4, 4))
+    got, report = run_plane("diagonal", MixApp(), engine=engine, tile_shape=shape)
     seen = Counter(tuple(t) for tiles, *_ in calls for t in tiles)
-    assert set(seen) == _active_tiles(DiagonalDag(SIZE, SIZE).coarsen(4, 4))
+    assert set(seen) == _active_tiles(DiagonalDag(SIZE, SIZE).coarsen(*shape))
     assert set(seen.values()) == {1}
-    # a place hands over its whole ready list: independent tiles share a call
-    assert max(len(tiles) for tiles, *_ in calls) > 1
     assert sum(cells for *_, cells in calls) == report.active_vertices
     assert got == want
+    return calls
+
+
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_in_process_engines_run_every_tile_through_run_tile(engine, monkeypatch):
+    calls = _in_process_tile_calls(engine, (4, 4), monkeypatch)
+    # 13 = 1 + 3 * 4: a 3 x 3 tile grid, one tile column per place. An
+    # inline turn holds a whole tile antidiagonal; a threaded worker's
+    # ready list holds its column's one ready tile
+    assert max(len(tiles) for tiles, *_ in calls) == {"inline": 3, "threaded": 1}[engine]
+
+
+@pytest.mark.parametrize("engine", ["inline", "threaded"])
+def test_a_place_hands_over_its_whole_ready_list(engine, monkeypatch):
+    # 13 = 1 + 4 * 3: a 4 x 4 tile grid, so one place homes two tile
+    # columns, and independent tiles of its share a call
+    calls = _in_process_tile_calls(engine, (3, 3), monkeypatch)
+    assert max(len(tiles) for tiles, *_ in calls) > 1
 
 
 @pytest.mark.parametrize("engine", ["inline", "threaded"])
@@ -183,16 +201,17 @@ def _logged_calls(log):
     return calls
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
-@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
-def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
+def _mp_tile_calls(shm, b, tmp_path, monkeypatch):
+    """The logged ``run_tiles`` calls of a traced mp SW run at 4x4 (a 15-row
+    matrix, ``b`` across), checked to cover each active tile once and to
+    land on the per-vertex matrix."""
     if shm and not shm_supported():
         pytest.skip("no usable shared memory on this platform")
     from repro.apps.smith_waterman import SWApp
 
     log = tmp_path / "tiles.log"
     _log_run_tiles(log, monkeypatch)
-    a, b = "GATTACAGATTACA", "GCATGCTGCATG"
+    a = "GATTACAGATTACA"
     dag = DiagonalDag(len(a) + 1, len(b) + 1)
     config = DPX10Config(
         nplaces=NPLACES, engine="mp", shm=shm, tile_shape=(4, 4),
@@ -204,8 +223,6 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
     assert Counter(t for _, tiles in calls for t in tiles) == Counter(
         _active_tiles(tiled)
     )
-    # a place gets its share of a level in one call, not tile by tile
-    assert max(len(tiles) for _, tiles in calls) > 1
     # the generated kernel, on the private-plane backing too
     assert {name for name, _ in calls} == {"AutoKernel:FlatSweepKernel"}
     # worker events are tile-granular on both backings, and the events of
@@ -223,6 +240,25 @@ def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
         dag.to_array(fill=-1, dtype=np.int64).tolist()
         == want.to_array(fill=-1, dtype=np.int64).tolist()
     )
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_places_run_every_tile_through_run_tile(shm, tmp_path, monkeypatch):
+    calls = _mp_tile_calls(shm, "GCATGCTGCATG", tmp_path, monkeypatch)
+    # 13 = 1 + 3 * 4 columns: three tile columns, one per place, so a
+    # place's share of a level is one tile
+    assert max(len(tiles) for _, tiles in calls) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the spy reaches places by fork")
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_places_take_their_level_share_in_one_call(shm, tmp_path, monkeypatch):
+    # 17 = 1 + 4 * 4 columns: four tile columns over three places, so a
+    # place homing two gets its share of a level in one call, not tile by tile
+    calls = _mp_tile_calls(shm, "GCATGCTGCATGCATG", tmp_path, monkeypatch)
+    assert max(len(tiles) for _, tiles in calls) > 1
 
 
 def _levels(name="sw", shape=(4, 4)):
@@ -250,18 +286,16 @@ def _levels(name="sw", shape=(4, 4)):
     return app, dag, tiled, kernel, levels, want.to_array(fill=-1, dtype=np.int64)
 
 
-def test_a_batch_cut_short_leaves_no_flag_without_its_values():
-    # whatever stops a place inside a level batch (a SIGKILL, on the shm
-    # backing, leaves exactly this in the shared segments), a tile is
-    # either flagged with every value in place or not flagged at all
-    app, dag, tiled, kernel, levels, want = _levels()
-    plane = TilePlane.allocate(want.shape, app.value_dtype, (4, 4))
+def _cut_a_level_short(shape, cut, die_at):
+    """SW under ``shape``: levels before ``cut`` computed, then level
+    ``cut`` stopped in its ``die_at``-th sweep. Whatever stops a place
+    inside a level batch (a SIGKILL, on the shm backing, leaves exactly
+    this in the shared segments), a tile is either flagged with every
+    value in place or not flagged at all. Returns the tiled dag, the
+    level, the plane, the sweep sizes and how many of its tiles landed."""
+    app, dag, tiled, kernel, levels, want = _levels(shape=shape)
+    plane = TilePlane.allocate(tiled.grid, app.value_dtype)
     plane.owners[...] = 0
-    # interior tiles + the peeled col-0 tile, then the ragged last column's
-    # peeled row-0 tile: two sweeps, each holding a tile with peeled cells
-    cut = 5
-    peeled = {(5, 0): (slice(None), slice(0, 1)), (0, 5): (slice(0, 1), slice(None))}
-    assert set(peeled) <= set(levels[cut])
     for level in levels[:cut]:
         plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
     calls = []
@@ -269,7 +303,7 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
 
     def dying(*args):
         calls.append(len(args[2]))
-        if len(calls) == 2:
+        if len(calls) == die_at:
             raise KeyboardInterrupt("place dies here")
         return real(*args)
 
@@ -285,7 +319,28 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
         if flags.all():
             flagged += 1
             assert plane.values[rows, cols].tolist() == want[rows, cols].tolist()
-    assert 0 < flagged < len(levels[cut])
+    state = (plane.finished.copy(), plane.values.copy())
+    # the recompute of the whole level lands on the oracle
+    for level in levels[cut:]:
+        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
+    assert plane.values.tolist() == want.tolist() and plane.finished.all()
+    plane.finished[...], plane.values[...] = state
+    return tiled, levels[cut], plane, calls, flagged
+
+
+def test_a_batch_cut_short_leaves_no_flag_without_its_values():
+    # 25 x 21 at 4x4: the spare boundary row and column join the first
+    # tile row and column, so every tile of a level, peeled or not,
+    # shares one sweep, and dying in it flags none of them
+    _tiled, level, _plane, calls, flagged = _cut_a_level_short((4, 4), cut=5, die_at=1)
+    assert calls == [len(level)] and flagged == 0
+    # at 4x6 the 21 columns trail a 3-wide tile column: interior tiles +
+    # the peeled col-0 tile, then that column's peeled row-0 tile, two
+    # sweeps, each holding a tile with peeled cells
+    tiled, level, plane, calls, flagged = _cut_a_level_short((4, 6), cut=3, die_at=2)
+    peeled = {(3, 0): (slice(None), slice(0, 1)), (0, 3): (slice(0, 1), slice(None))}
+    assert set(peeled) <= set(level) and calls == [3, 1]
+    assert 0 < flagged < len(level)
     # a peeled strip is flagged exactly when the rest of its tile is
     states = set()
     for (ti, tj), (si, sj) in peeled.items():
@@ -297,11 +352,6 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
         assert len(strip) == 1 and strip == rest
         states |= strip
     assert states == {True, False}
-    # the recompute of the whole level lands on the oracle
-    plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], [0] * len(levels[cut]))
-    for level in levels[cut + 1 :]:
-        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
-    assert plane.values.tolist() == want.tolist() and plane.finished.all()
 
 
 def _kill_inside_the_widest_level(name, **cfg):
@@ -327,6 +377,33 @@ def _kill_inside_the_widest_level(name, **cfg):
 @pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
 def test_mp_kill_inside_a_level_batch_recovers_bit_identically(shm):
     _kill_inside_the_widest_level("sw", engine="mp", shm=shm)
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
+def test_mp_kill_rehoming_a_leading_tile_zeroes_its_whole_rectangle(shm, monkeypatch):
+    # SW 25 x 21 at 4x4: the boundary row joins tile row 0, so a lost
+    # row-0 tile is 5 rows tall, and all 5 reset on the master's plane
+    losses = []
+    real = TilePlane.lose
+
+    def spying(self, dead, dist=None, rehome=None):
+        before = self.finished.astype(bool)
+        lost = real(self, dead, dist, rehome)
+        losses.append((self.grid, lost, before, self.finished.astype(bool), self.values.copy()))
+        return lost
+
+    monkeypatch.setattr(TilePlane, "lose", spying)
+    _kill_inside_the_widest_level("sw", engine="mp", shm=shm)
+    ((grid, lost, before, after, values),) = losses
+    zeroed = np.zeros(before.shape, bool)
+    for t in lost:
+        r0, r1, c0, c1 = grid.bounds(*t)
+        zeroed[r0:r1, c0:c1] = True
+    assert not after[zeroed].any() and not values[zeroed].any()
+    assert after[~zeroed].tolist() == before[~zeroed].tolist()
+    leads = [grid.bounds(*t) for t in lost if t[0] == 0]
+    assert all((r0, r1) == (0, grid.tile_h + 1) for r0, r1, _, _ in leads)
+    assert any(before[r0:r1, c0:c1].all() for r0, r1, c0, c1 in leads)
 
 
 @pytest.mark.parametrize("shm", [True, False], ids=["mp-shm", "mp-pipe"])
@@ -479,15 +556,18 @@ def test_inline_turn_sweeps_every_place_s_ready_tiles_in_one_call(monkeypatch):
     config = dict(tile_shape=(64, 64), nplaces=2, scheduler="local")
     inline = DPX10Runtime(_sw_1024(), DiagonalDag(1025, 1025), DPX10Config(**config)).run()
     assert [len(tiles) for tiles, *_ in calls] == turns
-    # with local placement every turn is one whole tile antidiagonal
+    # with local placement every turn is one whole tile antidiagonal of
+    # the 16 x 16 grid (1025 = 1 + 16 * 64: the boundary row and column
+    # join the first tile row and column)
     assert [sorted({ti + tj for ti, tj in tiles}) for tiles, *_ in calls] == [
-        [k] for k in range(33)
+        [k] for k in range(31)
     ]
-    assert turns == [min(k, 32 - k) + 1 for k in range(33)]
+    assert turns == [min(k, 30 - k) + 1 for k in range(31)]
     assert any(len(set(homes)) == 2 for _, _, homes, _ in calls)
-    # one place sweeping alone needs 33 calls and 64 sweeps; two places
-    # swept apart needed 49 and 79
-    assert len(calls) < 49 and len(sweeps) < 79
+    # one sweep per antidiagonal: every tile of a level, peeled or not,
+    # shares its geometry and profile (with 1-wide trailing tiles: 33
+    # calls and 64 sweeps; two places swept apart needed 49 and 79)
+    assert len(calls) == 31 and len(sweeps) == 31
     # places stay accounting labels: the threaded engine, whose places
     # sweep their own lists, executes and charges exactly the same
     threaded = DPX10Runtime(
@@ -650,7 +730,7 @@ def test_mp_spill_survives_a_kill_on_memmapped_planes(tmp_path, monkeypatch):
 # -- the plane itself ---------------------------------------------------------------------
 class TestTilePlane:
     def _plane(self):
-        plane = TilePlane.allocate((6, 6), np.int64, (3, 3))
+        plane = TilePlane.allocate(TileGrid(6, 6, 3, 3), np.int64)
         dist = Dist.block_cols(Region2D(0, 6, 0, 6), [0, 1])
         plane.home(dist, [(0, 0), (0, 1), (1, 0), (1, 1)])
         return plane
@@ -679,6 +759,20 @@ class TestTilePlane:
         assert plane.owners.tolist() == [[0, 1], [0, 1]]
         assert not plane.finished[:, 3:].any()
 
+    def test_a_leading_tile_is_owned_and_lost_whole(self):
+        # 7 = 1 + 2 * 3 rows: tile row 0 holds rows 0..3
+        plane = TilePlane.allocate(TileGrid(7, 6, 3, 3), np.int64)
+        dist = Dist.block_rows(Region2D(0, 7, 0, 6), [0, 1])
+        plane.home(dist, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        assert plane.owners.shape == (2, 2)
+        rows, cols = np.array([0, 3, 4, 6]), np.array([0, 5, 0, 5])
+        assert plane.grid.tile_of(rows, cols)[0].tolist() == [0, 0, 1, 1]
+        plane.values[...] = 7
+        plane.finished[...] = 1
+        lost = plane.lose([int(plane.owners[0, 0])], Dist.block_rows(Region2D(0, 7, 0, 6), [9]))
+        assert (0, 0) in lost and all(t[0] == 0 for t in lost)
+        assert not plane.finished[:4].any() and plane.finished[4:].all()
+
     def test_results_view_is_live_and_copy_is_frozen(self):
         plane = self._plane()
         live, frozen = plane.results(), plane.results(copy=True)
@@ -695,7 +789,7 @@ class TestTilePlane:
     def test_to_array_reads_a_partly_finished_plane(self, dtype):
         # the bulk gather behind Dag.to_array: typed and object planes,
         # unfinished cells read as the fill whatever the plane holds there
-        plane = TilePlane.allocate((3, 4), dtype, (1, 1))
+        plane = TilePlane.allocate(TileGrid(3, 4, 1, 1), dtype)
         plane.values[...] = np.arange(12).reshape(3, 4)
         plane.finished[::2, 1:] = 1
         dag = DiagonalDag(3, 4)
@@ -708,7 +802,7 @@ class TestTilePlane:
         assert got.tolist() == [[v if v != -1 else None for v in row] for row in want.tolist()]
 
     def test_object_plane_holds_composite_values(self):
-        plane = TilePlane.allocate((2, 2), None, (1, 1), value_nbytes=24)
+        plane = TilePlane.allocate(TileGrid(2, 2, 1, 1), None, value_nbytes=24)
         assert plane.nbytes == 24 and plane.values.dtype == object
         plane.values[0, 1] = np.arange(3)
         plane.finished[0, 1] = 1

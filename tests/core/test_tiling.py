@@ -8,6 +8,8 @@ and ``tile_shape=(1, 1)`` routes through the legacy path untouched.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.patterns  # noqa: F401 - registers the built-in patterns
 from repro.apgas.failure import FaultPlan
@@ -54,6 +56,74 @@ def run_matrix(name, tile_shape, engine="inline", fault_plans=()):
     return dag.to_array(fill=-1, dtype=np.int64), report
 
 
+# -- the tile grid ---------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.integers(1, 12), st.integers(1, 12)
+)
+def test_tile_grid_partitions_by_the_leading_remainder_rule(H, W, th, tw):
+    g = TileGrid(H, W, th, tw)
+    owner = np.full((H, W), -1)
+    sizes = np.zeros((g.nti, g.ntj), np.int64)
+    for ti in range(g.nti):
+        for tj in range(g.ntj):
+            r0, r1, c0, c1 = g.bounds(ti, tj)
+            assert (r0, c0) == g.origin(ti, tj)
+            assert g.tile_of(*g.origin(ti, tj)) == (ti, tj)
+            assert g.tile_of(r1 - 1, c1 - 1) == (ti, tj)
+            assert (owner[r0:r1, c0:c1] == -1).all()
+            owner[r0:r1, c0:c1] = ti * g.ntj + tj
+            sizes[ti, tj] = (r1 - r0) * (c1 - c0)
+    assert (owner >= 0).all()  # the tiles partition the matrix
+    rows, cols = np.divmod(np.arange(H * W), W)
+    ti, tj = g.tile_of(rows, cols)  # the array form agrees cell by cell
+    assert (ti * g.ntj + tj).tolist() == owner.ravel().tolist()
+    assert g.per_tile(np.ones((H, W), np.int64)).tolist() == sizes.tolist()
+    assert DiagonalDag(H, W).coarsen(th, tw).tile_cells.tolist() == sizes.tolist()
+    for n, t, extents in (
+        (H, th, [g.bounds(k, 0)[1] - g.bounds(k, 0)[0] for k in range(g.nti)]),
+        (W, tw, [g.bounds(0, k)[3] - g.bounds(0, k)[2] for k in range(g.ntj)]),
+    ):
+        if n % t == 1 and n > t:  # a remainder of one leads
+            assert extents == [t + 1] + [t] * (n // t - 1)
+        else:  # any other trails, clipped
+            assert extents == [t] * (n // t) + ([n % t] if n % t else [])
+
+
+class ReachDag(StencilDag):
+    """Reads two whole 2-row tiles up."""
+
+    offsets = ((-4, 0), (0, -1))
+
+
+def test_a_leading_tile_keeps_long_reaches_coarsened():
+    # a read two whole tiles up that lands in row 0, the leading tile's
+    # extra row, crosses only one tile boundary: that edge must exist
+    assert coarsen_offsets(((-4, 0),), 2, 2) == ((-2, 0),)
+    assert coarsen_offsets(((-4, 0),), 2, 2, lead=(1, 0)) == ((-2, 0), (-1, 0))
+    assert coarsen_offsets(((-1, -1),), 2, 2, lead=(1, 1)) == coarsen_offsets(
+        ((-1, -1),), 2, 2
+    )
+
+    tiled = ReachDag(9, 6).coarsen(2, 2)
+    assert tiled.grid.lead == (1, 0)
+    # every cell's producers sit in its own tile or in an earlier level
+    depth = {t: d for d, level in enumerate(tiled.levels()) for t in level}
+    for i, j in tiled.base.region:
+        for dep in tiled.base.get_dependency(i, j):
+            mine, theirs = tiled.grid.tile_of(i, j), tiled.grid.tile_of(dep.i, dep.j)
+            assert theirs == mine or depth[theirs] < depth[mine], ((i, j), dep)
+    want = ReachDag(9, 6)
+    DPX10Runtime(MixApp(), want, DPX10Config(tile_shape=(1, 1))).run()
+    for engine in ("inline", "threaded", "mp"):
+        dag = ReachDag(9, 6)
+        DPX10Runtime(MixApp(), dag, DPX10Config(engine=engine, tile_shape=(2, 2))).run()
+        assert (
+            dag.to_array(fill=-1, dtype=np.int64).tolist()
+            == want.to_array(fill=-1, dtype=np.int64).tolist()
+        )
+
+
 # -- coarsening ----------------------------------------------------------------------
 class TestCoarsen:
     def test_offset_clipping_rule(self):
@@ -70,9 +140,12 @@ class TestCoarsen:
 
     def test_tile_grid_geometry(self):
         g = TileGrid(10, 7, 4, 3)
-        assert (g.nti, g.ntj) == (3, 3)
-        assert g.tile_of(9, 6) == (2, 2)
-        assert g.bounds(2, 2) == (8, 10, 6, 7)  # clipped at the edge
+        # two spare rows trail as a clipped tile; the one spare column
+        # joins the first tile column
+        assert (g.nti, g.ntj) == (3, 2)
+        assert g.tile_of(9, 6) == (2, 1)
+        assert g.bounds(2, 1) == (8, 10, 4, 7)  # clipped at the edge
+        assert g.bounds(0, 0) == (0, 4, 0, 4)
 
     def test_diagonal_coarsens_to_diagonal(self):
         tiled = DiagonalDag(6, 6).coarsen(3, 3)
@@ -309,7 +382,7 @@ class TestCoarsen:
         from repro.core.tiling import TileRunState
 
         tiled = make_dag(name).coarsen(*shape)
-        plane = TilePlane.allocate((13, 13), np.int64, shape)
+        plane = TilePlane.allocate(tiled.grid, np.int64)
         plane.owners[...] = np.arange(plane.owners.size).reshape(plane.owners.shape) % 3
         pushed = []
 

@@ -45,6 +45,20 @@ class TestParsing:
         req = parse_job_request(body, allow_faults=True)
         assert len(req.faults) == 1 and req.faults[0].place_id == 1
 
+    def test_unknown_top_level_keys_are_rejected_by_name(self):
+        body = {"app": "sw", "params": {"size": 8}, "use_cache": False}
+        with pytest.raises(BadRequest, match="use_cache"):
+            parse_job_request(body)
+        del body["use_cache"]
+        assert parse_job_request(dict(body, cache=False)).use_cache is False
+
+    def test_soak_requests_bypass_the_cache(self):
+        from repro.chaos.soak import SoakSpec, _request_body
+
+        for faulted in (True, False):
+            body = _request_body(SoakSpec(), "sw", "alice", 3, faulted, 1)
+            assert parse_job_request(body, allow_faults=True).use_cache is False
+
     def test_cache_key_ignores_engine_and_faults(self):
         base = {"app": "sw", "params": {"size": 16, "seed": 3}}
         a = parse_job_request(dict(base, engine="mp", nplaces=2))

@@ -37,6 +37,10 @@ class TestLifecycle:
         status, payload = server.submit({"app": "nope"})
         assert status == 400 and "error" in payload
 
+    def test_unknown_key_is_400_naming_it(self, server):
+        status, payload = server.submit(_job(use_cache=False))
+        assert status == 400 and "use_cache" in payload["error"]
+
     def test_unknown_job_is_none(self, server):
         assert server.job_status("missing") is None
 
@@ -128,6 +132,42 @@ class TestCaching:
         for i in range(server.admission.policy("default").max_in_flight + 2):
             status, payload = server.submit(_job())
             assert status == 200  # cache hits release their slot instantly
+
+
+class TestJobRetention:
+    def test_oldest_finished_jobs_are_evicted_first_and_answer_404(
+        self, server, monkeypatch
+    ):
+        import threading
+
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_FINISHED_JOBS", 3)
+        # a job held running: never evicted, however many finish meanwhile
+        gate = threading.Event()
+        real = server_mod.execute_job
+
+        def held(req, config, on_report=None):
+            gate.wait(30)
+            return real(req, config, on_report)
+
+        monkeypatch.setattr(server_mod, "execute_job", held)
+        _, first = server.submit(_job(seed=7))  # held: no cache entry yet
+        server.cache.put(
+            server_mod.parse_job_request(_job()).cache_key, {"score": 1}
+        )
+        finished = []
+        for _ in range(5):  # cached repeats finish inside submit
+            status, payload = server.submit(_job())
+            assert status == 200
+            finished.append(payload["id"])
+        assert server.job_status(first["id"])["status"] == "running"
+        assert [server.job_status(j) is None for j in finished] == [True] * 2 + [False] * 3
+        assert server.job_trace(finished[0])[0] == 404
+        gate.set()
+        assert server.wait(first["id"])["status"] == "done"
+        # finishing the held job evicts the oldest cached one left
+        assert set(server.jobs) == {first["id"], *finished[3:]}
 
 
 class TestHTTP:
