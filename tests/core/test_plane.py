@@ -292,7 +292,7 @@ def _cut_a_level_short(shape, cut, die_at):
     inside a level batch (a SIGKILL, on the shm backing, leaves exactly
     this in the shared segments), a tile is either flagged with every
     value in place or not flagged at all. Returns the tiled dag, the
-    level, the plane, the sweep sizes and how many of its tiles landed."""
+    level, the flags it left, the sweep sizes and how many tiles landed."""
     app, dag, tiled, kernel, levels, want = _levels(shape=shape)
     plane = TilePlane.allocate(tiled.grid, app.value_dtype)
     plane.owners[...] = 0
@@ -319,25 +319,24 @@ def _cut_a_level_short(shape, cut, die_at):
         if flags.all():
             flagged += 1
             assert plane.values[rows, cols].tolist() == want[rows, cols].tolist()
-    state = (plane.finished.copy(), plane.values.copy())
+    left = plane.finished.astype(bool)
     # the recompute of the whole level lands on the oracle
     for level in levels[cut:]:
         plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
     assert plane.values.tolist() == want.tolist() and plane.finished.all()
-    plane.finished[...], plane.values[...] = state
-    return tiled, levels[cut], plane, calls, flagged
+    return tiled, levels[cut], left, calls, flagged
 
 
 def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     # 25 x 21 at 4x4: the spare boundary row and column join the first
     # tile row and column, so every tile of a level, peeled or not,
     # shares one sweep, and dying in it flags none of them
-    _tiled, level, _plane, calls, flagged = _cut_a_level_short((4, 4), cut=5, die_at=1)
+    _tiled, level, _left, calls, flagged = _cut_a_level_short((4, 4), cut=5, die_at=1)
     assert calls == [len(level)] and flagged == 0
     # at 4x6 the 21 columns trail a 3-wide tile column: interior tiles +
     # the peeled col-0 tile, then that column's peeled row-0 tile, two
     # sweeps, each holding a tile with peeled cells
-    tiled, level, plane, calls, flagged = _cut_a_level_short((4, 6), cut=3, die_at=2)
+    tiled, level, left, calls, flagged = _cut_a_level_short((4, 6), cut=3, die_at=2)
     peeled = {(3, 0): (slice(None), slice(0, 1)), (0, 3): (slice(0, 1), slice(None))}
     assert set(peeled) <= set(level) and calls == [3, 1]
     assert 0 < flagged < len(level)
@@ -345,7 +344,7 @@ def test_a_batch_cut_short_leaves_no_flag_without_its_values():
     states = set()
     for (ti, tj), (si, sj) in peeled.items():
         r0, r1, c0, c1 = tiled.grid.bounds(ti, tj)
-        tile = plane.finished[r0:r1, c0:c1].astype(bool)
+        tile = left[r0:r1, c0:c1]
         in_strip = np.zeros(tile.shape, bool)
         in_strip[si, sj] = True
         strip, rest = set(tile[in_strip].tolist()), set(tile[~in_strip].tolist())
