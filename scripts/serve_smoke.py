@@ -9,6 +9,9 @@ over HTTP, the way ``python -m repro serve`` clients would:
   the app catalog's serial oracles, each run by its class's generated
   kernel — a demoted app still matches the oracle, only slower);
 * a repeat submission that must come back ``cached: true``;
+* a same-shape job with other data and ``"cache": false``, which must
+  match its oracle and be planned from the plan memo (``GET /stats``:
+  a hit and no miss);
 * a ``GET /metrics`` scrape validated line-by-line against the
   Prometheus text-format schema, including the per-tenant families the
   observability docs promise;
@@ -56,6 +59,9 @@ REQUIRED_FAMILIES = (
     "dpx10_pool_forks_total",
     "dpx10_result_cache_hits",
     "dpx10_pacer_active_jobs",
+    "dpx10_plan_memo_hits_total",
+    "dpx10_plan_memo_misses_total",
+    "dpx10_plan_memo_entries",
 )
 
 SAMPLE_RE = re.compile(
@@ -184,6 +190,25 @@ def main(argv=None) -> int:
             failures.append(f"repeat submission was not served from cache: {payload}")
         else:
             print("  repeat submission served from cache")
+
+        # same shape, other data, no result cache: the plan comes from the memo
+        before = _get(base, "/stats")["plan_memo"]
+        params = dict(params, seed=params["seed"] + 100)
+        status, payload = _post(
+            base, "/jobs", {"tenant": tenant, "app": app, "params": params, "cache": False}
+        )
+        job = _get(base, f"/jobs/{payload['id']}?wait=90") if status == 202 else payload
+        after = _get(base, "/stats")["plan_memo"]
+        want = APPS[app].oracle(APPS[app].normalize(dict(params)))
+        got = (job.get("result") or {}).get("score")
+        hits, misses = after["hits"] - before["hits"], after["misses"] - before["misses"]
+        if got != want or hits < 1 or misses != 0:
+            failures.append(
+                f"same-shape job: score={got} oracle={want}, plan memo "
+                f"+{hits} hits +{misses} misses (want a hit and no miss): {job}"
+            )
+        else:
+            print(f"  same-shape job score {got} == oracle, planned from the memo (+{hits} hits)")
 
         scrape = _get(base, "/metrics", raw=True)
         with open(args.metrics_out, "w", encoding="utf-8") as fh:

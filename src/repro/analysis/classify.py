@@ -30,12 +30,14 @@ Demotion findings:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
 
+from repro.util.lru import LRU
+
 from .findings import AnalysisReport
 from .infer import (
+    NO_DATA,
     Effects,
     FootEntry,
     InferError,
@@ -58,6 +60,9 @@ from .ir import (
     Index,
     LiftError,
     Reduce,
+    SelfElem,
+    SelfElem2,
+    SelfScalar,
     lift_compute,
     normalize,
     walk_expr,
@@ -219,12 +224,16 @@ def _scan_pins(
     return tuple(pins)
 
 
-def _match_row_scan_const(
-    ir: ComputeIR, entry: FootEntry, app, dag
+def _match_row_scan(
+    ir: ComputeIR, entry: FootEntry, app, dag, stride: Optional[Expr] = None
 ) -> Optional[RowScanForm]:
-    """Row-scan recognition for a constant intra-row offset ``(0, -s)``.
+    """Recognise the prefix-scan shape around the intra-row read ``entry``.
 
-    Handles both the 2-arg ``max(base, read + add)`` shape and the
+    ``stride`` is the ``s`` of a constant ``(0, -s)`` offset, or None for
+    a data stride, read off a column ``j - stride`` and row-constant. The
+    read must appear exactly once: in a 2-arg ``max(base, read + add)``
+    guarded by the feasibility test ``stride <= j`` (a case guard or an
+    enclosing ``Cond`` test), or — constant strides — in the
     guarded-``Reduce`` shape MTP lifts to::
 
         Reduce max { (i > 0) => dep[(i-1, j)] + down,
@@ -232,14 +241,21 @@ def _match_row_scan_const(
 
     where the read's guard is the feasibility test, the remaining items
     form the base, and ``add`` may vary along the row (``lane_add``).
-    Every other case must be guarded and dependency-free so it can be
-    pinned into the base (see :class:`RowScanForm`).
+    Other cases pin into the base (see :class:`RowScanForm`): under a
+    constant stride every one must be pinnable; under a data stride pins
+    are an optimisation, and the seed-only chain the fallback.
     """
     read = entry.read
     if read is None:
         return None
-    s = -entry.col.const
-    stride = Const(s)
+    const = stride is not None
+    if not const:
+        col = entry.col
+        if col.const != 0 or len(col.terms) != 1 or col.terms[0][0] != -1:
+            return None
+        stride = col.terms[0][1]
+        if not _is_row_constant(stride):
+            return None
     holders = [
         (idx, g, v)
         for idx, (g, v) in enumerate(ir.cases)
@@ -255,7 +271,7 @@ def _match_row_scan_const(
     feas: Optional[Expr] = None
     base: Optional[Expr] = None
     take: Optional[Expr] = None
-    if isinstance(value, Reduce) and value.fn == "max":
+    if const and isinstance(value, Reduce) and value.fn == "max":
         with_read = [
             (g, x)
             for g, x in value.items
@@ -273,7 +289,7 @@ def _match_row_scan_const(
             return None
         base = Reduce("max", tuple(rest))
     else:
-        # Cond peel + 2-arg max, as in the data-dependent matcher
+        # peel a feasibility Cond: (take-form if stride <= j else base)
         cond_guard: Optional[Expr] = None
         if isinstance(value, Cond):
             cond_guard, inner, base_alt = value.test, value.then, value.orelse
@@ -300,13 +316,13 @@ def _match_row_scan_const(
             return None
 
     add = _split_take(take, read)
-    if add is None or _has_dep(add):
+    if add is None or _has_dep(add) or not (const or _is_row_constant(add)):
         return None
     # base may read strictly-earlier rows (the caller verified every
     # sibling offset has di < 0): those gathers are plain window reads
     # in the row loop, already computed by the time the row scans
-    pins = _scan_pins(ir, scan_idx, s, app, dag)
-    if pins is None:
+    pins = _scan_pins(ir, scan_idx, stride.value if const else None, app, dag)
+    if pins is None and const:
         return None
     return RowScanForm(
         read=read,
@@ -315,17 +331,14 @@ def _match_row_scan_const(
         base=base,
         guard=feas,
         lane_add=not _is_row_constant(add),
-        pins=pins,
+        pins=pins or (),
     )
 
 
 def _dag_fully_active(dag) -> bool:
-    try:
-        from repro.core.dag import Dag
+    from repro.core.dag import Dag
 
-        return type(dag).is_active is Dag.is_active
-    except Exception:  # pragma: no cover - core always importable at runtime
-        return True
+    return type(dag).is_active is Dag.is_active
 
 
 def _try_const_row_scan(
@@ -353,102 +366,15 @@ def _try_const_row_scan(
             return None  # not strictly earlier-row: no scan shape
     if len(intra) != 1:
         return None
-    return _match_row_scan_const(ir, intra[0], app, dag)
+    return _match_row_scan(ir, intra[0], app, dag, Const(-intra[0].col.const))
 
 
-def _match_row_scan(
-    ir: ComputeIR, entry: FootEntry
-) -> Optional[RowScanForm]:
-    """Recognise the prefix-scan shape around an intra-row data read.
-
-    The read must appear exactly once, inside a value of the form
-    ``max(base, read + add)`` guarded by ``stride <= j`` (the guard may
-    be the enclosing ``Cond`` test), where ``base`` is the no-take
-    expression and ``add``/``stride`` are row-constant.
-    """
-    read = entry.read
-    if read is None:
-        return None
-    holders = [
-        (g, v)
-        for g, v in ir.cases
-        if any(n == read for n in walk_expr(v))
-        or (g is not None and any(n == read for n in walk_expr(g)))
-    ]
-    if len(holders) != 1:
-        return None
-    guard, value = holders[0]
-    if guard is not None and any(n == read for n in walk_expr(guard)):
-        return None
-    # peel a feasibility Cond: (take-form if stride <= j else base)
-    cond_guard: Optional[Expr] = None
-    if isinstance(value, Cond):
-        cond_guard, take, base_alt = value.test, value.then, value.orelse
-        if any(n == read for n in walk_expr(base_alt)) or any(
-            n == read for n in walk_expr(cond_guard)
-        ):
-            return None
-        value = take
-    else:
-        base_alt = None
-    if not (isinstance(value, Call) and value.fn == "max" and len(value.args) == 2):
-        return None
-    with_read = [a for a in value.args if any(n == read for n in walk_expr(a))]
-    without = [a for a in value.args if not any(n == read for n in walk_expr(a))]
-    if len(with_read) != 1 or len(without) != 1:
-        return None
-    take, base = with_read[0], without[0]
-    if base_alt is not None and base_alt != base:
-        return None
-    # take must be read + add (or bare read)
-    if take == read:
-        add: Expr = Const(0)
-    elif isinstance(take, Bin) and take.op == "+":
-        if take.left == read:
-            add = take.right
-        elif take.right == read:
-            add = take.left
-        else:
-            return None
-    else:
-        return None
-    if not _is_row_constant(add):
-        return None
-    # stride from the column affine: col = j - stride_term, const 0
-    col = entry.col
-    if col.const != 0 or len(col.terms) != 1 or col.terms[0][0] != -1:
-        return None
-    stride = col.terms[0][1]
-    if not _is_row_constant(stride):
-        return None
-    # the guard (case- or cond-level) must be stride <= j / j >= stride
-    feas = cond_guard if cond_guard is not None else guard
-    if feas is not None:
-        ok = (
-            isinstance(feas, Cmp)
-            and (
-                (feas.op == "<=" and feas.left == stride and feas.right == Index("j"))
-                or (
-                    feas.op == ">="
-                    and feas.left == Index("j")
-                    and feas.right == stride
-                )
-            )
-        )
-        if not ok:
-            return None
-    scan_idx = next(
-        idx
-        for idx, (g, v) in enumerate(ir.cases)
-        if any(n == read for n in walk_expr(v))
-    )
-    # pins are an optimisation here: when the sibling cases don't fit the
-    # pinnable shape the emission simply falls back to the seed-only
-    # chain, which is what this matcher always produced historically
-    pins = _scan_pins(ir, scan_idx, None, None, None) or ()
-    return RowScanForm(
-        read=read, stride=stride, add=add, base=base, guard=feas, pins=pins
-    )
+#: the plan memo: ``compute()``'s source facts, the plans of
+#: :func:`repro.analysis.codegen.build_autokernel` and the kernel
+#: templates, each under its own key kind (docs/ANALYSIS.md §8). Bounded:
+#: a long-lived server meets an open-ended set of user app classes and
+#: shapes. No entry holds instance data.
+PLAN_MEMO = LRU(256)
 
 
 class _SourceFacts(NamedTuple):
@@ -460,18 +386,18 @@ class _SourceFacts(NamedTuple):
     #: the ``(code, message, location)`` finding that stopped lifting
     #: (``ir`` is None) or footprint extraction (``entries`` is None)
     finding: Optional[tuple] = None
+    #: the ``self`` attributes the IR reads, sorted
+    attrs: Tuple[str, ...] = ()
 
 
-@functools.lru_cache(maxsize=64)
 def _read_source(compute, _folded: tuple = ()) -> _SourceFacts:
     """Effect analysis, lift + normalize and the symbolic footprint.
 
     Pure functions of ``compute()``'s source and of the scalar module
-    globals the lifter folds into constants (``_folded``, part of the
-    key), and since planned tiles try a generated kernel on every run
-    and every served job, memoized — ``inspect.getsource`` + tokenizer +
-    AST walk were ~2.5 ms of a 25 ms default solve. Bounded: a
-    long-lived server meets an open-ended set of user app classes.
+    globals the lifter folds into constants (``_folded``), so memoized in
+    :data:`PLAN_MEMO` under both (:func:`_source_facts`):
+    ``inspect.getsource`` + tokenizer + AST walk were ~2.5 ms of a 25 ms
+    default solve.
     """
     try:
         effects = analyze_effects(compute)
@@ -500,20 +426,32 @@ def _read_source(compute, _folded: tuple = ()) -> _SourceFacts:
         return _SourceFacts(
             effects, ir, finding=("DP403", f"footprint extraction failed: {exc}", None)
         )
-    return _SourceFacts(effects, ir, entries)
+    attrs = {n.attr for n in ir.exprs() if isinstance(n, (SelfScalar, SelfElem, SelfElem2))}
+    return _SourceFacts(effects, ir, entries, attrs=tuple(sorted(attrs)))
+
+
+def source_key(compute) -> tuple:
+    """What ``compute()``'s source facts are a function of: the function and
+    the scalar module globals the lifter folds into constants."""
+    ns = getattr(compute, "__globals__", {})
+    names = getattr(getattr(compute, "__code__", None), "co_names", ())
+    return (compute, tuple((n, ns[n]) for n in names if type(ns.get(n)) in (int, float, bool)))
 
 
 def _source_facts(compute) -> _SourceFacts:
-    ns = getattr(compute, "__globals__", {})
-    names = getattr(getattr(compute, "__code__", None), "co_names", ())
-    return _read_source(
-        compute,
-        tuple((n, ns[n]) for n in names if type(ns.get(n)) in (int, float, bool)),
-    )
+    key = source_key(compute)
+    return PLAN_MEMO.lookup(("source",) + key, lambda: _read_source(*key))
 
 
-def classify_app(app, dag, subject: str = "") -> Classification:
-    """Run the full analysis front-end over one app/dag pair."""
+def classify_app(app, dag, subject: str = "", data: bool = True) -> Classification:
+    """Run the full analysis front-end over one app/dag pair.
+
+    ``data=False`` probes a data-free view of the app (``infer.NO_DATA``):
+    a read that ``self`` data guards counts on both branches and a pin
+    that data guards is refused, so the result holds for every app whose
+    plan signature this one shares (``codegen.build_autokernel``).
+    """
+    probe = app if data else NO_DATA
     subject = subject or type(app).__name__
     report = AnalysisReport(subject=subject)
     cls = Classification(subject=subject, klass="OPAQUE", report=report)
@@ -568,7 +506,7 @@ def classify_app(app, dag, subject: str = "") -> Classification:
         return cls
     entries = cls.entries = facts.entries
 
-    problems = probe_footprint(cls.ir, app, dag)
+    problems = probe_footprint(cls.ir, probe, dag)
     if problems:
         for p in problems:
             report.add("DP404", p)
@@ -597,7 +535,7 @@ def classify_app(app, dag, subject: str = "") -> Classification:
             return cls
         # a lone constant intra-row read may still be a prefix scan —
         # O(h) accumulate sweeps instead of O(h + w) antidiagonal levels
-        form = _try_const_row_scan(cls.ir, cls.entries, app, dag)
+        form = _try_const_row_scan(cls.ir, cls.entries, probe, dag)
         if form is not None:
             cls.rank = (1, 0)
             cls.row_scan = form
@@ -635,7 +573,7 @@ def classify_app(app, dag, subject: str = "") -> Classification:
             " scan handles exactly one",
         )
         return cls
-    form = _match_row_scan(cls.ir, intra_row[0])
+    form = _match_row_scan(cls.ir, intra_row[0], probe, dag)
     if form is None:
         report.add(
             "DP403",
@@ -647,7 +585,7 @@ def classify_app(app, dag, subject: str = "") -> Classification:
     stride = compile_expr(form.stride)
     for i, j in sample_cells(dag, 64):
         try:
-            s = stride(i, j, app)
+            s = stride(i, j, probe)
         except Exception:
             s = None
         if not isinstance(s, int) or s < 1:

@@ -31,12 +31,13 @@ the CLI (``repro analyze --dump-kernel``) and the docs walkthrough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .classify import Classification, RowScanForm, classify_app
+from .classify import PLAN_MEMO, Classification, RowScanForm, _source_facts, classify_app, source_key
 from .findings import AnalysisReport
 from .infer import FootEntry
 from .ir import AffineIndex, Expr, SelfElem, SelfElem2, SelfScalar
@@ -63,7 +64,10 @@ class KernelSpec:
     :func:`kernel_from_spec` to re-emit the kernel without re-running
     the AST pipeline or the numeric probes. Every field is built from
     frozen IR dataclasses, so the spec survives pickling — unlike the
-    compiled kernel function itself.
+    compiled kernel function itself. ``digest`` names a slice kernel's
+    template in :data:`~.classify.PLAN_MEMO`: a hash of everything the
+    generated code is a function of, so a pooled place re-emits once per
+    shape, not once per job.
     """
 
     subject: str
@@ -73,6 +77,8 @@ class KernelSpec:
     entries: Tuple[FootEntry, ...] = ()
     row_scan: Optional[RowScanForm] = None
     case_kinds: dict = field(default_factory=dict)
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0)
+    digest: Optional[str] = None
 
 
 @dataclass
@@ -158,48 +164,79 @@ def _make_act(dag):
     return act
 
 
-def _kernel_for(cls: Classification, app, dag) -> AutoKernel:
-    """Build the kernel for a non-OPAQUE classification (may raise)."""
-    if cls.klass in ("TENSOR_HYPERPLANE", "TREE_LEVEL_GATHER"):
+#: the :class:`KernelSpec` fields a :class:`Classification` shares
+_SPEC_FIELDS = ("rank", "ir", "entries", "row_scan", "case_kinds")
+
+
+def _attr_keys(app) -> tuple:
+    """What a generated kernel and the classifier see of each ``self``
+    attribute the IR reads: its kind, dtype and shape, or a string's length."""
+    keys = []
+    for name in _source_facts(type(app).compute).attrs:
+        v = getattr(app, name, None)
+        head = type(v[0]) if isinstance(v, (list, tuple)) and len(v) else None
+        keys.append((name, (str, len(v)) if isinstance(v, str) else (
+            type(v), np.asarray(v).dtype.str, np.shape(v), head)))
+    return tuple(keys)
+
+
+def _signature(app, dag) -> Optional[tuple]:
+    """The plan key of ``app`` on ``dag`` (docs/ANALYSIS.md §8), or None
+    where a plan is not a function of one: a domain kernel, a dag other
+    than a plain grid stencil, a data-valued dependency offset."""
+    from repro.patterns.base import StencilDag
+
+    kind, extra = type(dag), dict(vars(dag))
+    extra.pop("_results", None)
+    if not (
+        isinstance(dag, StencilDag)
+        and kind.get_dependency is StencilDag.get_dependency
+        and extra.pop("_domain", None) is None
+        and all(type(v) in (int, float, bool, str) for v in extra.values())
+    ):
+        return None
+    facts = _source_facts(type(app).compute)
+    if facts.entries is None or any(e.data_dependent for e in facts.entries):
+        return None
+    return (source_key(type(app).compute), type(app), str(type(app).value_dtype),
+            kind, tuple(dag.offsets), tuple(sorted(extra.items())), _attr_keys(app))
+
+
+def _spec_for(cls: Classification, app, dag) -> KernelSpec:
+    spec = KernelSpec(cls.subject, cls.klass, **{f: getattr(cls, f) for f in _SPEC_FIELDS})
+    if cls.klass not in ("TENSOR_HYPERPLANE", "TREE_LEVEL_GATHER"):
+        spec.pads = _pads_for(cls.entries, app)
+        shape = (replace(spec, subject=""), dag.height, dag.width, _make_act(dag) is not None,
+                 np.dtype(type(app).value_dtype).str, _attr_keys(app))
+        spec.digest = hashlib.sha1(repr(shape).encode()).hexdigest()
+    return spec
+
+
+def _classification(spec: KernelSpec, subject: str) -> Classification:
+    return Classification(subject, spec.klass, AnalysisReport(subject=subject),
+                          **{f: getattr(spec, f) for f in _SPEC_FIELDS})
+
+
+def _kernel_for(spec: KernelSpec, app, dag) -> AutoKernel:
+    """Build the kernel for a non-OPAQUE spec (may raise). A slice kernel
+    binds the template its digest names, made on first sight."""
+    if spec.klass in ("TENSOR_HYPERPLANE", "TREE_LEVEL_GATHER"):
         from .domainkern import TensorHyperplaneKernel, TreeLevelKernel
 
         maker = (
             TensorHyperplaneKernel
-            if cls.klass == "TENSOR_HYPERPLANE"
+            if spec.klass == "TENSOR_HYPERPLANE"
             else TreeLevelKernel
         )
         k = maker(app, dag)
-        return AutoKernel(
-            fn=k,
-            pads=k.pads,
-            klass=cls.klass,
-            subject=cls.subject,
-            source=k.source,
-            mode=k.mode,
-        )
-    from .flatsweep import build_slice_kernel
+    else:
+        from .flatsweep import build_slice_kernel
 
-    pads = _pads_for(cls.entries, app)
-    k = build_slice_kernel(cls, app, dag, pads)
-    return AutoKernel(
-        fn=k,
-        pads=pads,
-        klass=cls.klass,
-        subject=cls.subject,
-        source=k.source,
-    )
-
-
-def _spec_for(cls: Classification) -> KernelSpec:
-    return KernelSpec(
-        subject=cls.subject,
-        klass=cls.klass,
-        rank=cls.rank,
-        ir=cls.ir,
-        entries=cls.entries,
-        row_scan=cls.row_scan,
-        case_kinds=cls.case_kinds,
-    )
+        k = PLAN_MEMO.lookup(
+            ("kernel", spec.digest), lambda: build_slice_kernel(spec, app, dag, spec.pads)
+        ).bind(app, dag)
+    return AutoKernel(fn=k, pads=k.pads, klass=spec.klass, subject=spec.subject,
+                      source=k.source, mode=k.mode, spec=spec)
 
 
 def kernel_from_spec(spec: KernelSpec, app, dag) -> Optional[AutoKernel]:
@@ -209,41 +246,64 @@ def kernel_from_spec(spec: KernelSpec, app, dag) -> Optional[AutoKernel]:
     ran them pre-fork; the spec is trusted. Returns None when emission
     fails (the worker then computes interpreted, never wrongly).
     """
-    cls = Classification(
-        subject=spec.subject,
-        klass=spec.klass,
-        report=AnalysisReport(subject=spec.subject),
-        ir=spec.ir,
-        entries=spec.entries,
-        rank=spec.rank,
-        row_scan=spec.row_scan,
-        case_kinds=spec.case_kinds,
-    )
     try:
-        kernel = _kernel_for(cls, app, dag)
+        return _kernel_for(spec, app, dag)
     except KernelBuildError:
         return None
-    kernel.spec = spec
-    return kernel
+
+
+def _build(app, dag, subject: str):
+    """Classify ``app`` with its data and emit its kernel: the per-instance path."""
+    cls = classify_app(app, dag, subject=subject)
+    if cls.klass == "OPAQUE":
+        return None, cls
+    try:
+        kernel = _kernel_for(_spec_for(cls, app, dag), app, dag)
+    except KernelBuildError as exc:
+        cls.report.add("DP403", f"kernel emission failed: {exc}")
+        cls.klass = "OPAQUE"
+        return None, cls
+    return kernel, cls
 
 
 def build_autokernel(app, dag, subject: str = ""):
     """Classify ``app`` and emit its tile kernel.
 
-    Returns ``(AutoKernel | None, Classification)``. The build is a pure
-    function of ``(type(app), app data, dag)``; the returned kernel
+    Returns ``(AutoKernel | None, Classification)``. The build is not a
+    pure function of ``(type(app), app data, dag)``: it reads and fills
+    :data:`~.classify.PLAN_MEMO`, which keeps the instance-independent
+    half of a build per plan *signature*
+    (:func:`_signature`: ``compute()``'s source, the app type and value
+    dtype, the kind, dtype and shape of every attribute the IR reads, the
+    dag type, shape and offsets). The first app of a signature is
+    classified with its data, as before, and once more against a
+    data-free view; when the two agree on a kernel, every later app of
+    the signature skips classification and probes and binds the memoized
+    template to its own data. A signature whose classification depends
+    on data (a data-guarded undeclared read, a data-guarded scan pin),
+    and a domain kernel or data-valued offset that has no signature,
+    classifies every instance (docs/ANALYSIS.md §8). The returned kernel
     carries a picklable ``spec`` so multiprocessing workers re-emit it
     from :func:`kernel_from_spec` instead of pickling the generated
     function (or re-running classification post-fork).
     """
-    cls = classify_app(app, dag, subject=subject)
-    if cls.klass == "OPAQUE":
-        return None, cls
-    try:
-        kernel = _kernel_for(cls, app, dag)
-    except KernelBuildError as exc:
-        cls.report.add("DP403", f"kernel emission failed: {exc}")
-        cls.klass = "OPAQUE"
-        return None, cls
-    kernel.spec = _spec_for(cls)
-    return kernel, cls
+    subject = subject or type(app).__name__
+    key = _signature(app, dag)
+    if key is None:
+        return _build(app, dag, subject)
+    built = []
+
+    def plan() -> Optional[KernelSpec]:
+        built.append(_build(app, dag, subject))
+        kernel, cls = built[0]
+        if kernel is None:
+            return None
+        free = classify_app(app, dag, subject=subject, data=False)
+        same = (free.klass, free.rank, free.row_scan) == (cls.klass, cls.rank, cls.row_scan)
+        return kernel.spec if same else None
+
+    spec = PLAN_MEMO.lookup(("plan", key), plan)
+    if built or spec is None:
+        return built[0] if built else _build(app, dag, subject)
+    cls = _classification(spec, subject)
+    return _kernel_for(spec, app, dag), cls

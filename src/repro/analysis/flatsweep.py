@@ -71,12 +71,15 @@ discard them, which the differential tests
 
 from __future__ import annotations
 
+import copy
 import functools
 import threading
-from collections import OrderedDict
+import types
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.util.lru import LRU
 
 from .codegen import KernelBuildError, _make_act
 from .infer import _expr_kind
@@ -175,22 +178,12 @@ class _SweepPlan:
 #: LRU, because a pooled place outlives its jobs and every distinct job
 #: size brings its own ragged edge shapes. One run touches the interior
 #: shape plus at most three edge shapes per ``(rank, pads)``.
-_PLAN_CACHE: "OrderedDict[tuple, _SweepPlan]" = OrderedDict()
 _PLAN_CACHE_SIZE = 16
-_PLAN_LOCK = threading.Lock()
+_PLAN_CACHE = LRU(_PLAN_CACHE_SIZE)
 
 
 def _plan_for(a: int, pads: Tuple[int, int, int, int], h: int, w: int) -> _SweepPlan:
-    key = (a, pads, h, w)
-    with _PLAN_LOCK:  # a threaded run's places share the cache
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            plan = _PLAN_CACHE[key] = _SweepPlan(a, pads, h, w)
-            if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-                _PLAN_CACHE.popitem(last=False)
-        else:
-            _PLAN_CACHE.move_to_end(key)
-    return plan
+    return _PLAN_CACHE.lookup((a, pads, h, w), lambda: _SweepPlan(a, pads, h, w))
 
 
 # -- leaf extraction and the prelude ----------------------------------------------------
@@ -276,10 +269,12 @@ class _Renderer:
     """Renders dependency-free IR as NumPy source over a whole tile.
 
     ``gi``/``gj`` are the tile's global row/column coordinates as
-    broadcast column/row vectors. ``self`` data becomes closures in
-    :attr:`closures` (the namespace of the prelude and every sweep),
-    every gather ``np.clip``-ed: ``np.where`` evaluates both branches,
-    so masked lanes index in range. A ``present()`` test becomes a bounds
+    broadcast column/row vectors. ``self`` data becomes a free name
+    recorded in :attr:`names`, a *recipe* (``_s_x`` is ``self.x``,
+    ``_a_x`` its array, ``_c_x`` its string's ord codes, ``_act`` the
+    dag's activity test) that :func:`_closure` resolves per app, so the
+    code holds no instance data. Every gather is ``np.clip``-ed:
+    ``np.where`` evaluates both branches, so masked lanes index in range. A ``present()`` test becomes a bounds
     mask, plus an activity test on a partially active dag, whose inactive
     cells keep the zero that defaulted reads of them observe (the
     window's zero fill is *not* the default — banded's is ``10**9``).
@@ -289,21 +284,21 @@ class _Renderer:
 
     indent, prefix = "    ", "_t"
 
-    def __init__(self, app, H: int, W: int, closures: Dict[str, object]) -> None:
-        self.app, self.H, self.W, self.closures = app, H, W, closures
-        self.has_act = closures["_act"] is not None
+    def __init__(self, app, H: int, W: int, has_act: bool, names: set, consts: dict) -> None:
+        self.app, self.H, self.W, self.has_act = app, H, W, has_act
+        self.names, self.consts = names, consts
         self.lines: List[str] = []
         self._line_cache: Dict[str, str] = {}
 
     @classmethod
     def for_dag(cls, app, dag) -> "_Renderer":
-        """The prelude's renderer, holding fresh closures for ``app`` on ``dag``."""
+        """The prelude's renderer for ``app`` on ``dag``."""
         dtype = np.dtype(type(app).value_dtype)
         info = np.iinfo(dtype) if dtype.kind in ("i", "u") else None
         lo, hi = (int(info.min // 4), int(info.max // 4)) if info else (-np.inf, np.inf)
         # _minv / _maxv: the identities of a guarded max / min reduction
-        closures = {"np": np, "_act": _make_act(dag), "_minv": lo, "_maxv": hi}
-        return cls(app, dag.height, dag.width, closures)
+        consts = {"np": np, "_minv": lo, "_maxv": hi}
+        return cls(app, dag.height, dag.width, _make_act(dag) is not None, set(), consts)
 
     def line(self, text: str) -> None:
         self.lines.append(self.indent + text)
@@ -330,10 +325,9 @@ class _Renderer:
         if isinstance(e, Index):
             return "gi" if e.axis == "i" else "gj"
         if isinstance(e, SelfScalar):
-            value = getattr(self.app, e.attr)
-            if isinstance(value, str):
+            if isinstance(getattr(self.app, e.attr), str):
                 raise KernelBuildError("string attribute outside a comparison")
-            self.closures[f"_s_{e.attr}"] = value
+            self.names.add(f"_s_{e.attr}")
             return f"_s_{e.attr}"
         if isinstance(e, (SelfElem, SelfElem2)):
             data = getattr(self.app, e.attr)
@@ -342,10 +336,9 @@ class _Renderer:
                     f"string element self.{e.attr}[...] outside a comparison"
                 )
             name = f"_a_{e.attr}"
-            if name not in self.closures:
-                self.closures[name] = np.asarray(data)
+            self.names.add(name)
             idx = (e.index,) if isinstance(e, SelfElem) else (e.row, e.col)
-            shape = self.closures[name].shape  # type: ignore[union-attr]
+            shape = np.shape(data)
             return name + "[" + ", ".join(
                 f"np.clip({self.val(x)}, 0, {n - 1})" for x, n in zip(idx, shape)
             ) + "]"
@@ -423,11 +416,8 @@ class _Renderer:
             return str(ord(e.value)) if len(e.value) == 1 else "-1"
         if isinstance(e, SelfElem) and isinstance(getattr(self.app, e.attr), str):
             name = f"_c_{e.attr}"
-            if name not in self.closures:
-                self.closures[name] = np.asarray(
-                    [ord(ch) for ch in getattr(self.app, e.attr)], dtype=np.int64
-                )
-            top = max(len(self.closures[name]) - 1, 0)  # type: ignore[arg-type]
+            self.names.add(name)
+            top = max(len(getattr(self.app, e.attr)) - 1, 0)
             return f"{name}[np.clip({self.val(e.index)}, 0, {top})]"
         raise KernelBuildError("string value outside a simple comparison")
 
@@ -455,6 +445,7 @@ class _Renderer:
         conds = self._axis_conds(e.row, r, self.H) + self._axis_conds(e.col, c, self.W)
         terms = [self.cached(cond) for cond in conds]
         if self.has_act:
+            self.names.add("_act")
             terms.append(
                 self.cached(
                     f"_act(np.clip({r}, 0, {self.H - 1}),"
@@ -556,14 +547,14 @@ class _SliceEmitter(_Renderer):
     the tile — a constant, erasing the mask entirely. ``a`` is the skew
     rank of the flat sweep's buffer, or None for row geometry: the
     batch-first window stack, one tile row per iteration. It shares the
-    prelude's geometry and closures.
+    prelude's geometry and names.
     """
 
     indent, prefix = "        ", "_x"
 
     def __init__(self, pre: _Renderer, leaves: _LeafTable, offsets, profile,
                  a: Optional[int]) -> None:
-        super().__init__(pre.app, pre.H, pre.W, pre.closures)
+        super().__init__(pre.app, pre.H, pre.W, pre.has_act, pre.names, pre.consts)
         # offsets: DepRead -> (di, dj)
         self.leaves, self.offsets, self.profile, self.a = leaves, offsets, profile, a
 
@@ -618,54 +609,92 @@ class _SliceEmitter(_Renderer):
 # -- the kernel objects -----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _code(src: str, name: str):
-    """Compiled generated source, memoized: a pooled place re-emits the
-    same kernels job after job, and ``compile`` is most of a rebuild."""
-    return compile(src, name, "exec")
+def _function_code(src: str, filename: str) -> types.CodeType:
+    """The code object of the one function ``src`` defines."""
+    module = compile(src, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+def _closure(name: str, app, dag):
+    """What a generated kernel's free name stands for, on ``app`` and
+    ``dag``: the renderer's recipe (see :class:`_Renderer`)."""
+    if name == "_act":
+        return _make_act(dag)
+    data = getattr(app, name[3:])
+    if name[1] == "a":
+        return np.asarray(data)
+    return np.asarray([ord(ch) for ch in data], dtype=np.int64) if name[1] == "c" else data
 
 
 class _SliceKernel:
     """What every slice kernel shares: the prelude, one sweep compiled per
-    profile on first sight, and the one-tile call."""
+    profile on first sight, and the one-tile call.
+
+    Built, a kernel is a *template*: code objects and the recipes of the
+    names they read, no instance data, shared by every app of one plan
+    signature (:func:`repro.analysis.codegen.build_autokernel`).
+    :meth:`bind` makes it the kernel over one app on one dag: the same
+    code over fresh closures. A sweep that a binding renders for a new
+    profile is compiled once, into the template, for every binding.
+    """
 
     kind = ""  # names the generated code objects
     header = ""  # the --dump-kernel banner
+    mode = "window"  # the AutoKernel contract it honours
 
     def __init__(self, cases, leaves: _LeafTable, offsets, pads, pre: _Renderer,
                  nrender: int) -> None:
-        self.cases, self.leaves, self.offsets = cases, leaves, offsets
-        self.pads, self._pre = pads, pre
+        self.cases, self.leaves, self.offsets, self.pads = cases, leaves, offsets, pads
         self.prelude_source = _emit_prelude(pre, leaves)
-        ns = dict(pre.closures)
-        exec(_code(self.prelude_source, f"<{self.kind}:prelude>"), ns)
-        # popped: ``ns`` is the function's ``__globals__`` and holds the app's
-        # arrays and dag, so the function left in it would be a reference cycle
-        self._leaves_fn = ns.pop("_leaves")
-        self._sweeps: Dict[Tuple[str, ...], object] = {}
-        self._sweep_sources: Dict[Tuple[str, ...], str] = {}
+        self._prelude = _function_code(self.prelude_source, f"<{self.kind}:prelude>")
+        self.H, self.W, self.has_act = pre.H, pre.W, pre.has_act
+        self.names, self.consts = pre.names, pre.consts
+        self._codes: Dict[Tuple[str, ...], tuple] = {}  # states -> (code, source)
+        self._lock = threading.Lock()
         # compile the fully-general variant eagerly: it both smoke-tests
         # emission at build time (so failures demote the app to the
         # interpreted path instead of surfacing mid-run) and seeds ``source``
         self.general_profile = ("M",) * nrender
-        self._compile(self.general_profile)
+        self._render(self.general_profile, pre)
 
-    def _compile(self, profile: Tuple[str, ...]):
-        names = ", ".join(f"_L{k}" for k in range(len(profile)))
-        unpack = f"    ({names},) = _leaves\n" if names else ""
-        src = self._sweep_source(profile, unpack)
-        ns = dict(self._pre.closures)  # rendering src may have added closures
-        exec(_code(src, f"<{self.kind}:{''.join(profile)}>"), ns)
-        fn = self._sweeps[profile] = ns.pop("_sweep")  # no cycle: see __init__
-        self._sweep_sources[profile] = src
-        return fn
+    def bind(self, app, dag) -> "_SliceKernel":
+        """This template as the kernel over ``app`` on ``dag``."""
+        k = copy.copy(self)
+        k._pre = _Renderer(app, self.H, self.W, self.has_act, self.names, self.consts)
+        k._dag, k._ns, k._fns = dag, dict(self.consts), {}
+        k._leaves_fn = k._function(self._prelude)
+        return k
+
+    def _render(self, states: Tuple[str, ...], pre: _Renderer):
+        """The sweep's code for ``states``, rendered by ``pre`` on first sight."""
+        with self._lock:
+            got = self._codes.get(states)
+            if got is None:
+                names = ", ".join(f"_L{k}" for k in range(len(states)))
+                unpack = f"    ({names},) = _leaves\n" if names else ""
+                src = self._sweep_source(states, unpack, pre)
+                got = (_function_code(src, f"<{self.kind}:{''.join(states)}>"), src)
+                self._codes[states] = got
+        return got[0]
+
+    def _function(self, code):
+        """``code`` as a function over this binding's closures, resolving
+        any name rendered since the binding was made."""
+        with self._lock:
+            missing = [n for n in self.names if n not in self._ns]
+        for name in missing:
+            self._ns[name] = _closure(name, self._pre.app, self._dag)
+        return types.FunctionType(code, self._ns)
 
     def _sweep_fn(self, profile):
         """The compiled sweep for a profile's leaf states."""
         states = tuple(
             s if isinstance(s, str) else "S" for s in profile[: len(self.general_profile)]
         )
-        return self._sweeps.get(states) or self._compile(states)
+        fn = self._fns.get(states)
+        if fn is None:
+            fn = self._fns[states] = self._function(self._render(states, self._pre))
+        return fn
 
     def prepare(self, r0, c0, h, w) -> Tuple[object, List[object]]:
         """Classify ``h x w`` tiles at origins ``r0``/``c0`` — ints, or arrays
@@ -696,7 +725,7 @@ class _SliceKernel:
     @property
     def source(self) -> str:
         """Prelude + the general sweep variant, for ``--dump-kernel``."""
-        general = self._sweep_sources[self.general_profile]
+        general = self._codes[self.general_profile][1]
         return f"{self.header}{self.prelude_source}\n{general}"
 
 
@@ -715,8 +744,8 @@ class FlatSweepKernel(_SliceKernel):
         self.a = a
         super().__init__(cases, leaves, offsets, pads, pre, len(leaves.exprs))
 
-    def _sweep_source(self, profile, unpack: str) -> str:
-        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, self.a)
+    def _sweep_source(self, profile, unpack: str, pre: _Renderer) -> str:
+        se = _SliceEmitter(pre, self.leaves, self.offsets, profile, self.a)
         body = se.emit(self.cases)
         return (
             f"def _sweep(B2, _spans, _leaves):\n{unpack}"
@@ -821,8 +850,8 @@ class RowKernel(_SliceKernel):
         self.hidden_k = [leaves.intern(e) for e in hidden]
         super().__init__(cases, leaves, offsets, pads, pre, nrender)
 
-    def _sweep_source(self, profile, unpack: str) -> str:
-        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, None)
+    def _sweep_source(self, profile, unpack: str, pre: _Renderer) -> str:
+        se = _SliceEmitter(pre, self.leaves, self.offsets, profile, None)
         body = se.emit(self.cases)
         shifts = "".join(f", _d{n}" for n in range(len(self.hidden_k)))
         return (
@@ -862,7 +891,7 @@ class RowKernel(_SliceKernel):
             # a window covers the pads box clipped to the grid, so frame
             # columns it leaves out on the left lie off the grid: no scan
             # chain arrives from there
-            B[:, :, : max(0, pl - oj)] = self._pre.closures["_minv"]
+            B[:, :, : max(0, pl - oj)] = self.consts["_minv"]
             r_lo, r_hi = max(-oi, -pt), min(wh - oi, h + pb)  # the overlap,
             c_lo, c_hi = max(-oj, -pl), min(ww - oj, w + pr)  # tile-relative
             B[:, pt + r_lo : pt + r_hi, pl + c_lo : pl + c_hi] = windows[
@@ -901,8 +930,8 @@ class RowScanKernel(RowKernel):
         hidden = (form.add,) if literal else (form.add, form.stride)
         super().__init__(cases, leaves, offsets, pads, pre, hidden)
 
-    def _sweep_source(self, profile, unpack: str) -> str:
-        se = _SliceEmitter(self._pre, self.leaves, self.offsets, profile, None)
+    def _sweep_source(self, profile, unpack: str, pre: _Renderer) -> str:
+        se = _SliceEmitter(pre, self.leaves, self.offsets, profile, None)
         base = se.val(self.cases[self.scan][1])
         for idx in reversed(self.pins):
             # pinned cases chain through the scan: their (dependency-free)
@@ -961,8 +990,10 @@ class RowScanKernel(RowKernel):
 
 
 def build_slice_kernel(cls, app, dag, pads: Tuple[int, int, int, int]):
-    """The slice kernel for an ANTIDIAG, ELEMENTWISE or ROW_SCAN_PREFIX
-    classification.
+    """The slice kernel template for an ANTIDIAG, ELEMENTWISE or
+    ROW_SCAN_PREFIX classification (``cls``: a classification or its
+    spec); ``app`` and ``dag`` only shape the code, :meth:`_SliceKernel.bind`
+    binds it.
 
     Raises :class:`repro.analysis.codegen.KernelBuildError` when the IR
     leaves the slice form — a data-dependent offset (in row geometry:

@@ -70,6 +70,7 @@ __all__ = [
     "compile_expr",
     "probe_footprint",
     "sample_cells",
+    "NO_DATA",
 ]
 
 #: call roots that never count as foreign: the numeric core, the harness
@@ -456,6 +457,17 @@ class _NeedsDep(Exception):
 
 def _needs_dep(i, j, app):
     raise _NeedsDep()
+
+
+class _NoData:
+    """An app whose every ``self`` value is unknown to the probes."""
+
+    def __getattr__(self, name):
+        raise _NeedsDep()
+
+
+#: the data-free view of an app (``classify_app(..., data=False)``)
+NO_DATA = _NoData()
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

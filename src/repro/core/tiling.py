@@ -36,6 +36,7 @@ and ``(1, 1)`` keeps the per-vertex reference path bit-for-bit.
 
 from __future__ import annotations
 
+import copy
 import functools
 import threading
 import time
@@ -52,6 +53,7 @@ from repro.core import plane as _plane
 from repro.core.trace import TraceEvent, paced, split_span
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS
 from repro.errors import DeadPlaceException, PatternError
+from repro.util.lru import LRU
 from repro.util.validation import require
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -230,6 +232,7 @@ class TiledDag(Dag):
         self._anti = anti
         self._tile_active = tile_active
         self._base_rank = base_rank
+        self._cache: Dict[str, object] = {}
         #: stencil mode: offsets known, halo and order derivable symbolically
         self.stencil_mode = tile_offsets is not None
         if self.stencil_mode:
@@ -277,7 +280,11 @@ class TiledDag(Dag):
 
     def levels(self) -> List[List[Coord]]:
         """Active tiles by topological depth (Kahn by generations); within a
-        level, in the order releasing the one before tile by tile gives."""
+        level, in the order releasing the one before tile by tile gives.
+        Computed once per tile DAG (per shape for a memoized one, whose
+        copies share ``_cache``); callers must not modify it."""
+        if "levels" in self._cache:
+            return self._cache["levels"]
         active = self._tile_active.ravel()
         out = self.successors[active].ravel()
         indegree = np.bincount(out[out >= 0], minlength=len(active))
@@ -286,6 +293,7 @@ class TiledDag(Dag):
         while level:
             levels.append([divmod(t, self.grid.ntj) for t in level])
             level = _release(indegree, self.successors, level)
+        self._cache["levels"] = levels
         return levels
 
     # -- the Dag interface over tiles ----------------------------------------------
@@ -432,20 +440,51 @@ class TiledDag(Dag):
         return k, np.concatenate([r for r, _ in halos]), np.concatenate([c for _, c in halos])
 
 
+#: dense-stencil tile geometry by ``(offsets, height, width, tile_h,
+#: tile_w)``: a :class:`TiledDag` with no base whose grid, tile offsets
+#: and activity, ``successors``, ``tile_cells`` and ``levels()`` every
+#: solve of that shape shares, read-only; each solve rebases a copy onto
+#: its own dag. Bounded: a pooled place meets new job sizes without end.
+_GEOMETRY = LRU(64)
+
+
+def _shared(tiled: TiledDag) -> TiledDag:
+    """``tiled`` with its tile arrays computed and read-only, and no base.
+    ``levels()`` is left to the first run that asks (an mp master, into
+    the ``_cache`` every copy shares); in-process engines never ask."""
+    for a in (tiled.successors, tiled.tile_cells, tiled._tile_active):
+        a.setflags(write=False)
+    tiled.base = None
+    return tiled
+
+
 def coarsen(base: Dag, tile_h: int, tile_w: int) -> TiledDag:
-    """Build and verify the tile-level DAG (see :meth:`Dag.coarsen`)."""
+    """Build and verify the tile-level DAG (see :meth:`Dag.coarsen`);
+    a dense stencil's comes from the geometry memo :data:`_GEOMETRY`."""
     require(
         isinstance(tile_h, int) and isinstance(tile_w, int) and tile_h >= 1 and tile_w >= 1,
         f"tile shape must be a pair of ints >= 1, got ({tile_h!r}, {tile_w!r})",
     )
-    grid = TileGrid(base.height, base.width, tile_h, tile_w)
     from repro.patterns.base import StencilDag  # local: patterns import core.dag
 
+    kind = type(base)
     stencil_ok = (
         isinstance(base, StencilDag)
-        and type(base).get_dependency is StencilDag.get_dependency
-        and type(base).get_anti_dependency is StencilDag.get_anti_dependency
+        and kind.get_dependency is StencilDag.get_dependency
+        and kind.get_anti_dependency is StencilDag.get_anti_dependency
     )
+    if stencil_ok and kind.is_active is Dag.is_active and (
+        kind.active_cells_in_rect is Dag.active_cells_in_rect
+    ):
+        key = (tuple(base.offsets), base.height, base.width, tile_h, tile_w)
+        tiled = copy.copy(_GEOMETRY.lookup(key, lambda: _shared(_coarsen(base, tile_h, tile_w, True))))
+        tiled.base = base
+        return tiled
+    return _coarsen(base, tile_h, tile_w, stencil_ok)
+
+
+def _coarsen(base: Dag, tile_h: int, tile_w: int, stencil_ok: bool) -> TiledDag:
+    grid = TileGrid(base.height, base.width, tile_h, tile_w)
     if stencil_ok:
         offsets = tuple(base.offsets)
         base_rank = find_ranking_vector(offsets)

@@ -25,9 +25,10 @@ import math
 import threading
 import time
 import uuid
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Span", "ExecutionTrace", "paced", "split_span"]
 
@@ -123,9 +124,10 @@ class ExecutionTrace:
     edges post-mortem.
     """
 
-    def __init__(self, trace_id: Optional[str] = None) -> None:
+    def __init__(self, trace_id: Optional[str] = None, max_spans: Optional[int] = None) -> None:
         self._events: List[TraceEvent] = []
-        self._spans: List[Span] = []
+        #: at most ``max_spans`` spans (None: unbounded), oldest dropped first
+        self._spans: Deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
         self._t0 = time.perf_counter()
         self.trace_id: str = trace_id or uuid.uuid4().hex

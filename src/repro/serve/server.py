@@ -74,6 +74,19 @@ _MAX_BODY = 8 * 1024 * 1024
 #: running jobs are never evicted
 MAX_FINISHED_JOBS = 4096
 
+#: serving spans :attr:`JobServer.trace` keeps, the oldest dropped first:
+#: three per job (admission, queue, execute), so the last ~340 jobs. A
+#: span is ~0.3 kB, and a server that kept every one grew with its jobs
+MAX_SERVER_SPANS = 1024
+
+
+def _plan_memo() -> Dict[str, int]:
+    """This process's plan memo counters (the master's: places keep their own)."""
+    from repro.analysis.classify import PLAN_MEMO
+
+    with PLAN_MEMO.lock:
+        return {"hits": PLAN_MEMO.hits, "misses": PLAN_MEMO.misses, "size": len(PLAN_MEMO)}
+
 
 @dataclass
 class Job:
@@ -148,7 +161,7 @@ class JobServer:
         self.pacer = WeightedFairPacer(quantum_cells)
         self.cache = ResultCache(cache_capacity)
         self.registry = MetricsRegistry()
-        self.trace = ExecutionTrace()
+        self.trace = ExecutionTrace(max_spans=MAX_SERVER_SPANS)
         self.jobs: Dict[str, Job] = {}
         self._finished: Deque[str] = deque()  # finished job ids, oldest first
         self._jobs_lock = threading.Lock()
@@ -388,6 +401,15 @@ class JobServer:
         self.registry.gauge(
             "dpx10_pacer_active_jobs", "jobs registered with the fair pacer"
         ).set(self.pacer.active_jobs())
+        memo = _plan_memo()
+        self.registry.counter(
+            "dpx10_plan_memo_hits_total",
+            "plan memo lookups (source facts, plans, kernel templates) answered from it",
+        ).set(memo["hits"])
+        self.registry.counter(
+            "dpx10_plan_memo_misses_total", "plan memo lookups that built their entry"
+        ).set(memo["misses"])
+        self.registry.gauge("dpx10_plan_memo_entries", "plan memo entries held").set(memo["size"])
 
     def metrics_text(self) -> str:
         self._refresh_gauges()
@@ -405,6 +427,7 @@ class JobServer:
             "tenants": self.admission.snapshot(),
             "jobs": by_status,
             "queued": self._queued,
+            "plan_memo": _plan_memo(),
         }
 
     def export_trace(self, path: str) -> None:

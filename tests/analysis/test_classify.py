@@ -408,9 +408,17 @@ class TestSourceMemo:
             probes.append(args)
             return real_probe(*args, **kwargs)
 
+        reads = []
+        real_read = classify._read_source
+
+        def read(*args):
+            reads.append(args)
+            return real_read(*args)
+
         monkeypatch.setattr(classify, "probe_footprint", probe)
-        classify._read_source.cache_clear()
-        return lambda: (classify._read_source.cache_info().misses, len(probes))
+        monkeypatch.setattr(classify, "_read_source", read)
+        classify.PLAN_MEMO.clear()
+        return lambda: (len(reads), len(probes))
 
     def test_instances_share_the_entry_and_each_runs_its_own_probe(self, spies):
         first = classify_app(_StepApp(), _RowChainDag(4, 6))
@@ -450,10 +458,12 @@ class TestSourceMemo:
         assert 7 in consts(classify_app(_StepApp(), _RowChainDag(4, 6)))
         assert spies()[0] == 2
 
-    def test_the_memo_is_bounded(self, spies, tmp_path):
+    def test_the_memo_is_bounded(self, spies, tmp_path, monkeypatch):
         import importlib.util
 
         from repro.analysis import classify
+
+        monkeypatch.setattr(classify.PLAN_MEMO, "maxsize", 64)
 
         body = "".join(
             f"class App{k}(DPX10App):\n"
@@ -474,10 +484,9 @@ class TestSourceMemo:
         for k in range(200):
             cls = classify_app(getattr(module, f"App{k}")(), _RowChainDag(3, 5))
             assert cls.vectorizable
-            info = classify._read_source.cache_info()
-            assert info.currsize <= info.maxsize == 64
+            assert len(classify.PLAN_MEMO) <= 64
         assert spies() == (200, 200)
-        assert classify._read_source.cache_info().currsize == 64
+        assert len(classify.PLAN_MEMO) == 64
         # an evicted class is simply read again
         assert classify_app(module.App0(), _RowChainDag(3, 5)).vectorizable
         assert spies()[0] == 201

@@ -170,6 +170,24 @@ class TestJobRetention:
         assert set(server.jobs) == {first["id"], *finished[3:]}
 
 
+    def test_the_server_trace_keeps_at_most_max_server_spans(self, monkeypatch):
+        import repro.serve.server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_SERVER_SPANS", 1000)
+        policy = TenantPolicy(rate=1e9, burst=1e9, max_in_flight=10**6)
+        srv = JobServer(port=0, pool_capacity=2, prewarm=False, default_policy=policy)
+        try:
+            srv.cache.put(server_mod.parse_job_request(_job()).cache_key, {"score": 1})
+            for _ in range(5000):  # cached: each finishes inside submit
+                assert srv.submit(_job())[0] == 200
+            spans = srv.trace.spans
+            assert len(spans) == 1000  # the oldest dropped first
+            assert spans[-1].name == "admission:default"
+            assert spans[0].start > 0 and spans[0].start <= spans[-1].start
+        finally:
+            srv.close()
+
+
 class TestHTTP:
     def _post(self, base, body):
         req = urllib.request.Request(
