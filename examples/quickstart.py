@@ -23,12 +23,12 @@ def figure1_example() -> None:
 
 
 def larger_run() -> None:
-    print("\n== A 400x300 LCS across 4 places (threaded engine) ==")
+    print("\n== A 400x300 LCS across 4 places ==")
     x = "ACGTGCA" * 57  # 399 chars
     y = "ACTGGCAT" * 37  # 296 chars
     # no tile_shape: the runtime plans tiles and a generated kernel.
     # tile_shape=(1, 1) would run the paper's per-vertex path instead.
-    config = DPX10Config(nplaces=4, engine="threaded", distribution="block_cols")
+    config = DPX10Config(nplaces=4, engine="inline", distribution="block_cols")
     app, report = solve_lcs(x, y, config)
     print(f"  LCS length        : {app.length}")
     print(f"  plan              : {report.plan}")

@@ -43,15 +43,14 @@ from repro.bench import (
     format_series,
 )
 from repro.bench.figures import FIG10_NODES
+from repro.core.config import ENGINES
 from repro.obs.cli import parse_tile
 from repro.patterns import PATTERNS
 
 
 def _add_runtime_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--places", type=int, default=4, help="number of places")
-    p.add_argument(
-        "--engine", choices=["inline", "threaded"], default="inline"
-    )
+    p.add_argument("--engine", choices=ENGINES, default="inline")
     p.add_argument(
         "--scheduler", choices=["local", "random", "mincomm"], default="local"
     )

@@ -19,6 +19,11 @@ This package provides the same semantics in-process:
   producing :class:`~repro.errors.DeadPlaceException`;
 * :class:`~repro.apgas.network.NetworkModel` — latency/bandwidth accounting
   for inter-place traffic.
+
+The DPX10 runtime uses places, fault injection and the network model
+directly and drives its own workers (:mod:`repro.core.worker`);
+``GlobalRuntime`` and the activity engines are a standalone rendering of
+the X10 constructs, not on any run's path.
 """
 
 from repro.apgas.activity import Activity

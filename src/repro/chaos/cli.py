@@ -40,6 +40,7 @@ from repro.chaos.harness import (
 )
 from repro.chaos.schedule import ChaosSchedule
 from repro.chaos.shrink import load_replay, shrink_case, write_replay
+from repro.core.config import ENGINES
 
 __all__ = ["add_chaos_parser"]
 
@@ -54,11 +55,24 @@ def _csv(text: str) -> List[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _engines(text: str) -> List[str]:
+    """``--engines``, checked at parse time: a typo is a usage error
+    before the sweep runs any case, not a crash some cases in."""
+    engines = _csv(text)
+    unknown = [e for e in engines if e not in ENGINES]
+    if unknown or not engines:
+        raise argparse.ArgumentTypeError(
+            f"unknown engine(s) {','.join(unknown) or '(none given)'}; "
+            f"choose from {','.join(ENGINES)}"
+        )
+    return engines
+
+
 def _cmd_run(args) -> int:
     patterns = (
         _all_patterns() if args.patterns == "all" else _csv(args.patterns)
     )
-    engines = _csv(args.engines)
+    engines = args.engines
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
     # per-vertex (the oracle path) and what a bare config plans
     tile_shapes: list = [None, PLANNED]
@@ -234,7 +248,10 @@ def add_chaos_parser(sub: argparse._SubParsersAction) -> None:
         help='comma list of pattern names, or "all"',
     )
     run.add_argument(
-        "--engines", default="inline", help="comma list: inline,threaded,mp"
+        "--engines",
+        type=_engines,
+        default="inline",
+        help=f"comma list from {','.join(ENGINES)}",
     )
     run.add_argument("--seeds", type=int, default=10, help="schedules per case")
     run.add_argument("--seed-base", type=int, default=0)

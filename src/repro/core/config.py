@@ -9,8 +9,9 @@
   remote results after a failure) or "copy" (transfer them, for apps whose
   compute is dearer than communication).
 
-``nplaces`` mirrors ``X10_NPLACES`` and ``threads_per_place`` mirrors
-``X10_NTHREADS`` from the paper's experimental setup.
+``nplaces`` mirrors ``X10_NPLACES`` from the paper's experimental setup.
+Each place runs one worker draining its own ready list, so there is no
+``X10_NTHREADS`` counterpart.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from repro.dist.dist import Dist
 from repro.dist.region import Region2D
 from repro.util.validation import require
 
-__all__ = ["DPX10Config"]
+__all__ = ["DPX10Config", "ENGINES"]
 
-_ENGINES = ("inline", "threaded", "mp")
+#: every execution engine; the CLI, the job server and the chaos harness
+#: validate against this one tuple
+ENGINES = ("inline", "threaded", "mp")
 _SCHEDULERS = ("local", "random", "mincomm")
 _DIST_KINDS = (
     "block_rows",
@@ -53,8 +56,6 @@ class DPX10Config:
     #: "mp" — real place processes with level-synchronous execution (see
     #: repro.core.mp_engine)
     engine: str = "inline"
-    #: worker threads per place (X10_NTHREADS); threaded engine only
-    threads_per_place: int = 2
     #: distribution kind; the paper's default splices by column
     distribution: str = "block_cols"
     #: block shape for the block_cyclic distribution
@@ -176,12 +177,8 @@ class DPX10Config:
     def __post_init__(self) -> None:
         require(self.nplaces >= 1, f"nplaces must be >= 1, got {self.nplaces}")
         require(
-            self.engine in _ENGINES,
-            f"engine must be one of {_ENGINES}, got {self.engine!r}",
-        )
-        require(
-            self.threads_per_place >= 1,
-            f"threads_per_place must be >= 1, got {self.threads_per_place}",
+            self.engine in ENGINES,
+            f"engine must be one of {ENGINES}, got {self.engine!r}",
         )
         require(
             self.custom_dist is not None or self.distribution in _DIST_KINDS,

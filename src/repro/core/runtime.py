@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.apgas.network import NetworkModel
-from repro.apgas.runtime import GlobalRuntime
+from repro.apgas.place import PlaceGroup
 from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
@@ -70,7 +70,6 @@ class RunReport:
     msg_retries: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    per_place_activities: Dict[int, int] = field(default_factory=dict)
     #: compute() executions by execution place (moves under non-local
     #: scheduling)
     per_place_executed: Dict[int, int] = field(default_factory=dict)
@@ -233,66 +232,51 @@ class DPX10Runtime:
         if cfg.engine == "mp":
             return self._run_mp()
 
-        rt = GlobalRuntime(
-            cfg.nplaces,
-            engine=cfg.engine,
-            threads_per_place=cfg.threads_per_place,
-            network=self.network,
-        )
-        if self.chaos is not None and self.chaos.has_throttles:
-            # throttled places also start their worker activities late,
-            # perturbing the initial interleaving (results are unchanged)
-            rt.engine.on_activity_start = self.chaos.on_execute
+        group = PlaceGroup(cfg.nplaces)
+        drive = run_threaded if cfg.engine == "threaded" else run_inline
         recovery_stats: List[RecoveryStats] = []
-        state: Optional[ExecutionState] = None
-        try:
-            with Timer() as timer:
-                state = self._initialize(rt)
-                logger.debug(
-                    "initialized %s over %d places (%s, %s engine)",
-                    type(self.dag).__name__,
-                    rt.group.size,
-                    state.dist.kind,
-                    cfg.engine,
-                )
-                while True:
-                    try:
-                        with self._phase(state, "execute"):
-                            if cfg.engine == "threaded":
-                                run_threaded(state)
-                            else:
-                                run_inline(state)
-                        break
-                    except DeadPlaceException as exc:
-                        logger.warning(
-                            "place %d died after %d completions; entering "
-                            "recovery mode",
-                            exc.place_id,
-                            state.completions,
-                        )
-                        if not rt.group.is_alive(0):
-                            raise PlaceZeroDeadError()
-                        with self._phase(state, "recovery", "recovery"):
-                            if state.tiles is not None:
-                                stats = recover_tiled(state)
-                            elif cfg.ft_mode == "snapshot":
-                                stats = recover_from_snapshot(state)
-                            else:
-                                stats = recover(state)
-                        recovery_stats.append(stats)
-                        logger.info(
-                            "recovered onto places %s: %d preserved, %d copied, "
-                            "%d discarded, %d to recompute",
-                            stats.alive_places,
-                            stats.preserved_in_place,
-                            stats.copied,
-                            stats.discarded,
-                            stats.to_recompute,
-                        )
-                self._bind_results(state)
-                self.app.app_finished(self.dag)
-        finally:
-            rt.shutdown()
+        with Timer() as timer:
+            state = self._initialize(group)
+            logger.debug(
+                "initialized %s over %d places (%s, %s engine)",
+                type(self.dag).__name__,
+                group.size,
+                state.dist.kind,
+                cfg.engine,
+            )
+            while True:
+                try:
+                    with self._phase(state, "execute"):
+                        drive(state)
+                    break
+                except DeadPlaceException as exc:
+                    logger.warning(
+                        "place %d died after %d completions; entering "
+                        "recovery mode",
+                        exc.place_id,
+                        state.completions,
+                    )
+                    if not group.is_alive(0):
+                        raise PlaceZeroDeadError()
+                    with self._phase(state, "recovery", "recovery"):
+                        if state.tiles is not None:
+                            stats = recover_tiled(state)
+                        elif cfg.ft_mode == "snapshot":
+                            stats = recover_from_snapshot(state)
+                        else:
+                            stats = recover(state)
+                    recovery_stats.append(stats)
+                    logger.info(
+                        "recovered onto places %s: %d preserved, %d copied, "
+                        "%d discarded, %d to recompute",
+                        stats.alive_places,
+                        stats.preserved_in_place,
+                        stats.copied,
+                        stats.discarded,
+                        stats.to_recompute,
+                    )
+            self._bind_results(state)
+            self.app.app_finished(self.dag)
 
         report = RunReport(
             wall_time=timer.elapsed,
@@ -305,9 +289,8 @@ class DPX10Runtime:
             msg_retries=self.network.stats.retries,
             cache_hits=sum(c.hits for c in state.caches.values()),
             cache_misses=sum(c.misses for c in state.caches.values()),
-            per_place_activities={p.id: p.activities_run for p in rt.group},
             per_place_executed=dict(state.executed_by),
-            final_alive_places=rt.group.alive_count(),
+            final_alive_places=group.alive_count(),
             snapshots_taken=(
                 state.snapshots.snapshots_taken if state.snapshots else 0
             ),
@@ -386,7 +369,7 @@ class DPX10Runtime:
         return report
 
     # -- stage 1: distribute & initialize -----------------------------------------
-    def _initialize(self, rt: GlobalRuntime) -> ExecutionState:
+    def _initialize(self, group: PlaceGroup) -> ExecutionState:
         cfg = self.config
         from contextlib import nullcontext
 
@@ -400,10 +383,10 @@ class DPX10Runtime:
         stores: Dict[int, object] = {}
         plane = None
         with trace.phase("partition") if trace is not None else nullcontext():
-            dist = cfg.make_dist(self.dag.region, rt.group.alive_ids())
+            dist = cfg.make_dist(self.dag.region, group.alive_ids())
             if tiled is None:
                 stores = build_stores(
-                    rt.group,
+                    group,
                     self.dag,
                     dist,
                     self.app.value_dtype,
@@ -422,7 +405,7 @@ class DPX10Runtime:
         # a tiled run never consults the caches: it reads finished cells
         # in place
         caches = {
-            pid: RemoteCache(cfg.cache_size) for pid in range(rt.group.size)
+            pid: RemoteCache(cfg.cache_size) for pid in range(group.size)
         }
         all_plans = list(self.fault_plans)
         if self.chaos is not None:
@@ -434,7 +417,7 @@ class DPX10Runtime:
             app=self.app,
             dag=self.dag,
             config=cfg,
-            group=rt.group,
+            group=group,
             network=self.network,
             strategy=make_strategy(cfg.scheduler),
             dist=dist,
@@ -486,15 +469,14 @@ class DPX10Runtime:
             from repro.obs.causal import StragglerDetector
 
             state.straggler = StragglerDetector(self.metrics)
-        self._register_collectors(state, rt)
-        state._engine = rt.engine
+        self._register_collectors(state, group)
         # bind eagerly so dag.get_vertex() is reachable during execution
         # (reads it issues from inside compute() go through the vertex
         # stores or the plane view, both visible to the race sanitizer)
         self._bind_results(state)
         return state
 
-    def _register_collectors(self, state: ExecutionState, rt: GlobalRuntime) -> None:
+    def _register_collectors(self, state: ExecutionState, group: PlaceGroup) -> None:
         """Publish the runtime's live accounting as named instruments.
 
         Collection is pull-based: the components keep their tight local
@@ -551,7 +533,7 @@ class DPX10Runtime:
                 executed.labels(pid).set(n)
             completions.set(state.completions)
             active.set(state.total_active)
-            alive.set(rt.group.alive_count())
+            alive.set(group.alive_count())
             if state.snapshots is not None:
                 snaps.set(state.snapshots.snapshots_taken)
                 snap_cells.set(state.snapshots.cells_copied_total)

@@ -23,14 +23,13 @@ release successors onto ``state.ready``.
 
 * :func:`run_inline` — deterministic and single-threaded: one cell per
   alive place per turn, or on a tiled run every alive place's ready list;
-* :func:`run_threaded` — one long-running worker activity per place on the
-  :class:`~repro.apgas.engine.ThreadedEngine`, each handing over its own
-  ready list, with condition-variable wakeups and a global abort protocol
-  for fault handling.
+* :func:`run_threaded` — one worker thread per alive place, each draining
+  its own ready list, with condition-variable wakeups and a global abort
+  protocol for fault handling.
 
 Placement note: a scheduling strategy may choose a non-home execution
 place. All observable consequences — dependency-transfer volume, cache
-behaviour, result write-back, per-place activity counts, and (in the
+behaviour, result write-back, per-place execution counts, and (in the
 simulator) timing — follow that choice. Physical execution stays on the
 home worker's thread because places share one Python process; nothing the
 framework, tests or figures measure depends on which OS thread ran the
@@ -126,8 +125,6 @@ class ExecutionState:
     abort_event: threading.Event = field(default_factory=threading.Event)
     _abort_exc: Optional[Exception] = None
     rngs: Dict[int, np.random.Generator] = field(default_factory=dict)
-    # set by the runtime before run_threaded; the inline driver ignores it
-    _engine: object = None
 
     def __post_init__(self) -> None:
         for pid in self.dist.place_ids:
@@ -354,7 +351,7 @@ def run_inline(state: ExecutionState) -> None:
 
 
 def run_threaded(state: ExecutionState) -> None:
-    """Concurrent driver: one worker activity per place.
+    """Concurrent driver: one worker thread per alive place.
 
     Each worker drains its own ready list until its *finished vertices
     counter* covers every local unit (the paper's termination rule). On
@@ -363,17 +360,17 @@ def run_threaded(state: ExecutionState) -> None:
     all workers park, and the first is re-raised here as raised: a dead
     place for the runtime's recovery loop, anything else ends the run.
     """
-    from repro.apgas.activity import Activity
-    from repro.apgas.engine import ExecutionEngine  # avoid import cycle at top
-
-    engine: ExecutionEngine = state._engine  # type: ignore[attr-defined]
     execute = execute_tiles if state.tiles is not None else execute_vertex
 
     def worker(pid: int) -> None:
         cond = state.conds[pid]
-        while not state.abort_event.is_set():
-            unit = state.pop_ready(pid)
-            try:
+        try:
+            if state.chaos is not None:
+                # a throttled place also starts late, perturbing the
+                # initial interleaving (results are unchanged)
+                state.chaos.on_execute(pid)
+            while not state.abort_event.is_set():
+                unit = state.pop_ready(pid)
                 if unit is not None:
                     execute(state, unit)
                 elif state.place_done(pid):
@@ -381,15 +378,19 @@ def run_threaded(state: ExecutionState) -> None:
                 else:
                     with cond:
                         cond.wait(timeout=_IDLE_WAIT_S)
-            except Exception as exc:  # noqa: BLE001 - re-raised by run_threaded
-                # any error must stop the whole run, not strand the other
-                # workers waiting for this unit forever
-                state.record_abort(exc)
-                return
+        except Exception as exc:  # noqa: BLE001 - re-raised by run_threaded
+            # any error must stop the whole run, not strand the other
+            # workers waiting for this unit forever
+            state.record_abort(exc)
 
-    for pid in state.dist.place_ids:
-        if state.group.is_alive(pid):
-            engine.submit(Activity(pid, worker, (pid,)))
-    engine.run_all()
+    workers = [
+        threading.Thread(target=worker, args=(pid,), name=f"place-{pid}")
+        for pid in state.dist.place_ids
+        if state.group.is_alive(pid)
+    ]
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
     if state.abort_exc is not None:
         raise state.abort_exc

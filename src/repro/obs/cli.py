@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Optional, Tuple
 
-from repro.core.config import DPX10Config
+from repro.core.config import DPX10Config, ENGINES
 from repro.core.trace import ExecutionTrace
 from repro.obs.causal import causal_summary, diff_text, explain_text
 from repro.obs.dashboard import LiveDashboard, summary_text
@@ -166,9 +166,7 @@ def add_obs_parser(sub) -> None:
     r.add_argument("--app", choices=_APPS, default="sw")
     r.add_argument("--size", type=int, default=64, help="problem size N (NxN-ish)")
     r.add_argument("--places", type=int, default=4)
-    r.add_argument(
-        "--engine", choices=["inline", "threaded", "mp"], default="threaded"
-    )
+    r.add_argument("--engine", choices=ENGINES, default="inline")
     r.add_argument(
         "--tile", metavar="HxW", default=None,
         help="tile shape, e.g. 32x32 (default: planned by the runtime; "

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apgas.failure import FaultPlan
+from repro.core.config import ENGINES
 from repro.serve.cache import cache_key
 
 __all__ = [
@@ -369,9 +370,6 @@ APPS: Dict[str, AppSpec] = {
     ),
 }
 
-_ENGINES = ("inline", "threaded", "mp")
-
-
 @dataclass
 class JobRequest:
     """A validated, normalized job submission."""
@@ -435,7 +433,7 @@ def parse_job_request(
     _require(isinstance(raw_params, dict), "params must be a JSON object")
     params = APPS[app].normalize(raw_params)
     engine = body.get("engine", "mp")
-    _require(engine in _ENGINES, f"engine must be one of {_ENGINES}")
+    _require(engine in ENGINES, f"engine must be one of {ENGINES}")
     nplaces = body.get("nplaces", default_nplaces)
     _require(
         isinstance(nplaces, int) and 1 <= nplaces <= 64,

@@ -67,9 +67,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.serve_forever()
 
     # SIGTERM (what process managers and `kill` send) takes the SIGINT
-    # path: without this it skips the finally below and leaves the pool
+    # path, and SIGINT gets its handler back: a server started as a
+    # background shell job inherits SIGINT ignored. Without these it never
+    # reaches the finally below, or dies skipping it, and leaves the pool
     # workers and their /dev/shm segments behind
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, signal.default_int_handler)
     try:
         asyncio.run(_run())
     except KeyboardInterrupt:

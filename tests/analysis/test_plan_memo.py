@@ -207,6 +207,8 @@ def test_same_shape_instances_plan_once_per_process_on_every_engine(tmp_path, mo
 
 
 def test_concurrent_same_shape_jobs_match_their_oracles():
+    # mp jobs plan on the master's executor threads and bind in the
+    # places; inline jobs also run the whole solve on those threads
     from repro.serve.scheduler import TenantPolicy
     from repro.serve.server import JobServer
 
@@ -214,7 +216,13 @@ def test_concurrent_same_shape_jobs_match_their_oracles():
     server = JobServer(port=0, pool_capacity=2, prewarm=False, default_policy=policy)
     try:
         bodies = [
-            {"app": "sw", "params": {"size": 64, "seed": 70 + k}, "cache": False}
+            {
+                "app": "sw",
+                "params": {"size": 64, "seed": 70 + k},
+                "engine": engine,
+                "cache": False,
+            }
+            for engine in ("mp", "inline")
             for k in range(8)
         ]
         ids = []

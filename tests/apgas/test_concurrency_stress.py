@@ -123,7 +123,6 @@ class TestThreadedRuntimeStress:
             cfg = DPX10Config(
                 nplaces=4,
                 engine="threaded",
-                threads_per_place=3,
                 scheduler="random",
                 seed=seed,
                 tile_shape=(3, 3) if seed % 2 else None,

@@ -77,6 +77,32 @@ class TestCommands:
         assert main(["lcs", "ABCD", "BCDA", "--engine", "threaded"]) == 0
         assert "length 3" in capsys.readouterr().out
 
+    def test_mp_engine_prints_the_inline_score(self, capsys):
+        args = ["lcs", "ABCBDAB", "BDCABA", "--places", "2"]
+        assert main(args + ["--engine", "inline"]) == 0
+        inline = capsys.readouterr().out.splitlines()[0]
+        assert main(args + ["--engine", "mp"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == inline
+        assert inline == "LCS('ABCBDAB', 'BDCABA') = 'BCBA' (length 4)"
+
+    def test_chaos_engines_are_checked_before_any_case_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.chaos.cli as chaos_cli
+
+        swept = []
+        monkeypatch.setattr(chaos_cli, "sweep", lambda **kw: swept.append(kw))
+        replays = tmp_path / "replays"
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "run", "--engines", "inline,gpu",
+                  "--replay-dir", str(replays)])
+        assert exc.value.code == 2
+        assert "unknown engine(s) gpu" in capsys.readouterr().err
+        assert swept == [] and not replays.exists()
+        assert main(["chaos", "run", "--engines", "inline,mp",
+                     "--replay-dir", str(replays)]) == 0
+        assert swept[0]["engines"] == ["inline", "mp"]
+
 
 class TestFigureCommands:
     def test_fig12_small(self, capsys):

@@ -20,7 +20,6 @@ class TestValidation:
         [
             {"nplaces": 0},
             {"engine": "gpu"},
-            {"threads_per_place": 0},
             {"distribution": "hilbert"},
             {"scheduler": "greedy"},
             {"cache_size": -1},

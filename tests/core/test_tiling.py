@@ -284,46 +284,37 @@ class TestCoarsen:
             assert got == self._direct_halo(tiled, ti, tj)
 
     def test_halo_cache_eviction_is_thread_safe(self, monkeypatch):
-        # every place's worker of a threaded run inserts and evicts at
-        # once: two evictions racing on one FIFO head kill a worker (a
-        # KeyError, or the dict changing size under its iterator) and
-        # leave the others waiting for its tiles. A watchdog aborts a
-        # stuck run, so a race surfaces as that error instead of a hang.
+        # the job server solves several jobs at once on its executor
+        # threads, and every tiled solve inserts into and evicts from the
+        # one process-wide halo cache: two evictions racing on one FIFO
+        # head fail a solve (a KeyError, or the dict changing size under
+        # its iterator). ``result(timeout=...)`` bounds a stuck solve.
         import sys
-        import threading
+        from concurrent.futures import ThreadPoolExecutor
 
-        from repro.core import tiling, worker
+        from repro.core import tiling
 
         monkeypatch.setattr(tiling, "_HALO_CACHE", {})
         monkeypatch.setattr(tiling, "_HALO_CACHE_SIZE", 8)
-        states = []
-        real_init = worker.ExecutionState.__init__
-
-        def init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            states.append(self)
-
-        monkeypatch.setattr(worker.ExecutionState, "__init__", init)
         rng = np.random.default_rng(0)
         x, y = ("".join(rng.choice(list("ACGT"), 120)) for _ in range(2))
         want = sw_matrix(x, y)
+
+        def solve(seed):
+            dag = DiagonalDag(121, 121)
+            cfg = DPX10Config(
+                engine="inline", nplaces=4, tile_shape=(4, 4), seed=seed
+            )
+            DPX10Runtime(SWApp(x, y), dag, cfg).run()
+            return dag.to_array(fill=-1, dtype=np.int64)
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for seed in range(6):
-                dag = DiagonalDag(121, 121)
-                cfg = DPX10Config(
-                    engine="threaded", nplaces=4, tile_shape=(4, 4), seed=seed
-                )
-                watchdog = threading.Timer(
-                    20, lambda: [s.abort_event.set() for s in states]
-                )
-                watchdog.start()
-                try:
-                    DPX10Runtime(SWApp(x, y), dag, cfg).run()
-                finally:
-                    watchdog.cancel()
-                assert dag.to_array(fill=-1, dtype=np.int64).tolist() == want.tolist()
+            with ThreadPoolExecutor(4) as pool:
+                solves = [pool.submit(solve, seed) for seed in range(8)]
+                for done in solves:
+                    assert done.result(timeout=60).tolist() == want.tolist()
         finally:
             sys.setswitchinterval(interval)
 

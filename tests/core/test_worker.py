@@ -14,7 +14,6 @@ import pytest
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.apgas.network import NetworkModel
 from repro.apgas.place import PlaceGroup
-from repro.apgas.runtime import GlobalRuntime
 from repro.core import runtime as runtime_module
 from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
@@ -211,17 +210,13 @@ class TestSharedDrivers:
         runtime = DPX10Runtime(
             MixApp(), DiagonalDag(8, 8), DPX10Config(nplaces=2, tile_shape=TILE)
         )
-        rt = GlobalRuntime(2, network=runtime.network)
-        try:
-            state = runtime._initialize(rt)
-            assert state.tiles is not None
-            # drain the seed tile: nothing will ever become ready
-            for queue in state.ready.values():
-                queue.clear()
-            with pytest.raises(PatternError, match="deadlock"):
-                run_inline(state)
-        finally:
-            rt.shutdown()
+        state = runtime._initialize(PlaceGroup(2))
+        assert state.tiles is not None
+        # drain the seed tile: nothing will ever become ready
+        for queue in state.ready.values():
+            queue.clear()
+        with pytest.raises(PatternError, match="deadlock"):
+            run_inline(state)
 
     def test_threaded_tiled_kill_mid_wavefront_recovers(self):
         # the observing worker latches the abort, every worker parks, the

@@ -24,9 +24,7 @@ class TestEngineAxis:
     @pytest.mark.parametrize("engine", ["inline", "threaded"])
     @pytest.mark.parametrize("nplaces", [1, 2, 5])
     def test_lcs(self, engine, nplaces):
-        cfg = DPX10Config(
-            tile_shape=(1, 1), nplaces=nplaces, engine=engine, threads_per_place=2
-        )
+        cfg = DPX10Config(tile_shape=(1, 1), nplaces=nplaces, engine=engine)
         app, _ = solve_lcs(X, Y, cfg)
         assert app.length == EXPECT
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import DPX10Config
+from repro.core.config import DPX10Config, ENGINES
 from repro.serve.api import APPS, BadRequest, execute_job, parse_job_request
 
 
@@ -22,10 +22,12 @@ class TestParsing:
             parse_job_request({"app": "tsp", "params": {"size": 8}})
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(BadRequest):
+        with pytest.raises(BadRequest) as err:
             parse_job_request(
                 {"app": "sw", "params": {"size": 8}, "engine": "gpu"}
             )
+        # the 400 names the engines a job may ask for, from the one list
+        assert str(ENGINES) in str(err.value)
 
     def test_nplaces_bounds(self):
         for bad in (0, 65, "four"):

@@ -245,7 +245,9 @@ class TestHTTP:
 
 
 class TestSigterm:
-    """``python -m repro serve`` must shut down on SIGTERM as on SIGINT."""
+    """``python -m repro serve`` must shut down on SIGTERM and on SIGINT,
+    including a SIGINT it was started ignoring (a background shell job),
+    and leave no place process or segment behind."""
 
     @staticmethod
     def _descendants(pid):
@@ -275,6 +277,21 @@ class TestSigterm:
             return False
 
     def test_sigterm_after_jobs_leaves_nothing_behind(self):
+        import signal
+
+        self._signal_after_jobs_leaves_nothing_behind(signal.SIGTERM)
+
+    def test_sigint_after_jobs_leaves_nothing_behind_when_started_ignoring_it(self):
+        import signal
+
+        def ignore_sigint():
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+        self._signal_after_jobs_leaves_nothing_behind(
+            signal.SIGINT, preexec_fn=ignore_sigint
+        )
+
+    def _signal_after_jobs_leaves_nothing_behind(self, sig, preexec_fn=None):
         import os
         import re
         import signal
@@ -295,6 +312,7 @@ class TestSigterm:
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--pool-capacity", "2"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            preexec_fn=preexec_fn,
         )
         children = []
         prefix = f"{SEGMENT_PREFIX}{proc.pid}-"
@@ -322,7 +340,7 @@ class TestSigterm:
             children = self._descendants(proc.pid)
             assert children, "the server should hold warm pool workers"
             assert any(s.startswith(prefix) for s in leaked_segments())
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(sig)
             assert proc.wait(timeout=30) == 0
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline and any(
