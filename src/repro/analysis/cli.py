@@ -283,7 +283,7 @@ def _analyze_one(name: str, app, dag) -> dict:
         ),
     }
     if kernel is not None:
-        rec["kernel_source"] = kernel.source
+        rec["kernel_source"] = kernel.fn.source
     if cls.ir is not None:
         rec["ir"] = cls.ir.pretty()
     return rec

@@ -8,25 +8,14 @@ halo is pre-filled, unwritten cells read as dtype zero, and cell
 ``(i, j)`` lives at ``window[oi + i - r0, oj + j - c0]``.
 
 Emission per class (an app its kernel refuses is demoted to OPAQUE with
-``DP403`` and runs interpreted):
+``DP403`` and runs interpreted): ``ANTIDIAG_WAVEFRONT``, ``ELEMENTWISE``
+and ``ROW_SCAN_PREFIX`` build the slice kernels of :mod:`.flatsweep`
+(:class:`~.flatsweep.FlatSweepKernel`, :class:`~.flatsweep.RowKernel`,
+:class:`~.flatsweep.RowScanKernel`); ``TENSOR_HYPERPLANE`` /
+``TREE_LEVEL_GATHER`` the domain kernels of :mod:`.domainkern`.
 
-* ``ANTIDIAG_WAVEFRONT`` — the flat anti-diagonal sweep of
-  :mod:`.flatsweep` (:class:`~.flatsweep.FlatSweepKernel`).
-* ``ELEMENTWISE`` — :class:`~.flatsweep.RowKernel`, on the same prelude
-  and batch axis in row geometry: every dependency is in an earlier
-  row, so a row is one where-chain of slice reads, with a row-only data
-  shift (knapsack's ``j - weights[i-1]``) taken per row.
-* ``ROW_SCAN_PREFIX`` — :class:`~.flatsweep.RowScanKernel`, the row
-  kernel plus a scan: per row, the intra-row recurrence
-  ``v[j] = max(base[j], v[j - s] + add[j])`` is solved in closed form
-  with one ``np.maximum.accumulate`` over residue classes mod ``s``
-  (within a class, ``v = accumulate(base - S) + S`` with ``S`` the
-  inclusive prefix sum of ``add``, which the prelude computes per tile).
-* ``TENSOR_HYPERPLANE`` / ``TREE_LEVEL_GATHER`` — the domain kernels of
-  :mod:`.domainkern`.
-
-The generated source is kept on the returned :class:`AutoKernel` for
-the CLI (``repro analyze --dump-kernel``) and the docs walkthrough.
+A kernel's ``fn.source`` is the generated source the CLI prints
+(``repro analyze --dump-kernel``).
 """
 
 from __future__ import annotations
@@ -97,7 +86,6 @@ class AutoKernel:
     pads: Tuple[int, int, int, int]
     klass: str
     subject: str
-    source: str
     mode: str = "window"
     spec: Optional[KernelSpec] = None
 
@@ -235,8 +223,8 @@ def _kernel_for(spec: KernelSpec, app, dag) -> AutoKernel:
         k = PLAN_MEMO.lookup(
             ("kernel", spec.digest), lambda: build_slice_kernel(spec, app, dag, spec.pads)
         ).bind(app, dag)
-    return AutoKernel(fn=k, pads=k.pads, klass=spec.klass, subject=spec.subject,
-                      source=k.source, mode=k.mode, spec=spec)
+    return AutoKernel(fn=k, pads=k.pads, klass=spec.klass, subject=spec.subject, mode=k.mode,
+                      spec=spec)
 
 
 def kernel_from_spec(spec: KernelSpec, app, dag) -> Optional[AutoKernel]:

@@ -1,71 +1,32 @@
 """Slice-kernel emission: the flat sweep and the row kernels.
 
-Sweeping a wavefront level by level costs one fancy ``window[wi, wj]``
-gather per dependency per level — the exact cost PR 7's hand
-Smith-Waterman kernel (``repro.apps.smith_waterman``) eliminated by
-*skewing* the tile into a buffer where every antidiagonal is one
-contiguous run. This module generalizes that technique to any
-``ANTIDIAG_WAVEFRONT`` classification with constant dependency offsets,
-runs ``ELEMENTWISE`` and ``ROW_SCAN_PREFIX`` on the same parts in row
-geometry, and is the only emitter of all three classes:
+The one emitter of the ``ANTIDIAG_WAVEFRONT``, ``ELEMENTWISE`` and
+``ROW_SCAN_PREFIX`` classes; docs/ANALYSIS.md §7 has the anatomy and
+its measurements. Every kernel is built from the same parts:
 
-1. **Plan** (cached per ``(rank, pads, h, w)`` in :data:`_PLAN_CACHE`, a
-   small LRU) — the skew geometry: a flat buffer slot for every cell of
-   the tile plus its halo frame, the per-diagonal ``(row, lo, hi)``
-   spans, and the gather/scatter index vectors. Building it costs a few
-   array ops; a run uses a handful of shapes, and a long-lived pooled
-   place drops the edge shapes of jobs long gone.
-2. **Prelude** (generated once per kernel by :class:`_Renderer`) — every
-   maximal *dependency-free* subexpression of the IR (boundary guards,
-   ``present()`` masks, substitution scores, activity tests) is
-   evaluated over a whole stack of same-shape tiles in one call, as a
-   broadcast ``(nb, h, w)`` array, then skewed into buffer geometry.
-3. **Sweep** (generated lazily per *boundary profile* by
-   :class:`_SliceEmitter`, the same renderer in slice context) — the
-   per-diagonal loop, where every dependency read is a contiguous
-   ``B2[row, lo:hi]`` slice. Each boolean prelude leaf is classified
-   per tile as all-true / all-false / mixed; the ``(state, ...)`` tuple
-   selects a sweep variant with those leaves constant-folded away.
-   Interior tiles — every ``present()`` true, no boundary case firing —
-   run a branch-free sweep (SW: ~11 NumPy operations per diagonal,
-   against the masked variant's ~20). Boundary tiles swept alone under
-   masks took ~48 ms of a ~186 ms inline SW 1024² solve at 64², so a
-   tile on the matrix's top row or left column whose leading pads
-   rows / columns are the DP's initial condition (every cell takes a
-   dependency-free case) has them *peeled* (:meth:`FlatSweepKernel.peel`,
-   values straight from the prelude), and
-   :func:`repro.core.plane.run_tiles` sweeps the rest as an interior
-   tile. Only tiles whose edge reads a dependency (LPS) still pay the
-   masked general variant.
-4. **Gather/scatter** — one ``flat.take(..., mode="clip")`` fills the
-   buffer from the window (halo included); one fancy store writes the
-   tile cells back. Index vectors are cached per ``(stride, oi, oj)``,
-   so interior tiles reuse them verbatim.
-5. **The batch axis** — :meth:`~_SliceKernel.prepare` classifies a
-   stack of origins in one prelude call, one profile per tile;
-   :meth:`FlatSweepKernel.sweep` takes a stack of ``nb`` windows of one
-   geometry and profile. Buffers grow a trailing axis, ``B2[row, lo:hi]``
-   becomes a contiguous ``(len, nb)`` block, and the generated sweep is
-   untouched: its NumPy calls are paid once per stack, not per tile.
-   :func:`repro.core.plane.run_tiles` does the grouping;
-   ``kernel(r0, c0, window, ...)`` is the stack of one.
-6. **Row geometry** — :class:`RowKernel` runs ``ELEMENTWISE`` and its
-   subclass :class:`RowScanKernel` runs ``ROW_SCAN_PREFIX``, on the same
-   leaf table, prelude, profile classification and slice emitter: no
-   skew, the buffer is the batch-first window stack and a dependency
-   ``(di, dj)`` reads ``B2[:, _vd + di, _a + dj:_b + dj]``. An
-   elementwise row is one where-chain over ``(nb, w)`` blocks; a read
-   whose column adds row-only data (knapsack's ``j - weights[i-1]``)
-   takes that shift from the row table, and the tile's per-row shifts
-   join its profile. The row scan's prelude also evaluates the scan's
-   add and that add's inclusive prefix sum within each residue class
-   mod the stride, so a row costs only its earlier-row slice reads, the
-   seed, one ``np.maximum.accumulate`` and a slice store. A row-varying
-   stride joins the profile as the tile's per-row stride tuple.
+1. **Prelude** — every maximal *dependency-free* subexpression of the IR
+   (boundary guards, ``present()`` masks, substitution scores, activity
+   tests), evaluated once over a stack of same-shape tiles as broadcast
+   ``(nb, h, w)`` arrays (:meth:`_SliceKernel.prepare`); each tile's
+   leaves reduce to a *profile*: all-true / all-false / mixed / scalar.
+2. **Sweep** — generated lazily per profile by :class:`_SliceEmitter`,
+   the profile's uniform leaves folded away: one step per antidiagonal
+   (flat sweep) or tile row (row kernels), every dependency read a
+   contiguous ``B2[...]`` slice. A step whose cases fold to one stores
+   its last ufunc in place (``out=``), and a max / min adding one
+   dependency-free term to several arguments has it factored out.
+3. **Layout** — the flat sweep's buffer is the skew of a
+   :class:`_SweepPlan`, every antidiagonal one contiguous run and the
+   batch a trailing axis: :func:`repro.core.plane.run_tiles` scatters
+   the halo and the peeled edge strips (:meth:`FlatSweepKernel.peel`)
+   straight into its slots and writes tile cells back out of them. Row
+   kernels take the batch-first window stack, a dependency ``(di, dj)``
+   reading ``B2[:, _vd + di, _a + dj:_b + dj]``; the row scan solves
+   its intra-row recurrence as one ``np.maximum.accumulate`` per row.
 
-Out-of-window reads produce garbage lanes (clipped gathers, the frame
-of a row buffer); the IR's own boundary cases and presence masks
-discard them, which the differential tests
+Out-of-window reads produce garbage lanes (zeros a window does not
+cover, the frame of a row buffer); the IR's own boundary cases and
+presence masks discard them, which the differential tests
 (``tests/analysis/test_codegen.py``) verify bit-for-bit per app.
 """
 
@@ -118,59 +79,42 @@ def _has_dep(e: Expr) -> bool:
 class _SweepPlan:
     """Skew geometry for one ``(rank, pads, h, w)`` combination.
 
-    Virtual coordinates: tile cell ``(li, lj)`` sits at
-    ``(vi, vj) = (li + pt, lj + pl)``; the halo frame fills the rest of
-    the ``(h + pt + pb) x (w + pl + pr)`` extended rectangle. Diagonal
-    ``a*vi + vj`` (normalized to start at 0) is buffer row; ``vi`` is
-    buffer column, so every diagonal is a contiguous run.
+    Tile cell ``(li, lj)`` sits at virtual ``(vi, vj) = (li + pt, lj + pl)``,
+    the halo frame filling the rest of the ``(h + pt + pb) x (w + pl + pr)``
+    extended rectangle. Diagonal ``a*vi + vj`` (normalized to start at 0)
+    is buffer row and ``vi`` buffer column, so every diagonal is a
+    contiguous run. Window cells outside the rectangle spill into one row
+    past the last diagonal, which no sweep touches.
     """
 
     def __init__(self, a: int, pads: Tuple[int, int, int, int], h: int, w: int):
         pt, pb, pl, pr = pads
         eh, ew = h + pt + pb, w + pl + pr
-        self.pads = pads
-        vi = np.repeat(np.arange(eh), ew)
-        vj = np.tile(np.arange(ew), eh)
-        if a == 1:
-            s = vi + vj
-        else:  # rank (-1, 1): diagonals are vj - vi
-            s = vj - vi + (eh - 1)
+        self.a, self.pads, self.eh, self.ew = a, pads, eh, ew
         self.nrows = eh + ew - 1
         self.ncols = eh
         self.nslots = self.nrows * self.ncols
-        self.vi, self.vj = vi, vj
-        self.b_slot = s * self.ncols + vi
-        # tile cells in row-major order, for leaf skewing and scatter
-        cli = np.repeat(np.arange(h), w) + pt
-        clj = np.tile(np.arange(w), h) + pl
-        cs = (cli + clj) if a == 1 else (clj - cli + (eh - 1))
-        self.cell_slot = cs * self.ncols + cli
-        self.cli, self.clj = cli - pt, clj - pl  # tile-relative again
-        # per-diagonal spans over tile cells: (buffer row, col lo, col hi+1)
-        spans: List[Tuple[int, int, int]] = []
-        if a == 1:
-            for ss in range(0, h + w - 1):
-                lo, hi = max(0, ss - w + 1), min(h - 1, ss)
-                spans.append((ss + pt + pl, lo + pt, hi + 1 + pt))
-        else:
-            for ss in range(-(h - 1), w):
-                lo, hi = max(0, -ss), min(h - 1, w - 1 - ss)
-                spans.append((ss + pl - pt + eh - 1, lo + pt, hi + 1 + pt))
-        self.spans = spans
-        self._idx: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
+        self._windows: Dict[Tuple[int, ...], np.ndarray] = {}
+        # tile cells in row-major order, for leaf skewing
+        box = self.window_slots(eh, ew, pt, pl).reshape(eh, ew)
+        self.cell_slot = box[pt : pt + h, pl : pl + w].ravel()
+        # per diagonal over tile cells, in sweep order: (buffer row, col lo, col hi+1)
+        rows, cols = np.divmod(self.cell_slot, self.ncols)
+        d, first = np.unique(rows, return_index=True)
+        last = len(rows) - 1 - np.unique(rows[::-1], return_index=True)[1]
+        self.spans = list(zip(d.tolist(), cols[first].tolist(), (cols[last] + 1).tolist()))
 
-    def gather_scatter(
-        self, stride: int, oi: int, oj: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Window-flat gather/scatter index vectors, cached per geometry."""
-        key = (stride, oi, oj)
-        got = self._idx.get(key)
+    def window_slots(self, wh: int, ww: int, oi: int, oj: int) -> np.ndarray:
+        """Each cell of a ``wh x ww`` window whose tile starts at ``(oi, oj)``
+        -> its slot, row-major; cached."""
+        got = self._windows.get((wh, ww, oi, oj))
         if got is None:
-            pt, _pb, pl, _pr = self.pads
-            gidx = (oi - pt + self.vi) * stride + (oj - pl + self.vj)
-            sidx = (oi + self.cli) * stride + (oj + self.clj)
-            got = (gidx, sidx)
-            self._idx[key] = got
+            vi = np.arange(wh)[:, None] + (self.pads[0] - oi)
+            vj = np.arange(ww) + (self.pads[2] - oj)
+            s = vi + vj if self.a == 1 else vj - vi + (self.eh - 1)
+            inside = (vi >= 0) & (vi < self.eh) & (vj >= 0) & (vj < self.ew)
+            got = np.where(inside, s * self.ncols + vi, self.nslots).ravel()
+            self._windows[wh, ww, oi, oj] = got
         return got
 
 
@@ -269,17 +213,16 @@ class _Renderer:
     """Renders dependency-free IR as NumPy source over a whole tile.
 
     ``gi``/``gj`` are the tile's global row/column coordinates as
-    broadcast column/row vectors. ``self`` data becomes a free name
-    recorded in :attr:`names`, a *recipe* (``_s_x`` is ``self.x``,
-    ``_a_x`` its array, ``_c_x`` its string's ord codes, ``_act`` the
-    dag's activity test) that :func:`_closure` resolves per app, so the
-    code holds no instance data. Every gather is ``np.clip``-ed:
-    ``np.where`` evaluates both branches, so masked lanes index in range. A ``present()`` test becomes a bounds
-    mask, plus an activity test on a partially active dag, whose inactive
-    cells keep the zero that defaulted reads of them observe (the
-    window's zero fill is *not* the default — banded's is ``10**9``).
-    Each repeated line is hoisted into one temp. A rendered value is a
-    source string, or a Python bool where a boolean folded to a constant.
+    broadcast column/row vectors. ``self`` data becomes a free name in
+    :attr:`names`, a *recipe* (``_s_x`` is ``self.x``, ``_a_x`` its array,
+    ``_c_x`` its string's ord codes, ``_act`` the dag's activity test)
+    that :func:`_closure` resolves per app, so the code holds no instance
+    data. Every gather is ``np.clip``-ed: ``np.where`` evaluates both
+    branches, so masked lanes index in range. A ``present()`` test becomes
+    a bounds mask, plus an activity test on a partially active dag (a
+    buffer's zero fill is *not* a read's default — banded's is ``10**9``).
+    Repeated lines hoist into one temp; a rendered value is a source
+    string, or a Python bool where a boolean folded to a constant.
     """
 
     indent, prefix = "    ", "_t"
@@ -585,24 +528,80 @@ class _SliceEmitter(_Renderer):
             return f"_L{k}"
         return self.cached(f"_L{k}[:, _r]" if self.a is None else f"_L{k}[_vd, _a:_b]")
 
+    def taken(self, e: Expr) -> Expr:
+        """``e`` past every conditional whose test the profile folds."""
+        while isinstance(e, Cond) and _has_dep(e) and isinstance(t := self.boolv(e.test), bool):
+            e = e.then if t else e.orelse
+        return e
+
+    def factor(self, e: Call) -> Expr:
+        """A max / min with one dependency-free term added to several
+        arguments, the term factored out: ``max(x + g, y + g, z)`` ->
+        ``max(max(x, y) + g, z)``. Exact for integers and floats alike:
+        adding ``g`` is monotone, rounding included."""
+        groups: Dict[tuple, List[Expr]] = {}  # (op, added term), or (None, argument)
+        for x in map(self.taken, e.args):
+            if isinstance(x, Bin) and x.op in ("+", "-"):
+                if x.op == "+" and _has_dep(x.right) and not _has_dep(x.left):
+                    x = Bin("+", x.right, x.left)
+                if _has_dep(x.left) and not _has_dep(x.right):
+                    groups.setdefault((x.op, x.right), []).append(x)
+                    continue
+            groups.setdefault((None, x), []).append(x)
+        args: List[Expr] = []
+        for (op, term), xs in groups.items():
+            if op is None or len(xs) == 1:
+                args += xs
+            else:
+                args.append(Bin(op, Call(e.fn, tuple(x.left for x in xs)), term))
+        return args[0] if len(args) == 1 else Call(e.fn, tuple(args))
+
+    def call(self, e: Call) -> str:
+        e = self.factor(e) if e.fn in ("max", "min") else e
+        return super().call(e) if isinstance(e, Call) else self.val(e)
+
+    def store(self, e: Optional[Expr], target: str) -> str:
+        """A step's one value written to ``target``, its last ufunc storing
+        with ``out=`` (``e`` None: the row scan's ``_data + _Sr``). The
+        classifier keeps float results off integer planes; a boolean
+        plane takes the plain store."""
+        if e is None:
+            return f"np.add(_data, _Sr, out={target})"
+        e = self.taken(e)
+        if _has_dep(e) and isinstance(e, Call) and e.fn in ("max", "min"):
+            e = self.factor(e)
+        rendered = self.val(e)
+        if _has_dep(e) and np.dtype(type(self.app).value_dtype).kind != "b":
+            if isinstance(e, Call) and rendered.startswith(("np.maximum(", "np.minimum(")):
+                return f"{rendered[:-1]}, out={target})"
+            if isinstance(e, Bin) and e.op in ("+", "-", "*"):
+                ufunc = {"+": "np.add", "-": "np.subtract", "*": "np.multiply"}[e.op]
+                return f"{ufunc}({self.val(e.left)}, {self.val(e.right)}, out={target})"
+        return f"{target} = {rendered}"
+
     def emit(self, cases, scan: Optional[int] = None) -> str:
         """The sweep body for this profile: one where-chain per diagonal
-        (or row), case ``scan``'s value being the row scan's ``_scan``."""
-        rendered: List[Tuple[object, str]] = []
+        (or row), case ``scan``'s value being the row scan's
+        ``_data + _Sr``. A lone surviving case is stored in place."""
+        target = f"B2[{':, ' if self.a is None else ''}_vd, _a:_b]"
+        live: List[Tuple[object, Optional[Expr]]] = []
         for idx, (guard, value) in enumerate(cases):
             g = True if guard is None else self.boolv(guard)
             if g is False:
                 continue
-            rendered.append((g, "_scan" if idx == scan else self.val(value)))
+            live.append((g, None if idx == scan else value))
             if g is True:
                 break
-        if not rendered:  # pragma: no cover - a decision list always fires
+        if not live:  # pragma: no cover - a decision list always fires
             raise KernelBuildError("every case folded away")
-        _, default = rendered[-1]
-        self.line(f"_res = {default}")
-        for g, v in reversed(rendered[:-1]):
-            self.line(f"_res = np.where({g}, {v}, _res)")
-        self.line(f"B2[{':, ' if self.a is None else ''}_vd, _a:_b] = _res")
+        if len(live) == 1:
+            self.line(self.store(live[0][1], target))
+        else:
+            rendered = [(g, "_data + _Sr" if v is None else self.val(v)) for g, v in live]
+            self.line(f"_res = {rendered[-1][1]}")
+            for g, v in reversed(rendered[:-1]):
+                self.line(f"_res = np.where({g}, {v}, _res)")
+            self.line(f"{target} = _res")
         return "\n".join(self.lines)
 
 
@@ -686,11 +685,13 @@ class _SliceKernel:
             self._ns[name] = _closure(name, self._pre.app, self._dag)
         return types.FunctionType(code, self._ns)
 
+    def _states(self, profile) -> Tuple[str, ...]:
+        """A profile's rendered leaf states: an ``"S"`` leaf's value is bound, not rendered."""
+        return tuple(s if isinstance(s, str) else "S" for s in profile[: len(self.general_profile)])
+
     def _sweep_fn(self, profile):
         """The compiled sweep for a profile's leaf states."""
-        states = tuple(
-            s if isinstance(s, str) else "S" for s in profile[: len(self.general_profile)]
-        )
+        states = self._states(profile)
         fn = self._fns.get(states)
         if fn is None:
             fn = self._fns[states] = self._function(self._render(states, self._pre))
@@ -713,20 +714,23 @@ class _SliceKernel:
         """Add what a kernel's sweep needs beyond the rendered leaves."""
 
     def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
-        """One tile: the ``nb == 1`` case of ``sweep``."""
+        """One tile: the ``nb == 1`` case of ``sweep``, on the window itself."""
         if h <= 0 or w <= 0:
             return True
-        if not window.flags["C_CONTIGUOUS"]:
-            return False  # the runtime falls back to the interpreted path
         profile, leaves = self.prepare(r0, c0, h, w)
         self.sweep(profile, leaves, window[None], oi, oj, h, w)
         return True
 
     @property
     def source(self) -> str:
-        """Prelude + the general sweep variant, for ``--dump-kernel``."""
-        general = self._codes[self.general_profile][1]
-        return f"{self.header}{self.prelude_source}\n{general}"
+        """Prelude, the general sweep variant, then the one an interior
+        tile (the matrix minus its pads frame) runs."""
+        pt, pb, pl, pr = self.pads
+        states = self._states(self.prepare(pt, pl, max(1, self.H - pt - pb),
+                                           max(1, self.W - pl - pr))[0])
+        self._render(states, self._pre)
+        general, interior = self._codes[self.general_profile][1], self._codes[states][1]
+        return f"{self.header}{self.prelude_source}\n{general}\n# interior variant\n{interior}"
 
 
 class FlatSweepKernel(_SliceKernel):
@@ -734,9 +738,8 @@ class FlatSweepKernel(_SliceKernel):
 
     kind = "flatsweep"
     header = (
-        "# flat-sweep kernel: gather -> prelude -> sweep -> scatter\n"
-        "# (boundary-profile variants fold uniform masks; this is the\n"
-        "#  fully-masked general variant)\n"
+        "# flat-sweep kernel: halo into skew slots -> prelude -> sweep -> cells out\n"
+        "# (the fully-masked general variant, then the interior one)\n"
     )
 
     def __init__(self, cases, leaves: _LeafTable, offsets, a: int,
@@ -751,6 +754,31 @@ class FlatSweepKernel(_SliceKernel):
             f"def _sweep(B2, _spans, _leaves):\n{unpack}"
             f"    for _vd, _a, _b in _spans:\n{body}\n"
         )
+
+    def layout(self, nb, wh, ww, oi, oj, h, w) -> Tuple[tuple, np.ndarray, int]:
+        """``(shape, slots, lane)`` of the buffer :meth:`sweep` takes for ``nb``
+        ``wh x ww`` windows around ``h x w`` tiles at ``(oi, oj)``, cell ``k``
+        of window ``b`` at ``slots[k] + b * lane``: the skew itself, the batch
+        a trailing axis (none for a lone tile), so ``B2[row, lo:hi]`` is one
+        contiguous ``(len, nb)`` block."""
+        plan = _plan_for(self.a, self.pads, h, w)
+        lanes = (nb,) if nb > 1 else ()
+        return (plan.nrows + 1, plan.ncols) + lanes, plan.window_slots(wh, ww, oi, oj) * nb, 1
+
+    def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
+        """One tile: its window's pads box into the layout, the tile back out."""
+        if h <= 0 or w <= 0:
+            return True
+        pt, pb, pl, pr = self.pads
+        i0, j0 = max(0, oi - pt), max(0, oj - pl)
+        box, oi, oj = window[i0 : oi + h + pb, j0 : oj + w + pr], oi - i0, oj - j0
+        shape, slots, _lane = self.layout(1, *box.shape, oi, oj, h, w)
+        buf = np.zeros(int(np.prod(shape)), window.dtype)
+        buf[slots] = box.reshape(-1)
+        profile, leaves = self.prepare(r0, c0, h, w)
+        self.sweep(profile, leaves, buf.reshape(shape), oi, oj, h, w)
+        box[oi : oi + h, oj : oj + w] = buf.take(slots.reshape(box.shape)[oi : oi + h, oj : oj + w])
+        return True
 
     def peel(self, r0, c0, h, w, k, l) -> Optional[List[Tuple[int, int, np.ndarray]]]:
         """A tile's leading ``k`` rows and ``l`` columns, straight from the
@@ -780,37 +808,21 @@ class FlatSweepKernel(_SliceKernel):
                 return None
         return strips
 
-    def sweep(self, profile, leaves, windows, oi, oj, h, w) -> None:
-        """Sweep ``nb`` same-geometry, same-profile tiles in one pass.
-
-        ``windows`` is a C-contiguous ``(nb, wh, ww)`` stack, updated in
-        place; ``leaves`` are the stack's :meth:`prepare` leaves. The
-        skew buffers carry the batch as a trailing axis, so a diagonal
-        ``B2[row, lo:hi]`` is a contiguous ``(len, nb)`` block and the
-        generated sweep is the one a single tile runs.
-        """
-        nb = len(windows)
+    def sweep(self, profile, leaves, B, oi, oj, h, w) -> None:
+        """Sweep ``nb`` same-geometry, same-profile tiles in one pass, in
+        place over ``B``, their :meth:`layout` buffer with the halo in; the
+        stack's :meth:`prepare` leaves are skewed here to match."""
+        nb = B.shape[2] if B.ndim == 3 else 1
         plan = _plan_for(self.a, self.pads, h, w)
-        # a lone tile keeps the plain 2-D buffers: no batch axis to index
         lanes = (nb,) if nb > 1 else ()
-        shape = (plan.nrows, plan.ncols) + lanes
-        fn = self._sweep_fn(profile)
-
-        def skewed(slots: np.ndarray, per_tile: np.ndarray) -> np.ndarray:
-            """Tile-major values, ``len(slots)`` per tile -> a flat skew buffer."""
-            out = np.empty((plan.nslots,) + lanes, dtype=per_tile.dtype)
-            out[slots] = per_tile.reshape(nb, -1).T.reshape((-1,) + lanes)
-            return out
-
-        payload = [
-            skewed(plan.cell_slot, p).reshape(shape) if s == "M" else p
-            for s, p in zip(profile, _payload(profile, leaves, nb, h, w))
-        ]
-        flat = windows.reshape(nb, -1)
-        gidx, sidx = plan.gather_scatter(windows.shape[2], oi, oj)
-        B = skewed(plan.b_slot, flat.take(gidx, axis=1, mode="clip"))
-        fn(B.reshape(shape), plan.spans, tuple(payload))
-        flat[:, sidx] = B.take(plan.cell_slot, axis=0).reshape(-1, nb).T
+        payload = []
+        for state, leaf in zip(profile, _payload(profile, leaves, nb, h, w)):
+            if state == "M":  # tile-major values -> the skew geometry
+                skewed = np.empty((plan.nslots,) + lanes, dtype=leaf.dtype)
+                skewed[plan.cell_slot] = leaf.reshape(nb, -1).T.reshape((-1,) + lanes)
+                leaf = skewed.reshape((plan.nrows, plan.ncols) + lanes)
+            payload.append(leaf)
+        self._sweep_fn(profile)(B, plan.spans, tuple(payload))
 
 
 @functools.lru_cache(maxsize=64)
@@ -841,7 +853,7 @@ class RowKernel(_SliceKernel):
     kind = "rows"
     header = (
         "# row kernel: prelude -> per row: earlier-row slices -> store\n"
-        "# (this is the fully-masked general variant)\n"
+        "# (the fully-masked general variant, then the interior one)\n"
     )
 
     def __init__(self, cases, leaves: _LeafTable, offsets, pads, pre: _Renderer,
@@ -917,12 +929,12 @@ class RowScanKernel(RowKernel):
     header = (
         "# row-scan kernel: prelude (base terms, pins, add, prefix sums)\n"
         "# -> per row: earlier-row slices -> seed -> accumulate -> store\n"
-        "# (this is the fully-masked general variant)\n"
+        "# (the fully-masked general variant, then the interior one)\n"
     )
 
     def __init__(self, cases, scan: int, form, leaves: _LeafTable, offsets, pads,
                  pre: _Renderer) -> None:
-        self.scan = scan  # the case the scan solves; renders as ``_scan``
+        self.scan = scan  # the case the scan solves; renders as ``_data + _Sr``
         self.pins = form.pins
         self.lane_add = form.lane_add
         literal = isinstance(form.stride, Const)
@@ -947,7 +959,6 @@ class RowScanKernel(RowKernel):
         se.line("_Sr = _S[:, _r]")
         se.line(f"np.subtract({base}, _Sr, out=_data)")
         se.line("np.maximum.accumulate(_classes, axis=1, out=_classes)")
-        se.line("_scan = _data + _Sr")
         body = se.emit(self.cases, scan=self.scan)
         return (
             f"def _sweep(B2, _rows, _a, _b, _leaves, _S, _bufs):\n{unpack}"

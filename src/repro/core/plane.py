@@ -14,9 +14,9 @@ allocator fact, not an option: a heap ``ndarray`` for the in-process
 engines, a ``multiprocessing.shared_memory`` segment for the mp engine,
 an ``open_memmap`` file when ``spill_dir`` is set. Every engine runs
 its tiles through :func:`run_tiles` against that layout: gather each
-halo off the plane, run the kernel on zeroed windows (tiles that can
-share a sweep share it) or the per-cell loop, write the results back in
-place, and report the cross-place transfers the owner map implies. A
+halo off the plane into a zeroed buffer the kernel sweeps (tiles that
+can share a sweep share it) or run the per-cell loop, write the results
+back in place, and report the cross-place transfers the owner map implies. A
 place death is :meth:`TilePlane.lose`: zero what the place owned,
 re-home it over the survivors, recompute.
 """
@@ -33,6 +33,7 @@ import numpy as np
 from repro.analysis import sanitize as _sanitize
 from repro.core.api import DPX10App, Vertex
 from repro.core.dag import ResultView
+from repro.errors import UnfinishedReadError
 
 __all__ = [
     "HandKernel", "PlaneResults", "TilePlane", "bind_mapping", "kernel_name", "run_tiles",
@@ -67,7 +68,7 @@ class PlaneResults(Mapping):
             _sanitize.check_read(i, j, source="tile plane")
         h, w = self._finished.shape
         if not (0 <= i < h and 0 <= j < w) or not self._finished[i, j]:
-            raise KeyError(key)
+            raise UnfinishedReadError(key)
         value = self._values[i, j]
         return value.item() if self._typed else value
 
@@ -114,13 +115,7 @@ def bind_mapping(dag, results) -> None:
 class TilePlane:
     """The dense matrix layout every tiled engine computes against."""
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        finished: np.ndarray,
-        grid,
-        value_nbytes: int = 8,
-    ) -> None:
+    def __init__(self, values: np.ndarray, finished: np.ndarray, grid, value_nbytes: int = 8):
         self.values = values
         self.finished = finished
         self.grid = grid  #: the run's TileGrid; a tile is the unit of ownership
@@ -151,13 +146,9 @@ class TilePlane:
             values = np.empty(shape, dtype=object)
         elif spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
-            fd, path = tempfile.mkstemp(
-                dir=spill_dir, prefix="dpx10-plane-", suffix=".npy"
-            )
+            fd, path = tempfile.mkstemp(dir=spill_dir, prefix="dpx10-plane-", suffix=".npy")
             os.close(fd)
-            values = np.lib.format.open_memmap(
-                path, mode="w+", dtype=dtype, shape=shape
-            )
+            values = np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=shape)
             os.unlink(path)
         else:
             values = np.zeros(shape, dtype=dtype)
@@ -191,9 +182,7 @@ class TilePlane:
         dead = set(dead)
         rehome = dead if rehome is None else set(rehome)
         owners = self.owners
-        lost = [
-            (int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))
-        ]
+        lost = [(int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))]
         for t in lost:
             r0, r1, c0, c1 = self.grid.bounds(*t)
             self.values[r0:r1, c0:c1] = self._zero
@@ -329,16 +318,17 @@ def run_tiles(
     write-back when the tile's place is not its home).
 
     The batch, not the tile, is the unit of every step. Window kernels
-    run on zeroed windows with only the halo scattered in, so values a
+    run on zeroed buffers with only the halo scattered in, so values a
     recovery left behind cannot leak in. Tiles of equal window geometry
     share one prelude call (``fn.prepare``); of equal geometry *and*
-    boundary profile, one window stack, filled by one gather off the
-    plane, one sweep (``fn.sweep``) and one write-back, values before
-    flags. A top-row or left-column tile whose leading pads rows /
-    columns are the DP's initial condition (``fn.peel``) takes those
-    from the prelude and sweeps the rest in the interior tiles' stack.
-    Other window kernels see one window per call; cells-mode kernels and
-    the per-cell loop run tile by tile.
+    boundary profile, one stack in the kernel's ``fn.layout`` (else the
+    window stack), filled by one gather off the plane and one scatter,
+    one sweep (``fn.sweep``) and values, then flags, out of its slots.
+    A top-row or left-column tile whose leading pads rows / columns are
+    the DP's initial condition (``fn.peel``) takes those from the
+    prelude and sweeps the rest in the interior tiles' stack. Other
+    window kernels see one window per call; cells-mode kernels and the
+    per-cell loop run tile by tile.
     """
     ti, tj = np.array(tiles, np.int64).reshape(-1, 2).T
     ncells = tiled.tile_cells[ti, tj]
@@ -372,10 +362,12 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
     H, W, th, tw = base.height, base.width, tiled.grid.tile_h, tiled.grid.tile_w
     prepare = getattr(kernel.fn, "prepare", None)
     peel = getattr(kernel.fn, "peel", None)
+    layout = getattr(kernel.fn, "layout", None) or (  # else the batch-first window stack
+        lambda nb, wh, ww, *_: ((nb, wh, ww), np.arange(wh * ww), wh * ww))
     # a generated kernel's window covers its inferred footprint box
     # as well as the declared-stencil halo strips
     pt, pb, pl, pr = (max(a, d) for a, d in zip(kernel.pads, tiled.pads))
-    boxes, peeled = [], {}
+    boxes, peeled = [], []  # peeled: (tile, row, column, strip values)
     geometry: Dict[tuple, List[int]] = {}
     for t, tile in enumerate(tiles):
         r0, r1, c0, c1 = tiled.grid.bounds(*tile)
@@ -383,8 +375,9 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         k = pt if r0 == 0 and h > pt else 0
         l = pl if c0 == 0 and w > pl else 0
         strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
-        if strips is None:
+        if not strips:
             k = l = 0
+        peeled += [(t, r0 + i, c0 + j, strip) for i, j, strip in strips or ()]
         # the rest of a peeled tile sweeps as interior rows: exactly, on a
         # grid's leading tile, else as its rectangle shifted by (k, l), whose
         # cells past the tile read zeros and are discarded; an axis where a
@@ -394,10 +387,12 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         sc0, sw = c0 + l, (w - l if w - l == tw or pr or c1 + l > W else w)
         wr0, wr1 = max(0, sr0 - pt), min(H, sr0 + sh + pb)
         wc0, wc1 = max(0, sc0 - pl), min(W, sc0 + sw + pr)
-        peeled[t] = [(i + r0 - wr0, j + c0 - wc0, strip) for i, j, strip in strips or ()]
         boxes.append((r0, r1, c0, c1, wr0, wc0, wr1 - wr0, wc1 - wc0, sr0, sc0))
         geometry.setdefault((sh, sw, wr1 - wr0, wc1 - wc0, sr0 - wr0, sc0 - wc0), []).append(t)
-    groups = []  # (geometry, profile, tiles, leaves) per shared sweep
+    # per shared sweep, a stack in one zeroed buffer for the batch, laid out as
+    # its kernel sweeps it (fn.layout): cell (r, c) of tile t is at(t, r, c)
+    groups, maps, stacks = [], [], [0]
+    woff, moff, ww = (np.empty(len(tiles), np.int64) for _ in range(3))
     for geo, members in geometry.items():
         if prepare is not None:
             origins = np.array([boxes[t][8:] for t in members]).T
@@ -409,17 +404,21 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
             split.setdefault(profile, []).append(j)
         for profile, js in split.items():
             share = leaves.select(js) if leaves is not None and len(js) < len(members) else leaves
-            groups.append((geo, profile, [members[j] for j in js], share))
+            group = [members[j] for j in js]
+            shape, slots, lane = layout(len(group), *geo[2:], *geo[:2])
+            woff[group], ww[group] = stacks[-1] + lane * np.arange(len(group)), geo[3]
+            window_at = [boxes[t][4] * geo[3] + boxes[t][5] for t in group]
+            moff[group] = sum(map(len, maps)) - np.array(window_at)
+            groups.append((geo, profile, group, share, shape))
+            maps.append(slots)
+            stacks.append(stacks[-1] + int(np.prod(shape)))
+    slots = np.concatenate([np.empty(0, np.int64), *maps])  # a batch may have no work
 
-    # every group's window stack in one zeroed buffer, each window's halo
-    # scattered in at ``woff + row * ww + col`` by one gather off the plane
+    def at(t, rows, cols):
+        return woff[t] + slots[moff[t] + rows * ww[t] + cols]
+
+    # the halo off the plane and the peeled strips, in one scatter
     hk, hrows, hcols = halo
-    woff, ww = np.empty(len(tiles), np.int64), np.empty(len(tiles), np.int64)
-    stacks = [0]
-    for (_gh, _gw, gwh, gww, *_), _profile, members, _leaves in groups:
-        for j, t in enumerate(members):
-            ww[t], woff[t] = gww, stacks[-1] + (j * gwh - boxes[t][4]) * gww - boxes[t][5]
-        stacks.append(stacks[-1] + len(members) * gwh * gww)
     if not tiled.stencil_mode:
         # a dag may declare halo cells outside the window box; the
         # kernel provably never reads them, so drop them
@@ -427,33 +426,33 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
         ins = (hrows >= box[0]) & (hrows < box[0] + box[2])
         ins &= (hcols >= box[1]) & (hcols < box[1] + box[3])
         hk, hrows, hcols = hk[ins], hrows[ins], hcols[ins]
+    dst, src = [at(hk, hrows, hcols)], [values.take(hrows * W + hcols)]
+    for t, r, c, strip in peeled:
+        rows, cols = np.indices(strip.shape).reshape(2, -1)
+        dst.append(at(t, rows + r, cols + c))
+        src.append(strip.ravel())
     buf = np.zeros(stacks[-1], dtype=values.dtype)
-    buf[woff[hk] + hrows * ww[hk] + hcols] = values.take(hrows * W + hcols)
+    buf[np.concatenate(dst)] = np.concatenate(src)
 
-    for g, ((gh, gw, gwh, gww, oi, oj), profile, members, leaves) in enumerate(groups):
-        windows = buf[stacks[g] : stacks[g + 1]].reshape(len(members), gwh, gww)
-        for window, t in zip(windows, members):
-            for i, j, strip in peeled[t]:
-                window[i : i + strip.shape[0], j : j + strip.shape[1]] = strip
+    for g, ((gh, gw, gwh, gww, oi, oj), profile, members, leaves, shape) in enumerate(groups):
+        stack = buf[stacks[g] : stacks[g + 1]].reshape(shape)
         if prepare is not None:
-            kernel.fn.sweep(profile, leaves, windows, oi, oj, gh, gw)
-        elif not kernel.fn(boxes[members[0]][0], boxes[members[0]][2], windows[0], oi, oj, gh, gw):
+            kernel.fn.sweep(profile, leaves, stack, oi, oj, gh, gw)
+        elif not kernel.fn(boxes[members[0]][0], boxes[members[0]][2], stack[0], oi, oj, gh, gw):
             # the kernel declined this window (a hand kernel's tile is unpeeled)
             rows, cols = tiled.cells_of(*tiles[members[0]])
             out = _compute_cells(plane, base, app, rows, cols, places[members[0]], sanitize)
             _store(plane, rows, cols, out)
             continue
-        # the stack's values, then its flags; a whole-rectangle tile lands
-        # as slice stores (faster than one fancy store of the stack)
-        rects = []
-        for window, t in zip(windows, members):
+        # each tile's values out of its slots, then its flags; a whole-rectangle
+        # tile lands as a slice store (faster than one fancy store of the stack)
+        grid = maps[g].reshape(gwh, gww)
+        for t in members:
             r0, r1, c0, c1, wr0, wc0, *_ = boxes[t]
-            if ncells[t] == (r1 - r0) * (c1 - c0):
-                rects.append((r0, r1, c0, c1, window[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]))
-            else:  # partly active: cell by cell
+            if ncells[t] < (r1 - r0) * (c1 - c0):  # partly active: cell by cell
                 rows, cols = tiled.cells_of(*tiles[t])
-                _store(plane, rows, cols, window[rows - wr0, cols - wc0])
-        for r0, r1, c0, c1, window in rects:
-            values[r0:r1, c0:c1] = window
-        for r0, r1, c0, c1, _window in rects:
+                _store(plane, rows, cols, buf[at(t, rows, cols)])
+                continue
+            box = grid[r0 - wr0 : r1 - wr0, c0 - wc0 : c1 - wc0]
+            values[r0:r1, c0:c1] = buf[woff[t] :].take(box)
             plane.finished[r0:r1, c0:c1] = 1

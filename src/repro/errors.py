@@ -66,6 +66,21 @@ class DependencyRaceError(DPX10Error):
         super().__init__(message)
 
 
+class UnfinishedReadError(DPX10Error, KeyError):
+    """A result was read off the tile plane at a cell that is not finished
+    (never computed, lost with a place, or outside the matrix). A
+    ``KeyError`` too, so a result mapping keeps its ``Mapping`` contract.
+    ``cell`` names the ``(i, j)`` read."""
+
+    def __init__(self, cell: tuple) -> None:
+        self.cell = cell
+        super().__init__(f"cell {cell} is not finished on the tile plane")
+
+    def __str__(self) -> str:
+        # KeyError would print the message repr'd
+        return str(self.args[0])
+
+
 class DistributionError(DPX10Error):
     """A :class:`~repro.dist.dist.Dist` does not tile its region correctly."""
 

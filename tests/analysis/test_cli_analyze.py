@@ -27,12 +27,21 @@ class TestAnalyzeAll:
         assert "4 OPAQUE" in capsys.readouterr().out
 
     def test_single_app_with_kernel_dump(self, capsys):
-        # lcs is ANTIDIAG: the flat-sweep kernel prints its prelude and
-        # general sweep variant
+        # lcs is ANTIDIAG: the flat-sweep kernel prints its prelude, its
+        # general sweep variant and the variant interior tiles run
         assert main(["analyze", "--app", "lcs", "--dump-kernel"]) == 0
         out = capsys.readouterr().out
         assert "flat-sweep kernel" in out
-        assert "def _sweep(B2, _spans, _leaves):" in out
+        assert out.count("def _sweep(B2, _spans, _leaves):") == 2
+
+    def test_interior_variant_stores_in_place(self, capsys):
+        # sw's interior tiles run one factored max chain whose last
+        # maximum writes the diagonal; the masked general variant does not
+        assert main(["analyze", "--app", "sw", "--dump-kernel"]) == 0
+        general, interior = capsys.readouterr().out.split("# interior variant")
+        assert "out=B2[" not in general and "np.where" in general
+        assert "np.where" not in interior
+        assert "(np.maximum(_x3, _x4) + _L4), out=B2[_vd, _a:_b])" in interior
 
     def test_row_scan_kernel_dump(self, capsys):
         # mtp is ROW_SCAN_PREFIX: the prelude, then a batched per-row sweep
@@ -42,7 +51,10 @@ class TestAnalyzeAll:
         assert "row-scan kernel" in out
         assert "def _leaves(r0, c0, h, w):" in out
         assert "def _sweep(B2, _rows, _a, _b, _leaves, _S, _bufs):" in out
-        assert out.count("np.maximum.accumulate") == 1
+        general, interior = out.split("# interior variant")
+        assert general.count("np.maximum.accumulate") == 1
+        assert interior.count("np.maximum.accumulate") == 1
+        assert "np.add(_data, _Sr, out=B2[:, _vd, _a:_b])" in interior
 
     def test_row_kernel_dump(self, capsys):
         # knapsack is ELEMENTWISE: the prelude, then a batched per-row

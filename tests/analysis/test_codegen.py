@@ -7,6 +7,8 @@ cell-for-cell — including one seeded chaos trial, where recovery
 recomputes tiles through the generated kernel.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -311,7 +313,7 @@ class TestBuild:
         app, dag = app_fixture("sw")
         k1, _ = build_autokernel(app, dag)
         k2, _ = build_autokernel(app, dag)
-        assert k1.source == k2.source
+        assert k1.fn.source == k2.fn.source
         assert k1.pads == k2.pads
 
 
@@ -522,6 +524,17 @@ def _batch_instance(name):
     return app_cls(x, y), DiagonalDag(len(x) + 1, len(y) + 1), (4, 4)
 
 
+def _stack_size(fn, stack) -> int:
+    """The tiles a sweep's stack holds: a flat sweep's skew buffer carries
+    them as a trailing axis (none for a lone tile), a row kernel's window
+    stack as its leading one."""
+    from repro.analysis.flatsweep import FlatSweepKernel
+
+    if isinstance(fn, FlatSweepKernel):
+        return stack.shape[2] if stack.ndim == 3 else 1
+    return len(stack)
+
+
 def _solved_plane(app, dag, tiled):
     """A finished plane holding the oracle, with every cell no tile reads
     as halo poisoned — so a tile that is not recomputed shows."""
@@ -569,7 +582,7 @@ class TestLevelBatch:
         real = kernel.fn.sweep
 
         def spy(profile, leaves, windows, oi, oj, h, w):
-            seen[(h, w, profile)] += len(windows)
+            seen[(h, w, profile)] += _stack_size(kernel.fn, windows)
             return real(profile, leaves, windows, oi, oj, h, w)
 
         kernel.fn.sweep = spy
@@ -677,7 +690,7 @@ class TestLevelBatch:
         sizes = []
         real_sweep, real_leaves = fn.sweep, fn._leaves_fn
         fn.sweep = lambda profile, leaves, windows, *geo: (
-            sizes.append(len(windows)),
+            sizes.append(_stack_size(fn, windows)),
             real_sweep(profile, leaves, windows, *geo),
         )
         pair = [(1, 2), (2, 1)]  # two interior tiles of one level
@@ -705,6 +718,177 @@ class TestLevelBatch:
         for t in pair:
             run_tiles(solo, tiled, app, kernel, [t], [0])
         assert np.array_equal(batch.values, solo.values)
+
+
+class _FactorDag(StencilDag):
+    offsets = ((-1, 0), (0, -1), (-1, -1))
+
+
+class _FactorApp(DPX10App):
+    """The data the factoring fixtures below share: per-row and per-column
+    weights and two gaps, all int or all float."""
+
+    value_dtype = np.int64
+
+    def __init__(self, floats: bool):
+        rng = np.random.default_rng(17)
+        if floats:
+            self.x, self.y = rng.normal(size=11), rng.normal(size=10)
+            self.g, self.h = -0.37, -1.3
+        else:
+            self.x, self.y = rng.integers(-3, 4, size=11), rng.integers(-3, 4, size=10)
+            self.g, self.h = -1, -2
+
+
+class _SharedGapApp(_FactorApp):
+    """max(up + g, left + g, diag + s): the shared gap factors out."""
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i + j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)] + self.g, dep[(i, j - 1)] + self.g,
+                   dep[(i - 1, j - 1)] + self.x[i - 1] * self.y[j - 1])
+
+
+class _SharedSubtractApp(_FactorApp):
+    """min(up - g, left - g, diag + x): a subtracted gap factors out of a min."""
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i - j
+        dep = dependency_map(vertices)
+        return min(dep[(i - 1, j)] - self.g, dep[(i, j - 1)] - self.g,
+                   dep[(i - 1, j - 1)] + self.x[i - 1])
+
+
+class _OtherGapApp(_FactorApp):
+    """max(up + g, left + h, diag + s): different added leaves stay put."""
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i + j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)] + self.g, dep[(i, j - 1)] + self.h,
+                   dep[(i - 1, j - 1)] + self.x[i - 1] * self.y[j - 1])
+
+
+class _DepAddApp(_FactorApp):
+    """max(up + diag, left + diag): a dependency-valued add stays put."""
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i + j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)] + dep[(i - 1, j - 1)], dep[(i, j - 1)] + dep[(i - 1, j - 1)])
+
+
+class _WhereAfterApp(_FactorApp):
+    """A data-dependent case overrides the factored max with ``np.where``
+    after it, so that max cannot store in place."""
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i + j
+        dep = dependency_map(vertices)
+        if self.x[i - 1] > self.y[j - 1]:
+            return dep[(i - 1, j - 1)] + self.x[i - 1]
+        return max(dep[(i - 1, j)] + self.g, dep[(i, j - 1)] + self.g)
+
+
+class TestFactoring:
+    """``max(x + g, y + g)`` -> ``max(x, y) + g`` in the sweep body, and the
+    lone case's last ufunc storing with ``out=``: which arguments factor,
+    read off the interior variant, and every variant bit-identical to the
+    per-cell loop."""
+
+    #: fixture -> (factors, stores in place)
+    CASES = {
+        _SharedGapApp: (True, True),
+        _SharedSubtractApp: (True, True),
+        _OtherGapApp: (False, True),
+        _DepAddApp: (False, True),
+        _WhereAfterApp: (True, False),
+    }
+    FACTORED = re.compile(r"np\.(maximum|minimum)\(_x\d+, _x\d+\) [+-] _L\d+\)")
+
+    @staticmethod
+    def _app(cls, floats):
+        typed = type(cls.__name__, (cls,), {"value_dtype": np.float64 if floats else np.int64})
+        return typed(floats)
+
+    @pytest.mark.parametrize("floats", [False, True], ids=["int64", "float64"])
+    @pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
+    def test_which_arguments_factor(self, cls, floats):
+        factors, in_place = self.CASES[cls]
+        kernel, klass = build_autokernel(self._app(cls, floats), _FactorDag(12, 11))
+        assert klass.klass == "ANTIDIAG_WAVEFRONT"
+        general, interior = kernel.fn.source.split("# interior variant")
+        assert bool(self.FACTORED.search(interior)) == factors, interior
+        assert ("out=B2[_vd, _a:_b]" in interior) == in_place, interior
+        assert "out=" not in general  # the masked variant ends in a where-chain
+
+    @pytest.mark.parametrize("shape", [(4, 3), (11, 10), (5, 5)])
+    @pytest.mark.parametrize("floats", [False, True], ids=["int64", "float64"])
+    @pytest.mark.parametrize("cls", list(CASES), ids=lambda c: c.__name__)
+    def test_bit_identical_to_the_per_cell_loop(self, cls, floats, shape):
+        dtype = np.float64 if floats else np.int64
+        out = []
+        for cfg in (dict(tile_shape=(1, 1)), dict(tile_shape=shape, nplaces=2)):
+            dag = _FactorDag(12, 11)
+            report = DPX10Runtime(self._app(cls, floats), dag, DPX10Config(**cfg)).run()
+            out.append(dag.to_array(fill=-1, dtype=dtype))
+        assert report.kernel == "ANTIDIAG_WAVEFRONT"
+        assert out[0].dtype == out[1].dtype == dtype
+        assert np.array_equal(out[0], out[1])
+
+
+class _WideDag(StencilDag):
+    """Declares reads two cells up and left; the app below reads one."""
+
+    offsets = ((-1, 0), (0, -1), (-2, 0), (0, -2))
+
+
+class _NearApp(DPX10App):
+    value_dtype = np.int64
+
+    def __init__(self):
+        self.x = np.random.default_rng(3).integers(-2, 5, 17)
+
+    def compute(self, i, j, vertices):
+        if i == 0 or j == 0:
+            return i + 2 * j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)], dep[(i, j - 1)]) + int(self.x[(i * 7 + j) % 17])
+
+
+class TestLayout:
+    def test_a_window_wider_than_the_footprint_spills(self, monkeypatch):
+        # the declared stencil pads the window by two, the inferred
+        # footprint by one: the extra halo row and column land in the skew
+        # buffer's spill row, which no sweep reads
+        from repro.analysis import flatsweep
+
+        kernel, cls = build_autokernel(_NearApp(), _WideDag(19, 17))
+        assert cls.klass == "ANTIDIAG_WAVEFRONT" and kernel.pads == (1, 0, 1, 0)
+        assert _WideDag(19, 17).coarsen(4, 4).pads == (2, 0, 2, 0)
+        spilled = []
+        real = flatsweep._SweepPlan.window_slots
+
+        def spy(self, *geo):
+            got = real(self, *geo)
+            spilled.append(bool((got == self.nslots).any()))
+            return got
+
+        monkeypatch.setattr(flatsweep._SweepPlan, "window_slots", spy)
+        out = []
+        for cfg in (dict(tile_shape=(1, 1)), dict(tile_shape=(4, 4), nplaces=2),
+                    dict(tile_shape=(5, 3))):
+            dag = _WideDag(19, 17)
+            report = DPX10Runtime(_NearApp(), dag, DPX10Config(**cfg)).run()
+            out.append(dag.to_array(fill=-1, dtype=np.int64))
+        assert report.kernel == "ANTIDIAG_WAVEFRONT" and any(spilled)
+        assert all(np.array_equal(out[0], o) for o in out[1:])
 
 
 class TestPlanCache:

@@ -269,3 +269,79 @@ def test_per_vertex_spelling_is_bit_identical_on_every_engine(engine):
     got, report = _solve(app, make(), tile_shape=(1, 1), nplaces=2, **ENGINES[engine])
     assert report.tile_shape is None and report.kernel is None
     assert got.tolist() == oracle.tolist()
+
+
+class CornerDag(DiagonalDag):
+    """The SW stencil with its far corner inactive: an active cell reads
+    only cells nearer the origin, so every read stays active."""
+
+    def __init__(self, height, width, cut):
+        self.cut = cut
+        super().__init__(height, width)
+
+    def is_active(self, i, j):
+        return i + j <= self.cut
+
+    def is_active_array(self, rows, cols):
+        return np.asarray(rows) + np.asarray(cols) <= self.cut
+
+
+def _kinds(tiled, tiles):
+    """What each tile of a batch is, by its geometry in the grid."""
+    grid, kinds = tiled.grid, set()
+    for t in tiles:
+        r0, r1, c0, c1 = grid.bounds(*t)
+        h, w = r1 - r0, c1 - c0
+        if r0 == 0 and h == grid.tile_h + 1:
+            kinds.add("leading")  # the boundary row joined tile row 0
+        if c0 == 0 and w == grid.tile_w and c1 < grid.width:
+            kinds.add("shifted")  # no spare column: column 0 shifts right
+        if h < grid.tile_h or w < grid.tile_w:
+            kinds.add("ragged")
+        if 0 < tiled.tile_cells[t] < h * w:
+            kinds.add("partly")
+    return kinds
+
+
+#: (app, dag factory, serial oracle, the kinds one batch must mix): SW at
+#: 17 x 14, rows leading (17 = 1 + 4 * 4), columns shifting with a 2-wide
+#: ragged last one (14 = 3 * 4 + 2), the corner past i + j = 18 inactive;
+#: LPS (rank -1, pads (0, 1, 1, 0)) at 14 x 14, on its triangle
+MIXED = {
+    "sw": lambda x, y: (SWApp(x, y), lambda: CornerDag(17, 14, 18), serial.sw_matrix(x, y),
+                        {"leading", "shifted", "ragged", "partly"}),
+    "lps": lambda x, y: (LPSApp(x[:14]), lambda: IntervalDag(14, 14), serial.lps_matrix(x[:14]),
+                         {"ragged", "partly"}),
+}
+
+
+@pytest.mark.parametrize("engine", ["inline", "mp-shm"])
+@pytest.mark.parametrize("name", list(MIXED))
+def test_one_batch_mixes_every_tile_kind(name, engine, monkeypatch):
+    # a level's run_tiles call holds peeled leading tiles, shifted
+    # rectangles, ragged edge tiles and partly active tiles at once: each
+    # scatters its halo (and strips) into its stack's slots and writes its
+    # cells back from them, bit for bit the per-vertex reference
+    if engine == "mp-shm" and not shm_supported():
+        pytest.skip("no usable shared memory on this platform")
+    rng = np.random.default_rng(5)
+    x, y = ("".join(rng.choice(list("ACGT"), n)) for n in (16, 13))
+    app, make, oracle, kinds = MIXED[name](x, y)
+    batches = []
+    real = plane_mod.run_tiles
+
+    def spy(plane, tiled, app, kernel, tiles, places, *rest):
+        batches.append(_kinds(tiled, tiles))
+        return real(plane, tiled, app, kernel, tiles, places, *rest)
+
+    ref, _ = _solve(app, make(), tile_shape=(1, 1))
+    monkeypatch.setattr(plane_mod, "run_tiles", spy)
+    cfg = dict(engine="inline") if engine == "inline" else dict(engine="mp", shm=True, nplaces=2)
+    got, report = _solve(app, make(), tile_shape=(4, 4), **cfg)
+    assert report.kernel == "ANTIDIAG_WAVEFRONT"
+    assert got.tolist() == ref.tolist()
+    active = ref != -1
+    assert got[active].tolist() == oracle[active].tolist()
+    assert (~active).any()  # partly active: some cells never run
+    if engine == "inline":  # mp places run their batches in their own processes
+        assert any(kinds <= seen for seen in batches), batches

@@ -302,7 +302,8 @@ def _cut_a_level_short(shape, cut, die_at):
     real = kernel.fn.sweep
 
     def dying(*args):
-        calls.append(len(args[2]))
+        # the skew buffer carries a stack's tiles as a trailing axis
+        calls.append(args[2].shape[2] if args[2].ndim == 3 else 1)
         if len(calls) == die_at:
             raise KeyboardInterrupt("place dies here")
         return real(*args)
@@ -783,6 +784,17 @@ class TestTilePlane:
             live[(0, 0)]
         plane.restore(frozen)
         assert len(live) == 0
+
+    def test_an_unfinished_read_is_a_typed_error_naming_its_cell(self):
+        from repro.errors import DPX10Error, UnfinishedReadError
+
+        plane = self._plane()
+        for cell in [(0, 0), (-1, 2), (99, 0)]:  # unfinished, then off the matrix
+            with pytest.raises(UnfinishedReadError) as exc:
+                plane.results()[cell]
+            assert exc.value.cell == cell and str(cell) in str(exc.value)
+            assert isinstance(exc.value, DPX10Error) and isinstance(exc.value, KeyError)
+        assert plane.results().get((0, 0), "absent") == "absent"  # Mapping.get still works
 
     @pytest.mark.parametrize("dtype", [np.int64, None])
     def test_to_array_reads_a_partly_finished_plane(self, dtype):

@@ -169,6 +169,27 @@ class TestJobRetention:
         # finishing the held job evicts the oldest cached one left
         assert set(server.jobs) == {first["id"], *finished[3:]}
 
+    def test_retired_jobs_share_one_set_event_and_waits_return_at_once(self):
+        import time
+
+        import repro.serve.server as server_mod
+
+        srv = JobServer(port=0, pool_capacity=2, prewarm=False)
+        with serve_background(srv) as base:
+            _, ran = srv.submit(_job())
+            srv.wait(ran["id"])
+            _, cached = srv.submit(_job())  # a repeat: finishes inside submit
+            assert cached["cached"]
+            for job_id in (ran["id"], cached["id"]):
+                # no Event of its own kept per retained job
+                assert srv.jobs[job_id].done_event is server_mod._DONE
+                start = time.monotonic()
+                assert srv.wait(job_id, timeout=30)["status"] == "done"
+                with urllib.request.urlopen(f"{base}/jobs/{job_id}?wait=30") as resp:
+                    assert json.loads(resp.read())["status"] == "done"
+                assert time.monotonic() - start < 5
+        assert server_mod._DONE.is_set()
+
 
     def test_the_server_trace_keeps_at_most_max_server_spans(self, monkeypatch):
         import repro.serve.server as server_mod
