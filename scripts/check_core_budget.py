@@ -187,21 +187,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: alive place itself, which drops the engine hook-up, the shutdown and
 #: ``RunReport.per_place_activities`` (config.py -3, runtime.py -18,
 #: worker.py +1).
-#:
-#: Lowered, core 6095 -> 6094 and analysis 6042 -> 6041, though code
-#: grew: a slice kernel now owns its stack's buffer layout
-#: (``fn.layout``), so ``plane._run_windows`` scatters halos and peeled
-#: strips straight into the flat sweep's skew slots and writes tile cells
-#: back out of them (plane.py +11 of logic), and the sweep body stores in
-#: place and factors shared added terms out of max / min (flatsweep.py
-#: about +50 of logic, net of the deleted gather / scatter, ``b_slot`` and
-#: ``gather_scatter``). The ceilings were met by folding formatter-split
-#: statements in ``TilePlane`` onto single lines (-12) and by cutting
-#: flatsweep's module docstring and codegen's class list, which restated
-#: docs/ANALYSIS.md §7 (about -55): not a reduction of the code itself.
 CEILINGS = {
-    "src/repro/core": 6094,
-    "src/repro/analysis": 6041,
+    "src/repro/core": 6095,
+    "src/repro/analysis": 6042,
 }
 
 MAX_CONFIG_FIELDS = 26

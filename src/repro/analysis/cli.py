@@ -259,9 +259,11 @@ def _gather_apps(args) -> List[Tuple[str, object, object]]:
     return targets
 
 
-def _analyze_one(name: str, app, dag) -> dict:
-    """One target's analysis record (the JSON shape; text renders it)."""
+def _analyze_one(name: str, app, dag, dump: bool) -> dict:
+    """One target's analysis record (the JSON shape; text renders it),
+    with the generated kernel's source when ``dump``."""
     from repro.analysis.codegen import build_autokernel
+    from repro.core.tiling import PLANNED_TILE
 
     kernel, cls = build_autokernel(app, dag, subject=f"app:{name}")
     rec = {
@@ -282,8 +284,10 @@ def _analyze_one(name: str, app, dag) -> dict:
             f.severity >= Severity.ERROR for f in cls.report.findings
         ),
     }
-    if kernel is not None:
-        rec["kernel_source"] = kernel.fn.source
+    if dump and kernel is not None:
+        fn = kernel.fn  # a slice kernel adds the variant interior tiles run
+        dump_source = getattr(fn, "dump_source", lambda _tile: fn.source)
+        rec["kernel_source"] = dump_source(PLANNED_TILE)
     if cls.ir is not None:
         rec["ir"] = cls.ir.pretty()
     return rec
@@ -323,7 +327,7 @@ def cmd_analyze(args) -> int:
 
     records = {}
     for name, app, dag in targets:
-        records[name] = _analyze_one(name, app, dag)
+        records[name] = _analyze_one(name, app, dag, args.dump_kernel)
 
     failed = any(rec["error"] for rec in records.values())
     drift: List[str] = []
@@ -336,10 +340,7 @@ def cmd_analyze(args) -> int:
 
     if args.json:
         doc = {
-            "apps": {
-                n: {k: v for k, v in r.items() if k != "kernel_source" or args.dump_kernel}
-                for n, r in records.items()
-            },
+            "apps": records,
             "drift": drift,
             "ok": not failed and not drift,
         }
@@ -359,7 +360,7 @@ def cmd_analyze(args) -> int:
                 print("  -- IR " + "-" * 58)
                 for line in rec["ir"].splitlines():
                     print(f"  {line}")
-            if args.dump_kernel and "kernel_source" in rec:
+            if "kernel_source" in rec:
                 print("  -- generated kernel " + "-" * 44)
                 for line in rec["kernel_source"].splitlines():
                     print(f"  {line}")

@@ -318,9 +318,6 @@ class TreeLevelKernel:
         self.app = app
         self.dom = dag.domain
 
-    def __call__(self, *args) -> bool:  # pragma: no cover - window contract
-        return False  # never usable as a window kernel
-
     def run_cells(self, rows, cols, halo_values) -> Optional[List[object]]:
         dom = self.dom
         level = dom.level

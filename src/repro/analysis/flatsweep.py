@@ -333,13 +333,16 @@ class _Renderer:
             return out if out is not None else ident
         raise KernelBuildError(f"{type(e).__name__} is not emittable here")
 
-    def call(self, e: Call) -> str:
+    def call(self, e: Call, out: Optional[str] = None) -> str:
+        """``e`` rendered; a max / min of several arguments stores its
+        last fold into ``out`` when given."""
         if e.fn in ("max", "min"):
             fold = "np.maximum" if e.fn == "max" else "np.minimum"
-            out = self.val(e.args[0])
-            for x in e.args[1:]:
-                out = f"{fold}({out}, {self.val(x)})"
-            return out
+            acc = self.val(e.args[0])
+            for n, x in enumerate(e.args[1:], 2):
+                into = f", out={out}" if out and n == len(e.args) else ""
+                acc = f"{fold}({acc}, {self.val(x)}{into})"
+            return acc
         if e.fn == "abs":
             return f"np.abs({self.val(e.args[0])})"
         if e.fn in ("int", "float"):
@@ -481,6 +484,10 @@ def _cols(d) -> str:
     return f"_a{d:+d}:_b{d:+d}"
 
 
+#: a binary op -> the ufunc that stores it with ``out=``
+_UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply"}
+
+
 class _SliceEmitter(_Renderer):
     """Renders the case IR in slice context for one boundary profile.
 
@@ -556,9 +563,9 @@ class _SliceEmitter(_Renderer):
                 args.append(Bin(op, Call(e.fn, tuple(x.left for x in xs)), term))
         return args[0] if len(args) == 1 else Call(e.fn, tuple(args))
 
-    def call(self, e: Call) -> str:
+    def call(self, e: Call, out: Optional[str] = None) -> str:
         e = self.factor(e) if e.fn in ("max", "min") else e
-        return super().call(e) if isinstance(e, Call) else self.val(e)
+        return super().call(e, out) if isinstance(e, Call) else self.val(e)
 
     def store(self, e: Optional[Expr], target: str) -> str:
         """A step's one value written to ``target``, its last ufunc storing
@@ -568,16 +575,14 @@ class _SliceEmitter(_Renderer):
         if e is None:
             return f"np.add(_data, _Sr, out={target})"
         e = self.taken(e)
-        if _has_dep(e) and isinstance(e, Call) and e.fn in ("max", "min"):
-            e = self.factor(e)
-        rendered = self.val(e)
         if _has_dep(e) and np.dtype(type(self.app).value_dtype).kind != "b":
-            if isinstance(e, Call) and rendered.startswith(("np.maximum(", "np.minimum(")):
-                return f"{rendered[:-1]}, out={target})"
-            if isinstance(e, Bin) and e.op in ("+", "-", "*"):
-                ufunc = {"+": "np.add", "-": "np.subtract", "*": "np.multiply"}[e.op]
-                return f"{ufunc}({self.val(e.left)}, {self.val(e.right)}, out={target})"
-        return f"{target} = {rendered}"
+            if isinstance(e, Call) and e.fn in ("max", "min"):
+                e = self.factor(e)
+                if isinstance(e, Call):
+                    return super().call(e, target)
+            if isinstance(e, Bin) and e.op in _UFUNCS:
+                return f"{_UFUNCS[e.op]}({self.val(e.left)}, {self.val(e.right)}, out={target})"
+        return f"{target} = {self.val(e)}"
 
     def emit(self, cases, scan: Optional[int] = None) -> str:
         """The sweep body for this profile: one where-chain per diagonal
@@ -723,14 +728,17 @@ class _SliceKernel:
 
     @property
     def source(self) -> str:
-        """Prelude, the general sweep variant, then the one an interior
-        tile (the matrix minus its pads frame) runs."""
+        """The prelude and the general sweep variant."""
+        return f"{self.header}{self.prelude_source}\n{self._codes[self.general_profile][1]}"
+
+    def dump_source(self, tile: int) -> str:
+        """:attr:`source`, then the variant an interior tile runs: the
+        profile of one tile, at most ``tile`` square, inside the pads frame."""
         pt, pb, pl, pr = self.pads
-        states = self._states(self.prepare(pt, pl, max(1, self.H - pt - pb),
-                                           max(1, self.W - pl - pr))[0])
+        h, w = (max(1, min(tile, n - a - b)) for n, a, b in ((self.H, pt, pb), (self.W, pl, pr)))
+        states = self._states(self.prepare(pt, pl, h, w)[0])
         self._render(states, self._pre)
-        general, interior = self._codes[self.general_profile][1], self._codes[states][1]
-        return f"{self.header}{self.prelude_source}\n{general}\n# interior variant\n{interior}"
+        return f"{self.source}\n# interior variant\n{self._codes[states][1]}"
 
 
 class FlatSweepKernel(_SliceKernel):

@@ -115,7 +115,13 @@ def bind_mapping(dag, results) -> None:
 class TilePlane:
     """The dense matrix layout every tiled engine computes against."""
 
-    def __init__(self, values: np.ndarray, finished: np.ndarray, grid, value_nbytes: int = 8):
+    def __init__(
+        self,
+        values: np.ndarray,
+        finished: np.ndarray,
+        grid,
+        value_nbytes: int = 8,
+    ) -> None:
         self.values = values
         self.finished = finished
         self.grid = grid  #: the run's TileGrid; a tile is the unit of ownership
@@ -146,9 +152,13 @@ class TilePlane:
             values = np.empty(shape, dtype=object)
         elif spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
-            fd, path = tempfile.mkstemp(dir=spill_dir, prefix="dpx10-plane-", suffix=".npy")
+            fd, path = tempfile.mkstemp(
+                dir=spill_dir, prefix="dpx10-plane-", suffix=".npy"
+            )
             os.close(fd)
-            values = np.lib.format.open_memmap(path, mode="w+", dtype=dtype, shape=shape)
+            values = np.lib.format.open_memmap(
+                path, mode="w+", dtype=dtype, shape=shape
+            )
             os.unlink(path)
         else:
             values = np.zeros(shape, dtype=dtype)
@@ -182,7 +192,9 @@ class TilePlane:
         dead = set(dead)
         rehome = dead if rehome is None else set(rehome)
         owners = self.owners
-        lost = [(int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))]
+        lost = [
+            (int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))
+        ]
         for t in lost:
             r0, r1, c0, c1 = self.grid.bounds(*t)
             self.values[r0:r1, c0:c1] = self._zero
@@ -324,11 +336,11 @@ def run_tiles(
     boundary profile, one stack in the kernel's ``fn.layout`` (else the
     window stack), filled by one gather off the plane and one scatter,
     one sweep (``fn.sweep``) and values, then flags, out of its slots.
-    A top-row or left-column tile whose leading pads rows / columns are
-    the DP's initial condition (``fn.peel``) takes those from the
-    prelude and sweeps the rest in the interior tiles' stack. Other
-    window kernels see one window per call; cells-mode kernels and the
-    per-cell loop run tile by tile.
+    A top-row or left-column tile whose leading rows / columns, as deep
+    as the kernel's own pads, are the DP's initial condition
+    (``fn.peel``) takes those from the prelude and sweeps the rest in
+    the interior tiles' stack. Other window kernels see one window per
+    call; cells-mode kernels and the per-cell loop run tile by tile.
     """
     ti, tj = np.array(tiles, np.int64).reshape(-1, 2).T
     ncells = tiled.tile_cells[ti, tj]
@@ -372,8 +384,10 @@ def _run_windows(plane, tiled, app, kernel, tiles, ncells, places, halo, sanitiz
     for t, tile in enumerate(tiles):
         r0, r1, c0, c1 = tiled.grid.bounds(*tile)
         h, w = r1 - r0, c1 - c0
-        k = pt if r0 == 0 and h > pt else 0
-        l = pl if c0 == 0 and w > pl else 0
+        # peel no deeper than the kernel's own pads: a window row or column
+        # past its footprint has no slot of its own in the kernel's layout
+        k = kernel.pads[0] if r0 == 0 and h > kernel.pads[0] else 0
+        l = kernel.pads[2] if c0 == 0 and w > kernel.pads[2] else 0
         strips = peel(r0, c0, h, w, k, l) if peel and (k or l) else None
         if not strips:
             k = l = 0

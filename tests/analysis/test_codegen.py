@@ -823,7 +823,7 @@ class TestFactoring:
         factors, in_place = self.CASES[cls]
         kernel, klass = build_autokernel(self._app(cls, floats), _FactorDag(12, 11))
         assert klass.klass == "ANTIDIAG_WAVEFRONT"
-        general, interior = kernel.fn.source.split("# interior variant")
+        general, interior = kernel.fn.dump_source(64).split("# interior variant")
         assert bool(self.FACTORED.search(interior)) == factors, interior
         assert ("out=B2[_vd, _a:_b]" in interior) == in_place, interior
         assert "out=" not in general  # the masked variant ends in a where-chain
@@ -862,6 +862,17 @@ class _NearApp(DPX10App):
         return max(dep[(i - 1, j)], dep[(i, j - 1)]) + int(self.x[(i * 7 + j) % 17])
 
 
+class _WideBaseApp(_NearApp):
+    """A base case two rows and columns wide: the leading tiles peel as
+    many rows and columns as the declared stencil pads the window."""
+
+    def compute(self, i, j, vertices):
+        if i <= 1 or j <= 1:
+            return 3 * i - j
+        dep = dependency_map(vertices)
+        return max(dep[(i - 1, j)], dep[(i, j - 1)]) + int(self.x[(i * 7 + j) % 17])
+
+
 class TestLayout:
     def test_a_window_wider_than_the_footprint_spills(self, monkeypatch):
         # the declared stencil pads the window by two, the inferred
@@ -888,6 +899,21 @@ class TestLayout:
             report = DPX10Runtime(_NearApp(), dag, DPX10Config(**cfg)).run()
             out.append(dag.to_array(fill=-1, dtype=np.int64))
         assert report.kernel == "ANTIDIAG_WAVEFRONT" and any(spilled)
+        assert all(np.array_equal(out[0], o) for o in out[1:])
+
+    @pytest.mark.parametrize("engine", ["inline", "mp"])
+    def test_cells_peeled_past_the_footprint_keep_their_values(self, engine):
+        # the boundary is as wide as the window's pads, wider than the
+        # footprint: every peeled cell must reach the plane with its own value
+        kernel, _ = build_autokernel(_WideBaseApp(), _WideDag(19, 17))
+        assert kernel.pads == (1, 0, 1, 0)
+        out = []
+        for cfg in (dict(tile_shape=(1, 1)), dict(tile_shape=(4, 4), nplaces=2, engine=engine),
+                    dict(tile_shape=(6, 5), engine=engine)):
+            dag = _WideDag(19, 17)
+            report = DPX10Runtime(_WideBaseApp(), dag, DPX10Config(**cfg)).run()
+            out.append(dag.to_array(fill=-1, dtype=np.int64))
+        assert report.kernel == "ANTIDIAG_WAVEFRONT"
         assert all(np.array_equal(out[0], o) for o in out[1:])
 
 
