@@ -242,7 +242,9 @@ def run_level_batch(quick: bool) -> dict:
             plane.owners[...] = 0
             with Timer() as t:
                 for tiles in calls:
-                    plane_mod.run_tiles(plane, tiled, app, kernel, tiles, [0] * len(tiles))
+                    plane_mod.run_tiles(
+                        plane, tiled, app, kernel, tiles, [0] * len(tiles), tiled.halos_of(tiles)
+                    )
             best[mode] = min(best[mode], t.elapsed)
             planes[mode] = plane.values
     assert np.array_equal(planes["solo"], planes["batched"])

@@ -40,9 +40,11 @@ diverge from the interpreted oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.util.lru import LRU
 
 __all__ = [
     "DomainKernelError",
@@ -130,9 +132,11 @@ def probe_tensor_hyperplane(app, dag, samples: int = 48) -> None:
 
 
 #: per-process plan cache: hyperplane segmentation of a tile depends only
-#: on the tensor shape and the tile box, so identical tiles across a run
-#: (and across forked mp workers, via copy-on-write) share one plan
-_TENSOR_PLAN_CACHE: Dict[Tuple, Tuple] = {}
+#: on the tensor shape and the tile box, so repeat solves of one shape
+#: (and forked mp workers, via copy-on-write) share one plan per tile. An
+#: LRU, because it holds one entry per tile origin per shape and a pooled
+#: place outlives its jobs
+_TENSOR_PLAN_CACHE = LRU(64)
 
 
 class TensorHyperplaneKernel:
@@ -174,44 +178,41 @@ class TensorHyperplaneKernel:
             self._minv = -np.inf
 
     def _plan(self, r0: int, c0: int, h: int, w: int):
-        key = (self.shape, r0, c0, h, w)
-        plan = _TENSOR_PLAN_CACHE.get(key)
-        if plan is None:
-            li_f = np.repeat(np.arange(h, dtype=np.int64), w)
-            lj_f = np.tile(np.arange(w, dtype=np.int64), h)
-            rows_g = r0 + li_f
-            axes: List[np.ndarray] = []
-            rem = rows_g
-            for s in self.strides:
-                axes.append(rem // s)
-                rem = rem % s
-            axes.append(c0 + lj_f)
-            level = axes[0].copy()
-            for ax in axes[1:]:
-                level += ax
-            order = np.argsort(level, kind="stable")
-            lv = level[order]
-            starts = np.flatnonzero(np.r_[True, lv[1:] != lv[:-1]])
-            bounds = np.r_[starts, lv.size]
-            segments = tuple(
-                order[bounds[k]: bounds[k + 1]] for k in range(len(starts))
+        li_f = np.repeat(np.arange(h, dtype=np.int64), w)
+        lj_f = np.tile(np.arange(w, dtype=np.int64), h)
+        rows_g = r0 + li_f
+        axes: List[np.ndarray] = []
+        rem = rows_g
+        for s in self.strides:
+            axes.append(rem // s)
+            rem = rem % s
+        axes.append(c0 + lj_f)
+        level = axes[0].copy()
+        for ax in axes[1:]:
+            level += ax
+        order = np.argsort(level, kind="stable")
+        lv = level[order]
+        starts = np.flatnonzero(np.r_[True, lv[1:] != lv[:-1]])
+        bounds = np.r_[starts, lv.size]
+        segments = tuple(
+            order[bounds[k]: bounds[k + 1]] for k in range(len(starts))
+        )
+        # per-offset validity over the whole tile (axis underflow)
+        valids = tuple(
+            np.logical_and.reduce(
+                [ax >= st for ax, st in zip(axes, step)]
             )
-            # per-offset validity over the whole tile (axis underflow)
-            valids = tuple(
-                np.logical_and.reduce(
-                    [ax >= st for ax, st in zip(axes, step)]
-                )
-                for step in self.steps
-            )
-            plan = (li_f, lj_f, tuple(axes), segments, valids)
-            _TENSOR_PLAN_CACHE[key] = plan
-        return plan
+            for step in self.steps
+        )
+        return li_f, lj_f, tuple(axes), segments, valids
 
     def __call__(self, r0, c0, window, oi, oj, h, w) -> bool:
         if h <= 0 or w <= 0:
             return True
         app = self.app
-        li_f, lj_f, axes, segments, valids = self._plan(r0, c0, h, w)
+        li_f, lj_f, axes, segments, valids = _TENSOR_PLAN_CACHE.lookup(
+            (self.shape, r0, c0, h, w), lambda: self._plan(r0, c0, h, w)
+        )
         wh, ww = window.shape
         wi_f = oi + li_f
         wj_f = oj + lj_f
@@ -259,6 +260,19 @@ class TensorHyperplaneKernel:
 # -- tree level gathers -----------------------------------------------------------------
 
 
+def _compute_level(app, dom, nodes: List[int], value_of) -> list:
+    """One batched ``compute_level`` over ``nodes``, each child's value
+    read off ``value_of``."""
+    flat: List[object] = []
+    ptr = [0]
+    for v in nodes:
+        flat.extend(value_of[c] for c in dom.children(v))
+        ptr.append(len(flat))
+    return app.compute_level(
+        np.asarray(nodes, dtype=np.int64), np.asarray(ptr, dtype=np.int64), flat
+    )
+
+
 def probe_tree_level(app, dag, limit: int = 256) -> None:
     """Verify ``compute_level`` against a serial ``compute_index`` replay.
 
@@ -278,16 +292,7 @@ def probe_tree_level(app, dag, limit: int = 256) -> None:
         by_height.setdefault(dom.height_of(v), []).append(v)
     for hgt in sorted(by_height):
         nodes = by_height[hgt]
-        flat: List[object] = []
-        ptr = [0]
-        for v in nodes:
-            flat.extend(serial[c] for c in dom.children(v))
-            ptr.append(len(flat))
-        out = app.compute_level(
-            np.asarray(nodes, dtype=np.int64),
-            np.asarray(ptr, dtype=np.int64),
-            flat,
-        )
+        out = _compute_level(app, dom, nodes, serial)
         if len(out) != len(nodes):
             raise DomainKernelError(
                 f"compute_level returned {len(out)} values for "
@@ -319,41 +324,21 @@ class TreeLevelKernel:
         self.dom = dag.domain
 
     def run_cells(self, rows, cols, halo_values) -> Optional[List[object]]:
-        dom = self.dom
-        level = dom.level
-        children = dom.children
+        level = self.dom.level
         node_val: Dict[int, object] = {}
         try:
             for (hi, hj), v in halo_values.items():
                 node_val[level(hi)[hj]] = v
             out: List[object] = [None] * len(rows)
+            # the tile's cells row by row (one height level per row), ascending
             order = np.argsort(rows, kind="stable")
-            rows_l = rows.tolist()
-            cols_l = cols.tolist()
-            pos = 0
-            total = len(order)
-            while pos < total:
-                r = rows_l[order[pos]]
-                end = pos
-                while end < total and rows_l[order[end]] == r:
-                    end += 1
-                idxs = [int(order[t]) for t in range(pos, end)]
-                lvl = level(r)
-                nodes = [lvl[cols_l[t]] for t in idxs]
-                flat: List[object] = []
-                ptr = [0]
-                for v in nodes:
-                    flat.extend(node_val[c] for c in children(v))
-                    ptr.append(len(flat))
-                vals = self.app.compute_level(
-                    np.asarray(nodes, dtype=np.int64),
-                    np.asarray(ptr, dtype=np.int64),
-                    flat,
-                )
-                for t, v, val in zip(idxs, nodes, vals):
+            for idxs in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
+                lvl = level(int(rows[idxs[0]]))
+                nodes = [lvl[c] for c in cols[idxs].tolist()]
+                vals = _compute_level(self.app, self.dom, nodes, node_val)
+                for t, v, val in zip(idxs.tolist(), nodes, vals):
                     node_val[v] = val
                     out[t] = val
-                pos = end
             return out
         except KeyError:
             # a child value is neither in the halo nor in the tile —

@@ -8,8 +8,8 @@ The runtime and both recovery paths consult it at fixed points:
   :class:`~repro.apgas.failure.FaultInjector`;
 * ``on_execute(place_id)`` — the per-vertex throttle hook (worker path);
 * ``begin_recovery_pass()`` / ``poll_recovery(progress)`` — recovery-kill
-  triggers: the in-process :func:`~repro.core.recovery.recover` polls per
-  salvaged cell, the mp master polls per recomputed recovery batch;
+  triggers, polled by every engine's recovery with the cells the pass
+  salvaged;
 * ``record(kind)`` — every injected event is counted into
   ``dpx10_chaos_injected_total{kind}`` on the run's metrics registry.
 
@@ -126,9 +126,8 @@ class ChaosController:
     def poll_recovery(self, progress: int, pass_no: Optional[int] = None) -> List[int]:
         """Place ids whose recovery-kill trigger fired; each fires once.
 
-        ``progress`` counts the current pass's salvaged (in-process) or
-        recomputed (mp) cells. ``pass_no`` defaults to the pass opened by
-        the latest :meth:`begin_recovery_pass`.
+        ``progress`` counts the current pass's salvaged cells. ``pass_no``
+        defaults to the pass opened by the latest :meth:`begin_recovery_pass`.
         """
         with self._lock:
             current = self._pass_no if pass_no is None else pass_no

@@ -7,11 +7,11 @@ master loop, two plane backings and one request kind**:
 * every place is a ``multiprocessing.Process`` computing its partition
   of the DP matrix against a :class:`~repro.core.plane.TilePlane` — the
   dense layout the in-process engines use — through the same executor,
-  :func:`repro.core.plane.run_tiles`, one call per level batch of tiles
-  (a run with no tile plan, ``tile_shape=(1, 1)`` included, is a grid
+  :func:`repro.core.plane.run_tiles`, one call per round's batch of
+  tiles (a run with no tile plan, ``tile_shape=(1, 1)`` included, is a grid
   of 1×1 tiles);
 * :func:`run_mp` is the only master. It keeps a plane of its own and
-  drives the places level by level with one request,
+  drives the places round by round with one request,
   ``("units", units, halo_patch)``, answered by
   ``("done", ncells, seconds, result_patch)``;
 * the plane's **backing** is an allocator fact (:func:`_shm_eligible`),
@@ -29,15 +29,17 @@ master loop, two plane backings and one request kind**:
 * a fault is a genuine ``SIGKILL`` of a place process, detected by the
   master, and recovery is the paper's section VI-D protocol against a
   real process corpse: :meth:`TilePlane.lose` zeroes the dead place's
-  units and re-homes them over the survivors (or a pooled spare takes
-  the dead place's identity with an empty plane), and the lost units
-  recompute in topological-depth order before any consumer reads them.
+  tiles and re-homes them over the survivors (or a pooled spare takes
+  the dead place's identity with an empty plane), the tile wavefront is
+  rebuilt from the plane's flags, and the lost tiles recompute in the
+  rounds that follow, before any consumer reads them.
 
-Execution is **level-synchronous**: the master groups units by
-topological depth and drives one level at a time; within a level every
-place computes its units in parallel (true multi-core parallelism — no
-GIL across processes). This is a bulk-synchronous rendering of the same
-DAG; per-vertex scheduling strategies and the FIFO cache are inline/
+Execution runs in **rounds** over the tile wavefront every engine steps,
+a :class:`~repro.core.tiling.TileRunState`: each round ships every place
+its ready tiles and waits for all of them; within a round the places
+compute in parallel (true multi-core parallelism — no GIL across
+processes). This is a bulk-synchronous rendering of the same DAG;
+per-vertex scheduling strategies and the FIFO cache are inline/
 threaded-engine concepts and do not apply here.
 
 **Message hardening.** Every request carries a monotone per-pipe sequence
@@ -71,7 +73,6 @@ import time
 import traceback
 import multiprocessing as mp
 from collections import defaultdict
-from contextlib import nullcontext
 from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -82,10 +83,9 @@ from repro.core import plane as _plane
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.tiling import plan_tiles
-from repro.core.trace import ExecutionTrace, TraceEvent, paced, split_span
+from repro.core.tiling import TileRunState, plan_tiles
+from repro.core.trace import ExecutionTrace, TraceEvent, paced, phase_span, split_span
 from repro.errors import (
-    AllPlacesDeadError,
     DPX10Error,
     PlaceZeroDeadError,
     RemoteComputeError,
@@ -118,6 +118,8 @@ class MPRunStats:
         self.msg_retries = 0
         self.recoveries = 0
         self.per_place_executed: Dict[int, int] = {}
+        #: rounds dispatched: the tile DAG's Kahn generations on a
+        #: fault-free run, plus the recomputation a recovery adds
         self.levels = 0
         self.final_alive_places = 0
         #: compute-loop seconds measured inside each surviving place
@@ -258,7 +260,7 @@ class _PlaceWorker:
         """Compute a batch of tiles against the plane.
 
         The whole batch goes to :func:`repro.core.plane.run_tiles` in one
-        call — a level's tiles are independent, so those that can share
+        call — a round's tiles are independent, so those that can share
         a kernel sweep do. With ``sink`` set each tile's event is its
         :func:`~repro.core.trace.split_span` share of the batch's span.
         """
@@ -266,7 +268,8 @@ class _PlaceWorker:
         places = [self.place_id] * len(tiles)
         t0 = time.perf_counter()
         done = _plane.run_tiles(
-            self.plane, tiled, self.app, self.kernel, tiles, places, self.sanitize
+            self.plane, tiled, self.app, self.kernel, tiles, places,
+            tiled.halos_of(tiles), self.sanitize,
         )
         cells = [n for n, _ in done]
         spans = split_span(t0, time.perf_counter(), cells)
@@ -310,7 +313,7 @@ class _WorkerInstruments:
         ).labels(place_id)
         self.levels_served = self.registry.counter(
             "dpx10_mp_worker_levels_total",
-            "level batches served per place process",
+            "round batches served per place process",
             ("place",),
         ).labels(place_id)
         self.dedup_hits = self.registry.counter(
@@ -666,11 +669,6 @@ def _release_procs(procs: Dict[int, "_PlaceProc"], pool) -> None:
             proc.stop()
 
 
-def _tphase(trace: Optional[ExecutionTrace], name: str, category: str = "phase"):
-    """A master-side trace span, or a no-op when the run is untraced."""
-    return trace.phase(name, category) if trace is not None else nullcontext()
-
-
 def _trace_ctx(trace: Optional[ExecutionTrace]) -> Optional[Dict[str, Any]]:
     """The context dict the init envelope propagates to worker processes."""
     if trace is None:
@@ -726,7 +724,7 @@ def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> Non
         "dpx10_places_alive", "place processes alive at run end"
     ).set(stats.final_alive_places)
     registry.counter(
-        "dpx10_mp_levels_total", "bulk-synchronous levels driven by the master"
+        "dpx10_mp_levels_total", "bulk-synchronous rounds driven by the master"
     ).set(stats.levels)
     registry.counter(
         "dpx10_recoveries_total",
@@ -771,20 +769,25 @@ def run_mp(
     """Execute the application on real place processes.
 
     The master keeps a :class:`~repro.core.plane.TilePlane` over the
-    whole matrix and drives the places one topological level at a time,
-    shipping each place the tiles it owns in that level — 1×1 tiles when
-    the run has no tile plan — over either plane backing (see the module
-    docstring). Level-synchronous execution makes the
-    lock-free cross-process reads, and the halo patches, safe: a unit's
-    dependencies always finished in an earlier level (or earlier in the
-    same process's batch), and kills only fire between levels at the
-    master's poll points, so no consumer can observe a torn write.
+    whole matrix and steps the tile wavefront the in-process engines
+    step, a :class:`~repro.core.tiling.TileRunState`, in rounds: each
+    round ships every place its ready tiles in one request — 1×1 tiles
+    when the run has no tile plan — over either plane backing (see the
+    module docstring), waits for every place, and releases the
+    successors. Rounds make the lock-free cross-process reads, and the
+    halo patches, safe: a tile's dependencies always finished in an
+    earlier round (or earlier in the same process's batch), and kills
+    only fire between rounds at the master's poll points, so no consumer
+    can observe a torn write. On a fault-free run the rounds are the
+    tile DAG's Kahn generations, :meth:`~repro.core.tiling.TiledDag.levels`.
 
-    Recovery: a dead place's units are zeroed on the master plane
+    Recovery: a dead place's tiles are zeroed on the master plane
     (restoring the "never written reads as zero" invariant for kernel
-    windows) and recomputed in topological-depth order by the survivors,
-    who receive the re-homed ownership via ``redist`` — or by a pooled
-    spare that takes over the dead place's identity with an empty plane.
+    windows) and re-homed on the survivors, who receive the new
+    ownership via ``redist`` — or kept by a pooled spare that takes over
+    the dead place's identity with an empty plane. The wavefront is
+    rebuilt from the plane's flags, and the ordinary rounds recompute
+    the lost tiles.
 
     Returns the results as a :class:`~repro.core.plane.PlaneResults`
     plus run stats. Each place process keeps its own metrics registry;
@@ -795,15 +798,15 @@ def run_mp(
 
     ``chaos`` is an optional :class:`~repro.chaos.controller.
     ChaosController`: its kill plans merge into the fault injector, its
-    recovery-kill triggers are polled between recovery redo batches, its
-    throttles slow a place's level batches, and its message block wraps
+    recovery-kill triggers are polled on the cells a recovery pass kept,
+    its throttles slow a place's round batches, and its message block wraps
     every master-side pipe in a :class:`~repro.chaos.network.ChaosPipe`
     (which is also what keeps such runs' values on the pipes).
 
     ``trace`` (config.trace) collects master-side phase spans plus the
     worker-side per-unit events shipped back over the ``trace`` request,
     normalized onto the master timeline. ``straggler`` is an optional
-    :class:`repro.obs.causal.StragglerDetector` fed each place's level
+    :class:`repro.obs.causal.StragglerDetector` fed each place's round
     service time (worker-measured elapsed plus master-side chaos
     throttle sleep, which the worker cannot see).
     """
@@ -815,9 +818,6 @@ def run_mp(
     tiled = plan or dag.coarsen(1, 1)
     if trace is not None:
         trace.set_dependency_meta(dag, plan)
-    with _tphase(trace, "schedule"):
-        unit_levels = tiled.levels()
-    stats.levels = len(unit_levels)
     # exact per-tile active-cell counts: completions must count cells
     # (fault injection thresholds and progress are cell-granular)
     ncells_of = tiled.tile_cells
@@ -867,7 +867,7 @@ def run_mp(
                 "dpx10_shm_bytes_mapped",
                 "bytes of shared-memory plane segments currently mapped",
             ).set(arena.bytes_mapped)
-        with _tphase(trace, "lease places"):
+        with phase_span(trace, "lease places"):
             procs, lease_pool = _acquire_procs(
                 config,
                 ctx,
@@ -881,14 +881,11 @@ def run_mp(
         try:
             alive = sorted(procs)
 
-            with _tphase(trace, "partition"):
+            with phase_span(trace, "partition"):
                 # the master owns the unit-granular owner map (shipped
                 # resolved — Dist objects hold closures and cannot cross
                 # the pipe) and zeroes lost regions on recovery
-                plane.home(
-                    config.make_dist(dag.region, alive),
-                    (u for lv in unit_levels for u in lv),
-                )
+                plane.home(config.make_dist(dag.region, alive), tiled.active_tiles())
             meta["owners"] = plane.owners
 
             if plan is not None:
@@ -910,17 +907,23 @@ def run_mp(
             for p in alive:
                 procs[p].request(("init", app, dag, meta, p, trace_ctx))
 
-            depth_of: Dict[Coord, int] = {
-                u: d for d, lv in enumerate(unit_levels) for u in lv
-            }
-            computed: Set[Coord] = set()
+            # the next round's tiles per home place: what ``wavefront``
+            # releases, in release order
+            ready: Dict[int, List[Coord]] = defaultdict(list)
+
+            def push(p: int, tile: Coord) -> None:
+                ready[p].append(tile)
+
+            wavefront = TileRunState(tiled)
+            with phase_span(trace, "schedule"):
+                wavefront.build(plane, alive, push)
 
             def halo_patch(p: int, units: List[Coord]) -> tuple:
                 """What place ``p``'s private plane lacks for this batch.
 
                 The batch's halo cells homed on other places, as
                 ``(rows, cols, values)`` off the master plane — each
-                finished in an earlier level, so the values are final.
+                finished in an earlier round, so the values are final.
                 """
                 _, rows, cols = tiled.halos_of(units)
                 rows, cols = np.divmod(np.unique(rows * dag.width + cols), dag.width)
@@ -928,11 +931,10 @@ def run_mp(
                 rows, cols = rows[remote], cols[remote]
                 return rows, cols, plane.values[rows, cols]
 
-            def compute_level(units: List[Coord]) -> None:
-                """One bulk-synchronous step over the alive places."""
-                by_place: Dict[int, List[Coord]] = defaultdict(list)
-                for u in units:
-                    by_place[int(plane.owners[u])].append(u)
+            def compute_round() -> None:
+                """One bulk-synchronous step: every place its ready tiles."""
+                by_place = dict(sorted(ready.items()))
+                ready.clear()
                 ncells = {p: sum(int(ncells_of[u]) for u in own) for p, own in by_place.items()}
                 if config.pace is not None:  # the whole batch's turn
                     paced(config.pace, sum(ncells.values()), trace)
@@ -964,115 +966,76 @@ def run_mp(
                         straggler.observe(p, reply[2] + throttled.get(p, 0.0), ncells[p])
                 if failure is not None:
                     raise failure
+                stats.levels += 1
                 stats.completions += sum(ncells.values())
-                computed.update(units)
+                wavefront.on_tiles_finished([u for own in by_place.values() for u in own], push)
 
-            def handle_victims(
-                victims: Sequence[int], pending: Dict[int, Set[Coord]]
-            ) -> None:
-                """Kill the victims, re-home their units, queue lost work.
-
-                ``pending`` maps topological depth to the set of finished
-                units that must recompute; the drain loop in ``recover``
-                consumes it in ascending depth order so dependencies
-                always exist before their consumers ask for them.
+            def recover(victims: List[int]) -> None:
+                """Section VI-D against real corpses, by the rule
+                :func:`~repro.core.recovery.recover_tiled` applies in
+                process: lose the dead places' tiles, rebuild the
+                wavefront from the plane's flags, and let the rounds that
+                follow recompute what was lost.
 
                 With a place pool, each corpse is first swapped for a
                 pooled spare initialized as the same logical place (it
                 attaches the live segments by name, or starts an empty
-                private plane; ``meta`` carries the live owner map):
-                ownership is unchanged and only the dead place's
-                finished units recompute. Places the pool cannot replace
-                fall back to re-homing on the survivors — including the
-                fatal place-0 case.
-                """
-                if lease_pool is None and (
-                    0 in victims or not procs[0].alive
-                ):
-                    raise PlaceZeroDeadError()
-                for v in set(victims):
-                    if procs[v].alive:
-                        logger.warning("SIGKILL place %d process", v)
-                        procs[v].kill()
-                dead = {p for p in procs if not procs[p].alive}
-                replaced: Set[int] = set()
-                if lease_pool is not None:
-                    for p in sorted(dead):
-                        spare = lease_pool.take_spare(procs[p])
-                        if spare is None:
-                            break
-                        spare.bind_run(on_retry)
-                        spare.request(("init", app, dag, meta, p, trace_ctx))
-                        procs[p] = spare
-                        replaced.add(p)
-                        stats.pool_restarts += 1
-                        logger.warning("place %d restarted from pool", p)
-                unreplaced = dead - replaced
-                if 0 in unreplaced or not procs[0].alive:
-                    raise PlaceZeroDeadError()
-                survivors = [p for p in sorted(procs) if procs[p].alive]
-                if not survivors:
-                    raise AllPlacesDeadError("every place process died")
-                new_dist = (
-                    config.make_dist(dag.region, survivors) if unreplaced else None
-                )
-                for u in plane.lose(dead, new_dist, rehome=unreplaced):
-                    if u in computed:
-                        computed.discard(u)
-                        pending.setdefault(depth_of[u], set()).add(u)
-                if unreplaced:
-                    # survivors track the re-homed ownership so their
-                    # halo accounting (and nothing else) stays truthful;
-                    # pool replacements got the current map at init
-                    for p in survivors:
-                        procs[p].request(("redist", plane.owners))
-
-            def poll_faults() -> List[int]:
-                """Injector kills due at the current completion count."""
-                if injector is None:
-                    return []
-                victims = injector.poll_completions(stats.completions)
-                if victims and chaos is not None:
-                    chaos.record("kill", len(victims))
-                return victims
-
-            def recover(first_victims: List[int]) -> None:
-                """Section VI-D against real corpses, chaos-aware.
-
-                Drains the lost finished units in topological-depth
-                order, polling the injector and the chaos controller's
-                mid-recovery kill triggers between batches: a place dying
-                *while this recovery is in flight* simply folds its lost
-                units into the same drain, which terminates because the
-                alive set strictly shrinks (ending, at worst, in
-                PlaceZeroDeadError or AllPlacesDeadError — never a hang).
+                private plane; ``meta`` carries the live owner map), so
+                ownership is unchanged. Places the pool cannot replace
+                are re-homed on the survivors — place 0 is fatal. The
+                chaos controller's mid-recovery kill triggers are polled
+                on the cells the pass kept; a place dying *while the pass
+                is in flight* restarts it. Each trigger fires once, so
+                this ends — at worst in PlaceZeroDeadError, never a hang.
                 """
                 stats.recoveries += 1
                 if chaos is not None:
                     chaos.begin_recovery_pass()
-                with _tphase(trace, "recovery", "recovery"):
-                    pending: Dict[int, Set[Coord]] = {}
-                    handle_victims(first_victims, pending)
-                    progress = 0
-                    while pending:
-                        d = min(pending)
-                        batch = sorted(pending.pop(d))
-                        compute_level(batch)
-                        progress += len(batch)
-                        more: List[int] = []
-                        if chaos is not None:
-                            more += chaos.poll_recovery(progress)
-                        more += poll_faults()
-                        if more:
-                            handle_victims(more, pending)
+                with phase_span(trace, "recovery", "recovery"):
+                    while victims:
+                        for v in set(victims):
+                            if procs[v].alive:
+                                logger.warning("SIGKILL place %d process", v)
+                                procs[v].kill()
+                        dead = {p for p in procs if not procs[p].alive}
+                        replaced: Set[int] = set()
+                        if lease_pool is not None:
+                            for p in sorted(dead):
+                                spare = lease_pool.take_spare(procs[p])
+                                if spare is None:
+                                    break
+                                spare.bind_run(on_retry)
+                                spare.request(("init", app, dag, meta, p, trace_ctx))
+                                procs[p] = spare
+                                replaced.add(p)
+                                stats.pool_restarts += 1
+                                logger.warning("place %d restarted from pool", p)
+                        unreplaced = dead - replaced
+                        if 0 in unreplaced:
+                            raise PlaceZeroDeadError()
+                        survivors = [p for p in sorted(procs) if procs[p].alive]
+                        new_dist = (
+                            config.make_dist(dag.region, survivors) if unreplaced else None
+                        )
+                        plane.lose(dead, new_dist, rehome=unreplaced)
+                        if unreplaced:
+                            # survivors track the re-homed ownership so their
+                            # halo accounting (and nothing else) stays
+                            # truthful; pool replacements got it at init
+                            for p in survivors:
+                                procs[p].request(("redist", plane.owners))
+                        kept = int(np.count_nonzero(plane.finished))
+                        victims = chaos.poll_recovery(kept) if chaos is not None else []
+                    ready.clear()
+                    wavefront.build(plane, survivors, push)
 
-            with _tphase(trace, "execute"):
-                level_idx = 0
-                while level_idx < len(unit_levels):
-                    compute_level(unit_levels[level_idx])
-                    level_idx += 1
-                    victims = poll_faults()
+            with phase_span(trace, "execute"):
+                while ready:
+                    compute_round()
+                    victims = injector.poll_completions(stats.completions) if injector else []
                     if victims:
+                        if chaos is not None:
+                            chaos.record("kill", len(victims))
                         recover(victims)
 
             # no collect round trip: the results already live in the
@@ -1080,7 +1043,7 @@ def run_mp(
             # its normalized trace buffer) and fold its halo-read
             # accounting into the master's network stats (the snapshot is
             # a plain dict, so this works even with the NULL registry)
-            with _tphase(trace, "collect"):
+            with phase_span(trace, "collect"):
                 for p in sorted(procs):
                     if procs[p].alive:
                         if trace is not None:

@@ -179,29 +179,24 @@ class TilePlane:
         dead: Iterable[int],
         dist=None,
         rehome: Optional[Iterable[int]] = None,
-    ) -> List[Coord]:
+    ) -> None:
         """Places died: zero every tile they owned and re-home it.
 
         Values and flags both reset, so a lost tile reads as never
         computed until its recompute re-materializes it. Tiles of the
         places in ``rehome`` (default: all of ``dead``; the mp master
         excludes places a pooled spare replaced) move to their home
-        under ``dist``, the distribution over the survivors. Returns the
-        lost tiles.
+        under ``dist``, the distribution over the survivors.
         """
         dead = set(dead)
         rehome = dead if rehome is None else set(rehome)
         owners = self.owners
-        lost = [
-            (int(a), int(b)) for a, b in np.argwhere(np.isin(owners, list(dead)))
-        ]
-        for t in lost:
+        for t in map(tuple, np.argwhere(np.isin(owners, list(dead))).tolist()):
             r0, r1, c0, c1 = self.grid.bounds(*t)
             self.values[r0:r1, c0:c1] = self._zero
             self.finished[r0:r1, c0:c1] = 0
             if owners[t] in rehome:
                 owners[t] = dist.place_of(r0, c0)
-        return lost
 
     # -- results and snapshots ----------------------------------------------------------
     def results(self, copy: bool = False) -> PlaneResults:
@@ -318,16 +313,19 @@ def run_tiles(
     kernel,
     tiles: Sequence[Coord],
     places: Sequence[int],
+    halo: Tuple[np.ndarray, np.ndarray, np.ndarray],
     sanitize: bool = False,
 ) -> List[Tuple[int, List[Transfer]]]:
     """Compute mutually independent tiles in place, ``tiles[k]`` at ``places[k]``.
 
     ``tiles`` must not depend on one another — one tile, or (part of) a
     level of the tile DAG, at any mix of places: a tile's place decides
-    its transfers and sanitizer guard, not its sweep. Returns, per tile
-    and in order, its cell count and the cross-place transfers the owner
-    map implies (one halo read per remote producing place, plus the
-    write-back when the tile's place is not its home).
+    its transfers and sanitizer guard, not its sweep. ``halo`` is the
+    batch's :meth:`~repro.core.tiling.TiledDag.halos_of`, which the
+    caller builds once and reads too. Returns, per tile and in order,
+    its cell count and the cross-place transfers the owner map implies
+    (one halo read per remote producing place, plus the write-back when
+    the tile's place is not its home).
 
     The batch, not the tile, is the unit of every step. Window kernels
     run on zeroed buffers with only the halo scattered in, so values a
@@ -345,20 +343,25 @@ def run_tiles(
     ti, tj = np.array(tiles, np.int64).reshape(-1, 2).T
     ncells = tiled.tile_cells[ti, tj]
     live = np.flatnonzero(ncells)
-    k, hrows, hcols = tiled.halos_of([tiles[t] for t in live.tolist()])
+    k, hrows, hcols = halo
+    work = ncells[k] > 0  # a tile with no active cell reads nothing
+    k, hrows, hcols = k[work], hrows[work], hcols[work]
     done = list(zip(ncells.tolist(), _transfers(
-        plane, plane.owners[ti, tj], places, ncells, live[k], plane.owners_of(hrows, hcols)
+        plane, plane.owners[ti, tj], places, ncells, k, plane.owners_of(hrows, hcols)
     )))
     at = [places[t] for t in live.tolist()]
     if kernel is not None and kernel.mode == "window":
+        # the window branch numbers the tiles with work alone
         _run_windows(plane, tiled, app, kernel, [tiles[t] for t in live.tolist()],
-                     ncells[live].tolist(), at, (k, hrows, hcols), sanitize)
+                     ncells[live].tolist(), at,
+                     (np.cumsum(ncells > 0)[k] - 1, hrows, hcols), sanitize)
         return done
+    ends = np.searchsorted(k, np.arange(len(tiles) + 1)).tolist()
     for t, place_id in zip(live.tolist(), at):
         rows, cols = tiled.cells_of(*tiles[t])
         if kernel is not None:
             # tree-level kernels map active cells straight to values
-            hr, hc = tiled.halo_of(*tiles[t])
+            hr, hc = hrows[ends[t] : ends[t + 1]], hcols[ends[t] : ends[t + 1]]
             halo = dict(zip(zip(hr.tolist(), hc.tolist()), plane.values[hr, hc].tolist()))
             out = kernel.fn.run_cells(rows, cols, halo)
         else:

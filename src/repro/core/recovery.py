@@ -367,7 +367,8 @@ def _recover_tiled_once(state: ExecutionState) -> RecoveryStats:
         _poll_mid_recovery_chaos(state, kept)
 
         _resume_on(state, new_dist)
-        state.tiles.build(state)
+        state.ready = {pid: deque() for pid in state.dist.place_ids}
+        state.tiles.build(plane, state.dist.place_ids, state.push_ready)
 
     stats.wall_time = timer.elapsed
     _record_metrics(state, stats)

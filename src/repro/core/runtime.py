@@ -35,7 +35,7 @@ from repro.core.recovery import (
     recover_from_snapshot,
     recover_tiled,
 )
-from repro.core.trace import ExecutionTrace
+from repro.core.trace import ExecutionTrace, phase_span
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduler import make_strategy
 from repro.core.tiling import TileRunState, plan_tiles
@@ -246,7 +246,7 @@ class DPX10Runtime:
             )
             while True:
                 try:
-                    with self._phase(state, "execute"):
+                    with phase_span(state.trace, "execute"):
                         drive(state)
                     break
                 except DeadPlaceException as exc:
@@ -258,7 +258,7 @@ class DPX10Runtime:
                     )
                     if not group.is_alive(0):
                         raise PlaceZeroDeadError()
-                    with self._phase(state, "recovery", "recovery"):
+                    with phase_span(state.trace, "recovery", "recovery"):
                         if state.tiles is not None:
                             stats = recover_tiled(state)
                         elif cfg.ft_mode == "snapshot":
@@ -312,18 +312,9 @@ class DPX10Runtime:
         self._report = report
         return report
 
-    @staticmethod
-    def _phase(state: ExecutionState, name: str, category: str = "phase"):
-        """A trace span for a runtime phase, or a no-op when not tracing."""
-        if state.trace is not None:
-            return state.trace.phase(name, category)
-        from contextlib import nullcontext
-
-        return nullcontext()
-
     # -- the multiprocessing path ---------------------------------------------------
     def _run_mp(self) -> RunReport:
-        """Real place processes, level-synchronous (repro.core.mp_engine)."""
+        """Real place processes, in bulk-synchronous rounds (repro.core.mp_engine)."""
         from repro.core.mp_engine import run_mp
 
         trace = ExecutionTrace() if self.config.trace else None
@@ -371,8 +362,6 @@ class DPX10Runtime:
     # -- stage 1: distribute & initialize -----------------------------------------
     def _initialize(self, group: PlaceGroup) -> ExecutionState:
         cfg = self.config
-        from contextlib import nullcontext
-
         # the trace exists before partitioning so the "partition" phase
         # span covers distribution + store/plane construction
         trace = ExecutionTrace() if cfg.trace else None
@@ -382,7 +371,7 @@ class DPX10Runtime:
         tiled = plan_tiles(self.dag, cfg)
         stores: Dict[int, object] = {}
         plane = None
-        with trace.phase("partition") if trace is not None else nullcontext():
+        with phase_span(trace, "partition"):
             dist = cfg.make_dist(self.dag.region, group.alive_ids())
             if tiled is None:
                 stores = build_stores(
@@ -429,7 +418,7 @@ class DPX10Runtime:
             trace=trace,
             plane=plane,
         )
-        with self._phase(state, "schedule"):
+        with phase_span(trace, "schedule"):
             # the per-place ready lists: zero-indegree cells, or on a
             # tiled run zero-indegree tile indices
             if tiled is None:
@@ -438,8 +427,9 @@ class DPX10Runtime:
                     for pid, store in stores.items()
                 }
             else:
+                state.ready = {pid: deque() for pid in dist.place_ids}
                 state.tiles = TileRunState(tiled)
-                state.tiles.build(state)
+                state.tiles.build(plane, dist.place_ids, state.push_ready)
         if tiled is not None and not cfg.sanitize:
             # sanitized runs keep the per-cell loop, whose compute()
             # calls the race guard wraps. Otherwise lift/classify/emit the

@@ -18,15 +18,15 @@ Three layers live here (see docs/TILING.md for the full story):
   ceil(dj/tw)]`` minus ``(0, 0)``) and proved acyclic by the PR 1
   ranking-vector verifier; irregular patterns are coarsened by
   enumeration and Kahn-checked.
-* **Tile scheduling state** — :class:`TileRunState` holds tile indegrees,
-  per-place ready lists and the finished set; recovery rebuilds it from
-  the plane's finish flags (a dead place invalidates *tiles*, not
-  cells).
+* **Tile scheduling state** — :class:`TileRunState` holds tile indegrees
+  and the finished set and feeds the caller's per-place ready lists, on
+  every engine; recovery rebuilds it from the plane's finish flags (a
+  dead place invalidates *tiles*, not cells).
 * **The tile worker** — :func:`execute_tiles` places a batch of ready
   tiles (inline: every place's ready list; threaded: one worker's),
   runs them on the run's :class:`~repro.core.plane.TilePlane` through
   one :func:`~repro.core.plane.run_tiles` call (the executor the mp
-  workers hand whole level batches), and accounts each tile at its own
+  workers hand whole round batches), and accounts each tile at its own
   execution place.
 
 :func:`plan_tiles` is the one place a run decides its granularity:
@@ -42,7 +42,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -70,6 +70,8 @@ __all__ = [
 ]
 
 Coord = Tuple[int, int]
+#: where :class:`TileRunState` sends a ready tile: ``push(home place, tile)``
+Push = Callable[[int, Coord], None]
 Offset = Tuple[int, int]
 
 #: dense-pattern halo cells. Computed tile-relative per class ``(offsets,
@@ -281,6 +283,7 @@ class TiledDag(Dag):
     def levels(self) -> List[List[Coord]]:
         """Active tiles by topological depth (Kahn by generations); within a
         level, in the order releasing the one before tile by tile gives.
+        The rounds a fault-free mp run dispatches are these generations.
         Computed once per tile DAG (per shape for a memoized one, whose
         copies share ``_cache``); callers must not modify it."""
         if "levels" in self._cache:
@@ -450,8 +453,8 @@ _GEOMETRY = LRU(64)
 
 def _shared(tiled: TiledDag) -> TiledDag:
     """``tiled`` with its tile arrays computed and read-only, and no base.
-    ``levels()`` is left to the first run that asks (an mp master, into
-    the ``_cache`` every copy shares); in-process engines never ask."""
+    ``levels()`` is left to the first caller that asks (into the
+    ``_cache`` every copy shares); no engine asks."""
     for a in (tiled.successors, tiled.tile_cells, tiled._tile_active):
         a.setflags(write=False)
     tiled.base = None
@@ -584,14 +587,15 @@ def plan_tiles(dag: Dag, config) -> Optional[TiledDag]:
 
 
 class TileRunState:
-    """Tile-granular scheduling state of a tiled in-process run.
+    """Tile-granular scheduling state of a tiled run, on every engine.
 
     The :class:`~repro.core.plane.TilePlane` owns values, finish flags
     and tile homes; this tracks the *tile* wavefront over it with the
     paper's indegree counters, held as arrays over flat tile indices
-    (``indegree``, -1 once finished; ``finished``; ``home``). The
-    per-place ready lists are the run's own (``state.ready``), so the
-    drivers in :mod:`repro.core.worker` take whole ready lists per turn.
+    (``indegree``, -1 once finished; ``finished``; ``home``). The ready
+    lists are the caller's: every released tile goes to ``push(place,
+    tile)`` — the in-process drivers' :meth:`~repro.core.worker.
+    ExecutionState.push_ready`, or the mp master's per-place round lists.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -603,16 +607,18 @@ class TileRunState:
         self.remaining: Dict[int, int] = {}
         self.lock = threading.Lock()
 
-    def build(self, state: "ExecutionState") -> None:
-        """Derive homes, indegrees and ready lists from the plane.
+    def build(self, plane, place_ids: Sequence[int], push: Push) -> None:
+        """Derive homes and indegrees from the plane; push the ready tiles.
 
         Called at start-up (nothing finished yet) and again after every
         recovery, when the plane's flags say which tiles survived: a tile
         is finished when all its cells are, and a lost or rolled-back
         tile gets its indegree reset — the tile-granular analogue of the
-        paper's "reset the indegree" step.
+        paper's "reset the indegree" step. ``place_ids`` are the places
+        the plane homes unfinished tiles on; the caller empties its
+        ready lists first.
         """
-        tiled, plane, g = self.tiled, state.plane, self.grid
+        tiled, g = self.tiled, self.grid
         active, cells = tiled._tile_active.ravel(), tiled.tile_cells.ravel()
         finished = np.zeros(len(active), bool)
         if plane.finished.any():
@@ -623,17 +629,15 @@ class TileRunState:
         pending = np.flatnonzero(active & ~finished)
         ready = pending[indegree[pending] == 0]
         home = plane.owners.copy()
-        place_ids = state.dist.place_ids
         counts = np.bincount(home.ravel()[pending], minlength=max(place_ids) + 1)
         with self.lock:
             self.home, self.finished, self.indegree = home, finished, indegree
-            state.ready = {pid: deque() for pid in place_ids}
             self.remaining = {pid: int(counts[pid]) for pid in place_ids}
-            for t, pid in zip(ready.tolist(), home.ravel()[ready].tolist()):
-                state.ready[pid].append(divmod(t, g.ntj))
+        for t, pid in zip(ready.tolist(), home.ravel()[ready].tolist()):
+            push(pid, divmod(t, g.ntj))
 
     # -- scheduling ------------------------------------------------------------------
-    def on_tiles_finished(self, state: "ExecutionState", tiles: Sequence[Coord]) -> None:
+    def on_tiles_finished(self, tiles: Sequence[Coord], push: Push) -> None:
         """Mark a batch finished and release the successors whose indegree
         hits 0: one ``np.subtract.at`` over the batch's out-edges, each
         released tile pushed at its last such edge, so the ready lists see
@@ -649,7 +653,7 @@ class TileRunState:
             released = _release(self.indegree, self.tiled.successors, t)
             homes = self.home.ravel()[released].tolist()
         for r, pid in zip(released, homes):
-            state.push_ready(pid, divmod(r, ntj))
+            push(pid, divmod(r, ntj))
 
     def place_done(self, pid: int) -> bool:
         with self.lock:
@@ -674,8 +678,9 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     plane = state.plane
     cfg = state.config
     trace = state.trace
-    # every tile's halo owners (the strategy's ``dep_homes``) in one lookup
-    hk, hrows, hcols = tiled.halos_of(tiles)
+    # every tile's halo owners (the strategy's ``dep_homes``) in one lookup;
+    # run_tiles reads the same halo
+    halo = hk, hrows, hcols = tiled.halos_of(tiles)
     owners = plane.owners_of(hrows, hcols).tolist()
     bounds = np.searchsorted(hk, np.arange(len(tiles) + 1)).tolist()
     homes = [int(ts.home[tile]) for tile in tiles]
@@ -697,7 +702,7 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     metrics = state.metrics
     t0 = clock()
     done = _plane.run_tiles(
-        plane, tiled, state.app, state.kernel, tiles, places, cfg.sanitize
+        plane, tiled, state.app, state.kernel, tiles, places, halo, cfg.sanitize
     )
     cells = [n for n, _ in done]
     load: Dict[int, int] = {}  # cells executed per place
@@ -758,8 +763,8 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
         if state.injector is not None:
             victims = state.injector.poll_completions(completed)
             if victims:
-                ts.on_tiles_finished(state, tiles[:k])
+                ts.on_tiles_finished(tiles[:k], state.push_ready)
                 for victim in victims:
                     state.group.kill(victim)
                 raise DeadPlaceException(victims[0])
-    ts.on_tiles_finished(state, tiles)
+    ts.on_tiles_finished(tiles, state.push_ready)

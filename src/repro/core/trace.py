@@ -26,11 +26,11 @@ import threading
 import time
 import uuid
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-__all__ = ["TraceEvent", "Span", "ExecutionTrace", "paced", "split_span"]
+__all__ = ["TraceEvent", "Span", "ExecutionTrace", "paced", "phase_span", "split_span"]
 
 
 def paced(pace, ncells: int, trace: Optional["ExecutionTrace"], place: int = -1) -> None:
@@ -42,6 +42,11 @@ def paced(pace, ncells: int, trace: Optional["ExecutionTrace"], place: int = -1)
     pace(ncells)
     if trace is not None and (t1 := trace.now()) - t0 > 1e-6:
         trace.record_span(Span("pace wait", t0, t1, category="pace", place=place))
+
+
+def phase_span(trace: Optional["ExecutionTrace"], name: str, category: str = "phase"):
+    """``trace.phase(name, category)``, or a no-op on an untraced run."""
+    return trace.phase(name, category) if trace is not None else nullcontext()
 
 
 def split_span(t0: float, t1: float, cells) -> List[Tuple[float, float]]:

@@ -589,10 +589,10 @@ class TestLevelBatch:
         seen = alone
         solo, _ = _solved_plane(app, dag, tiled)
         for t in tiles:
-            run_tiles(solo, tiled, app, kernel, [t], [0])
+            run_tiles(solo, tiled, app, kernel, [t], [0], tiled.halos_of([t]))
         seen = ran
         batch, want = _solved_plane(app, dag, tiled)
-        run_tiles(batch, tiled, app, kernel, tiles, [0] * len(tiles))
+        run_tiles(batch, tiled, app, kernel, tiles, [0] * len(tiles), tiled.halos_of(tiles))
         kernel.fn.sweep = real
 
         mask = np.zeros(want.shape, bool)
@@ -695,7 +695,7 @@ class TestLevelBatch:
         )
         pair = [(1, 2), (2, 1)]  # two interior tiles of one level
         plane, _ = _solved_plane(app, dag, tiled)
-        run_tiles(plane, tiled, app, kernel, pair, [0] * len(pair))
+        run_tiles(plane, tiled, app, kernel, pair, [0] * len(pair), tiled.halos_of(pair))
         assert sizes == [2]
 
         scalar = next(
@@ -712,11 +712,11 @@ class TestLevelBatch:
         fn._leaves_fn = gap_by_tile_row
         del sizes[:]
         batch, _ = _solved_plane(app, dag, tiled)
-        run_tiles(batch, tiled, app, kernel, pair, [0] * len(pair))
+        run_tiles(batch, tiled, app, kernel, pair, [0] * len(pair), tiled.halos_of(pair))
         assert sizes == [1, 1]
         solo, _ = _solved_plane(app, dag, tiled)
         for t in pair:
-            run_tiles(solo, tiled, app, kernel, [t], [0])
+            run_tiles(solo, tiled, app, kernel, [t], [0], tiled.halos_of([t]))
         assert np.array_equal(batch.values, solo.values)
 
 

@@ -65,6 +65,31 @@ class TestTreeKernelBuild:
         assert kernel.mode == "window"
 
 
+class TestTensorPlanCache:
+    def test_many_shapes_stay_bounded_and_bit_identical(self):
+        # one plan per tile origin per tensor shape: distinct shapes must
+        # evict, not accumulate, and evicted plans must not change values
+        from repro.analysis import domainkern
+        from repro.apps.msa import MSA3App, make_msa3_instance
+        from repro.apps.serial import msa3_matrix
+        from repro.patterns import TensorWavefrontDag
+
+        cache = domainkern._TENSOR_PLAN_CACHE
+        cache.clear()
+        peak = 0
+        for n in range(2, 9):
+            x, y, z = make_msa3_instance(n, seed=n)
+            app = MSA3App(x, y, z)
+            dag = TensorWavefrontDag(app.domain.shape)
+            report = DPX10Runtime(app, dag, DPX10Config(nplaces=2, tile_shape=(2, 2))).run()
+            assert report.kernel == "TENSOR_HYPERPLANE"
+            got = dag.to_array(fill=-1, dtype=np.int64).reshape(app.domain.shape)
+            assert np.array_equal(got, msa3_matrix(x, y, z))
+            assert len(cache) <= cache.maxsize
+            peak = max(peak, len(cache))
+        assert peak == cache.maxsize
+
+
 class TestTreeEquivalence:
     @pytest.mark.parametrize("name", TREE_APPS)
     @pytest.mark.parametrize("shape", TILE_SHAPES)

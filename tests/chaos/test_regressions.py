@@ -64,6 +64,27 @@ def test_mp_second_place_dies_mid_recovery():
     assert result.recoveries >= 1
 
 
+@pytest.mark.parametrize(
+    "tile_shape, shm", [(None, True), ((3, 3), False)], ids=["1x1-shm", "3x3-private"]
+)
+def test_mp_mid_recovery_kill_counts_salvaged_cells(tile_shape, shm):
+    # mp recovery progress is the cells the pass kept, as in process: the
+    # first kill loses 9 cells and keeps 18-19, so a trigger at 15 fires
+    # only when progress counts what survived, not what was recomputed
+    spec = CaseSpec(
+        pattern="diagonal", engine="mp", nplaces=4, tile_shape=tile_shape, shm=shm
+    )
+    schedule = ChaosSchedule(
+        seed=1,
+        kills=(KillSpec(1, after_completions=25),),
+        recovery_kills=(RecoveryKillSpec(2, during_pass=1, after_progress=15),),
+    )
+    result = _check(spec, schedule)
+    assert result.injected.get("kill") == 1
+    assert result.injected.get("recovery_kill") == 1
+    assert result.recoveries == 1
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_near_simultaneous_kills_share_threshold(engine):
     spec = CaseSpec(pattern="diagonal", engine=engine, nplaces=4)

@@ -177,6 +177,62 @@ def test_random_scheduler_batches_run_tiles_away_from_home(engine, monkeypatch):
     assert got == want
 
 
+def _spy_halos(monkeypatch):
+    """Count ``TiledDag.halos_of`` calls, and ``halo_of`` calls made
+    anywhere but inside one (where it builds the batch tile by tile)."""
+    from repro.core.tiling import TiledDag
+
+    counts = Counter()
+    real_halos, real_halo = TiledDag.halos_of, TiledDag.halo_of
+
+    def halos_of(self, tiles):
+        counts["halos_of"] += 1
+        counts["inside"] += 1
+        try:
+            return real_halos(self, tiles)
+        finally:
+            counts["inside"] -= 1
+
+    def halo_of(self, ti, tj):
+        counts["halo_of"] += not counts["inside"]
+        return real_halo(self, ti, tj)
+
+    monkeypatch.setattr(TiledDag, "halos_of", halos_of)
+    monkeypatch.setattr(TiledDag, "halo_of", halo_of)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["sw", "tree_knapsack"])  # window / cells kernel
+def test_an_in_process_batch_builds_its_halo_once(name, monkeypatch):
+    from repro.analysis.registry import app_fixture
+
+    app, dag = app_fixture(name)
+    calls = _spy_run_tiles(monkeypatch)
+    counts = _spy_halos(monkeypatch)
+    report = DPX10Runtime(app, dag, DPX10Config(nplaces=2, tile_shape=(4, 4))).run()
+    assert report.kernel is not None and calls
+    assert counts["halos_of"] == len(calls) and counts["halo_of"] == 0
+
+
+def test_a_place_builds_each_batch_halo_once(monkeypatch):
+    from repro.analysis.registry import app_fixture
+    from repro.core.mp_engine import _PlaceWorker
+    from repro.obs.metrics import MetricsRegistry
+
+    app, dag = app_fixture("sw")
+    tiled = dag.coarsen(4, 4)
+    meta = dict(tile_shape=(4, 4), planned=True, kernel="hand", sanitize=False,
+                value_nbytes=8, spill_dir=None,
+                owners=np.zeros((tiled.grid.nti, tiled.grid.ntj), np.int32))
+    worker = _PlaceWorker(0, app, dag, meta, MetricsRegistry())
+    counts = _spy_halos(monkeypatch)
+    levels = tiled.levels()
+    for level in levels:
+        worker.compute(level, None)
+    assert worker.plane.finished.all()
+    assert counts["halos_of"] == len(levels) and counts["halo_of"] == 0
+
+
 def _log_run_tiles(log, monkeypatch):
     """Spy on ``run_tiles`` in forked places: one log line per call,
     ``kernel-type:fn-type ti,tj ti,tj ...`` (an O_APPEND line is their way
@@ -297,7 +353,9 @@ def _cut_a_level_short(shape, cut, die_at):
     plane = TilePlane.allocate(tiled.grid, app.value_dtype)
     plane.owners[...] = 0
     for level in levels[:cut]:
-        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
+        plane_mod.run_tiles(
+            plane, tiled, app, kernel, level, [0] * len(level), tiled.halos_of(level)
+        )
     calls = []
     real = kernel.fn.sweep
 
@@ -310,7 +368,10 @@ def _cut_a_level_short(shape, cut, die_at):
 
     kernel.fn.sweep = dying
     with pytest.raises(KeyboardInterrupt):
-        plane_mod.run_tiles(plane, tiled, app, kernel, levels[cut], [0] * len(levels[cut]))
+        plane_mod.run_tiles(
+            plane, tiled, app, kernel, levels[cut], [0] * len(levels[cut]),
+            tiled.halos_of(levels[cut]),
+        )
     kernel.fn.sweep = real
     flagged = 0
     for t in levels[cut]:
@@ -323,7 +384,9 @@ def _cut_a_level_short(shape, cut, die_at):
     left = plane.finished.astype(bool)
     # the recompute of the whole level lands on the oracle
     for level in levels[cut:]:
-        plane_mod.run_tiles(plane, tiled, app, kernel, level, [0] * len(level))
+        plane_mod.run_tiles(
+            plane, tiled, app, kernel, level, [0] * len(level), tiled.halos_of(level)
+        )
     assert plane.values.tolist() == want.tolist() and plane.finished.all()
     return tiled, levels[cut], left, calls, flagged
 
@@ -387,10 +450,11 @@ def test_mp_kill_rehoming_a_leading_tile_zeroes_its_whole_rectangle(shm, monkeyp
     real = TilePlane.lose
 
     def spying(self, dead, dist=None, rehome=None):
+        # the lost tiles: every tile the dead places owned
+        lost = [tuple(t) for t in np.argwhere(np.isin(self.owners, list(dead))).tolist()]
         before = self.finished.astype(bool)
-        lost = real(self, dead, dist, rehome)
+        real(self, dead, dist, rehome)
         losses.append((self.grid, lost, before, self.finished.astype(bool), self.values.copy()))
-        return lost
 
     monkeypatch.setattr(TilePlane, "lose", spying)
     _kill_inside_the_widest_level("sw", engine="mp", shm=shm)
@@ -746,7 +810,7 @@ class TestTilePlane:
         plane.values[...] = 7
         plane.finished[...] = 1
         survivors = Dist.block_cols(Region2D(0, 6, 0, 6), [0])
-        assert plane.lose([1], survivors) == [(0, 1), (1, 1)]
+        plane.lose([1], survivors)
         assert plane.owners.tolist() == [[0, 0], [0, 0]]
         assert plane.values[:, :3].tolist() == [[7] * 3] * 6
         assert not plane.values[:, 3:].any() and not plane.finished[:, 3:].any()
@@ -755,9 +819,9 @@ class TestTilePlane:
     def test_lose_keeps_ownership_of_replaced_places(self):
         plane = self._plane()
         plane.finished[...] = 1
-        assert plane.lose([1], None, rehome=[]) == [(0, 1), (1, 1)]
+        plane.lose([1], None, rehome=[])
         assert plane.owners.tolist() == [[0, 1], [0, 1]]
-        assert not plane.finished[:, 3:].any()
+        assert not plane.finished[:, 3:].any() and plane.finished[:, :3].all()
 
     def test_a_leading_tile_is_owned_and_lost_whole(self):
         # 7 = 1 + 2 * 3 rows: tile row 0 holds rows 0..3
@@ -769,8 +833,8 @@ class TestTilePlane:
         assert plane.grid.tile_of(rows, cols)[0].tolist() == [0, 0, 1, 1]
         plane.values[...] = 7
         plane.finished[...] = 1
-        lost = plane.lose([int(plane.owners[0, 0])], Dist.block_rows(Region2D(0, 7, 0, 6), [9]))
-        assert (0, 0) in lost and all(t[0] == 0 for t in lost)
+        plane.lose([int(plane.owners[0, 0])], Dist.block_rows(Region2D(0, 7, 0, 6), [9]))
+        assert plane.owners[0].tolist() == [9, 9] and 9 not in plane.owners[1]
         assert not plane.finished[:4].any() and plane.finished[4:].all()
 
     def test_results_view_is_live_and_copy_is_frozen(self):

@@ -367,33 +367,29 @@ class TestCoarsen:
     def test_batch_release_keeps_the_tile_by_tile_order(self, name, shape):
         # one subtract.at over a batch's out-edges releases exactly the
         # tiles, in exactly the order, that releasing it tile by tile does
-        from types import SimpleNamespace
-
         from repro.core.plane import TilePlane
         from repro.core.tiling import TileRunState
 
         tiled = make_dag(name).coarsen(*shape)
         plane = TilePlane.allocate(tiled.grid, np.int64)
         plane.owners[...] = np.arange(plane.owners.size).reshape(plane.owners.shape) % 3
+        ready = {pid: [] for pid in (0, 1, 2)}
         pushed = []
 
-        def push_ready(pid, tile):
+        def push(pid, tile):
             pushed.append((pid, tile))
-            state.ready[pid].append(tile)
+            ready[pid].append(tile)
 
-        state = SimpleNamespace(
-            plane=plane, dist=SimpleNamespace(place_ids=[0, 1, 2]), push_ready=push_ready
-        )
         ts = TileRunState(tiled)
-        ts.build(state)
+        ts.build(plane, [0, 1, 2], push)
         indegree = {
             t: len(tiled.get_dependency(*t)) for t in tiled.active_tiles()
         }
         rng = np.random.default_rng(3)
         done = 0
-        while any(state.ready.values()):
-            batch = [t for pid in (0, 1, 2) for t in state.ready[pid]]
-            for q in state.ready.values():
+        while any(ready.values()):
+            batch = [t for pid in (0, 1, 2) for t in ready[pid]]
+            for q in ready.values():
                 q.clear()
             rng.shuffle(batch)
             batch = [tuple(t) for t in batch]
@@ -404,7 +400,7 @@ class TestCoarsen:
                     if indegree[(a.i, a.j)] == 0:
                         want.append((int(plane.owners[a.i, a.j]), (a.i, a.j)))
             del pushed[:]
-            ts.on_tiles_finished(state, batch)
+            ts.on_tiles_finished(batch, push)
             assert pushed == want
             done += len(batch)
         assert done == len(tiled.active_tiles())
