@@ -205,8 +205,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: batched ``compute_level`` call are one ``_compute_level``, its row
 #: grouping loop is one ``np.split``, and the tensor plan cache is the
 #: shared ``LRU`` (domainkern.py -15).
+#:
+#: Core lowered, 6075 -> 5931. The mp engine runs under the runtime's one
+#: master loop (``_initialize``, ``run_inline`` turns, ``execute_tiles``,
+#: ``recover_tiled``, one ``RunReport``), so ``run_mp``'s own loop, its
+#: round and recovery closures, its missing-cells check (now the shared
+#: loop's), ``MPRunStats``, ``_publish_master_metrics``, the worker trace
+#: buffer and ``trace`` request, and ``DPX10Runtime._run_mp`` are gone;
+#: what stays is transport: the place process, the pipes, and an
+#: ``MPPlaces`` place group (batch executor, SIGKILL, pool-spare and
+#: ``redist`` recovery hooks) (mp_engine.py -165, runtime.py -8).
+#: ``execute_tiles`` takes the executor slot and the places' own batch
+#: spans, and builds no master halo for mp batches (tiling.py +18,
+#: worker.py +4); ``recover_tiled`` calls the place group's hooks and the
+#: passes lose a redundant liveness check (recovery.py +2); and a dag
+#: pickles without its bound results, which a pooled spare's init needs
+#: (dag.py +5).
 CEILINGS = {
-    "src/repro/core": 6075,
+    "src/repro/core": 5931,
     "src/repro/analysis": 6032,
 }
 

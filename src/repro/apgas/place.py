@@ -117,5 +117,13 @@ class PlaceGroup:
         if self.alive_count() == 0:
             raise AllPlacesDeadError("every place in the group has failed")
 
+    # -- recovery hooks: no-ops here; the mp engine's group acts on processes --
+    def replace(self, dead: List[int]) -> List[int]:
+        """Bring dead places back under their ids; returns those revived."""
+        return []
+
+    def rehomed(self, plane) -> None:
+        """A recovery pass left ``plane`` with a new owner map."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlaceGroup(n={self.size}, alive={self.alive_count()})"

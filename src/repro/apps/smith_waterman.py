@@ -193,26 +193,20 @@ class SWApp(DPX10App[int]):
         a plane read, which dominated ``app_finished`` under the mp
         engine.
         """
-
-        def h(a: int, b: int) -> int:
-            if a < 0 or b < 0:
-                return 0
-            return int(scores[a, b])
-
         top: list = []
         bottom: list = []
-        while i > 0 and j > 0 and h(i, j) > 0:
-            score = h(i, j)
+        # the loop guard keeps every neighbour (i-1, j-1), (i-1, j) in bounds
+        while i > 0 and j > 0 and (score := int(scores[i, j])) > 0:
             s = (
                 self.MATCH_SCORE
                 if self.str1[i - 1] == self.str2[j - 1]
                 else self.DISMATCH_SCORE
             )
-            if score == h(i - 1, j - 1) + s:
+            if score == scores[i - 1, j - 1] + s:
                 top.append(self.str1[i - 1])
                 bottom.append(self.str2[j - 1])
                 i, j = i - 1, j - 1
-            elif score == h(i - 1, j) + self.GAP_PENALTY:
+            elif score == scores[i - 1, j] + self.GAP_PENALTY:
                 top.append(self.str1[i - 1])
                 bottom.append("-")
                 i -= 1

@@ -53,7 +53,7 @@ class DPX10Config:
     #: number of places (X10_NPLACES)
     nplaces: int = 4
     #: execution engine: deterministic "inline", concurrent "threaded", or
-    #: "mp" — real place processes, driven in bulk-synchronous rounds (see
+    #: "mp" — real place processes, driven by the inline loop (see
     #: repro.core.mp_engine)
     engine: str = "inline"
     #: distribution kind; the paper's default splices by column

@@ -193,6 +193,11 @@ class Dag(Generic[T]):
     def bind_results(self, view: ResultView[T]) -> None:
         self._results = view
 
+    def __getstate__(self) -> dict:
+        # bound results are this process's view of its plane: they do not
+        # travel (an mp place binds its own)
+        return dict(self.__dict__, _results=None)
+
     def get_vertex(self, i: int, j: int) -> Vertex[T]:
         """The computed vertex ``(i, j)`` — valid once the run finished."""
         if self._results is None:

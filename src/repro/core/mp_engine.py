@@ -1,46 +1,51 @@
-"""The multiprocessing engine: places as real OS processes.
+"""The multiprocessing engine's transport: places as real OS processes.
 
 X10 realizes places as processes; the ``inline``/``threaded`` engines fold
-them into one Python process. This engine does it for real, with **one
-master loop, two plane backings and one request kind**:
+them into one Python process. Under ``DPX10Config(engine="mp")`` every
+place is a ``multiprocessing.Process``, and :meth:`~repro.core.runtime.
+DPX10Runtime.run` drives them with the master loop every engine runs: the
+same initialization, :func:`~repro.core.worker.run_inline` turns over the
+:class:`~repro.core.tiling.TileRunState` wavefront, the accounting of
+:func:`~repro.core.tiling.execute_tiles` and the recovery of
+:func:`~repro.core.recovery.recover_tiled`. This module is only the
+transport under that loop, which :func:`run_mp` hands the runtime:
 
-* every place is a ``multiprocessing.Process`` computing its partition
-  of the DP matrix against a :class:`~repro.core.plane.TilePlane` — the
-  dense layout the in-process engines use — through the same executor,
-  :func:`repro.core.plane.run_tiles`, one call per round's batch of
-  tiles (a run with no tile plan, ``tile_shape=(1, 1)`` included, is a grid
-  of 1×1 tiles);
-* :func:`run_mp` is the only master. It keeps a plane of its own and
-  drives the places round by round with one request,
-  ``("units", units, halo_patch)``, answered by
-  ``("done", ncells, seconds, result_patch)``;
+* :class:`MPPlaces`, the run's place group. Its :meth:`~MPPlaces.run_tiles`
+  takes ``execute_tiles``' executor slot: each place gets its tiles of a
+  turn's batch in one ``("units", tiles, halo_patch)`` request, answered
+  by ``("done", ncells, (start, end), result_patch)``, and the master
+  waits for every reply. ``kill`` SIGKILLs the place's process; the
+  recovery hooks swap pooled spares in (``replace``) and tell the places
+  the new owner map (``rehomed``); in process those hooks do nothing;
+* the place process (:func:`_worker_main`, :class:`_PlaceWorker`)
+  computes its tiles against a :class:`~repro.core.plane.TilePlane`
+  through :func:`repro.core.plane.run_tiles`, the executor the
+  in-process engines run (a run with no tile plan, ``tile_shape=(1, 1)``
+  included, is a grid of 1×1 tiles);
 * the plane's **backing** is an allocator fact (:func:`_shm_eligible`),
   not a code path. Numeric-dtype apps get ``multiprocessing.
   shared_memory`` segments (lifecycle owned by :mod:`repro.core.shm`)
   that master and places all map: both patches are ``None`` and the
-  pipes carry unit indices only. Object-valued apps, ``spill_dir`` runs,
+  pipes carry tile indices only. Object-valued apps, ``spill_dir`` runs,
   runs under *message* chaos and platforms without shm get a private
   heap/memmap plane per process instead, and the two patches carry what
   a shared mapping would have made visible — the request brings the
   batch's halo cells homed on *other* places, gathered off the master's
   plane; the reply brings the cells just computed, which the master
   writes into its plane. Nothing else differs: same kernels, same
-  recovery, same results object, same owner-map network accounting;
-* a fault is a genuine ``SIGKILL`` of a place process, detected by the
-  master, and recovery is the paper's section VI-D protocol against a
-  real process corpse: :meth:`TilePlane.lose` zeroes the dead place's
-  tiles and re-homes them over the survivors (or a pooled spare takes
-  the dead place's identity with an empty plane), the tile wavefront is
-  rebuilt from the plane's flags, and the lost tiles recompute in the
-  rounds that follow, before any consumer reads them.
+  recovery, same results, same owner-map network accounting;
+* a fault is a genuine death of a place process: a planned kill
+  (``FaultPlan`` or chaos) SIGKILLs it from the master, and a process
+  that dies on its own mid-request surfaces as
+  :class:`~repro.errors.DeadPlaceException` once the batch's other
+  replies are in. Either way the runtime's recovery rebuilds the
+  wavefront over the survivors and the lost tiles recompute.
 
-Execution runs in **rounds** over the tile wavefront every engine steps,
-a :class:`~repro.core.tiling.TileRunState`: each round ships every place
-its ready tiles and waits for all of them; within a round the places
-compute in parallel (true multi-core parallelism — no GIL across
-processes). This is a bulk-synchronous rendering of the same DAG;
-per-vertex scheduling strategies and the FIFO cache are inline/
-threaded-engine concepts and do not apply here.
+A batch's tiles are independent and every one of their dependencies
+finished in an earlier turn, so the lock-free cross-process reads, and
+the halo patches, are safe: no consumer can observe a torn write. Tiles
+run at home whatever the scheduling strategy: a place process computes
+what its plane homes.
 
 **Message hardening.** Every request carries a monotone per-pipe sequence
 number and every reply echoes it. Workers deduplicate by sequence number
@@ -60,9 +65,8 @@ replies ``error`` with the formatted traceback, stays alive (it may be a
 pooled worker serving other jobs), and the master raises
 :class:`~repro.errors.RemoteComputeError`.
 
-Selected with ``DPX10Config(engine="mp")``. Because apps and DAGs cross
-the pipe, both must be picklable — module-level classes, not closures or
-test-local definitions.
+Because apps and DAGs cross the pipe, both must be picklable —
+module-level classes, not closures or test-local definitions.
 """
 
 from __future__ import annotations
@@ -73,27 +77,23 @@ import time
 import traceback
 import multiprocessing as mp
 from collections import defaultdict
-from itertools import islice
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.apgas.failure import FaultInjector, FaultPlan
+from repro.apgas.network import NetworkModel
+from repro.apgas.place import Place, PlaceGroup
 from repro.core import plane as _plane
 from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.tiling import TileRunState, plan_tiles
-from repro.core.trace import ExecutionTrace, TraceEvent, paced, phase_span, split_span
-from repro.errors import (
-    DPX10Error,
-    PlaceZeroDeadError,
-    RemoteComputeError,
-)
+from repro.core.trace import ExecutionTrace, phase_span, split_span
+from repro.errors import DeadPlaceException, RemoteComputeError
 from repro.obs.metrics import DEFAULT_BYTES_BUCKETS, NULL_REGISTRY, MetricsRegistry
 from repro.util.logging import get_logger
 
-__all__ = ["run_mp", "MPRunStats"]
+__all__ = ["run_mp", "MPPlaces"]
 
 logger = get_logger("core.mp_engine")
 
@@ -104,37 +104,6 @@ _JOIN_TIMEOUT_S = 10.0
 #: can still answer idempotently (covers any realistic retry window —
 #: the master has at most one request in flight per pipe)
 _REPLY_CACHE = 64
-
-
-class MPRunStats:
-    """Accounting the master collects during an mp-engine run."""
-
-    def __init__(self) -> None:
-        self.completions = 0
-        self.network_bytes = 0
-        self.network_messages = 0
-        #: request retransmissions after a reply timeout (chaos drops, or
-        #: a genuinely slow place); 0 on a healthy run
-        self.msg_retries = 0
-        self.recoveries = 0
-        self.per_place_executed: Dict[int, int] = {}
-        #: rounds dispatched: the tile DAG's Kahn generations on a
-        #: fault-free run, plus the recomputation a recovery adds
-        self.levels = 0
-        self.final_alive_places = 0
-        #: compute-loop seconds measured inside each surviving place
-        #: process (shipped back as a metrics snapshot on the reply
-        #: channel at collect time; dead places' accounting is lost)
-        self.worker_compute_seconds: Dict[int, float] = {}
-        #: this run leased its place processes from a warm pool
-        #: (config.place_pool) instead of forking them
-        self.warm_start = False
-        #: dead places restarted in place from pooled spares mid-run
-        #: (the job keeps its distribution; only the lost cells recompute)
-        self.pool_restarts = 0
-        #: the plan that ran (see RunReport.tile_shape / RunReport.kernel)
-        self.tile_shape: Optional[Tuple[int, int]] = None
-        self.kernel: Optional[str] = None
 
 
 class _PlaceWorker:
@@ -207,9 +176,9 @@ class _PlaceWorker:
         # plane, as in process, so a sanitized read is checked here too
         _plane.bind_mapping(dag, self.plane.results())
         #: false when the run has no tile plan: its 1×1 tiles report as
-        #: the vertices they are — cell trace events, and one halo read
-        #: per producing place per request rather than per tile
-        self.planned = meta["planned"]
+        #: the vertices they are — one halo read per producing place per
+        #: request rather than per tile
+        self.planned = not self.tiled.grid.cellwise
         self.read_bytes = registry.counter(
             "dpx10_mp_shm_read_bytes_total",
             "bytes of remote-homed dependencies read off this place's "
@@ -244,8 +213,8 @@ class _PlaceWorker:
         ncomp = self.compute_tiles(units, sink)
         if self.shared:
             return ncomp, None
-        # the patch is what this place's own finish flags say it wrote:
-        # only units computed here are ever flagged on a private plane
+        # the patch is the batch's tiles as this place's finish flags
+        # show them: computed here, now or before a rollback
         parts = []
         for u in units:
             r0, r1, c0, c1 = self.tiled.grid.bounds(*u)
@@ -260,9 +229,9 @@ class _PlaceWorker:
         """Compute a batch of tiles against the plane.
 
         The whole batch goes to :func:`repro.core.plane.run_tiles` in one
-        call — a round's tiles are independent, so those that can share
-        a kernel sweep do. With ``sink`` set each tile's event is its
-        :func:`~repro.core.trace.split_span` share of the batch's span.
+        call — a turn's tiles are independent, so those that can share a
+        kernel sweep do. With ``sink`` set, the call's ``(start, end)``
+        on this process's ``perf_counter`` is appended to it.
         """
         tiled, planned = self.tiled, self.planned
         places = [self.place_id] * len(tiles)
@@ -271,23 +240,18 @@ class _PlaceWorker:
             self.plane, tiled, self.app, self.kernel, tiles, places,
             tiled.halos_of(tiles), self.sanitize,
         )
-        cells = [n for n, _ in done]
-        spans = split_span(t0, time.perf_counter(), cells)
+        if sink is not None:
+            sink.append((t0, time.perf_counter()))
         reads: Dict[Any, int] = defaultdict(int)
-        for k, (tile, (n, transfers), span) in enumerate(zip(tiles, done, spans)):
-            # a place executes only tiles it owns: every transfer is a
-            # halo read from one remote producer
+        for k, (_n, transfers) in enumerate(done):
+            # every transfer is a halo read from one remote producer
             for src, _dst, nbytes in transfers:
                 reads[(k, src) if planned else src] += nbytes
-            if sink is not None and n:
-                r0, c0 = tiled.grid.origin(*tile)
-                unit = tile if planned else None
-                sink.append((r0, c0, self.place_id, *span, n, unit))
         for nbytes in reads.values():
             self.read_bytes.inc(nbytes)
             self.read_batches.inc()
             self.halo_bytes.observe(nbytes)
-        return sum(cells)
+        return sum(n for n, _ in done)
 
 
 class _WorkerInstruments:
@@ -313,7 +277,7 @@ class _WorkerInstruments:
         ).labels(place_id)
         self.levels_served = self.registry.counter(
             "dpx10_mp_worker_levels_total",
-            "round batches served per place process",
+            "tile batches served per place process",
             ("place",),
         ).labels(place_id)
         self.dedup_hits = self.registry.counter(
@@ -333,16 +297,20 @@ def _worker_main(place_id: int, conn) -> None:
     runs the user's kernel twice. Only the newest reply is kept whole:
     the master has one request in flight per pipe and discards stale
     sequence numbers, so an older entry is cut down to ``(seq, kind)``
-    (no result patch, no trace events) when the next request arrives —
-    the pool's ``reset`` on release included.
+    (no result patch) when the next request arrives — the pool's
+    ``reset`` on release included.
 
     ``units`` is the one data request: ``(seq, "units", units, patch)``
     computes a batch of tiles against the place's plane — see
-    :meth:`_PlaceWorker.compute` — and answers ``(seq,
-    "done", ncells, seconds, result_patch)``. An exception out of the
-    user's ``compute()`` is answered ``(seq, "error", place,
-    traceback)`` and the worker keeps serving: the run is the master's
-    to abort, and a pooled worker has other jobs to live for.
+    :meth:`_PlaceWorker.compute` — and answers ``(seq, "done", ncells,
+    (start, end), result_patch)``, where ``(start, end)`` is the batch's
+    ``run_tiles`` call on the master's clock. An exception out of the
+    user's ``compute()`` is answered ``(seq, "error", place, traceback)``
+    and the worker keeps serving: the run is the master's to abort, and a
+    pooled worker has other jobs to live for. ``redist`` brings a new
+    owner map after a recovery, and on a private plane the finished cells
+    the master's plane homes here (a snapshot rollback may have restored
+    cells this place never computed).
 
     **Pooled reuse.** A worker forked by :class:`repro.serve.pool.
     PlacePool` outlives any single run: ``init`` may carry a sixth
@@ -352,31 +320,25 @@ def _worker_main(place_id: int, conn) -> None:
     are independent; ``reset`` does the same without starting a new run
     (the pool sends it on release so idle workers hold no job data).
 
-    **Trace context.** ``init`` may carry a seventh element, a trace
-    context dict ``{"trace_id", "epoch0"}``. When present the worker
-    buffers per-unit compute events with raw ``perf_counter`` stamps and
-    computes its master-clock offset from ``epoch0`` (the master's wall
-    clock at its trace's t=0 — valid because mp places share a host);
-    the ``trace`` request ships ``(offset, events)`` back for the master
-    to normalize onto its own timeline at merge time.
+    **Clock.** ``init`` may carry a seventh element, ``epoch0``: the
+    master's wall clock at its clock's zero. The worker turns it into an
+    offset from its own ``perf_counter`` (valid because mp places share a
+    host), so the batch windows it reports land on the master's timeline.
     """
     worker: Optional[_PlaceWorker] = None
     replied: Dict[int, tuple] = {}
     newest = 0  # the one seq whose cached reply still carries its payload
     ins = _WorkerInstruments(place_id)
-    trace_buf: Optional[List[tuple]] = None
-    trace_offset = 0.0
+    offset = 0.0
 
     def _clear_run_state() -> None:
-        nonlocal worker, ins, trace_buf, trace_offset
+        nonlocal worker, ins
         if worker is not None and worker.shared:
             from repro.core import shm
 
             shm.detach_all()
         worker = None
         ins = _WorkerInstruments(place_id)
-        trace_buf = None
-        trace_offset = 0.0
 
     try:
         while True:
@@ -395,14 +357,11 @@ def _worker_main(place_id: int, conn) -> None:
                 if len(msg) > 5 and msg[5] is not None:
                     place_id = msg[5]
                 _clear_run_state()
+                offset = 0.0
                 if len(msg) > 6 and msg[6] is not None:
-                    # trace context: buffer events, and anchor this
-                    # process's perf_counter to the master trace timeline
-                    # through the shared wall clock (same host)
-                    trace_buf = []
-                    trace_offset = (
-                        time.time() - msg[6]["epoch0"]
-                    ) - time.perf_counter()
+                    # anchor this process's perf_counter to the master's
+                    # clock through the shared wall clock (same host)
+                    offset = (time.time() - msg[6]) - time.perf_counter()
                 worker = _PlaceWorker(place_id, *msg[2:5], ins.registry)
                 reply = (seq, "ok")
             elif kind == "reset":
@@ -410,31 +369,30 @@ def _worker_main(place_id: int, conn) -> None:
                 reply = (seq, "ok")
             elif kind == "units":
                 assert worker is not None
-                t0 = time.perf_counter()
+                window: List[Tuple[float, float]] = []
                 try:
-                    ncomp, result = worker.compute(*msg[2:], sink=trace_buf)
+                    ncomp, result = worker.compute(*msg[2:], window)
                 except Exception:
                     # the user's compute() raised: report it, stay alive
                     reply = (seq, "error", place_id, traceback.format_exc())
                 else:
-                    elapsed = time.perf_counter() - t0
-                    ins.compute_seconds.inc(elapsed)
+                    t0, t1 = window[0]
+                    ins.compute_seconds.inc(t1 - t0)
                     ins.cells_computed.inc(ncomp)
                     ins.levels_served.inc()
-                    reply = (seq, "done", ncomp, elapsed, result)
+                    reply = (seq, "done", ncomp, (t0 + offset, t1 + offset), result)
             elif kind == "redist":
                 # recovery re-homed the units: track ownership so the
                 # halo accounting stays truthful
                 assert worker is not None
                 worker.plane.owners = msg[2]
+                if msg[3] is not None:
+                    rows, cols, values = msg[3]
+                    worker.plane.values[rows, cols] = values
+                    worker.plane.finished[rows, cols] = 1
                 reply = (seq, "ok")
             elif kind == "stats":
                 reply = (seq, "stats", ins.registry.collect())
-            elif kind == "trace":
-                # ship the buffered events with the clock offset; the
-                # master adds the offset to every stamp at merge time
-                reply = (seq, "trace", trace_offset, trace_buf or [])
-                trace_buf = [] if trace_buf is not None else None
             elif kind == "stop":
                 conn.send((seq, "bye"))
                 return
@@ -523,7 +481,7 @@ class _PlaceProc:
 
     def _died(self, exc: BaseException) -> None:
         self.alive = False
-        raise DPX10Error(f"place {self.place_id} process died") from exc
+        raise DeadPlaceException(self.place_id) from exc
 
     # -- the hardened request/reply protocol -----------------------------------
     def send_request(self, body: tuple) -> None:
@@ -591,13 +549,14 @@ class _PlaceProc:
                 self._died(exc)
 
     def request(self, body: tuple) -> tuple:
-        """Send and await a reply; raises DPX10Error if the place died."""
+        """Send and await a reply; raises DeadPlaceException if the place died."""
         self.send_request(body)
         return self.recv_reply()
 
     # -- lifecycle ---------------------------------------------------------------
     def kill(self) -> None:
-        if self.proc.pid is not None:
+        """SIGKILL the process if it still runs, and reap it."""
+        if self.proc.is_alive():
             os.kill(self.proc.pid, signal.SIGKILL)
         self.proc.join(timeout=_JOIN_TIMEOUT_S)
         self.alive = False
@@ -618,119 +577,6 @@ class _PlaceProc:
             pass
         self.proc.join(timeout=_JOIN_TIMEOUT_S)
         self.alive = False
-
-
-def _acquire_procs(
-    config: DPX10Config,
-    ctx,
-    *,
-    message=None,
-    chaos_seed: int = 0,
-    record_event: Optional[Callable[[str], None]] = None,
-    on_retry: Optional[Callable[[], None]] = None,
-):
-    """Place processes for one run: pool-leased (warm) or freshly forked.
-
-    Returns ``(procs, pool)`` where ``procs`` maps logical place id →
-    handle and ``pool`` is the :class:`repro.serve.pool.PlacePool` the
-    handles must be released to, or ``None`` when the run owns them.
-    Runs under *message* chaos always fork their own processes — the
-    ChaosPipe wrapper is installed at fork time, so a pre-forked worker
-    cannot serve them. Leased handles are keyed ``0..n-1`` like fresh
-    ones; the init envelope's trailing place-id field relabels each
-    worker to the logical place it plays for this run.
-    """
-    pool = config.place_pool
-    if pool is not None and message is None:
-        procs = pool.lease(config.nplaces)
-        for proc in procs.values():
-            proc.bind_run(on_retry)
-        return procs, pool
-    procs = {
-        p: _PlaceProc(
-            p,
-            ctx,
-            message=message,
-            chaos_seed=chaos_seed,
-            record_event=record_event,
-            on_retry=on_retry,
-        )
-        for p in range(config.nplaces)
-    }
-    return procs, None
-
-
-def _release_procs(procs: Dict[int, "_PlaceProc"], pool) -> None:
-    """Return leased processes to their pool, or stop owned ones."""
-    if pool is not None:
-        pool.release(list(procs.values()))
-    else:
-        for proc in procs.values():
-            proc.stop()
-
-
-def _trace_ctx(trace: Optional[ExecutionTrace]) -> Optional[Dict[str, Any]]:
-    """The context dict the init envelope propagates to worker processes."""
-    if trace is None:
-        return None
-    return {"trace_id": trace.trace_id, "epoch0": trace.epoch0}
-
-
-def _merge_worker_trace(trace: ExecutionTrace, proc: "_PlaceProc") -> None:
-    """Pull one worker's buffered events, normalized onto the master clock.
-
-    The worker measured against its own ``perf_counter`` base; the init
-    envelope's ``epoch0`` let it compute the master-timeline offset, so
-    here each stamp just shifts by that offset (the satellite fix for
-    cross-process span timestamps).
-    """
-    reply = proc.request(("trace",))
-    if not reply or reply[0] != "trace":
-        return
-    offset = reply[1]
-    for i, j, home, t0, t1, ncells, tile in reply[2]:
-        trace.record(
-            TraceEvent(
-                i, j, home, home, t0 + offset, t1 + offset,
-                tile=tuple(tile) if tile is not None else None,
-                cells=ncells,
-            )
-        )
-
-
-def _publish_master_metrics(registry: MetricsRegistry, stats: MPRunStats) -> None:
-    """Record the master-side accounting as named instruments."""
-    registry.counter(
-        "dpx10_net_messages_total", "cross-place messages relayed by the master"
-    ).set(stats.network_messages)
-    registry.counter(
-        "dpx10_net_bytes_total", "cross-place bytes relayed by the master"
-    ).set(stats.network_bytes)
-    registry.counter(
-        "dpx10_msg_retries_total",
-        "message retransmissions (timeouts / modelled drops)",
-    ).set(stats.msg_retries)
-    registry.counter(
-        "dpx10_completions_total", "vertex completions (monotone across recoveries)"
-    ).set(stats.completions)
-    executed = registry.counter(
-        "dpx10_vertices_computed_total",
-        "vertices computed per place",
-        ("place",),
-    )
-    for p, n in sorted(stats.per_place_executed.items()):
-        executed.labels(p).set(n)
-    registry.gauge(
-        "dpx10_places_alive", "place processes alive at run end"
-    ).set(stats.final_alive_places)
-    registry.counter(
-        "dpx10_mp_levels_total", "bulk-synchronous rounds driven by the master"
-    ).set(stats.levels)
-    registry.counter(
-        "dpx10_recoveries_total",
-        "fault recoveries performed",
-        ("mechanism",),
-    ).labels("recovery").set(stats.recoveries)
 
 
 def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
@@ -756,340 +602,329 @@ def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
     return shm_supported()
 
 
+def _total(snapshot: Dict[str, dict], name: str) -> int:
+    """The sum of one counter family of a metrics snapshot."""
+    return int(sum(v for _, v in snapshot.get(name, {}).get("values", [])))
+
+
+class MPPlaces(PlaceGroup):
+    """The place group of one mp run: a process per place.
+
+    The runtime drives it as any :class:`~repro.apgas.place.PlaceGroup`;
+    what it adds is the transport. :meth:`allocate` makes the run's
+    plane and :meth:`start` ships each place the app, the dag and the
+    plan; :meth:`run_tiles` computes a batch on the places; :meth:`kill`,
+    :meth:`replace` and :meth:`rehomed` act on processes during recovery;
+    :meth:`collect` folds the places' accounting in at the end, and
+    :meth:`close` hands the processes and segments back.
+
+    Places are leased from ``config.place_pool`` (warm) or forked; runs
+    under *message* chaos always fork their own, since the ChaosPipe
+    wrapper is installed at fork time. Leased handles are keyed
+    ``0..n-1`` like fresh ones; the init envelope's place-id field
+    relabels each worker to the logical place it plays for this run.
+    """
+
+    def __init__(
+        self,
+        app: DPX10App,
+        dag: Dag,
+        config: DPX10Config,
+        network: NetworkModel,
+        registry: MetricsRegistry,
+        chaos,
+        trace: Optional[ExecutionTrace],
+    ) -> None:
+        super().__init__(config.nplaces)
+        self.app, self.dag, self.config = app, dag, config
+        self.network, self.registry, self.chaos, self.trace = network, registry, chaos, trace
+        self.shared = _shm_eligible(app, config, chaos)
+        self.arena = None
+        #: tile batches shipped: one per turn of the runtime's loop
+        self.batches = 0
+        # the master's clock (the trace's, when traced): the places report
+        # their batch windows on it, anchored through the wall clock
+        self.clock = trace.now if trace is not None else time.perf_counter
+        self.epoch0 = time.time() - self.clock()
+        #: what a place needs at init besides the app and the dag; segment
+        #: names are added when (and only when) the planes are shared
+        self.meta: Dict[str, Any] = {
+            "sanitize": config.sanitize,
+            "value_nbytes": config.value_nbytes,
+            "spill_dir": config.spill_dir,
+        }
+        message = chaos.message if chaos is not None else None
+        self.pool = config.place_pool if message is None else None
+        with phase_span(trace, "lease places"):
+            if self.pool is not None:
+                self.procs = self.pool.lease(config.nplaces)
+                for proc in self.procs.values():
+                    proc.bind_run(network.record_retry)
+            else:
+                ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
+                self.procs = {
+                    p: _PlaceProc(
+                        p,
+                        ctx,
+                        message=message,
+                        chaos_seed=chaos.schedule.seed if chaos is not None else 0,
+                        record_event=chaos.record if chaos is not None else None,
+                        on_retry=network.record_retry,
+                    )
+                    for p in range(config.nplaces)
+                }
+
+    def _init(self, p: int) -> tuple:
+        return ("init", self.app, self.dag, self.meta, p, self.epoch0)
+
+    def _request(self, p: int, body: tuple) -> tuple:
+        try:
+            return self.procs[p].request(body)
+        except DeadPlaceException as exc:
+            self.kill(p)
+            raise DeadPlaceException(p) from exc
+
+    # -- start-up --------------------------------------------------------------------
+    def allocate(self, grid) -> _plane.TilePlane:
+        """The run's plane: segments every place maps, or the master's own."""
+        app, config = self.app, self.config
+        if not self.shared:
+            return _plane.TilePlane.allocate(
+                grid, app.value_dtype, config.value_nbytes, config.spill_dir
+            )
+        from repro.core.shm import ShmArena
+
+        # pooled segment leases duck-type ShmArena (create/bytes_mapped/
+        # close); close() returns the segments to the pool's free list
+        # instead of unlinking, so the next job re-leases the same
+        # mappings. Places attach by name at init time, so pre-forked
+        # pool workers and fresh forks are alike
+        pool = config.place_pool
+        self.arena = pool.segment_lease() if pool is not None else ShmArena()
+        shape = (grid.height, grid.width)
+        values, self.meta["values"] = self.arena.create(shape, app.value_dtype, "values")
+        finished, self.meta["finished"] = self.arena.create(shape, np.uint8, "finished")
+        if self.registry.enabled:
+            self.registry.gauge(
+                "dpx10_shm_bytes_mapped",
+                "bytes of shared-memory plane segments currently mapped",
+            ).set(self.arena.bytes_mapped)
+        return _plane.TilePlane(values, finished, grid)
+
+    def start(self, state) -> None:
+        """Initialize every place with the plan, and take the executor slot.
+
+        Places get the kernel decision, not the kernel: ``None`` (the
+        per-cell loop), ``"hand"`` or a generated kernel's picklable spec,
+        which each place re-emits. The owner map goes resolved (Dist
+        objects hold closures and cannot cross the pipe).
+        """
+        grid, kernel = state.plane.grid, state.kernel
+        self.meta.update(
+            tile_shape=(grid.tile_h, grid.tile_w),
+            kernel=None if kernel is None else getattr(kernel, "spec", "hand"),
+            owners=state.plane.owners,
+        )
+        for p in self.alive_ids():
+            self._request(p, self._init(p))
+        state.run_tiles = self.run_tiles
+
+    # -- the batch executor ------------------------------------------------------------
+    def run_tiles(self, plane, tiled, app, kernel, tiles, places, halo, sanitize) -> list:
+        """:func:`~repro.core.tiling.execute_tiles`' executor on processes.
+
+        Each place gets its tiles of the batch in one ``units`` request —
+        on a private plane with the halo cells it lacks — and the master
+        waits for every reply. Returns, per tile, its cell count, no
+        transfers (the places count their halo reads; :meth:`collect`
+        folds them in) and its span: its share of its place's batch
+        window, which for a throttled place also covers the chaos sleep
+        the master took before sending, where the place cannot see it.
+        Every pipe is drained before a remote ``compute()`` error or a
+        place death is raised, the latter as ``DeadPlaceException`` for
+        the runtime's recovery.
+        """
+        own: Dict[int, List[int]] = defaultdict(list)
+        for k, p in enumerate(places):
+            own[p].append(k)
+        counts = {p: [int(tiled.tile_cells[tiles[k]]) for k in ks] for p, ks in own.items()}
+        throttles = self.chaos is not None and self.chaos.has_throttles
+        opened: Dict[int, float] = {}
+        dead: List[int] = []
+        for p, ks in own.items():
+            t = self.clock()
+            if throttles and self.chaos.throttle_batch(p, sum(counts[p])):
+                opened[p] = t
+            units = [tiles[k] for k in ks]
+            patch = None if self.shared else self._halo_patch(plane, tiled, p, units)
+            try:
+                self.procs[p].send_request(("units", units, patch))
+            except DeadPlaceException:
+                dead.append(p)
+        done: list = [None] * len(tiles)
+        failure: Optional[RemoteComputeError] = None
+        for p, ks in own.items():
+            if p in dead:
+                continue
+            try:
+                reply = self.procs[p].recv_reply()
+            except DeadPlaceException:
+                dead.append(p)
+                continue
+            if reply[0] == "error":
+                # keep draining: every pipe must be quiescent before the
+                # places go back to a pool
+                failure = failure or RemoteComputeError(*reply[1:3])
+                continue
+            (start, end), result = reply[2], reply[3]
+            if result is not None:
+                rows, cols, values = result
+                plane.values[rows, cols] = values
+                plane.finished[rows, cols] = 1
+            spans = split_span(opened.get(p, start), end, counts[p])
+            for k, n, span in zip(ks, counts[p], spans):
+                done[k] = (n, (), span)
+        self.batches += 1
+        for p in dead:
+            self.kill(p)
+        if failure is not None:
+            raise failure
+        if dead:
+            raise DeadPlaceException(dead[0])
+        return done
+
+    def _halo_patch(self, plane, tiled, p: int, units: List[Coord]) -> tuple:
+        """What place ``p``'s private plane lacks for its ``units``.
+
+        Their halo cells homed on other places, as ``(rows, cols,
+        values)`` off the master plane — each finished in an earlier
+        turn, so the values are final.
+        """
+        _, rows, cols = tiled.halos_of(units)
+        width = self.dag.width
+        rows, cols = np.divmod(np.unique(rows * width + cols), width)
+        remote = plane.owners_of(rows, cols) != p
+        rows, cols = rows[remote], cols[remote]
+        return rows, cols, plane.values[rows, cols]
+
+    # -- recovery hooks ------------------------------------------------------------------
+    def kill(self, place_id: int) -> None:
+        """The place dies for real: SIGKILL its process, if it still runs."""
+        if self.procs[place_id].alive:
+            logger.warning("SIGKILL place %d process", place_id)
+        self.procs[place_id].kill()
+        super().kill(place_id)
+
+    def replace(self, dead: Sequence[int]) -> List[int]:
+        """Swap pooled spares in for dead places, under the same ids.
+
+        A spare attaches the live segments by name, or starts an empty
+        private plane, and keeps the dead place's tiles, so the job's
+        distribution holds and only those tiles recompute. Without a pool
+        nothing is replaced.
+        """
+        revived: List[int] = []
+        if self.pool is None:
+            return revived
+        for p in sorted(dead):
+            spare = self.pool.take_spare(self.procs[p])
+            if spare is None:
+                break
+            spare.bind_run(self.network.record_retry)
+            self.procs[p] = spare
+            self._places[p] = Place(p)
+            self._request(p, self._init(p))
+            logger.warning("place %d restarted from pool", p)
+            revived.append(p)
+        return revived
+
+    def rehomed(self, plane) -> None:
+        """Tell every live place the owner map a recovery pass left.
+
+        On a private plane after a snapshot rollback, each place also
+        gets the finished cells homed on it: the rollback may have
+        restored cells it never computed.
+        """
+        cells = None
+        if not self.shared and self.config.ft_mode == "snapshot":
+            cells = np.nonzero(plane.finished)
+            homes = plane.owners_of(*cells)
+        for p in self.alive_ids():
+            patch = None
+            if cells is not None:
+                rows, cols = (c[homes == p] for c in cells)
+                patch = (rows, cols, plane.values[rows, cols])
+            self._request(p, ("redist", plane.owners, patch))
+
+    # -- the end of the run --------------------------------------------------------------
+    def collect(self, state) -> None:
+        """Fold each live place's metrics snapshot into the run.
+
+        Counters add into the registry, and the places' halo reads are
+        the run's network traffic (the snapshot is a plain dict, so this
+        works with the NULL registry too). A shared plane is copied out:
+        its segments close with the run.
+        """
+        stats = self.network.stats
+        with phase_span(self.trace, "collect"):
+            for p in self.alive_ids():
+                try:
+                    snapshot = self._request(p, ("stats",))[1]
+                except DeadPlaceException:
+                    continue  # its tiles are all on the plane already
+                self.registry.merge(snapshot)
+                stats.bytes += _total(snapshot, "dpx10_mp_shm_read_bytes_total")
+                stats.messages += _total(snapshot, "dpx10_mp_shm_read_batches_total")
+        if self.registry.enabled:
+            self.registry.counter(
+                "dpx10_mp_levels_total", "tile batches the master shipped to the places"
+            ).set(self.batches)
+        if self.shared:
+            plane = state.plane
+            plane.values, plane.finished = np.array(plane.values), plane.finished.copy()
+
+    def close(self) -> None:
+        """Return leased processes to their pool, or stop owned ones; then
+        close the plane's segments."""
+        try:
+            if self.pool is not None:
+                self.pool.release(list(self.procs.values()))
+            else:
+                for proc in self.procs.values():
+                    proc.stop()
+        finally:
+            if self.arena is not None:
+                self.arena.close()
+
+
+@contextmanager
 def run_mp(
     app: DPX10App,
     dag: Dag,
     config: DPX10Config,
-    fault_plans: Sequence[FaultPlan] = (),
+    network: NetworkModel,
     registry: MetricsRegistry = NULL_REGISTRY,
     chaos=None,
     trace: Optional[ExecutionTrace] = None,
-    straggler=None,
-) -> Tuple[_plane.PlaneResults, MPRunStats]:
-    """Execute the application on real place processes.
+) -> Iterator[MPPlaces]:
+    """The transport of one mp run, for the runtime's master loop to drive.
 
-    The master keeps a :class:`~repro.core.plane.TilePlane` over the
-    whole matrix and steps the tile wavefront the in-process engines
-    step, a :class:`~repro.core.tiling.TileRunState`, in rounds: each
-    round ships every place its ready tiles in one request — 1×1 tiles
-    when the run has no tile plan — over either plane backing (see the
-    module docstring), waits for every place, and releases the
-    successors. Rounds make the lock-free cross-process reads, and the
-    halo patches, safe: a tile's dependencies always finished in an
-    earlier round (or earlier in the same process's batch), and kills
-    only fire between rounds at the master's poll points, so no consumer
-    can observe a torn write. On a fault-free run the rounds are the
-    tile DAG's Kahn generations, :meth:`~repro.core.tiling.TiledDag.levels`.
-
-    Recovery: a dead place's tiles are zeroed on the master plane
-    (restoring the "never written reads as zero" invariant for kernel
-    windows) and re-homed on the survivors, who receive the new
-    ownership via ``redist`` — or kept by a pooled spare that takes over
-    the dead place's identity with an empty plane. The wavefront is
-    rebuilt from the plane's flags, and the ordinary rounds recompute
-    the lost tiles.
-
-    Returns the results as a :class:`~repro.core.plane.PlaneResults`
-    plus run stats. Each place process keeps its own metrics registry;
-    at gather time the master requests a snapshot over the reply channel
-    and merges it into ``registry`` (counters add, histograms add
-    bucket-wise), so per-process accounting survives the address-space
-    boundary.
+    Leases (or forks) the place processes and yields them as an
+    :class:`MPPlaces` group: :meth:`DPX10Runtime.run
+    <repro.core.runtime.DPX10Runtime.run>` allocates the plane through
+    it, starts the places, hands it ``execute_tiles``' batches and its
+    dead places' recovery, and collects from it. However the run ends,
+    the processes then go back to their pool (or stop) and the plane's
+    segments close.
 
     ``chaos`` is an optional :class:`~repro.chaos.controller.
-    ChaosController`: its kill plans merge into the fault injector, its
-    recovery-kill triggers are polled on the cells a recovery pass kept,
-    its throttles slow a place's round batches, and its message block wraps
-    every master-side pipe in a :class:`~repro.chaos.network.ChaosPipe`
-    (which is also what keeps such runs' values on the pipes).
-
-    ``trace`` (config.trace) collects master-side phase spans plus the
-    worker-side per-unit events shipped back over the ``trace`` request,
-    normalized onto the master timeline. ``straggler`` is an optional
-    :class:`repro.obs.causal.StragglerDetector` fed each place's round
-    service time (worker-measured elapsed plus master-side chaos
-    throttle sleep, which the worker cannot see).
+    ChaosController`: its throttles slow a place's batches, and its
+    message block wraps every master-side pipe in a
+    :class:`~repro.chaos.network.ChaosPipe` (which is also what keeps
+    such runs' values on the pipes). Its kills are the runtime's to fire.
     """
-    ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-    stats = MPRunStats()
-    plan = plan_tiles(dag, config)
-    # every unit a place computes is a tile: a run with no plan ((1, 1),
-    # or a pattern no shape coarsens) runs one cell per tile
-    tiled = plan or dag.coarsen(1, 1)
-    if trace is not None:
-        trace.set_dependency_meta(dag, plan)
-    # exact per-tile active-cell counts: completions must count cells
-    # (fault injection thresholds and progress are cell-granular)
-    ncells_of = tiled.tile_cells
-    total_active = int(ncells_of.sum())
-    all_plans = list(fault_plans)
-    if chaos is not None:
-        all_plans += chaos.fault_plans()
-    injector = FaultInjector(all_plans, total_active) if all_plans else None
-
-    def on_retry() -> None:
-        stats.msg_retries += 1
-
-    shape = (dag.height, dag.width)
-    unit = (tiled.grid.tile_h, tiled.grid.tile_w)
-    # what a place needs at init besides the app and the dag; segment
-    # names are added below when (and only when) the planes are shared
-    meta: Dict[str, Any] = {
-        "tile_shape": unit,
-        "planned": plan is not None,
-        "kernel": None,
-        "sanitize": config.sanitize,
-        "value_nbytes": config.value_nbytes,
-        "spill_dir": config.spill_dir,
-    }
-    shared = _shm_eligible(app, config, chaos)
-    arena = None
+    places = MPPlaces(app, dag, config, network, registry, chaos, trace)
     try:
-        if shared:
-            from repro.core.shm import ShmArena
-
-            # pooled segment leases duck-type ShmArena (create/
-            # bytes_mapped/close); close() returns the segments to the
-            # pool's free list instead of unlinking, so the next job
-            # re-leases the same mappings. Places attach by name at init
-            # time, so pre-forked pool workers and fresh forks are alike
-            pool = config.place_pool
-            arena = pool.segment_lease() if pool is not None else ShmArena()
-            values, meta["values"] = arena.create(shape, app.value_dtype, "values")
-            finished, meta["finished"] = arena.create(shape, np.uint8, "finished")
-            plane = _plane.TilePlane(values, finished, tiled.grid)
-        else:
-            plane = _plane.TilePlane.allocate(
-                tiled.grid, app.value_dtype, config.value_nbytes, config.spill_dir
-            )
-        if arena is not None and registry.enabled:
-            registry.gauge(
-                "dpx10_shm_bytes_mapped",
-                "bytes of shared-memory plane segments currently mapped",
-            ).set(arena.bytes_mapped)
-        with phase_span(trace, "lease places"):
-            procs, lease_pool = _acquire_procs(
-                config,
-                ctx,
-                message=chaos.message if chaos is not None else None,
-                chaos_seed=chaos.schedule.seed if chaos is not None else 0,
-                record_event=chaos.record if chaos is not None else None,
-                on_retry=on_retry,
-            )
-        stats.warm_start = lease_pool is not None
-        trace_ctx = _trace_ctx(trace)
-        try:
-            alive = sorted(procs)
-
-            with phase_span(trace, "partition"):
-                # the master owns the unit-granular owner map (shipped
-                # resolved — Dist objects hold closures and cannot cross
-                # the pipe) and zeroes lost regions on recovery
-                plane.home(config.make_dist(dag.region, alive), tiled.active_tiles())
-            meta["owners"] = plane.owners
-
-            if plan is not None:
-                stats.tile_shape = unit
-                if not config.sanitize:
-                    # sanitized runs and unplanned ones keep the per-cell
-                    # loop. Classify + probe once here on the master;
-                    # places get the decision, a generated kernel as its
-                    # picklable spec
-                    from repro.analysis.codegen import build_autokernel
-
-                    generated, _cls = build_autokernel(app, dag)
-                    kernel = _plane.tile_kernel(app, tiled, generated)
-                    stats.kernel = _plane.kernel_name(kernel)
-                    if kernel is not None:
-                        meta["kernel"] = (
-                            "hand" if kernel is not generated else generated.spec
-                        )
-            for p in alive:
-                procs[p].request(("init", app, dag, meta, p, trace_ctx))
-
-            # the next round's tiles per home place: what ``wavefront``
-            # releases, in release order
-            ready: Dict[int, List[Coord]] = defaultdict(list)
-
-            def push(p: int, tile: Coord) -> None:
-                ready[p].append(tile)
-
-            wavefront = TileRunState(tiled)
-            with phase_span(trace, "schedule"):
-                wavefront.build(plane, alive, push)
-
-            def halo_patch(p: int, units: List[Coord]) -> tuple:
-                """What place ``p``'s private plane lacks for this batch.
-
-                The batch's halo cells homed on other places, as
-                ``(rows, cols, values)`` off the master plane — each
-                finished in an earlier round, so the values are final.
-                """
-                _, rows, cols = tiled.halos_of(units)
-                rows, cols = np.divmod(np.unique(rows * dag.width + cols), dag.width)
-                remote = plane.owners_of(rows, cols) != p
-                rows, cols = rows[remote], cols[remote]
-                return rows, cols, plane.values[rows, cols]
-
-            def compute_round() -> None:
-                """One bulk-synchronous step: every place its ready tiles."""
-                by_place = dict(sorted(ready.items()))
-                ready.clear()
-                ncells = {p: sum(int(ncells_of[u]) for u in own) for p, own in by_place.items()}
-                if config.pace is not None:  # the whole batch's turn
-                    paced(config.pace, sum(ncells.values()), trace)
-                throttled: Dict[int, float] = {}
-                if chaos is not None and chaos.has_throttles:
-                    throttled = {p: chaos.throttle_batch(p, n) for p, n in ncells.items()}
-                for p, own in by_place.items():
-                    patch = None if shared else halo_patch(p, own)
-                    procs[p].send_request(("units", own, patch))
-                failure: Optional[RemoteComputeError] = None
-                for p in by_place:
-                    reply = procs[p].recv_reply()
-                    if reply[0] == "error":
-                        # keep draining: every pipe must be quiescent
-                        # before the places go back to a pool
-                        failure = failure or RemoteComputeError(*reply[1:3])
-                        continue
-                    assert reply[0] == "done"
-                    stats.per_place_executed[p] = (
-                        stats.per_place_executed.get(p, 0) + reply[1]
-                    )
-                    if reply[3] is not None:
-                        rows, cols, result = reply[3]
-                        plane.values[rows, cols] = result
-                        plane.finished[rows, cols] = 1
-                    if straggler is not None:
-                        # fold in the master-side throttle sleep: the
-                        # worker's own timer cannot see it
-                        straggler.observe(p, reply[2] + throttled.get(p, 0.0), ncells[p])
-                if failure is not None:
-                    raise failure
-                stats.levels += 1
-                stats.completions += sum(ncells.values())
-                wavefront.on_tiles_finished([u for own in by_place.values() for u in own], push)
-
-            def recover(victims: List[int]) -> None:
-                """Section VI-D against real corpses, by the rule
-                :func:`~repro.core.recovery.recover_tiled` applies in
-                process: lose the dead places' tiles, rebuild the
-                wavefront from the plane's flags, and let the rounds that
-                follow recompute what was lost.
-
-                With a place pool, each corpse is first swapped for a
-                pooled spare initialized as the same logical place (it
-                attaches the live segments by name, or starts an empty
-                private plane; ``meta`` carries the live owner map), so
-                ownership is unchanged. Places the pool cannot replace
-                are re-homed on the survivors — place 0 is fatal. The
-                chaos controller's mid-recovery kill triggers are polled
-                on the cells the pass kept; a place dying *while the pass
-                is in flight* restarts it. Each trigger fires once, so
-                this ends — at worst in PlaceZeroDeadError, never a hang.
-                """
-                stats.recoveries += 1
-                if chaos is not None:
-                    chaos.begin_recovery_pass()
-                with phase_span(trace, "recovery", "recovery"):
-                    while victims:
-                        for v in set(victims):
-                            if procs[v].alive:
-                                logger.warning("SIGKILL place %d process", v)
-                                procs[v].kill()
-                        dead = {p for p in procs if not procs[p].alive}
-                        replaced: Set[int] = set()
-                        if lease_pool is not None:
-                            for p in sorted(dead):
-                                spare = lease_pool.take_spare(procs[p])
-                                if spare is None:
-                                    break
-                                spare.bind_run(on_retry)
-                                spare.request(("init", app, dag, meta, p, trace_ctx))
-                                procs[p] = spare
-                                replaced.add(p)
-                                stats.pool_restarts += 1
-                                logger.warning("place %d restarted from pool", p)
-                        unreplaced = dead - replaced
-                        if 0 in unreplaced:
-                            raise PlaceZeroDeadError()
-                        survivors = [p for p in sorted(procs) if procs[p].alive]
-                        new_dist = (
-                            config.make_dist(dag.region, survivors) if unreplaced else None
-                        )
-                        plane.lose(dead, new_dist, rehome=unreplaced)
-                        if unreplaced:
-                            # survivors track the re-homed ownership so their
-                            # halo accounting (and nothing else) stays
-                            # truthful; pool replacements got it at init
-                            for p in survivors:
-                                procs[p].request(("redist", plane.owners))
-                        kept = int(np.count_nonzero(plane.finished))
-                        victims = chaos.poll_recovery(kept) if chaos is not None else []
-                    ready.clear()
-                    wavefront.build(plane, survivors, push)
-
-            with phase_span(trace, "execute"):
-                while ready:
-                    compute_round()
-                    victims = injector.poll_completions(stats.completions) if injector else []
-                    if victims:
-                        if chaos is not None:
-                            chaos.record("kill", len(victims))
-                        recover(victims)
-
-            # no collect round trip: the results already live in the
-            # master's plane. Merge each survivor's metrics snapshot (and
-            # its normalized trace buffer) and fold its halo-read
-            # accounting into the master's network stats (the snapshot is
-            # a plain dict, so this works even with the NULL registry)
-            with phase_span(trace, "collect"):
-                for p in sorted(procs):
-                    if procs[p].alive:
-                        if trace is not None:
-                            _merge_worker_trace(trace, procs[p])
-                        snapshot = procs[p].request(("stats",))[1]
-                        registry.merge(snapshot)
-                        for label_values, seconds in snapshot.get(
-                            "dpx10_mp_worker_compute_seconds_total", {}
-                        ).get("values", []):
-                            stats.worker_compute_seconds[int(label_values[0])] = (
-                                seconds
-                            )
-                        for _lv, nbytes in snapshot.get(
-                            "dpx10_mp_shm_read_bytes_total", {}
-                        ).get("values", []):
-                            stats.network_bytes += int(nbytes)
-                        for _lv, nbatches in snapshot.get(
-                            "dpx10_mp_shm_read_batches_total", {}
-                        ).get("values", []):
-                            stats.network_messages += int(nbatches)
-            missing = total_active - int(np.count_nonzero(plane.finished))
-            if missing:
-                # name the first few stragglers in domain terms ("node 7"
-                # on a tree domain) — raw layout coords mean nothing to
-                # the user
-                unfinished = (
-                    (i, j)
-                    for i, j in dag.region
-                    if dag.is_active(i, j) and not plane.finished[i, j]
-                )
-                shown = ", ".join(
-                    dag.describe_cell(*c) for c in islice(unfinished, 5)
-                )
-                raise DPX10Error(
-                    f"{missing} vertices missing after run (first: {shown})"
-                )
-            stats.final_alive_places = sum(
-                1 for pr in procs.values() if pr.alive
-            )
-            if registry.enabled:
-                _publish_master_metrics(registry, stats)
-            # shared planes are copied out before the segments unlink; a
-            # private plane (maybe a spilled memmap) is handed over as is
-            return plane.results(copy=shared), stats
-        finally:
-            _release_procs(procs, lease_pool)
+        yield places
     finally:
-        if arena is not None:
-            arena.close()
+        places.close()

@@ -184,7 +184,7 @@ class TilePlane:
 
         Values and flags both reset, so a lost tile reads as never
         computed until its recompute re-materializes it. Tiles of the
-        places in ``rehome`` (default: all of ``dead``; the mp master
+        places in ``rehome`` (default: all of ``dead``; recovery on mp
         excludes places a pooled spare replaced) move to their home
         under ``dist``, the distribution over the survivors.
         """

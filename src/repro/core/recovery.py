@@ -94,6 +94,8 @@ class RecoveryStats:
     restored_from_snapshot: int = 0
     lost_on_dead: int = 0
     to_recompute: int = 0
+    #: dead places a pooled spare took over under the same id (mp only)
+    pool_restarts: int = 0
     wall_time: float = 0.0
 
 
@@ -102,11 +104,13 @@ def _restartable(state: ExecutionState, pass_fn) -> RecoveryStats:
 
     A chaos schedule (or, in principle, real hardware) can kill another
     place *while the recovery pass is in flight* — surfacing as a
-    :class:`DeadPlaceException` from a salvage read or a chaos trigger.
-    The pass is idempotent until it installs the new state, so the safe
-    response is to recompute dead/alive from scratch and start over. Each
-    restart strictly shrinks the alive set, so at most ``group.size``
-    attempts terminate — ending, if everything died, in a clean
+    :class:`DeadPlaceException` from a salvage read, a chaos trigger or
+    an mp place that died on its own. The pass is idempotent until it
+    installs the new state, so the safe response is to recompute
+    dead/alive from scratch and start over; each pass refuses a dead
+    place 0 itself (after any pooled replacement). Each restart shrinks
+    the alive set or spends a one-shot chaos trigger, so a bounded number
+    of attempts ends — if place 0 died, in a clean
     :class:`UnrecoverableError` subclass rather than a hang.
     """
     controller = state.chaos
@@ -116,9 +120,6 @@ def _restartable(state: ExecutionState, pass_fn) -> RecoveryStats:
         try:
             return pass_fn(state)
         except DeadPlaceException as exc:
-            if not state.group.is_alive(0):
-                raise PlaceZeroDeadError() from exc
-            state.group.require_any_alive()
             logger.warning(
                 "place %d died while recovery was in flight; restarting "
                 "the pass over the new survivor set",
@@ -153,7 +154,6 @@ def recover(state: ExecutionState) -> RecoveryStats:
 
 def _recover_once(state: ExecutionState) -> RecoveryStats:
     group = state.group
-    group.require_any_alive()
     if not group.is_alive(0):
         raise PlaceZeroDeadError()
 
@@ -226,7 +226,6 @@ def recover_from_snapshot(state: ExecutionState) -> RecoveryStats:
 
 def _recover_from_snapshot_once(state: ExecutionState) -> RecoveryStats:
     group = state.group
-    group.require_any_alive()
     if not group.is_alive(0):
         raise PlaceZeroDeadError()
 
@@ -313,40 +312,42 @@ def _resume_on(state: ExecutionState, new_dist: Dist) -> None:
 
 
 def recover_tiled(state: ExecutionState) -> RecoveryStats:
-    """Recovery for tiled runs, on the plane (either ``ft_mode``).
+    """Recovery for tiled runs, on the plane (either ``ft_mode``, every engine).
 
-    The rule the mp master applies to real corpses: the dead places'
-    tiles are zeroed on the plane and re-homed over the survivors
-    (:meth:`~repro.core.plane.TilePlane.lose`); everything a surviving
-    place finished stays where it is, so there is nothing to copy or
-    discard. ``ft_mode="snapshot"`` then rolls the whole plane back to
-    the last checkpoint, costed as transfers from stable storage at
-    place 0. The tile wavefront is rebuilt from the finish flags.
+    The dead places' tiles are zeroed on the plane and re-homed over the
+    survivors (:meth:`~repro.core.plane.TilePlane.lose`); everything a
+    surviving place finished stays where it is, so there is nothing to
+    copy or discard. On mp a pooled spare may first take a dead place's
+    id, and keep its (zeroed) tiles. ``ft_mode="snapshot"`` then rolls
+    the whole plane back to the last checkpoint, costed as transfers from
+    stable storage at place 0. The places learn the new owner map, and
+    the tile wavefront is rebuilt from the finish flags.
     """
     return _restartable(state, _recover_tiled_once)
 
 
 def _recover_tiled_once(state: ExecutionState) -> RecoveryStats:
     group = state.group
-    group.require_any_alive()
+    plane = state.plane
+    homes = np.unique(plane.owners[plane.owners >= 0]).tolist()
+    dead = tuple(p for p in homes if not group.is_alive(p))
+    revived = group.replace(dead)
     if not group.is_alive(0):
         raise PlaceZeroDeadError()
 
-    plane = state.plane
     config = state.config
     snapshot = config.ft_mode == "snapshot"
     alive = group.alive_ids()
-    homes = np.unique(plane.owners[plane.owners >= 0]).tolist()
-    dead = tuple(p for p in homes if not group.is_alive(p))
     stats = RecoveryStats(
         dead_places=dead,
         alive_places=tuple(alive),
         mechanism="snapshot" if snapshot else "recovery",
+        pool_restarts=len(revived),
     )
     with Timer() as timer:
         new_dist = config.make_dist(state.dag.region, alive)
         before = int(np.count_nonzero(plane.finished))
-        plane.lose(dead, new_dist)
+        plane.lose(dead, new_dist, rehome=set(dead) - set(revived))
         if snapshot:
             plane.restore(state.snapshots.load())
             restored = np.bincount(
@@ -365,6 +366,7 @@ def _recover_tiled_once(state: ExecutionState) -> RecoveryStats:
         # mid-recovery chaos kills (which abort and restart this pass;
         # lose() then also catches tiles re-homed onto the new corpse)
         _poll_mid_recovery_chaos(state, kept)
+        group.rehomed(plane)
 
         _resume_on(state, new_dist)
         state.ready = {pid: deque() for pid in state.dist.place_ids}

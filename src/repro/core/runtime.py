@@ -11,15 +11,22 @@ In the absence of faults a run has three stages:
 3. **finish** — bind results to the DAG and invoke ``app_finished()``.
 
 On a ``DeadPlaceException`` the runtime pauses, runs
-:func:`repro.core.recovery.recover`, and re-enters the execute stage on
-the surviving places — repeatedly, if multiple faults are injected.
+:func:`repro.core.recovery.recover` (``recover_tiled`` on a tiled run),
+and re-enters the execute stage on the surviving places — repeatedly, if
+multiple faults are injected. The flow is the same on every engine: the
+mp engine's place processes are a place group whose tile batches run
+remotely (:mod:`repro.core.mp_engine`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.apgas.failure import FaultInjector, FaultPlan
 from repro.apgas.network import NetworkModel
@@ -41,7 +48,7 @@ from repro.core.scheduler import make_strategy
 from repro.core.tiling import TileRunState, plan_tiles
 from repro.core.vertex_store import build_stores
 from repro.core.worker import ExecutionState, run_inline, run_threaded
-from repro.errors import DeadPlaceException, PlaceZeroDeadError
+from repro.errors import DeadPlaceException, DPX10Error
 from repro.util.logging import get_logger
 from repro.util.timer import Timer
 
@@ -95,6 +102,11 @@ class RunReport:
     def recomputed(self) -> int:
         """Compute invocations beyond the useful work (fault overhead)."""
         return max(0, self.completions - self.active_vertices)
+
+    @property
+    def pool_restarts(self) -> int:
+        """Dead mp places a pooled spare took over mid-run."""
+        return sum(s.pool_restarts for s in self.recovery_stats)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -229,14 +241,21 @@ class DPX10Runtime:
         cfg = self.config
         if cfg.validate:
             self.dag.validate()
+        # the trace exists before partitioning so the "partition" phase
+        # span covers distribution + store/plane construction
+        trace = ExecutionTrace() if cfg.trace else None
         if cfg.engine == "mp":
-            return self._run_mp()
+            from repro.core.mp_engine import run_mp
 
-        group = PlaceGroup(cfg.nplaces)
+            places = run_mp(
+                self.app, self.dag, cfg, self.network, self.metrics, self.chaos, trace
+            )
+        else:
+            places = nullcontext(PlaceGroup(cfg.nplaces))
         drive = run_threaded if cfg.engine == "threaded" else run_inline
         recovery_stats: List[RecoveryStats] = []
-        with Timer() as timer:
-            state = self._initialize(group)
+        with Timer() as timer, places as group:
+            state = self._initialize(group, trace)
             logger.debug(
                 "initialized %s over %d places (%s, %s engine)",
                 type(self.dag).__name__,
@@ -246,7 +265,7 @@ class DPX10Runtime:
             )
             while True:
                 try:
-                    with phase_span(state.trace, "execute"):
+                    with phase_span(trace, "execute"):
                         drive(state)
                     break
                 except DeadPlaceException as exc:
@@ -256,9 +275,7 @@ class DPX10Runtime:
                         exc.place_id,
                         state.completions,
                     )
-                    if not group.is_alive(0):
-                        raise PlaceZeroDeadError()
-                    with phase_span(state.trace, "recovery", "recovery"):
+                    with phase_span(trace, "recovery", "recovery"):
                         if state.tiles is not None:
                             stats = recover_tiled(state)
                         elif cfg.ft_mode == "snapshot":
@@ -275,9 +292,13 @@ class DPX10Runtime:
                         stats.discarded,
                         stats.to_recompute,
                     )
+            _check_complete(self.dag, state)
+            if cfg.engine == "mp":
+                group.collect(state)
             self._bind_results(state)
             self.app.app_finished(self.dag)
 
+        grid = state.plane.grid if state.plane is not None else None
         report = RunReport(
             wall_time=timer.elapsed,
             completions=state.completions,
@@ -297,10 +318,10 @@ class DPX10Runtime:
             snapshot_cells_copied=(
                 state.snapshots.cells_copied_total if state.snapshots else 0
             ),
-            trace=state.trace,
+            trace=trace,
             tile_shape=(
-                (state.plane.grid.tile_h, state.plane.grid.tile_w)
-                if state.plane is not None else None
+                (grid.tile_h, grid.tile_w)
+                if grid is not None and not grid.cellwise else None
             ),
             kernel=kernel_name(state.kernel),
         )
@@ -312,63 +333,18 @@ class DPX10Runtime:
         self._report = report
         return report
 
-    # -- the multiprocessing path ---------------------------------------------------
-    def _run_mp(self) -> RunReport:
-        """Real place processes, in bulk-synchronous rounds (repro.core.mp_engine)."""
-        from repro.core.mp_engine import run_mp
-
-        trace = ExecutionTrace() if self.config.trace else None
-        straggler = None
-        if self.metrics.enabled or trace is not None:
-            from repro.obs.causal import StragglerDetector
-
-            straggler = StragglerDetector(self.metrics)
-        with Timer() as timer:
-            results, stats = run_mp(
-                self.app,
-                self.dag,
-                self.config,
-                self.fault_plans,
-                registry=self.metrics,
-                chaos=self.chaos,
-                trace=trace,
-                straggler=straggler,
-            )
-            bind_mapping(self.dag, results)
-            self.app.app_finished(self.dag)
-
-        report = RunReport(
-            wall_time=timer.elapsed,
-            completions=stats.completions,
-            active_vertices=len(results),
-            recoveries=stats.recoveries,
-            network_messages=stats.network_messages,
-            network_bytes=stats.network_bytes,
-            msg_retries=stats.msg_retries,
-            per_place_executed=dict(stats.per_place_executed),
-            final_alive_places=stats.final_alive_places,
-            trace=trace,
-            tile_shape=stats.tile_shape,
-            kernel=stats.kernel,
-        )
-        if self.metrics.enabled:
-            self.metrics.gauge(
-                "dpx10_run_wall_seconds", "wall time of the last run()"
-            ).set(timer.elapsed)
-            report.metrics = self.metrics.collect()
-        self._report = report
-        return report
-
     # -- stage 1: distribute & initialize -----------------------------------------
-    def _initialize(self, group: PlaceGroup) -> ExecutionState:
+    def _initialize(
+        self, group: PlaceGroup, trace: Optional[ExecutionTrace] = None
+    ) -> ExecutionState:
         cfg = self.config
-        # the trace exists before partitioning so the "partition" phase
-        # span covers distribution + store/plane construction
-        trace = ExecutionTrace() if cfg.trace else None
+        mp = cfg.engine == "mp"
         # tile-granular execution (planned unless the config pins a shape):
         # schedule tiles of the coarsened pattern over one dense plane
-        # instead of cells over per-place vertex stores
-        tiled = plan_tiles(self.dag, cfg)
+        # instead of cells over per-place vertex stores. A place process
+        # computes tiles only: an mp run with no plan is a grid of 1x1 tiles
+        plan = plan_tiles(self.dag, cfg)
+        tiled = self.dag.coarsen(1, 1) if plan is None and mp else plan
         stores: Dict[int, object] = {}
         plane = None
         with phase_span(trace, "partition"):
@@ -384,7 +360,7 @@ class DPX10Runtime:
                 )
                 total_active = sum(s.active_count for s in stores.values())
             else:
-                plane = TilePlane.allocate(
+                plane = group.allocate(tiled.grid) if mp else TilePlane.allocate(
                     tiled.grid, self.app.value_dtype, cfg.value_nbytes, cfg.spill_dir
                 )
                 plane.home(dist, tiled.active_tiles())
@@ -430,9 +406,9 @@ class DPX10Runtime:
                 state.ready = {pid: deque() for pid in dist.place_ids}
                 state.tiles = TileRunState(tiled)
                 state.tiles.build(plane, dist.place_ids, state.push_ready)
-        if tiled is not None and not cfg.sanitize:
-            # sanitized runs keep the per-cell loop, whose compute()
-            # calls the race guard wraps. Otherwise lift/classify/emit the
+        if plan is not None and not cfg.sanitize:
+            # sanitized runs (and mp's 1x1 grids) keep the per-cell loop,
+            # whose compute() calls the race guard wraps. Otherwise lift/classify/emit the
             # compute() recurrence; OPAQUE apps keep the hand kernel or
             # the interpreted path (see `repro analyze`). Object-valued
             # apps are eligible too: tree-level kernels run in "cells"
@@ -447,7 +423,7 @@ class DPX10Runtime:
             state.snapshots = SnapshotStore()
             state.take_snapshot()  # the initial (empty) checkpoint
         if trace is not None:
-            trace.set_dependency_meta(self.dag, tiled)
+            trace.set_dependency_meta(self.dag, plan)
         if trace is not None and self.dag.domain.kind != "grid":
             # non-grid domains stamp their kind so trace consumers can
             # decode cell coordinates back to native indices; grid runs
@@ -460,6 +436,8 @@ class DPX10Runtime:
 
             state.straggler = StragglerDetector(self.metrics)
         self._register_collectors(state, group)
+        if mp:
+            group.start(state)
         # bind eagerly so dag.get_vertex() is reachable during execution
         # (reads it issues from inside compute() go through the vertex
         # stores or the plane view, both visible to the race sanitizer)
@@ -547,8 +525,6 @@ class DPX10Runtime:
         def bulk(fill, dtype):
             # one vectorized gather per place store; finished-active cells
             # only, everything else keeps ``fill`` (Dag.to_array semantics)
-            import numpy as np
-
             dag = self.dag
             out = np.full((dag.height, dag.width), fill, dtype=dtype or object)
             for pid in state.dist.place_ids:
@@ -564,3 +540,19 @@ class DPX10Runtime:
             return out
 
         self.dag.bind_results(ResultView(getter, finished, bulk))
+
+
+def _check_complete(dag: Dag, state: ExecutionState) -> None:
+    """Every active cell of a tiled run must be on the plane at the end: a
+    place that acknowledged a batch without computing it shows here,
+    named in domain terms ("node 7" on a tree domain)."""
+    plane = state.plane
+    if plane is None:
+        return
+    missing = state.total_active - int(np.count_nonzero(plane.finished))
+    if missing:
+        unfinished = (
+            (i, j) for i, j in dag.region if dag.is_active(i, j) and not plane.finished[i, j]
+        )
+        shown = ", ".join(dag.describe_cell(*c) for c in islice(unfinished, 5))
+        raise DPX10Error(f"{missing} vertices missing after run (first: {shown})")

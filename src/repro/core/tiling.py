@@ -152,6 +152,11 @@ class TileGrid:
     def ntj(self) -> int:
         return -(-(self.width - self.lead[1]) // self.tile_w)
 
+    @property
+    def cellwise(self) -> bool:
+        """1×1 tiles: each is the vertex it holds (an mp run with no plan)."""
+        return self.tile_h == self.tile_w == 1
+
     def tile_of(self, i, j):
         """The tile of cell ``(i, j)``, on ints or arrays of cells."""
         lh, lw = self.lead  # a leading row floors to tile -1: lift it to 0
@@ -283,7 +288,7 @@ class TiledDag(Dag):
     def levels(self) -> List[List[Coord]]:
         """Active tiles by topological depth (Kahn by generations); within a
         level, in the order releasing the one before tile by tile gives.
-        The rounds a fault-free mp run dispatches are these generations.
+        A fault-free inline run's turns (mp's too) are these generations.
         Computed once per tile DAG (per shape for a memoized one, whose
         copies share ``_cache``); callers must not modify it."""
         if "levels" in self._cache:
@@ -594,8 +599,8 @@ class TileRunState:
     paper's indegree counters, held as arrays over flat tile indices
     (``indegree``, -1 once finished; ``finished``; ``home``). The ready
     lists are the caller's: every released tile goes to ``push(place,
-    tile)`` — the in-process drivers' :meth:`~repro.core.worker.
-    ExecutionState.push_ready`, or the mp master's per-place round lists.
+    tile)`` — the drivers' :meth:`~repro.core.worker.ExecutionState.
+    push_ready`, on every engine.
     """
 
     def __init__(self, tiled: TiledDag) -> None:
@@ -665,63 +670,73 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     """Run a batch of ready tiles end to end: place, compute, account, notify.
 
     A tile is released only once all its producers finished, so the
-    tiles of one batch never depend on one another. The strategy places
-    each tile (halo owners from one lookup over the batch), then the
-    batch goes to :func:`repro.core.plane.run_tiles` in one call. Each
-    tile is accounted at its execution place, in batch order; its trace
-    event and straggler sample are its :func:`~repro.core.trace.split_span`
-    share of the call. The batch's successors are released in one
-    indegree update.
+    tiles of one batch never depend on one another. In process the
+    strategy places each tile (halo owners from one lookup over the
+    batch) and :func:`repro.core.plane.run_tiles` computes the batch in
+    one call; on mp the batch goes to the place processes
+    (``state.run_tiles``), each tile at home. Each tile is accounted at its
+    execution place, in batch order; its trace event and straggler sample
+    are its :func:`~repro.core.trace.split_span` share of the call — or,
+    where the places timed their own batches, of its place's. The batch's
+    successors are released in one indegree update.
     """
     ts: TileRunState = state.tiles
     tiled = ts.tiled
     plane = state.plane
     cfg = state.config
     trace = state.trace
-    # every tile's halo owners (the strategy's ``dep_homes``) in one lookup;
-    # run_tiles reads the same halo
-    halo = hk, hrows, hcols = tiled.halos_of(tiles)
-    owners = plane.owners_of(hrows, hcols).tolist()
-    bounds = np.searchsorted(hk, np.arange(len(tiles) + 1)).tolist()
     homes = [int(ts.home[tile]) for tile in tiles]
-    places: List[int] = []
-    for k, tile in enumerate(tiles):
-        if cfg.pace is not None:  # this tile's turn (see repro.serve.scheduler)
-            paced(cfg.pace, int(tiled.tile_cells[tile]), trace, homes[k])
-        exec_place = state.strategy.choose_place(
-            tile,
-            homes[k],
-            owners[bounds[k] : bounds[k + 1]],
-            state.group.alive_ids(),
-            state.rngs[homes[k]],
-            plane.nbytes,
-        )
-        places.append(exec_place)
+    if cfg.pace is not None:  # each tile's turn (see repro.serve.scheduler)
+        for tile, home in zip(tiles, homes):
+            paced(cfg.pace, int(tiled.tile_cells[tile]), trace, home)
+    if state.run_tiles is None:
+        # every tile's halo owners (the strategy's ``dep_homes``) in one
+        # lookup; run_tiles reads the same halo
+        run, halo = _plane.run_tiles, tiled.halos_of(tiles)
+        hk, hrows, hcols = halo
+        owners = plane.owners_of(hrows, hcols).tolist()
+        bounds = np.searchsorted(hk, np.arange(len(tiles) + 1)).tolist()
+        alive = state.group.alive_ids()
+        places = [
+            state.strategy.choose_place(
+                tile, home, owners[bounds[k] : bounds[k + 1]], alive, state.rngs[home], plane.nbytes
+            )
+            for k, (tile, home) in enumerate(zip(tiles, homes))
+        ]
+    else:
+        # an mp place process computes the tiles its plane homes, off
+        # halos it builds itself
+        run, halo, places = state.run_tiles, None, homes
 
     clock = trace.now if trace is not None else time.perf_counter
     metrics = state.metrics
     t0 = clock()
-    done = _plane.run_tiles(
-        plane, tiled, state.app, state.kernel, tiles, places, halo, cfg.sanitize
-    )
-    cells = [n for n, _ in done]
+    done = run(plane, tiled, state.app, state.kernel, tiles, places, halo, cfg.sanitize)
+    cells = [d[0] for d in done]
     load: Dict[int, int] = {}  # cells executed per place
     for p, n in zip(places, cells):
         load[p] = load.get(p, 0) + n
-    weights: List[float] = cells
-    if state.chaos is not None and state.chaos.has_throttles:
-        # slow-place chaos, one sleep per execution place (the per-vertex
-        # on_execute hook's analogue): its own tiles' spans carry it
-        per_cell = (clock() - t0) / max(sum(cells), 1)
-        sleep_per_cell = {p: state.chaos.throttle_batch(p, n) / max(n, 1) for p, n in load.items()}
-        weights = [n * (per_cell + sleep_per_cell[p]) for p, n in zip(places, cells)]
-    spans = split_span(t0, clock(), weights)
+    if len(done[0]) > 2:
+        # the places timed their batches (and carry their throttles)
+        spans = [d[2] for d in done]
+    else:
+        weights: List[float] = cells
+        if state.chaos is not None and state.chaos.has_throttles:
+            # slow-place chaos, one sleep per execution place (the
+            # per-vertex on_execute hook's analogue): its own tiles'
+            # spans carry it
+            per_cell = (clock() - t0) / max(sum(cells), 1)
+            sleep_per_cell = {p: state.chaos.throttle_batch(p, n) / max(n, 1) for p, n in load.items()}
+            weights = [n * (per_cell + sleep_per_cell[p]) for p, n in zip(places, cells)]
+        spans = split_span(t0, clock(), weights)
     with state._completions_lock:
         for p, n in load.items():
             state.executed_by[p] = state.executed_by.get(p, 0) + n
         completed = state.completions
         state.completions += sum(cells)
-    for k, (tile, exec_place, (n, transfers), (start, end)) in enumerate(
+    # 1×1 tiles (an mp run with no plan) trace as the cells they are
+    cellwise = ts.grid.cellwise
+    for k, (tile, exec_place, (n, transfers, *_), (start, end)) in enumerate(
         zip(tiles, places, done, spans)
     ):
         if metrics.enabled:
@@ -759,12 +774,15 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
             state.straggler.observe(exec_place, end - start, n)
         if trace is not None:
             r0, c0 = ts.grid.origin(*tile)
-            trace.record(TraceEvent(r0, c0, homes[k], exec_place, start, end, tile=tile, cells=n))
+            unit = None if cellwise else tile
+            trace.record(TraceEvent(r0, c0, homes[k], exec_place, start, end, tile=unit, cells=n))
         if state.injector is not None:
             victims = state.injector.poll_completions(completed)
             if victims:
                 ts.on_tiles_finished(tiles[:k], state.push_ready)
                 for victim in victims:
                     state.group.kill(victim)
+                    if state.chaos is not None:
+                        state.chaos.record("kill")
                 raise DeadPlaceException(victims[0])
     ts.on_tiles_finished(tiles, state.push_ready)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -116,6 +116,10 @@ class ExecutionState:
     #: generated on every tiled run, else the app's hand compute_tile;
     #: None selects the per-cell loop (OPAQUE apps, sanitized runs).
     kernel: Optional[object] = None
+    #: the tile batch executor (repro.core.tiling.execute_tiles): None
+    #: for repro.core.plane.run_tiles in this process; the mp engine's
+    #: place group puts its own here (repro.core.mp_engine.MPPlaces)
+    run_tiles: Optional[Callable] = None
     #: rolling per-place tile-service-time baseline (created whenever
     #: metrics or tracing is on); publishes dpx10_straggler{place}
     #: gauges. See repro.obs.causal.StragglerDetector.

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
 The runtime's accounting used to be scattered over ad-hoc fields
-(``RunReport.cache_hits``, ``NetworkStats.bytes``, per-cache counters,
-``MPRunStats``); this module gives every quantity one name in one schema:
+(``RunReport.cache_hits``, ``NetworkStats.bytes``, per-cache counters);
+this module gives every quantity one name in one schema:
 
 * **Counter** — a monotone total (``dpx10_cache_hits_total``);
 * **Gauge** — a point-in-time value (``dpx10_places_alive``);

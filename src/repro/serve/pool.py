@@ -15,7 +15,7 @@ amortizes that tax across requests by keeping both resources warm here:
 * **Pooled segments** — shared-memory plane segments keyed by byte
   size. :meth:`PlacePool.segment_lease` returns an object duck-typed to
   :class:`~repro.core.shm.ShmArena` (``create`` / ``bytes_mapped`` /
-  ``close``), so ``run_mp`` swaps it in without caring. A leased
+  ``close``), so the mp engine's place group swaps it in without caring. A leased
   segment is zero-filled before reuse, restoring the data plane's
   "never written reads as zero" invariant; ``close()`` returns segments
   to the free list instead of unlinking.

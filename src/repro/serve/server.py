@@ -290,14 +290,13 @@ class JobServer:
             )
 
             def _capture(report) -> None:
+                job.pool_restarts = report.pool_restarts
                 if report.trace is not None:
                     job.trace = report.trace
                     job.trace_id = report.trace.trace_id
 
             with self.trace.phase(f"execute:{job.id}", category="serve"):
-                result = execute_job(
-                    req, config, on_report=_capture if req.trace else None
-                )
+                result = execute_job(req, config, on_report=_capture)
             job.result = result
             job.status = "done"
             if req.use_cache:

@@ -16,6 +16,7 @@ from repro.core.api import DPX10App
 from repro.core.config import DPX10Config
 from repro.core.domain import TreeDomain
 from repro.core.plane import PlaneResults
+from repro.core import runtime as runtime_mod
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import shm_supported
 from repro.errors import DPX10Error, PlaceZeroDeadError, RemoteComputeError
@@ -156,11 +157,20 @@ class TestOneMasterTwoBackings:
         assert "in compute" in err.value.remote_traceback
 
     @BACKINGS
-    def test_results_are_plane_results_on_both_backings(self, shm):
+    def test_results_are_plane_results_on_both_backings(self, shm, monkeypatch):
         _skip_without_shm(shm)
         dag = DiagonalDag(6, 6)
         cfg = DPX10Config(nplaces=2, engine="mp", shm=shm)
-        results, _ = mp_engine.run_mp(BoomApp(boom=None), dag, cfg)
+        bound = []
+        real = runtime_mod.bind_mapping
+
+        def spy(dag, results):
+            bound.append(results)
+            return real(dag, results)
+
+        monkeypatch.setattr(runtime_mod, "bind_mapping", spy)
+        DPX10Runtime(BoomApp(boom=None), dag, cfg).run()
+        results = bound[-1]
         assert isinstance(results, PlaneResults) and len(results) == 36
 
     @pytest.mark.parametrize("domain", ["tree", "grid"])

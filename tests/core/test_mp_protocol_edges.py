@@ -6,9 +6,9 @@ import pytest
 from repro.core.api import DPX10App, VertexId
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
-from repro.core.mp_engine import run_mp
 from repro.core.runtime import DPX10Runtime
 from repro.errors import DPX10Error
+from repro.obs.metrics import scalar
 from repro.patterns import GridDag, RowChainDag
 
 
@@ -27,6 +27,11 @@ class TupleApp(DPX10App):
     def compute(self, i, j, vertices):
         inner = max((v.get_result()[0] for v in vertices), default=0)
         return (inner + 1, f"cell{i}{j}")
+
+
+def _finished(dag):
+    """How many cells the run bound to ``dag`` holds (AddApp values are >= 1)."""
+    return int(np.count_nonzero(dag.to_array(fill=0, dtype=np.int64)))
 
 
 class TestLevels:
@@ -55,18 +60,18 @@ class TestRunMP:
     def test_direct_api(self):
         app = AddApp()
         dag = GridDag(4, 4)
-        cfg = DPX10Config(nplaces=2, engine="mp", tile_shape=(1, 1))
-        results, stats = run_mp(app, dag, cfg)
-        assert len(results) == 16
+        cfg = DPX10Config(nplaces=2, engine="mp", tile_shape=(1, 1), metrics=True)
+        stats = DPX10Runtime(app, dag, cfg).run()
+        assert _finished(dag) == 16
         assert stats.completions == 16
-        assert stats.levels == 7  # anti-diagonals of 4x4
+        assert scalar(stats.metrics, "dpx10_mp_levels_total") == 7  # anti-diagonals of 4x4
         assert stats.final_alive_places == 2
 
     def test_more_places_than_columns(self):
         app = AddApp()
         dag = GridDag(3, 2)
-        results, stats = run_mp(app, dag, DPX10Config(nplaces=5, engine="mp"))
-        assert len(results) == 6
+        DPX10Runtime(app, dag, DPX10Config(nplaces=5, engine="mp")).run()
+        assert _finished(dag) == 6
 
     def test_object_values_cross_processes(self):
         app = TupleApp()

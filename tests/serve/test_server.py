@@ -64,6 +64,28 @@ class TestLifecycle:
             srv.close()
 
 
+class TestPoolRestarts:
+    def test_a_replaced_place_shows_on_the_job(self):
+        # place 1 is SIGKILLed mid-run; a pooled spare takes its id, and
+        # the job document says so
+        srv = JobServer(port=0, pool_capacity=3, prewarm=False, allow_faults=True)
+        try:
+            status, payload = srv.submit(
+                _job(engine="mp", nplaces=2, size=48, tile_shape=[16, 16],
+                     faults=[{"place": 1, "at_fraction": 0.5}], cache=False)
+            )
+            assert status == 202
+            final = srv.wait(payload["id"], timeout=60)
+            assert final["status"] == "done", final
+            assert final["pool_restarts"] == 1
+            assert final["result"]["recoveries"] == 1
+            clean = srv.wait(srv.submit(_job(size=48, cache=False))[1]["id"], timeout=60)
+            assert final["result"]["score"] == clean["result"]["score"]
+            assert "pool_restarts" not in clean
+        finally:
+            srv.close()
+
+
 class TestBackpressure:
     def test_in_flight_cap_gives_429(self, server):
         # occupy every slot by hand: deterministic, no timing games
