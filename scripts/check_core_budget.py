@@ -221,8 +221,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: passes lose a redundant liveness check (recovery.py +2); and a dag
 #: pickles without its bound results, which a pooled spare's init needs
 #: (dag.py +5).
+#:
+#: Core lowered, 5931 -> 5562. Every run executes over one ``TilePlane``
+#: and one ``TileRunState``: with no tile plan the run is the grid of
+#: 1×1 tiles (``dag.coarsen(1, 1)``) in process too, and the per-vertex
+#: reference differs only in its unit executor (``execute_vertex``, which
+#: reads and writes the plane and releases per-cell indegrees) and its
+#: re-home rule inside the one ``recover_tiled``. So ``vertex_store.py``
+#: (-247), ``recover`` / ``recover_from_snapshot`` / ``_install`` and the
+#: ``_restartable`` indirection (recovery.py -146), the per-vertex result
+#: binding, store set-up and ``tiled is None`` branches (runtime.py -68)
+#: are gone. It adds the 1×1 grid's vectorized set-up (the cellwise
+#: activity mask, ``TilePlane.home`` over ``Dist.places_of``, and the
+#: irregular coarsening as array operations; tiling.py +43, plane.py
+#: +17), the inactive-cell read through the one binding, the lazily
+#: seeded placement RNGs and the survivors' accounting of a batch an mp
+#: place died in (worker.py +29, config.py +4 of docstring).
 CEILINGS = {
-    "src/repro/core": 5931,
+    "src/repro/core": 5562,
     "src/repro/analysis": 6032,
 }
 

@@ -4,8 +4,8 @@ The dynamic complement of the AST lint: whatever static analysis cannot
 resolve (data-dependent indices, smuggled store references, result-view
 reads from inside ``compute()``), the sanitizer catches at the moment it
 happens. While a sanitized ``compute(i, j, ...)`` runs, a thread-local
-*guard* records the cell and its declared dependency set; every
-:class:`~repro.core.vertex_store.VertexStore` or remote-cache read that
+*guard* records the cell and its declared dependency set; every plane
+(:class:`~repro.core.plane.PlaneResults`) or remote-cache read that
 executes under the guard is cross-checked against that set, and an
 undeclared access raises :class:`~repro.errors.DependencyRaceError`
 naming the read cell, the offending offset, the owning place and the
@@ -16,7 +16,7 @@ global ``_active_guards``), so an unsanitized run pays nothing
 measurable; sanitized runs add one frozenset build plus one membership
 probe per read.
 
-This module deliberately imports nothing from ``repro.core`` — the store
+This module deliberately imports nothing from ``repro.core`` — the plane
 and cache import it, not the other way around.
 """
 
@@ -73,11 +73,11 @@ def compute_guard(cell: Coord, declared: Iterable[Coord], exec_place: int):
 
 
 def check_read(
-    i: int, j: int, owner_place: Optional[int] = None, source: str = "vertex store"
+    i: int, j: int, owner_place: Optional[int] = None, source: str = "tile plane"
 ) -> None:
     """Validate a read of cell ``(i, j)`` against the active guard, if any.
 
-    Called by :meth:`VertexStore.get_result` and the remote cache when
+    Called by :class:`~repro.core.plane.PlaneResults` and the remote cache when
     :func:`guard_active` is true. Reads outside any ``compute()`` (the
     framework's own dependency gathering, ``app_finished`` backtracking)
     carry no thread-local guard and pass through untouched.

@@ -44,10 +44,12 @@ _RESTORE = ("discard", "copy")
 class DPX10Config:
     """All runtime knobs. The defaults are the fast path, not the paper's:
     ``tile_shape=None`` lets the runtime plan tiles and a generated kernel
-    (:func:`repro.core.tiling.plan_tiles`). ``tile_shape=(1, 1)`` is the
-    paper-faithful per-vertex reference, the only path on which per-cell
-    scheduling, ``cache_size``, ``restore_manner`` and per-cell traces
-    apply.
+    (:func:`repro.core.tiling.plan_tiles`). Every run keeps its data on
+    one plane (:mod:`repro.core.plane`); ``tile_shape=(1, 1)`` is the
+    paper-faithful per-vertex reference, a grid of 1×1 tiles that differs
+    from other runs in its executor (one cell per unit, through the
+    per-place caches ``cache_size`` sizes, with per-cell traces) and its
+    re-home rule (``restore_manner``).
     """
 
     #: number of places (X10_NPLACES)
@@ -64,15 +66,16 @@ class DPX10Config:
     custom_dist: Optional[Callable[[Region2D, Sequence[int]], Dist]] = None
     #: scheduling strategy: local (default), random, or mincomm
     scheduler: str = "local"
-    #: remote-vertex FIFO cache capacity per place; 0 disables. A
-    #: per-vertex-path knob: tiled runs read neighbours' finished cells
-    #: in place on the shared plane and keep no per-consumer copies
+    #: remote-vertex FIFO cache capacity per place; 0 disables. Read by
+    #: the per-vertex executor only: tiled runs read neighbours' finished
+    #: cells in place on the plane and keep no per-consumer copies
     cache_size: int = 64
     #: bytes per vertex value, used for communication accounting
     value_nbytes: int = 8
-    #: recovery behaviour for finished vertices homed on remote places.
-    #: A per-vertex-path knob: tiled and mp recovery re-home only the
-    #: dead place's units, so survivors' results never move
+    #: recovery behaviour for a survivor's finished vertex whose home
+    #: moves. Only the per-vertex reference re-homes every cell on
+    #: recovery; a tiled or mp run re-homes only the dead places' units,
+    #: so survivors' results never move
     restore_manner: str = "discard"
     #: fault-tolerance mechanism: "recovery" is the paper's new method;
     #: "snapshot" is the Resilient-X10 periodic-snapshot baseline the
@@ -112,23 +115,24 @@ class DPX10Config:
     #: spill vertex values to disk-backed arrays in this directory (the
     #: paper's future work: "spilling some data to local disk to enable
     #: computations on large scale of DP problems"). Requires a typed
-    #: ``value_dtype``; object-valued apps silently stay in RAM. Tiled
-    #: in-process runs memory-map their one value plane there instead of
-    #: a file per place; mp runs memory-map the master's plane and each
-    #: place's private plane there (a spilled run shares no memory).
+    #: ``value_dtype``; object-valued apps silently stay in RAM. An
+    #: in-process run memory-maps its one value plane there; an mp run
+    #: the master's plane and each place's private plane (a spilled run
+    #: shares no memory).
     spill_dir: Optional[str] = None
     #: tile-granular execution: block the matrix into ``(tile_h, tile_w)``
     #: tiles and schedule, fetch, and place whole tiles instead of single
     #: cells (see docs/TILING.md). The cell-level pattern is coarsened to a
     #: tile-level DAG (``Dag.coarsen``, symbolically verified acyclic),
-    #: the matrix lives in one dense plane every engine computes against
+    #: the matrix lives in one dense plane every run computes against
     #: (repro.core.plane), and apps may supply a vectorized
     #: ``compute_tile`` kernel. ``None`` (default) leaves the shape to the
     #: planner (``repro.core.tiling.plan_tiles``: 128x128 capped at the
     #: matrix, a full-width strip or per-vertex where the pattern allows
     #: no less), an explicit shape is used as given, and ``(1, 1)`` is the
-    #: one spelling of the per-vertex reference path. Supported by the
-    #: inline, threaded and mp engines.
+    #: one spelling of the per-vertex reference: the same plane as a grid
+    #: of 1×1 tiles, run cell by cell (mp ships them as 1×1 tile batches).
+    #: Supported by the inline, threaded and mp engines.
     tile_shape: Optional[tuple[int, int]] = None
     #: chaos-engineering schedule (see repro.chaos): a seeded composite of
     #: kills, mid-recovery kills, slow-place throttles and message chaos.

@@ -20,7 +20,7 @@ An :class:`IndexDomain` separates the two concerns. It names a set of
 * ``describe_cell(i, j)`` — how to name a cell in error messages and
   traces, in domain terms ("node 7", "(2, 1, 3)") rather than row/col.
 
-Everything below the pattern layer — distributions, vertex stores, the
+Everything below the pattern layer — distributions, the data plane, the
 schedulers, recovery, the mp engine's owner map — keeps treating cells
 as opaque ``(i, j)`` keys of a rectangular region, so partitioning,
 tiling, kill-and-recover, and the shm data plane work unchanged on

@@ -174,7 +174,7 @@ class _PlaceWorker:
         # compute() reads other cells through the dag (the app and dag came
         # in one message, so the app's dag is this one): a live view of the
         # plane, as in process, so a sanitized read is checked here too
-        _plane.bind_mapping(dag, self.plane.results())
+        _plane.bind_mapping(dag, self.plane.results(init=app.init_value))
         #: false when the run has no tile plan: its 1×1 tiles report as
         #: the vertices they are — one halo read per producing place per
         #: request rather than per tile
@@ -740,9 +740,10 @@ class MPPlaces(PlaceGroup):
         folds them in) and its span: its share of its place's batch
         window, which for a throttled place also covers the chaos sleep
         the master took before sending, where the place cannot see it.
-        Every pipe is drained before a remote ``compute()`` error or a
-        place death is raised, the latter as ``DeadPlaceException`` for
-        the runtime's recovery.
+        Every pipe is drained before a remote ``compute()`` error is
+        raised. A place that died answers ``None`` for each of its tiles,
+        which ``execute_tiles`` accounts the survivors' replies around
+        before it raises ``DeadPlaceException`` for the runtime's recovery.
         """
         own: Dict[int, List[int]] = defaultdict(list)
         for k, p in enumerate(places):
@@ -789,8 +790,6 @@ class MPPlaces(PlaceGroup):
             self.kill(p)
         if failure is not None:
             raise failure
-        if dead:
-            raise DeadPlaceException(dead[0])
         return done
 
     def _halo_patch(self, plane, tiled, p: int, units: List[Coord]) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import weakref
 from collections.abc import Mapping
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -48,24 +49,26 @@ Transfer = Tuple[int, int, int]
 class PlaneResults(Mapping):
     """``{(i, j): value}`` over a value plane and its finished mask.
 
-    Duck-compatible with the dict the pickled mp transport returns —
-    membership means "finished", lookups return Python scalars — plus
-    :meth:`as_bulk`, the vectorized gather the runtime hands to
+    Membership means "finished" and lookups return Python scalars;
+    :meth:`as_bulk` is the vectorized gather the runtime hands to
     :class:`~repro.core.dag.ResultView` so ``Dag.to_array`` needs no
-    per-cell loop. The in-process engines bind a live view (readable
-    from inside ``compute()``, so reads are sanitizer-checked); the mp
-    engine and snapshots bind copies.
+    per-cell loop. Every run binds a live view (readable from inside
+    ``compute()``, so reads are sanitizer-checked; an mp run's master
+    plane is copied out of its segments first); snapshots keep copies.
     """
 
-    def __init__(self, values: np.ndarray, finished: np.ndarray) -> None:
+    def __init__(self, values: np.ndarray, finished: np.ndarray, init=None, owner=None) -> None:
         self._values = values
         self._finished = finished  # bool mask
         self._typed = values.dtype != object
+        self.init = init  #: the app's ``init_value``, for :meth:`inactive`
+        self._owner = owner  # (i, j) -> home place, named by race diagnostics
 
     def __getitem__(self, key: Coord) -> Any:
         i, j = key
         if _sanitize._active_guards:
-            _sanitize.check_read(i, j, source="tile plane")
+            owner = int(self._owner(i, j)) if self._owner is not None else None
+            _sanitize.check_read(i, j, owner, source="tile plane")
         h, w = self._finished.shape
         if not (0 <= i < h and 0 <= j < w) or not self._finished[i, j]:
             raise UnfinishedReadError(key)
@@ -87,6 +90,15 @@ class PlaneResults(Mapping):
     def __len__(self) -> int:
         return int(np.count_nonzero(self._finished))
 
+    def inactive(self, i: int, j: int) -> Any:
+        """What inactive cell ``(i, j)`` reads as: the app's ``init_value``,
+        or where that is ``None`` the plane's own zero / ``None`` there."""
+        value = None if self.init is None else self.init(i, j)
+        if value is None:
+            value = self._values[i, j]
+            return value.item() if self._typed else value
+        return value
+
     def copy(self) -> "PlaneResults":
         """Snapshot stores copy what they keep; a frozen copy is itself."""
         return self
@@ -97,19 +109,21 @@ class PlaneResults(Mapping):
         return out.astype(dtype or object, copy=False)
 
 
-def bind_mapping(dag, results) -> None:
-    """Bind ``dag`` to a ``{(i, j): value}`` mapping (membership = finished).
+def bind_mapping(dag, results: PlaneResults) -> None:
+    """Bind ``dag`` to a :class:`PlaneResults` (membership = finished): the
+    one binding of every run, in the master and in an mp place alike. A
+    cell no run computes reads as :meth:`PlaneResults.inactive`."""
+    pattern = weakref.ref(dag)  # the dag holds the binding: no cycle back
 
-    :class:`PlaneResults` offers a vectorized gather; the pickled
-    transport's plain dict does not.
-    """
-    dag.bind_results(
-        ResultView(
-            lambda i, j: results[(i, j)],
-            lambda i, j: (i, j) in results,
-            getattr(results, "as_bulk", None),
-        )
-    )
+    def get(i: int, j: int):
+        try:
+            return results[(i, j)]
+        except UnfinishedReadError:
+            if not pattern().contains(i, j) or pattern().is_active(i, j):
+                raise
+        return results.inactive(i, j)
+
+    dag.bind_results(ResultView(get, results.__contains__, results.as_bulk))
 
 
 class TilePlane:
@@ -130,7 +144,7 @@ class TilePlane:
         #: bytes charged per value moved between places: the real item
         #: size on typed planes, the configured model on object planes
         self.nbytes = int(values.dtype.itemsize) if typed else value_nbytes
-        self._zero = 0 if typed else None
+        self.zero = 0 if typed else None
 
     @classmethod
     def allocate(
@@ -165,10 +179,12 @@ class TilePlane:
         return cls(values, np.zeros(shape, np.uint8), grid, value_nbytes)
 
     # -- ownership ------------------------------------------------------------------
-    def home(self, dist, tiles: Iterable[Coord]) -> None:
-        """Home each tile where ``dist`` places its origin cell."""
-        for t in tiles:
-            self.owners[t] = dist.place_of(*self.grid.origin(*t))
+    def home(self, dist, tiles) -> None:
+        """Home each tile where ``dist`` places its origin cell; ``tiles``
+        are ``(ti, tj)`` pairs (an ``(n, 2)`` array: ``np.argwhere``)."""
+        ti, tj = np.asarray(tiles, np.int64).reshape(-1, 2).T
+        rows, cols = self.grid.edges
+        self.owners[ti, tj] = dist.places_of(rows[ti], cols[tj])
 
     def owners_of(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Home place of each cell: a cell lives where its tile does."""
@@ -193,22 +209,23 @@ class TilePlane:
         owners = self.owners
         for t in map(tuple, np.argwhere(np.isin(owners, list(dead))).tolist()):
             r0, r1, c0, c1 = self.grid.bounds(*t)
-            self.values[r0:r1, c0:c1] = self._zero
+            self.values[r0:r1, c0:c1] = self.zero
             self.finished[r0:r1, c0:c1] = 0
             if owners[t] in rehome:
                 owners[t] = dist.place_of(r0, c0)
 
     # -- results and snapshots ----------------------------------------------------------
-    def results(self, copy: bool = False) -> PlaneResults:
-        """The plane as a result mapping: a live view, or a frozen copy.
+    def results(self, copy: bool = False, init=None) -> PlaneResults:
+        """The plane as a result mapping: a live view, or a frozen copy;
+        ``init`` is the app's ``init_value`` (see :meth:`PlaneResults.inactive`).
 
         The copy takes the flags first — a writer stores a value before
         its flag, so every cell the copy calls finished has its value.
         """
         if copy:
             finished = self.finished.astype(bool)
-            return PlaneResults(np.array(self.values), finished)
-        return PlaneResults(self.values, self.finished.view(bool))
+            return PlaneResults(np.array(self.values), finished, init)
+        return PlaneResults(self.values, self.finished.view(bool), init, self.owners_of)
 
     def restore(self, snapshot: PlaneResults) -> None:
         """Roll the plane back to a :meth:`results` copy."""

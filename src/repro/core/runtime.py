@@ -2,25 +2,25 @@
 
 In the absence of faults a run has three stages:
 
-1. **distribute & initialize** — build the distribution over the alive
-   places, create the per-place vertex stores, seed each place's ready
-   list with its zero-indegree vertices;
+1. **distribute & initialize** — plan the run's units (tiles, or on the
+   per-vertex reference a grid of 1×1 tiles), build the distribution over
+   the alive places, home every unit on the one data plane and seed each
+   place's ready list with its zero-indegree units;
 2. **execute** — start one worker per place; workers schedule local
    vertices and run the user's ``compute()`` until every local vertex is
    finished;
 3. **finish** — bind results to the DAG and invoke ``app_finished()``.
 
 On a ``DeadPlaceException`` the runtime pauses, runs
-:func:`repro.core.recovery.recover` (``recover_tiled`` on a tiled run),
-and re-enters the execute stage on the surviving places — repeatedly, if
-multiple faults are injected. The flow is the same on every engine: the
+:func:`repro.core.recovery.recover_tiled`, and re-enters the execute
+stage on the surviving places — repeatedly, if multiple faults are
+injected. The flow is the same on every engine: the
 mp engine's place processes are a place group whose tile batches run
 remotely (:mod:`repro.core.mp_engine`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
@@ -34,19 +34,13 @@ from repro.apgas.place import PlaceGroup
 from repro.core.api import DPX10App
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
-from repro.core.dag import Dag, ResultView
+from repro.core.dag import Dag
 from repro.core.plane import TilePlane, bind_mapping, kernel_name, tile_kernel
-from repro.core.recovery import (
-    RecoveryStats,
-    recover,
-    recover_from_snapshot,
-    recover_tiled,
-)
+from repro.core.recovery import RecoveryStats, recover_tiled
 from repro.core.trace import ExecutionTrace, phase_span
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.core.scheduler import make_strategy
 from repro.core.tiling import TileRunState, plan_tiles
-from repro.core.vertex_store import build_stores
 from repro.core.worker import ExecutionState, run_inline, run_threaded
 from repro.errors import DeadPlaceException, DPX10Error
 from repro.util.logging import get_logger
@@ -276,12 +270,7 @@ class DPX10Runtime:
                         state.completions,
                     )
                     with phase_span(trace, "recovery", "recovery"):
-                        if state.tiles is not None:
-                            stats = recover_tiled(state)
-                        elif cfg.ft_mode == "snapshot":
-                            stats = recover_from_snapshot(state)
-                        else:
-                            stats = recover(state)
+                        stats = recover_tiled(state)
                     recovery_stats.append(stats)
                     logger.info(
                         "recovered onto places %s: %d preserved, %d copied, "
@@ -298,7 +287,7 @@ class DPX10Runtime:
             self._bind_results(state)
             self.app.app_finished(self.dag)
 
-        grid = state.plane.grid if state.plane is not None else None
+        grid = state.plane.grid
         report = RunReport(
             wall_time=timer.elapsed,
             completions=state.completions,
@@ -319,10 +308,7 @@ class DPX10Runtime:
                 state.snapshots.cells_copied_total if state.snapshots else 0
             ),
             trace=trace,
-            tile_shape=(
-                (grid.tile_h, grid.tile_w)
-                if grid is not None and not grid.cellwise else None
-            ),
+            tile_shape=None if grid.cellwise else (grid.tile_h, grid.tile_w),
             kernel=kernel_name(state.kernel),
         )
         if self.metrics.enabled:
@@ -339,42 +325,25 @@ class DPX10Runtime:
     ) -> ExecutionState:
         cfg = self.config
         mp = cfg.engine == "mp"
-        # tile-granular execution (planned unless the config pins a shape):
-        # schedule tiles of the coarsened pattern over one dense plane
-        # instead of cells over per-place vertex stores. A place process
-        # computes tiles only: an mp run with no plan is a grid of 1x1 tiles
+        # every run is a wavefront of units over one dense plane: the
+        # planned (or configured) tiles, or with no plan a grid of 1x1
+        # tiles — in process the paper's per-vertex reference, which runs
+        # one cell per unit through its places' remote-vertex caches
         plan = plan_tiles(self.dag, cfg)
-        tiled = self.dag.coarsen(1, 1) if plan is None and mp else plan
-        stores: Dict[int, object] = {}
-        plane = None
+        tiled = plan or self.dag.coarsen(1, 1)
+        per_vertex = tiled.grid.cellwise and not mp
         with phase_span(trace, "partition"):
             dist = cfg.make_dist(self.dag.region, group.alive_ids())
-            if tiled is None:
-                stores = build_stores(
-                    group,
-                    self.dag,
-                    dist,
-                    self.app.value_dtype,
-                    self.app.init_value,
-                    spill_dir=cfg.spill_dir,
-                )
-                total_active = sum(s.active_count for s in stores.values())
-            else:
-                plane = group.allocate(tiled.grid) if mp else TilePlane.allocate(
-                    tiled.grid, self.app.value_dtype, cfg.value_nbytes, cfg.spill_dir
-                )
-                plane.home(dist, tiled.active_tiles())
-                # exact per-tile counts: completions, progress and fault
-                # thresholds are cell-granular
-                total_active = int(tiled.tile_cells.sum())
-        # a tiled run never consults the caches: it reads finished cells
-        # in place
-        caches = {
-            pid: RemoteCache(cfg.cache_size) for pid in range(group.size)
-        }
+            plane = group.allocate(tiled.grid) if mp else TilePlane.allocate(
+                tiled.grid, self.app.value_dtype, cfg.value_nbytes, cfg.spill_dir
+            )
+            plane.home(dist, np.argwhere(tiled.tile_active))
         all_plans = list(self.fault_plans)
         if self.chaos is not None:
             all_plans += self.chaos.fault_plans()
+        # exact per-unit counts: completions, progress and fault
+        # thresholds are cell-granular
+        total_active = int(tiled.tile_cells.sum())
         injector = (
             FaultInjector(all_plans, total_active) if all_plans else None
         )
@@ -386,26 +355,19 @@ class DPX10Runtime:
             network=self.network,
             strategy=make_strategy(cfg.scheduler),
             dist=dist,
-            stores=stores,
-            ready={},
-            caches=caches,
+            plane=plane,
+            tiles=TileRunState(tiled),
+            caches=(
+                {pid: RemoteCache(cfg.cache_size) for pid in range(group.size)}
+                if per_vertex else {}
+            ),
+            per_vertex=per_vertex,
             injector=injector,
             total_active=total_active,
             trace=trace,
-            plane=plane,
         )
         with phase_span(trace, "schedule"):
-            # the per-place ready lists: zero-indegree cells, or on a
-            # tiled run zero-indegree tile indices
-            if tiled is None:
-                state.ready = {
-                    pid: deque(store.zero_indegree_unfinished())
-                    for pid, store in stores.items()
-                }
-            else:
-                state.ready = {pid: deque() for pid in dist.place_ids}
-                state.tiles = TileRunState(tiled)
-                state.tiles.build(plane, dist.place_ids, state.push_ready)
+            state.rebuild(dist)
         if plan is not None and not cfg.sanitize:
             # sanitized runs (and mp's 1x1 grids) keep the per-cell loop,
             # whose compute() calls the race guard wraps. Otherwise lift/classify/emit the
@@ -439,8 +401,8 @@ class DPX10Runtime:
         if mp:
             group.start(state)
         # bind eagerly so dag.get_vertex() is reachable during execution
-        # (reads it issues from inside compute() go through the vertex
-        # stores or the plane view, both visible to the race sanitizer)
+        # (reads it issues from inside compute() go through the plane
+        # view, visible to the race sanitizer)
         self._bind_results(state)
         return state
 
@@ -510,45 +472,15 @@ class DPX10Runtime:
 
     # -- stage 3: bind results ------------------------------------------------------
     def _bind_results(self, state: ExecutionState) -> None:
-        if state.plane is not None:
-            # a live view: the plane is updated in place, recoveries included
-            bind_mapping(self.dag, state.plane.results())
-            return
-        # read dist/stores through ``state`` on every call: recovery
-        # replaces both, and the view must follow the surviving places
-        def getter(i: int, j: int):
-            return state.stores[state.dist.place_of(i, j)].get_result(i, j)
-
-        def finished(i: int, j: int) -> bool:
-            return state.stores[state.dist.place_of(i, j)].is_finished(i, j)
-
-        def bulk(fill, dtype):
-            # one vectorized gather per place store; finished-active cells
-            # only, everything else keeps ``fill`` (Dag.to_array semantics)
-            dag = self.dag
-            out = np.full((dag.height, dag.width), fill, dtype=dtype or object)
-            for pid in state.dist.place_ids:
-                store = state.stores[pid]
-                n = store.size
-                if n == 0:
-                    continue
-                store._check()
-                rows = np.fromiter((c[0] for c in store.coords), np.int64, count=n)
-                cols = np.fromiter((c[1] for c in store.coords), np.int64, count=n)
-                mask = store.active & store.finished
-                out[rows[mask], cols[mask]] = store.values[mask]
-            return out
-
-        self.dag.bind_results(ResultView(getter, finished, bulk))
+        # a live view: the plane is updated in place, recoveries included
+        bind_mapping(self.dag, state.plane.results(init=self.app.init_value))
 
 
 def _check_complete(dag: Dag, state: ExecutionState) -> None:
-    """Every active cell of a tiled run must be on the plane at the end: a
-    place that acknowledged a batch without computing it shows here,
-    named in domain terms ("node 7" on a tree domain)."""
+    """Every active cell must be on the plane at the end: a place that
+    acknowledged a batch without computing it shows here, named in domain
+    terms ("node 7" on a tree domain)."""
     plane = state.plane
-    if plane is None:
-        return
     missing = state.total_active - int(np.count_nonzero(plane.finished))
     if missing:
         unfinished = (

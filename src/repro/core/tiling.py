@@ -31,7 +31,8 @@ Three layers live here (see docs/TILING.md for the full story):
 
 :func:`plan_tiles` is the one place a run decides its granularity:
 ``DPX10Config(tile_shape=(h, w))`` is used as given, ``None`` is planned,
-and ``(1, 1)`` keeps the per-vertex reference path bit-for-bit.
+and ``(1, 1)`` is the per-vertex reference: every run without a plan
+runs on a grid of 1×1 tiles (``dag.coarsen(1, 1)``).
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class TiledDag(Dag):
         grid: TileGrid,
         *,
         tile_offsets: Optional[Tuple[Offset, ...]] = None,
-        anti: Optional[Dict[Coord, List[Coord]]] = None,
+        table: Optional[np.ndarray] = None,
         tile_active: Optional[np.ndarray] = None,
         base_rank: Optional[Offset] = None,
     ) -> None:
@@ -236,8 +237,8 @@ class TiledDag(Dag):
         self.base = base
         self.grid = grid
         self.tile_offsets = tile_offsets
-        self._anti = anti
-        self._tile_active = tile_active
+        self._table = table  # an irregular pattern's successors, enumerated
+        self.tile_active = tile_active
         self._base_rank = base_rank
         self._cache: Dict[str, object] = {}
         #: stencil mode: offsets known, halo and order derivable symbolically
@@ -259,12 +260,13 @@ class TiledDag(Dag):
         """Active cells per tile, ``(nti, ntj)``, 0 on inactive tiles: exact,
         so completions, progress and fault thresholds stay cell-granular."""
         g, base = self.grid, self.base
+        if g.cellwise:  # a 1×1 tile is active exactly when its cell is
+            return self.tile_active.astype(np.int64)
         if type(base).is_active is Dag.is_active:
             counts = np.outer(*map(np.diff, g.edges))
         else:
-            rows, cols = np.divmod(np.arange(g.height * g.width), g.width)
-            counts = g.per_tile(self._active_mask(rows, cols).reshape(g.height, g.width))
-        return np.where(self._tile_active, counts, 0)
+            counts = g.per_tile(_cell_mask(base))
+        return np.where(self.tile_active, counts, 0)
 
     @functools.cached_property
     def successors(self) -> np.ndarray:
@@ -272,16 +274,13 @@ class TiledDag(Dag):
         in :meth:`get_anti_dependency` order, padded with -1."""
         nti, ntj = self.grid.nti, self.grid.ntj
         if not self.stencil_mode:
-            table = np.full((nti * ntj, max(map(len, self._anti.values()), default=0)), -1)
-            for (ti, tj), nbrs in self._anti.items():
-                table[ti * ntj + tj, : len(nbrs)] = [a * ntj + b for a, b in nbrs]
-            return table
+            return self._table
         ti, tj = np.divmod(np.arange(nti * ntj), ntj)
         cols = [np.full((nti * ntj, 0), -1)]
         for a, b in self.tile_offsets:
             si, sj = ti - a, tj - b
             ok = (si >= 0) & (si < nti) & (sj >= 0) & (sj < ntj)
-            ok[ok] = self._tile_active[si[ok], sj[ok]]
+            ok[ok] = self.tile_active[si[ok], sj[ok]]
             cols.append(np.where(ok, si * ntj + sj, -1)[:, None])
         return np.concatenate(cols, axis=1)
 
@@ -293,7 +292,7 @@ class TiledDag(Dag):
         copies share ``_cache``); callers must not modify it."""
         if "levels" in self._cache:
             return self._cache["levels"]
-        active = self._tile_active.ravel()
+        active = self.tile_active.ravel()
         out = self.successors[active].ravel()
         indegree = np.bincount(out[out >= 0], minlength=len(active))
         level = np.flatnonzero(active & (indegree == 0)).tolist()
@@ -306,11 +305,11 @@ class TiledDag(Dag):
 
     # -- the Dag interface over tiles ----------------------------------------------
     def is_active(self, ti: int, tj: int) -> bool:
-        return bool(self._tile_active[ti, tj])
+        return bool(self.tile_active[ti, tj])
 
     def get_dependency(self, ti: int, tj: int) -> List[VertexId]:
         # cold (validation, tests): the active tiles whose successors list this one
-        hit = (self.successors == ti * self.grid.ntj + tj).any(axis=1) & self._tile_active.ravel()
+        hit = (self.successors == ti * self.grid.ntj + tj).any(axis=1) & self.tile_active.ravel()
         return [VertexId(*divmod(t, self.grid.ntj)) for t in np.flatnonzero(hit).tolist()]
 
     def get_anti_dependency(self, ti: int, tj: int) -> List[VertexId]:
@@ -321,20 +320,9 @@ class TiledDag(Dag):
         """Tiles with work, row-major. A tile whose cells are all inactive
         is not listed; an over-approximate ``active_cells_in_rect`` may
         list a no-op tile, which executes harmlessly as zero cells."""
-        return [(int(a), int(b)) for a, b in np.argwhere(self._tile_active)]
+        return list(zip(*(a.tolist() for a in np.nonzero(self.tile_active))))
 
     # -- cell-level services for the tile worker -------------------------------------
-    def _active_mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        mask = self.base.is_active_array(rows, cols)
-        if mask is None:
-            base = self.base
-            mask = np.fromiter(
-                (base.is_active(int(i), int(j)) for i, j in zip(rows, cols)),
-                dtype=bool,
-                count=len(rows),
-            )
-        return mask
-
     def cells_of(self, ti: int, tj: int) -> Tuple[np.ndarray, np.ndarray]:
         """The tile's active cells ``(rows, cols)`` in a valid intra-tile order.
 
@@ -357,7 +345,7 @@ class TiledDag(Dag):
             )
             rows, cols = ii.ravel(), jj.ravel()
             if type(base).is_active is not Dag.is_active:
-                mask = self._active_mask(rows, cols)
+                mask = _active_mask(base, rows, cols)
                 rows, cols = rows[mask], cols[mask]
             order = np.lexsort((cols, rows, a * rows + b * cols))
             return rows[order], cols[order]
@@ -405,7 +393,7 @@ class TiledDag(Dag):
             offs = tuple(base.offsets)  # type: ignore[attr-defined]
             if type(base).is_active is not Dag.is_active:
                 rows, cols = _stencil_halo(offs, base.height, base.width, r0, r1, c0, c1)
-                mask = self._active_mask(rows, cols)
+                mask = _active_mask(base, rows, cols)
                 return rows[mask], cols[mask]
             # dense: pure bounds arithmetic, computed once per class in a
             # frame that keeps only the grid edges within the stencil's reach
@@ -448,6 +436,26 @@ class TiledDag(Dag):
         return k, np.concatenate([r for r, _ in halos]), np.concatenate([c for _, c in halos])
 
 
+def _active_mask(base: Dag, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``base.is_active`` over arrays of cells: vectorized where the pattern is."""
+    mask = base.is_active_array(rows, cols)
+    if mask is None:
+        mask = np.fromiter(
+            (base.is_active(int(i), int(j)) for i, j in zip(rows, cols)),
+            dtype=bool,
+            count=len(rows),
+        )
+    return mask
+
+
+def _cell_mask(base: Dag) -> np.ndarray:
+    """``base.is_active`` over its whole ``(height, width)`` matrix."""
+    if type(base).is_active is Dag.is_active:
+        return np.ones((base.height, base.width), bool)
+    rows, cols = np.divmod(np.arange(base.height * base.width), base.width)
+    return _active_mask(base, rows, cols).reshape(base.height, base.width)
+
+
 #: dense-stencil tile geometry by ``(offsets, height, width, tile_h,
 #: tile_w)``: a :class:`TiledDag` with no base whose grid, tile offsets
 #: and activity, ``successors``, ``tile_cells`` and ``levels()`` every
@@ -460,7 +468,7 @@ def _shared(tiled: TiledDag) -> TiledDag:
     """``tiled`` with its tile arrays computed and read-only, and no base.
     ``levels()`` is left to the first caller that asks (into the
     ``_cache`` every copy shares); no engine asks."""
-    for a in (tiled.successors, tiled.tile_cells, tiled._tile_active):
+    for a in (tiled.successors, tiled.tile_cells, tiled.tile_active):
         a.setflags(write=False)
     tiled.base = None
     return tiled
@@ -518,12 +526,15 @@ def _coarsen(base: Dag, tile_h: int, tile_w: int, stencil_ok: bool) -> TiledDag:
                 "ranking vector: the tile DAG would be cyclic. Use a tile "
                 "shape that covers the offset reach (see docs/TILING.md)."
             )
-        tile_active = np.zeros((grid.nti, grid.ntj), dtype=bool)
-        for ti in range(grid.nti):
-            for tj in range(grid.ntj):
-                tile_active[ti, tj] = (
-                    base.active_cells_in_rect(*grid.bounds(ti, tj)) > 0
-                )
+        if grid.cellwise:  # exact, and vectorized: a 1×1 tile holds its one cell
+            tile_active = _cell_mask(base)
+        else:
+            tile_active = np.zeros((grid.nti, grid.ntj), dtype=bool)
+            for ti in range(grid.nti):
+                for tj in range(grid.ntj):
+                    tile_active[ti, tj] = (
+                        base.active_cells_in_rect(*grid.bounds(ti, tj)) > 0
+                    )
         return TiledDag(
             base,
             grid,
@@ -532,25 +543,34 @@ def _coarsen(base: Dag, tile_h: int, tile_w: int, stencil_ok: bool) -> TiledDag:
             base_rank=base_rank,
         )
 
-    # irregular pattern: enumerate the cell edges and hoist them
-    anti: Dict[Coord, Set[Coord]] = {}
-    tile_active = np.zeros((grid.nti, grid.ntj), dtype=bool)
-    for i, j in base.region:
-        if not base.is_active(i, j):
-            continue
-        t = grid.tile_of(i, j)
-        tile_active[t] = True
-        for d in base.get_dependency(i, j):
-            if not base.is_active(d.i, d.j):
-                continue
-            td = grid.tile_of(d.i, d.j)
-            if td != t:
-                anti.setdefault(td, set()).add(t)
+    # irregular pattern: enumerate the cell edges between active cells,
+    # hoist them to tiles, and lay each tile's distinct successors out
+    # in tile order as one row of the table
+    active, width, ntiles = _cell_mask(base), base.width, grid.nti * grid.ntj
+
+    def tile(flat_cells):
+        ti, tj = grid.tile_of(*np.divmod(flat_cells, width))
+        return ti * grid.ntj + tj
+
+    cells = np.flatnonzero(active)
+    src: List[int] = []
+    fanin = np.zeros(len(cells), np.int64)
+    for k, (i, j) in enumerate(zip(*(a.tolist() for a in np.divmod(cells, width)))):
+        deps = base.get_dependency(i, j)
+        fanin[k] = len(deps)
+        src += [d.i * width + d.j for d in deps]
+    src = np.array(src, np.int64)
+    live = active.ravel()[src]
+    src, dst = tile(src[live]), np.repeat(tile(cells), fanin)[live]
+    edges = np.sort((src * ntiles + dst)[src != dst])
+    src, dst = np.divmod(edges[np.diff(edges, prepend=-1) != 0], ntiles)
+    fanout = np.bincount(src, minlength=ntiles)
+    table = np.full((ntiles, fanout.max(initial=0)), -1, np.int32)
+    table[src, np.arange(len(src)) - (np.cumsum(fanout) - fanout)[src]] = dst
+    tile_active = np.zeros(ntiles, bool)
+    tile_active[tile(cells)] = True
     tiled = TiledDag(
-        base,
-        grid,
-        anti={t: sorted(s) for t, s in anti.items()},
-        tile_active=tile_active,
+        base, grid, table=table, tile_active=tile_active.reshape(grid.nti, grid.ntj)
     )
     done, ntiles = sum(map(len, tiled.levels())), int(tile_active.sum())
     if done != ntiles:
@@ -569,7 +589,8 @@ PLANNED_TILE = 128
 
 
 def plan_tiles(dag: Dag, config) -> Optional[TiledDag]:
-    """Decide a run's granularity: its tile DAG, or ``None`` for per-vertex.
+    """Decide a run's granularity: its tile DAG, or ``None`` for per-vertex
+    (the runtime then runs the 1×1 grid, ``dag.coarsen(1, 1)``).
 
     An explicit ``config.tile_shape`` is used as given — ``(1, 1)`` is the
     per-vertex reference path. ``None`` plans ``PLANNED_TILE`` square
@@ -624,7 +645,7 @@ class TileRunState:
         ready lists first.
         """
         tiled, g = self.tiled, self.grid
-        active, cells = tiled._tile_active.ravel(), tiled.tile_cells.ravel()
+        active, cells = tiled.tile_active.ravel(), tiled.tile_cells.ravel()
         finished = np.zeros(len(active), bool)
         if plane.finished.any():
             finished = active & (cells > 0) & (g.per_tile(plane.finished).ravel() == cells)
@@ -663,6 +684,20 @@ class TileRunState:
     def place_done(self, pid: int) -> bool:
         with self.lock:
             return self.remaining.get(pid, 0) <= 0
+
+    # -- the per-vertex unit: one cell of a 1×1 grid, ``t`` its flat index -------------
+    def on_cell_finished(self, t: int, home: int) -> None:
+        """Count cell ``t`` finished at its home place, once."""
+        with self.lock:
+            if not self.finished[t]:
+                self.finished[t] = True
+                self.remaining[home] -= 1
+
+    def release(self, t: int) -> bool:
+        """A predecessor of cell ``t`` finished: whether ``t`` is now ready."""
+        with self.lock:
+            self.indegree[t] -= 1
+            return self.indegree[t] == 0 and not self.finished[t]
 
 
 # -- the tile worker ------------------------------------------------------------------
@@ -712,11 +747,17 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
     metrics = state.metrics
     t0 = clock()
     done = run(plane, tiled, state.app, state.kernel, tiles, places, halo, cfg.sanitize)
+    # a place that died mid-batch answers None for its tiles: what the
+    # survivors computed is accounted first, then the death is raised
+    lost = [p for p, d in zip(places, done) if d is None]
+    if lost:
+        keep = [k for k, d in enumerate(done) if d is not None]
+        tiles, places, homes, done = ([seq[k] for k in keep] for seq in (tiles, places, homes, done))
     cells = [d[0] for d in done]
     load: Dict[int, int] = {}  # cells executed per place
     for p, n in zip(places, cells):
         load[p] = load.get(p, 0) + n
-    if len(done[0]) > 2:
+    if done and len(done[0]) > 2:
         # the places timed their batches (and carry their throttles)
         spans = [d[2] for d in done]
     else:
@@ -786,3 +827,5 @@ def execute_tiles(state: "ExecutionState", tiles: List[Coord]) -> None:
                         state.chaos.record("kill")
                 raise DeadPlaceException(victims[0])
     ts.on_tiles_finished(tiles, state.push_ready)
+    if lost:
+        raise DeadPlaceException(lost[0])

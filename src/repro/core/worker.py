@@ -14,12 +14,15 @@ vertex's home place, mark it finished, then decrement the indegree of its
 anti-dependencies, pushing any that reach zero onto their home place's
 ready list.
 
-That loop is written once per engine, for whatever the ready lists hold.
-A unit is one cell, executed by :func:`execute_vertex`, or on a tiled run
-a batch of ready tiles — independent by construction — executed by
-:func:`repro.core.tiling.execute_tiles` in one ``run_tiles`` call. Both
-executors take ``(state, unit)``, choose execution places themselves and
-release successors onto ``state.ready``.
+Every run keeps its values, finish flags and owners on one
+:class:`~repro.core.plane.TilePlane` and its indegrees in one
+:class:`~repro.core.tiling.TileRunState`; the per-vertex reference is a
+run on a grid of 1×1 tiles. What differs is the unit of work the loop
+below is written once for: one cell, executed by :func:`execute_vertex`
+(the reference, in process), or a batch of ready tiles — independent by
+construction — executed by :func:`repro.core.tiling.execute_tiles` in one
+``run_tiles`` call. Both executors take ``(state, unit)``, choose
+execution places themselves and release successors onto ``state.ready``.
 
 * :func:`run_inline` — deterministic and single-threaded: one cell per
   alive place per turn, or on a tiled run every alive place's ready list;
@@ -39,10 +42,9 @@ bytecode; on a tiled inline run, the tiles of all places sweep together.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.analysis import sanitize as _sanitize
 from repro.apgas.failure import FaultInjector
@@ -52,14 +54,14 @@ from repro.core.api import DPX10App, Vertex
 from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.dag import Dag
+from repro.core.plane import TilePlane
 from repro.core.scheduler import SchedulingStrategy
-from repro.core.tiling import execute_tiles
+from repro.core.tiling import TileRunState, execute_tiles
 from repro.core.trace import ExecutionTrace, TraceEvent
-from repro.core.vertex_store import VertexStore
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.dist.dist import Dist
 from repro.dist.snapshot import SnapshotStore
-from repro.errors import DeadPlaceException, PatternError
+from repro.errors import DeadPlaceException, PatternError, UnfinishedReadError
 from repro.util.rng import seeded_rng
 
 __all__ = ["ExecutionState", "execute_vertex", "run_inline", "run_threaded"]
@@ -70,6 +72,21 @@ Coord = Tuple[int, int]
 # via the per-place condition make the common case prompt, the timeout only
 # bounds how stale a missed notification can get
 _IDLE_WAIT_S = 0.02
+
+
+class _PlaceRng:
+    """A place's placement generator, seeded on its first draw: only the
+    random strategy draws, and the same seed gives the same sequence."""
+
+    __slots__ = ("key", "rng")
+
+    def __init__(self, *key) -> None:
+        self.key, self.rng = key, None
+
+    def __getattr__(self, name: str):
+        if self.rng is None:
+            self.rng = seeded_rng(*self.key)
+        return getattr(self.rng, name)
 
 
 @dataclass
@@ -83,9 +100,20 @@ class ExecutionState:
     network: NetworkModel
     strategy: SchedulingStrategy
     dist: Dist
-    stores: Dict[int, VertexStore]
-    ready: Dict[int, Deque[Coord]]
-    caches: Dict[int, RemoteCache]
+    #: the run's one data plane: values, finish flags and unit homes
+    plane: TilePlane
+    #: the unit wavefront over it: indegrees, finished units, per-place
+    #: remaining counts (cells, on the per-vertex reference's 1×1 grid)
+    tiles: TileRunState
+    #: each place's ready units: cells on the per-vertex reference, else
+    #: tile indices
+    ready: Dict[int, Deque[Coord]] = field(default_factory=dict)
+    #: the per-vertex reference's FIFO caches of remote values, by
+    #: execution place; empty on every other run, which reads no cache
+    caches: Dict[int, RemoteCache] = field(default_factory=dict)
+    #: the paper's per-vertex reference: a 1×1 grid computed in this
+    #: process by execute_vertex, one cell per unit (mp ships 1×1 tiles)
+    per_vertex: bool = False
     injector: Optional[FaultInjector] = None
     completions: int = 0
     #: vertices executed per place (keyed by the execution place, which
@@ -100,14 +128,6 @@ class ExecutionState:
     #: metrics registry (repro.obs); the shared no-op NULL_REGISTRY unless
     #: config.metrics opted the run in
     metrics: MetricsRegistry = NULL_REGISTRY
-    #: tile-granular scheduling state (config.tile_shape); None on the
-    #: legacy per-vertex path. See repro.core.tiling.TileRunState.
-    tiles: Optional[object] = None
-    #: the dense data plane of a tiled run (repro.core.plane.TilePlane),
-    #: which then owns values and finish flags: ``stores`` and ``caches``
-    #: stay empty and ``ready`` queues tile indices. None on the
-    #: per-vertex path.
-    plane: Optional[object] = None
     #: chaos controller (config.chaos); None on undisturbed runs. The
     #: worker consults it for slow-place throttles, recovery for
     #: mid-recovery kill triggers. See repro.chaos.controller.
@@ -125,17 +145,24 @@ class ExecutionState:
     #: gauges. See repro.obs.causal.StragglerDetector.
     straggler: Optional[object] = None
     _completions_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: per-place wakeups, made by run_threaded for its workers
     conds: Dict[int, threading.Condition] = field(default_factory=dict)
     abort_event: threading.Event = field(default_factory=threading.Event)
     _abort_exc: Optional[Exception] = None
-    rngs: Dict[int, np.random.Generator] = field(default_factory=dict)
+    rngs: Dict[int, _PlaceRng] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # recovery only ever shrinks the places, so these cover every dist
         for pid in self.dist.place_ids:
-            self.conds.setdefault(pid, threading.Condition())
-            self.rngs.setdefault(
-                pid, seeded_rng(self.config.seed, "scheduler", pid)
-            )
+            self.rngs[pid] = _PlaceRng(self.config.seed, "scheduler", pid)
+
+    # -- the wavefront -------------------------------------------------------------
+    def rebuild(self, dist: Dist) -> None:
+        """Swap ``dist`` in and seed empty ready lists from the plane's
+        finish flags (at start-up, and after every recovery)."""
+        self.dist = dist
+        self.ready = {pid: deque() for pid in dist.place_ids}
+        self.tiles.build(self.plane, dist.place_ids, self.push_ready)
 
     # -- completion counting ---------------------------------------------------
     def bump_completions(self) -> int:
@@ -158,23 +185,19 @@ class ExecutionState:
                 cond.notify()
 
     def pop_ready(self, place_id: int):
-        """The place's next unit: one cell, or on a tiled run its whole
-        ready list, drained by ``popleft`` (its worker is the only
-        consumer) so that a tile another worker pushes is never lost."""
+        """The place's next unit: one cell on the per-vertex reference,
+        else its whole ready list, drained by ``popleft`` (its worker is
+        the only consumer) so that a tile another worker pushes is never
+        lost."""
         ready = self.ready[place_id]
-        if self.tiles is None:
+        if self.per_vertex:
             return ready.popleft() if ready else None
         return [ready.popleft() for _ in range(len(ready))] or None
 
     # -- termination (the paper's finished-vertices counter) -------------------------
     def place_done(self, place_id: int) -> bool:
-        """Whether every unit homed at the place has finished.
-
-        Raises :class:`DeadPlaceException` for a dead place's vertex store.
-        """
-        if self.tiles is not None:
-            return self.tiles.place_done(place_id)
-        return self.stores[place_id].all_done()
+        """Whether every unit homed at the place has finished."""
+        return self.tiles.place_done(place_id)
 
     def all_done(self) -> bool:
         return all(
@@ -192,15 +215,7 @@ class ExecutionState:
         computation. Returns the number of cells checkpointed.
         """
         assert self.snapshots is not None
-        if self.plane is not None:
-            cells = self.plane.results(copy=True)
-        else:
-            cells = {}
-            for pid in self.dist.place_ids:
-                if not self.group.is_alive(pid):
-                    continue
-                for coord, value in self.stores[pid].finished_items():
-                    cells[coord] = value
+        cells = self.plane.results(copy=True)
         self.snapshots.store(cells)
         return len(cells)
 
@@ -220,18 +235,27 @@ class ExecutionState:
 
 
 def execute_vertex(state: ExecutionState, coord: Coord) -> None:
-    """Run one vertex end to end (place, gather deps, compute, store, notify)."""
+    """Run one vertex end to end (place, gather deps, compute, store, notify).
+
+    The per-vertex reference's unit, on the run's plane: a dependency is
+    read off it (through the execution place's cache when remote), where
+    a dead owner raises :class:`DeadPlaceException`; the value, then the
+    flag, is written back; the successors are released in the pattern's
+    own ``get_anti_dependency`` order against the per-cell indegrees of
+    ``state.tiles``.
+    """
     i, j = coord
-    dag = state.dag
+    dag, plane, group = state.dag, state.plane, state.group
+    owners, values, flags = plane.owners, plane.values, plane.finished
     nbytes = state.config.value_nbytes
     sanitizing = state.config.sanitize
-    home = state.dist.place_of(i, j)
+    home = owners.item(i, j)
 
     declared = dag.get_dependency(i, j)
     deps = [d for d in declared if dag.is_active(d.i, d.j)]
-    dep_homes = [state.dist.place_of(d.i, d.j) for d in deps]
+    dep_homes = [owners.item(d.i, d.j) for d in deps]
     exec_place = state.strategy.choose_place(
-        coord, home, dep_homes, state.group.alive_ids(), state.rngs[home], nbytes
+        coord, home, dep_homes, group.alive_ids(), state.rngs[home], nbytes
     )
     if state.chaos is not None:
         # slow-place throttle: a real (tiny) sleep at the execution place,
@@ -242,23 +266,25 @@ def execute_vertex(state: ExecutionState, coord: Coord) -> None:
     cache = state.caches[exec_place]
     vertices: List[Vertex] = []
     for d, dep_home in zip(deps, dep_homes):
-        if sanitizing and not state.stores[dep_home].is_finished(d.i, d.j):
+        key = (d.i, d.j)
+        if sanitizing and not flags[key]:
             # a declared dependency that has not finished means the
             # pattern's anti-dependency under-declares this edge and the
             # indegree bookkeeping released (i, j) too early
-            raise _sanitize.race_on_unfinished(
-                (i, j), (d.i, d.j), dep_home, exec_place
-            )
-        if dep_home == exec_place:
-            value = state.stores[dep_home].get_result(d.i, d.j)
-        else:
-            hit, value = cache.get((d.i, d.j))
-            if not hit:
-                # remote fetch: may raise DeadPlaceException if the
-                # dependency's home place failed
-                value = state.stores[dep_home].get_result(d.i, d.j)
+            raise _sanitize.race_on_unfinished((i, j), key, dep_home, exec_place)
+        hit = False
+        if dep_home != exec_place:
+            hit, value = cache.get(key)
+        if not hit:
+            # a read off the plane, at the dependency's home place
+            if not group.is_alive(dep_home):
+                raise DeadPlaceException(dep_home)
+            if not flags[key]:
+                raise UnfinishedReadError(key)
+            value = values[key]
+            if dep_home != exec_place:  # remote fetch
                 state.network.record(dep_home, exec_place, nbytes)
-                cache.put((d.i, d.j), value)
+                cache.put(key, value)
         vertices.append(Vertex(d.i, d.j, value))
 
     if sanitizing:
@@ -269,11 +295,14 @@ def execute_vertex(state: ExecutionState, coord: Coord) -> None:
     else:
         result = state.app.compute(i, j, vertices)
 
-    store = state.stores[home]
-    store.set_result(i, j, result)
+    if not group.is_alive(home):
+        raise DeadPlaceException(home)
+    values[i, j] = result
     if exec_place != home:
         state.network.record(exec_place, home, nbytes)
-    store.mark_finished(i, j)
+    flags[i, j] = 1
+    ts, width = state.tiles, plane.grid.ntj
+    ts.on_cell_finished(i * width + j, home)
 
     if state.trace is not None:
         state.trace.record(
@@ -312,18 +341,17 @@ def execute_vertex(state: ExecutionState, coord: Coord) -> None:
     for a in dag.get_anti_dependency(i, j):
         if not dag.is_active(a.i, a.j):
             continue
-        a_home = state.dist.place_of(a.i, a.j)
-        if not state.group.is_alive(a_home):
-            continue
-        if state.stores[a_home].dec_indegree(a.i, a.j):
+        a_home = owners.item(a.i, a.j)
+        if group.is_alive(a_home) and ts.release(a.i * width + a.j):
             state.push_ready(a_home, (a.i, a.j))
 
 
 def run_inline(state: ExecutionState) -> None:
     """Deterministic driver: one turn round-robins one ready cell per
-    alive place, or on a tiled run drains every alive place's ready list,
-    in place-id order, into one :func:`~repro.core.tiling.execute_tiles`
-    batch: places of one process do not sweep a shared level apart.
+    alive place on the per-vertex reference, or else drains every alive
+    place's ready list, in place-id order, into one
+    :func:`~repro.core.tiling.execute_tiles` batch: places of one process
+    do not sweep a shared level apart.
 
     Raises :class:`DeadPlaceException` on an injected fault (the runtime
     recovers and calls back in) and :class:`PatternError` if the DAG
@@ -334,7 +362,7 @@ def run_inline(state: ExecutionState) -> None:
     while True:
         alive = [pid for pid in place_ids if state.group.is_alive(pid)]
         progressed = False
-        if state.tiles is not None:
+        if not state.per_vertex:
             batch = [tile for pid in alive for tile in state.pop_ready(pid) or ()]
             if batch:
                 progressed = True
@@ -364,7 +392,8 @@ def run_threaded(state: ExecutionState) -> None:
     all workers park, and the first is re-raised here as raised: a dead
     place for the runtime's recovery loop, anything else ends the run.
     """
-    execute = execute_tiles if state.tiles is not None else execute_vertex
+    execute = execute_vertex if state.per_vertex else execute_tiles
+    state.conds = {pid: threading.Condition() for pid in state.dist.place_ids}
 
     def worker(pid: int) -> None:
         cond = state.conds[pid]

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dist.region import Region2D
 from repro.errors import DistributionError
 from repro.util.validation import require
@@ -228,6 +230,18 @@ class Dist:
         if not self.region.contains(i, j):
             raise DistributionError(f"({i}, {j}) outside {self.region}")
         return self._map_fn(i, j)
+
+    def places_of(self, rows, cols):
+        """:meth:`place_of` over arrays of cells: one rectangle test per
+        partition where the kind has them, else cell by cell."""
+        rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+        if self._partitions is None:
+            return np.fromiter(map(self.place_of, rows.tolist(), cols.tolist()), np.int64, len(rows))
+        out = np.full(len(rows), -1, np.int64)
+        for pid, parts in self._partitions.items():
+            for r in parts:
+                out[(rows >= r.row0) & (rows < r.row1) & (cols >= r.col0) & (cols < r.col1)] = pid
+        return out
 
     @property
     def nplaces(self) -> int:

@@ -68,7 +68,7 @@ class TestSanitizedRuns:
 
     def test_unsanitized_run_completes_silently(self):
         app, dag = undeclared_read_target()
-        # the per-vertex stores serve any finished cell; on a planned
+        # the per-vertex reference serves any finished cell; on a planned
         # tile the same undeclared read is a KeyError off the plane
         report = _run(app, dag, sanitize=False, tile_shape=(1, 1))
         assert report.completions == dag.size

@@ -23,6 +23,7 @@ from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
 from repro.core.shm import shm_supported
 from repro.errors import PlaceZeroDeadError
+from repro.obs.metrics import by_label
 from repro.patterns import DiagonalDag
 
 A, B = "GATTACAGATTACAGCATGCA", "GCATGCTGCATGCATTACA"
@@ -110,7 +111,7 @@ def test_a_place_that_dies_on_its_own_is_recovered(shm, tmp_path):
         pytest.skip("no usable shared memory on this platform")
     n = 12
     dag = DiagonalDag(n, n)
-    cfg = DPX10Config(nplaces=3, engine="mp", shm=shm, tile_shape=(3, 3))
+    cfg = DPX10Config(nplaces=3, engine="mp", shm=shm, tile_shape=(3, 3), metrics=True)
     app = SelfKillingApp(_victim_on(1, dag, cfg), tmp_path / "died")
     report = DPX10Runtime(app, dag, cfg).run()
     assert (tmp_path / "died").exists()
@@ -118,6 +119,12 @@ def test_a_place_that_dies_on_its_own_is_recovered(shm, tmp_path):
     assert report.recovery_stats[0].dead_places == (1,)
     assert report.final_alive_places == 2
     assert (dag.to_array(fill=0, dtype=np.int64) == _oracle(n)).all()
+    # the batch the death interrupted is accounted for its survivors: each
+    # one's executed count is what its own process computed
+    computed = by_label(report.metrics, "dpx10_mp_worker_cells_total", "place")
+    for p in (0, 2):
+        assert report.per_place_executed[p] == computed[str(p)]
+    assert report.recomputed > 0
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="places must be forked processes")

@@ -524,22 +524,26 @@ def test_mp_places_sweep_mtp_with_the_row_scan_kernel(shm, tmp_path, monkeypatch
 
 
 def test_tiled_in_process_runs_build_no_vertex_stores(monkeypatch):
-    want, _ = run_plane("diagonal", MixApp())
-    import repro.core.recovery as recovery_mod
-    import repro.core.runtime as runtime_mod
+    # one plane per run, recoveries included: the per-vertex reference
+    # and a tiled run alike allocate exactly one TilePlane and keep
+    # nothing per place beside it
+    allocated = []
+    real = TilePlane.allocate.__func__
 
-    def no_stores(*args, **kwargs):
-        raise AssertionError("tiled runs must not build per-place stores")
+    def spy(cls, *args, **kwargs):
+        allocated.append(args[0])
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(runtime_mod, "build_stores", no_stores)
-    monkeypatch.setattr(recovery_mod, "build_stores", no_stores)
+    monkeypatch.setattr(TilePlane, "allocate", classmethod(spy))
+    want, reference = run_plane("diagonal", MixApp(), fault_plans=[FaultPlan(1, at_fraction=0.5)])
     got, report = run_plane(
         "diagonal",
         MixApp(),
         fault_plans=[FaultPlan(1, at_fraction=0.5)],
         tile_shape=(4, 4),
     )
-    assert got == want and report.recoveries == 1
+    assert got == want and report.recoveries == reference.recoveries == 1
+    assert [grid.cellwise for grid in allocated] == [True, False]
 
 
 # -- (c) one accounting rule ------------------------------------------------------------
@@ -776,8 +780,8 @@ def test_mp_spill_survives_a_kill_on_memmapped_planes(tmp_path, monkeypatch):
         backings.append(type(plane.values))
         return plane
 
+    want, _ = run_plane("diagonal", MixApp())  # allocates its own plane
     monkeypatch.setattr(TilePlane, "allocate", classmethod(spying))
-    want, _ = run_plane("diagonal", MixApp())
     got, report = run_plane(
         "diagonal",
         MixApp(),

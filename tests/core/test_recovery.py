@@ -3,19 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apgas.network import NetworkModel
 from repro.apgas.place import PlaceGroup
 from repro.core.api import DPX10App
-from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
-from repro.core.recovery import recover
-from repro.core.scheduler import make_strategy
-from repro.core.vertex_store import build_stores
-from repro.core.worker import ExecutionState
+from repro.core.recovery import recover_tiled as recover
+from repro.core.runtime import DPX10Runtime
 from repro.errors import PlaceZeroDeadError
 from repro.patterns.grid import GridDag
-
-from collections import deque
 
 
 class NullApp(DPX10App[int]):
@@ -26,36 +20,24 @@ class NullApp(DPX10App[int]):
 
 
 def make_state(nplaces=3, height=3, width=4, dist_kind="block_rows", restore="discard"):
-    group = PlaceGroup(nplaces)
-    dag = GridDag(height, width)
+    """A per-vertex reference run's state, built as the runtime builds it."""
     cfg = DPX10Config(
-        nplaces=nplaces, distribution=dist_kind, restore_manner=restore
+        nplaces=nplaces, distribution=dist_kind, restore_manner=restore,
+        tile_shape=(1, 1), cache_size=0,
     )
-    app = NullApp()
-    dist = cfg.make_dist(dag.region, group.alive_ids())
-    stores = build_stores(group, dag, dist, app.value_dtype, app.init_value)
-    ready = {pid: deque(stores[pid].zero_indegree_unfinished()) for pid in dist.place_ids}
-    caches = {pid: RemoteCache(0) for pid in range(nplaces)}
-    return ExecutionState(
-        app=app,
-        dag=dag,
-        config=cfg,
-        group=group,
-        network=NetworkModel(),
-        strategy=make_strategy("local"),
-        dist=dist,
-        stores=stores,
-        ready=ready,
-        caches=caches,
-    )
+    runtime = DPX10Runtime(NullApp(), GridDag(height, width), cfg)
+    return runtime._initialize(PlaceGroup(nplaces))
 
 
 def finish(state, coords):
     for i, j in coords:
-        store = state.stores[state.dist.place_of(i, j)]
-        store.set_result(i, j, i * 100 + j)
-        store.mark_finished(i, j)
+        state.plane.values[i, j] = i * 100 + j
+        state.plane.finished[i, j] = 1
         state.completions += 1
+
+
+def is_finished(state, i, j):
+    return bool(state.plane.finished[i, j])
 
 
 class TestRecoverBasics:
@@ -76,7 +58,8 @@ class TestRecoverBasics:
         state.group.kill(2)
         recover(state)
         assert state.dist.place_ids == (0, 1)
-        assert 2 not in state.stores
+        assert 2 not in state.ready
+        assert not (state.plane.owners == 2).any()
 
     def test_indegrees_reset_from_finished_flags(self):
         state = make_state()
@@ -88,8 +71,7 @@ class TestRecoverBasics:
         ready_all = {c for q in state.ready.values() for c in q}
         assert (0, 2) in ready_all
         assert (1, 1) not in ready_all
-        s = state.stores[state.dist.place_of(1, 1)]
-        assert s.indegree[s.slot(1, 1)] == 1
+        assert state.tiles.indegree[1 * 4 + 1] == 1
 
     def test_finished_cells_not_rescheduled(self):
         state = make_state()
@@ -132,9 +114,8 @@ class TestRestoreManners:
             assert state.network.stats.bytes > before
         # values survived the move
         for c in [(1, 0), (1, 1)]:
-            s = state.stores[state.dist.place_of(*c)]
-            assert s.is_finished(*c)
-            assert s.get_result(*c) == c[0] * 100 + c[1]
+            assert is_finished(state, *c)
+            assert state.plane.values[c] == c[0] * 100 + c[1]
 
     def test_dead_place_results_always_lost(self):
         state = make_state(restore="copy")
@@ -162,11 +143,10 @@ class TestFigure6Scenario:
         # (0,0),(0,1) stay on place 0 (flat 0,1); (1,1) flat 5 stays on
         # place 0?  old home of row 1 cells was place 1... check which
         # results survive: a result survives iff old home == new home.
-        d = state.dist
         survived = [
             c
             for c in [(0, 0), (0, 1), (1, 1), (1, 2)]
-            if state.stores[d.place_of(*c)].is_finished(*c)
+            if is_finished(state, *c)
         ]
         # old homes (block_flat over 3 places, 4 cells each):
         #   (0,0) flat 0 -> old place 0, new place 0: survives

@@ -6,13 +6,11 @@ import os
 import numpy as np
 
 from repro.apgas.failure import FaultPlan
-from repro.apgas.place import PlaceGroup
 from repro.apps.lcs import solve_lcs
 from repro.apps.serial import lcs_matrix
 from repro.apps.smith_waterman import solve_swlag
 from repro.core.config import DPX10Config
-from repro.core.vertex_store import build_stores
-from repro.dist.dist import Dist
+from repro.core.plane import TilePlane
 from repro.patterns.diagonal import DiagonalDag
 
 X, Y = "ACGTACGGTACG", "TACGATCGGG"
@@ -20,60 +18,45 @@ EXPECT = int(lcs_matrix(X, Y)[-1, -1])
 
 
 class TestSpilledStore:
+    """Every run's one plane spills through ``TilePlane.allocate(spill_dir=...)``."""
+
+    @staticmethod
+    def plane(tmp_path, dtype=np.int64, n=6):
+        grid = DiagonalDag(n, n).coarsen(1, 1).grid
+        return TilePlane.allocate(grid, dtype, spill_dir=str(tmp_path))
+
     def test_values_are_memmapped(self, tmp_path):
-        group = PlaceGroup(2)
-        dag = DiagonalDag(6, 6)
-        dist = Dist.block_rows(dag.region, [0, 1])
-        stores = build_stores(
-            group, dag, dist, np.int64, lambda i, j: None, spill_dir=str(tmp_path)
-        )
-        assert all(s.spilled for s in stores.values())
-        assert isinstance(stores[0].values, np.memmap)
-        files = glob.glob(os.path.join(tmp_path, "dpx10-place*.npy"))
-        assert len(files) == 2
+        plane = self.plane(tmp_path)
+        assert isinstance(plane.values, np.memmap)
+        assert plane.values.filename.startswith(os.path.join(tmp_path, "dpx10-plane-"))
 
     def test_object_dtype_stays_in_ram(self, tmp_path):
-        group = PlaceGroup(1)
-        dag = DiagonalDag(3, 3)
-        dist = Dist.block_rows(dag.region, [0])
-        stores = build_stores(
-            group, dag, dist, None, lambda i, j: None, spill_dir=str(tmp_path)
-        )
-        assert not stores[0].spilled
+        plane = self.plane(tmp_path, dtype=None, n=3)
+        assert not isinstance(plane.values, np.memmap)
         assert glob.glob(os.path.join(tmp_path, "*.npy")) == []
 
     def test_roundtrip_through_disk(self, tmp_path):
-        group = PlaceGroup(1)
-        dag = DiagonalDag(4, 4)
-        dist = Dist.block_rows(dag.region, [0])
-        stores = build_stores(
-            group, dag, dist, np.int64, lambda i, j: None, spill_dir=str(tmp_path)
-        )
-        s = stores[0]
-        s.set_result(2, 3, 777)
-        s.mark_finished(2, 3)
-        assert s.get_result(2, 3) == 777
+        plane = self.plane(tmp_path, n=4)
+        plane.values[2, 3] = 777
+        plane.finished[2, 3] = 1
+        assert plane.results()[(2, 3)] == 777
+        assert plane.results(copy=True)[(2, 3)] == 777
 
     def test_file_removed_on_gc(self, tmp_path):
         import gc
 
-        group = PlaceGroup(1)
-        dag = DiagonalDag(3, 3)
-        dist = Dist.block_rows(dag.region, [0])
-        stores = build_stores(
-            group, dag, dist, np.int64, lambda i, j: None, spill_dir=str(tmp_path)
-        )
-        assert len(glob.glob(os.path.join(tmp_path, "*.npy"))) == 1
-        group[0].pop("vertex_store")  # drop the place's reference too
-        del stores
+        plane = self.plane(tmp_path, n=3)
+        # unlinked as soon as it is mapped: the mapping keeps the blocks
+        assert glob.glob(os.path.join(tmp_path, "*.npy")) == []
+        plane.values[1, 1] = 5
+        assert int(plane.values[1, 1]) == 5
+        del plane
         gc.collect()
         assert glob.glob(os.path.join(tmp_path, "*.npy")) == []
 
 
 class TestSpilledRuns:
-    # the per-place vertex stores are what spills a file per place: that
-    # is the per-vertex path (tiled runs memory-map one plane, see
-    # test_plane.py)
+    # the per-vertex reference spills its one plane like every run
     def test_lcs_answer_unchanged(self, tmp_path):
         cfg = DPX10Config(nplaces=3, spill_dir=str(tmp_path), tile_shape=(1, 1))
         app, _ = solve_lcs(X, Y, cfg)

@@ -6,22 +6,17 @@ threaded place's list, or every place's on an inline turn) through
 ``execute_tiles``.
 """
 
-from collections import deque
-
 import numpy as np
 import pytest
 
-from repro.apgas.failure import FaultInjector, FaultPlan
-from repro.apgas.network import NetworkModel
+from repro.apgas.failure import FaultPlan
 from repro.apgas.place import PlaceGroup
 from repro.core import runtime as runtime_module
 from repro.core.api import DPX10App
-from repro.core.cache import RemoteCache
 from repro.core.config import DPX10Config
 from repro.core.runtime import DPX10Runtime
 from repro.core.scheduler import make_strategy
-from repro.core.vertex_store import build_stores
-from repro.core.worker import ExecutionState, execute_vertex, run_inline
+from repro.core.worker import execute_vertex, run_inline
 from repro.errors import DeadPlaceException, DependencyRaceError, PatternError
 from repro.patterns.diagonal import DiagonalDag
 from repro.patterns.grid import GridDag
@@ -53,39 +48,22 @@ class FailingApp(RecordingApp):
 
 
 def make_state(dag=None, nplaces=2, cache_size=8, dist_kind="block_rows", plans=()):
+    """A per-vertex reference run's state, built as the runtime builds it."""
     dag = dag or GridDag(4, 4)
-    group = PlaceGroup(nplaces)
-    cfg = DPX10Config(nplaces=nplaces, cache_size=cache_size, distribution=dist_kind)
-    app = RecordingApp()
-    dist = cfg.make_dist(dag.region, group.alive_ids())
-    stores = build_stores(group, dag, dist, app.value_dtype, app.init_value)
-    ready = {pid: deque(stores[pid].zero_indegree_unfinished()) for pid in dist.place_ids}
-    caches = {pid: RemoteCache(cache_size) for pid in range(nplaces)}
-    total = sum(s.active_count for s in stores.values())
-    state = ExecutionState(
-        app=app,
-        dag=dag,
-        config=cfg,
-        group=group,
-        network=NetworkModel(),
-        strategy=make_strategy("local"),
-        dist=dist,
-        stores=stores,
-        ready=ready,
-        caches=caches,
-        injector=FaultInjector(list(plans), total) if plans else None,
-        total_active=total,
+    cfg = DPX10Config(
+        nplaces=nplaces, cache_size=cache_size, distribution=dist_kind, tile_shape=(1, 1)
     )
-    return state, app
+    app = RecordingApp()
+    runtime = DPX10Runtime(app, dag, cfg, fault_plans=list(plans))
+    return runtime._initialize(PlaceGroup(nplaces)), app
 
 
 class TestExecuteVertex:
     def test_seed_vertex_lifecycle(self):
         state, app = make_state()
         execute_vertex(state, (0, 0))
-        store = state.stores[0]
-        assert store.is_finished(0, 0)
-        assert store.get_result(0, 0) == 0
+        assert state.plane.finished[0, 0]
+        assert state.dag.get_vertex(0, 0).get_result() == 0
         assert state.completions == 1
         # anti-deps notified: (0,1) and (1,0) had indegree 1 -> now ready
         ready_all = {c for q in state.ready.values() for c in q}
@@ -135,7 +113,7 @@ class TestExecuteVertex:
         # (0,0) [home place 0] is placed at place 1: result write-back 0<-1
         state.strategy = AlwaysPlaceOne()
         execute_vertex(state, (0, 0))
-        assert state.stores[0].is_finished(0, 0)
+        assert state.plane.finished[0, 0]
         assert state.network.stats.by_pair[(1, 0)] == state.config.value_nbytes
         assert state.executed_by[1] == 1
 
@@ -146,7 +124,7 @@ class TestExecuteVertex:
         assert exc.value.place_id == 1
         assert not state.group.is_alive(1)
         # the completed vertex's result survived on place 0
-        assert state.stores[0].is_finished(0, 0)
+        assert state.plane.finished[0, 0] and state.plane.owners[0, 0] == 0
 
     def test_notification_to_dead_place_skipped(self):
         state, app = make_state()
@@ -161,7 +139,7 @@ class TestRunInline:
         state, app = make_state()
         run_inline(state)
         assert state.completions == 16
-        assert all(s.all_done() for s in state.stores.values())
+        assert state.all_done() and state.plane.finished.all()
 
     def test_deadlock_detected(self):
         state, app = make_state()
@@ -192,7 +170,7 @@ class TestSharedDrivers:
         entered = []
 
         def spy(state):
-            entered.append(state.tiles is not None)
+            entered.append(not state.per_vertex)
             return real(state)
 
         monkeypatch.setattr(runtime_module, driver, spy)
@@ -211,7 +189,7 @@ class TestSharedDrivers:
             MixApp(), DiagonalDag(8, 8), DPX10Config(nplaces=2, tile_shape=TILE)
         )
         state = runtime._initialize(PlaceGroup(2))
-        assert state.tiles is not None
+        assert not state.per_vertex
         # drain the seed tile: nothing will ever become ready
         for queue in state.ready.values():
             queue.clear()
@@ -270,3 +248,48 @@ class TestSharedDrivers:
         cfg = DPX10Config(nplaces=2, engine="threaded", tile_shape=TILE, sanitize=True)
         with pytest.raises(DependencyRaceError):
             DPX10Runtime(app, dag, cfg).run()
+
+
+class TestPerPlaceState:
+    """Per-place state nothing reads is not built: placement RNGs are
+    seeded on their first draw, wakeups only for threaded workers."""
+
+    @pytest.fixture
+    def seeded(self, monkeypatch):
+        from repro.core import worker
+
+        calls = []
+        real = worker.seeded_rng
+
+        def spy(*key):
+            calls.append(key)
+            return real(*key)
+
+        monkeypatch.setattr(worker, "seeded_rng", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [dict(engine="mp", nplaces=2), dict(tile_shape=(1, 1), nplaces=3)],
+        ids=["planned-mp", "inline-local"],
+    )
+    def test_no_generator_unless_a_strategy_draws(self, seeded, cfg):
+        dag = DiagonalDag(12, 12)
+        report = DPX10Runtime(
+            MixApp(), dag, DPX10Config(**cfg), fault_plans=[FaultPlan(1, at_fraction=0.5)]
+        ).run()
+        assert report.recoveries == 1
+        assert seeded == []
+
+    def test_random_strategy_seeds_each_place_once(self, seeded):
+        state, _ = make_state(nplaces=3)
+        state.strategy = make_strategy("random")
+        run_inline(state)
+        # the same seeds as ever (the parity battery pins the placements)
+        assert sorted(seeded) == [(0, "scheduler", p) for p in range(3)]
+        assert sum(state.executed_by.values()) == 16
+
+    def test_conditions_only_for_threaded_workers(self):
+        state, _ = make_state()
+        run_inline(state)
+        assert state.conds == {}
