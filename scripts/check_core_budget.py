@@ -237,8 +237,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: +17), the inactive-cell read through the one binding, the lazily
 #: seeded placement RNGs and the survivors' accounting of a batch an mp
 #: place died in (worker.py +29, config.py +4 of docstring).
+#:
+#: Core lowered, 5562 -> 5560. An unpooled mp run's shared plane is its
+#: result: ``ShmArena.unlink`` once every place attached, a ``close`` that
+#: drops handles but never a mapping an array views, ``collect`` copying
+#: only pooled planes, and ``as_bulk`` handing back a read-only view of a
+#: finished plane (shm.py, mp_engine.py, plane.py, dag.py of docstring);
+#: ``TiledDag.successors`` is CSR (``_csr``, ``_out_edges``; tiling.py).
+#: Paid inside core: ``DPX10Config.__post_init__`` checks its enum and
+#: lower-bound fields from two tables, and ``_PlaceProc.recv_reply`` has
+#: one receive loop for both the blocking and the timed pipe.
 CEILINGS = {
-    "src/repro/core": 5562,
+    "src/repro/core": 5560,
     "src/repro/analysis": 6032,
 }
 

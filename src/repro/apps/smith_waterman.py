@@ -175,12 +175,14 @@ class SWApp(DPX10App[int]):
         return True
 
     def app_finished(self, dag: Dag[int]) -> None:
-        # whole-matrix argmax; to_array takes the runtime's vectorized
-        # gather when available, so the scan is one numpy pass
+        # the first best cell in row-major order, as a whole-matrix argmax
+        # finds it; to_array is a read-only view of the plane here, which
+        # np.argmax would copy whole, so only the best row is argmax'd
         scores = dag.to_array(fill=0, dtype=np.int64)
-        bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        bi = int(np.argmax(scores.max(axis=1)))
+        bj = int(np.argmax(scores[bi]))
         self.best_score = int(scores[bi, bj])
-        self.alignment = self._traceback(scores, int(bi), int(bj))
+        self.alignment = self._traceback(scores, bi, bj)
 
     def _traceback(self, scores: np.ndarray, i: int, j: int) -> Tuple[str, str]:
         """Walk back from the best cell while scores stay positive.

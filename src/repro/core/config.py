@@ -179,39 +179,21 @@ class DPX10Config:
     place_pool: Optional[object] = None
 
     def __post_init__(self) -> None:
-        require(self.nplaces >= 1, f"nplaces must be >= 1, got {self.nplaces}")
-        require(
-            self.engine in ENGINES,
-            f"engine must be one of {ENGINES}, got {self.engine!r}",
-        )
+        for name, allowed in (
+            ("engine", ENGINES), ("scheduler", _SCHEDULERS), ("restore_manner", _RESTORE),
+            ("ft_mode", ("recovery", "snapshot")),
+        ):
+            value = getattr(self, name)
+            require(value in allowed, f"{name} must be one of {allowed}, got {value!r}")
+        for name, least in (
+            ("nplaces", 1), ("cache_size", 0), ("value_nbytes", 1),
+            ("snapshot_interval", 0), ("progress_interval", 0),
+        ):
+            value = getattr(self, name)
+            require(value >= least, f"{name} must be >= {least}, got {value}")
         require(
             self.custom_dist is not None or self.distribution in _DIST_KINDS,
             f"distribution must be one of {_DIST_KINDS}, got {self.distribution!r}",
-        )
-        require(
-            self.scheduler in _SCHEDULERS,
-            f"scheduler must be one of {_SCHEDULERS}, got {self.scheduler!r}",
-        )
-        require(self.cache_size >= 0, f"cache_size must be >= 0, got {self.cache_size}")
-        require(
-            self.value_nbytes >= 1,
-            f"value_nbytes must be >= 1, got {self.value_nbytes}",
-        )
-        require(
-            self.restore_manner in _RESTORE,
-            f"restore_manner must be one of {_RESTORE}, got {self.restore_manner!r}",
-        )
-        require(
-            self.ft_mode in ("recovery", "snapshot"),
-            f"ft_mode must be 'recovery' or 'snapshot', got {self.ft_mode!r}",
-        )
-        require(
-            self.snapshot_interval >= 0,
-            f"snapshot_interval must be >= 0, got {self.snapshot_interval}",
-        )
-        require(
-            self.progress_interval >= 0,
-            f"progress_interval must be >= 0, got {self.progress_interval}",
         )
         if self.chaos is not None:
             # imported lazily: repro.chaos depends on repro.core for its

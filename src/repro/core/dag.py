@@ -210,7 +210,9 @@ class Dag(Generic[T]):
         """The full result matrix as a numpy array (after a run).
 
         Inactive cells take ``fill``. Handy for whole-matrix comparison
-        against serial oracles and for post-processing.
+        against serial oracles and for post-processing. Where every cell
+        is finished and ``dtype`` is the plane's own, this may be a
+        read-only view of the run's plane: copy it to write.
         """
         import numpy as np
 

@@ -26,7 +26,10 @@ transport under that loop, which :func:`run_mp` hands the runtime:
   not a code path. Numeric-dtype apps get ``multiprocessing.
   shared_memory`` segments (lifecycle owned by :mod:`repro.core.shm`)
   that master and places all map: both patches are ``None`` and the
-  pipes carry tile indices only. Object-valued apps, ``spill_dir`` runs,
+  pipes carry tile indices only. Their names are unlinked once every
+  place has attached, and the master's mapping is the run's result, not
+  copied out (pooled segments, which the next job re-leases, are).
+  Object-valued apps, ``spill_dir`` runs,
   runs under *message* chaos and platforms without shm get a private
   heap/memmap plane per process instead, and the two patches carry what
   a shared mapping would have made visible — the request brings the
@@ -506,23 +509,13 @@ class _PlaceProc:
         seq = self._pending[0]
         attempts = 0
         while True:
-            if self.timeout_s is None:
-                # chaos-free: block forever, as a plain pipe recv would
-                try:
-                    reply = self.conn.recv()
-                except (EOFError, OSError) as exc:
-                    self._died(exc)
-                if reply is self._dropped or reply[0] != seq:
-                    continue
-                self._pending = None
-                return tuple(reply[1:])
-            deadline = time.monotonic() + self.timeout_s
+            # chaos-free (no timeout): block forever, as a plain pipe recv would
+            deadline = None if self.timeout_s is None else time.monotonic() + self.timeout_s
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
                 try:
-                    if not self.conn.poll(remaining):
+                    if deadline is not None and not self.conn.poll(
+                        max(0.0, deadline - time.monotonic())
+                    ):
                         break
                     reply = self.conn.recv()
                 except (EOFError, OSError) as exc:
@@ -589,17 +582,12 @@ def _shm_eligible(app: DPX10App, config: DPX10Config, chaos) -> bool:
     and a platform where segments actually work. Ineligible runs get
     private planes and patches on the pipes; nothing else changes.
     """
-    if not config.shm:
-        return False
-    if app.value_dtype is None:
-        return False
-    if config.spill_dir is not None:
-        return False
-    if chaos is not None and chaos.message is not None:
-        return False
     from repro.core.shm import shm_supported
 
-    return shm_supported()
+    return bool(
+        config.shm and app.value_dtype is not None and config.spill_dir is None
+        and (chaos is None or chaos.message is None) and shm_supported()
+    )
 
 
 def _total(snapshot: Dict[str, dict], name: str) -> int:
@@ -727,6 +715,8 @@ class MPPlaces(PlaceGroup):
         )
         for p in self.alive_ids():
             self._request(p, self._init(p))
+        if self.arena is not None and self.pool is None:
+            self.arena.unlink()  # every place has attached: nothing can leak
         state.run_tiles = self.run_tiles
 
     # -- the batch executor ------------------------------------------------------------
@@ -861,8 +851,8 @@ class MPPlaces(PlaceGroup):
 
         Counters add into the registry, and the places' halo reads are
         the run's network traffic (the snapshot is a plain dict, so this
-        works with the NULL registry too). A shared plane is copied out:
-        its segments close with the run.
+        works with the NULL registry too). The plane is the result and
+        stays put; only pooled segments, the next job's, are copied out.
         """
         stats = self.network.stats
         with phase_span(self.trace, "collect"):
@@ -878,13 +868,14 @@ class MPPlaces(PlaceGroup):
             self.registry.counter(
                 "dpx10_mp_levels_total", "tile batches the master shipped to the places"
             ).set(self.batches)
-        if self.shared:
+        if self.shared and self.pool is not None:
             plane = state.plane
             plane.values, plane.finished = np.array(plane.values), plane.finished.copy()
 
     def close(self) -> None:
         """Return leased processes to their pool, or stop owned ones; then
-        close the plane's segments."""
+        hand the segments back to the pool, or drop the arena's handles
+        (the plane's own mapping stays while the result views it)."""
         try:
             if self.pool is not None:
                 self.pool.release(list(self.procs.values()))
@@ -913,8 +904,8 @@ def run_mp(
     <repro.core.runtime.DPX10Runtime.run>` allocates the plane through
     it, starts the places, hands it ``execute_tiles``' batches and its
     dead places' recovery, and collects from it. However the run ends,
-    the processes then go back to their pool (or stop) and the plane's
-    segments close.
+    the processes then go back to their pool (or stop) and the arena
+    lets go of the plane's segments.
 
     ``chaos`` is an optional :class:`~repro.chaos.controller.
     ChaosController`: its throttles slow a place's batches, and its

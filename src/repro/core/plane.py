@@ -53,8 +53,8 @@ class PlaneResults(Mapping):
     :meth:`as_bulk` is the vectorized gather the runtime hands to
     :class:`~repro.core.dag.ResultView` so ``Dag.to_array`` needs no
     per-cell loop. Every run binds a live view (readable from inside
-    ``compute()``, so reads are sanitizer-checked; an mp run's master
-    plane is copied out of its segments first); snapshots keep copies.
+    ``compute()``, so reads are sanitizer-checked), which is the result:
+    an mp run's segments are not copied out. Snapshots keep copies.
     """
 
     def __init__(self, values: np.ndarray, finished: np.ndarray, init=None, owner=None) -> None:
@@ -104,8 +104,16 @@ class PlaneResults(Mapping):
         return self
 
     def as_bulk(self, fill: Any, dtype: Any) -> np.ndarray:
-        """``ResultView`` bulk gather: full matrix, ``fill`` where unfinished."""
-        out = np.where(self._finished, self._values, fill)
+        """``ResultView`` bulk gather: full matrix, ``fill`` where unfinished;
+        where ``fill`` cannot apply and ``dtype`` is the plane's own, a
+        read-only view of the values, whose mapping (shared segment,
+        unlinked spill file) lives as long as the view."""
+        values = self._values
+        if self._typed and np.dtype(dtype or object) == values.dtype and self._finished.all():
+            view = values.view(np.ndarray)
+            view.flags.writeable = False
+            return view
+        out = np.where(self._finished, values, fill)
         return out.astype(dtype or object, copy=False)
 
 

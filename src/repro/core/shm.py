@@ -6,9 +6,12 @@ so that place processes read owned cells and halo strips as NumPy views
 instead of pickled pipe payloads. Everything about segment *lifetime* lives here:
 
 * :class:`ShmArena` — creates named segments, hands out NumPy views, and
-  owns close/unlink. Only the creating process unlinks (a forked child
-  that inherited the arena object merely closes its mappings), and an
-  ``atexit`` hook closes any arena leaked by an abnormal exit path.
+  owns unlink and close. Only the creating process unlinks, and an
+  ``atexit`` hook closes any arena leaked by an abnormal exit path. The
+  mp engine unlinks as soon as every place has attached, so even a
+  SIGKILLed master leaves nothing in ``/dev/shm``; ``close`` never
+  unmaps what an array still views, so a run's plane outlives its arena
+  as the run's result, until its last view dies.
 * :func:`attach_array` — the worker-process side: attach an existing
   segment by name. Worker processes are children of the creating master,
   so they share its ``resource_tracker``: the attach-side registration
@@ -32,6 +35,7 @@ import atexit
 import os
 import secrets
 import weakref
+from contextlib import suppress
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -111,7 +115,7 @@ class ShmArena:
     The process that constructs the arena is the *creator*: only it
     unlinks. ``close()`` is idempotent and safe to call from a forked
     child that inherited the object — the child merely drops its
-    mappings. Attachments made through :meth:`attach` are closed but
+    handles. Attachments made through :meth:`attach` are dropped but
     never unlinked (their creator does that).
     """
 
@@ -166,34 +170,25 @@ class ShmArena:
         return self._closed
 
     # -- teardown ---------------------------------------------------------------
-    def close(self) -> None:
-        """Drop every mapping; unlink created segments (creator only).
+    def unlink(self) -> None:
+        """Remove the created segments' names (creator only, once);
+        mappings already made stay valid, and nothing can attach now."""
+        if os.getpid() == self._creator_pid:
+            for seg in self._created:
+                with suppress(FileNotFoundError):
+                    seg.unlink()
+        self._creator_pid = None  # nothing left to remove
 
-        Idempotent. A forked child calling this (directly or via the
-        atexit sweep) closes its inherited mappings but leaves the
-        segments on disk for the creator to unlink.
-        """
+    def close(self) -> None:
+        """Unlink what is still named (creator only), then drop every
+        handle but no mapping an array still views. Idempotent; a forked
+        child (directly or via the atexit sweep) only drops its handles."""
         if self._closed:
             return
         self._closed = True
-        unlink = os.getpid() == self._creator_pid
-        for seg in self._attached:
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - already torn down
-                pass
-        for seg in self._created:
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - already torn down
-                pass
-            if unlink:
-                try:
-                    seg.unlink()
-                except FileNotFoundError:
-                    pass
-                except Exception:  # pragma: no cover - platform quirks
-                    pass
+        self.unlink()
+        for seg in self._attached + self._created:
+            _let_go(seg)
         self._attached.clear()
         self._created.clear()
         _LIVE_ARENAS.discard(self)
@@ -203,6 +198,16 @@ class ShmArena:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def _let_go(seg) -> None:
+    """Drop a segment handle but not its mapping: ``SharedMemory.close``
+    unmaps even under a live NumPy view. Forgetting the buffer and mmap
+    leaves the mapping to the arrays on it, unmapped with the last."""
+    if seg._fd >= 0:
+        os.close(seg._fd)
+        seg._fd = -1
+    seg._buf = seg._mmap = None
 
 
 # -- standalone attach (worker processes) -----------------------------------------

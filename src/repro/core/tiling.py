@@ -116,12 +116,23 @@ def _stencil_halo(offs, H, W, r0, r1, c0, c1) -> Tuple[np.ndarray, np.ndarray]:
     return rows[idx], cols[idx]
 
 
-def _release(indegree: np.ndarray, successors: np.ndarray, done) -> List[int]:
+def _csr(fanout: np.ndarray, succ: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:attr:`TiledDag.successors` off the fan-outs and the successors, tile after tile."""
+    return np.concatenate(([0], np.cumsum(fanout))).astype(np.int32), succ.astype(np.int32)
+
+
+def _out_edges(successors: Tuple[np.ndarray, np.ndarray], tiles) -> np.ndarray:
+    """The successors of flat ``tiles``, tile after tile."""
+    (ptr, succ), tiles = successors, np.asarray(tiles, np.int64)
+    lo, n = ptr[tiles], ptr[tiles + 1] - ptr[tiles]
+    return succ[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+
+
+def _release(indegree: np.ndarray, successors, done) -> List[int]:
     """Finish tiles ``done`` (flat, in order): one ``np.subtract.at`` over
     their out-edges; returns the tiles that releases, each at its last
     edge here — the order finishing ``done`` one at a time gives."""
-    out = successors[done].ravel()
-    out = out[out >= 0]
+    out = _out_edges(successors, done)
     np.subtract.at(indegree, out, 1)
     hit = out[np.flatnonzero(indegree[out] == 0)].tolist()
     return list(dict.fromkeys(reversed(hit)))[::-1]
@@ -269,20 +280,19 @@ class TiledDag(Dag):
         return np.where(self.tile_active, counts, 0)
 
     @functools.cached_property
-    def successors(self) -> np.ndarray:
-        """Row ``ti * ntj + tj``: that tile's successors as flat tile indices
-        in :meth:`get_anti_dependency` order, padded with -1."""
+    def successors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """CSR ``(ptr, succ)``, int32: tile ``t = ti * ntj + tj``'s successors
+        are ``succ[ptr[t]:ptr[t + 1]]``, flat tile indices in
+        :meth:`get_anti_dependency` order."""
         nti, ntj = self.grid.nti, self.grid.ntj
         if not self.stencil_mode:
             return self._table
-        ti, tj = np.divmod(np.arange(nti * ntj), ntj)
-        cols = [np.full((nti * ntj, 0), -1)]
-        for a, b in self.tile_offsets:
-            si, sj = ti - a, tj - b
-            ok = (si >= 0) & (si < nti) & (sj >= 0) & (sj < ntj)
-            ok[ok] = self.tile_active[si[ok], sj[ok]]
-            cols.append(np.where(ok, si * ntj + sj, -1)[:, None])
-        return np.concatenate(cols, axis=1)
+        ti, tj = np.divmod(np.arange(nti * ntj)[:, None], ntj)
+        a, b = np.array(self.tile_offsets, np.int64).reshape(-1, 2).T
+        si, sj = ti - a, tj - b
+        ok = (si >= 0) & (si < nti) & (sj >= 0) & (sj < ntj)
+        ok[ok] = self.tile_active[si[ok], sj[ok]]
+        return _csr(ok.sum(axis=1), (si * ntj + sj)[ok])
 
     def levels(self) -> List[List[Coord]]:
         """Active tiles by topological depth (Kahn by generations); within a
@@ -293,8 +303,8 @@ class TiledDag(Dag):
         if "levels" in self._cache:
             return self._cache["levels"]
         active = self.tile_active.ravel()
-        out = self.successors[active].ravel()
-        indegree = np.bincount(out[out >= 0], minlength=len(active))
+        out = _out_edges(self.successors, np.flatnonzero(active))
+        indegree = np.bincount(out, minlength=len(active))
         level = np.flatnonzero(active & (indegree == 0)).tolist()
         levels = []
         while level:
@@ -309,12 +319,14 @@ class TiledDag(Dag):
 
     def get_dependency(self, ti: int, tj: int) -> List[VertexId]:
         # cold (validation, tests): the active tiles whose successors list this one
-        hit = (self.successors == ti * self.grid.ntj + tj).any(axis=1) & self.tile_active.ravel()
-        return [VertexId(*divmod(t, self.grid.ntj)) for t in np.flatnonzero(hit).tolist()]
+        ptr, succ = self.successors
+        src = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))[succ == ti * self.grid.ntj + tj]
+        src = src[self.tile_active.ravel()[src]]
+        return [VertexId(*divmod(t, self.grid.ntj)) for t in src.tolist()]
 
     def get_anti_dependency(self, ti: int, tj: int) -> List[VertexId]:
-        return [VertexId(*divmod(t, self.grid.ntj)) for t in
-                self.successors[ti * self.grid.ntj + tj].tolist() if t >= 0]
+        (ptr, succ), t = self.successors, ti * self.grid.ntj + tj
+        return [VertexId(*divmod(s, self.grid.ntj)) for s in succ[ptr[t] : ptr[t + 1]].tolist()]
 
     def active_tiles(self) -> List[Coord]:
         """Tiles with work, row-major. A tile whose cells are all inactive
@@ -468,7 +480,7 @@ def _shared(tiled: TiledDag) -> TiledDag:
     """``tiled`` with its tile arrays computed and read-only, and no base.
     ``levels()`` is left to the first caller that asks (into the
     ``_cache`` every copy shares); no engine asks."""
-    for a in (tiled.successors, tiled.tile_cells, tiled.tile_active):
+    for a in (*tiled.successors, tiled.tile_cells, tiled.tile_active):
         a.setflags(write=False)
     tiled.base = None
     return tiled
@@ -545,7 +557,7 @@ def _coarsen(base: Dag, tile_h: int, tile_w: int, stencil_ok: bool) -> TiledDag:
 
     # irregular pattern: enumerate the cell edges between active cells,
     # hoist them to tiles, and lay each tile's distinct successors out
-    # in tile order as one row of the table
+    # in tile order, tile after tile (CSR)
     active, width, ntiles = _cell_mask(base), base.width, grid.nti * grid.ntj
 
     def tile(flat_cells):
@@ -564,9 +576,7 @@ def _coarsen(base: Dag, tile_h: int, tile_w: int, stencil_ok: bool) -> TiledDag:
     src, dst = tile(src[live]), np.repeat(tile(cells), fanin)[live]
     edges = np.sort((src * ntiles + dst)[src != dst])
     src, dst = np.divmod(edges[np.diff(edges, prepend=-1) != 0], ntiles)
-    fanout = np.bincount(src, minlength=ntiles)
-    table = np.full((ntiles, fanout.max(initial=0)), -1, np.int32)
-    table[src, np.arange(len(src)) - (np.cumsum(fanout) - fanout)[src]] = dst
+    table = _csr(np.bincount(src, minlength=ntiles), dst)
     tile_active = np.zeros(ntiles, bool)
     tile_active[tile(cells)] = True
     tiled = TiledDag(
@@ -649,8 +659,8 @@ class TileRunState:
         finished = np.zeros(len(active), bool)
         if plane.finished.any():
             finished = active & (cells > 0) & (g.per_tile(plane.finished).ravel() == cells)
-        out = tiled.successors[active & ~finished].ravel()
-        indegree = np.bincount(out[out >= 0], minlength=len(active))
+        out = _out_edges(tiled.successors, np.flatnonzero(active & ~finished))
+        indegree = np.bincount(out, minlength=len(active))
         indegree[finished] = -1
         pending = np.flatnonzero(active & ~finished)
         ready = pending[indegree[pending] == 0]

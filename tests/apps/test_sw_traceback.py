@@ -62,3 +62,20 @@ class TestTraceback:
         assert alignment_score(top, bottom) == app.best_score == sw_matrix(x, y).max()
         assert top.replace("-", "") in x
         assert bottom.replace("-", "") in y
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x=st.text(alphabet="AC", min_size=1, max_size=14),
+    y=st.text(alphabet="AC", min_size=1, max_size=14),
+)
+def test_the_best_cell_is_the_first_in_row_major_order(x, y):
+    """Ties (frequent over a two-letter alphabet) go to the cell a
+    whole-matrix argmax picks, so the alignment is the one it gives."""
+    import numpy as np
+
+    app, _ = solve_sw(x, y, CFG)
+    scores = sw_matrix(x, y).astype(np.int64)
+    bi, bj = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    assert app.best_score == int(scores[bi, bj])
+    assert app.alignment == app._traceback(scores, int(bi), int(bj))

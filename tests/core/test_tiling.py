@@ -618,3 +618,85 @@ class TestTiledRuntimeDetails:
         np.testing.assert_array_equal(
             dag.to_array(fill=-1, dtype=np.int64), ref
         )
+
+
+class TestSuccessorTable:
+    """``TiledDag.successors`` is CSR: one offset per tile plus one entry
+    per edge, whatever the fan-out spread, and the wavefront it feeds is
+    the one the tile offsets (stencils) or the hoisted cell edges
+    (irregular patterns) define."""
+
+    def test_egg_drop_reference_grid_stores_edges_not_padding(self):
+        from repro.apps.egg_drop import EggDropDag
+
+        tiled = EggDropDag(4, 800).coarsen(1, 1)
+        ptr, succ = tiled.successors
+        edges, tiles = len(succ), tiled.grid.nti * tiled.grid.ntj
+        assert len(ptr) == tiles + 1 and ptr[-1] == edges
+        assert ptr.nbytes + succ.nbytes <= (edges + tiles + 1) * 4
+
+    @staticmethod
+    def reference(tiled):
+        """Successor lists from the definition, then Kahn by generations,
+        each released tile queued at its last edge."""
+        g, active = tiled.grid, tiled.tile_active
+        tiles = [(ti, tj) for ti in range(g.nti) for tj in range(g.ntj)]
+        if tiled.stencil_mode:
+            succ = {
+                (ti, tj): [
+                    (ti - a, tj - b)
+                    for a, b in tiled.tile_offsets
+                    if 0 <= ti - a < g.nti and 0 <= tj - b < g.ntj and active[ti - a, tj - b]
+                ]
+                for ti, tj in tiles
+            }
+        else:
+            base, hoisted = tiled.base, {t: set() for t in tiles}
+            for i, j in base.active_cells():
+                dst = tuple(int(x) for x in g.tile_of(i, j))
+                for d in base.get_dependency(i, j):
+                    src = tuple(int(x) for x in g.tile_of(d.i, d.j))
+                    if base.is_active(d.i, d.j) and src != dst:
+                        hoisted[src].add(dst)
+            succ = {t: sorted(s) for t, s in hoisted.items()}
+        indegree = {t: 0 for t in tiles}
+        for t in tiles:
+            if active[t]:
+                for s in succ[t]:
+                    indegree[s] += 1
+        left = dict(indegree)
+        level, levels = [t for t in tiles if active[t] and indegree[t] == 0], []
+        while level:
+            levels.append(level)
+            nxt = []
+            for t in level:
+                for s in succ[t]:
+                    left[s] -= 1
+                    if left[s] == 0:
+                        nxt.append(s)
+            level = nxt
+        return succ, [indegree[t] for t in tiles], levels
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_indegrees_and_levels_match_the_definition(self, name, shape):
+        from repro.core.plane import TilePlane
+        from repro.core.tiling import TileRunState
+
+        cls = get_pattern(name)
+        dag = cls(9, 9, 2) if name == "banded" else cls(9, 9)
+        try:
+            tiled = dag.coarsen(*shape)
+        except PatternError:
+            pytest.skip("this shape does not coarsen the pattern")
+        succ, indegree, levels = self.reference(tiled)
+        plane = TilePlane.allocate(tiled.grid, np.int64)
+        plane.owners[:] = 0
+        state, pushed = TileRunState(tiled), []
+        state.build(plane, [0], lambda pid, tile: pushed.append(tile))
+        active = tiled.tile_active.ravel()
+        assert state.indegree[active].tolist() == np.array(indegree)[active].tolist()
+        assert [list(map(tuple, lv)) for lv in tiled.levels()] == levels
+        assert pushed == levels[0]
+        for t, s in succ.items():
+            assert [tuple(v) for v in tiled.get_anti_dependency(*t)] == s
